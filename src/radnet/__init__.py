@@ -10,7 +10,7 @@ diagnosis (HitRate@P%, NDCG@P%) metrics on top.
 
 from .errors import DimensionError, FormatError, GraphError, NumericError
 from .tensor import DiffArray, grad_check, no_grad
-from .graph import GatLayer, RoadGraph, gat_over_window
+from .graph import GatLayer, RoadGraph
 from .temporal import MultiHeadAttention, TransformerBlock, transformer_forward
 from .model import (
     Forecast,
@@ -76,7 +76,6 @@ __all__ = [
     "build_baseline",
     "build_window",
     "evaluate",
-    "gat_over_window",
     "gpd_fit",
     "grad_check",
     "hitrate_at",

@@ -1,9 +1,20 @@
 """Batch command line: synth, stats, train, forecast, detect, evaluate,
 ablate, report.
 
-Options resolve as flag > config file > default. A JSON config file passed
-with --config may hold any long-option name (dashes or underscores) plus
-nested `train` and `pot` blocks. RADNET_LOG sets the log level.
+A JSON config file passed with --config may hold any long-option name of
+the subcommand (dashes or underscores) plus nested `train` and `pot` blocks,
+whose keys are TrainConfig and PotConfig field names. Each field of
+RadNetConfig, TrainConfig, PotConfig and IncidentSpec takes the first value
+found in this order:
+
+1. the subcommand's flag (--static sets `dynamic` to false);
+2. the `train` / `pot` block of the config file;
+3. the config file's top level, for names that are long options of the
+   subcommand;
+4. the dataclass default, which is the only place defaults are written.
+
+Other options resolve as flag > config file top level > default. An unknown
+key in a `train` / `pot` block is an error. RADNET_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +33,7 @@ from . import data as data_io
 from .data import IncidentSpec, load_dataset, save_dataset, stats, stats_text, synth_traffic
 from .evaluation import evaluate
 from .incidents import IncidentLabels
-from .model import RadNet, RadNetConfig
+from .model import VARIANTS, RadNet, RadNetConfig
 from .pipeline import (
     PotConfig,
     run_detection,
@@ -31,8 +43,6 @@ from .pipeline import (
 from .training import Normalizer, TrainConfig, train, write_loss_csv
 
 log = logging.getLogger("radnet.cli")
-
-VARIANT_CHOICES = ("full", "no_skip", "no_st", "no_ts")
 
 
 def _setup_logging() -> None:
@@ -60,42 +70,30 @@ def _pick(args: argparse.Namespace, file_cfg: dict, key: str, default):
     return default
 
 
-def _train_config(args, file_cfg: dict) -> TrainConfig:
-    block = dict(file_cfg.get("train", {}))
-    merged = {**block}
-    for key, default in (
-        ("lr", 5e-4),
-        ("weight_decay", 1e-5),
-        ("max_epochs", 60),
-        ("patience", 10),
-        ("folds", 5),
-        ("batch", 32),
-    ):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        merged.setdefault(key, default)
-    merged["seed"] = _pick(args, file_cfg, "seed", 0)
-    return TrainConfig.from_dict(merged)
+def _options(raw: dict, args: argparse.Namespace) -> dict:
+    """Values in `raw` of long options of `args`' subcommand, as field names."""
+    values = {
+        key.replace("-", "_"): value
+        for key, value in raw.items()
+        if key.replace("-", "_") in vars(args) and value is not None
+    }
+    if values.pop("static", False):
+        values["dynamic"] = False
+    return values
 
 
-def _pot_config(args, file_cfg: dict) -> PotConfig:
-    block = dict(file_cfg.get("pot", {}))
-    for key, default in (
-        ("percentile", 99.0),
-        ("risk_q", 1e-3),
-        ("delta_per_horizon", 0.5),
-        ("horizon_index", 0),
-        ("refit_every", 500),
-    ):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            block[key] = flag
-        block.setdefault(key, default)
-    if getattr(args, "static", False):
-        block["dynamic"] = False
-    block.setdefault("dynamic", True)
-    return PotConfig.from_dict(block)
+def _resolve(cls, args: argparse.Namespace, file_cfg: dict, block: str | None = None, **fixed):
+    """Build dataclass `cls`: flag > file block > file top level > field default.
+
+    `fixed` values come from the data, not from options. Unknown keys in the
+    block reach `cls(...)` and fail there, naming the key.
+    """
+    names = {f.name for f in fields(cls)}
+    values = {k: v for k, v in _options(file_cfg, args).items() if k in names}
+    if block:
+        values.update({k.replace("-", "_"): v for k, v in file_cfg.get(block, {}).items()})
+    values.update({k: v for k, v in _options(vars(args), args).items() if k in names})
+    return cls(**{**values, **fixed})
 
 
 def _checkpoint_stem(path: str | Path) -> Path:
@@ -131,23 +129,15 @@ def _load_trained(checkpoint: str | Path) -> tuple[RadNet, Normalizer, dict]:
 
 def cmd_synth(args, file_cfg) -> int:
     out = Path(_pick(args, file_cfg, "out", "synth-data"))
-    seed = _pick(args, file_cfg, "seed", 0)
-    events = _pick(args, file_cfg, "events", 20)
-    spec = None
-    if events > 0:
-        spec = IncidentSpec(
-            count=events,
-            depth=_pick(args, file_cfg, "depth", 0.5),
-            duration=_pick(args, file_cfg, "duration", 6),
-            min_start=_pick(args, file_cfg, "min_start", 0),
-        )
+    events = _pick(args, file_cfg, "events", IncidentSpec.count)
+    spec = _resolve(IncidentSpec, args, file_cfg, count=events) if events > 0 else None
     series, graph, mask = synth_traffic(
         n_nodes=_pick(args, file_cfg, "nodes", 4),
         days=_pick(args, file_cfg, "days", 14),
         delta_seconds=_pick(args, file_cfg, "delta", 300),
         n_features=_pick(args, file_cfg, "features", 1),
         incidents=spec,
-        seed=seed,
+        seed=_pick(args, file_cfg, "seed", 0),
         noise=_pick(args, file_cfg, "noise", 0.03),
         weekend_factor=_pick(args, file_cfg, "weekend_factor", 1.0),
     )
@@ -173,25 +163,13 @@ def cmd_stats(args, file_cfg) -> int:
     return 0
 
 
-def _build_model(args, file_cfg, series, seed) -> RadNet:
-    cfg = RadNetConfig(
-        n_nodes=series.n_nodes,
-        n_features=series.n_features,
-        window=_pick(args, file_cfg, "window", 5),
-        horizon=_pick(args, file_cfg, "horizon", 1),
-        variant=_pick(args, file_cfg, "variant", "full"),
-        seed=seed,
-    )
-    return RadNet(cfg)
-
-
 def cmd_train(args, file_cfg) -> int:
     series, graph, _ = load_dataset(_pick(args, file_cfg, "data", None))
     out = Path(_pick(args, file_cfg, "out", "train-out"))
-    seed = _pick(args, file_cfg, "seed", 0)
     test_fraction = _pick(args, file_cfg, "test_fraction", 0.3)
-    model = _build_model(args, file_cfg, series, seed)
-    tc = _train_config(args, file_cfg)
+    model = RadNet(_resolve(RadNetConfig, args, file_cfg,
+                            n_nodes=series.n_nodes, n_features=series.n_features))
+    tc = _resolve(TrainConfig, args, file_cfg, "train")
     train_ts, _ = split_train_test(series.n_steps, test_fraction)
     result = train(model, series, graph, tc, timesteps=train_ts)
     out.mkdir(parents=True, exist_ok=True)
@@ -200,7 +178,7 @@ def cmd_train(args, file_cfg) -> int:
         out / "checkpoint",
         extra_hyperparameters={
             "normalizer": result.normalizer.to_dict(),
-            "train": tc.to_dict(),
+            "train": asdict(tc),
             "test_fraction": test_fraction,
             "best_epoch": result.best_epoch,
             "best_val_loss": result.best_val_loss,
@@ -210,8 +188,8 @@ def cmd_train(args, file_cfg) -> int:
     with open(out / "config.json", "w", encoding="utf-8") as fh:
         json.dump(
             {
-                "model": model.config.to_dict(),
-                "train": tc.to_dict(),
+                "model": asdict(model.config),
+                "train": asdict(tc),
                 "test_fraction": test_fraction,
             },
             fh,
@@ -232,7 +210,7 @@ def _detection_run(args, file_cfg):
     model, normalizer, hyper = _load_trained(_pick(args, file_cfg, "checkpoint", None))
     test_fraction = _pick(args, file_cfg, "test_fraction", hyper.get("test_fraction", 0.3))
     train_ts, test_ts = split_train_test(series.n_steps, test_fraction)
-    pot = _pot_config(args, file_cfg)
+    pot = _resolve(PotConfig, args, file_cfg, "pot")
     run = run_detection(model, series, graph, normalizer, pot, train_ts, test_ts)
     return run, series, graph, model, pot
 
@@ -271,7 +249,7 @@ def cmd_detect(args, file_cfg) -> int:
 
 def cmd_evaluate(args, file_cfg) -> int:
     detect_dir = Path(_pick(args, file_cfg, "detect", None))
-    horizon = _pick(args, file_cfg, "horizon", 1)
+    horizon = _pick(args, file_cfg, "horizon", RadNetConfig.horizon)
     predicted = IncidentLabels.from_csv(detect_dir / "labels_pred.csv", horizon)
     truth = IncidentLabels.from_csv(detect_dir / "labels_truth.csv", horizon)
     report = evaluate(predicted, truth)
@@ -292,21 +270,15 @@ def cmd_ablate(args, file_cfg) -> int:
     seed_list = [int(s) for s in str(seeds).split(",") if s != ""]
     test_fraction = _pick(args, file_cfg, "test_fraction", 0.3)
     train_ts, test_ts = split_train_test(series.n_steps, test_fraction)
-    tc_base = _train_config(args, file_cfg)
-    pot = _pot_config(args, file_cfg)
+    model_base = _resolve(RadNetConfig, args, file_cfg,
+                          n_nodes=series.n_nodes, n_features=series.n_features)
+    tc_base = _resolve(TrainConfig, args, file_cfg, "train")
+    pot = _resolve(PotConfig, args, file_cfg, "pot")
     rows = []
-    for variant in VARIANT_CHOICES:
+    for variant in VARIANTS:
         for seed in seed_list:
-            cfg = RadNetConfig(
-                n_nodes=series.n_nodes,
-                n_features=series.n_features,
-                window=_pick(args, file_cfg, "window", 5),
-                horizon=_pick(args, file_cfg, "horizon", 1),
-                variant=variant,
-                seed=seed,
-            )
-            model = RadNet(cfg)
-            tc = TrainConfig.from_dict({**tc_base.to_dict(), "seed": seed})
+            model = RadNet(replace(model_base, variant=variant, seed=seed))
+            tc = replace(tc_base, seed=seed)
             result = train(model, series, graph, tc, timesteps=train_ts)
             run = run_detection(model, series, graph, result.normalizer, pot, train_ts, test_ts)
             report = evaluate(run.predicted, run.truth)
@@ -328,7 +300,7 @@ def cmd_ablate(args, file_cfg) -> int:
                 f"{row['f1']:.10g},{row['hitrate_100']:.10g}\n"
             )
     lines = [f"{'variant':10s} {'val_mse':>10s} {'f1':>7s} {'h@100':>7s}"]
-    for variant in VARIANT_CHOICES:
+    for variant in VARIANTS:
         sub = [r for r in rows if r["variant"] == variant]
         lines.append(
             f"{variant:10s} {np.mean([r['val_mse'] for r in sub]):10.5f} "
@@ -363,7 +335,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--variant", choices=VARIANT_CHOICES)
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--lr", type=float)
     p.add_argument("--weight-decay", dest="weight_decay", type=float)
     p.add_argument("--max-epochs", dest="max_epochs", type=int)

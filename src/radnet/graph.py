@@ -190,11 +190,3 @@ class GatLayer:
             out[f"{prefix}head{m}.score_weight"] = self.score_weights[m]
             out[f"{prefix}head{m}.score_bias"] = self.score_biases[m]
         return out
-
-
-def gat_over_window(layer: GatLayer, window, graph: RoadGraph) -> DiffArray:
-    """Apply a GAT layer independently to each slice of a (K, N, D) window."""
-    window = window if isinstance(window, DiffArray) else DiffArray(window)
-    if window.ndim < 3:
-        raise DimensionError(f"expected a stacked window, got shape {window.shape}")
-    return layer(window, graph)

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureSeries
+from .errors import NumericError
 
 log = logging.getLogger("radnet.incidents")
 
@@ -299,6 +300,9 @@ def pot_fit(
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("cannot calibrate on an empty score sequence")
+    bad = int(np.count_nonzero(~np.isfinite(scores)))
+    if bad:
+        raise NumericError(f"{bad} of {scores.size} calibration scores are non-finite")
     u = float(np.percentile(scores, q0_percentile))
     excesses = scores[scores > u] - u
     state = ThresholdState(

@@ -15,7 +15,7 @@ temporo-spatial path (the remaining path is mixed with the input through a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -74,28 +74,6 @@ class RadNetConfig:
         if self.transformer_heads is None:
             self.transformer_heads = self.n_features
         self.decoder_widths = tuple(self.decoder_widths)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "n_features": self.n_features,
-            "window": self.window,
-            "horizon": self.horizon,
-            "variant": self.variant,
-            "gat_heads": self.gat_heads,
-            "transformer_heads": self.transformer_heads,
-            "encoder_hidden": self.encoder_hidden,
-            "decoder_widths": list(self.decoder_widths),
-            "dropout": self.dropout,
-            "leaky_slope": self.leaky_slope,
-            "temporal_mode": self.temporal_mode,
-            "decoder_source": self.decoder_source,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RadNetConfig":
-        return cls(**{**raw, "decoder_widths": tuple(raw.get("decoder_widths", (64, 64)))})
 
 
 @dataclass
@@ -192,7 +170,7 @@ class RadNet:
             p.values[...] = snapshot[name]
 
     def save(self, stem: str | Path, extra_hyperparameters: dict | None = None) -> None:
-        hyper = {"config": self.config.to_dict()}
+        hyper = {"config": asdict(self.config)}
         if extra_hyperparameters:
             hyper.update(extra_hyperparameters)
         save_checkpoint(stem, self.named_parameters(), self.config.seed, hyper)
@@ -200,7 +178,7 @@ class RadNet:
     @classmethod
     def load(cls, stem: str | Path) -> tuple["RadNet", dict]:
         arrays, manifest = load_checkpoint(stem)
-        config = RadNetConfig.from_dict(manifest["hyperparameters"]["config"])
+        config = RadNetConfig(**manifest["hyperparameters"]["config"])
         model = cls(config)
         assign_parameters(model.named_parameters(), arrays)
         return model, manifest

@@ -67,16 +67,10 @@ def adamw_step(
 class AdamW:
     """Convenience wrapper binding a parameter dict to an AdamWState."""
 
-    def __init__(
-        self,
-        params: dict[str, DiffArray],
-        lr: float = 5e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 1e-5,
-    ):
+    def __init__(self, params: dict[str, DiffArray], **hyper):
+        """`hyper` holds AdamWState settings (lr, betas, eps, weight_decay)."""
         self.params = params
-        self.state = AdamWState(lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
+        self.state = AdamWState(**hyper)
 
     def step(self) -> None:
         grads = {name: p.grad for name, p in self.params.items()}

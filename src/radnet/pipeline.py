@@ -46,20 +46,6 @@ class PotConfig:
     def effective_percentile(self) -> float:
         return percentile_for_horizon(self.percentile, self.horizon_index, self.delta_per_horizon)
 
-    def to_dict(self) -> dict:
-        return {
-            "percentile": self.percentile,
-            "risk_q": self.risk_q,
-            "delta_per_horizon": self.delta_per_horizon,
-            "horizon_index": self.horizon_index,
-            "dynamic": self.dynamic,
-            "refit_every": self.refit_every,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PotConfig":
-        return cls(**raw)
-
 
 def forecast_series(
     model: RadNet,

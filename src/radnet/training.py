@@ -16,7 +16,7 @@ from .data import FeatureSeries
 from .errors import NumericError
 from .graph import RoadGraph
 from .model import RadNet, batch_loss, build_window, rollout_autoregressive, loss as step_loss
-from .optim import AdamW
+from .optim import AdamW, AdamWState
 from .tensor import no_grad
 
 log = logging.getLogger("radnet.training")
@@ -24,15 +24,15 @@ log = logging.getLogger("radnet.training")
 
 @dataclass
 class TrainConfig:
-    lr: float = 5e-4
-    weight_decay: float = 1e-5
+    lr: float = AdamWState.lr
+    weight_decay: float = AdamWState.weight_decay
     max_epochs: int = 60
     patience: int = 10
     folds: int = 5
     batch: int = 32
     seed: int = 0
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
+    betas: tuple[float, float] = AdamWState.betas
+    eps: float = AdamWState.eps
     # > 0 trains a single-step model through an autoregressive rollout of
     # this many steps, with ground truth substituted per intermediate step
     # at `teacher_forcing_p`.
@@ -46,27 +46,10 @@ class TrainConfig:
             raise ValueError("patience must be at least 1")
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
-
-    def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "folds": self.folds,
-            "batch": self.batch,
-            "seed": self.seed,
-            "betas": list(self.betas),
-            "eps": self.eps,
-            "autoregressive_horizon": self.autoregressive_horizon,
-            "teacher_forcing_p": self.teacher_forcing_p,
-        }
+        self.betas = tuple(self.betas)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        raw = dict(raw)
-        if "betas" in raw:
-            raw["betas"] = tuple(raw["betas"])
         return cls(**raw)
 
 
@@ -241,7 +224,8 @@ def train(
 
     rng = np.random.default_rng(cfg.seed)
     params = model.named_parameters()
-    opt = AdamW(params, cfg.lr, cfg.betas, cfg.eps, cfg.weight_decay)
+    opt = AdamW(params, lr=cfg.lr, betas=cfg.betas, eps=cfg.eps,
+                weight_decay=cfg.weight_decay)
     stopper = EarlyStopper(cfg.patience)
 
     best_snapshot = model.state_snapshot()

@@ -1,5 +1,6 @@
 """Command-line behavior: determinism, config precedence, error paths."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -184,6 +185,50 @@ class TestConfigPrecedence:
         assert code == 0
         stored = json.loads((run / "config.json").read_text())
         assert stored["train"]["max_epochs"] == 2
+
+    @pytest.mark.parametrize(
+        "file_cfg, expected",
+        [
+            # top-level long options, dashed or not, reach the train settings
+            ({"lr": 1e-3, "max-epochs": 2, "patience": 1}, {"lr": 1e-3, "max_epochs": 2}),
+            # a seed in the train block is not overwritten by the default seed
+            ({"train": {"seed": 5, "max_epochs": 2}}, {"seed": 5, "max_epochs": 2}),
+            # the train block beats the top level, and may use dashes too
+            ({"max_epochs": 3, "train": {"max-epochs": 2}}, {"max_epochs": 2}),
+        ],
+    )
+    def test_train_settings_from_file(self, tmp_path, file_cfg, expected):
+        ds = tmp_path / "ds"
+        main(["synth", "--nodes", "3", "--days", "9", "--seed", "3", "--out", str(ds)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(ds), "--config", str(cfg), "--out", str(run)]) == 0
+        stored = json.loads((run / "config.json").read_text())["train"]
+        assert {k: stored[k] for k in expected} == expected
+
+    def test_top_level_percentile_reaches_detect(self, trained_dir, tmp_path):
+        ds, run = trained_dir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"percentile": 98}))
+        base = ["detect", "--data", str(ds), "--checkpoint", str(run / "checkpoint")]
+        assert main([*base, "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+        assert main([*base, "--percentile", "98", "--out", str(tmp_path / "flag")]) == 0
+        assert main([*base, "--out", str(tmp_path / "default")]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name / "labels_pred.csv").read_bytes()).hexdigest()
+            for name in ("file", "flag", "default")
+        }
+        assert digests["file"] == digests["flag"] != digests["default"]
+
+    def test_unknown_block_key_names_it(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        main(["synth", "--nodes", "3", "--days", "9", "--seed", "3", "--out", str(ds)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"max_epochz": 2}}))
+        code = main(["train", "--data", str(ds), "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "max_epochz" in capsys.readouterr().err
 
 
 class TestEntrypoint:

@@ -5,7 +5,7 @@ import pytest
 
 from radnet import tensor as T
 from radnet.errors import DimensionError, GraphError
-from radnet.graph import GatLayer, RoadGraph, gat_over_window
+from radnet.graph import GatLayer, RoadGraph
 from radnet.tensor import DiffArray
 
 
@@ -161,7 +161,7 @@ class TestGatOverWindow:
         layer = GatLayer(2, 2, rng)
         x = rng.normal(size=(4, 2))
         single = layer(x, g).values
-        windowed = gat_over_window(layer, x[None], g).values
+        windowed = layer(x[None], g).values
         np.testing.assert_array_equal(windowed[0], single)
 
     def test_constant_window_gives_constant_output(self):
@@ -169,7 +169,7 @@ class TestGatOverWindow:
         g = RoadGraph.ring(3)
         layer = GatLayer(2, 2, rng)
         w = np.tile(rng.normal(size=(1, 3, 2)), (4, 1, 1))
-        out = gat_over_window(layer, w, g).values
+        out = layer(w, g).values
         for k in range(1, 4):
             np.testing.assert_array_equal(out[k], out[0])
 
@@ -178,11 +178,6 @@ class TestGatOverWindow:
         g = RoadGraph.ring(4)
         layer = GatLayer(2, 2, rng)
         w = rng.normal(size=(3, 4, 2))
-        stacked = gat_over_window(layer, w, g).values
+        stacked = layer(w, g).values
         for k in range(3):
             np.testing.assert_allclose(stacked[k], layer(w[k], g).values, atol=1e-15)
-
-    def test_rejects_flat_input(self):
-        layer = GatLayer(2, 2, np.random.default_rng(16))
-        with pytest.raises(DimensionError):
-            gat_over_window(layer, np.zeros((4, 2)), RoadGraph.ring(4))

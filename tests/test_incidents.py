@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from radnet.data import synth_traffic
+from radnet.errors import NumericError
 from radnet.incidents import (
     IncidentLabels,
     ThresholdState,
@@ -171,6 +172,13 @@ class TestPotFit:
         scores = np.random.default_rng(13).exponential(1.0, size=200)
         with pytest.warns(UserWarning, match="excesses"):
             pot_fit(scores, 90.0)
+
+    def test_non_finite_scores_rejected(self):
+        scores = np.random.default_rng(14).exponential(1.0, size=1000)
+        scores[[3, 10]] = np.nan
+        scores[20] = np.inf
+        with pytest.raises(NumericError, match="3 of 1000"):
+            pot_fit(scores, 95.0)
 
     def test_percentile_ladder(self):
         assert percentile_for_horizon(99.0, 1, 0.5) == 98.5

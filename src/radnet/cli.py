@@ -85,8 +85,9 @@ def _options(raw: dict, args: argparse.Namespace) -> dict:
 def _resolve(cls, args: argparse.Namespace, file_cfg: dict, block: str | None = None, **fixed):
     """Build dataclass `cls`: flag > file block > file top level > field default.
 
-    `fixed` values come from the data, not from options. Unknown keys in the
-    block reach `cls(...)` and fail there, naming the key.
+    `fixed` values bypass resolution: sizes read from the data, or options
+    stored under another name (--events is IncidentSpec.count). Unknown keys
+    in the block reach `cls(...)` and fail there, naming the key.
     """
     names = {f.name for f in fields(cls)}
     values = {k: v for k, v in _options(file_cfg, args).items() if k in names}

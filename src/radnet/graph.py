@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, GraphError
 from .nn import DEFAULT_LEAKY_SLOPE, xavier_uniform
-from .tensor import DiffArray, concat, leaky_relu, matmul, sigmoid, softmax, swap_last_axes
+from .tensor import DiffArray, leaky_relu, matmul, reshape, sigmoid, softmax, swap_last_axes
 
 
 class RoadGraph:
@@ -95,13 +95,14 @@ class RoadGraph:
 
 
 class GatLayer:
-    """Multi-head graph attention.
+    """Multi-head graph attention, heads averaged.
 
-    Per head: project features with `theta`, score each edge (i, j) with an
-    affine map over [theta h_i, theta h_j] through a LeakyReLU, softmax the
-    scores over each neighborhood, then pass the attention-weighted neighbor
-    sum through a sigmoid. Heads are concatenated, or averaged when the layer
-    must preserve the input feature width.
+    Per head: project features with `theta`, score each edge (i, j) as
+    `score_src . theta h_i + score_dst . theta h_j + score_bias` through a
+    LeakyReLU, softmax the scores over each neighborhood, then pass the
+    attention-weighted neighbor sum through a sigmoid. Every parameter holds
+    all heads on its leading axis, so the heads run as one batched matmul on a
+    head axis (..., H, N, n_out), which the output averages away.
     """
 
     def __init__(
@@ -110,50 +111,39 @@ class GatLayer:
         n_out: int,
         rng: np.random.Generator,
         n_heads: int = 1,
-        aggregation: str = "mean",
         slope: float = DEFAULT_LEAKY_SLOPE,
     ):
-        if aggregation not in ("concat", "mean"):
-            raise ValueError(f"unknown aggregation {aggregation!r}")
         self.n_in = n_in
         self.n_out = n_out
         self.n_heads = n_heads
-        self.aggregation = aggregation
         self.slope = slope
-        self.thetas = [
-            DiffArray(xavier_uniform(rng, n_in, n_out), requires_grad=True)
-            for _ in range(n_heads)
-        ]
-        self.score_weights = [
-            DiffArray(xavier_uniform(rng, 2 * n_out, 1), requires_grad=True)
-            for _ in range(n_heads)
-        ]
-        self.score_biases = [
-            DiffArray(np.zeros(1), requires_grad=True) for _ in range(n_heads)
-        ]
+        self.theta = DiffArray(
+            xavier_uniform(rng, n_in, n_out, (n_heads, n_in, n_out)), requires_grad=True
+        )
+        score = xavier_uniform(rng, 2 * n_out, 1, (n_heads, 2 * n_out, 1))
+        self.score_src = DiffArray(score[:, :n_out].copy(), requires_grad=True)
+        self.score_dst = DiffArray(score[:, n_out:].copy(), requires_grad=True)
+        self.score_bias = DiffArray(np.zeros((n_heads, 1, 1)), requires_grad=True)
 
-    @property
-    def out_width(self) -> int:
-        return self.n_out * self.n_heads if self.aggregation == "concat" else self.n_out
-
-    def _head_coefficients(self, x: DiffArray, graph: RoadGraph, head: int) -> DiffArray:
-        h = matmul(x, self.thetas[head])
-        w = self.score_weights[head]
-        src = matmul(h, w[: self.n_out])          # (..., N, 1)
-        dst = matmul(h, w[self.n_out :])          # (..., N, 1)
-        scores = src + swap_last_axes(dst) + self.score_biases[head]
+    def _coefficients(self, x: DiffArray, graph: RoadGraph) -> tuple[DiffArray, DiffArray]:
+        """(..., H, N, N) coefficients and the (..., H, N, n_out) projections."""
+        if x.shape[-2] != graph.n_nodes:
+            raise DimensionError(
+                f"feature matrix rows {x.shape} do not match {graph.n_nodes} nodes"
+            )
+        x = reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
+        h = matmul(x, self.theta)
+        src = matmul(h, self.score_src)           # (..., H, N, 1)
+        dst = matmul(h, self.score_dst)           # (..., H, N, 1)
+        scores = src + swap_last_axes(dst) + self.score_bias
         scores = leaky_relu(scores, self.slope) + graph.attention_mask()
         return softmax(scores, axis=-1), h
 
     def attention_coefficients(self, x, graph: RoadGraph, head: int = 0) -> DiffArray:
         """(..., N, N) coefficients for one head; zero off the neighborhood."""
         x = x if isinstance(x, DiffArray) else DiffArray(x)
-        if x.shape[-2] != graph.n_nodes:
-            raise DimensionError(
-                f"feature matrix rows {x.shape} do not match {graph.n_nodes} nodes"
-            )
-        alpha, _ = self._head_coefficients(x, graph, head)
-        return alpha
+        alpha, _ = self._coefficients(x, graph)
+        return alpha[..., head, :, :]
 
     def __call__(self, x, graph: RoadGraph) -> DiffArray:
         """Apply the layer to (..., N, n_in); leading axes are batch axes.
@@ -162,31 +152,17 @@ class GatLayer:
         independently with the same parameters.
         """
         x = x if isinstance(x, DiffArray) else DiffArray(x)
-        if x.shape[-2] != graph.n_nodes:
-            raise DimensionError(
-                f"feature matrix rows {x.shape} do not match {graph.n_nodes} nodes"
-            )
         if x.shape[-1] != self.n_in:
             raise DimensionError(
                 f"feature width {x.shape[-1]} does not match layer input {self.n_in}"
             )
-        heads = []
-        for m in range(self.n_heads):
-            alpha, h = self._head_coefficients(x, graph, m)
-            heads.append(sigmoid(matmul(alpha, h)))
-        if self.n_heads == 1:
-            return heads[0]
-        if self.aggregation == "concat":
-            return concat(heads, axis=-1)
-        total = heads[0]
-        for part in heads[1:]:
-            total = total + part
-        return total * (1.0 / self.n_heads)
+        alpha, h = self._coefficients(x, graph)
+        return sigmoid(matmul(alpha, h)).mean(axis=-3)
 
     def named_parameters(self, prefix: str = "") -> dict[str, DiffArray]:
-        out: dict[str, DiffArray] = {}
-        for m in range(self.n_heads):
-            out[f"{prefix}head{m}.theta"] = self.thetas[m]
-            out[f"{prefix}head{m}.score_weight"] = self.score_weights[m]
-            out[f"{prefix}head{m}.score_bias"] = self.score_biases[m]
-        return out
+        return {
+            f"{prefix}theta": self.theta,
+            f"{prefix}score_src": self.score_src,
+            f"{prefix}score_dst": self.score_dst,
+            f"{prefix}score_bias": self.score_bias,
+        }

@@ -297,6 +297,8 @@ def pot_fit(
     Pareto tail is fitted to excesses above u. With no excesses the threshold
     falls back to just above the calibration maximum.
     """
+    if not 0.0 < risk_q < 1.0:
+        raise ValueError(f"risk_q must lie in (0, 1), got {risk_q}")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("cannot calibrate on an empty score sequence")
@@ -348,8 +350,14 @@ def label(
 
     Dynamic mode streams each score into the state after labeling it, so
     the threshold adapts as the stream arrives. Static mode holds it fixed.
+    Non-finite scores are refused before the state is touched.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise NumericError(
+            f"{bad.size} of {scores.size} scores are non-finite, first at index {bad[0]}"
+        )
     labels = np.zeros(scores.shape, dtype=np.int8)
     thresholds = np.empty(scores.shape, dtype=np.float64)
     for i, s in enumerate(scores):

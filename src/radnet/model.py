@@ -108,9 +108,7 @@ class RadNet:
         self.gat_st = self.transformer_st = None
         self.transformer_ts = self.gat_ts = None
         if config.variant != "no_st":
-            self.gat_st = GatLayer(
-                d, d, rng, config.gat_heads, "mean", config.leaky_slope
-            )
+            self.gat_st = GatLayer(d, d, rng, config.gat_heads, config.leaky_slope)
             self.transformer_st = TransformerBlock(
                 d_model,
                 config.transformer_heads,
@@ -128,9 +126,7 @@ class RadNet:
                 config.dropout,
                 config.decoder_source,
             )
-            self.gat_ts = GatLayer(
-                d, d, rng, config.gat_heads, "mean", config.leaky_slope
-            )
+            self.gat_ts = GatLayer(d, d, rng, config.gat_heads, config.leaky_slope)
 
         self.fusion = None
         if config.variant != "no_skip":

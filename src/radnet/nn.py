@@ -26,49 +26,36 @@ def xavier_uniform(rng: np.random.Generator, n_in: int, n_out: int, shape=None) 
 class Linear:
     """Affine map on the last axis: x @ weight + bias."""
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, bias: bool = True):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         self.n_in = n_in
         self.n_out = n_out
         self.weight = DiffArray(xavier_uniform(rng, n_in, n_out), requires_grad=True)
-        self.bias = DiffArray(np.zeros(n_out), requires_grad=True) if bias else None
+        self.bias = DiffArray(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x: DiffArray) -> DiffArray:
         if x.shape[-1] != self.n_in:
             raise DimensionError(
                 f"linear layer expects width {self.n_in}, got input {x.shape}"
             )
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight + self.bias
 
     def named_parameters(self, prefix: str = "") -> dict[str, DiffArray]:
-        out = {f"{prefix}weight": self.weight}
-        if self.bias is not None:
-            out[f"{prefix}bias"] = self.bias
-        return out
+        return {f"{prefix}weight": self.weight, f"{prefix}bias": self.bias}
 
 
 class FeedForward:
     """A chain of affine layers with an activation between them.
 
     `widths` lists every layer width including input and output, e.g.
-    (8, 64, 64, 8). The activation (LeakyReLU by default) is applied after
-    every layer except the last unless `final_activation` is set.
+    (8, 64, 64, 8). The activation (LeakyReLU) is applied after every layer
+    except the last.
     """
 
-    def __init__(
-        self,
-        widths,
-        rng: np.random.Generator,
-        slope: float = DEFAULT_LEAKY_SLOPE,
-        final_activation: bool = False,
-    ):
+    def __init__(self, widths, rng: np.random.Generator, slope: float = DEFAULT_LEAKY_SLOPE):
         if len(widths) < 2:
             raise ValueError("feed-forward needs at least input and output widths")
         self.widths = tuple(widths)
         self.slope = slope
-        self.final_activation = final_activation
         self.layers = [
             Linear(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)
         ]
@@ -77,7 +64,7 @@ class FeedForward:
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             x = layer(x)
-            if i < last or self.final_activation:
+            if i < last:
                 x = leaky_relu(x, self.slope)
         return x
 

@@ -73,9 +73,12 @@ def _swap_axes(a: DiffArray, i: int, j: int) -> DiffArray:
 class MultiHeadAttention:
     """Scaled dot-product attention, heads concatenated then output-projected.
 
-    Scores are scaled by 1/sqrt(model width); an optional additive mask sends
-    future positions to -inf before the softmax, so their weights are exactly
-    zero after it.
+    `w_query`, `w_key` and `w_value` are each one (d_model, d_model) matrix;
+    head m owns columns m*d_head:(m+1)*d_head, so one matmul projects every
+    head and all heads attend at once on a head axis (..., H, K, d_head). One
+    head needs no head axis. Scores are scaled by 1/sqrt(model width); an
+    optional additive mask sends future positions to -inf before the softmax,
+    so their weights are exactly zero after it.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
@@ -87,13 +90,15 @@ class MultiHeadAttention:
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
         self.scale = 1.0 / np.sqrt(d_model)
-        mk = lambda n_out: DiffArray(
-            xavier_uniform(rng, d_model, n_out), requires_grad=True
+        # Drawn head by head, then placed side by side: head m -> its columns.
+        shape = (n_heads, d_model, self.d_head)
+        mk = lambda: DiffArray(
+            np.hstack(xavier_uniform(rng, d_model, self.d_head, shape)), requires_grad=True
         )
-        self.w_query = [mk(self.d_head) for _ in range(n_heads)]
-        self.w_key = [mk(self.d_head) for _ in range(n_heads)]
-        self.w_value = [mk(self.d_head) for _ in range(n_heads)]
-        self.w_out = mk(d_model)
+        self.w_query = mk()
+        self.w_key = mk()
+        self.w_value = mk()
+        self.w_out = DiffArray(xavier_uniform(rng, d_model, d_model), requires_grad=True)
 
     def _check(self, q: DiffArray, k: DiffArray, v: DiffArray, mask) -> None:
         for name, x in (("query", q), ("key", k), ("value", v)):
@@ -107,44 +112,54 @@ class MultiHeadAttention:
                 f"({q.shape[-2]}, {k.shape[-2]}) attention scores"
             )
 
+    def _split(self, x: DiffArray) -> DiffArray:
+        """(..., K, d_model) -> (..., H, K, d_head); one head needs no head axis."""
+        if self.n_heads == 1:
+            return x
+        x = reshape(x, x.shape[:-1] + (self.n_heads, self.d_head))
+        return _swap_axes(x, -3, -2)
+
+    def _merge(self, x: DiffArray) -> DiffArray:
+        """Inverse of `_split`: heads side by side on the last axis."""
+        if self.n_heads == 1:
+            return x
+        x = _swap_axes(x, -3, -2)
+        return reshape(x, x.shape[:-2] + (self.d_model,))
+
+    def _weights(self, q: DiffArray, k: DiffArray, mask) -> DiffArray:
+        qh = self._split(matmul(q, self.w_query))
+        kh = self._split(matmul(k, self.w_key))
+        scores = matmul(qh, swap_last_axes(kh)) * self.scale
+        if mask is not None:
+            scores = scores + mask
+        return softmax(scores, axis=-1)
+
     def attention_weights(self, q, k, mask=None, head: int = 0) -> DiffArray:
         """(..., Kq, Kk) softmax weights for one head (inspection/tests)."""
         q = q if isinstance(q, DiffArray) else DiffArray(q)
         k = k if isinstance(k, DiffArray) else DiffArray(k)
         self._check(q, k, k, mask)
-        qh = matmul(q, self.w_query[head])
-        kh = matmul(k, self.w_key[head])
-        scores = matmul(qh, swap_last_axes(kh)) * self.scale
-        if mask is not None:
-            scores = scores + mask
-        return softmax(scores, axis=-1)
+        if not 0 <= head < self.n_heads:
+            raise IndexError(f"head {head} outside [0, {self.n_heads})")
+        weights = self._weights(q, k, mask)
+        return weights if self.n_heads == 1 else weights[..., head, :, :]
 
     def __call__(self, q, k, v, mask=None) -> DiffArray:
         q = q if isinstance(q, DiffArray) else DiffArray(q)
         k = k if isinstance(k, DiffArray) else DiffArray(k)
         v = v if isinstance(v, DiffArray) else DiffArray(v)
         self._check(q, k, v, mask)
-        heads = []
-        for m in range(self.n_heads):
-            qh = matmul(q, self.w_query[m])
-            kh = matmul(k, self.w_key[m])
-            vh = matmul(v, self.w_value[m])
-            scores = matmul(qh, swap_last_axes(kh)) * self.scale
-            if mask is not None:
-                scores = scores + mask
-            weights = softmax(scores, axis=-1)
-            heads.append(matmul(weights, vh))
-        merged = heads[0] if self.n_heads == 1 else concat(heads, axis=-1)
-        return matmul(merged, self.w_out)
+        weights = self._weights(q, k, mask)
+        heads = matmul(weights, self._split(matmul(v, self.w_value)))
+        return matmul(self._merge(heads), self.w_out)
 
     def named_parameters(self, prefix: str = "") -> dict[str, DiffArray]:
-        out: dict[str, DiffArray] = {}
-        for m in range(self.n_heads):
-            out[f"{prefix}head{m}.query"] = self.w_query[m]
-            out[f"{prefix}head{m}.key"] = self.w_key[m]
-            out[f"{prefix}head{m}.value"] = self.w_value[m]
-        out[f"{prefix}out"] = self.w_out
-        return out
+        return {
+            f"{prefix}query": self.w_query,
+            f"{prefix}key": self.w_key,
+            f"{prefix}value": self.w_value,
+            f"{prefix}out": self.w_out,
+        }
 
 
 class EncoderBlock:

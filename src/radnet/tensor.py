@@ -11,31 +11,31 @@ Everything runs in 64-bit precision; the engine is meant for desk-scale
 models whose gradients are routinely validated against finite differences.
 
 A single forward/backward graph is not thread-safe; distinct graphs over
-distinct parameter stores are independent and may run concurrently.
+distinct parameter stores are independent and may run concurrently, and
+`no_grad` switches recording off only in the thread that enters it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, NumericError
 
-_GRAD_ENABLED = True
+_GRAD_ENABLED = contextvars.ContextVar("radnet_grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable tape recording inside the context (pure evaluation)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_ENABLED.reset(token)
 
 
 class _Trace:
@@ -188,7 +188,7 @@ def _tracked(x: DiffArray) -> bool:
 
 
 def _needs_trace(*inputs: DiffArray) -> bool:
-    return _GRAD_ENABLED and any(_tracked(x) for x in inputs)
+    return _GRAD_ENABLED.get() and any(_tracked(x) for x in inputs)
 
 
 def _result(values: np.ndarray, inputs: tuple, push_grads) -> DiffArray:
@@ -199,14 +199,24 @@ def _result(values: np.ndarray, inputs: tuple, push_grads) -> DiffArray:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape`, inverting numpy broadcasting."""
-    extra = grad.ndim - len(shape)
+    """Sum `grad` down to `shape`, inverting numpy broadcasting.
+
+    Leading 1s of `shape` (bar its last axis) are summed like missing axes, so
+    a (1, 1, k) parameter gets bit for bit the gradient a (k,) one would.
+    """
+    if grad.shape == shape:
+        return grad
+    ones = 0
+    while ones < len(shape) - 1 and shape[ones] == 1:
+        ones += 1
+    core = shape[ones:]
+    extra = grad.ndim - len(core)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    axes = tuple(i for i, n in enumerate(core) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+    return grad.reshape(shape) if ones else grad
 
 
 # ---------------------------------------------------------------------------

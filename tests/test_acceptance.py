@@ -108,7 +108,7 @@ class TestC03AttentionNormalization:
                 if a != b
             }
             g = RoadGraph(n, edges)
-            layer = GatLayer(3, 2, rng, n_heads=2, aggregation="mean")
+            layer = GatLayer(3, 2, rng, n_heads=2)
             x = rng.normal(size=(n, 3)) * 3
             for head in range(2):
                 alpha = layer.attention_coefficients(x, g, head).values

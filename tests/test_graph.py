@@ -65,9 +65,10 @@ class TestAttentionCoefficients:
         # 3-node path 0-1-2, scalar features, fixed small weights.
         g = RoadGraph(3, [(0, 1), (1, 2)])
         layer = GatLayer(1, 1, np.random.default_rng(3))
-        layer.thetas[0].values[...] = [[2.0]]
-        layer.score_weights[0].values[...] = [[0.3], [-0.5]]
-        layer.score_biases[0].values[...] = [0.1]
+        layer.theta.values[...] = [[[2.0]]]
+        layer.score_src.values[...] = [[[0.3]]]
+        layer.score_dst.values[...] = [[[-0.5]]]
+        layer.score_bias.values[...] = [[[0.1]]]
         x = np.array([[1.0], [-1.0], [0.5]])
         h = 2.0 * x[:, 0]  # theta h
 
@@ -83,7 +84,7 @@ class TestAttentionCoefficients:
     def test_rows_sum_to_one_and_nonnegative(self):
         rng = np.random.default_rng(4)
         g = RoadGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
-        layer = GatLayer(3, 2, rng, n_heads=2, aggregation="concat")
+        layer = GatLayer(3, 2, rng, n_heads=2)
         x = rng.normal(size=(6, 3))
         for head in range(2):
             alpha = layer.attention_coefficients(x, g, head).values
@@ -111,10 +112,11 @@ class TestGatForward:
         out2 = layer(x2, g).values
         np.testing.assert_array_equal(out1[2], out2[2])
 
-    def test_gradient_through_attention_and_theta(self):
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    def test_gradient_through_attention_and_theta(self, n_heads):
         rng = np.random.default_rng(9)
         g = RoadGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        layer = GatLayer(2, 2, rng)
+        layer = GatLayer(2, 2, rng, n_heads=n_heads)
         x = DiffArray(rng.normal(size=(4, 2)), requires_grad=True)
         w = rng.normal(size=(4, 2))
 
@@ -127,7 +129,7 @@ class TestGatForward:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(10)
         g = RoadGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        layer = GatLayer(3, 3, rng, n_heads=2, aggregation="mean")
+        layer = GatLayer(3, 3, rng, n_heads=2)
         x = rng.normal(size=(5, 3))
         perm = [3, 0, 4, 1, 2]
         gp = g.permuted(perm)
@@ -148,10 +150,30 @@ class TestGatForward:
         rng = np.random.default_rng(12)
         g = RoadGraph.ring(4)
         x = rng.normal(size=(4, 3))
-        cat = GatLayer(3, 2, rng, n_heads=3, aggregation="concat")
-        avg = GatLayer(3, 3, rng, n_heads=3, aggregation="mean")
-        assert cat(x, g).shape == (4, 6)
+        avg = GatLayer(3, 3, rng, n_heads=3)
         assert avg(x, g).shape == (4, 3)
+
+    def test_heads_match_per_head_mean(self):
+        # Reference: each head evaluated on its own parameter slice, then averaged.
+        rng = np.random.default_rng(20)
+        g = RoadGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
+        layer = GatLayer(3, 2, rng, n_heads=3)
+        layer.score_bias.values[...] = rng.normal(size=(3, 1, 1))
+        x = rng.normal(size=(2, 4, 5, 3))
+        heads = []
+        for m in range(3):
+            h = x @ layer.theta.values[m]
+            src = h @ layer.score_src.values[m]
+            dst = h @ layer.score_dst.values[m]
+            e = src + np.swapaxes(dst, -1, -2) + layer.score_bias.values[m]
+            e = np.where(e > 0, e, 0.01 * e) + g.attention_mask()
+            alpha = np.exp(e - e.max(axis=-1, keepdims=True))
+            alpha /= alpha.sum(axis=-1, keepdims=True)
+            np.testing.assert_allclose(
+                layer.attention_coefficients(x, g, m).values, alpha, rtol=1e-12
+            )
+            heads.append(1.0 / (1.0 + np.exp(-(alpha @ h))))
+        np.testing.assert_allclose(layer(x, g).values, np.mean(heads, axis=0), rtol=1e-12)
 
 
 class TestGatOverWindow:

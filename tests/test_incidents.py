@@ -180,6 +180,12 @@ class TestPotFit:
         with pytest.raises(NumericError, match="3 of 1000"):
             pot_fit(scores, 95.0)
 
+    @pytest.mark.parametrize("risk_q", [0.0, -0.01, 1.0])
+    def test_risk_q_outside_unit_interval_rejected(self, risk_q):
+        scores = np.random.default_rng(17).exponential(1.0, size=2000)
+        with pytest.raises(ValueError, match=f"got {risk_q}"):
+            pot_fit(scores, 95.0, risk_q=risk_q)
+
     def test_percentile_ladder(self):
         assert percentile_for_horizon(99.0, 1, 0.5) == 98.5
         assert percentile_for_horizon(50.0, 1, 2.5) == 47.5
@@ -237,6 +243,15 @@ class TestLabel:
         assert state.n == n0 + 500
         assert state.n_excess > e0
         assert (thresholds >= state.u).all()
+
+    def test_non_finite_score_rejected_before_state_changes(self):
+        calib = np.random.default_rng(18).exponential(1.0, size=2000)
+        state = pot_fit(calib, 95.0)
+        n0, threshold0 = state.n, state.threshold
+        with pytest.raises(NumericError, match="2 of 4 scores are non-finite, first at index 1"):
+            label(np.array([0.5, np.nan, 1e9, -np.inf]), state, dynamic=True)
+        assert state.n == n0
+        assert state.threshold == threshold0
 
     def test_static_holds_threshold_fixed(self):
         state = self._state(2.0)

@@ -56,7 +56,7 @@ class TestMultiHeadAttention:
         w = mha.attention_weights(x, x).values
         np.testing.assert_allclose(w, [[1.0]])
         out = mha(x, x, x).values
-        expected = (x.values @ mha.w_value[0].values) @ mha.w_out.values
+        expected = (x.values @ mha.w_value.values) @ mha.w_out.values
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_identical_rows_give_uniform_weights(self):
@@ -69,9 +69,9 @@ class TestMultiHeadAttention:
 
     def test_two_position_hand_evaluation(self):
         mha = MultiHeadAttention(1, 1, np.random.default_rng(4))
-        mha.w_query[0].values[...] = [[0.7]]
-        mha.w_key[0].values[...] = [[-0.4]]
-        mha.w_value[0].values[...] = [[1.3]]
+        mha.w_query.values[...] = [[0.7]]
+        mha.w_key.values[...] = [[-0.4]]
+        mha.w_value.values[...] = [[1.3]]
         mha.w_out.values[...] = [[0.9]]
         x = np.array([[1.0], [2.0]])
         q, k, v = 0.7 * x, -0.4 * x, 1.3 * x
@@ -114,6 +114,29 @@ class TestMultiHeadAttention:
         with pytest.raises(DimensionError):
             mha(x, x, x, mask=causal_mask(3))
 
+    def test_heads_match_per_head_reference(self):
+        # Reference: head m uses columns m*d_head:(m+1)*d_head of each
+        # projection; heads are concatenated before the output projection.
+        rng = np.random.default_rng(20)
+        mha = MultiHeadAttention(4, 2, rng)
+        q, kv = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 4))
+        mask = causal_mask(5)
+        heads = []
+        for m in range(2):
+            cols = slice(2 * m, 2 * m + 2)
+            qh = q @ mha.w_query.values[:, cols]
+            kh = kv @ mha.w_key.values[:, cols]
+            vh = kv @ mha.w_value.values[:, cols]
+            scores = qh @ np.swapaxes(kh, -1, -2) / np.sqrt(4.0) + mask
+            w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            w /= w.sum(axis=-1, keepdims=True)
+            np.testing.assert_allclose(
+                mha.attention_weights(q, kv, mask, head=m).values, w, rtol=1e-12
+            )
+            heads.append(w @ vh)
+        expected = np.concatenate(heads, axis=-1) @ mha.w_out.values
+        np.testing.assert_allclose(mha(q, kv, kv, mask).values, expected, rtol=1e-12)
+
     def test_head_divisibility(self):
         with pytest.raises(DimensionError):
             MultiHeadAttention(3, 2, np.random.default_rng(9))
@@ -133,9 +156,10 @@ class TestEncoderBlock:
         out = block(rng.normal(size=(6, 2, 5, 3)))
         assert out.shape == (6, 2, 5, 3)
 
-    def test_gradient_through_full_block(self):
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_gradient_through_full_block(self, n_heads):
         rng = np.random.default_rng(12)
-        block = EncoderBlock(2, 1, rng, hidden=4)
+        block = EncoderBlock(2, n_heads, rng, hidden=4)
         x = DiffArray(rng.normal(size=(3, 2)), requires_grad=True)
         w = rng.normal(size=(3, 2))
 
@@ -189,9 +213,10 @@ class TestTransformerBlock:
             single = transformer_forward(block, batch[b]).values
             np.testing.assert_allclose(stacked[b], single, atol=1e-12)
 
-    def test_gradient_through_block(self):
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_gradient_through_block(self, n_heads):
         rng = np.random.default_rng(19)
-        block = TransformerBlock(2, 1, rng, hidden=3)
+        block = TransformerBlock(2, n_heads, rng, hidden=3)
         x = DiffArray(rng.normal(size=(3, 2, 2)), requires_grad=True)
         w = rng.normal(size=(2, 2))
 

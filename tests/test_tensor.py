@@ -1,6 +1,8 @@
 """Engine-level checks: forward values against closed forms, gradients
 against central finite differences."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,17 @@ class TestElementwise:
         assert rel_err(a.grad, fd_grad(f, a)) < 1e-6
         assert rel_err(b.grad, fd_grad(f, b)) < 1e-6
 
+    def test_leading_unit_axes_give_the_same_gradient_bits(self):
+        # A (1, 1, 1) bias gets exactly the gradient of a (1,) bias, so giving
+        # a parameter a unit head axis leaves training bit-identical.
+        w = np.random.default_rng(21).normal(size=(6, 5, 7, 7))
+        grads = []
+        for shape in ((1,), (1, 1, 1)):
+            b = DiffArray(np.zeros(shape), requires_grad=True)
+            ((b + w) * w).sum().backward()
+            grads.append(b.grad.item())
+        assert grads[0] == grads[1]
+
     def test_div_gradients(self):
         rng = np.random.default_rng(5)
         a = DiffArray(rng.normal(size=(3, 2)), requires_grad=True)
@@ -220,6 +233,26 @@ class TestBackwardMechanics:
         with T.no_grad():
             y = x * 2
         assert y.op_trace is None
+
+    def test_no_grad_in_one_thread_leaves_another_recording(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def evaluate():
+            with T.no_grad():
+                entered.set()
+                release.wait(timeout=10)
+
+        worker = threading.Thread(target=evaluate)
+        worker.start()
+        try:
+            assert entered.wait(timeout=10)
+            x = DiffArray([1.0, 2.0], requires_grad=True)
+            (x * 3).sum().backward()
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
     def test_dropout_train_vs_eval(self):
         rng = np.random.default_rng(9)

@@ -12,14 +12,7 @@ from .errors import DimensionError, FormatError, GraphError, NumericError
 from .tensor import DiffArray, grad_check, no_grad
 from .graph import GatLayer, RoadGraph
 from .temporal import MultiHeadAttention, TransformerBlock, transformer_forward
-from .model import (
-    Forecast,
-    RadNet,
-    RadNetConfig,
-    build_window,
-    loss,
-    rollout_autoregressive,
-)
+from .model import RadNet, RadNetConfig, build_window, rollout_autoregressive
 from .optim import AdamW, AdamWState, adamw_step
 from .data import (
     DatasetMeta,
@@ -55,7 +48,6 @@ __all__ = [
     "EvalReport",
     "FeatureSeries",
     "Fold",
-    "Forecast",
     "FormatError",
     "GatLayer",
     "GraphError",
@@ -81,7 +73,6 @@ __all__ = [
     "hitrate_at",
     "label",
     "load_dataset",
-    "loss",
     "ndcg_at",
     "no_grad",
     "pot_fit",

@@ -143,6 +143,13 @@ def load_dataset(directory: str | Path) -> tuple[FeatureSeries, RoadGraph, Datas
             f"features.bin holds {len(blob)} bytes, meta.json declares {expected}"
         )
     data = np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(t, n, d)
+    bad = ~np.isfinite(data)
+    if bad.any():
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise FormatError(
+            f"features.bin holds {int(bad.sum())} non-finite values; the first is "
+            f"at (t, link, feature) = {first}"
+        )
     series = FeatureSeries(
         data=data,
         start_epoch=int(meta["start_epoch"]),

@@ -31,7 +31,7 @@ from .nn import (
     save_checkpoint,
 )
 from .temporal import TransformerBlock, transformer_forward
-from .tensor import DiffArray, concat, frobenius_norm, reshape, softmax, sqrt
+from .tensor import DiffArray, concat, reshape, softmax, sqrt
 
 VARIANTS = ("full", "no_skip", "no_st", "no_ts")
 
@@ -74,19 +74,6 @@ class RadNetConfig:
         if self.transformer_heads is None:
             self.transformer_heads = self.n_features
         self.decoder_widths = tuple(self.decoder_widths)
-
-
-@dataclass
-class Forecast:
-    """One model output: prediction plus the convex path weights used."""
-
-    prediction: DiffArray  # (N, D)
-    path_weights: np.ndarray | None  # None for the no_skip variant
-    source_t: int | None = None
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.prediction.values
 
 
 def build_window(data: np.ndarray, t: int, window: int) -> np.ndarray:
@@ -235,35 +222,6 @@ class RadNet:
                 fused = term if fused is None else fused + term
         return self.decoder(fused), weights
 
-    def forward(
-        self,
-        window,
-        graph: RoadGraph,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        source_t: int | None = None,
-    ) -> Forecast:
-        """Forecast from one (K, N, D) window."""
-        window = window if isinstance(window, DiffArray) else DiffArray(window)
-        if window.ndim != 3:
-            raise DimensionError(f"expected a (K, N, D) window, got {window.shape}")
-        batched = reshape(window, (1,) + window.shape)
-        pred, weights = self.forward_batch(batched, graph, training, rng)
-        return Forecast(
-            prediction=pred[0],
-            path_weights=None if weights is None else weights.values[0].copy(),
-            source_t=source_t,
-        )
-
-
-def loss(prediction, truth) -> DiffArray:
-    """Frobenius norm of (truth - prediction); the per-timestep objective."""
-    prediction = prediction if isinstance(prediction, DiffArray) else DiffArray(prediction)
-    truth = truth if isinstance(truth, DiffArray) else DiffArray(truth)
-    if prediction.shape != truth.shape:
-        raise DimensionError(f"shape mismatch: {prediction.shape} vs {truth.shape}")
-    return frobenius_norm(truth - prediction)
-
 
 def batch_loss(predictions: DiffArray, truths) -> DiffArray:
     """Mean per-sample Frobenius loss over a (B, N, D) batch."""
@@ -277,37 +235,43 @@ def batch_loss(predictions: DiffArray, truths) -> DiffArray:
 
 def rollout_autoregressive(
     model: RadNet,
-    window,
+    windows,
     horizon: int,
     graph: RoadGraph,
     truth: np.ndarray | None = None,
     teacher_force_p: float = 0.0,
     rng: np.random.Generator | None = None,
-    forced_log: list | None = None,
     training: bool = False,
-) -> Forecast:
-    """Iterate a single-step model `horizon` steps ahead.
+) -> tuple[DiffArray, np.ndarray]:
+    """Iterate a single-step model `horizon` steps ahead over (B, K, N, D) windows.
 
-    Each intermediate prediction is appended to the window (dropping the
-    oldest slice). During training, each appended slice is replaced by the
-    ground-truth observation `truth[i]` with probability `teacher_force_p`
-    (one Bernoulli draw per intermediate step, recorded in `forced_log`).
+    Each step is one `forward_batch` call whose predictions are appended to
+    the windows (dropping the oldest slice). When `teacher_force_p` > 0, each
+    intermediate step draws `rng.random(B) < teacher_force_p` and sample b's
+    appended slice becomes the observation `truth[b, step]` where the draw
+    is true; the substitution is a 0/1 mask, so gradient flows only through
+    the predictions kept. Returns the (B, N, D) predictions of the last step
+    and the (B, horizon - 1) bool mask of forced slices.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    windows = windows if isinstance(windows, DiffArray) else DiffArray(windows)
+    batch = windows.shape[0]
+    if truth is not None:
+        truth = np.asarray(truth, dtype=np.float64)
+        expected = (batch, horizon - 1, *windows.shape[2:])
+        if truth.shape != expected:
+            raise DimensionError(f"expected {expected} truth, got {truth.shape}")
     if teacher_force_p > 0.0 and (truth is None or rng is None):
         raise ValueError("teacher forcing needs ground-truth slices and an rng")
-    window = window if isinstance(window, DiffArray) else DiffArray(window)
-    for step in range(1, horizon + 1):
-        forecast = model.forward(window, graph, training=training, rng=rng)
-        if step == horizon:
-            return forecast
-        nxt = forecast.prediction
+    forced = np.zeros((batch, horizon - 1), dtype=bool)
+    for step in range(horizon - 1):
+        preds, _ = model.forward_batch(windows, graph, training, rng)
         if teacher_force_p > 0.0:
-            forced = bool(rng.random() < teacher_force_p)
-            if forced_log is not None:
-                forced_log.append(forced)
-            if forced:
-                nxt = DiffArray(truth[step - 1])
-        window = concat([window[1:], reshape(nxt, (1,) + nxt.shape)], axis=0)
-    raise AssertionError("unreachable")
+            forced[:, step] = rng.random(batch) < teacher_force_p
+            keep = (~forced[:, step]).astype(np.float64).reshape(-1, 1, 1)
+            preds = preds * keep + (1.0 - keep) * truth[:, step]
+        slice_ = reshape(preds, (batch, 1, *preds.shape[1:]))
+        windows = concat([windows[:, 1:], slice_], axis=1)
+    preds, _ = model.forward_batch(windows, graph, training, rng)
+    return preds, forced

@@ -56,6 +56,9 @@ class DiffArray:
     """
 
     __slots__ = ("values", "grad", "requires_grad", "op_trace")
+    # numpy operands on the left defer to the reflected operators below
+    # instead of broadcasting over DiffArray objects one element at a time
+    __array_ufunc__ = None
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
@@ -515,16 +518,15 @@ def grad_check(
     worst = 0.0
     with no_grad():
         for p, ag in zip(params, analytic):
-            flat = p.values.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
+            for idx in np.ndindex(p.shape):
+                orig = p.values[idx]
+                p.values[idx] = orig + step
                 hi = float(f().values)
-                flat[i] = orig - step
+                p.values[idx] = orig - step
                 lo = float(f().values)
-                flat[i] = orig
+                p.values[idx] = orig
                 num = (hi - lo) / (2.0 * step)
-                an = ag.reshape(-1)[i]
+                an = ag[idx]
                 err = abs(an - num) / max(abs(an), abs(num), floor)
                 if err > worst:
                     worst = err

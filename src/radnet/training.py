@@ -15,7 +15,7 @@ import numpy as np
 from .data import FeatureSeries
 from .errors import NumericError
 from .graph import RoadGraph
-from .model import RadNet, batch_loss, build_window, rollout_autoregressive, loss as step_loss
+from .model import RadNet, batch_loss, build_window, rollout_autoregressive
 from .optim import AdamW, AdamWState
 from .tensor import no_grad
 
@@ -235,7 +235,10 @@ def train(
     if len(train_samples) == 0 or len(fold.val_samples) == 0:
         raise ValueError("fold has no usable training or validation samples")
 
-    ar_steps = cfg.autoregressive_horizon
+    # a horizon-h model forecasts t + h in one step; autoregressive training
+    # rolls a single-step model out to t + autoregressive_horizon instead
+    rollout = cfg.autoregressive_horizon or 1
+    target_offset = cfg.autoregressive_horizon or mcfg.horizon
     stopped = -1
     for epoch in range(cfg.max_epochs):
         rng.shuffle(train_samples)
@@ -243,14 +246,12 @@ def train(
         for lo in range(0, len(train_samples), cfg.batch):
             ts = train_samples[lo : lo + cfg.batch]
             windows = _gather_windows(data, ts, mcfg.window)
-            if ar_steps > 0:
-                value = _autoregressive_batch_loss(
-                    model, data, ts, windows, graph, cfg, rng
-                )
-            else:
-                targets = data[ts + mcfg.horizon]
-                preds, _ = model.forward_batch(windows, graph, training=True, rng=rng)
-                value = batch_loss(preds, targets)
+            truth = data[ts[:, None] + np.arange(1, rollout)]
+            preds, _ = rollout_autoregressive(
+                model, windows, rollout, graph, truth, cfg.teacher_forcing_p, rng,
+                training=True,
+            )
+            value = batch_loss(preds, data[ts + target_offset])
             if np.isnan(value.values):
                 raise NumericError(
                     f"NaN training loss (lr={cfg.lr}, epoch={epoch}, "
@@ -276,6 +277,11 @@ def train(
     else:
         stopped = cfg.max_epochs - 1
 
+    if stopper.best_epoch < 0:
+        raise NumericError(
+            f"validation loss was not finite in any of the {len(history)} "
+            f"epochs run (lr={cfg.lr})"
+        )
     model.load_snapshot(best_snapshot)
     if loss_csv is not None:
         write_loss_csv(loss_csv, history)
@@ -288,28 +294,6 @@ def train(
         normalizer=normalizer,
         fold_index=fold.index,
     )
-
-
-def _autoregressive_batch_loss(model, data, ts, windows, graph, cfg, rng):
-    """Mean rollout loss over a batch, teacher-forced per intermediate step."""
-    mcfg = model.config
-    horizon = cfg.autoregressive_horizon
-    total = None
-    for b, t in enumerate(ts):
-        truth = data[int(t) + 1 : int(t) + horizon + 1]
-        fc = rollout_autoregressive(
-            model,
-            windows[b],
-            horizon,
-            graph,
-            truth=truth[:-1] if horizon > 1 else None,
-            teacher_force_p=cfg.teacher_forcing_p if horizon > 1 else 0.0,
-            rng=rng,
-            training=True,
-        )
-        value = step_loss(fc.prediction, truth[-1])
-        total = value if total is None else total + value
-    return total * (1.0 / len(ts))
 
 
 def write_loss_csv(path: str | Path, history: list[tuple[int, float, float]]) -> None:

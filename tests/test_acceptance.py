@@ -23,7 +23,7 @@ from radnet.evaluation import (
 )
 from radnet.graph import GatLayer, RoadGraph
 from radnet.incidents import build_baseline, gpd_fit, pot_fit
-from radnet.model import RadNet, RadNetConfig, loss, rollout_autoregressive
+from radnet.model import RadNet, RadNetConfig, batch_loss, rollout_autoregressive
 from radnet.pipeline import split_train_test
 from radnet.temporal import MultiHeadAttention, causal_mask
 from radnet.tensor import no_grad
@@ -70,7 +70,7 @@ class TestC01GradientFidelity:
         target = rng.normal(size=(4, 1))
 
         def objective():
-            return loss(model.forward(window, graph).prediction, target)
+            return batch_loss(model.forward_batch(window[None], graph)[0], target[None])
 
         start = time.time()
         err = T.grad_check(objective, model.named_parameters().values(), step=1e-6)
@@ -289,11 +289,11 @@ class TestC09RolloutConsistency:
     def test_single_step_rollout_bit_identical(self):
         model, graph = toy_model(seed=9)
         rng = np.random.default_rng(9)
-        window = rng.normal(size=(5, 4, 1))
-        direct = model.forward(window, graph).values
-        rolled = rollout_autoregressive(model, window, 1, graph).values
+        windows = rng.normal(size=(3, 5, 4, 1))
+        direct = model.forward_batch(windows, graph)[0].values
+        rolled = rollout_autoregressive(model, windows, 1, graph)[0].values
         assert (direct == rolled).all()
-        report("C09", "single-step rollout bit-identical to forward")
+        report("C09", "single-step rollout bit-identical to forward_batch")
 
     @pytest.mark.slow
     def test_teacher_forcing_frequency(self):
@@ -305,14 +305,14 @@ class TestC09RolloutConsistency:
         rng = np.random.default_rng(10)
         window = rng.normal(size=(2, 2, 1))
         truth = rng.normal(size=(200, 2, 1))
-        forced: list[bool] = []
+        # 50 copies x 200 intermediate steps = 1e4 Bernoulli draws
         with no_grad():
-            while len(forced) < 10_000:
-                rollout_autoregressive(
-                    model, window, 201, graph,
-                    truth=truth, teacher_force_p=0.2, rng=rng, forced_log=forced,
-                )
-        freq = float(np.mean(forced[:10_000]))
+            _, forced = rollout_autoregressive(
+                model, np.repeat(window[None], 50, axis=0), 201, graph,
+                truth=np.repeat(truth[None], 50, axis=0), teacher_force_p=0.2, rng=rng,
+            )
+        assert forced.size == 10_000
+        freq = float(forced.mean())
         assert abs(freq - 0.20) <= 0.01, f"forced fraction {freq:.4f}"
         report("C09", f"teacher-forcing frequency {freq:.4f} over 1e4 draws")
 

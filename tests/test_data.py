@@ -70,6 +70,14 @@ class TestContainer:
         with pytest.raises(FormatError, match=r"464 bytes.*480"):
             load_dataset(tmp_path / "ds")
 
+    def test_non_finite_feature_reports_count_and_first_index(self, tmp_path):
+        series = small_series()
+        series.data[7, 2, 1] = np.inf
+        series.data[4, 1, 0] = np.nan
+        save_dataset(tmp_path / "ds", series, RoadGraph(3, []))
+        with pytest.raises(FormatError, match=r"2 non-finite.*\(4, 1, 0\)"):
+            load_dataset(tmp_path / "ds")
+
     def test_edge_id_out_of_bounds(self, tmp_path):
         series = small_series()
         save_dataset(tmp_path / "ds", series, RoadGraph(3, []))

@@ -8,12 +8,10 @@ from radnet import tensor as T
 from radnet.errors import DimensionError
 from radnet.graph import RoadGraph
 from radnet.model import (
-    Forecast,
     RadNet,
     RadNetConfig,
     batch_loss,
     build_window,
-    loss,
     rollout_autoregressive,
 )
 from radnet.tensor import DiffArray
@@ -23,6 +21,12 @@ from radnet.tensor import DiffArray
 def toy():
     cfg = RadNetConfig(n_nodes=4, n_features=1, window=5, seed=7)
     return RadNet(cfg), RoadGraph.ring(4)
+
+
+def forecast(model, window, graph):
+    """(N, D) prediction and path weights (None for no_skip) of one window."""
+    preds, weights = model.forward_batch(window[None], graph)
+    return preds.values[0], None if weights is None else weights.values[0]
 
 
 def toy_series(n_steps=30, n_nodes=4, n_features=1, seed=0):
@@ -64,31 +68,31 @@ class TestForward:
     def test_output_shape_and_finite(self, toy):
         model, g = toy
         w = np.random.default_rng(1).normal(size=(5, 4, 1))
-        fc = model.forward(w, g)
-        assert fc.prediction.shape == (4, 1)
-        assert np.isfinite(fc.values).all()
+        pred, _ = forecast(model, w, g)
+        assert pred.shape == (4, 1)
+        assert np.isfinite(pred).all()
 
     def test_fusion_weights_convex(self, toy):
         model, g = toy
         rng = np.random.default_rng(2)
         for _ in range(50):
-            fc = model.forward(rng.normal(size=(5, 4, 1)) * 5, g)
-            assert fc.path_weights.shape == (3,)
-            assert (fc.path_weights >= 0).all()
-            assert abs(fc.path_weights.sum() - 1.0) <= 1e-9
+            _, weights = forecast(model, rng.normal(size=(5, 4, 1)) * 5, g)
+            assert weights.shape == (3,)
+            assert (weights >= 0).all()
+            assert abs(weights.sum() - 1.0) <= 1e-9
 
     def test_equal_logits_give_uniform_weights(self, toy):
         model, g = toy
         model.fusion.weight.values[...] = 0.0
         model.fusion.bias.values[...] = 0.0
-        fc = model.forward(np.random.default_rng(3).normal(size=(5, 4, 1)), g)
-        np.testing.assert_allclose(fc.path_weights, np.full(3, 1 / 3), atol=1e-12)
+        _, weights = forecast(model, np.random.default_rng(3).normal(size=(5, 4, 1)), g)
+        np.testing.assert_allclose(weights, np.full(3, 1 / 3), atol=1e-12)
 
     def test_eval_mode_deterministic(self, toy):
         model, g = toy
         w = np.random.default_rng(4).normal(size=(5, 4, 1))
-        a = model.forward(w, g).values
-        b = model.forward(w, g).values
+        a, _ = forecast(model, w, g)
+        b, _ = forecast(model, w, g)
         np.testing.assert_array_equal(a, b)
 
     def test_same_seed_same_model(self):
@@ -103,25 +107,31 @@ class TestForward:
     def test_graph_size_mismatch(self, toy):
         model, _ = toy
         with pytest.raises(DimensionError):
-            model.forward(np.zeros((5, 4, 1)), RoadGraph.ring(5))
+            forecast(model, np.zeros((5, 4, 1)), RoadGraph.ring(5))
 
     def test_batch_matches_single(self, toy):
+        # Row b of a batch equals the batch-of-one forecast of window b.
         model, g = toy
         rng = np.random.default_rng(5)
         batch = rng.normal(size=(3, 5, 4, 1))
         preds, weights = model.forward_batch(batch, g)
         for b in range(3):
-            fc = model.forward(batch[b], g)
-            np.testing.assert_allclose(preds.values[b], fc.values, atol=1e-12)
-            np.testing.assert_allclose(weights.values[b], fc.path_weights, atol=1e-12)
+            pred, path_weights = forecast(model, batch[b], g)
+            np.testing.assert_allclose(preds.values[b], pred, atol=1e-12)
+            np.testing.assert_allclose(weights.values[b], path_weights, atol=1e-12)
+
+    def test_single_window_rejected(self, toy):
+        model, g = toy
+        with pytest.raises(DimensionError):
+            model.forward_batch(np.zeros((5, 4, 1)), g)
 
     def test_multi_feature_config(self):
         cfg = RadNetConfig(n_nodes=3, n_features=2, window=4, seed=0)
         model = RadNet(cfg)
-        fc = model.forward(
-            np.random.default_rng(6).normal(size=(4, 3, 2)), RoadGraph.ring(3)
+        pred, _ = forecast(
+            model, np.random.default_rng(6).normal(size=(4, 3, 2)), RoadGraph.ring(3)
         )
-        assert fc.prediction.shape == (3, 2)
+        assert pred.shape == (3, 2)
 
 
 class TestVariants:
@@ -133,8 +143,8 @@ class TestVariants:
         model = RadNet(cfg)
         g = RoadGraph.ring(3)
         w = np.random.default_rng(7).normal(size=(2, 3, 1))
-        fc = model.forward(w, g)
-        assert fc.path_weights is None
+        pred, weights = forecast(model, w, g)
+        assert weights is None
         from radnet.temporal import transformer_forward
 
         mode = model.config.temporal_mode
@@ -145,17 +155,17 @@ class TestVariants:
             transformer_forward(model.transformer_ts, w, mode), g
         ).values
         expected = model.decoder(DiffArray(p1 + p2 + w[-1])).values
-        np.testing.assert_allclose(fc.values, expected, rtol=1e-9)
+        np.testing.assert_allclose(pred, expected, rtol=1e-9)
 
     @pytest.mark.parametrize("variant,kept", [("no_st", "gat_ts"), ("no_ts", "gat_st")])
     def test_single_path_variants_have_two_weights(self, variant, kept):
         cfg = RadNetConfig(n_nodes=4, n_features=1, variant=variant, seed=1)
         model = RadNet(cfg)
-        fc = model.forward(
-            np.random.default_rng(8).normal(size=(5, 4, 1)), RoadGraph.ring(4)
+        _, weights = forecast(
+            model, np.random.default_rng(8).normal(size=(5, 4, 1)), RoadGraph.ring(4)
         )
-        assert fc.path_weights.shape == (2,)
-        assert abs(fc.path_weights.sum() - 1.0) <= 1e-9
+        assert weights.shape == (2,)
+        assert abs(weights.sum() - 1.0) <= 1e-9
         assert getattr(model, kept) is not None
 
     def test_no_st_drops_spatio_temporal_path(self):
@@ -176,21 +186,26 @@ class TestVariants:
 
 
 class TestLoss:
+    # A batch of one is the per-timestep objective: the Frobenius norm of
+    # truth minus prediction.
     def test_zero_at_exact_prediction(self):
-        x = np.random.default_rng(9).normal(size=(4, 2))
-        assert loss(x, x).item() == 0.0
+        x = np.random.default_rng(9).normal(size=(1, 4, 2))
+        assert batch_loss(DiffArray(x), x).item() == 0.0
 
     def test_closed_form(self):
-        assert loss(np.zeros((1, 2)), np.array([[3.0, 4.0]])).item() == pytest.approx(5.0)
+        loss = batch_loss(DiffArray(np.zeros((1, 1, 2))), np.array([[[3.0, 4.0]]]))
+        assert loss.item() == pytest.approx(5.0)
 
     def test_matches_independent_norm(self):
         rng = np.random.default_rng(10)
-        a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        assert loss(a, b).item() == pytest.approx(np.linalg.norm(a - b), rel=1e-12)
+        a, b = rng.normal(size=(1, 5, 3)), rng.normal(size=(1, 5, 3))
+        assert batch_loss(DiffArray(a), b).item() == pytest.approx(
+            np.linalg.norm(a[0] - b[0]), rel=1e-12
+        )
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            loss(np.zeros((2, 2)), np.zeros((3, 2)))
+            batch_loss(DiffArray(np.zeros((1, 2, 2))), np.zeros((1, 3, 2)))
 
     def test_batch_loss_is_mean_of_per_sample_norms(self):
         rng = np.random.default_rng(11)
@@ -199,42 +214,103 @@ class TestLoss:
         assert batch_loss(DiffArray(p), t).item() == pytest.approx(expected, rel=1e-12)
 
 
+def reference_rollout(model, window, horizon, graph, truth, forced):
+    """One window rolled out by batch-of-one forecasts, replaying `forced`."""
+    for step in range(horizon - 1):
+        pred, _ = forecast(model, window, graph)
+        nxt = truth[step] if forced[step] else pred
+        window = np.concatenate([window[1:], nxt[None]], axis=0)
+    return forecast(model, window, graph)[0]
+
+
 class TestRollout:
     def test_single_step_equals_forward(self, toy):
         model, g = toy
-        w = np.random.default_rng(12).normal(size=(5, 4, 1))
-        direct = model.forward(w, g)
-        rolled = rollout_autoregressive(model, w, 1, g)
+        w = np.random.default_rng(12).normal(size=(3, 5, 4, 1))
+        direct, _ = model.forward_batch(w, g)
+        rolled, forced = rollout_autoregressive(model, w, 1, g)
         np.testing.assert_array_equal(direct.values, rolled.values)
+        assert forced.shape == (3, 0)
+
+    def test_single_step_draws_nothing(self, toy):
+        model, g = toy
+        rng = np.random.default_rng(17)
+        before = rng.bit_generator.state
+        w = np.zeros((2, 5, 4, 1))
+        rollout_autoregressive(
+            model, w, 1, g, truth=np.zeros((2, 0, 4, 1)), teacher_force_p=0.5, rng=rng
+        )
+        assert rng.bit_generator.state == before
 
     def test_two_steps_match_manual_composition(self, toy):
         model, g = toy
         w = np.random.default_rng(13).normal(size=(5, 4, 1))
-        rolled = rollout_autoregressive(model, w, 2, g)
-        first = model.forward(w, g).values
+        rolled, _ = rollout_autoregressive(model, w[None], 2, g)
+        first, _ = forecast(model, w, g)
         manual_window = np.concatenate([w[1:], first[None]], axis=0)
-        manual = model.forward(manual_window, g).values
-        np.testing.assert_allclose(rolled.values, manual, atol=1e-12)
+        manual, _ = forecast(model, manual_window, g)
+        np.testing.assert_allclose(rolled.values[0], manual, atol=1e-12)
+
+    def test_batched_rollout_matches_per_sample_reference(self, toy):
+        model, g = toy
+        rng = np.random.default_rng(18)
+        w = rng.normal(size=(6, 5, 4, 1))
+        truth = rng.normal(size=(6, 3, 4, 1))
+        rolled, forced = rollout_autoregressive(
+            model, w, 4, g, truth=truth, teacher_force_p=0.5, rng=rng
+        )
+        assert forced.shape == (6, 3) and forced.any() and not forced.all()
+        for b in range(6):
+            expected = reference_rollout(model, w[b], 4, g, truth[b], forced[b])
+            np.testing.assert_allclose(rolled.values[b], expected, rtol=1e-12)
 
     def test_teacher_forcing_frequency(self, toy):
         model, g = toy
         rng = np.random.default_rng(14)
         w = rng.normal(size=(5, 4, 1))
         truth = rng.normal(size=(4, 4, 1))
-        forced = []
-        for _ in range(200):
-            rollout_autoregressive(
-                model, w, 5, g,
-                truth=truth, teacher_force_p=0.2, rng=rng, forced_log=forced,
-                training=False,
+        _, forced = rollout_autoregressive(
+            model, np.repeat(w[None], 200, axis=0), 5, g,
+            truth=np.repeat(truth[None], 200, axis=0), teacher_force_p=0.2, rng=rng,
+        )
+        assert forced.shape == (200, 4)
+        assert abs(forced.mean() - 0.2) < 0.05
+
+    def test_gradient_through_teacher_forced_rollout(self):
+        cfg = RadNetConfig(n_nodes=3, n_features=1, window=3, seed=5, decoder_widths=(4,))
+        model = RadNet(cfg)
+        g = RoadGraph.ring(3)
+        rng = np.random.default_rng(19)
+        w = rng.normal(size=(2, 3, 3, 1))
+        truth = rng.normal(size=(2, 2, 3, 1))
+        target = rng.normal(size=(2, 3, 1))
+        masks = []
+
+        def f():
+            # Re-seeded so every evaluation draws the same forcing and dropout.
+            preds, forced = rollout_autoregressive(
+                model, w, 3, g, truth=truth, teacher_force_p=0.5,
+                rng=np.random.default_rng(20), training=True,
             )
-        assert len(forced) == 800
-        assert abs(np.mean(forced) - 0.2) < 0.05
+            masks.append(forced)
+            return batch_loss(preds, target)
+
+        err = T.grad_check(f, model.named_parameters().values())
+        assert masks[0].any() and not masks[0].all()
+        assert err < 1e-4
+
+    def test_truth_shape_checked(self, toy):
+        model, g = toy
+        with pytest.raises(DimensionError):
+            rollout_autoregressive(
+                model, np.zeros((2, 5, 4, 1)), 3, g, truth=np.zeros((2, 3, 4, 1)),
+                teacher_force_p=0.5, rng=np.random.default_rng(0),
+            )
 
     def test_bad_horizon(self, toy):
         model, g = toy
         with pytest.raises(ValueError):
-            rollout_autoregressive(model, np.zeros((5, 4, 1)), 0, g)
+            rollout_autoregressive(model, np.zeros((1, 5, 4, 1)), 0, g)
 
 
 class TestParameterAccounting:
@@ -269,11 +345,11 @@ class TestParameterAccounting:
     def test_checkpoint_round_trip(self, toy, tmp_path):
         model, g = toy
         w = np.random.default_rng(15).normal(size=(5, 4, 1))
-        before = model.forward(w, g).values
+        before, _ = forecast(model, w, g)
         model.save(tmp_path / "ckpt", extra_hyperparameters={"note": "test"})
         restored, manifest = RadNet.load(tmp_path / "ckpt")
         assert manifest["hyperparameters"]["note"] == "test"
-        np.testing.assert_array_equal(restored.forward(w, g).values, before)
+        np.testing.assert_array_equal(forecast(restored, w, g)[0], before)
 
 
 class TestGradients:
@@ -290,7 +366,7 @@ class TestGradients:
         target = rng.normal(size=(3, 1))
 
         def f():
-            return loss(model.forward(w, g).prediction, target)
+            return batch_loss(model.forward_batch(w[None], g)[0], target[None])
 
         err = T.grad_check(f, model.named_parameters().values())
         assert err < 1e-4

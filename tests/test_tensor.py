@@ -286,3 +286,34 @@ class TestGradCheck:
         x.grad = None
         f().backward()
         np.testing.assert_allclose(x.grad, 2 * wv.T @ wv @ x.values, rtol=1e-10)
+
+    def test_non_contiguous_parameter(self):
+        # An F-ordered parameter has no flat view; each coordinate must still
+        # be perturbed in place.
+        rng = np.random.default_rng(11)
+        p = DiffArray(np.asfortranarray(rng.normal(size=(3, 4))), requires_grad=True)
+        c = rng.normal(size=(3, 4))
+        assert not p.values.flags.c_contiguous
+        assert T.grad_check(lambda: (p * p * c).sum(), [p]) < 1e-6
+
+
+class TestNumpyLeftOperand:
+    @pytest.mark.parametrize(
+        "op,expected_grad",
+        [
+            (lambda a, x: a + x, lambda a, xv: np.ones_like(xv)),
+            (lambda a, x: a - x, lambda a, xv: -np.ones_like(xv)),
+            (lambda a, x: a * x, lambda a, xv: a),
+            (lambda a, x: a / x, lambda a, xv: -a / (xv * xv)),
+        ],
+        ids=["add", "sub", "mul", "div"],
+    )
+    def test_reflected_op_is_one_diffarray(self, op, expected_grad):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(3, 4))
+        xv = rng.uniform(1.0, 2.0, size=(3, 4))
+        x = DiffArray(xv, requires_grad=True)
+        out = op(a, x)
+        assert isinstance(out, DiffArray) and out.shape == (3, 4)
+        out.sum().backward()
+        np.testing.assert_allclose(x.grad, expected_grad(a, xv), rtol=1e-12)

@@ -163,6 +163,22 @@ class TestTrain:
         with pytest.raises(NumericError, match="lr=0.001"):
             train(model, series, graph, tc)
 
+    def test_never_finite_validation_raises(self, monkeypatch):
+        from radnet.errors import NumericError
+        from radnet.tensor import DiffArray
+
+        model, series, graph = self._quick_setup(seed=6)
+        real = model.forward_batch
+
+        def poisoned_eval(windows, g, training=False, rng=None):
+            pred, w = real(windows, g, training=training, rng=rng)
+            return (pred if training else DiffArray(np.full(pred.shape, np.nan))), w
+
+        monkeypatch.setattr(model, "forward_batch", poisoned_eval)
+        tc = TrainConfig(lr=1e-3, max_epochs=2, patience=5, seed=6)
+        with pytest.raises(NumericError, match="any of the 2 epochs"):
+            train(model, series, graph, tc)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)

@@ -158,11 +158,3 @@ class GatLayer:
             )
         alpha, h = self._coefficients(x, graph)
         return sigmoid(matmul(alpha, h)).mean(axis=-3)
-
-    def named_parameters(self, prefix: str = "") -> dict[str, DiffArray]:
-        return {
-            f"{prefix}theta": self.theta,
-            f"{prefix}score_src": self.score_src,
-            f"{prefix}score_dst": self.score_dst,
-            f"{prefix}score_bias": self.score_bias,
-        }

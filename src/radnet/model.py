@@ -20,14 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, FormatError
 from .graph import GatLayer, RoadGraph
 from .nn import (
     DEFAULT_LEAKY_SLOPE,
     FeedForward,
     Linear,
-    assign_parameters,
+    ParameterStore,
     load_checkpoint,
+    named_parameters,
     save_checkpoint,
 )
 from .temporal import TransformerBlock, transformer_forward
@@ -92,28 +93,16 @@ class RadNet:
         d = config.n_features
         d_model = config.n_nodes * d if config.temporal_mode == "flattened" else d
 
+        gat = lambda: GatLayer(d, d, rng, config.gat_heads, config.leaky_slope)
+        block = lambda: TransformerBlock(d_model, config.transformer_heads, rng,
+                                         config.encoder_hidden, config.dropout,
+                                         config.decoder_source)
         self.gat_st = self.transformer_st = None
         self.transformer_ts = self.gat_ts = None
         if config.variant != "no_st":
-            self.gat_st = GatLayer(d, d, rng, config.gat_heads, config.leaky_slope)
-            self.transformer_st = TransformerBlock(
-                d_model,
-                config.transformer_heads,
-                rng,
-                config.encoder_hidden,
-                config.dropout,
-                config.decoder_source,
-            )
+            self.gat_st, self.transformer_st = gat(), block()
         if config.variant != "no_ts":
-            self.transformer_ts = TransformerBlock(
-                d_model,
-                config.transformer_heads,
-                rng,
-                config.encoder_hidden,
-                config.dropout,
-                config.decoder_source,
-            )
-            self.gat_ts = GatLayer(d, d, rng, config.gat_heads, config.leaky_slope)
+            self.transformer_ts, self.gat_ts = block(), gat()
 
         self.fusion = None
         if config.variant != "no_skip":
@@ -123,47 +112,32 @@ class RadNet:
         self.decoder = FeedForward(
             (d, *config.decoder_widths, d), rng, config.leaky_slope
         )
+        self.store = ParameterStore(named_parameters(self))
 
     # -- plumbing --------------------------------------------------------
-    def named_parameters(self) -> dict[str, DiffArray]:
-        out: dict[str, DiffArray] = {}
-        if self.gat_st is not None:
-            out.update(self.gat_st.named_parameters("gat_st."))
-            out.update(self.transformer_st.named_parameters("transformer_st."))
-        if self.transformer_ts is not None:
-            out.update(self.transformer_ts.named_parameters("transformer_ts."))
-            out.update(self.gat_ts.named_parameters("gat_ts."))
-        if self.fusion is not None:
-            out.update(self.fusion.named_parameters("fusion."))
-        out.update(self.decoder.named_parameters("decoder."))
-        return out
-
     def count_parameters(self) -> int:
-        return sum(p.size for p in self.named_parameters().values())
+        return self.store.flat.size
 
     def parameter_ledger(self) -> list[tuple[str, tuple[int, ...], int]]:
         """Per-parameter (name, shape, size) rows; sizes sum to count_parameters()."""
-        return [(n, p.shape, p.size) for n, p in self.named_parameters().items()]
-
-    def state_snapshot(self) -> dict[str, np.ndarray]:
-        return {n: p.values.copy() for n, p in self.named_parameters().items()}
-
-    def load_snapshot(self, snapshot: dict[str, np.ndarray]) -> None:
-        for name, p in self.named_parameters().items():
-            p.values[...] = snapshot[name]
+        return [(n, p.shape, p.size) for n, p in self.store.params.items()]
 
     def save(self, stem: str | Path, extra_hyperparameters: dict | None = None) -> None:
         hyper = {"config": asdict(self.config)}
         if extra_hyperparameters:
             hyper.update(extra_hyperparameters)
-        save_checkpoint(stem, self.named_parameters(), self.config.seed, hyper)
+        save_checkpoint(stem, self.store, self.config.seed, hyper)
 
     @classmethod
     def load(cls, stem: str | Path) -> tuple["RadNet", dict]:
-        arrays, manifest = load_checkpoint(stem)
-        config = RadNetConfig(**manifest["hyperparameters"]["config"])
-        model = cls(config)
-        assign_parameters(model.named_parameters(), arrays)
+        flat, manifest = load_checkpoint(stem)
+        model = cls(RadNetConfig(**manifest["hyperparameters"]["config"]))
+        layout = [(n, p.shape) for n, p in model.store.params.items()]
+        saved = [(n, tuple(manifest["shapes"][n])) for n in manifest["names"]]
+        if saved != layout:
+            differ = sorted(set(saved) ^ set(layout)) or "their order"
+            raise FormatError(f"checkpoint parameters disagree with the model: {differ}")
+        model.store.flat[...] = flat
         return model, manifest
 
     # -- inference ---------------------------------------------------------

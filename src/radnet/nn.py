@@ -1,13 +1,21 @@
-"""Trainable layers built on DiffArray, plus the parameter checkpoint format.
+"""Trainable layers built on DiffArray, the parameter store, and checkpoints.
 
-Checkpoints are a JSON manifest (parameter names, shapes, seed and free-form
-hyperparameters) next to a flat binary blob of little-endian float64 values,
-row-major, concatenated in manifest order.
+`named_parameters` finds a module's parameters (its `requires_grad`
+DiffArrays) by walking its attributes, so names are attribute paths such as
+`decoder.layers.0.weight`. A `ParameterStore` holds them as views into one
+float64 buffer, `flat`, which the optimizer, snapshots and checkpoints use.
+
+A checkpoint is `flat` as a little-endian float64 blob (each parameter
+row-major, in manifest order) next to a JSON manifest: format version, names,
+shapes, the blob's SHA-256, seed and free-form hyperparameters. Each file is
+written to a temporary name and renamed into place, the blob first.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +47,6 @@ class Linear:
             )
         return x @ self.weight + self.bias
 
-    def named_parameters(self, prefix: str = "") -> dict[str, DiffArray]:
-        return {f"{prefix}weight": self.weight, f"{prefix}bias": self.bias}
-
 
 class FeedForward:
     """A chain of affine layers with an activation between them.
@@ -68,12 +73,6 @@ class FeedForward:
                 x = leaky_relu(x, self.slope)
         return x
 
-    def named_parameters(self, prefix: str = "") -> dict[str, DiffArray]:
-        out: dict[str, DiffArray] = {}
-        for i, layer in enumerate(self.layers):
-            out.update(layer.named_parameters(f"{prefix}layer{i}."))
-        return out
-
 
 class LayerNorm:
     """Last-axis normalization to zero mean / unit variance, then learned affine."""
@@ -98,46 +97,117 @@ class LayerNorm:
     def __call__(self, x: DiffArray) -> DiffArray:
         return self.normalize(x) * self.gain + self.shift
 
-    def named_parameters(self, prefix: str = "") -> dict[str, DiffArray]:
-        return {f"{prefix}gain": self.gain, f"{prefix}shift": self.shift}
+
+# ---------------------------------------------------------------------------
+# parameters
+
+
+def named_parameters(module, prefix: str = "") -> dict[str, DiffArray]:
+    """Every `requires_grad` DiffArray reachable from `module`, by attribute path.
+
+    Attributes are walked in assignment order: a list item by item under
+    `attr.i.`, any other object with attributes under `attr.`; everything
+    else (None included) is skipped.
+    """
+    out: dict[str, DiffArray] = {}
+    _collect(module, prefix, out)
+    return out
+
+
+def _collect(module, prefix: str, out: dict[str, DiffArray]) -> None:
+    items = enumerate(module) if isinstance(module, list) else vars(module).items()
+    for key, value in items:
+        if isinstance(value, DiffArray):
+            if value.requires_grad:
+                out[f"{prefix}{key}"] = value
+        elif isinstance(value, list) or hasattr(value, "__dict__"):
+            _collect(value, f"{prefix}{key}.", out)
+
+
+class ParameterStore:
+    """Named parameters whose values are views into one float64 buffer, `flat`.
+
+    Building the store copies each parameter's values into its slice of
+    `flat` (in dict order) and rebinds `values` to that slice, so an in-place
+    update of `flat` updates every parameter and `flat.copy()` snapshots them.
+    """
+
+    def __init__(self, params: dict[str, DiffArray]):
+        self.params = params
+        self.flat = np.empty(sum(p.values.size for p in params.values()))
+        offset = 0
+        for p in params.values():
+            end = offset + p.values.size
+            self.flat[offset:end] = p.values.reshape(-1)
+            p.values = self.flat[offset:end].reshape(p.values.shape)
+            offset = end
+
+    def name_at(self, index: int) -> str:
+        """The parameter owning element `index` of `flat`."""
+        for name, p in self.params.items():
+            if index < p.size:
+                return name
+            index -= p.size
+        raise IndexError(f"index outside the {self.flat.size} stored values")
+
+    def flat_grad(self) -> np.ndarray:
+        """Every parameter's gradient laid out like `flat`; each must have one."""
+        grad = np.empty_like(self.flat)
+        offset = 0
+        for name, p in self.params.items():
+            shape = None if p.grad is None else p.grad.shape
+            if shape != p.shape:
+                raise ValueError(f"parameter {name} needs a {p.shape} gradient, has {shape}")
+            grad[offset : offset + p.size] = p.grad.reshape(-1)
+            offset += p.size
+        return grad
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 
+CHECKPOINT_FORMAT = 2
+
 
 def save_checkpoint(
     stem: str | Path,
-    params: dict[str, DiffArray],
+    store: ParameterStore,
     seed: int | None = None,
     hyperparameters: dict | None = None,
 ) -> None:
-    """Write `<stem>.json` (manifest) and `<stem>.bin` (value blob)."""
+    """Write `<stem>.bin` (the `flat` blob), then `<stem>.json` (manifest)."""
     stem = Path(stem)
-    names = list(params.keys())
+    blob = store.flat.astype("<f8").tobytes()
     manifest = {
-        "names": names,
-        "shapes": {name: list(params[name].shape) for name in names},
+        "format": CHECKPOINT_FORMAT,
+        "names": list(store.params),
+        "shapes": {name: list(p.shape) for name, p in store.params.items()},
+        "sha256": hashlib.sha256(blob).hexdigest(),
         "seed": seed,
         "hyperparameters": hyperparameters or {},
     }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     stem.parent.mkdir(parents=True, exist_ok=True)
-    with open(stem.with_suffix(".json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(stem.with_suffix(".bin"), "wb") as fh:
-        for name in names:
-            fh.write(np.ascontiguousarray(params[name].values, dtype="<f8").tobytes())
+    for path, data in ((stem.with_suffix(".bin"), blob),
+                       (stem.with_suffix(".json"), text.encode("utf-8"))):
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
 
 
-def load_checkpoint(stem: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; returns (name -> array, manifest)."""
+def load_checkpoint(stem: str | Path) -> tuple[np.ndarray, dict]:
+    """Read a checkpoint; returns (flat values in manifest order, manifest)."""
     stem = Path(stem)
     try:
         with open(stem.with_suffix(".json"), "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except FileNotFoundError as exc:
         raise FormatError(f"missing checkpoint manifest: {stem.with_suffix('.json')}") from exc
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        raise FormatError(
+            f"checkpoint format {manifest.get('format')!r} is not supported "
+            f"(expected {CHECKPOINT_FORMAT}); retrain to write a current checkpoint"
+        )
     blob = stem.with_suffix(".bin").read_bytes()
     expected = sum(
         int(np.prod(manifest["shapes"][name])) for name in manifest["names"]
@@ -146,28 +216,6 @@ def load_checkpoint(stem: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise FormatError(
             f"checkpoint blob holds {len(blob)} bytes, manifest declares {expected * 8}"
         )
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for name in manifest["names"]:
-        shape = tuple(manifest["shapes"][name])
-        count = int(np.prod(shape))
-        arrays[name] = (
-            np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-            .astype(np.float64)
-            .reshape(shape)
-        )
-        offset += count * 8
-    return arrays, manifest
-
-
-def assign_parameters(params: dict[str, DiffArray], arrays: dict[str, np.ndarray]) -> None:
-    """Load checkpoint arrays into an existing parameter dict, in place."""
-    missing = set(params) ^ set(arrays)
-    if missing:
-        raise FormatError(f"parameter names disagree with checkpoint: {sorted(missing)}")
-    for name, p in params.items():
-        if p.shape != arrays[name].shape:
-            raise FormatError(
-                f"shape mismatch for {name}: model {p.shape}, checkpoint {arrays[name].shape}"
-            )
-        p.values[...] = arrays[name]
+    if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
+        raise FormatError(f"checkpoint blob {stem.with_suffix('.bin')} fails its SHA-256 check")
+    return np.frombuffer(blob, dtype="<f8").astype(np.float64), manifest

@@ -46,7 +46,7 @@ def position_encoding_table(length: int, width: int) -> np.ndarray:
 
 def position_encode(
     w,
-    rate: float = 0.1,
+    rate: float,
     training: bool = False,
     rng: PositionRNG = None,
 ) -> DiffArray:
@@ -153,14 +153,6 @@ class MultiHeadAttention:
         heads = matmul(weights, self._split(matmul(v, self.w_value)))
         return matmul(self._merge(heads), self.w_out)
 
-    def named_parameters(self, prefix: str = "") -> dict[str, DiffArray]:
-        return {
-            f"{prefix}query": self.w_query,
-            f"{prefix}key": self.w_key,
-            f"{prefix}value": self.w_value,
-            f"{prefix}out": self.w_out,
-        }
-
 
 class EncoderBlock:
     """Residual self-attention + residual feed-forward, layer-normed.
@@ -174,8 +166,8 @@ class EncoderBlock:
         d_model: int,
         n_heads: int,
         rng: np.random.Generator,
-        hidden: int = 16,
-        dropout_rate: float = 0.1,
+        hidden: int,
+        dropout_rate: float,
     ):
         self.d_model = d_model
         self.dropout_rate = dropout_rate
@@ -191,13 +183,6 @@ class EncoderBlock:
         ff = dropout(self.feed_forward(x), self.dropout_rate, rng, training)
         return self.norm_ff(x1 + ff)
 
-    def named_parameters(self, prefix: str = "") -> dict[str, DiffArray]:
-        out = self.attention.named_parameters(f"{prefix}attention.")
-        out.update(self.feed_forward.named_parameters(f"{prefix}ff."))
-        out.update(self.norm_attn.named_parameters(f"{prefix}norm_attn."))
-        out.update(self.norm_ff.named_parameters(f"{prefix}norm_ff."))
-        return out
-
 
 class TransformerBlock:
     """Encoder plus causally masked decoder, reduced to the final timestep."""
@@ -207,9 +192,9 @@ class TransformerBlock:
         d_model: int,
         n_heads: int,
         rng: np.random.Generator,
-        hidden: int = 16,
-        dropout_rate: float = 0.1,
-        decoder_source: str = "window",
+        hidden: int,
+        dropout_rate: float,
+        decoder_source: str,
     ):
         if decoder_source not in ("window", "last"):
             raise ValueError(f"unknown decoder source {decoder_source!r}")
@@ -250,14 +235,6 @@ class TransformerBlock:
         )
         out = self.norm_out(decoded + crossed)
         return out[..., -1, :]
-
-    def named_parameters(self, prefix: str = "") -> dict[str, DiffArray]:
-        out = self.encoder.named_parameters(f"{prefix}encoder.")
-        out.update(self.decoder_attention.named_parameters(f"{prefix}decoder_attn."))
-        out.update(self.norm_decoder.named_parameters(f"{prefix}norm_decoder."))
-        out.update(self.cross_attention.named_parameters(f"{prefix}cross_attn."))
-        out.update(self.norm_out.named_parameters(f"{prefix}norm_out."))
-        return out
 
 
 def transformer_forward(

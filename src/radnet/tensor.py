@@ -369,18 +369,6 @@ def reduce_mean(a, axis=None, keepdims: bool = False):
     return _result(values, (a,), push)
 
 
-def frobenius_norm(a):
-    """sqrt of the sum of squared entries, as a scalar DiffArray."""
-    a = _wrap(a)
-    av = a.values
-    n = np.sqrt((av * av).sum())
-
-    def push(g):
-        return (g * av / max(n, 1e-12),)
-
-    return _result(np.asarray(n), (a,), push)
-
-
 # ---------------------------------------------------------------------------
 # softmax
 

@@ -46,6 +46,14 @@ class TrainConfig:
             raise ValueError("patience must be at least 1")
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        if not 0.0 <= self.teacher_forcing_p <= 1.0:
+            raise ValueError(f"teacher_forcing_p must lie in [0, 1], got {self.teacher_forcing_p}")
+        if self.autoregressive_horizon < 0:
+            raise ValueError(
+                f"autoregressive_horizon must be >= 0, got {self.autoregressive_horizon}"
+            )
         self.betas = tuple(self.betas)
 
     @classmethod
@@ -223,12 +231,12 @@ def train(
     data = normalizer.transform(local)
 
     rng = np.random.default_rng(cfg.seed)
-    params = model.named_parameters()
-    opt = AdamW(params, lr=cfg.lr, betas=cfg.betas, eps=cfg.eps,
+    flat = model.store.flat
+    opt = AdamW(model.store, lr=cfg.lr, betas=cfg.betas, eps=cfg.eps,
                 weight_decay=cfg.weight_decay)
     stopper = EarlyStopper(cfg.patience)
 
-    best_snapshot = model.state_snapshot()
+    best = flat.copy()
     best_mse = np.inf
     history: list[tuple[int, float, float]] = []
     train_samples = fold.train_samples.copy()
@@ -269,7 +277,7 @@ def train(
         improved = val_loss < stopper.best
         stop = stopper.update(epoch, val_loss)
         if improved:
-            best_snapshot = model.state_snapshot()
+            best = flat.copy()
             best_mse = val_mse
         if stop:
             stopped = epoch
@@ -282,7 +290,7 @@ def train(
             f"validation loss was not finite in any of the {len(history)} "
             f"epochs run (lr={cfg.lr})"
         )
-    model.load_snapshot(best_snapshot)
+    flat[...] = best
     if loss_csv is not None:
         write_loss_csv(loss_csv, history)
     return TrainResult(

@@ -24,6 +24,7 @@ from radnet.evaluation import (
 from radnet.graph import GatLayer, RoadGraph
 from radnet.incidents import build_baseline, gpd_fit, pot_fit
 from radnet.model import RadNet, RadNetConfig, batch_loss, rollout_autoregressive
+from radnet.nn import named_parameters
 from radnet.pipeline import split_train_test
 from radnet.temporal import MultiHeadAttention, causal_mask
 from radnet.tensor import no_grad
@@ -73,7 +74,7 @@ class TestC01GradientFidelity:
             return batch_loss(model.forward_batch(window[None], graph)[0], target[None])
 
         start = time.time()
-        err = T.grad_check(objective, model.named_parameters().values(), step=1e-6)
+        err = T.grad_check(objective, named_parameters(model).values(), step=1e-6)
         elapsed = time.time() - start
         assert err < 1e-4, f"max relative error {err:.3e}"
         assert elapsed < 30.0, f"gradient check took {elapsed:.1f}s"

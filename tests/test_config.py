@@ -43,7 +43,7 @@ train_configs = st.builds(
     TrainConfig,
     lr=positive,
     weight_decay=finite,
-    max_epochs=small,
+    max_epochs=pos_int,
     patience=pos_int,
     folds=st.integers(min_value=2, max_value=50),
     batch=pos_int,
@@ -51,7 +51,7 @@ train_configs = st.builds(
     betas=st.tuples(finite, finite),
     eps=finite,
     autoregressive_horizon=small,
-    teacher_forcing_p=finite,
+    teacher_forcing_p=st.floats(min_value=0.0, max_value=1.0),
 )
 
 pot_configs = st.builds(

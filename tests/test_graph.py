@@ -6,6 +6,7 @@ import pytest
 from radnet import tensor as T
 from radnet.errors import DimensionError, GraphError
 from radnet.graph import GatLayer, RoadGraph
+from radnet.nn import named_parameters
 from radnet.tensor import DiffArray
 
 
@@ -96,7 +97,7 @@ class TestGatForward:
     def test_zero_weights_give_half_everywhere(self):
         g = RoadGraph(3, [(0, 1), (1, 2)])
         layer = GatLayer(2, 2, np.random.default_rng(5))
-        for p in layer.named_parameters().values():
+        for p in named_parameters(layer).values():
             p.values[...] = 0.0
         out = layer(np.random.default_rng(6).normal(size=(3, 2)), g)
         np.testing.assert_allclose(out.values, np.full((3, 2), 0.5))
@@ -123,7 +124,7 @@ class TestGatForward:
         def f():
             return (layer(x, g) * w).sum()
 
-        err = T.grad_check(f, [x, *layer.named_parameters().values()])
+        err = T.grad_check(f, [x, *named_parameters(layer).values()])
         assert err < 1e-5
 
     def test_permutation_equivariance(self):

@@ -1,19 +1,23 @@
 """Forecaster contracts: windows, fusion convexity, ablations, rollout,
 parameter accounting."""
 
+import json
+
 import numpy as np
 import pytest
 
 from radnet import tensor as T
-from radnet.errors import DimensionError
+from radnet.errors import DimensionError, FormatError
 from radnet.graph import RoadGraph
 from radnet.model import (
+    VARIANTS,
     RadNet,
     RadNetConfig,
     batch_loss,
     build_window,
     rollout_autoregressive,
 )
+from radnet.nn import named_parameters
 from radnet.tensor import DiffArray
 
 
@@ -99,7 +103,7 @@ class TestForward:
         cfg = RadNetConfig(n_nodes=4, n_features=1, seed=11)
         m1, m2 = RadNet(cfg), RadNet(cfg)
         for (n1, p1), (n2, p2) in zip(
-            m1.named_parameters().items(), m2.named_parameters().items()
+            named_parameters(m1).items(), named_parameters(m2).items()
         ):
             assert n1 == n2
             np.testing.assert_array_equal(p1.values, p2.values)
@@ -183,6 +187,64 @@ class TestVariants:
         for variant in ("no_st", "no_ts", "no_skip"):
             abl = RadNet(RadNetConfig(**base, variant=variant)).count_parameters()
             assert abl < full
+
+
+def _transformer_names(prefix):
+    mha = ("w_query", "w_key", "w_value", "w_out")
+    norm = ("gain", "shift")
+    enc = f"{prefix}encoder."
+    return (
+        [f"{enc}attention.{w}" for w in mha]
+        + [f"{enc}feed_forward.layers.{i}.{w}" for i in (0, 1) for w in ("weight", "bias")]
+        + [f"{enc}norm_attn.{w}" for w in norm]
+        + [f"{enc}norm_ff.{w}" for w in norm]
+        + [f"{prefix}decoder_attention.{w}" for w in mha]
+        + [f"{prefix}norm_decoder.{w}" for w in norm]
+        + [f"{prefix}cross_attention.{w}" for w in mha]
+        + [f"{prefix}norm_out.{w}" for w in norm]
+    )
+
+
+def _gat_names(prefix):
+    return [f"{prefix}{w}" for w in ("theta", "score_src", "score_dst", "score_bias")]
+
+
+class TestParameterStore:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n_features", [1, 3])
+    def test_walker_names_and_order(self, variant, n_features):
+        model = RadNet(RadNetConfig(n_nodes=4, n_features=n_features, variant=variant))
+        expected = []
+        if variant != "no_st":
+            expected += _gat_names("gat_st.") + _transformer_names("transformer_st.")
+        if variant != "no_ts":
+            expected += _transformer_names("transformer_ts.") + _gat_names("gat_ts.")
+        if variant != "no_skip":
+            expected += ["fusion.weight", "fusion.bias"]
+        expected += [f"decoder.layers.{i}.{w}" for i in range(3) for w in ("weight", "bias")]
+        assert list(model.store.params) == expected
+        walked = named_parameters(model)
+        assert list(walked) == expected
+        assert all(walked[n] is p for n, p in model.store.params.items())
+
+    def test_every_parameter_is_a_view_of_flat(self, toy):
+        model, _ = toy
+        offset = 0
+        for p in model.store.params.values():
+            assert np.shares_memory(p.values, model.store.flat)
+            np.testing.assert_array_equal(
+                p.values.reshape(-1), model.store.flat[offset : offset + p.size]
+            )
+            offset += p.size
+        assert offset == model.store.flat.size == model.count_parameters()
+
+    def test_loading_a_mismatched_checkpoint_names_the_parameters(self, tmp_path):
+        RadNet(RadNetConfig(n_nodes=4, n_features=1, variant="no_skip")).save(tmp_path / "a")
+        manifest = json.loads((tmp_path / "a.json").read_text())
+        manifest["hyperparameters"]["config"]["variant"] = "full"
+        (tmp_path / "a.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="fusion.weight"):
+            RadNet.load(tmp_path / "a")
 
 
 class TestLoss:
@@ -295,7 +357,7 @@ class TestRollout:
             masks.append(forced)
             return batch_loss(preds, target)
 
-        err = T.grad_check(f, model.named_parameters().values())
+        err = T.grad_check(f, named_parameters(model).values())
         assert masks[0].any() and not masks[0].all()
         assert err < 1e-4
 
@@ -318,7 +380,7 @@ class TestParameterAccounting:
         from radnet.nn import Linear
 
         lin = Linear(7, 3, np.random.default_rng(0))
-        total = sum(p.size for p in lin.named_parameters().values())
+        total = sum(p.size for p in named_parameters(lin).values())
         assert total == 7 * 3 + 3
 
     def test_ledger_sums_to_count(self, toy):
@@ -368,5 +430,5 @@ class TestGradients:
         def f():
             return batch_loss(model.forward_batch(w[None], g)[0], target[None])
 
-        err = T.grad_check(f, model.named_parameters().values())
+        err = T.grad_check(f, named_parameters(model).values())
         assert err < 1e-4

@@ -1,18 +1,25 @@
-"""Layers: feed-forward contracts, layer norm, checkpoint round-trips."""
+"""Layers: feed-forward contracts, layer norm, the parameter walker and store,
+checkpoint round-trips."""
+
+import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from radnet import tensor as T
 from radnet.errors import DimensionError, FormatError
+from radnet.graph import GatLayer
 from radnet.nn import (
     FeedForward,
     LayerNorm,
     Linear,
-    assign_parameters,
+    ParameterStore,
     load_checkpoint,
+    named_parameters,
     save_checkpoint,
 )
+from radnet.temporal import EncoderBlock, MultiHeadAttention
 from radnet.tensor import DiffArray
 
 
@@ -46,13 +53,15 @@ class TestFeedForward:
         def f():
             return (ff(x) * w).sum()
 
-        err = T.grad_check(f, ff.named_parameters().values())
+        err = T.grad_check(f, named_parameters(ff).values())
         assert err < 1e-6
 
     def test_parameter_names(self):
         ff = FeedForward((2, 4, 1), np.random.default_rng(0))
-        names = list(ff.named_parameters("ff.").keys())
-        assert names == ["ff.layer0.weight", "ff.layer0.bias", "ff.layer1.weight", "ff.layer1.bias"]
+        names = list(named_parameters(ff, "ff.").keys())
+        assert names == [
+            "ff.layers.0.weight", "ff.layers.0.bias", "ff.layers.1.weight", "ff.layers.1.bias"
+        ]
 
 
 class TestLayerNorm:
@@ -93,44 +102,135 @@ class TestLayerNorm:
         assert err < 1e-5
 
 
+class TestWalker:
+    def test_standalone_layers(self):
+        rng = np.random.default_rng(0)
+        mha = ["w_query", "w_key", "w_value", "w_out"]
+        assert list(named_parameters(Linear(2, 3, rng))) == ["weight", "bias"]
+        assert list(named_parameters(LayerNorm(3))) == ["gain", "shift"]
+        assert list(named_parameters(MultiHeadAttention(4, 2, rng))) == mha
+        assert list(named_parameters(GatLayer(2, 2, rng, n_heads=3))) == [
+            "theta", "score_src", "score_dst", "score_bias"
+        ]
+        assert list(named_parameters(EncoderBlock(4, 2, rng, 8, 0.1), "enc.")) == (
+            [f"enc.attention.{w}" for w in mha]
+            + [f"enc.feed_forward.layers.{i}.{w}" for i in (0, 1) for w in ("weight", "bias")]
+            + ["enc.norm_attn.gain", "enc.norm_attn.shift", "enc.norm_ff.gain", "enc.norm_ff.shift"]
+        )
+
+    def test_returns_the_attributes_themselves(self):
+        lin = Linear(2, 3, np.random.default_rng(0))
+        params = named_parameters(lin)
+        assert params["weight"] is lin.weight and params["bias"] is lin.bias
+
+    def test_skips_constants_none_and_plain_values(self):
+        module = SimpleNamespace(
+            frozen=DiffArray(np.ones(2)),
+            missing=None,
+            width=3,
+            table=np.ones(4),
+            nested=[SimpleNamespace(w=DiffArray(np.zeros(1), requires_grad=True)), None],
+        )
+        assert list(named_parameters(module)) == ["nested.0.w"]
+
+
+def _two_tensor_store(rng):
+    return ParameterStore({
+        "a": DiffArray(rng.normal(size=(2, 3)), requires_grad=True),
+        "b": DiffArray(rng.normal(size=4), requires_grad=True),
+    })
+
+
+class TestParameterStore:
+    def test_values_become_views_of_flat_without_changing(self):
+        lin = Linear(2, 3, np.random.default_rng(1))
+        before = {n: p.values.copy() for n, p in named_parameters(lin).items()}
+        store = ParameterStore(named_parameters(lin))
+        assert store.flat.shape == (2 * 3 + 3,)
+        for name, p in store.params.items():
+            assert np.shares_memory(p.values, store.flat)
+            np.testing.assert_array_equal(p.values, before[name])
+        store.flat[...] = 0.0
+        assert not lin.weight.values.any() and not lin.bias.values.any()
+
+    def test_flat_grad_in_flat_order(self):
+        store = _two_tensor_store(np.random.default_rng(2))
+        store.params["a"].grad = np.arange(6.0).reshape(2, 3)
+        store.params["b"].grad = np.arange(6.0, 10.0)
+        np.testing.assert_array_equal(store.flat_grad(), np.arange(10.0))
+
+    def test_missing_gradient_names_the_parameter(self):
+        store = _two_tensor_store(np.random.default_rng(3))
+        store.params["a"].grad = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="parameter b needs a \\(4,\\) gradient, has None"):
+            store.flat_grad()
+
+    def test_name_at(self):
+        store = _two_tensor_store(np.random.default_rng(4))
+        assert [store.name_at(i) for i in (0, 5, 6, 9)] == ["a", "a", "b", "b"]
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(15)
-        params = {
-            "a.weight": DiffArray(rng.normal(size=(3, 4)), requires_grad=True),
-            "b.bias": DiffArray(rng.normal(size=7), requires_grad=True),
-        }
+        store = _two_tensor_store(np.random.default_rng(15))
         stem = tmp_path / "model"
-        save_checkpoint(stem, params, seed=15, hyperparameters={"lr": 5e-4})
-        arrays, manifest = load_checkpoint(stem)
+        save_checkpoint(stem, store, seed=15, hyperparameters={"lr": 5e-4})
+        flat, manifest = load_checkpoint(stem)
         assert manifest["seed"] == 15
         assert manifest["hyperparameters"]["lr"] == 5e-4
-        for name, p in params.items():
-            np.testing.assert_array_equal(arrays[name], p.values)
+        assert manifest["format"] == 2
+        assert manifest["names"] == ["a", "b"]
+        assert manifest["shapes"] == {"a": [2, 3], "b": [4]}
+        np.testing.assert_array_equal(flat, store.flat)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.json"]
 
     def test_assign_into_model(self, tmp_path):
-        rng = np.random.default_rng(16)
-        lin = Linear(2, 3, rng)
-        params = lin.named_parameters("lin.")
+        lin = Linear(2, 3, np.random.default_rng(16))
         stem = tmp_path / "ckpt"
-        save_checkpoint(stem, params)
+        save_checkpoint(stem, ParameterStore(named_parameters(lin)))
         fresh = Linear(2, 3, np.random.default_rng(99))
-        arrays, _ = load_checkpoint(stem)
-        assign_parameters(fresh.named_parameters("lin."), arrays)
+        store = ParameterStore(named_parameters(fresh))
+        flat, _ = load_checkpoint(stem)
+        store.flat[...] = flat
         np.testing.assert_array_equal(fresh.weight.values, lin.weight.values)
+        np.testing.assert_array_equal(fresh.bias.values, lin.bias.values)
 
     def test_truncated_blob_raises(self, tmp_path):
-        params = {"w": DiffArray(np.ones((2, 2)), requires_grad=True)}
+        store = ParameterStore({"w": DiffArray(np.ones((2, 2)), requires_grad=True)})
         stem = tmp_path / "bad"
-        save_checkpoint(stem, params)
+        save_checkpoint(stem, store)
         blob = (stem.with_suffix(".bin")).read_bytes()
         stem.with_suffix(".bin").write_bytes(blob[:-8])
         with pytest.raises(FormatError, match="24 bytes.*32"):
             load_checkpoint(stem)
 
+    def test_flipped_byte_fails_checksum(self, tmp_path):
+        store = ParameterStore({"w": DiffArray(np.ones((2, 2)), requires_grad=True)})
+        stem = tmp_path / "flipped"
+        save_checkpoint(stem, store)
+        blob = bytearray(stem.with_suffix(".bin").read_bytes())
+        blob[5] ^= 0x01
+        stem.with_suffix(".bin").write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="SHA-256"):
+            load_checkpoint(stem)
+
+    @pytest.mark.parametrize("fmt", [None, 1, 3])
+    def test_missing_or_unknown_format_rejected(self, tmp_path, fmt):
+        store = ParameterStore({"w": DiffArray(np.ones(3), requires_grad=True)})
+        stem = tmp_path / "old"
+        save_checkpoint(stem, store)
+        manifest = json.loads(stem.with_suffix(".json").read_text())
+        if fmt is None:
+            del manifest["format"]
+        else:
+            manifest["format"] = fmt
+        stem.with_suffix(".json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=f"format {fmt} is not supported"):
+            load_checkpoint(stem)
+
     def test_blob_is_little_endian_row_major(self, tmp_path):
-        params = {"w": DiffArray(np.arange(6.0).reshape(2, 3), requires_grad=True)}
+        store = ParameterStore({"w": DiffArray(np.arange(6.0).reshape(2, 3), requires_grad=True)})
         stem = tmp_path / "layout"
-        save_checkpoint(stem, params)
+        save_checkpoint(stem, store)
         raw = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f8")
         np.testing.assert_array_equal(raw, np.arange(6.0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from radnet.errors import DimensionError, NumericError
+from radnet.nn import ParameterStore
 from radnet.optim import AdamW, AdamWState, adamw_step
 from radnet.tensor import DiffArray
 
@@ -20,70 +21,105 @@ def reference_adamw(p, gs, lr, betas, eps, wd):
     return p
 
 
+def store_of(**arrays):
+    return ParameterStore(
+        {name: DiffArray(values, requires_grad=True) for name, values in arrays.items()}
+    )
+
+
 class TestAdamWStep:
     def test_zero_gradient_leaves_parameter_unchanged(self):
-        p = {"w": DiffArray([1.5, -2.0], requires_grad=True)}
+        store = store_of(w=[1.5, -2.0])
         state = AdamWState(lr=0.1, weight_decay=0.0)
-        adamw_step(p, {"w": np.zeros(2)}, state)
-        np.testing.assert_array_equal(p["w"].values, [1.5, -2.0])
+        adamw_step(store, np.zeros(2), state)
+        np.testing.assert_array_equal(store.params["w"].values, [1.5, -2.0])
         assert state.step_count == 1
 
     def test_single_step_reference(self):
-        p = {"w": DiffArray([1.0], requires_grad=True)}
+        store = store_of(w=[1.0])
         state = AdamWState(lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
-        adamw_step(p, {"w": np.array([1.0])}, state)
+        adamw_step(store, np.array([1.0]), state)
         expected = reference_adamw(1.0, [1.0], 0.1, (0.9, 0.999), 1e-8, 0.0)
-        np.testing.assert_allclose(p["w"].values, [expected], rtol=1e-14)
+        np.testing.assert_allclose(store.params["w"].values, [expected], rtol=1e-14)
 
     def test_multi_step_reference(self):
         rng = np.random.default_rng(11)
         gs = rng.normal(size=7)
-        p = {"w": DiffArray([0.3], requires_grad=True)}
+        store = store_of(w=[0.3])
         state = AdamWState(lr=0.05, weight_decay=0.0)
         for g in gs:
-            adamw_step(p, {"w": np.array([g])}, state)
+            adamw_step(store, np.array([g]), state)
         expected = reference_adamw(0.3, gs, 0.05, (0.9, 0.999), 1e-8, 0.0)
-        np.testing.assert_allclose(p["w"].values, [expected], rtol=1e-13)
+        np.testing.assert_allclose(store.params["w"].values, [expected], rtol=1e-13)
+
+    def test_flat_step_matches_reference_per_coordinate(self):
+        # Two tensors of different shapes, one update over the flat buffer:
+        # every coordinate follows its own scalar recurrence.
+        rng = np.random.default_rng(13)
+        a0, b0 = rng.normal(size=(2, 3)), rng.normal(size=4)
+        store = store_of(a=a0, b=b0)
+        gs = rng.normal(size=(5, 10))
+        state = AdamWState(lr=0.05, weight_decay=1e-2)
+        for g in gs:
+            adamw_step(store, g, state)
+        start = np.concatenate([a0.ravel(), b0])
+        expected = [
+            reference_adamw(start[i], gs[:, i], 0.05, (0.9, 0.999), 1e-8, 1e-2)
+            for i in range(10)
+        ]
+        np.testing.assert_allclose(store.params["a"].values.ravel(), expected[:6], rtol=1e-13)
+        np.testing.assert_allclose(store.params["b"].values, expected[6:], rtol=1e-13)
 
     def test_weight_decay_shrinks_parameter(self):
         rng = np.random.default_rng(12)
         gs = rng.normal(size=20)
         runs = {}
         for wd in (0.0, 1e-5):
-            p = {"w": DiffArray([2.0], requires_grad=True)}
+            store = store_of(w=[2.0])
             state = AdamWState(lr=0.01, weight_decay=wd)
             for g in gs:
-                adamw_step(p, {"w": np.array([g])}, state)
-            runs[wd] = abs(p["w"].values[0])
+                adamw_step(store, np.array([g]), state)
+            runs[wd] = abs(store.params["w"].values[0])
         assert runs[1e-5] < runs[0.0]
 
     def test_nan_gradient_aborts_without_mutation(self):
-        p = {"w": DiffArray([1.0], requires_grad=True)}
+        store = store_of(a=np.ones((2, 2)), b=[1.0, 2.0])
         state = AdamWState()
-        with pytest.raises(NumericError):
-            adamw_step(p, {"w": np.array([np.nan])}, state)
-        assert p["w"].values[0] == 1.0
+        grad = np.zeros(6)
+        grad[4] = np.nan
+        with pytest.raises(NumericError, match="NaN gradient for b"):
+            adamw_step(store, grad, state)
+        np.testing.assert_array_equal(store.flat, [1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
         assert state.step_count == 0
+        assert state.first_moment is None
 
     def test_shape_mismatch(self):
-        p = {"w": DiffArray(np.zeros(3), requires_grad=True)}
         with pytest.raises(DimensionError):
-            adamw_step(p, {"w": np.zeros(4)}, AdamWState())
+            adamw_step(store_of(w=np.zeros(3)), np.zeros(4), AdamWState())
 
     def test_moments_match_parameter_shapes(self):
-        p = {"w": DiffArray(np.zeros((2, 3)), requires_grad=True)}
+        store = store_of(a=np.zeros((2, 3)), b=np.zeros(4))
         state = AdamWState()
-        adamw_step(p, {"w": np.ones((2, 3))}, state)
-        assert state.first_moment["w"].shape == (2, 3)
-        assert state.second_moment["w"].shape == (2, 3)
+        adamw_step(store, np.ones(10), state)
+        assert state.first_moment.shape == state.second_moment.shape == store.flat.shape
 
 
 class TestAdamWWrapper:
     def test_step_consumes_backward_grads(self):
         w = DiffArray([1.0, 1.0], requires_grad=True)
-        opt = AdamW({"w": w}, lr=0.1, weight_decay=0.0)
+        opt = AdamW(ParameterStore({"w": w}), lr=0.1, weight_decay=0.0)
         (w * w).sum().backward()
         opt.step()
         opt.zero_grad()
         assert w.grad is None
         assert (np.abs(w.values) < 1.0).all()
+
+    def test_parameter_without_gradient_is_named(self):
+        w = DiffArray([1.0, 1.0], requires_grad=True)
+        unused = DiffArray([3.0], requires_grad=True)
+        opt = AdamW(ParameterStore({"w": w, "unused": unused}), lr=0.1)
+        (w * w).sum().backward()
+        with pytest.raises(ValueError, match="unused"):
+            opt.step()
+        np.testing.assert_array_equal(w.values, [1.0, 1.0])
+        assert opt.state.step_count == 0

@@ -5,6 +5,7 @@ import pytest
 
 from radnet import tensor as T
 from radnet.errors import DimensionError
+from radnet.nn import named_parameters
 from radnet.temporal import (
     EncoderBlock,
     MultiHeadAttention,
@@ -20,7 +21,7 @@ from radnet.tensor import DiffArray
 class TestPositionEncoding:
     def test_position_zero_even_channel_unchanged(self):
         x = np.zeros((4, 2))
-        out = position_encode(x).values
+        out = position_encode(x, 0.1).values
         assert out[0, 0] == 0.0  # + sin(0)
 
     def test_matches_direct_sinusoid(self):
@@ -37,8 +38,8 @@ class TestPositionEncoding:
 
     def test_eval_mode_deterministic(self):
         x = np.random.default_rng(0).normal(size=(6, 4))
-        a = position_encode(x).values
-        b = position_encode(x).values
+        a = position_encode(x, 0.1).values
+        b = position_encode(x, 0.1).values
         np.testing.assert_array_equal(a, b)
 
     def test_training_dropout_changes_values(self):
@@ -146,40 +147,40 @@ class TestEncoderBlock:
     @pytest.mark.parametrize("k", [1, 5, 12])
     def test_shape_preserved(self, k):
         rng = np.random.default_rng(10)
-        block = EncoderBlock(4, 2, rng)
+        block = EncoderBlock(4, 2, rng, 16, 0.1)
         out = block(rng.normal(size=(k, 4)))
         assert out.shape == (k, 4)
 
     def test_batched_shape_preserved(self):
         rng = np.random.default_rng(11)
-        block = EncoderBlock(3, 1, rng)
+        block = EncoderBlock(3, 1, rng, 16, 0.1)
         out = block(rng.normal(size=(6, 2, 5, 3)))
         assert out.shape == (6, 2, 5, 3)
 
     @pytest.mark.parametrize("n_heads", [1, 2])
     def test_gradient_through_full_block(self, n_heads):
         rng = np.random.default_rng(12)
-        block = EncoderBlock(2, n_heads, rng, hidden=4)
+        block = EncoderBlock(2, n_heads, rng, 4, 0.1)
         x = DiffArray(rng.normal(size=(3, 2)), requires_grad=True)
         w = rng.normal(size=(3, 2))
 
         def f():
             return (block(x) * w).sum()
 
-        err = T.grad_check(f, [x, *block.named_parameters().values()])
+        err = T.grad_check(f, [x, *named_parameters(block).values()])
         assert err < 1e-4
 
 
 class TestTransformerBlock:
     def test_single_timestep_window(self):
         rng = np.random.default_rng(13)
-        block = TransformerBlock(3, 1, rng)
+        block = TransformerBlock(3, 1, rng, 16, 0.1, "window")
         out = transformer_forward(block, rng.normal(size=(1, 4, 3)))
         assert out.shape == (4, 3)
 
     def test_eval_mode_bit_identical(self):
         rng = np.random.default_rng(14)
-        block = TransformerBlock(2, 1, rng)
+        block = TransformerBlock(2, 1, rng, 16, 0.1, "window")
         w = rng.normal(size=(5, 3, 2))
         a = transformer_forward(block, w).values
         b = transformer_forward(block, w).values
@@ -188,25 +189,25 @@ class TestTransformerBlock:
     @pytest.mark.parametrize("k", [1, 2, 5, 12])
     def test_output_shape_across_window_lengths(self, k):
         rng = np.random.default_rng(15)
-        block = TransformerBlock(2, 1, rng)
+        block = TransformerBlock(2, 1, rng, 16, 0.1, "window")
         out = transformer_forward(block, rng.normal(size=(k, 3, 2)))
         assert out.shape == (3, 2)
 
     def test_flattened_mode_shape(self):
         rng = np.random.default_rng(16)
-        block = TransformerBlock(6, 1, rng)
+        block = TransformerBlock(6, 1, rng, 16, 0.1, "window")
         out = transformer_forward(block, rng.normal(size=(4, 3, 2)), mode="flattened")
         assert out.shape == (3, 2)
 
     def test_last_replicated_decoder_source(self):
         rng = np.random.default_rng(17)
-        block = TransformerBlock(2, 1, rng, decoder_source="last")
+        block = TransformerBlock(2, 1, rng, 16, 0.1, "last")
         out = transformer_forward(block, rng.normal(size=(4, 3, 2)))
         assert out.shape == (3, 2)
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(18)
-        block = TransformerBlock(2, 2, rng)
+        block = TransformerBlock(2, 2, rng, 16, 0.1, "window")
         batch = rng.normal(size=(3, 4, 2, 2))
         stacked = transformer_forward(block, batch).values
         for b in range(3):
@@ -216,12 +217,12 @@ class TestTransformerBlock:
     @pytest.mark.parametrize("n_heads", [1, 2])
     def test_gradient_through_block(self, n_heads):
         rng = np.random.default_rng(19)
-        block = TransformerBlock(2, n_heads, rng, hidden=3)
+        block = TransformerBlock(2, n_heads, rng, 3, 0.1, "window")
         x = DiffArray(rng.normal(size=(3, 2, 2)), requires_grad=True)
         w = rng.normal(size=(2, 2))
 
         def f():
             return (transformer_forward(block, x) * w).sum()
 
-        err = T.grad_check(f, [x, *block.named_parameters().values()])
+        err = T.grad_check(f, [x, *named_parameters(block).values()])
         assert err < 1e-4

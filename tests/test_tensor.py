@@ -124,12 +124,6 @@ class TestElementwise:
         out = T.sigmoid(DiffArray([-800.0, 800.0]))
         np.testing.assert_allclose(out.values, [0.0, 1.0], atol=1e-12)
 
-    def test_norm_zero_matrix(self):
-        assert T.frobenius_norm(DiffArray(np.zeros((3, 3)))).item() == 0.0
-
-    def test_norm_closed_form(self):
-        assert T.frobenius_norm(DiffArray([[3.0, 4.0]])).item() == pytest.approx(5.0)
-
     def test_broadcast_mismatch(self):
         with pytest.raises(DimensionError):
             T.add(DiffArray(np.zeros(3)), DiffArray(np.zeros(4)))

@@ -129,6 +129,13 @@ class TestTrain:
         val_loss, _ = _validation_losses(model, data, fold.val_samples, graph)
         assert val_loss == pytest.approx(result.best_val_loss, rel=1e-9)
 
+    def test_parameters_stay_views_of_the_store(self):
+        model, series, graph = self._quick_setup(seed=3)
+        tc = TrainConfig(lr=1e-3, max_epochs=2, patience=2, seed=3)
+        train(model, series, graph, tc)
+        for name, p in model.store.params.items():
+            assert np.shares_memory(p.values, model.store.flat), name
+
     def test_loss_csv_emitted(self, tmp_path):
         model, series, graph = self._quick_setup(seed=4)
         tc = TrainConfig(lr=1e-3, max_epochs=2, patience=5, seed=4)
@@ -186,3 +193,16 @@ class TestTrain:
             TrainConfig(patience=0)
         with pytest.raises(ValueError):
             TrainConfig(folds=1)
+
+    def test_max_epochs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_epochs"):
+            TrainConfig(max_epochs=0)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_teacher_forcing_p_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="teacher_forcing_p"):
+            TrainConfig(teacher_forcing_p=p)
+
+    def test_negative_autoregressive_horizon_rejected(self):
+        with pytest.raises(ValueError, match="autoregressive_horizon"):
+            TrainConfig(autoregressive_horizon=-2)

@@ -30,11 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_io
+from . import pipeline
 from .data import IncidentSpec, load_dataset, save_dataset, stats, stats_text, synth_traffic
 from .evaluation import evaluate
 from .incidents import IncidentLabels
 from .model import VARIANTS, RadNet, RadNetConfig
 from .pipeline import (
+    TEST_FRACTION,
     PotConfig,
     run_detection,
     split_train_test,
@@ -132,15 +134,16 @@ def cmd_synth(args, file_cfg) -> int:
     out = Path(_pick(args, file_cfg, "out", "synth-data"))
     events = _pick(args, file_cfg, "events", IncidentSpec.count)
     spec = _resolve(IncidentSpec, args, file_cfg, count=events) if events > 0 else None
+    # Options left unset keep synth_traffic's own defaults.
+    given = {param: value for param, key in (("delta_seconds", "delta"), ("n_features", "features"),
+                                             ("seed", "seed"), ("noise", "noise"),
+                                             ("weekend_factor", "weekend_factor"))
+             if (value := _pick(args, file_cfg, key, None)) is not None}
     series, graph, mask = synth_traffic(
         n_nodes=_pick(args, file_cfg, "nodes", 4),
         days=_pick(args, file_cfg, "days", 14),
-        delta_seconds=_pick(args, file_cfg, "delta", 300),
-        n_features=_pick(args, file_cfg, "features", 1),
         incidents=spec,
-        seed=_pick(args, file_cfg, "seed", 0),
-        noise=_pick(args, file_cfg, "noise", 0.03),
-        weekend_factor=_pick(args, file_cfg, "weekend_factor", 1.0),
+        **given,
     )
     save_dataset(out, series, graph)
     with open(out / "incidents.csv", "w", encoding="utf-8") as fh:
@@ -167,7 +170,7 @@ def cmd_stats(args, file_cfg) -> int:
 def cmd_train(args, file_cfg) -> int:
     series, graph, _ = load_dataset(_pick(args, file_cfg, "data", None))
     out = Path(_pick(args, file_cfg, "out", "train-out"))
-    test_fraction = _pick(args, file_cfg, "test_fraction", 0.3)
+    test_fraction = _pick(args, file_cfg, "test_fraction", TEST_FRACTION)
     model = RadNet(_resolve(RadNetConfig, args, file_cfg,
                             n_nodes=series.n_nodes, n_features=series.n_features))
     tc = _resolve(TrainConfig, args, file_cfg, "train")
@@ -206,37 +209,44 @@ def cmd_train(args, file_cfg) -> int:
     return 0
 
 
-def _detection_run(args, file_cfg):
+def _trained_split(args, file_cfg):
+    """Dataset, trained model and normalizer, and the checkpoint's train/test split."""
     series, graph, _ = load_dataset(_pick(args, file_cfg, "data", None))
     model, normalizer, hyper = _load_trained(_pick(args, file_cfg, "checkpoint", None))
-    test_fraction = _pick(args, file_cfg, "test_fraction", hyper.get("test_fraction", 0.3))
+    test_fraction = _pick(args, file_cfg, "test_fraction",
+                          hyper.get("test_fraction", TEST_FRACTION))
     train_ts, test_ts = split_train_test(series.n_steps, test_fraction)
+    return series, graph, model, normalizer, train_ts, test_ts
+
+
+def _detection_run(args, file_cfg):
+    series, graph, model, normalizer, train_ts, test_ts = _trained_split(args, file_cfg)
     pot = _resolve(PotConfig, args, file_cfg, "pot")
-    run = run_detection(model, series, graph, normalizer, pot, train_ts, test_ts)
-    return run, series, graph, model, pot
+    return run_detection(model, series, graph, normalizer, pot, train_ts, test_ts), series
 
 
 def cmd_forecast(args, file_cfg) -> int:
-    run, series, graph, model, _ = _detection_run(args, file_cfg)
+    series, graph, model, normalizer, _, test_ts = _trained_split(args, file_cfg)
+    target_ts = test_ts[test_ts >= model.config.horizon]
+    predictions = pipeline.forecast_series(model, series, graph, normalizer, target_ts)
     out = Path(_pick(args, file_cfg, "out", "forecast-out"))
-    first = int(run.target_ts[0])
     forecast_series_obj = data_io.FeatureSeries(
-        data=run.predictions,
-        start_epoch=series.epoch(first),
+        data=predictions,
+        start_epoch=series.epoch(int(target_ts[0])),
         delta_seconds=series.delta_seconds,
         feature_names=series.feature_names,
         name=f"{series.name}-forecast-h{model.config.horizon}",
     )
     save_dataset(out, forecast_series_obj, graph)
     with open(out / "targets.json", "w", encoding="utf-8") as fh:
-        json.dump({"target_timesteps": [int(t) for t in run.target_ts]}, fh)
+        json.dump({"target_timesteps": [int(t) for t in target_ts]}, fh)
         fh.write("\n")
-    print(f"wrote {len(run.target_ts)} forecasts to {out}")
+    print(f"wrote {len(target_ts)} forecasts to {out}")
     return 0
 
 
 def cmd_detect(args, file_cfg) -> int:
-    run, *_ = _detection_run(args, file_cfg)
+    run, _ = _detection_run(args, file_cfg)
     out = Path(_pick(args, file_cfg, "out", "detect-out"))
     run.predicted.to_csv(out / "labels_pred.csv")
     run.truth.to_csv(out / "labels_truth.csv")
@@ -269,7 +279,7 @@ def cmd_ablate(args, file_cfg) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seeds = _pick(args, file_cfg, "seeds", "0,1,2")
     seed_list = [int(s) for s in str(seeds).split(",") if s != ""]
-    test_fraction = _pick(args, file_cfg, "test_fraction", 0.3)
+    test_fraction = _pick(args, file_cfg, "test_fraction", TEST_FRACTION)
     train_ts, test_ts = split_train_test(series.n_steps, test_fraction)
     model_base = _resolve(RadNetConfig, args, file_cfg,
                           n_nodes=series.n_nodes, n_features=series.n_features)
@@ -316,7 +326,7 @@ def cmd_ablate(args, file_cfg) -> int:
 
 
 def cmd_report(args, file_cfg) -> int:
-    run, series, *_ = _detection_run(args, file_cfg)
+    run, series = _detection_run(args, file_cfg)
     out = Path(_pick(args, file_cfg, "out", "report-out"))
     write_report_csv(out / "series_report.csv", run, series)
     print(f"wrote per-link series report to {out / 'series_report.csv'}")
@@ -392,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    _add_pot_flags(p)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("detect", help="label incidents over the test range")

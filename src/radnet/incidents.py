@@ -244,6 +244,20 @@ def gpd_fit(excesses: np.ndarray) -> tuple[float, float]:
 
 
 @dataclass
+class PotConfig:
+    percentile: float = 99.0
+    risk_q: float = 1e-3
+    delta_per_horizon: float = 0.5
+    horizon_index: int = 0  # position on the horizon ladder (0 = shortest)
+    dynamic: bool = True
+    refit_every: int = 500
+
+    @property
+    def effective_percentile(self) -> float:
+        return percentile_for_horizon(self.percentile, self.horizon_index, self.delta_per_horizon)
+
+
+@dataclass
 class ThresholdState:
     """Fitted tail model plus the dynamic threshold for one score stream."""
 
@@ -255,7 +269,7 @@ class ThresholdState:
     n_excess: int
     threshold: float
     q0_percentile: float
-    refit_every: int = 500
+    refit_every: int = PotConfig.refit_every
     degenerate: bool = False
     excesses: list = field(default_factory=list)
     _since_refit: int = 0
@@ -288,8 +302,8 @@ class ThresholdState:
 def pot_fit(
     scores: np.ndarray,
     q0_percentile: float,
-    risk_q: float = 1e-3,
-    refit_every: int = 500,
+    risk_q: float = PotConfig.risk_q,
+    refit_every: int = PotConfig.refit_every,
 ) -> ThresholdState:
     """Calibrate a ThresholdState on a batch of scores.
 

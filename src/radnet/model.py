@@ -15,7 +15,7 @@ temporo-spatial path (the remaining path is mixed with the input through a
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +50,6 @@ class RadNetConfig:
     decoder_widths: tuple[int, ...] = (64, 64)
     dropout: float = 0.1
     leaky_slope: float = DEFAULT_LEAKY_SLOPE
-    # per_node batches temporal attention over nodes with model width D;
-    # flattened attends over (N*D)-wide rows. Single-feature data must use
-    # flattened: width-1 layer norm would zero out every slice. Default:
-    # per_node when D >= 2, flattened when D == 1.
-    temporal_mode: str | None = None
-    decoder_source: str = "window"  # or "last"
     seed: int = 0
 
     def __post_init__(self):
@@ -63,18 +57,14 @@ class RadNetConfig:
             raise ValueError("window and horizon must be at least 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
-        if self.temporal_mode is None:
-            self.temporal_mode = "per_node" if self.n_features > 1 else "flattened"
-        if self.temporal_mode not in ("per_node", "flattened"):
-            raise ValueError(f"unknown temporal mode {self.temporal_mode!r}")
-        if self.temporal_mode == "per_node" and self.n_features < 2:
-            raise ValueError(
-                "per_node temporal attention needs at least 2 features "
-                "(layer norm over a width-1 axis is degenerate); use flattened"
-            )
         if self.transformer_heads is None:
             self.transformer_heads = self.n_features
         self.decoder_widths = tuple(self.decoder_widths)
+
+    @property
+    def temporal_mode(self) -> str:
+        """per_node when D >= 2, else flattened: width-1 layer norm would zero every slice."""
+        return "per_node" if self.n_features > 1 else "flattened"
 
 
 def build_window(data: np.ndarray, t: int, window: int) -> np.ndarray:
@@ -95,8 +85,7 @@ class RadNet:
 
         gat = lambda: GatLayer(d, d, rng, config.gat_heads, config.leaky_slope)
         block = lambda: TransformerBlock(d_model, config.transformer_heads, rng,
-                                         config.encoder_hidden, config.dropout,
-                                         config.decoder_source)
+                                         config.encoder_hidden, config.dropout)
         self.gat_st = self.transformer_st = None
         self.transformer_ts = self.gat_ts = None
         if config.variant != "no_st":
@@ -131,7 +120,11 @@ class RadNet:
     @classmethod
     def load(cls, stem: str | Path) -> tuple["RadNet", dict]:
         flat, manifest = load_checkpoint(stem)
-        model = cls(RadNetConfig(**manifest["hyperparameters"]["config"]))
+        config = manifest["hyperparameters"]["config"]
+        unknown = sorted(set(config) - {f.name for f in fields(RadNetConfig)})
+        if unknown:
+            raise FormatError(f"checkpoint config has fields RadNetConfig lacks: {unknown}")
+        model = cls(RadNetConfig(**config))
         layout = [(n, p.shape) for n, p in model.store.params.items()]
         saved = [(n, tuple(manifest["shapes"][n])) for n in manifest["names"]]
         if saved != layout:

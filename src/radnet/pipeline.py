@@ -20,11 +20,11 @@ from .graph import RoadGraph
 from .incidents import (
     BaselineTable,
     IncidentLabels,
+    PotConfig,
     ThresholdState,
     build_baseline,
     label,
     label_with_thresholds,
-    percentile_for_horizon,
     pot_fit,
     residual_scores,
 )
@@ -33,18 +33,8 @@ from .tensor import no_grad
 from .training import Normalizer
 
 
-@dataclass
-class PotConfig:
-    percentile: float = 99.0
-    risk_q: float = 1e-3
-    delta_per_horizon: float = 0.5
-    horizon_index: int = 0  # position on the horizon ladder (0 = shortest)
-    dynamic: bool = True
-    refit_every: int = 500
-
-    @property
-    def effective_percentile(self) -> float:
-        return percentile_for_horizon(self.percentile, self.horizon_index, self.delta_per_horizon)
+# Share of the series, taken from its tail, held out for detection.
+TEST_FRACTION = 0.3
 
 
 def forecast_series(
@@ -164,7 +154,9 @@ class DetectionRun:
     target_ts: np.ndarray
 
 
-def split_train_test(n_steps: int, test_fraction: float = 0.3) -> tuple[np.ndarray, np.ndarray]:
+def split_train_test(
+    n_steps: int, test_fraction: float = TEST_FRACTION
+) -> tuple[np.ndarray, np.ndarray]:
     """Contiguous head/tail partition of the series indices."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test fraction must be in (0, 1)")

@@ -1,14 +1,14 @@
 """Temporal inference: sinusoidal position encoding and transformer blocks.
 
 The block encodes a window of timesteps with residual self-attention and a
-feed-forward sublayer, then decodes with causally masked self-attention over
-a query source followed by cross-attention to the encoder output. The future
-feature matrix is unavailable at inference, so the query source defaults to
-the (masked) input window itself; the last observation, replicated, is the
-alternative.
+feed-forward sublayer, then decodes the final position only: the forecast
+reads one row, and the last row of a causal mask hides nothing, so the
+position-encoded last timestep attends to the whole (position-encoded)
+window and then cross-attends to the encoder output.
 
-Attention can run per node (model width = feature count, batched over nodes)
-or over flattened node-feature rows; per node is the default.
+Attention runs per node (model width = feature count, batched over nodes)
+or over flattened node-feature rows; the model picks per node when the data
+has two or more features and flattened rows for single-feature data.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import DimensionError
 from .nn import LayerNorm, FeedForward, xavier_uniform
 from .tensor import (
     DiffArray,
-    concat,
     dropout,
     matmul,
     reshape,
@@ -169,7 +168,6 @@ class EncoderBlock:
         hidden: int,
         dropout_rate: float,
     ):
-        self.d_model = d_model
         self.dropout_rate = dropout_rate
         self.attention = MultiHeadAttention(d_model, n_heads, rng)
         self.feed_forward = FeedForward((d_model, hidden, d_model), rng)
@@ -184,8 +182,16 @@ class EncoderBlock:
         return self.norm_ff(x1 + ff)
 
 
+def _dropout_last_row(row: DiffArray, k: int, rate: float, rng: PositionRNG, training: bool):
+    """Dropout on a (..., 1, d) row by the last row of a (..., K, d) mask: same random stream."""
+    if not training or rate <= 0.0:
+        return row
+    keep = dropout(np.ones(row.shape[:-2] + (k, row.shape[-1])), rate, rng, training)
+    return row * keep.values[..., -1:, :]
+
+
 class TransformerBlock:
-    """Encoder plus causally masked decoder, reduced to the final timestep."""
+    """Encoder over the window plus a decoder for its final position."""
 
     def __init__(
         self,
@@ -194,13 +200,8 @@ class TransformerBlock:
         rng: np.random.Generator,
         hidden: int,
         dropout_rate: float,
-        decoder_source: str,
     ):
-        if decoder_source not in ("window", "last"):
-            raise ValueError(f"unknown decoder source {decoder_source!r}")
-        self.d_model = d_model
         self.dropout_rate = dropout_rate
-        self.decoder_source = decoder_source
         self.encoder = EncoderBlock(d_model, n_heads, rng, hidden, dropout_rate)
         self.decoder_attention = MultiHeadAttention(d_model, n_heads, rng)
         self.norm_decoder = LayerNorm(d_model)
@@ -209,32 +210,20 @@ class TransformerBlock:
 
     def __call__(self, window, training: bool = False, rng: PositionRNG = None) -> DiffArray:
         """Encode (..., K, d_model) and return the decoded final slice (..., d_model)."""
-        window = window if isinstance(window, DiffArray) else DiffArray(window)
         k = window.shape[-2]
         encoded_in = position_encode(window, self.dropout_rate, training, rng)
         memory = self.encoder(encoded_in, training, rng)
 
-        if self.decoder_source == "window":
-            source = window
-        else:
-            last = window[..., -1:, :]
-            source = concat([last] * k, axis=-2)
-        source = position_encode(source, self.dropout_rate, training, rng)
-        masked = dropout(
-            self.decoder_attention(source, source, source, causal_mask(k)),
-            self.dropout_rate,
-            rng,
-            training,
+        source = position_encode(window, self.dropout_rate, training, rng)
+        last = source[..., -1:, :]
+        attended = _dropout_last_row(
+            self.decoder_attention(last, source, source), k, self.dropout_rate, rng, training
         )
-        decoded = self.norm_decoder(source + masked)
-        crossed = dropout(
-            self.cross_attention(decoded, memory, memory),
-            self.dropout_rate,
-            rng,
-            training,
+        decoded = self.norm_decoder(last + attended)
+        crossed = _dropout_last_row(
+            self.cross_attention(decoded, memory, memory), k, self.dropout_rate, rng, training
         )
-        out = self.norm_out(decoded + crossed)
-        return out[..., -1, :]
+        return self.norm_out(decoded + crossed)[..., 0, :]
 
 
 def transformer_forward(

@@ -432,13 +432,15 @@ def swap_last_axes(a):
 
 def take(a, key):
     """Basic indexing (ints / slices / ellipsis) with scatter-add backward."""
+    if any(isinstance(k, (list, np.ndarray)) for k in (key if isinstance(key, tuple) else (key,))):
+        raise IndexError(f"take does basic indexing only (ints, slices, Ellipsis), got {key!r}")
     a = _wrap(a)
     av = a.values
     values = av[key]
 
     def push(g):
         z = np.zeros_like(av)
-        np.add.at(z, key, g)
+        z[key] += g  # basic indexing never selects an element twice
         return (z,)
 
     return _result(values, (a,), push)

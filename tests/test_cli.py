@@ -93,6 +93,21 @@ class TestTrainForecastDetectEvaluate:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["T"] == len(targets)
 
+    def test_forecast_runs_no_detection(self, trained_dir, tmp_path, monkeypatch):
+        from radnet import incidents, pipeline
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forecast must not fit thresholds")
+
+        monkeypatch.setattr(pipeline, "pot_fit", refuse)
+        monkeypatch.setattr(incidents, "pot_fit", refuse)
+        ds, run = trained_dir
+        argv = ["forecast", "--data", str(ds), "--checkpoint", str(run / "checkpoint"),
+                "--out", str(tmp_path / "fc")]
+        assert main(argv) == 0
+        with pytest.raises(SystemExit):
+            main(argv + ["--percentile", "98"])  # forecast takes no threshold flags
+
     def test_detect_then_evaluate(self, trained_dir, tmp_path, capsys):
         ds, run = trained_dir
         det = tmp_path / "det"

@@ -17,27 +17,21 @@ small = st.integers(min_value=0, max_value=1000)
 pos_int = st.integers(min_value=1, max_value=1000)
 
 
-@st.composite
-def radnet_configs(draw):
-    n_features = draw(st.integers(min_value=1, max_value=16))
-    modes = ["flattened"] + (["per_node"] if n_features > 1 else [])
-    return RadNetConfig(
-        n_nodes=draw(pos_int),
-        n_features=n_features,
-        window=draw(pos_int),
-        horizon=draw(pos_int),
-        variant=draw(st.sampled_from(VARIANTS)),
-        gat_heads=draw(pos_int),
-        transformer_heads=draw(st.none() | pos_int),
-        encoder_hidden=draw(pos_int),
-        decoder_widths=draw(st.lists(pos_int, max_size=4)),
-        dropout=draw(finite),
-        leaky_slope=draw(finite),
-        temporal_mode=draw(st.none() | st.sampled_from(modes)),
-        decoder_source=draw(st.sampled_from(["window", "last"])),
-        seed=draw(small),
-    )
-
+radnet_configs = st.builds(
+    RadNetConfig,
+    n_nodes=pos_int,
+    n_features=st.integers(min_value=1, max_value=16),
+    window=pos_int,
+    horizon=pos_int,
+    variant=st.sampled_from(VARIANTS),
+    gat_heads=pos_int,
+    transformer_heads=st.none() | pos_int,
+    encoder_hidden=pos_int,
+    decoder_widths=st.lists(pos_int, max_size=4),
+    dropout=finite,
+    leaky_slope=finite,
+    seed=small,
+)
 
 train_configs = st.builds(
     TrainConfig,
@@ -65,7 +59,7 @@ pot_configs = st.builds(
 )
 
 
-@given(st.one_of(radnet_configs(), train_configs, pot_configs))
+@given(st.one_of(radnet_configs, train_configs, pot_configs))
 def test_json_round_trip(config):
     raw = json.loads(json.dumps(asdict(config)))
     assert type(config)(**raw) == config

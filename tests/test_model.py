@@ -247,6 +247,18 @@ class TestParameterStore:
             RadNet.load(tmp_path / "a")
 
 
+    def test_loading_a_stale_config_names_the_unknown_fields(self, tmp_path):
+        RadNet(RadNetConfig(n_nodes=4, n_features=1)).save(tmp_path / "a")
+        manifest = json.loads((tmp_path / "a.json").read_text())
+        # Fields of RadNetConfig that checkpoints from earlier versions carry.
+        manifest["hyperparameters"]["config"].update(
+            temporal_mode="flattened", decoder_source="window"
+        )
+        (tmp_path / "a.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="decoder_source.*temporal_mode"):
+            RadNet.load(tmp_path / "a")
+
+
 class TestLoss:
     # A batch of one is the per-timestep objective: the Frobenius norm of
     # truth minus prediction.

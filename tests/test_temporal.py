@@ -174,13 +174,13 @@ class TestEncoderBlock:
 class TestTransformerBlock:
     def test_single_timestep_window(self):
         rng = np.random.default_rng(13)
-        block = TransformerBlock(3, 1, rng, 16, 0.1, "window")
+        block = TransformerBlock(3, 1, rng, 16, 0.1)
         out = transformer_forward(block, rng.normal(size=(1, 4, 3)))
         assert out.shape == (4, 3)
 
     def test_eval_mode_bit_identical(self):
         rng = np.random.default_rng(14)
-        block = TransformerBlock(2, 1, rng, 16, 0.1, "window")
+        block = TransformerBlock(2, 1, rng, 16, 0.1)
         w = rng.normal(size=(5, 3, 2))
         a = transformer_forward(block, w).values
         b = transformer_forward(block, w).values
@@ -189,25 +189,19 @@ class TestTransformerBlock:
     @pytest.mark.parametrize("k", [1, 2, 5, 12])
     def test_output_shape_across_window_lengths(self, k):
         rng = np.random.default_rng(15)
-        block = TransformerBlock(2, 1, rng, 16, 0.1, "window")
+        block = TransformerBlock(2, 1, rng, 16, 0.1)
         out = transformer_forward(block, rng.normal(size=(k, 3, 2)))
         assert out.shape == (3, 2)
 
     def test_flattened_mode_shape(self):
         rng = np.random.default_rng(16)
-        block = TransformerBlock(6, 1, rng, 16, 0.1, "window")
+        block = TransformerBlock(6, 1, rng, 16, 0.1)
         out = transformer_forward(block, rng.normal(size=(4, 3, 2)), mode="flattened")
-        assert out.shape == (3, 2)
-
-    def test_last_replicated_decoder_source(self):
-        rng = np.random.default_rng(17)
-        block = TransformerBlock(2, 1, rng, 16, 0.1, "last")
-        out = transformer_forward(block, rng.normal(size=(4, 3, 2)))
         assert out.shape == (3, 2)
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(18)
-        block = TransformerBlock(2, 2, rng, 16, 0.1, "window")
+        block = TransformerBlock(2, 2, rng, 16, 0.1)
         batch = rng.normal(size=(3, 4, 2, 2))
         stacked = transformer_forward(block, batch).values
         for b in range(3):
@@ -217,7 +211,7 @@ class TestTransformerBlock:
     @pytest.mark.parametrize("n_heads", [1, 2])
     def test_gradient_through_block(self, n_heads):
         rng = np.random.default_rng(19)
-        block = TransformerBlock(2, n_heads, rng, 3, 0.1, "window")
+        block = TransformerBlock(2, n_heads, rng, 3, 0.1)
         x = DiffArray(rng.normal(size=(3, 2, 2)), requires_grad=True)
         w = rng.normal(size=(2, 2))
 
@@ -226,3 +220,63 @@ class TestTransformerBlock:
 
         err = T.grad_check(f, [x, *named_parameters(block).values()])
         assert err < 1e-4
+
+
+def all_positions_decoder(block, x, training=False, rng=None):
+    """Reference: decode all K positions under a causal mask, keep the last row."""
+    x = DiffArray(x)
+    k, rate = x.shape[-2], block.dropout_rate
+    memory = block.encoder(position_encode(x, rate, training, rng), training, rng)
+    source = position_encode(x, rate, training, rng)
+    masked = T.dropout(
+        block.decoder_attention(source, source, source, causal_mask(k)), rate, rng, training
+    )
+    decoded = block.norm_decoder(source + masked)
+    crossed = T.dropout(block.cross_attention(decoded, memory, memory), rate, rng, training)
+    return block.norm_out(decoded + crossed)[..., -1, :]
+
+
+def block_input(mode, n_features, rng):
+    """A (B, K, N, D) window laid out as transformer_forward hands it to the block."""
+    window = rng.normal(size=(3, 5, 4, n_features))
+    if mode == "per_node":
+        return np.swapaxes(window, 1, 2)  # (B, N, K, D)
+    return window.reshape(3, 5, 4 * n_features)  # (B, K, N*D)
+
+
+class TestFinalPositionDecoder:
+    CASES = [("flattened", 1, 1), ("flattened", 1, 2), ("per_node", 4, 1), ("per_node", 4, 2)]
+
+    @pytest.mark.parametrize("mode,n_features,n_heads", CASES)
+    def test_eval_matches_all_positions_decoder(self, mode, n_features, n_heads):
+        rng = np.random.default_rng(30)
+        x = block_input(mode, n_features, rng)
+        block = TransformerBlock(x.shape[-1], n_heads, rng, 16, 0.1)
+        np.testing.assert_allclose(
+            block(x).values, all_positions_decoder(block, x).values, rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("mode,n_features,n_heads", CASES)
+    def test_dropout_matches_all_positions_decoder(self, mode, n_features, n_heads):
+        rng = np.random.default_rng(31)
+        x = block_input(mode, n_features, rng)
+        block = TransformerBlock(x.shape[-1], n_heads, rng, 16, 0.3)
+        params = list(named_parameters(block).values())
+        w = rng.normal(size=x.shape[:-2] + x.shape[-1:])
+
+        def run(decode):
+            draws = np.random.default_rng(32)
+            for p in params:
+                p.grad = None
+            out = decode(x, draws)
+            (out * w).sum().backward()
+            return out.values, [p.grad.copy() for p in params], draws.random()
+
+        out, grads, next_draw = run(lambda v, r: block(v, True, r))
+        ref_out, ref_grads, ref_next_draw = run(
+            lambda v, r: all_positions_decoder(block, v, True, r)
+        )
+        np.testing.assert_allclose(out, ref_out, rtol=1e-12)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, ref, rtol=1e-12)
+        assert next_draw == ref_next_draw

@@ -178,6 +178,26 @@ class TestShapeOps:
         f().backward()
         np.testing.assert_allclose(x.grad, w)
 
+    @pytest.mark.parametrize(
+        "key",
+        [1, slice(1, 3), (Ellipsis, 2), (slice(None, None, -2), Ellipsis, slice(3, 0, -1))],
+        ids=["int", "slice", "ellipsis", "negative-step"],
+    )
+    def test_take_gradient_matches_scatter_add_bits(self, key):
+        rng = np.random.default_rng(8)
+        x = DiffArray(rng.normal(size=(4, 3, 5)), requires_grad=True)
+        g = rng.normal(size=x.values[key].shape)
+        (x[key] * g).sum().backward()
+        reference = np.zeros_like(x.values)
+        np.add.at(reference, key, g)
+        assert x.grad.tobytes() == reference.tobytes()
+
+    def test_take_rejects_advanced_indexing(self):
+        # An index array may repeat an element, whose gradient must then add up.
+        x = DiffArray(np.arange(3.0), requires_grad=True)
+        with pytest.raises(IndexError, match="basic indexing"):
+            x[[0, 0]]
+
     def test_transpose_gradient(self):
         rng = np.random.default_rng(7)
         x = DiffArray(rng.normal(size=(2, 3, 4)), requires_grad=True)

@@ -12,6 +12,15 @@ the final threshold at risk level q:
 degenerating to phi = u - sigma * ln(q*n/n_excess) as gamma -> 0. In dynamic
 mode the counters update per score and the tail refits on a fixed cadence.
 
+(gamma, sigma) is the maximum-likelihood fit to the n excesses y with gamma
+boxed to [-0.5, 1]. With theta = gamma/sigma and gbar = mean(log1p(theta*y)),
+the best gamma at fixed theta is clip(gbar, -0.5, 1), which profiles the
+negative log-likelihood to one variable (Grimshaw 1993):
+
+    P(theta) = n * (log(gamma/theta) + (1 + 1/gamma) * gbar),  theta > -1/max(y)
+
+with the exponential limit P(0) = n * (log(mean(y)) + 1), and sigma = gamma/theta.
+
 Baseline tables are immutable once built; each ThresholdState belongs to a
 single stream and must not be shared across threads. Per-link states are
 independent of each other.
@@ -20,7 +29,6 @@ independent of each other.
 from __future__ import annotations
 
 import csv
-import logging
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,11 +38,15 @@ import numpy as np
 from .data import FeatureSeries
 from .errors import NumericError
 
-log = logging.getLogger("radnet.incidents")
-
 MIN_EXCESSES = 50
-GAMMA_GRID = np.linspace(-0.5, 1.0, 61)
+GAMMA_MIN, GAMMA_MAX = -0.5, 1.0
 GAMMA_ZERO_TOL = 1e-8
+# Zoomed grid over x = log1p(theta * max y): each round keeps the two cells
+# around the best point. x >= -30 holds every optimum for fewer than e^30
+# excesses; x <= 60 allows gamma * max(y) / sigma up to e^60.
+X_RANGE = (-30.0, 60.0)
+X_GRID = 65
+X_ROUNDS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -144,68 +156,28 @@ def residual_scores(baselines: np.ndarray, observed: np.ndarray) -> ResidualScor
 # Generalized Pareto fitting
 
 
-def _gpd_nll(y: np.ndarray, gamma: float, sigma: float) -> float:
-    """Negative log-likelihood of excesses under GPD(gamma, sigma)."""
-    n = y.size
-    if sigma <= 0:
-        return np.inf
-    if abs(gamma) < 1e-12:
-        return n * np.log(sigma) + y.sum() / sigma
-    z = 1.0 + gamma * y / sigma
-    if (z <= 0).any():
-        return np.inf
-    return n * np.log(sigma) + (1.0 + 1.0 / gamma) * np.log(z).sum()
+def _profile(r: np.ndarray, x: np.ndarray):
+    """Profile NLL / n at x = log1p(theta * max y), shifted by -log(max y).
 
-
-def _golden_min(fn, lo: float, hi: float, iters: int = 60) -> float:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0
-
-
-def _moments_estimate(y: np.ndarray) -> tuple[float, float]:
-    m = y.mean()
-    v = y.var()
-    if v <= 0:
-        return 0.0, max(m, 1e-12)
-    gamma = 0.5 * (1.0 - m * m / v)
-    sigma = 0.5 * m * (m * m / v + 1.0)
-    return float(gamma), float(max(sigma, 1e-12))
-
-
-def _best_sigma(y: np.ndarray, gamma: float) -> float:
-    """Sigma minimizing the NLL at fixed gamma (golden section in log space)."""
-    m = max(y.mean(), 1e-12)
-    lo = np.log(m) - 8.0
-    if gamma < 0:
-        # support requires sigma > -gamma * max(y)
-        lo = max(lo, np.log(-gamma * y.max() * (1.0 + 1e-10)))
-    hi = np.log(m) + 8.0
-    if lo >= hi:
-        return float(np.exp(hi))
-    best = _golden_min(lambda ls: _gpd_nll(y, gamma, np.exp(ls)), lo, hi, iters=50)
-    return float(np.exp(best))
+    `r` is y / max(y). Returns (nll, theta * max y, clipped gamma, is-zero
+    mask); where mean(log1p(theta * y)) is exactly zero the exponential
+    limit stands in, so no 0/0 reaches the caller.
+    """
+    t = np.expm1(x)
+    gbar = np.log1p(np.multiply.outer(t, r)).mean(axis=-1)
+    gamma = np.clip(gbar, GAMMA_MIN, GAMMA_MAX)
+    zero = gbar == 0.0
+    g = np.where(zero, 1.0, gamma)
+    nll = np.log(g / np.where(zero, 1.0, t)) + (1.0 + 1.0 / g) * gbar
+    return np.where(zero, np.log(r.mean()) + 1.0, nll), t, gamma, zero
 
 
 def gpd_fit(excesses: np.ndarray) -> tuple[float, float]:
-    """Maximum-likelihood (gamma, sigma) by a profile search over gamma.
+    """Maximum-likelihood (gamma, sigma) with gamma boxed to [-0.5, 1].
 
-    Grid over gamma in [-0.5, 1.0], the scale solved per grid point, then
-    golden-section refinement of gamma around the best bracket. Falls back to
-    the method-of-moments estimate if no finite likelihood is found.
+    Minimizes the profile P(theta) of the module docstring on one zoomed grid
+    over x = log1p(theta * max y), which maps theta > -1 / max y onto the
+    real line.
     """
     y = np.asarray(excesses, dtype=np.float64)
     y = y[y > 0]
@@ -213,30 +185,17 @@ def gpd_fit(excesses: np.ndarray) -> tuple[float, float]:
         raise ValueError("no positive excesses to fit")
     if y.size < 3 or y.var() == 0.0:
         return 0.0, float(max(y.mean(), 1e-12))
-
-    def profile(gamma: float) -> tuple[float, float]:
-        sigma = _best_sigma(y, gamma)
-        return _gpd_nll(y, gamma, sigma), sigma
-
-    best_gamma, best_sigma, best_nll = None, None, np.inf
-    values = []
-    for gamma in GAMMA_GRID:
-        nll, sigma = profile(gamma)
-        values.append(nll)
-        if nll < best_nll:
-            best_gamma, best_sigma, best_nll = gamma, sigma, nll
-    if not np.isfinite(best_nll):
-        log.warning("profile likelihood non-finite everywhere; using moments")
-        return _moments_estimate(y)
-
-    idx = int(np.argmin(values))
-    lo = GAMMA_GRID[max(idx - 1, 0)]
-    hi = GAMMA_GRID[min(idx + 1, len(GAMMA_GRID) - 1)]
-    refined = _golden_min(lambda g: profile(g)[0], lo, hi, iters=40)
-    nll, sigma = profile(refined)
-    if nll <= best_nll:
-        best_gamma, best_sigma = refined, sigma
-    return float(best_gamma), float(best_sigma)
+    m = y.max()
+    r = y / m
+    lo, hi = X_RANGE
+    for _ in range(X_ROUNDS):
+        xs = np.linspace(lo, hi, X_GRID)
+        nll, t, gamma, zero = _profile(r, xs)
+        i = int(np.argmin(nll))
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, X_GRID - 1)]
+    if zero[i]:
+        return 0.0, float(y.mean())
+    return float(gamma[i]), float(gamma[i] * m / t[i])
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +255,8 @@ class ThresholdState:
             self.gamma, self.sigma = gpd_fit(np.asarray(self.excesses))
             self._since_refit = 0
             self.degenerate = False
-        self.threshold = self.quantile()
+        if not self.degenerate:  # a pinned threshold waits for the first fit
+            self.threshold = self.quantile()
 
 
 def pot_fit(
@@ -309,7 +269,7 @@ def pot_fit(
 
     The initial threshold u is the q0 empirical percentile; the Generalized
     Pareto tail is fitted to excesses above u. With no excesses the threshold
-    falls back to just above the calibration maximum.
+    is pinned just above the calibration maximum until the first refit.
     """
     if not 0.0 < risk_q < 1.0:
         raise ValueError(f"risk_q must lie in (0, 1), got {risk_q}")

@@ -85,29 +85,20 @@ def split_folds(n_steps: int, folds: int, window: int, horizon: int) -> list[Fol
             f"window {window} + horizon {horizon}"
         )
     edges = np.linspace(0, n_steps, folds + 1).astype(int)
+    # sample t reads the contiguous steps [lo, hi]
+    t = np.arange(n_steps - horizon)
+    lo, hi = np.maximum(t - window + 1, 0), t + horizon
     out = []
     for k in range(folds):
-        val = range(edges[k], edges[k + 1])
-        train = [r for r in (range(0, edges[k]), range(edges[k + 1], n_steps)) if len(r)]
-        train_set = set()
-        for r in train:
-            train_set.update(r)
-        val_set = set(val)
-        train_samples, val_samples = [], []
-        for t in range(n_steps - horizon):
-            needed = {max(0, i) for i in range(t - window + 1, t + 1)}
-            needed.update(range(t + 1, t + horizon + 1))
-            if needed <= train_set:
-                train_samples.append(t)
-            elif needed <= val_set:
-                val_samples.append(t)
+        a, b = edges[k], edges[k + 1]
+        train = [r for r in (range(0, a), range(b, n_steps)) if len(r)]
         out.append(
             Fold(
                 index=k,
-                val_range=val,
+                val_range=range(a, b),
                 train_ranges=train,
-                train_samples=np.array(train_samples, dtype=int),
-                val_samples=np.array(val_samples, dtype=int),
+                train_samples=t[(hi < a) | (lo >= b)],
+                val_samples=t[(lo >= a) & (hi < b)],
             )
         )
     return out

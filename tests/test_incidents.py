@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from radnet.data import synth_traffic
+import radnet.incidents as incidents
+from radnet.data import IncidentSpec, synth_traffic
 from radnet.errors import NumericError
 from radnet.incidents import (
     IncidentLabels,
+    PotConfig,
     ThresholdState,
     build_baseline,
     gpd_fit,
@@ -16,6 +18,7 @@ from radnet.incidents import (
     pot_fit,
     residual_scores,
 )
+from radnet.pipeline import fit_threshold_states, generate_ground_truth, split_train_test
 
 
 def gpd_draws(gamma, sigma, n, seed):
@@ -23,6 +26,87 @@ def gpd_draws(gamma, sigma, n, seed):
     if gamma == 0:
         return -sigma * np.log(1 - u)
     return sigma / gamma * ((1 - u) ** (-gamma) - 1)
+
+
+def gpd_nll(y, gamma, sigma):
+    """GPD negative log-likelihood; inf outside the support."""
+    if sigma <= 0:
+        return np.inf
+    if abs(gamma) < 1e-12:
+        return y.size * np.log(sigma) + y.sum() / sigma
+    z = 1.0 + gamma * y / sigma
+    if (z <= 0).any():
+        return np.inf
+    return y.size * np.log(sigma) + (1.0 + 1.0 / gamma) * np.log(z).sum()
+
+
+def _golden_min(fn, lo, hi, iters):
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = fn(d)
+    return (a + b) / 2.0
+
+
+def nested_search_fit(excesses):
+    """The nested profile search gpd_fit used before the theta profile.
+
+    A 61-point gamma grid on [-0.5, 1] with a golden-section log-sigma search
+    per point, bracketed to log(mean y) +- 8, then golden-section refinement
+    of gamma around the best grid point. Kept as the equivalence reference.
+    """
+    y = np.asarray(excesses, dtype=np.float64)
+    y = y[y > 0]
+    grid = np.linspace(-0.5, 1.0, 61)
+
+    def best_sigma(gamma):
+        m = max(y.mean(), 1e-12)
+        lo, hi = np.log(m) - 8.0, np.log(m) + 8.0
+        if gamma < 0:
+            lo = max(lo, np.log(-gamma * y.max() * (1.0 + 1e-10)))
+        if lo >= hi:
+            return float(np.exp(hi))
+        return float(np.exp(_golden_min(lambda ls: gpd_nll(y, gamma, np.exp(ls)), lo, hi, 50)))
+
+    def profile(gamma):
+        sigma = best_sigma(gamma)
+        return gpd_nll(y, gamma, sigma), sigma
+
+    values = [profile(g) for g in grid]
+    idx = int(np.argmin([v[0] for v in values]))
+    best_gamma, (best_nll, best_sig) = grid[idx], values[idx]
+    lo, hi = grid[max(idx - 1, 0)], grid[min(idx + 1, len(grid) - 1)]
+    refined = _golden_min(lambda g: profile(g)[0], lo, hi, 40)
+    nll, sigma = profile(refined)
+    if nll <= best_nll:
+        best_gamma, best_sig = refined, sigma
+    return float(best_gamma), float(best_sig)
+
+
+def box_grid_min_nll(y, n_gamma=301, n_sigma=601):
+    """Minimum NLL over a dense (gamma, log sigma) grid on the gamma box."""
+    log_sigma = np.linspace(np.log(y.min()) - 2.0, np.log(y.max()) + 2.0, n_sigma)
+    sigma = np.exp(log_sigma)[:, None]
+    best = np.inf
+    for gamma in np.linspace(-0.5, 1.0, n_gamma):
+        if abs(gamma) < 1e-12:
+            nll = y.size * log_sigma + (y / sigma).sum(axis=1)
+        else:
+            z = 1.0 + gamma * y / sigma
+            ok = (z > 0).all(axis=1)
+            logs = np.log(np.where(z > 0, z, 1.0)).sum(axis=1)
+            nll = np.where(ok, y.size * log_sigma + (1.0 + 1.0 / gamma) * logs, np.inf)
+        best = min(best, float(nll.min()))
+    return best
 
 
 @pytest.mark.filterwarnings("ignore:fewer than 8 days")
@@ -138,14 +222,72 @@ class TestGpdFit:
         assert gamma == 0.0
         assert sigma == pytest.approx(2.0)
 
-    def test_moments_fallback_formula(self):
-        # var == mean^2 is the exponential signature: shape 0, scale = mean
-        from radnet.incidents import _moments_estimate
+    @pytest.mark.parametrize("gamma_true", [-0.8, -0.2, 0.0, 0.3, 2.0])
+    def test_beats_brute_force_box_grid(self, gamma_true):
+        y = gpd_draws(gamma_true, 1.0, 200, seed=21)
+        gamma, sigma = gpd_fit(y)
+        assert -0.5 <= gamma <= 1.0
+        grid_min = box_grid_min_nll(y)
+        assert gpd_nll(y, gamma, sigma) <= grid_min + 1e-9 * abs(grid_min)
 
-        y = gpd_draws(0.0, 3.0, 50000, seed=18)
-        gamma, sigma = _moments_estimate(y)
-        assert abs(gamma) < 0.05
-        assert sigma == pytest.approx(3.0, rel=0.05)
+    @pytest.mark.parametrize(
+        "gamma_true, n, seed",
+        [(-0.45, 2000, 0), (-0.2, 200, 1), (0.0, 60, 2), (0.1, 2000, 3),
+         (0.3, 200, 4), (0.9, 2000, 0)],
+    )
+    def test_matches_nested_search(self, gamma_true, n, seed):
+        y = gpd_draws(gamma_true, 1.0, n, seed)
+        ref_gamma, ref_sigma = nested_search_fit(y)
+        # the reference's scale bracket, log(mean y) +- 8, does not bind here
+        assert abs(np.log(ref_sigma / y.mean())) < 7.0
+        gamma, sigma = gpd_fit(y)
+        assert gamma == pytest.approx(ref_gamma, abs=1e-6)
+        assert sigma == pytest.approx(ref_sigma, rel=1e-6)
+
+    def test_heavy_tail_scale_not_bracketed(self):
+        # True shape 2 clips to the box edge 1; the box MLE scale lies far
+        # below the mean excess, outside the nested search's log-sigma
+        # bracket of log(mean y) +- 8, which stopped at sigma 21.6.
+        y = gpd_draws(2.0, 1.0, 200, seed=3)
+        ref_gamma, ref_sigma = nested_search_fit(y)
+        assert gpd_nll(y, ref_gamma, ref_sigma) == pytest.approx(763.39, abs=0.01)
+        gamma, sigma = gpd_fit(y)
+        assert gamma == 1.0
+        assert sigma == pytest.approx(1.733, rel=1e-3)
+        assert gpd_nll(y, gamma, sigma) == pytest.approx(587.98, abs=0.01)
+
+    def test_profile_exponential_limit_is_finite(self):
+        r = np.array([0.2, 0.5, 1.0])
+        nll, _, gamma, zero = incidents._profile(r, np.array([-1e-3, 0.0, 1e-3]))
+        assert np.isfinite(nll).all()
+        assert zero.tolist() == [False, True, False]
+        assert nll[1] == np.log(r.mean()) + 1.0
+        np.testing.assert_allclose(nll[[0, 2]], nll[1], rtol=1e-3)
+
+
+class TestGpdFitOnC07Stream:
+    def test_labels_match_nested_search(self, monkeypatch):
+        # The C07 truth stream (seed 42, percentile 98, risk_q 1e-2, dynamic
+        # refits): the theta profile must reproduce the nested search.
+        series, _, _ = synth_traffic(
+            4, 14, delta_seconds=300, seed=42, noise=0.03,
+            incidents=IncidentSpec(count=20, depth=0.5, duration=6, min_start=300),
+        )
+        train_ts, test_ts = split_train_test(series.n_steps)
+        baseline = build_baseline(series, train_ts)
+        pot = PotConfig(percentile=98.0, risk_q=1e-2)
+
+        def truth():
+            net, links = fit_threshold_states(series, baseline, train_ts, pot)
+            return generate_ground_truth(series, baseline, net, links, test_ts, 1)
+
+        got = truth()
+        monkeypatch.setattr(incidents, "gpd_fit", nested_search_fit)
+        ref = truth()
+        np.testing.assert_array_equal(got.network_labels, ref.network_labels)
+        np.testing.assert_array_equal(got.link_labels, ref.link_labels)
+        np.testing.assert_allclose(got.network_thresholds, ref.network_thresholds, rtol=1e-6)
+        np.testing.assert_allclose(got.link_thresholds, ref.link_thresholds, rtol=1e-6)
 
 
 class TestPotFit:
@@ -243,6 +385,20 @@ class TestLabel:
         assert state.n == n0 + 500
         assert state.n_excess > e0
         assert (thresholds >= state.u).all()
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_degenerate_state_keeps_pinned_threshold_until_refit(self, scale):
+        # No excesses at calibration: the tail scale is a placeholder, so
+        # the threshold stays pinned (and labels unit-free) until a refit.
+        with pytest.warns(UserWarning, match="no excesses"):
+            state = pot_fit(scale * np.ones(100), 99.0)
+        pinned = state.threshold
+        labels, thresholds = label(
+            scale * np.array([1.5, 1.0005, 1.2, 1.0005]), state, dynamic=True
+        )
+        assert labels.tolist() == [1, 1, 1, 1]
+        assert (thresholds == pinned).all()
+        assert state.threshold == pinned and state.degenerate
 
     def test_non_finite_score_rejected_before_state_changes(self):
         calib = np.random.default_rng(18).exponential(1.0, size=2000)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radnet.data import synth_traffic
 from radnet.model import RadNet, RadNetConfig
@@ -54,6 +56,31 @@ class TestSplitFolds:
     def test_too_short_series(self):
         with pytest.raises(ValueError):
             split_folds(20, 5, window=4, horizon=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_set_definition(self, data):
+        # Sample t needs steps max(0, t - window + 1) .. t + horizon; it
+        # trains when all of them are outside the fold, validates when all
+        # are inside it, and is dropped otherwise.
+        folds = data.draw(st.integers(2, 6))
+        window = data.draw(st.integers(1, 8))
+        horizon = data.draw(st.integers(1, 4))
+        n_steps = data.draw(st.integers(folds * (window + horizon), 150))
+        for fold in split_folds(n_steps, folds, window, horizon):
+            val = set(fold.val_range)
+            train = set(range(n_steps)) - val
+            assert set().union(*fold.train_ranges) == train
+            train_samples, val_samples = [], []
+            for t in range(n_steps - horizon):
+                needed = {max(0, i) for i in range(t - window + 1, t + 1)}
+                needed.update(range(t + 1, t + horizon + 1))
+                if needed <= train:
+                    train_samples.append(t)
+                elif needed <= val:
+                    val_samples.append(t)
+            np.testing.assert_array_equal(fold.train_samples, train_samples)
+            np.testing.assert_array_equal(fold.val_samples, val_samples)
 
 
 class TestEarlyStopper:

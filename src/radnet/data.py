@@ -2,14 +2,21 @@
 periodic-traffic generator with injected incidents.
 
 Container layout (one directory per dataset):
-  meta.json     -- name, T, N, D, delta_seconds, start_epoch, feature_names
+  meta.json     -- name, T, N, D, delta_seconds, start_epoch, feature_names,
+                   sha256 (of features.bin)
   features.bin  -- little-endian float64, timestep-major then node then feature
   edges.csv     -- undirected edge list, header `src,dst`, 0-based ids
+
+`save_dataset` writes features.bin, then edges.csv, then meta.json, each to
+`<file>.tmp` renamed into place, so a torn write leaves no meta.json, a
+length that does not match it, or a blob that fails its checksum.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +43,7 @@ RADSET_POLARITY = {
     "ql": 1.0,
 }
 
-META_FIELDS = {"name", "T", "N", "D", "delta_seconds", "start_epoch", "feature_names"}
+META_FIELDS = {"name", "T", "N", "D", "delta_seconds", "start_epoch", "feature_names", "sha256"}
 
 
 @dataclass
@@ -105,6 +112,7 @@ class DatasetMeta:
 def save_dataset(directory: str | Path, series: FeatureSeries, graph: RoadGraph) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    blob = np.ascontiguousarray(series.data, dtype="<f8").tobytes()
     meta = {
         "name": series.name,
         "T": series.n_steps,
@@ -113,13 +121,15 @@ def save_dataset(directory: str | Path, series: FeatureSeries, graph: RoadGraph)
         "delta_seconds": series.delta_seconds,
         "start_epoch": series.start_epoch,
         "feature_names": series.feature_names,
+        "sha256": hashlib.sha256(blob).hexdigest(),
     }
-    with open(directory / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(directory / "features.bin", "wb") as fh:
-        fh.write(np.ascontiguousarray(series.data, dtype="<f8").tobytes())
-    graph.to_edge_csv(directory / "edges.csv")
+    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    for name, write in (("features.bin", lambda path: path.write_bytes(blob)),
+                        ("edges.csv", graph.to_edge_csv),
+                        ("meta.json", lambda path: path.write_text(text, encoding="utf-8"))):
+        tmp = directory / (name + ".tmp")
+        write(tmp)
+        os.replace(tmp, directory / name)
 
 
 def load_dataset(directory: str | Path) -> tuple[FeatureSeries, RoadGraph, DatasetMeta]:
@@ -142,6 +152,8 @@ def load_dataset(directory: str | Path) -> tuple[FeatureSeries, RoadGraph, Datas
         raise FormatError(
             f"features.bin holds {len(blob)} bytes, meta.json declares {expected}"
         )
+    if hashlib.sha256(blob).hexdigest() != meta["sha256"]:
+        raise FormatError(f"{directory / 'features.bin'} fails its SHA-256 check")
     data = np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(t, n, d)
     bad = ~np.isfinite(data)
     if bad.any():

@@ -2,9 +2,12 @@
 
 Nodes are road links; undirected edges join links that share a junction.
 Every node carries a self-loop so it always attends to its own features.
-Attention is computed densely over an N x N mask (-inf off-neighborhood),
-which keeps the layer shape-polymorphic over leading batch axes and makes
-masked coefficients exactly zero after the softmax.
+Attention is scored over neighbourhoods only: the graph holds a padded
+(N, W) neighbour table, W being the largest neighbourhood, whose padding
+slots point at the row's own node and carry a -inf mask, so their weights
+come out exactly zero after the softmax. A head's cost grows with N * W,
+the neighbourhood entries, not with N * N, and the layer stays
+shape-polymorphic over leading batch axes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, GraphError
 from .nn import DEFAULT_LEAKY_SLOPE, xavier_uniform
-from .tensor import DiffArray, leaky_relu, matmul, reshape, sigmoid, softmax, swap_last_axes
+from .tensor import DiffArray, gather, leaky_relu, matmul, reshape, sigmoid, softmax
 
 
 class RoadGraph:
@@ -39,18 +42,20 @@ class RoadGraph:
             neighborhoods[i].add(j)
             neighborhoods[j].add(i)
         self.neighborhoods = [sorted(ns) for ns in neighborhoods]
-        mask = np.full((n_nodes, n_nodes), -np.inf)
+        # (N, W) neighbour table: row i lists N(i), padded with i itself;
+        # the additive mask is 0 on real entries and -inf on the padding.
+        width = max(len(ns) for ns in self.neighborhoods)
+        self.neighbor_index = np.arange(n_nodes)[:, None].repeat(width, axis=1)
+        self.neighbor_mask = np.full((n_nodes, width), -np.inf)
         for i, ns in enumerate(self.neighborhoods):
-            mask[i, ns] = 0.0
-        self._attention_mask = mask
+            self.neighbor_index[i, : len(ns)] = ns
+            self.neighbor_mask[i, : len(ns)] = 0.0
+        self.neighbor_index.setflags(write=False)
+        self.neighbor_mask.setflags(write=False)
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def attention_mask(self) -> np.ndarray:
-        """(N, N) additive mask: 0 on neighborhoods (incl. self), -inf elsewhere."""
-        return self._attention_mask
 
     def permuted(self, perm) -> "RoadGraph":
         """The same graph with node i relabeled perm[i]."""
@@ -100,9 +105,11 @@ class GatLayer:
     Per head: project features with `theta`, score each edge (i, j) as
     `score_src . theta h_i + score_dst . theta h_j + score_bias` through a
     LeakyReLU, softmax the scores over each neighborhood, then pass the
-    attention-weighted neighbor sum through a sigmoid. Every parameter holds
-    all heads on its leading axis, so the heads run as one batched matmul on a
-    head axis (..., H, N, n_out), which the output averages away.
+    attention-weighted neighbor sum through a sigmoid. Scores live on the
+    graph's (N, W) neighbour table, so a head scores (..., N, W) pairs and
+    gathers (..., N, W, n_out) neighbour projections; padding slots get weight
+    exactly 0. Every parameter holds all heads on its leading axis, so the
+    heads run on a head axis (..., H, N, n_out), which the output averages away.
     """
 
     def __init__(
@@ -126,7 +133,7 @@ class GatLayer:
         self.score_bias = DiffArray(np.zeros((n_heads, 1, 1)), requires_grad=True)
 
     def _coefficients(self, x: DiffArray, graph: RoadGraph) -> tuple[DiffArray, DiffArray]:
-        """(..., H, N, N) coefficients and the (..., H, N, n_out) projections."""
+        """(..., H, N, W) neighbour-table coefficients and (..., H, N, n_out) projections."""
         if x.shape[-2] != graph.n_nodes:
             raise DimensionError(
                 f"feature matrix rows {x.shape} do not match {graph.n_nodes} nodes"
@@ -134,16 +141,23 @@ class GatLayer:
         x = reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
         h = matmul(x, self.theta)
         src = matmul(h, self.score_src)           # (..., H, N, 1)
-        dst = matmul(h, self.score_dst)           # (..., H, N, 1)
-        scores = src + swap_last_axes(dst) + self.score_bias
-        scores = leaky_relu(scores, self.slope) + graph.attention_mask()
+        dst = reshape(matmul(h, self.score_dst), h.shape[:-1])
+        dst = gather(dst, graph.neighbor_index, axis=-1)  # (..., H, N, W)
+        scores = leaky_relu(src + dst + self.score_bias, self.slope) + graph.neighbor_mask
         return softmax(scores, axis=-1), h
 
     def attention_coefficients(self, x, graph: RoadGraph, head: int = 0) -> DiffArray:
-        """(..., N, N) coefficients for one head; zero off the neighborhood."""
+        """(..., N, N) coefficients for one head; zero off the neighborhood.
+
+        Scatters the neighbour-table weights into an N x N array; the result
+        carries no tape.
+        """
         x = x if isinstance(x, DiffArray) else DiffArray(x)
-        alpha, _ = self._coefficients(x, graph)
-        return alpha[..., head, :, :]
+        alpha = self._coefficients(x, graph)[0].values[..., head, :, :]
+        rows, slots = np.nonzero(graph.neighbor_mask == 0.0)
+        dense = np.zeros(alpha.shape[:-1] + (graph.n_nodes,))
+        dense[..., rows, graph.neighbor_index[rows, slots]] = alpha[..., rows, slots]
+        return DiffArray(dense)
 
     def __call__(self, x, graph: RoadGraph) -> DiffArray:
         """Apply the layer to (..., N, n_in); leading axes are batch axes.
@@ -157,4 +171,7 @@ class GatLayer:
                 f"feature width {x.shape[-1]} does not match layer input {self.n_in}"
             )
         alpha, h = self._coefficients(x, graph)
-        return sigmoid(matmul(alpha, h)).mean(axis=-3)
+        neighbors = gather(h, graph.neighbor_index, axis=-2)  # (..., H, N, W, n_out)
+        alpha = reshape(alpha, alpha.shape[:-1] + (1,) + alpha.shape[-1:])
+        mixed = matmul(alpha, neighbors)                      # (..., H, N, 1, n_out)
+        return sigmoid(reshape(mixed, h.shape)).mean(axis=-3)

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureSeries
+from .data import SECONDS_PER_DAY, FeatureSeries
 from .errors import NumericError
 
 MIN_EXCESSES = 50
@@ -54,63 +54,88 @@ X_ROUNDS = 8
 
 
 class BaselineTable:
-    """Mean feature matrix keyed by (weekday, clock-seconds)."""
+    """Mean feature matrix keyed by (weekday, clock-seconds).
+
+    Sums and counts are dense (7, slots per day, ...) arrays over the grid of
+    clocks `phase + k * delta_seconds`, where the phase is the first clock
+    added; every later clock must lie on the same grid.
+    """
 
     def __init__(self, delta_seconds: int):
+        if SECONDS_PER_DAY % delta_seconds != 0:
+            raise ValueError(
+                f"interval duration {delta_seconds} s must divide a day evenly"
+            )
         self.delta_seconds = delta_seconds
-        self._sums: dict[tuple[int, int], np.ndarray] = {}
-        self._counts: dict[tuple[int, int], int] = {}
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
+        self.n_slots = SECONDS_PER_DAY // delta_seconds
+        self.phase: int | None = None
+        self._sums: np.ndarray | None = None  # (7, n_slots, *matrix shape)
+        self._counts = np.zeros((7, self.n_slots), dtype=np.int64)
+        self._fallbacks: dict[tuple[int, int], np.ndarray] = {}
         self.fallback_count = 0
 
+    def _slot(self, clock_s: int) -> int:
+        offset = clock_s - self.phase
+        if offset % self.delta_seconds or not 0 <= offset < SECONDS_PER_DAY:
+            raise ValueError(
+                f"clock {clock_s} s is off the table's {self.delta_seconds} s grid "
+                f"(phase {self.phase} s) or outside the day"
+            )
+        return offset // self.delta_seconds
+
     def add(self, weekday: int, clock_s: int, matrix: np.ndarray) -> None:
-        key = (weekday, clock_s)
-        if key in self._sums:
-            self._sums[key] = self._sums[key] + matrix
-            self._counts[key] += 1
-        else:
-            self._sums[key] = matrix.astype(np.float64).copy()
-            self._counts[key] = 1
-        self._cache.clear()
+        if self._sums is None:
+            self.phase = clock_s % self.delta_seconds
+            self._sums = np.zeros((7, self.n_slots) + np.shape(matrix))
+        slot = self._slot(clock_s)
+        self._sums[weekday, slot] += matrix
+        self._counts[weekday, slot] += 1
+        self._fallbacks.clear()
 
     def key_mean(self, weekday: int, clock_s: int) -> np.ndarray:
-        return self._sums[(weekday, clock_s)] / self._counts[(weekday, clock_s)]
+        count = self.count(weekday, clock_s)
+        if count == 0:
+            raise KeyError((weekday, clock_s))
+        return self._sums[weekday, self._slot(clock_s)] / count
 
-    def keys(self):
-        return self._sums.keys()
+    def keys(self) -> list[tuple[int, int]]:
+        """Observed (weekday, clock-seconds) keys."""
+        days, slots = np.nonzero(self._counts)
+        return [(int(d), self.phase + int(k) * self.delta_seconds) for d, k in zip(days, slots)]
 
     def count(self, weekday: int, clock_s: int) -> int:
-        return self._counts.get((weekday, clock_s), 0)
+        if self.phase is None or (clock_s - self.phase) % self.delta_seconds:
+            return 0
+        slot = (clock_s - self.phase) // self.delta_seconds
+        return int(self._counts[weekday, slot]) if 0 <= slot < self.n_slots else 0
 
     def lookup(self, weekday: int, clock_s: int) -> np.ndarray:
         """Pooled mean over same-weekday slots within one interval of clock_s.
 
         Unseen (weekday, slot) queries fall back to the nearest observed slot
         of that weekday (nearest slot of any weekday if the whole weekday is
-        unseen), counting each fallback.
+        unseen), counting each fallback once until the next `add`.
         """
-        cache_key = (weekday, clock_s)
-        hit = self._cache.get(cache_key)
-        if hit is not None:
-            return hit
-        total = None
-        count = 0
-        for (d, c), s in self._sums.items():
-            if d == weekday and abs(clock_s - c) <= self.delta_seconds:
-                total = s if total is None else total + s
-                count += self._counts[(d, c)]
-        if count == 0:
+        if self._sums is None:
+            raise ValueError("baseline table is empty")
+        step = self.delta_seconds
+        # slots k with |clock_s - (phase + k * step)| <= step, not wrapping midnight
+        lo = max(-((self.phase + step - clock_s) // step), 0)
+        hi = min((clock_s + step - self.phase) // step, self.n_slots - 1) + 1
+        count = self._counts[weekday, lo:hi].sum()
+        if count:
+            return self._sums[weekday, lo:hi].sum(axis=0) / count
+        key = (weekday, clock_s)
+        if key not in self._fallbacks:
             self.fallback_count += 1
-            same_day = [(abs(clock_s - c), d, c) for (d, c) in self._sums if d == weekday]
-            pool = same_day or [
-                (abs(clock_s - c), d, c) for (d, c) in self._sums
-            ]
-            _, d, c = min(pool)
-            out = self.key_mean(d, c)
-        else:
-            out = total / count
-        self._cache[cache_key] = out
-        return out
+            slots = np.flatnonzero(self._counts[weekday])
+            days = np.full_like(slots, weekday)
+            if slots.size == 0:
+                days, slots = np.nonzero(self._counts)
+            # nearest clock; ties go to the lower weekday, then the earlier clock
+            i = int(np.argmin(np.abs(clock_s - self.phase - slots * step)))
+            self._fallbacks[key] = self._sums[days[i], slots[i]] / self._counts[days[i], slots[i]]
+        return self._fallbacks[key]
 
     def for_series(self, series: FeatureSeries, timesteps) -> np.ndarray:
         """(len(timesteps), N, D) baselines aligned with the given timesteps."""
@@ -183,10 +208,12 @@ def gpd_fit(excesses: np.ndarray) -> tuple[float, float]:
     y = y[y > 0]
     if y.size == 0:
         raise ValueError("no positive excesses to fit")
-    if y.size < 3 or y.var() == 0.0:
-        return 0.0, float(max(y.mean(), 1e-12))
+    # Everything below sees y only through r = y / max y, so the fit is
+    # scale-free: gpd_fit(s * y) = (gamma, s * sigma) for any positive s.
     m = y.max()
     r = y / m
+    if y.size < 3 or y.min() == m:
+        return 0.0, float(m * r.mean())
     lo, hi = X_RANGE
     for _ in range(X_ROUNDS):
         xs = np.linspace(lo, hi, X_GRID)
@@ -194,7 +221,7 @@ def gpd_fit(excesses: np.ndarray) -> tuple[float, float]:
         i = int(np.argmin(nll))
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, X_GRID - 1)]
     if zero[i]:
-        return 0.0, float(y.mean())
+        return 0.0, float(m * r.mean())
     return float(gamma[i]), float(gamma[i] * m / t[i])
 
 

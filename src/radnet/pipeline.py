@@ -43,12 +43,14 @@ def forecast_series(
     graph: RoadGraph,
     normalizer: Normalizer,
     target_ts: np.ndarray,
-    chunk: int = 128,
+    chunk: int = 32,
 ) -> np.ndarray:
     """Model forecasts for each target timestep, in original units.
 
     Each target u is predicted from the window ending at u - horizon in the
-    normalized series; outputs are de-normalized (M, N, D).
+    normalized series; outputs are de-normalized (M, N, D). Windows run
+    `chunk` at a time; one chunk's activations are the transient memory
+    peak, and the chunk size moves forecasts by rounding only.
     """
     target_ts = np.asarray(target_ts, dtype=int)
     horizon = model.config.horizon

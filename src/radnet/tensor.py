@@ -446,6 +446,28 @@ def take(a, key):
     return _result(values, (a,), push)
 
 
+def gather(a, index, axis: int):
+    """Integer-array selection `np.take(a, index, axis)`; indices may repeat.
+
+    The backward is one product with the constant 0/1 selection matrix
+    S[m, j] = [index.flat[m] == j], which sums the gradient of every copy of
+    an element back into it (much faster than a scatter with np.add.at).
+    """
+    a = _wrap(a)
+    av = a.values
+    index = np.asarray(index, dtype=np.intp)
+    axis = axis % av.ndim
+    values = np.take(av, index, axis=axis)
+
+    def push(g):
+        select = np.zeros((index.size, av.shape[axis]))
+        select[np.arange(index.size), index.ravel()] = 1.0
+        g = g.reshape(av.shape[:axis] + (index.size, -1))
+        return ((select.T @ g).reshape(av.shape),)
+
+    return _result(values, (a,), push)
+
+
 def concat(arrays: Iterable, axis: int = 0):
     parts = [_wrap(x) for x in arrays]
     values = np.concatenate([p.values for p in parts], axis=axis)

@@ -70,6 +70,50 @@ class TestContainer:
         with pytest.raises(FormatError, match=r"464 bytes.*480"):
             load_dataset(tmp_path / "ds")
 
+    def test_flipped_byte_fails_checksum(self, tmp_path):
+        save_dataset(tmp_path / "ds", small_series(), RoadGraph(3, []))
+        blob_path = tmp_path / "ds" / "features.bin"
+        blob = bytearray(blob_path.read_bytes())
+        blob[100] ^= 0x01
+        blob_path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="SHA-256"):
+            load_dataset(tmp_path / "ds")
+
+    def test_missing_checksum_is_refused(self, tmp_path):
+        import json
+
+        save_dataset(tmp_path / "ds", small_series(), RoadGraph(3, []))
+        meta_path = tmp_path / "ds" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["sha256"]
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="sha256"):
+            load_dataset(tmp_path / "ds")
+
+    def test_torn_write_is_detected(self, tmp_path, monkeypatch):
+        # Overwrite a dataset with same-shaped data and crash after the new
+        # features.bin is in place but before meta.json is: the old meta.json
+        # must not vouch for the new blob.
+        save_dataset(tmp_path / "ds", small_series(seed=0), RoadGraph(3, []))
+
+        def crash(self, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(RoadGraph, "to_edge_csv", crash)
+        with pytest.raises(OSError):
+            save_dataset(tmp_path / "ds", small_series(seed=1), RoadGraph(3, []))
+        monkeypatch.undo()
+        assert not (tmp_path / "ds" / "meta.json.tmp").exists()
+        with pytest.raises(FormatError, match="SHA-256"):
+            load_dataset(tmp_path / "ds")
+        # a fresh directory torn the same way has no meta.json at all
+        monkeypatch.setattr(RoadGraph, "to_edge_csv", crash)
+        with pytest.raises(OSError):
+            save_dataset(tmp_path / "fresh", small_series(), RoadGraph(3, []))
+        monkeypatch.undo()
+        with pytest.raises(FormatError, match="no meta.json"):
+            load_dataset(tmp_path / "fresh")
+
     def test_non_finite_feature_reports_count_and_first_index(self, tmp_path):
         series = small_series()
         series.data[7, 2, 1] = np.inf

@@ -14,6 +14,25 @@ def leaky(x, s=0.01):
     return x if x > 0 else s * x
 
 
+def dense_mask(g):
+    """(N, N) additive mask: 0 on neighborhoods (incl. self), -inf elsewhere."""
+    mask = np.full((g.n_nodes, g.n_nodes), -np.inf)
+    for i, ns in enumerate(g.neighborhoods):
+        mask[i, ns] = 0.0
+    return mask
+
+
+def dense_gat(layer, x, g):
+    """The GAT scored over all N x N pairs with off-neighborhood pairs masked."""
+    x = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
+    h = T.matmul(x, layer.theta)
+    src = T.matmul(h, layer.score_src)
+    dst = T.matmul(h, layer.score_dst)
+    scores = T.leaky_relu(src + T.swap_last_axes(dst) + layer.score_bias, layer.slope)
+    alpha = T.softmax(scores + dense_mask(g), axis=-1)
+    return T.sigmoid(T.matmul(alpha, h)).mean(axis=-3)
+
+
 class TestRoadGraph:
     def test_neighborhoods_are_symmetric_with_self_loops(self):
         g = RoadGraph(4, [(0, 1), (1, 2)])
@@ -40,11 +59,16 @@ class TestRoadGraph:
         with pytest.raises(GraphError, match="edges.csv:3"):
             RoadGraph.from_edge_csv(path, 4)
 
-    def test_mask_matches_neighborhoods(self):
-        g = RoadGraph(3, [(0, 1)])
-        mask = g.attention_mask()
-        assert mask[0, 1] == 0.0 and mask[0, 0] == 0.0
-        assert mask[0, 2] == -np.inf and mask[2, 2] == 0.0
+    def test_neighbor_table_matches_neighborhoods(self):
+        g = RoadGraph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6)])
+        assert g.neighbor_index.shape == g.neighbor_mask.shape == (7, 5)
+        for i, ns in enumerate(g.neighborhoods):
+            real = g.neighbor_mask[i] == 0.0
+            assert g.neighbor_index[i, real].tolist() == ns
+            # padding points at the row's own node and is masked out
+            assert (g.neighbor_index[i, ~real] == i).all()
+            assert (g.neighbor_mask[i, ~real] == -np.inf).all()
+        assert g.neighbor_index[5].tolist() == [5, 6, 5, 5, 5]
 
 
 class TestAttentionCoefficients:
@@ -167,7 +191,7 @@ class TestGatForward:
             src = h @ layer.score_src.values[m]
             dst = h @ layer.score_dst.values[m]
             e = src + np.swapaxes(dst, -1, -2) + layer.score_bias.values[m]
-            e = np.where(e > 0, e, 0.01 * e) + g.attention_mask()
+            e = np.where(e > 0, e, 0.01 * e) + dense_mask(g)
             alpha = np.exp(e - e.max(axis=-1, keepdims=True))
             alpha /= alpha.sum(axis=-1, keepdims=True)
             np.testing.assert_allclose(
@@ -175,6 +199,51 @@ class TestGatForward:
             )
             heads.append(1.0 / (1.0 + np.exp(-(alpha @ h))))
         np.testing.assert_allclose(layer(x, g).values, np.mean(heads, axis=0), rtol=1e-12)
+
+
+class TestNeighborTableAgainstDense:
+    """The neighbour-table layer against the dense N x N formula it replaced."""
+
+    @pytest.mark.parametrize(
+        "graph, n_in, n_heads, lead",
+        [
+            (RoadGraph.ring(64), 1, 1, (2, 3)),
+            (RoadGraph.ring(16), 7, 1, (3, 2)),
+            (RoadGraph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6)]), 3, 3, (2,)),
+        ],
+        ids=["ring64", "ring16-d7", "hub-3heads"],
+    )
+    def test_outputs_and_gradients_match(self, graph, n_in, n_heads, lead):
+        rng = np.random.default_rng(21)
+        layer = GatLayer(n_in, n_in, rng, n_heads=n_heads)
+        layer.score_bias.values[...] = rng.normal(size=(n_heads, 1, 1))
+        x = DiffArray(rng.normal(size=lead + (graph.n_nodes, n_in)), requires_grad=True)
+        w = rng.normal(size=lead + (graph.n_nodes, n_in))
+        params = [x, *named_parameters(layer).values()]
+        grads = []
+        for forward in (layer, lambda x, g: dense_gat(layer, x, g)):
+            for p in params:
+                p.grad = None
+            out = forward(x, graph)
+            (out * w).sum().backward()
+            grads.append((out.values, [p.grad.copy() for p in params]))
+        (out, got), (ref, want) = grads
+        np.testing.assert_allclose(out, ref, rtol=1e-12)
+        for g_got, g_want in zip(got, want):
+            # a head whose scores are all positive has a bias gradient of
+            # exactly 0 in theory, ~1e-19 of rounding on either side
+            floor = 1e-12 * np.abs(g_want).max()
+            np.testing.assert_allclose(g_got, g_want, rtol=1e-12, atol=floor)
+
+    def test_padding_slots_get_weight_exactly_zero(self):
+        rng = np.random.default_rng(22)
+        g = RoadGraph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6)])
+        layer = GatLayer(3, 2, rng, n_heads=3)
+        alpha, _ = layer._coefficients(DiffArray(rng.normal(size=(4, 7, 3)) * 5), g)
+        padding = np.broadcast_to(g.neighbor_mask == -np.inf, alpha.shape)
+        assert padding.sum() == 4 * 3 * (7 * 5 - 17)
+        assert (alpha.values[padding] == 0.0).all()
+        assert (alpha.values[~padding] > 0.0).all()
 
 
 class TestGatOverWindow:

@@ -1,5 +1,7 @@
 """Baseline brute-force oracle, residual formulas, GPD recovery, labeling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import radnet.incidents as incidents
 from radnet.data import IncidentSpec, synth_traffic
 from radnet.errors import NumericError
 from radnet.incidents import (
+    BaselineTable,
     IncidentLabels,
     PotConfig,
     ThresholdState,
@@ -109,6 +112,44 @@ def box_grid_min_nll(y, n_gamma=301, n_sigma=601):
     return best
 
 
+class DictBaseline:
+    """The per-key dictionary baseline the dense table replaced, as reference."""
+
+    def __init__(self, delta_seconds):
+        self.delta_seconds = delta_seconds
+        self.sums, self.counts, self.cache = {}, {}, {}
+        self.fallback_count = 0
+
+    def add(self, weekday, clock_s, matrix):
+        key = (weekday, clock_s)
+        if key in self.sums:
+            self.sums[key] = self.sums[key] + matrix
+            self.counts[key] += 1
+        else:
+            self.sums[key] = matrix.astype(np.float64).copy()
+            self.counts[key] = 1
+        self.cache.clear()
+
+    def lookup(self, weekday, clock_s):
+        key = (weekday, clock_s)
+        if key in self.cache:
+            return self.cache[key]
+        total, count = None, 0
+        for (d, c), s in self.sums.items():
+            if d == weekday and abs(clock_s - c) <= self.delta_seconds:
+                total = s if total is None else total + s
+                count += self.counts[(d, c)]
+        if count == 0:
+            self.fallback_count += 1
+            same_day = [(abs(clock_s - c), d, c) for (d, c) in self.sums if d == weekday]
+            _, d, c = min(same_day or [(abs(clock_s - c), d, c) for (d, c) in self.sums])
+            out = self.sums[(d, c)] / self.counts[(d, c)]
+        else:
+            out = total / count
+        self.cache[key] = out
+        return out
+
+
 @pytest.mark.filterwarnings("ignore:fewer than 8 days")
 class TestBaseline:
     def test_constant_series(self):
@@ -159,6 +200,44 @@ class TestBaseline:
             table.lookup(monday, 80000),
             table.key_mean(monday, series.clock_seconds(49)),
         )
+
+    @pytest.mark.parametrize(
+        "days, start_epoch, fit",
+        [(14, 4 * 86400, slice(None)),          # every key, fitted from Monday midnight
+         (9, 4 * 86400 + 170, slice(150, 900)),  # off-midnight grid, fit from mid-day
+         (9, 6 * 86400, slice(0, 40))],          # a few hours: fallbacks everywhere
+        ids=["full", "phase-midday", "sparse"],
+    )
+    def test_matches_dict_reference(self, days, start_epoch, fit):
+        series, _, _ = synth_traffic(3, days, n_features=2, seed=6, start_epoch=start_epoch)
+        table, ref = build_baseline(series, range(series.n_steps)[fit]), DictBaseline(300)
+        for t in range(series.n_steps)[fit]:
+            ref.add(series.weekday(t), series.clock_seconds(t), series.data[t])
+        assert sorted(table.keys()) == sorted(ref.sums)
+        rng = np.random.default_rng(7)
+        phase = start_epoch % 300
+        queries = [(d, phase + k * 300) for d in range(7) for k in range(288)]
+        queries += [(int(d), int(c)) for d, c in zip(rng.integers(0, 7, 200),
+                                                     rng.integers(0, 86400, 200))]
+        for d, c in queries + queries[::7]:  # repeats must not count twice
+            want = ref.lookup(d, c)
+            got = table.lookup(d, c)
+            if fit == slice(None):  # clocks added in ascending order: same sums
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-14)
+        assert table.fallback_count == ref.fallback_count
+        assert (table.fallback_count > 0) == (fit != slice(None))
+
+    def test_grid_is_enforced(self):
+        with pytest.raises(ValueError, match="divide a day"):
+            BaselineTable(7 * 3600)
+        table = build_baseline(synth_traffic(2, 2, seed=0)[0], [0, 1])
+        for clock in (150, -300, 86400):
+            with pytest.raises(ValueError, match="off the table"):
+                table.add(0, clock, np.zeros((2, 1)))
+        with pytest.raises(KeyError):
+            table.key_mean(3, 0)
 
     def test_unseen_weekday_falls_back_globally(self):
         series, _, _ = synth_traffic(2, 9, seed=5)
@@ -221,6 +300,16 @@ class TestGpdFit:
         gamma, sigma = gpd_fit(np.full(10, 2.0))
         assert gamma == 0.0
         assert sigma == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_fit_is_scale_equivariant(self, scale):
+        y = gpd_draws(0.3, 1.0, 300, seed=5)
+        gamma, sigma = gpd_fit(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled_gamma, scaled_sigma = gpd_fit(scale * y)
+        assert scaled_gamma == pytest.approx(gamma, rel=1e-9)
+        assert scaled_sigma == pytest.approx(scale * sigma, rel=1e-9)
 
     @pytest.mark.parametrize("gamma_true", [-0.8, -0.2, 0.0, 0.3, 2.0])
     def test_beats_brute_force_box_grid(self, gamma_true):

@@ -122,6 +122,18 @@ class TestForecastSeries:
         # de-normalized outputs should be on the data scale
         assert abs(preds.mean() - series.data.mean()) < 5 * series.data.std()
 
+    def test_chunk_size_changes_forecasts_only_by_rounding(self, incident_world):
+        series, graph, _, train_ts, _ = incident_world
+        model = RadNet(RadNetConfig(n_nodes=4, n_features=1, window=5, seed=1))
+        norm = Normalizer.fit(series.data, train_ts)
+        targets = np.arange(10, 90)
+        whole = forecast_series(model, series, graph, norm, targets, chunk=len(targets))
+        for chunk in (1, 7, 32):
+            np.testing.assert_allclose(
+                forecast_series(model, series, graph, norm, targets, chunk=chunk),
+                whole, rtol=1e-14,
+            )
+
 
 @pytest.mark.slow
 class TestTrainedDetection:

@@ -198,6 +198,27 @@ class TestShapeOps:
         with pytest.raises(IndexError, match="basic indexing"):
             x[[0, 0]]
 
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_gather_gradient_with_repeated_indices(self, axis):
+        # the two axes GAT gathers on: scores (..., N) and projections (..., N, F)
+        rng = np.random.default_rng(9)
+        shape = (2, 4, 3) if axis == -2 else (2, 3, 4)
+        x = DiffArray(rng.normal(size=shape), requires_grad=True)
+        index = np.array([[0, 2], [2, 3], [1, 1]])
+        w = rng.normal(size=T.gather(x, index, axis).shape)
+        assert T.grad_check(lambda: (T.gather(x, index, axis) * w).sum(), [x]) < 1e-6
+
+        x.grad = None
+        T.gather(x, index, axis).sum().backward()
+        counts = np.array([1.0, 2.0, 2.0, 1.0])  # node 1 and node 2 are listed twice
+        want = counts[:, None] if axis == -2 else counts
+        np.testing.assert_array_equal(x.grad, np.broadcast_to(want, shape))
+
+    def test_gather_forward_is_np_take(self):
+        x = DiffArray(np.arange(12.0).reshape(3, 4))
+        index = np.array([[3, 3], [0, 1]])
+        np.testing.assert_array_equal(T.gather(x, index, 1).values, np.take(x.values, index, 1))
+
     def test_transpose_gradient(self):
         rng = np.random.default_rng(7)
         x = DiffArray(rng.normal(size=(2, 3, 4)), requires_grad=True)

@@ -79,16 +79,17 @@ class FeatureSeries:
     def n_features(self) -> int:
         return self.data.shape[2]
 
-    def epoch(self, t: int) -> int:
+    # t may be an int or an integer array; the results take its shape.
+    def epoch(self, t):
         return self.start_epoch + t * self.delta_seconds
 
-    def weekday(self, t: int) -> int:
+    def weekday(self, t):
         """0 = Monday ... 6 = Sunday, from the wall-clock anchor."""
-        return int((self.epoch(t) // SECONDS_PER_DAY + _EPOCH_WEEKDAY) % 7)
+        return (self.epoch(t) // SECONDS_PER_DAY + _EPOCH_WEEKDAY) % 7
 
-    def clock_seconds(self, t: int) -> int:
+    def clock_seconds(self, t):
         """Seconds since midnight at timestep t."""
-        return int(self.epoch(t) % SECONDS_PER_DAY)
+        return self.epoch(t) % SECONDS_PER_DAY
 
 
 @dataclass

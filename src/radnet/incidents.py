@@ -2,6 +2,8 @@
 
 The baseline for a timestep is the mean of every feature matrix in the fit
 range sharing its weekday whose clock time differs by at most one interval.
+The table of these means is built once; lookups take on-grid clocks only,
+and a counter records those answered by a fallback slot.
 Residual scores (Frobenius norm of baseline minus observed, network-wide;
 row-wise Euclidean norm per link) are thresholded by a Generalized Pareto
 tail model fitted over excesses above an initial empirical percentile, with
@@ -21,9 +23,9 @@ negative log-likelihood to one variable (Grimshaw 1993):
 
 with the exponential limit P(0) = n * (log(mean(y)) + 1), and sigma = gamma/theta.
 
-Baseline tables are immutable once built; each ThresholdState belongs to a
-single stream and must not be shared across threads. Per-link states are
-independent of each other.
+Baseline tables change only their fallback counter; each ThresholdState
+belongs to a single stream and must not be shared across threads. Per-link
+states are independent of each other.
 """
 
 from __future__ import annotations
@@ -54,106 +56,101 @@ X_ROUNDS = 8
 
 
 class BaselineTable:
-    """Mean feature matrix keyed by (weekday, clock-seconds).
+    """Pooled mean feature matrices on the grid of clocks `phase + k * delta_seconds`.
 
-    Sums and counts are dense (7, slots per day, ...) arrays over the grid of
-    clocks `phase + k * delta_seconds`, where the phase is the first clock
-    added; every later clock must lie on the same grid.
+    `means[weekday, k]` is the pooled mean of `build_baseline`, or the
+    nearest observed slot's mean where the pool is empty (`fallback`);
+    `counts[weekday, k]` counts the fitted timesteps in slot k. The table is
+    never changed after it is built: a lookup writes only to its fallback
+    ledger, which marks each fallback cell looked up.
     """
 
-    def __init__(self, delta_seconds: int):
-        if SECONDS_PER_DAY % delta_seconds != 0:
-            raise ValueError(
-                f"interval duration {delta_seconds} s must divide a day evenly"
-            )
+    def __init__(self, delta_seconds: int, phase: int, counts: np.ndarray,
+                 means: np.ndarray, fallback: np.ndarray):
         self.delta_seconds = delta_seconds
-        self.n_slots = SECONDS_PER_DAY // delta_seconds
-        self.phase: int | None = None
-        self._sums: np.ndarray | None = None  # (7, n_slots, *matrix shape)
-        self._counts = np.zeros((7, self.n_slots), dtype=np.int64)
-        self._fallbacks: dict[tuple[int, int], np.ndarray] = {}
-        self.fallback_count = 0
+        self.phase = phase
+        self.counts = counts  # (7, slots per day)
+        self.means = means  # (7, slots per day, N, D)
+        self.means.flags.writeable = False
+        self.fallback = fallback  # (7, slots per day) cells with an empty pool
+        self._looked_up = np.zeros_like(fallback)  # the fallback ledger
 
-    def _slot(self, clock_s: int) -> int:
-        offset = clock_s - self.phase
-        if offset % self.delta_seconds or not 0 <= offset < SECONDS_PER_DAY:
-            raise ValueError(
-                f"clock {clock_s} s is off the table's {self.delta_seconds} s grid "
-                f"(phase {self.phase} s) or outside the day"
-            )
-        return offset // self.delta_seconds
-
-    def add(self, weekday: int, clock_s: int, matrix: np.ndarray) -> None:
-        if self._sums is None:
-            self.phase = clock_s % self.delta_seconds
-            self._sums = np.zeros((7, self.n_slots) + np.shape(matrix))
-        slot = self._slot(clock_s)
-        self._sums[weekday, slot] += matrix
-        self._counts[weekday, slot] += 1
-        self._fallbacks.clear()
-
-    def key_mean(self, weekday: int, clock_s: int) -> np.ndarray:
-        count = self.count(weekday, clock_s)
-        if count == 0:
-            raise KeyError((weekday, clock_s))
-        return self._sums[weekday, self._slot(clock_s)] / count
+    @property
+    def fallback_count(self) -> int:
+        """Distinct fallback cells looked up so far."""
+        return int(np.count_nonzero(self._looked_up))
 
     def keys(self) -> list[tuple[int, int]]:
         """Observed (weekday, clock-seconds) keys."""
-        days, slots = np.nonzero(self._counts)
+        days, slots = np.nonzero(self.counts)
         return [(int(d), self.phase + int(k) * self.delta_seconds) for d, k in zip(days, slots)]
 
-    def count(self, weekday: int, clock_s: int) -> int:
-        if self.phase is None or (clock_s - self.phase) % self.delta_seconds:
-            return 0
-        slot = (clock_s - self.phase) // self.delta_seconds
-        return int(self._counts[weekday, slot]) if 0 <= slot < self.n_slots else 0
+    def lookup(self, weekday, clock_s) -> np.ndarray:
+        """Baseline for an on-grid (weekday, clock) pair, or for equal-shape arrays of them.
 
-    def lookup(self, weekday: int, clock_s: int) -> np.ndarray:
-        """Pooled mean over same-weekday slots within one interval of clock_s.
-
-        Unseen (weekday, slot) queries fall back to the nearest observed slot
-        of that weekday (nearest slot of any weekday if the whole weekday is
-        unseen), counting each fallback once until the next `add`.
+        Returns (..., N, D). A clock off the grid or outside the day is a
+        ValueError.
         """
-        if self._sums is None:
-            raise ValueError("baseline table is empty")
-        step = self.delta_seconds
-        # slots k with |clock_s - (phase + k * step)| <= step, not wrapping midnight
-        lo = max(-((self.phase + step - clock_s) // step), 0)
-        hi = min((clock_s + step - self.phase) // step, self.n_slots - 1) + 1
-        count = self._counts[weekday, lo:hi].sum()
-        if count:
-            return self._sums[weekday, lo:hi].sum(axis=0) / count
-        key = (weekday, clock_s)
-        if key not in self._fallbacks:
-            self.fallback_count += 1
-            slots = np.flatnonzero(self._counts[weekday])
-            days = np.full_like(slots, weekday)
-            if slots.size == 0:
-                days, slots = np.nonzero(self._counts)
-            # nearest clock; ties go to the lower weekday, then the earlier clock
-            i = int(np.argmin(np.abs(clock_s - self.phase - slots * step)))
-            self._fallbacks[key] = self._sums[days[i], slots[i]] / self._counts[days[i], slots[i]]
-        return self._fallbacks[key]
+        weekday, clock_s = np.asarray(weekday), np.asarray(clock_s)
+        offset = clock_s - self.phase
+        bad = (offset % self.delta_seconds != 0) | (offset < 0) | (offset >= SECONDS_PER_DAY)
+        if bad.any():
+            raise ValueError(
+                f"clock {clock_s[bad].flat[0]} s is off the table's {self.delta_seconds} s "
+                f"grid (phase {self.phase} s) or outside the day"
+            )
+        slot = offset // self.delta_seconds
+        fell_back = self.fallback[weekday, slot]
+        self._looked_up[weekday[fell_back], slot[fell_back]] = True
+        return self.means[weekday, slot]
 
     def for_series(self, series: FeatureSeries, timesteps) -> np.ndarray:
         """(len(timesteps), N, D) baselines aligned with the given timesteps."""
-        return np.stack(
-            [self.lookup(series.weekday(int(t)), series.clock_seconds(int(t))) for t in timesteps]
-        )
+        timesteps = np.asarray(timesteps, dtype=int)
+        return self.lookup(series.weekday(timesteps), series.clock_seconds(timesteps))
 
 
 def build_baseline(series: FeatureSeries, fit_range) -> BaselineTable:
-    """Accumulate the per-(weekday, clock-slot) means over `fit_range`."""
-    fit_range = list(fit_range)
-    if not fit_range:
+    """Pool the fit range's feature matrices by weekday and clock slot.
+
+    Each cell's mean pools its weekday's slots k-1, k and k+1 (not wrapping
+    midnight), summed as (s[k-1] + s[k]) + s[k+1]. Where that pool is empty
+    the cell holds the mean of the nearest observed slot of its weekday, or
+    of any weekday if its weekday was never seen; ties go to the lower
+    weekday, then the earlier clock.
+    """
+    ts = np.asarray(fit_range, dtype=int)
+    if ts.size == 0:
         raise ValueError("baseline fit range is empty")
-    table = BaselineTable(series.delta_seconds)
-    for t in fit_range:
-        t = int(t)
-        table.add(series.weekday(t), series.clock_seconds(t), series.data[t])
-    return table
+    step = series.delta_seconds
+    if SECONDS_PER_DAY % step != 0:
+        raise ValueError(f"interval duration {step} s must divide a day evenly")
+    cells = (series.weekday(ts), series.clock_seconds(ts) // step)
+    sums = np.zeros((7, SECONDS_PER_DAY // step) + series.data.shape[1:])
+    counts = np.zeros(sums.shape[:2], dtype=np.int64)
+    np.add.at(sums, cells, series.data[ts])  # in fit-range order, like a running sum
+    np.add.at(counts, cells, 1)
+
+    def pool(a):
+        out = a.copy()
+        out[:, 1:] = a[:, :-1] + a[:, 1:]
+        out[:, :-1] += a[:, 1:]
+        return out
+
+    pooled = pool(counts)
+    fallback = pooled == 0
+    means = pool(sums)
+    np.divide(means, pooled[:, :, None, None], out=means, where=~fallback[:, :, None, None])
+    if fallback.any():
+        obs_days, obs_slots = np.nonzero(counts)
+        want_days, want_slots = np.nonzero(fallback)
+        dist = np.abs(want_slots[:, None] - obs_slots)
+        # a weekday with any observed slot picks among its own slots only
+        other_day = (obs_days != want_days[:, None]) & counts[want_days].any(axis=1)[:, None]
+        near = np.where(other_day, dist.max() + 1, dist).argmin(axis=1)
+        d, k = obs_days[near], obs_slots[near]
+        means[want_days, want_slots] = sums[d, k] / counts[d, k][:, None, None]
+    return BaselineTable(step, series.clock_seconds(0) % step, counts, means, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +168,10 @@ def residual_scores(baselines: np.ndarray, observed: np.ndarray) -> ResidualScor
     observed = np.asarray(observed, dtype=np.float64)
     if baselines.shape != observed.shape:
         raise ValueError(f"shape mismatch: {baselines.shape} vs {observed.shape}")
-    diff = baselines - observed
-    per_link = np.sqrt((diff * diff).sum(axis=-1))
-    network = np.sqrt((diff * diff).sum(axis=(-2, -1)))
+    sq = baselines - observed
+    sq *= sq
+    per_link = np.sqrt(sq.sum(axis=-1))
+    network = np.sqrt(sq.sum(axis=(-2, -1)))
     return ResidualScores(network=network, per_link=per_link)
 
 

@@ -67,13 +67,18 @@ class RadNetConfig:
         return "per_node" if self.n_features > 1 else "flattened"
 
 
-def build_window(data: np.ndarray, t: int, window: int) -> np.ndarray:
-    """The `window` slices ending at timestep t, replicating slice 0 backwards."""
+def build_window(data: np.ndarray, t, window: int) -> np.ndarray:
+    """The `window` slices ending at timestep t, replicating slice 0 backwards.
+
+    A scalar t gives one (K, N, D) window; an array of end timesteps gives
+    (B, K, N, D).
+    """
+    t = np.asarray(t)
     n_steps = data.shape[0]
-    if not 0 <= t < n_steps:
-        raise IndexError(f"timestep {t} outside series of length {n_steps}")
-    idx = [max(0, i) for i in range(t - window + 1, t + 1)]
-    return data[idx]
+    bad = (t < 0) | (t >= n_steps)
+    if bad.any():
+        raise IndexError(f"timestep {t[bad].flat[0]} outside series of length {n_steps}")
+    return data[np.maximum(t[..., None] + np.arange(1 - window, 1), 0)]
 
 
 class RadNet:

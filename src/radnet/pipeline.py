@@ -61,9 +61,7 @@ def forecast_series(
     with no_grad():
         for lo in range(0, len(target_ts), chunk):
             ts = target_ts[lo : lo + chunk]
-            windows = np.stack(
-                [build_window(data, int(u) - horizon, model.config.window) for u in ts]
-            )
+            windows = build_window(data, ts - horizon, model.config.window)
             preds, _ = model.forward_batch(windows, graph)
             out[lo : lo + len(ts)] = normalizer.inverse(preds.values)
     return out

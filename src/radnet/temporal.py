@@ -25,8 +25,7 @@ from .tensor import (
     matmul,
     reshape,
     softmax,
-    swap_last_axes,
-    transpose,
+    swapaxes,
 )
 
 PositionRNG = np.random.Generator | None
@@ -61,12 +60,6 @@ def causal_mask(length: int) -> np.ndarray:
     mask = np.zeros((length, length))
     mask[np.triu_indices(length, k=1)] = -np.inf
     return mask
-
-
-def _swap_axes(a: DiffArray, i: int, j: int) -> DiffArray:
-    perm = list(range(a.ndim))
-    perm[i], perm[j] = perm[j], perm[i]
-    return transpose(a, tuple(perm))
 
 
 class MultiHeadAttention:
@@ -116,19 +109,19 @@ class MultiHeadAttention:
         if self.n_heads == 1:
             return x
         x = reshape(x, x.shape[:-1] + (self.n_heads, self.d_head))
-        return _swap_axes(x, -3, -2)
+        return swapaxes(x, -3, -2)
 
     def _merge(self, x: DiffArray) -> DiffArray:
         """Inverse of `_split`: heads side by side on the last axis."""
         if self.n_heads == 1:
             return x
-        x = _swap_axes(x, -3, -2)
+        x = swapaxes(x, -3, -2)
         return reshape(x, x.shape[:-2] + (self.d_model,))
 
     def _weights(self, q: DiffArray, k: DiffArray, mask) -> DiffArray:
         qh = self._split(matmul(q, self.w_query))
         kh = self._split(matmul(k, self.w_key))
-        scores = matmul(qh, swap_last_axes(kh)) * self.scale
+        scores = matmul(qh, swapaxes(kh, -1, -2)) * self.scale
         if mask is not None:
             scores = scores + mask
         return softmax(scores, axis=-1)
@@ -243,7 +236,7 @@ def transformer_forward(
         raise DimensionError(f"expected (..., K, N, D) window, got {window.shape}")
     n_nodes, width = window.shape[-2], window.shape[-1]
     if mode == "per_node":
-        per_node = _swap_axes(window, -3, -2)  # (..., N, K, D)
+        per_node = swapaxes(window, -3, -2)  # (..., N, K, D)
         return block(per_node, training, rng)
     if mode == "flattened":
         flat = reshape(window, window.shape[:-2] + (n_nodes * width,))

@@ -82,10 +82,6 @@ class DiffArray:
     def item(self) -> float:
         return float(self.values)
 
-    def detach(self) -> "DiffArray":
-        """A view of the same values with no tape attached."""
-        return DiffArray(self.values)
-
     def __repr__(self) -> str:
         return f"DiffArray(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -269,7 +265,7 @@ def div(a, b):
     )
 
 
-def leaky_relu(a, slope: float = 0.01):
+def leaky_relu(a, slope: float):
     a = _wrap(a)
     av = a.values
     values = np.where(av > 0, av, slope * av)
@@ -419,13 +415,13 @@ def transpose(a, axes=None):
     return _result(values, (a,), push)
 
 
-def swap_last_axes(a):
-    """Transpose the trailing two axes, keeping leading batch axes."""
+def swapaxes(a, i: int, j: int):
+    """Swap axes i and j (np.swapaxes); its own inverse, so also the backward."""
     a = _wrap(a)
-    values = np.swapaxes(a.values, -1, -2)
+    values = np.swapaxes(a.values, i, j)
 
     def push(g):
-        return (np.swapaxes(g, -1, -2),)
+        return (np.swapaxes(g, i, j),)
 
     return _result(values, (a,), push)
 

@@ -161,10 +161,6 @@ class TrainResult:
     fold_index: int
 
 
-def _gather_windows(data: np.ndarray, ts: np.ndarray, window: int) -> np.ndarray:
-    return np.stack([build_window(data, int(t), window) for t in ts])
-
-
 def _validation_losses(
     model: RadNet,
     data: np.ndarray,
@@ -180,7 +176,7 @@ def _validation_losses(
     with no_grad():
         for lo in range(0, len(samples), chunk):
             ts = samples[lo : lo + chunk]
-            windows = _gather_windows(data, ts, cfg.window)
+            windows = build_window(data, ts, cfg.window)
             targets = data[ts + cfg.horizon]
             preds, _ = model.forward_batch(windows, graph)
             diff = preds.values - targets
@@ -195,15 +191,13 @@ def train(
     series: FeatureSeries,
     graph: RoadGraph,
     cfg: TrainConfig,
-    fold: Fold | None = None,
     timesteps: np.ndarray | None = None,
-    loss_csv: str | Path | None = None,
 ) -> TrainResult:
     """Fit `model` in place; returns curves plus the fitted normalizer.
 
     `timesteps` restricts training to a contiguous index range of the series
-    (e.g. the pre-test split); folds are carved from whatever remains. By
-    default the last fold's block is the validation set.
+    (e.g. the pre-test split); folds are carved from whatever remains, and
+    the last fold's block is the validation set.
     """
     mcfg = model.config
     data_all = series.data
@@ -215,9 +209,7 @@ def train(
 
     # autoregressive training consumes targets out to the rollout horizon
     effective_horizon = max(mcfg.horizon, cfg.autoregressive_horizon)
-    folds = split_folds(n_local, cfg.folds, mcfg.window, effective_horizon)
-    if fold is None:
-        fold = folds[-1]
+    fold = split_folds(n_local, cfg.folds, mcfg.window, effective_horizon)[-1]
     normalizer = Normalizer.fit(local, [t for r in fold.train_ranges for t in r])
     data = normalizer.transform(local)
 
@@ -244,7 +236,7 @@ def train(
         epoch_loss = 0.0
         for lo in range(0, len(train_samples), cfg.batch):
             ts = train_samples[lo : lo + cfg.batch]
-            windows = _gather_windows(data, ts, mcfg.window)
+            windows = build_window(data, ts, mcfg.window)
             truth = data[ts[:, None] + np.arange(1, rollout)]
             preds, _ = rollout_autoregressive(
                 model, windows, rollout, graph, truth, cfg.teacher_forcing_p, rng,
@@ -282,8 +274,6 @@ def train(
             f"epochs run (lr={cfg.lr})"
         )
     flat[...] = best
-    if loss_csv is not None:
-        write_loss_csv(loss_csv, history)
     return TrainResult(
         history=history,
         best_epoch=stopper.best_epoch,

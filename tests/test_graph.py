@@ -28,7 +28,7 @@ def dense_gat(layer, x, g):
     h = T.matmul(x, layer.theta)
     src = T.matmul(h, layer.score_src)
     dst = T.matmul(h, layer.score_dst)
-    scores = T.leaky_relu(src + T.swap_last_axes(dst) + layer.score_bias, layer.slope)
+    scores = T.leaky_relu(src + T.swapaxes(dst, -1, -2) + layer.score_bias, layer.slope)
     alpha = T.softmax(scores + dense_mask(g), axis=-1)
     return T.sigmoid(T.matmul(alpha, h)).mean(axis=-3)
 

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import radnet.incidents as incidents
-from radnet.data import IncidentSpec, synth_traffic
+from radnet.data import FeatureSeries, IncidentSpec, synth_traffic
 from radnet.errors import NumericError
 from radnet.incidents import (
-    BaselineTable,
     IncidentLabels,
     PotConfig,
     ThresholdState,
@@ -193,13 +192,11 @@ class TestBaseline:
         table = build_baseline(series, range(0, 50))  # a few hours of Monday
         monday = series.weekday(0)
         assert table.fallback_count == 0
-        table.lookup(monday, 80000)  # late-evening slot never observed
+        table.lookup(monday, 79800)  # late-evening slot never observed
         assert table.fallback_count == 1
-        # nearest observed Monday slot is the last fitted one
-        np.testing.assert_array_equal(
-            table.lookup(monday, 80000),
-            table.key_mean(monday, series.clock_seconds(49)),
-        )
+        # nearest observed Monday slot is the last fitted one, seen once
+        np.testing.assert_array_equal(table.lookup(monday, 79800), series.data[49])
+        assert table.fallback_count == 1
 
     @pytest.mark.parametrize(
         "days, start_epoch, fit",
@@ -217,27 +214,44 @@ class TestBaseline:
         rng = np.random.default_rng(7)
         phase = start_epoch % 300
         queries = [(d, phase + k * 300) for d in range(7) for k in range(288)]
-        queries += [(int(d), int(c)) for d, c in zip(rng.integers(0, 7, 200),
-                                                     rng.integers(0, 86400, 200))]
+        queries += [(int(d), phase + int(k) * 300) for d, k in zip(rng.integers(0, 7, 200),
+                                                                   rng.integers(0, 288, 200))]
         for d, c in queries + queries[::7]:  # repeats must not count twice
-            want = ref.lookup(d, c)
-            got = table.lookup(d, c)
-            if fit == slice(None):  # clocks added in ascending order: same sums
-                np.testing.assert_array_equal(got, want)
-            else:
-                np.testing.assert_allclose(got, want, rtol=1e-14)
+            np.testing.assert_array_equal(table.lookup(d, c), ref.lookup(d, c))
         assert table.fallback_count == ref.fallback_count
         assert (table.fallback_count > 0) == (fit != slice(None))
 
     def test_grid_is_enforced(self):
+        series = FeatureSeries(np.zeros((4, 2, 1)), 0, 7 * 3600, ["flow"])
         with pytest.raises(ValueError, match="divide a day"):
-            BaselineTable(7 * 3600)
-        table = build_baseline(synth_traffic(2, 2, seed=0)[0], [0, 1])
-        for clock in (150, -300, 86400):
-            with pytest.raises(ValueError, match="off the table"):
-                table.add(0, clock, np.zeros((2, 1)))
-        with pytest.raises(KeyError):
-            table.key_mean(3, 0)
+            build_baseline(series, range(4))
+        with pytest.raises(ValueError, match="empty"):
+            build_baseline(synth_traffic(2, 2, seed=0)[0], [])
+
+    def test_off_grid_or_outside_day_clock_raises(self):
+        # phase 170 s: the grid is 170, 470, ..., 86270
+        series = synth_traffic(2, 2, seed=0, start_epoch=4 * 86400 + 170)[0]
+        table = build_baseline(series, range(series.n_steps))
+        table.lookup(0, 86270)
+        for clock in (0, 300, 171, -130, 86470, 86570):
+            with pytest.raises(ValueError, match=f"clock {clock} s is off the table"):
+                table.lookup(0, clock)
+        with pytest.raises(ValueError, match="clock 471 s "):
+            table.lookup(np.zeros(3, dtype=int), np.array([170, 471, 86400]))
+
+    def test_array_lookup_equals_scalar_lookups(self):
+        series, _, _ = synth_traffic(3, 9, n_features=2, seed=8)
+        table = build_baseline(series, range(40, 700))  # fallbacks on most weekdays
+        rng = np.random.default_rng(9)
+        days = rng.integers(0, 7, size=(4, 50))
+        clocks = rng.integers(0, 288, size=(4, 50)) * 300
+        got = table.lookup(days, clocks)
+        assert got.shape == (4, 50, 3, 2)
+        counted = table.fallback_count
+        assert counted > 0
+        for idx in np.ndindex(days.shape):
+            np.testing.assert_array_equal(got[idx], table.lookup(days[idx], clocks[idx]))
+        assert table.fallback_count == counted
 
     def test_unseen_weekday_falls_back_globally(self):
         series, _, _ = synth_traffic(2, 9, seed=5)

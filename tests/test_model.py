@@ -66,6 +66,15 @@ class TestBuildWindow:
             build_window(data, 10, 3)
         with pytest.raises(IndexError):
             build_window(data, -1, 3)
+        with pytest.raises(IndexError, match="timestep 12 "):
+            build_window(data, np.array([4, 12, 11]), 3)
+
+    def test_array_of_timesteps_stacks_scalar_windows(self):
+        data = toy_series()
+        ts = np.array([7, 0, 2, 29, 2])
+        np.testing.assert_array_equal(
+            build_window(data, ts, 4), np.stack([build_window(data, int(t), 4) for t in ts])
+        )
 
 
 class TestForward:

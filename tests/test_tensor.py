@@ -230,6 +230,18 @@ class TestShapeOps:
         f().backward()
         assert rel_err(x.grad, fd_grad(f, x)) < 1e-6
 
+    def test_swapaxes_gradient(self):
+        rng = np.random.default_rng(8)
+        x = DiffArray(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = rng.normal(size=(4, 3, 2))
+        np.testing.assert_array_equal(T.swapaxes(x, 0, -1).values, np.swapaxes(x.values, 0, -1))
+
+        def f():
+            return (T.swapaxes(x, 0, -1) * w).sum()
+
+        f().backward()
+        assert rel_err(x.grad, fd_grad(f, x)) < 1e-6
+
     def test_reduce_mean_gradient(self):
         x = DiffArray(np.arange(6.0).reshape(2, 3), requires_grad=True)
         x.mean().backward()

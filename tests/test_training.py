@@ -13,6 +13,7 @@ from radnet.training import (
     TrainConfig,
     split_folds,
     train,
+    write_loss_csv,
 )
 
 
@@ -166,7 +167,7 @@ class TestTrain:
     def test_loss_csv_emitted(self, tmp_path):
         model, series, graph = self._quick_setup(seed=4)
         tc = TrainConfig(lr=1e-3, max_epochs=2, patience=5, seed=4)
-        train(model, series, graph, tc, loss_csv=tmp_path / "loss.csv")
+        write_loss_csv(tmp_path / "loss.csv", train(model, series, graph, tc).history)
         lines = (tmp_path / "loss.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) == 3

@@ -30,6 +30,13 @@ SECONDS_PER_DAY = 86400
 # Unix epoch day zero was a Thursday.
 _EPOCH_WEEKDAY = 3
 
+
+def _calendar(epoch):
+    """(weekday, seconds since midnight) of Unix epoch seconds; 0 = Monday ... 6 = Sunday."""
+    day, clock_s = divmod(epoch, SECONDS_PER_DAY)
+    return (day + _EPOCH_WEEKDAY) % 7, clock_s
+
+
 RADSET_FEATURES = ("del", "flow", "flow_raw", "cong", "cong_raw", "occ", "ql")
 # +1: metric rises during an incident (delay, congestion, occupancy, queues);
 # -1: metric falls (flows, speeds).
@@ -85,11 +92,11 @@ class FeatureSeries:
 
     def weekday(self, t):
         """0 = Monday ... 6 = Sunday, from the wall-clock anchor."""
-        return (self.epoch(t) // SECONDS_PER_DAY + _EPOCH_WEEKDAY) % 7
+        return _calendar(self.epoch(t))[0]
 
     def clock_seconds(self, t):
         """Seconds since midnight at timestep t."""
-        return self.epoch(t) % SECONDS_PER_DAY
+        return _calendar(self.epoch(t))[1]
 
 
 @dataclass
@@ -242,8 +249,8 @@ def synth_traffic(
     phases = rng.uniform(-0.1, 0.1, size=n_nodes)
 
     epochs = start_epoch + np.arange(n_steps) * delta_seconds
-    clock = (epochs % SECONDS_PER_DAY) / SECONDS_PER_DAY  # [0, 1) day phase
-    weekdays = (epochs // SECONDS_PER_DAY + _EPOCH_WEEKDAY) % 7
+    weekdays, clock_s = _calendar(epochs)
+    clock = clock_s / SECONDS_PER_DAY  # [0, 1) day phase
     weekend = np.where(weekdays >= 5, weekend_factor, 1.0)
 
     # daytime hump peaking mid-day, zero overnight

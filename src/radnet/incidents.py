@@ -88,10 +88,13 @@ class BaselineTable:
     def lookup(self, weekday, clock_s) -> np.ndarray:
         """Baseline for an on-grid (weekday, clock) pair, or for equal-shape arrays of them.
 
-        Returns (..., N, D). A clock off the grid or outside the day is a
-        ValueError.
+        Returns (..., N, D). A weekday outside 0-6, or a clock off the grid
+        or outside the day, is a ValueError.
         """
         weekday, clock_s = np.asarray(weekday), np.asarray(clock_s)
+        bad = (weekday < 0) | (weekday > 6)
+        if bad.any():
+            raise ValueError(f"weekday {weekday[bad].flat[0]} is outside 0-6 (Monday-Sunday)")
         offset = clock_s - self.phase
         bad = (offset % self.delta_seconds != 0) | (offset < 0) | (offset >= SECONDS_PER_DAY)
         if bad.any():

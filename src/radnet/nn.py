@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .tensor import DiffArray, leaky_relu, sqrt
+from .tensor import DiffArray, layer_norm, leaky_relu
 
 DEFAULT_LEAKY_SLOPE = 0.01
 
@@ -85,17 +85,10 @@ class LayerNorm:
         self.gain = DiffArray(np.ones(width), requires_grad=True)
         self.shift = DiffArray(np.zeros(width), requires_grad=True)
 
-    def normalize(self, x: DiffArray) -> DiffArray:
-        """The pre-affine part: (x - mean) / sqrt(var + eps) over the last axis."""
+    def __call__(self, x: DiffArray) -> DiffArray:
         if x.shape[-1] != self.width:
             raise DimensionError(f"layer norm width {self.width}, got input {x.shape}")
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered / sqrt(var + self.eps)
-
-    def __call__(self, x: DiffArray) -> DiffArray:
-        return self.normalize(x) * self.gain + self.shift
+        return layer_norm(x, self.gain, self.shift, self.eps)
 
 
 # ---------------------------------------------------------------------------

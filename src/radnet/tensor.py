@@ -170,9 +170,6 @@ class DiffArray:
             shape = tuple(shape[0])
         return reshape(self, shape)
 
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -390,6 +387,43 @@ def softmax(a, axis: int = -1):
 
 
 # ---------------------------------------------------------------------------
+# layer norm
+
+
+def layer_norm(a, gain, shift, eps: float):
+    """(a - mean) / sqrt(var + eps) * gain + shift over the last axis, as one node.
+
+    Values and gradients are bit for bit those of the composed chain (mean,
+    sub, mul, mean, add, sqrt, div, mul, add): the forward makes the chain's
+    numpy calls, and the backward replays its pushes in order, including the
+    order in which each array's gradient terms are summed.
+    """
+    a, gain, shift = _wrap(a), _wrap(gain), _wrap(shift)
+    av, gv, sv = a.values, gain.values, shift.values
+    width = av.shape[-1]
+    centered = av - av.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered / std
+    values = normed * gv + sv
+    want_a, want_gain, want_shift = _tracked(a), _tracked(gain), _tracked(shift)
+
+    def push(g):
+        g_gain = _unbroadcast(g * normed, gv.shape) if want_gain else None
+        g_shift = _unbroadcast(g, sv.shape) if want_shift else None
+        if not want_a:
+            return None, g_gain, g_shift
+        g_normed = g * gv
+        g_std = (-g_normed * centered / (std * std)).sum(axis=-1, keepdims=True)
+        g_sq = np.broadcast_to(g_std * 0.5 / np.maximum(std, 1e-150), av.shape) / width
+        # centered reaches the output through the divide and both factors of its square
+        g_centered = (g_normed / std + g_sq * centered) + g_sq * centered
+        g_mean = np.broadcast_to((-g_centered).sum(axis=-1, keepdims=True), av.shape)
+        return g_centered + g_mean / width, g_gain, g_shift
+
+    return _result(values, (a, gain, shift), push)
+
+
+# ---------------------------------------------------------------------------
 # shape ops
 
 
@@ -400,17 +434,6 @@ def reshape(a, shape: Sequence[int]):
 
     def push(g):
         return (g.reshape(orig),)
-
-    return _result(values, (a,), push)
-
-
-def transpose(a, axes=None):
-    a = _wrap(a)
-    values = np.transpose(a.values, axes)
-    inv = None if axes is None else np.argsort(axes)
-
-    def push(g):
-        return (np.transpose(g, inv),)
 
     return _result(values, (a,), push)
 

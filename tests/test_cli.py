@@ -54,6 +54,10 @@ class TestStatsCommand:
         assert "error:" in capsys.readouterr().err
 
 
+# 10 days of 4 links leave detect fewer than 50 excesses per tail fit, which warns
+THIN_TAIL = pytest.mark.filterwarnings(r"ignore:only \d+ excesses \(< 50\):UserWarning")
+
+
 @pytest.fixture(scope="module")
 def trained_dir(tmp_path_factory):
     """A small dataset with a trained checkpoint, shared across CLI tests."""
@@ -108,6 +112,7 @@ class TestTrainForecastDetectEvaluate:
         with pytest.raises(SystemExit):
             main(argv + ["--percentile", "98"])  # forecast takes no threshold flags
 
+    @THIN_TAIL
     def test_detect_then_evaluate(self, trained_dir, tmp_path, capsys):
         ds, run = trained_dir
         det = tmp_path / "det"
@@ -124,6 +129,7 @@ class TestTrainForecastDetectEvaluate:
         assert set(report["counts"]) == {"tp", "fp", "fn"}
         assert "F1" in (det / "report.txt").read_text()
 
+    @THIN_TAIL
     def test_evaluate_identity_when_pred_equals_truth(self, trained_dir, tmp_path):
         ds, run = trained_dir
         det = tmp_path / "det2"
@@ -144,6 +150,7 @@ class TestTrainForecastDetectEvaluate:
         err = capsys.readouterr().err
         assert "ghost" in err and "checkpoint" in err
 
+    @THIN_TAIL
     def test_report_command(self, trained_dir, tmp_path):
         ds, run = trained_dir
         out = tmp_path / "rep"
@@ -222,6 +229,7 @@ class TestConfigPrecedence:
         stored = json.loads((run / "config.json").read_text())["train"]
         assert {k: stored[k] for k in expected} == expected
 
+    @THIN_TAIL
     def test_top_level_percentile_reaches_detect(self, trained_dir, tmp_path):
         ds, run = trained_dir
         cfg = tmp_path / "cfg.json"

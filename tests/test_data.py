@@ -151,7 +151,8 @@ class TestContainer:
 
 class TestSynthTraffic:
     def test_noise_free_series_is_daily_periodic(self):
-        series, _, _ = synth_traffic(3, 4, noise=0.0, seed=3)
+        with pytest.warns(UserWarning, match="fewer than 8 days"):
+            series, _, _ = synth_traffic(3, 4, noise=0.0, seed=3)
         per_day = 86400 // 300
         np.testing.assert_allclose(
             series.data[:per_day], series.data[per_day : 2 * per_day], atol=1e-12
@@ -243,7 +244,8 @@ class TestStats:
         assert summary["nodes"] == 24 and summary["edges"] == 166
 
     def test_two_day_step_count(self):
-        series, graph, _ = synth_traffic(4, 2, delta_seconds=300, seed=8)
+        with pytest.warns(UserWarning, match="fewer than 8 days"):
+            series, graph, _ = synth_traffic(4, 2, delta_seconds=300, seed=8)
         summary = stats(series, graph)
         assert summary["timesteps"] == 2 * 86400 // 300 == 576
         assert summary["nodes"] == 4
@@ -256,7 +258,8 @@ class TestStats:
         assert row["min"] == row["mean"] == row["max"] == 2.5
 
     def test_text_rendering(self):
-        series, graph, _ = synth_traffic(3, 2, seed=9)
+        with pytest.warns(UserWarning, match="fewer than 8 days"):
+            series, graph, _ = synth_traffic(3, 2, seed=9)
         text = stats_text(stats(series, graph))
         assert "timesteps 576" in text
         assert "flow" in text

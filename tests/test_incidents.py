@@ -239,6 +239,15 @@ class TestBaseline:
         with pytest.raises(ValueError, match="clock 471 s "):
             table.lookup(np.zeros(3, dtype=int), np.array([170, 471, 86400]))
 
+    def test_weekday_outside_week_raises(self):
+        series = synth_traffic(2, 9, seed=0)[0]
+        table = build_baseline(series, range(series.n_steps))
+        for day in (-1, 7):
+            with pytest.raises(ValueError, match=f"weekday {day} is outside 0-6"):
+                table.lookup(day, 0)
+        with pytest.raises(ValueError, match="weekday 9 is outside"):
+            table.lookup(np.array([0, 9, -2]), np.zeros(3, dtype=int))
+
     def test_array_lookup_equals_scalar_lookups(self):
         series, _, _ = synth_traffic(3, 9, n_features=2, seed=8)
         table = build_baseline(series, range(40, 700))  # fallbacks on most weekdays

@@ -453,3 +453,27 @@ class TestGradients:
 
         err = T.grad_check(f, named_parameters(model).values())
         assert err < 1e-4
+
+
+class TestTapeBudget:
+    # one training step: every op recorded from the windows to the loss
+    @pytest.mark.parametrize("n_nodes, n_features, nodes", [(4, 1, 158), (16, 7, 204)])
+    def test_training_step_records_fixed_node_count(self, n_nodes, n_features, nodes):
+        model = RadNet(RadNetConfig(n_nodes=n_nodes, n_features=n_features, seed=0))
+        assert model.config.transformer_heads == n_features
+        rng = np.random.default_rng(0)
+        data = toy_series(40, n_nodes, n_features)
+        ts = np.arange(4, 36)  # a batch of 32
+        preds, _ = rollout_autoregressive(
+            model, build_window(data, ts, 5), 1, RoadGraph.ring(n_nodes), rng=rng, training=True
+        )
+        loss = batch_loss(preds, data[ts + 1])
+        seen, stack, recorded = set(), [loss], 0
+        while stack:
+            x = stack.pop()
+            if id(x) not in seen:
+                seen.add(id(x))
+                if x.op_trace is not None:
+                    recorded += 1
+                    stack.extend(x.op_trace.inputs)
+        assert recorded == nodes

@@ -64,16 +64,24 @@ class TestFeedForward:
         ]
 
 
+def composed_layer_norm(x, gain, shift, eps):
+    """Reference: the layer norm as a chain of nine primitive tape nodes."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / T.sqrt(var + eps) * gain + shift
+
+
 class TestLayerNorm:
     def test_normalizes_to_zero_mean_unit_variance(self):
         ln = LayerNorm(3)
-        out = ln.normalize(DiffArray([1.0, 2.0, 3.0]))
+        out = ln(DiffArray([1.0, 2.0, 3.0]))
         assert out.values.mean() == pytest.approx(0.0, abs=1e-12)
         assert out.values.var() == pytest.approx(1.0, rel=1e-4)
 
     def test_constant_slice_maps_to_zero(self):
         ln = LayerNorm(3)
-        out = ln.normalize(DiffArray([5.0, 5.0, 5.0]))
+        out = ln(DiffArray([5.0, 5.0, 5.0]))
         np.testing.assert_allclose(out.values, np.zeros(3), atol=1e-12)
 
     def test_affine_applied_after_normalization(self):
@@ -86,6 +94,10 @@ class TestLayerNorm:
     def test_width_one_rejected(self):
         with pytest.raises(DimensionError):
             LayerNorm(1)
+
+    def test_width_mismatch(self):
+        with pytest.raises(DimensionError, match="layer norm width 3"):
+            LayerNorm(3)(DiffArray(np.zeros((2, 4))))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(14)
@@ -100,6 +112,39 @@ class TestLayerNorm:
 
         err = T.grad_check(f, [x, ln.gain, ln.shift])
         assert err < 1e-5
+
+    def test_fused_gradient_with_constant_row(self):
+        rng = np.random.default_rng(15)
+        values = rng.normal(size=(2, 3, 6))
+        values[1, 2] = 0.7  # std = sqrt(eps): the steepest point of the normalization
+        x = DiffArray(values, requires_grad=True)
+        gain = DiffArray(rng.normal(size=6), requires_grad=True)
+        shift = DiffArray(rng.normal(size=6), requires_grad=True)
+        w = rng.normal(size=(2, 3, 6))
+
+        def f():
+            return (T.layer_norm(x, gain, shift, 1e-6) * w).sum()
+
+        assert T.grad_check(f, [x, gain, shift], step=1e-6) < 1e-6
+
+    # the flattened C07 width, its final-query rows, and train-radset's per-node width
+    @pytest.mark.parametrize("shape", [(32, 5, 4), (32, 1, 4), (32, 16, 5, 7)])
+    def test_fused_node_is_bit_identical_to_composed_chain(self, shape):
+        rng = np.random.default_rng(16)
+        values = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=shape[:-1] + (1,))
+        gain_values = rng.normal(size=shape[-1])
+        shift_values = rng.normal(size=shape[-1])
+        w = rng.normal(size=shape)
+        results = []
+        for norm in (composed_layer_norm, T.layer_norm):
+            x = DiffArray(values, requires_grad=True)
+            gain = DiffArray(gain_values, requires_grad=True)
+            shift = DiffArray(shift_values, requires_grad=True)
+            out = norm(x, gain, shift, 1e-6)
+            (out * w).sum().backward()
+            results.append((out.values, x.grad, gain.grad, shift.grad))
+        for fused, composed in zip(results[1], results[0]):
+            np.testing.assert_array_equal(fused, composed)
 
 
 class TestWalker:

@@ -219,17 +219,6 @@ class TestShapeOps:
         index = np.array([[3, 3], [0, 1]])
         np.testing.assert_array_equal(T.gather(x, index, 1).values, np.take(x.values, index, 1))
 
-    def test_transpose_gradient(self):
-        rng = np.random.default_rng(7)
-        x = DiffArray(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        w = rng.normal(size=(4, 2, 3))
-
-        def f():
-            return (T.transpose(x, (2, 0, 1)) * w).sum()
-
-        f().backward()
-        assert rel_err(x.grad, fd_grad(f, x)) < 1e-6
-
     def test_swapaxes_gradient(self):
         rng = np.random.default_rng(8)
         x = DiffArray(rng.normal(size=(2, 3, 4)), requires_grad=True)

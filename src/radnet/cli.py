@@ -220,9 +220,11 @@ def _trained_split(args, file_cfg):
 
 
 def _detection_run(args, file_cfg):
+    """A detection run, and the series, graph, model and normalizer it came from."""
     series, graph, model, normalizer, train_ts, test_ts = _trained_split(args, file_cfg)
     pot = _resolve(PotConfig, args, file_cfg, "pot")
-    return run_detection(model, series, graph, normalizer, pot, train_ts, test_ts), series
+    run = run_detection(model, series, graph, normalizer, pot, train_ts, test_ts)
+    return run, (series, graph, model, normalizer)
 
 
 def cmd_forecast(args, file_cfg) -> int:
@@ -251,7 +253,7 @@ def cmd_detect(args, file_cfg) -> int:
     run.predicted.to_csv(out / "labels_pred.csv")
     run.truth.to_csv(out / "labels_truth.csv")
     print(
-        f"labeled {len(run.target_ts)} steps: "
+        f"labeled {len(run.truth.timesteps)} steps: "
         f"{int(run.predicted.network_labels.sum())} predicted / "
         f"{int(run.truth.network_labels.sum())} true incidents -> {out}"
     )
@@ -326,9 +328,11 @@ def cmd_ablate(args, file_cfg) -> int:
 
 
 def cmd_report(args, file_cfg) -> int:
-    run, series = _detection_run(args, file_cfg)
+    run, (series, graph, model, normalizer) = _detection_run(args, file_cfg)
+    # a run keeps no forecasts, so forecast its targets again
+    predictions = pipeline.forecast_series(model, series, graph, normalizer, run.truth.timesteps)
     out = Path(_pick(args, file_cfg, "out", "report-out"))
-    write_report_csv(out / "series_report.csv", run, series)
+    write_report_csv(out / "series_report.csv", run, series, predictions)
     print(f"wrote per-link series report to {out / 'series_report.csv'}")
     return 0
 

@@ -12,7 +12,8 @@ the final threshold at risk level q:
     phi = u + (sigma/gamma) * ((q*n/n_excess)^(-gamma) - 1)
 
 degenerating to phi = u - sigma * ln(q*n/n_excess) as gamma -> 0. In dynamic
-mode the counters update per score and the tail refits on a fixed cadence.
+mode n and n_excess count the stream too and the tail refits on a fixed
+cadence; the stream is computed in closed form between refits.
 
 (gamma, sigma) is the maximum-likelihood fit to the n excesses y with gamma
 boxed to [-0.5, 1]. With theta = gamma/sigma and gbar = mean(log1p(theta*y)),
@@ -88,14 +89,18 @@ class BaselineTable:
     def lookup(self, weekday, clock_s) -> np.ndarray:
         """Baseline for an on-grid (weekday, clock) pair, or for equal-shape arrays of them.
 
-        Returns (..., N, D). A weekday outside 0-6, or a clock off the grid
-        or outside the day, is a ValueError.
+        Returns (..., N, D). A weekday or clock that is not an integer, a
+        weekday outside 0-6, or a clock off the grid or outside the day, is a
+        ValueError.
         """
         weekday, clock_s = np.asarray(weekday), np.asarray(clock_s)
+        for name, value in (("weekday", weekday), ("clock", clock_s)):
+            if value.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be an integer, got dtype {value.dtype}")
         bad = (weekday < 0) | (weekday > 6)
         if bad.any():
             raise ValueError(f"weekday {weekday[bad].flat[0]} is outside 0-6 (Monday-Sunday)")
-        offset = clock_s - self.phase
+        offset = clock_s.astype(np.int64) - self.phase  # no narrow-dtype overflow
         bad = (offset % self.delta_seconds != 0) | (offset < 0) | (offset >= SECONDS_PER_DAY)
         if bad.any():
             raise ValueError(
@@ -244,6 +249,16 @@ class PotConfig:
         return percentile_for_horizon(self.percentile, self.horizon_index, self.delta_per_horizon)
 
 
+def quantile(u, gamma, sigma, risk_q, n, n_excess):
+    """Threshold phi of the module docstring, floored at u; counts may be arrays."""
+    r = risk_q * n / n_excess
+    if abs(gamma) < GAMMA_ZERO_TOL:
+        phi = u - sigma * np.log(r)
+    else:
+        phi = u + (sigma / gamma) * (r ** (-gamma) - 1.0)
+    return np.maximum(phi, u)
+
+
 @dataclass
 class ThresholdState:
     """Fitted tail model plus the dynamic threshold for one score stream."""
@@ -256,35 +271,10 @@ class ThresholdState:
     n_excess: int
     threshold: float
     q0_percentile: float
+    n_at_fit: int  # n when the refit cadence last restarted: calibration or refit
     refit_every: int = PotConfig.refit_every
     degenerate: bool = False
-    excesses: list = field(default_factory=list)
-    _since_refit: int = 0
-
-    def quantile(self) -> float:
-        """Risk-level threshold from the current tail model and counters."""
-        if self.n_excess == 0:
-            return self.threshold
-        r = self.risk_q * self.n / self.n_excess
-        if abs(self.gamma) < GAMMA_ZERO_TOL:
-            phi = self.u - self.sigma * np.log(r)
-        else:
-            phi = self.u + (self.sigma / self.gamma) * (r ** (-self.gamma) - 1.0)
-        return float(max(phi, self.u))
-
-    def observe(self, score: float) -> None:
-        """Fold one new score into the counters; refit on cadence."""
-        self.n += 1
-        self._since_refit += 1
-        if score > self.u:
-            self.excesses.append(score - self.u)
-            self.n_excess += 1
-        if self._since_refit >= self.refit_every and self.n_excess > 0:
-            self.gamma, self.sigma = gpd_fit(np.asarray(self.excesses))
-            self._since_refit = 0
-            self.degenerate = False
-        if not self.degenerate:  # a pinned threshold waits for the first fit
-            self.threshold = self.quantile()
+    excesses: np.ndarray = field(default_factory=lambda: np.empty(0))  # one per excess, in order
 
 
 def pot_fit(
@@ -301,6 +291,8 @@ def pot_fit(
     """
     if not 0.0 < risk_q < 1.0:
         raise ValueError(f"risk_q must lie in (0, 1), got {risk_q}")
+    if refit_every < 1:
+        raise ValueError(f"refit_every must be at least 1, got {refit_every}")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("cannot calibrate on an empty score sequence")
@@ -310,15 +302,9 @@ def pot_fit(
     u = float(np.percentile(scores, q0_percentile))
     excesses = scores[scores > u] - u
     state = ThresholdState(
-        u=u,
-        gamma=0.0,
-        sigma=1.0,
-        risk_q=risk_q,
-        n=int(scores.size),
-        n_excess=int(excesses.size),
-        threshold=u,
-        q0_percentile=q0_percentile,
-        refit_every=refit_every,
+        u=u, gamma=0.0, sigma=1.0, risk_q=risk_q, n=scores.size, n_excess=excesses.size,
+        threshold=u, q0_percentile=q0_percentile, n_at_fit=scores.size,
+        refit_every=refit_every, excesses=excesses,
     )
     if excesses.size == 0:
         warnings.warn("no excesses above the initial threshold; threshold "
@@ -330,9 +316,8 @@ def pot_fit(
         warnings.warn(
             f"only {excesses.size} excesses (< {MIN_EXCESSES}); tail fit will be noisy"
         )
-    state.excesses = list(excesses)
     state.gamma, state.sigma = gpd_fit(excesses)
-    state.threshold = state.quantile()
+    state.threshold = float(quantile(u, state.gamma, state.sigma, risk_q, state.n, state.n_excess))
     return state
 
 
@@ -350,9 +335,13 @@ def label(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indicator labels (score >= threshold) plus the thresholds applied.
 
-    Dynamic mode streams each score into the state after labeling it, so
-    the threshold adapts as the stream arrives. Static mode holds it fixed.
-    Non-finite scores are refused before the state is touched.
+    Static mode holds the threshold fixed. Dynamic mode counts each score
+    into the state after labeling it; between refits the threshold is the
+    quantile at the cumulative (n, n_excess), which labels never change, so
+    the stream is computed in closed form. Refits come `refit_every` scores
+    after the last fit, deferred while n_excess is 0; a pinned (degenerate)
+    threshold waits for the first. The state ends as a score-by-score pass
+    leaves it. Non-finite scores are refused before the state is touched.
     """
     scores = np.asarray(scores, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(scores))
@@ -360,14 +349,36 @@ def label(
         raise NumericError(
             f"{bad.size} of {scores.size} scores are non-finite, first at index {bad[0]}"
         )
-    labels = np.zeros(scores.shape, dtype=np.int8)
-    thresholds = np.empty(scores.shape, dtype=np.float64)
-    for i, s in enumerate(scores):
-        thresholds[i] = state.threshold
-        labels[i] = 1 if s >= state.threshold else 0
-        if dynamic:
-            state.observe(float(s))
-    return labels, thresholds
+    if not dynamic or scores.size == 0:
+        thresholds = np.full(scores.shape, state.threshold)
+        return (scores >= thresholds).astype(np.int8), thresholds
+    m = scores.size
+    above = scores > state.u
+    new_excess = np.cumsum(above)
+    n = state.n + np.arange(1, m + 1)  # counts once each score is in
+    n_excess = state.n_excess + new_excess
+    excesses = np.concatenate([state.excesses, scores[above] - state.u])
+    due = state.refit_every - (state.n - state.n_at_fit) - 1
+    first = max(due, int(np.argmax(n_excess > 0)), 0) if n_excess[-1] else m
+    refits = np.arange(first, m, state.refit_every)  # indices of the scores that trigger a refit
+    fits = [(state.gamma, state.sigma)]
+    fits += [gpd_fit(excesses[: len(state.excesses) + new_excess[i]]) for i in refits]
+    # after[i] is the threshold once score i is in; a prefix holds the old one
+    bounds = [0, *refits, m]
+    held = bounds[1] if state.degenerate else int(np.count_nonzero(n_excess == 0))
+    after = np.full(m, state.threshold)
+    for (lo, hi), (gamma, sigma) in zip(zip(bounds, bounds[1:]), fits):
+        lo = max(lo, held)
+        if lo < hi:
+            after[lo:hi] = quantile(state.u, gamma, sigma, state.risk_q, n[lo:hi], n_excess[lo:hi])
+    thresholds = np.concatenate([[state.threshold], after[:-1]])
+    state.n, state.n_excess, state.excesses = int(n[-1]), int(n_excess[-1]), excesses
+    state.gamma, state.sigma = fits[-1]
+    state.threshold = float(after[-1])
+    if refits.size:
+        state.n_at_fit = int(n[refits[-1]])
+        state.degenerate = False
+    return (scores >= thresholds).astype(np.int8), thresholds
 
 
 def label_with_thresholds(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

@@ -100,22 +100,13 @@ def generate_ground_truth(
     base = baseline.for_series(series, target_ts)
     scores = residual_scores(base, series.data[target_ts])
     net_labels, net_thresholds = label(scores.network, net_state, dynamic)
-    m, n = scores.per_link.shape
-    link_labels = np.zeros((m, n), dtype=np.int8)
-    link_thresholds = np.zeros((m, n))
-    for j in range(n):
-        link_labels[:, j], link_thresholds[:, j] = label(
-            scores.per_link[:, j], link_states[j], dynamic
-        )
+    per_link = [label(scores.per_link[:, j], st, dynamic) for j, st in enumerate(link_states)]
+    link_labels, link_thresholds = (np.stack(a, axis=1) for a in zip(*per_link))
     return IncidentLabels(
-        horizon=horizon,
-        timesteps=target_ts,
-        network_scores=scores.network,
-        network_thresholds=net_thresholds,
+        horizon=horizon, timesteps=target_ts,
+        network_scores=scores.network, network_thresholds=net_thresholds,
         network_labels=net_labels,
-        link_scores=scores.per_link,
-        link_thresholds=link_thresholds,
-        link_labels=link_labels,
+        link_scores=scores.per_link, link_thresholds=link_thresholds, link_labels=link_labels,
     )
 
 
@@ -130,28 +121,21 @@ def label_predictions(
     base = baseline.for_series(series, target_ts)
     scores = residual_scores(base, predictions)
     return IncidentLabels(
-        horizon=truth_labels.horizon,
-        timesteps=target_ts,
-        network_scores=scores.network,
-        network_thresholds=truth_labels.network_thresholds,
-        network_labels=label_with_thresholds(
-            scores.network, truth_labels.network_thresholds
-        ),
-        link_scores=scores.per_link,
-        link_thresholds=truth_labels.link_thresholds,
-        link_labels=label_with_thresholds(
-            scores.per_link, truth_labels.link_thresholds
-        ),
+        horizon=truth_labels.horizon, timesteps=target_ts,
+        network_scores=scores.network, network_thresholds=truth_labels.network_thresholds,
+        network_labels=label_with_thresholds(scores.network, truth_labels.network_thresholds),
+        link_scores=scores.per_link, link_thresholds=truth_labels.link_thresholds,
+        link_labels=label_with_thresholds(scores.per_link, truth_labels.link_thresholds),
     )
 
 
 @dataclass
 class DetectionRun:
+    """Both label bundles over the targets `truth.timesteps`, and the baseline."""
+
     predicted: IncidentLabels
     truth: IncidentLabels
-    predictions: np.ndarray
     baseline: BaselineTable
-    target_ts: np.ndarray
 
 
 def split_train_test(
@@ -185,42 +169,35 @@ def run_detection(
         series, baseline, net_state, link_states, target_ts, horizon, pot.dynamic
     )
     predicted = label_predictions(predictions, series, baseline, truth)
-    return DetectionRun(
-        predicted=predicted,
-        truth=truth,
-        predictions=predictions,
-        baseline=baseline,
-        target_ts=target_ts,
-    )
+    return DetectionRun(predicted=predicted, truth=truth, baseline=baseline)
 
 
 def write_report_csv(
     path: str | Path,
     run: DetectionRun,
     series: FeatureSeries,
+    predictions: np.ndarray,
     feature: int = 0,
 ) -> None:
-    """Plot-ready per-link rows: baseline, truth, prediction, threshold, label."""
+    """Plot-ready per-link rows: baseline, truth, prediction, threshold, label.
+
+    `predictions` are the (M, N, D) forecasts `run` was labelled from.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    base = run.baseline.for_series(series, run.target_ts)
+    target_ts = run.truth.timesteps
+    base = run.baseline.for_series(series, target_ts)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["timestep", "link_id", "baseline", "truth", "prediction",
              "score", "threshold", "label"]
         )
-        for i, t in enumerate(run.target_ts):
+        pred = run.predicted
+        for i, t in enumerate(target_ts):
             for j in range(series.n_nodes):
-                writer.writerow(
-                    [
-                        int(t),
-                        j,
-                        f"{base[i, j, feature]:.10g}",
-                        f"{series.data[int(t), j, feature]:.10g}",
-                        f"{run.predictions[i, j, feature]:.10g}",
-                        f"{run.predicted.link_scores[i, j]:.10g}",
-                        f"{run.predicted.link_thresholds[i, j]:.10g}",
-                        int(run.predicted.link_labels[i, j]),
-                    ]
-                )
+                values = (base[i, j, feature], series.data[t, j, feature],
+                          predictions[i, j, feature], pred.link_scores[i, j],
+                          pred.link_thresholds[i, j])
+                writer.writerow([int(t), j, *(f"{v:.10g}" for v in values),
+                                 int(pred.link_labels[i, j])])

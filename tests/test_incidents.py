@@ -1,9 +1,13 @@
 """Baseline brute-force oracle, residual formulas, GPD recovery, labeling."""
 
+import copy
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radnet.incidents as incidents
 from radnet.data import FeatureSeries, IncidentSpec, synth_traffic
@@ -109,6 +113,44 @@ def box_grid_min_nll(y, n_gamma=301, n_sigma=601):
             nll = np.where(ok, y.size * log_sigma + (1.0 + 1.0 / gamma) * logs, np.inf)
         best = min(best, float(nll.min()))
     return best
+
+
+def streamed_reference(scores, state, dynamic=False):
+    """The per-score loop `label` ran before the closed form, kept as the reference.
+
+    Each score is labelled against the current threshold and then folded
+    into the counters; the tail refits once `refit_every` scores have passed
+    since the last fit and n_excess is positive.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.zeros(scores.shape, dtype=np.int8)
+    thresholds = np.empty(scores.shape)
+    excesses = list(state.excesses)
+    since_refit = state.n - state.n_at_fit
+    for i, s in enumerate(scores):
+        thresholds[i] = state.threshold
+        labels[i] = 1 if s >= state.threshold else 0
+        if not dynamic:
+            continue
+        state.n += 1
+        since_refit += 1
+        if s > state.u:
+            excesses.append(s - state.u)
+            state.n_excess += 1
+        if since_refit >= state.refit_every and state.n_excess > 0:
+            state.gamma, state.sigma = incidents.gpd_fit(np.asarray(excesses))
+            since_refit = 0
+            state.n_at_fit = state.n
+            state.degenerate = False
+        if not state.degenerate and state.n_excess > 0:
+            r = state.risk_q * state.n / state.n_excess
+            if abs(state.gamma) < incidents.GAMMA_ZERO_TOL:
+                phi = state.u - state.sigma * np.log(r)
+            else:
+                phi = state.u + (state.sigma / state.gamma) * (r ** (-state.gamma) - 1.0)
+            state.threshold = float(max(phi, state.u))
+    state.excesses = np.asarray(excesses, dtype=np.float64)
+    return labels, thresholds
 
 
 class DictBaseline:
@@ -261,6 +303,30 @@ class TestBaseline:
         for idx in np.ndindex(days.shape):
             np.testing.assert_array_equal(got[idx], table.lookup(days[idx], clocks[idx]))
         assert table.fallback_count == counted
+
+    @pytest.mark.parametrize("day, clock, name, dtype", [
+        (2, 0.0, "clock", "float64"),
+        (2.0, 0, "weekday", "float64"),
+        (True, 0, "weekday", "bool"),
+        (2, np.array([0, 300], dtype=np.float32), "clock", "float32"),
+    ])
+    def test_non_integer_weekday_or_clock_raises(self, day, clock, name, dtype):
+        series = synth_traffic(2, 9, seed=0)[0]
+        table = build_baseline(series, range(series.n_steps))
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got dtype {dtype}"):
+            table.lookup(day, clock)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8,
+                                       np.uint16, np.uint32, np.uint64])
+    def test_any_integer_dtype_is_accepted(self, dtype):
+        series = synth_traffic(2, 9, seed=0)[0]
+        table = build_baseline(series, range(series.n_steps))
+        days, clocks = np.array([0, 3, 6]), np.array([0, 300, 60000])
+        fits = clocks <= np.iinfo(dtype).max
+        want = table.lookup(days[fits], clocks[fits])
+        got = table.lookup(days[fits].astype(dtype), clocks[fits].astype(dtype))
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(table.lookup(dtype(3), 0), table.lookup(3, 0))
 
     def test_unseen_weekday_falls_back_globally(self):
         series, _, _ = synth_traffic(2, 9, seed=5)
@@ -440,6 +506,12 @@ class TestPotFit:
         with pytest.raises(ValueError, match=f"got {risk_q}"):
             pot_fit(scores, 95.0, risk_q=risk_q)
 
+    @pytest.mark.parametrize("refit_every", [0, -3])
+    def test_refit_every_below_one_rejected(self, refit_every):
+        scores = np.random.default_rng(17).exponential(1.0, size=2000)
+        with pytest.raises(ValueError, match=f"refit_every must be at least 1, got {refit_every}"):
+            pot_fit(scores, 95.0, refit_every=refit_every)
+
     def test_percentile_ladder(self):
         assert percentile_for_horizon(99.0, 1, 0.5) == 98.5
         assert percentile_for_horizon(50.0, 1, 2.5) == 47.5
@@ -465,7 +537,7 @@ class TestLabel:
     def _state(self, threshold):
         return ThresholdState(
             u=threshold, gamma=0.0, sigma=1.0, risk_q=1e-3,
-            n=100, n_excess=0, threshold=threshold, q0_percentile=99.0,
+            n=100, n_excess=0, threshold=threshold, q0_percentile=99.0, n_at_fit=100,
         )
 
     def test_quiet_stream_all_zero(self):
@@ -532,6 +604,78 @@ class TestLabel:
         np.testing.assert_array_equal(
             label_with_thresholds(scores, thresholds), [0, 1, 1]
         )
+
+
+def _stream_world(kind, seed, size):
+    """A calibration batch and a stream from one family of scores."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":  # degenerate: no calibration excess, so the first refit waits
+        calib = np.full(100, 2.0)
+        stream = 2.0 + rng.exponential(0.5, size) * (rng.random(size) < 0.05)
+    elif kind == "heavy":
+        calib = gpd_draws(0.8, 1.0, 300, seed)
+        stream = gpd_draws(0.8, 1.0, size, seed + 1) * rng.uniform(0.5, 2.0, size)
+    else:
+        calib = rng.exponential(1.0, 300)
+        stream = rng.exponential(1.0, size) * rng.uniform(0.5, 2.0, size)
+    return calib, stream
+
+
+class TestClosedFormStream:
+    """`label` against the per-score loop it replaced (`streamed_reference`)."""
+
+    @staticmethod
+    def _run(fn, state, chunks, dynamic):
+        with mock.patch.object(incidents, "gpd_fit", wraps=incidents.gpd_fit) as fit:
+            out = [fn(chunk, state, dynamic) for chunk in chunks]
+        return out, fit.call_count
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["exponential", "heavy", "constant"]),
+        seed=st.integers(0, 2**16),
+        refit_every=st.integers(1, 60),
+        size=st.integers(0, 400),
+        cut=st.floats(0.0, 1.0),
+        dynamic=st.booleans(),
+    )
+    def test_matches_streamed_reference(self, kind, seed, refit_every, size, cut, dynamic):
+        calib, stream = _stream_world(kind, seed, size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # few or no calibration excesses
+            state = pot_fit(calib, 90.0, risk_q=1e-2, refit_every=refit_every)
+        ref_state = copy.deepcopy(state)
+        chunks = np.split(stream, [int(cut * size)])  # two consecutive calls
+        got, fits = self._run(label, state, chunks, dynamic)
+        ref, ref_fits = self._run(streamed_reference, ref_state, chunks, dynamic)
+        assert fits == ref_fits
+        for (labels, thresholds), (ref_labels, ref_thresholds) in zip(got, ref):
+            np.testing.assert_array_equal(labels, ref_labels)
+            np.testing.assert_allclose(thresholds, ref_thresholds, rtol=1e-13, atol=0)
+        for name in ("gamma", "sigma", "n", "n_excess", "n_at_fit", "degenerate"):
+            assert getattr(state, name) == getattr(ref_state, name), name
+        np.testing.assert_array_equal(state.excesses, ref_state.excesses)
+        np.testing.assert_allclose(state.threshold, ref_state.threshold, rtol=1e-13, atol=0)
+
+    def test_c07_truth_streams_match_streamed_reference(self):
+        series, _, _ = synth_traffic(
+            4, 14, delta_seconds=300, seed=42, noise=0.03,
+            incidents=IncidentSpec(count=20, depth=0.5, duration=6, min_start=300),
+        )
+        train_ts, test_ts = split_train_test(series.n_steps)
+        baseline = build_baseline(series, train_ts)
+        pot = PotConfig(percentile=98.0, risk_q=1e-2, refit_every=100)
+        net, links = fit_threshold_states(series, baseline, train_ts, pot)
+        scores = residual_scores(baseline.for_series(series, test_ts), series.data[test_ts])
+        streams = [scores.network, *scores.per_link.T]
+        for stream, state in zip(streams, [net, *links]):
+            ref_state = copy.deepcopy(state)
+            labels, thresholds = label(stream, state, dynamic=True)
+            ref_labels, ref_thresholds = streamed_reference(stream, ref_state, dynamic=True)
+            np.testing.assert_array_equal(labels, ref_labels)
+            np.testing.assert_allclose(thresholds, ref_thresholds, rtol=1e-13, atol=0)
+            assert (state.gamma, state.sigma) == (ref_state.gamma, ref_state.sigma)
+            assert state.n_at_fit == ref_state.n_at_fit > state.n - pot.refit_every
 
 
 class TestIncidentLabelsCsv:

@@ -155,8 +155,13 @@ class TestTrainedDetection:
         norm = Normalizer.fit(series.data, train_ts)
         pot = PotConfig(percentile=98.0, risk_q=1e-2)
         run = run_detection(model, series, graph, norm, pot, train_ts, test_ts)
+        target_ts = run.truth.timesteps
+        predictions = forecast_series(model, series, graph, norm, target_ts)
         path = tmp_path / "report.csv"
-        write_report_csv(path, run, series)
+        write_report_csv(path, run, series, predictions)
         lines = path.read_text().splitlines()
         assert lines[0] == "timestep,link_id,baseline,truth,prediction,score,threshold,label"
-        assert len(lines) == 1 + len(run.target_ts) * series.n_nodes
+        assert len(lines) == 1 + len(target_ts) * series.n_nodes
+        t, j = lines[1].split(",")[:2]
+        assert (int(t), int(j)) == (target_ts[0], 0)
+        assert lines[1].split(",")[4] == f"{predictions[0, 0, 0]:.10g}"

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radnet import tensor as T
 from radnet.errors import DimensionError, NumericError
@@ -25,6 +27,15 @@ def fd_grad(f, p, h=1e-6):
             lo = float(f().values)
             flat[i] = keep
             gflat[i] = (hi - lo) / (2 * h)
+    return out
+
+
+def brute_unbroadcast(grad, shape):
+    """Sum each element of `grad` into the `shape` cell it was broadcast from."""
+    out = np.zeros(shape)
+    lead = grad.ndim - len(shape)
+    for idx in np.ndindex(grad.shape):
+        out[tuple(0 if n == 1 else i for i, n in zip(idx[lead:], shape))] += grad[idx]
     return out
 
 
@@ -150,6 +161,29 @@ class TestElementwise:
             ((b + w) * w).sum().backward()
             grads.append(b.grad.item())
         assert grads[0] == grads[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        core=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        units=st.integers(0, 2),
+        extra=st.lists(st.integers(1, 3), max_size=2),
+        widen=st.lists(st.integers(1, 3), min_size=5, max_size=5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_unbroadcast_matches_brute_force(self, core, units, extra, widen, seed):
+        # grad has the broadcast shape of an input of `shape`: extra leading
+        # axes, and any unit axis widened
+        shape = (1,) * units + tuple(core)
+        grad_shape = tuple(extra) + tuple(w if n == 1 else n for n, w in zip(shape, widen))
+        rng = np.random.default_rng(seed)
+        ints = rng.integers(-9, 10, size=grad_shape).astype(np.float64)  # exact in any order
+        np.testing.assert_array_equal(T._unbroadcast(ints, shape), brute_unbroadcast(ints, shape))
+        grad = rng.normal(size=grad_shape)
+        got = T._unbroadcast(grad, shape)
+        assert got.shape == shape
+        np.testing.assert_allclose(got, brute_unbroadcast(grad, shape), rtol=1e-12, atol=1e-12)
+        # leading unit axes are summed like missing ones: the same bits
+        np.testing.assert_array_equal(got, T._unbroadcast(grad, tuple(core)).reshape(shape))
 
     def test_div_gradients(self):
         rng = np.random.default_rng(5)

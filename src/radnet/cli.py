@@ -24,7 +24,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -108,19 +108,8 @@ def _checkpoint_stem(path: str | Path) -> Path:
     return stem
 
 
-def _require_checkpoint(stem: Path) -> None:
-    missing = [p for p in (stem.with_suffix(".json"), stem.with_suffix(".bin")) if not p.exists()]
-    if missing:
-        raise FileNotFoundError(
-            f"checkpoint not found; expected {missing[0]}"
-            + (f" and {missing[1]}" if len(missing) > 1 else "")
-        )
-
-
 def _load_trained(checkpoint: str | Path) -> tuple[RadNet, Normalizer, dict]:
-    stem = _checkpoint_stem(checkpoint)
-    _require_checkpoint(stem)
-    model, manifest = RadNet.load(stem)
+    model, manifest = RadNet.load(_checkpoint_stem(checkpoint))
     hyper = manifest["hyperparameters"]
     normalizer = Normalizer.from_dict(hyper["normalizer"])
     return model, normalizer, hyper
@@ -135,16 +124,12 @@ def cmd_synth(args, file_cfg) -> int:
     events = _pick(args, file_cfg, "events", IncidentSpec.count)
     spec = _resolve(IncidentSpec, args, file_cfg, count=events) if events > 0 else None
     # Options left unset keep synth_traffic's own defaults.
-    given = {param: value for param, key in (("delta_seconds", "delta"), ("n_features", "features"),
+    given = {param: value for param, key in (("n_nodes", "nodes"), ("days", "days"),
+                                             ("delta_seconds", "delta"), ("n_features", "features"),
                                              ("seed", "seed"), ("noise", "noise"),
                                              ("weekend_factor", "weekend_factor"))
              if (value := _pick(args, file_cfg, key, None)) is not None}
-    series, graph, mask = synth_traffic(
-        n_nodes=_pick(args, file_cfg, "nodes", 4),
-        days=_pick(args, file_cfg, "days", 14),
-        incidents=spec,
-        **given,
-    )
+    series, graph, mask = synth_traffic(incidents=spec, **given)
     save_dataset(out, series, graph)
     with open(out / "incidents.csv", "w", encoding="utf-8") as fh:
         fh.write("timestep,link_id\n")
@@ -277,34 +262,17 @@ def cmd_evaluate(args, file_cfg) -> int:
 
 def cmd_ablate(args, file_cfg) -> int:
     series, graph, _ = load_dataset(_pick(args, file_cfg, "data", None))
+    seeds = _pick(args, file_cfg, "seeds", "0,1,2")
+    rows = pipeline.ablate(
+        series, graph,
+        _resolve(RadNetConfig, args, file_cfg, n_nodes=series.n_nodes, n_features=series.n_features),
+        _resolve(TrainConfig, args, file_cfg, "train"),
+        _resolve(PotConfig, args, file_cfg, "pot"),
+        [int(s) for s in str(seeds).split(",") if s != ""],
+        _pick(args, file_cfg, "test_fraction", TEST_FRACTION),
+    )
     out = Path(_pick(args, file_cfg, "out", "ablate-out"))
     out.mkdir(parents=True, exist_ok=True)
-    seeds = _pick(args, file_cfg, "seeds", "0,1,2")
-    seed_list = [int(s) for s in str(seeds).split(",") if s != ""]
-    test_fraction = _pick(args, file_cfg, "test_fraction", TEST_FRACTION)
-    train_ts, test_ts = split_train_test(series.n_steps, test_fraction)
-    model_base = _resolve(RadNetConfig, args, file_cfg,
-                          n_nodes=series.n_nodes, n_features=series.n_features)
-    tc_base = _resolve(TrainConfig, args, file_cfg, "train")
-    pot = _resolve(PotConfig, args, file_cfg, "pot")
-    rows = []
-    for variant in VARIANTS:
-        for seed in seed_list:
-            model = RadNet(replace(model_base, variant=variant, seed=seed))
-            tc = replace(tc_base, seed=seed)
-            result = train(model, series, graph, tc, timesteps=train_ts)
-            run = run_detection(model, series, graph, result.normalizer, pot, train_ts, test_ts)
-            report = evaluate(run.predicted, run.truth)
-            rows.append(
-                {
-                    "variant": variant,
-                    "seed": seed,
-                    "val_mse": result.best_val_mse,
-                    "f1": report.f1,
-                    "hitrate_100": report.hitrate[100],
-                }
-            )
-            log.info("ablation %s seed %d: mse %.5f f1 %.3f", variant, seed, result.best_val_mse, report.f1)
     with open(out / "ablation.csv", "w", encoding="utf-8") as fh:
         fh.write("variant,seed,val_mse,f1,hitrate_100\n")
         for row in rows:

@@ -201,8 +201,8 @@ def _feature_polarity(names: list[str]) -> np.ndarray:
 
 
 def synth_traffic(
-    n_nodes: int,
-    days: int,
+    n_nodes: int = 4,
+    days: int = 14,
     delta_seconds: int = 300,
     n_features: int = 1,
     incidents: IncidentSpec | None = None,

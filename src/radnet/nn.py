@@ -201,7 +201,10 @@ def load_checkpoint(stem: str | Path) -> tuple[np.ndarray, dict]:
             f"checkpoint format {manifest.get('format')!r} is not supported "
             f"(expected {CHECKPOINT_FORMAT}); retrain to write a current checkpoint"
         )
-    blob = stem.with_suffix(".bin").read_bytes()
+    try:
+        blob = stem.with_suffix(".bin").read_bytes()
+    except FileNotFoundError as exc:
+        raise FormatError(f"missing checkpoint blob: {stem.with_suffix('.bin')}") from exc
     expected = sum(
         int(np.prod(manifest["shapes"][name])) for name in manifest["names"]
     )

@@ -4,17 +4,21 @@ Ground truth is generated from the true series with the same threshold
 stream later applied to the predictions, so the two label sets are directly
 comparable. The threshold stream is driven by the true residuals (ground
 truth must not depend on model quality); dynamic mode updates the tail
-counters as those scores arrive.
+counters as those scores arrive. `ablate` runs forecast training, detection
+and evaluation for every model variant at every seed.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import logging
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import evaluation, training
 from .data import FeatureSeries
 from .graph import RoadGraph
 from .incidents import (
@@ -28,9 +32,10 @@ from .incidents import (
     pot_fit,
     residual_scores,
 )
-from .model import RadNet, build_window
+from .model import VARIANTS, RadNet, RadNetConfig, build_window
 from .tensor import no_grad
-from .training import Normalizer
+
+log = logging.getLogger("radnet.pipeline")
 
 
 # Share of the series, taken from its tail, held out for detection.
@@ -41,7 +46,7 @@ def forecast_series(
     model: RadNet,
     series: FeatureSeries,
     graph: RoadGraph,
-    normalizer: Normalizer,
+    normalizer: training.Normalizer,
     target_ts: np.ndarray,
     chunk: int = 32,
 ) -> np.ndarray:
@@ -153,7 +158,7 @@ def run_detection(
     model: RadNet,
     series: FeatureSeries,
     graph: RoadGraph,
-    normalizer: Normalizer,
+    normalizer: training.Normalizer,
     pot: PotConfig,
     train_ts: np.ndarray,
     test_ts: np.ndarray,
@@ -170,6 +175,37 @@ def run_detection(
     )
     predicted = label_predictions(predictions, series, baseline, truth)
     return DetectionRun(predicted=predicted, truth=truth, baseline=baseline)
+
+
+def ablate(
+    series: FeatureSeries,
+    graph: RoadGraph,
+    model_cfg: RadNetConfig,
+    train_cfg: training.TrainConfig,
+    pot: PotConfig,
+    seeds: Sequence[int],
+    test_fraction: float = TEST_FRACTION,
+) -> list[dict]:
+    """Train, detect and score every variant in `VARIANTS` at every seed.
+
+    Each run trains a fresh model on the head of the series with the seed
+    set in both configs, then labels the test range. Returns one row per
+    run, variants outer and seeds inner: variant, seed, val_mse (the best
+    validation MSE), f1 and hitrate_100.
+    """
+    train_ts, test_ts = split_train_test(series.n_steps, test_fraction)
+    rows = []
+    for variant in VARIANTS:
+        for seed in seeds:
+            model = RadNet(replace(model_cfg, variant=variant, seed=seed))
+            result = training.train(model, series, graph, replace(train_cfg, seed=seed),
+                                    timesteps=train_ts)
+            run = run_detection(model, series, graph, result.normalizer, pot, train_ts, test_ts)
+            report = evaluation.evaluate(run.predicted, run.truth)
+            rows.append({"variant": variant, "seed": seed, "val_mse": result.best_val_mse,
+                         "f1": report.f1, "hitrate_100": report.hitrate[100]})
+            log.info("ablation %s seed %d: mse %.5f f1 %.3f", variant, seed, result.best_val_mse, report.f1)
+    return rows
 
 
 def write_report_csv(

@@ -130,26 +130,6 @@ class Normalizer:
         return cls(np.array(raw["mean"]), np.array(raw["std"]))
 
 
-class EarlyStopper:
-    """Stop when validation loss fails to improve for `patience` epochs."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = np.inf
-        self.best_epoch = -1
-        self.stalled = 0
-
-    def update(self, epoch: int, val_loss: float) -> bool:
-        """Record an epoch; returns True when training should stop."""
-        if val_loss < self.best:
-            self.best = val_loss
-            self.best_epoch = epoch
-            self.stalled = 0
-            return False
-        self.stalled += 1
-        return self.stalled >= self.patience
-
-
 @dataclass
 class TrainResult:
     history: list[tuple[int, float, float]]  # (epoch, train_loss, val_loss)
@@ -217,10 +197,9 @@ def train(
     flat = model.store.flat
     opt = AdamW(model.store, lr=cfg.lr, betas=cfg.betas, eps=cfg.eps,
                 weight_decay=cfg.weight_decay)
-    stopper = EarlyStopper(cfg.patience)
 
     best = flat.copy()
-    best_mse = np.inf
+    best_loss, best_epoch, best_mse = np.inf, -1, np.inf
     history: list[tuple[int, float, float]] = []
     train_samples = fold.train_samples.copy()
     if len(train_samples) == 0 or len(fold.val_samples) == 0:
@@ -230,7 +209,6 @@ def train(
     # rolls a single-step model out to t + autoregressive_horizon instead
     rollout = cfg.autoregressive_horizon or 1
     target_offset = cfg.autoregressive_horizon or mcfg.horizon
-    stopped = -1
     for epoch in range(cfg.max_epochs):
         rng.shuffle(train_samples)
         epoch_loss = 0.0
@@ -257,18 +235,13 @@ def train(
         val_loss, val_mse = _validation_losses(model, data, fold.val_samples, graph)
         history.append((epoch, epoch_loss, val_loss))
         log.debug("epoch %d train %.5f val %.5f", epoch, epoch_loss, val_loss)
-        improved = val_loss < stopper.best
-        stop = stopper.update(epoch, val_loss)
-        if improved:
-            best = flat.copy()
-            best_mse = val_mse
-        if stop:
-            stopped = epoch
+        if val_loss < best_loss:
+            best, best_loss, best_epoch, best_mse = flat.copy(), val_loss, epoch, val_mse
+        # stop after `patience` epochs without improvement (a NaN loss never improves)
+        if epoch - best_epoch >= cfg.patience:
             break
-    else:
-        stopped = cfg.max_epochs - 1
 
-    if stopper.best_epoch < 0:
+    if best_epoch < 0:
         raise NumericError(
             f"validation loss was not finite in any of the {len(history)} "
             f"epochs run (lr={cfg.lr})"
@@ -276,10 +249,10 @@ def train(
     flat[...] = best
     return TrainResult(
         history=history,
-        best_epoch=stopper.best_epoch,
-        best_val_loss=stopper.best,
+        best_epoch=best_epoch,
+        best_val_loss=best_loss,
         best_val_mse=best_mse,
-        stopped_epoch=stopped,
+        stopped_epoch=epoch,
         normalizer=normalizer,
         fold_index=fold.index,
     )

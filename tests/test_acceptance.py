@@ -23,12 +23,12 @@ from radnet.evaluation import (
 )
 from radnet.graph import GatLayer, RoadGraph
 from radnet.incidents import build_baseline, gpd_fit, pot_fit
-from radnet.model import RadNet, RadNetConfig, batch_loss, rollout_autoregressive
+from radnet.model import VARIANTS, RadNet, RadNetConfig, batch_loss, rollout_autoregressive
 from radnet.nn import named_parameters
-from radnet.pipeline import split_train_test
+from radnet.pipeline import PotConfig, ablate
 from radnet.temporal import MultiHeadAttention, causal_mask
 from radnet.tensor import no_grad
-from radnet.training import TrainConfig, train
+from radnet.training import TrainConfig
 
 pytestmark = pytest.mark.acceptance
 
@@ -256,23 +256,19 @@ class TestC07EndToEndSynthetic:
 @pytest.mark.slow
 class TestC08AblationOrdering:
     def test_full_variant_not_worse_within_noise(self):
-        # Same benchmark as C07; three seeds per variant. "Within noise"
-        # is a two-sample slack of 2*sqrt(s_full^2 + s_ablated^2).
+        # Same benchmark and detection flags as C07; three seeds per variant.
+        # "Within noise" is a two-sample slack of 2*sqrt(s_full^2 + s_ablated^2).
         series, graph, _ = bench_series()
-        train_ts, _ = split_train_test(series.n_steps, 0.3)
-        seeds = (0, 1, 2)
-        mse: dict[str, list[float]] = {}
-        for variant in ("full", "no_skip", "no_st", "no_ts"):
-            mse[variant] = []
-            for seed in seeds:
-                cfg = RadNetConfig(
-                    n_nodes=4, n_features=1, window=5, horizon=1,
-                    variant=variant, seed=seed,
-                )
-                model = RadNet(cfg)
-                tc = TrainConfig(lr=1e-3, max_epochs=30, patience=8, batch=32, seed=seed)
-                result = train(model, series, graph, tc, timesteps=train_ts)
-                mse[variant].append(result.best_val_mse)
+        rows = ablate(
+            series, graph,
+            RadNetConfig(n_nodes=4, n_features=1, window=5, horizon=1),
+            TrainConfig(lr=1e-3, max_epochs=30, patience=8, batch=32),
+            PotConfig(percentile=98.0, risk_q=1e-2),
+            seeds=(0, 1, 2),
+        )
+        mse = {v: [r["val_mse"] for r in rows if r["variant"] == v] for v in VARIANTS}
+        f1 = {v: np.mean([r["f1"] for r in rows if r["variant"] == v]) for v in VARIANTS}
+        assert all(len(values) == 3 for values in mse.values())
         full_mean = np.mean(mse["full"])
         full_std = np.std(mse["full"])
         lines = []
@@ -283,7 +279,8 @@ class TestC08AblationOrdering:
                 f"full {full_mean:.5f} vs {variant} {mean:.5f} + slack {slack:.5f}"
             )
             lines.append(f"{variant} {mean:.4f}")
-        report("C08", f"full {full_mean:.4f} <= " + ", ".join(lines) + " (2-sigma slack)")
+        report("C08", f"full {full_mean:.4f} <= " + ", ".join(lines) + " (2-sigma slack); "
+               + "mean F1 " + ", ".join(f"{v} {f1[v]:.3f}" for v in VARIANTS))
 
 
 class TestC09RolloutConsistency:

@@ -163,6 +163,35 @@ class TestTrainForecastDetectEvaluate:
         assert header.startswith("timestep,link_id,baseline,truth,prediction")
 
 
+class TestAblateCommand:
+    @THIN_TAIL
+    def test_rows_match_library_ablate(self, tmp_path):
+        from radnet import pipeline
+        from radnet.data import load_dataset
+        from radnet.model import VARIANTS, RadNetConfig
+        from radnet.training import TrainConfig
+
+        ds, out = tmp_path / "ds", tmp_path / "abl"
+        assert main(["synth", "--nodes", "3", "--days", "9", "--seed", "4", "--out", str(ds)]) == 0
+        assert main(
+            ["ablate", "--data", str(ds), "--out", str(out), "--seeds", "0",
+             "--max-epochs", "1", "--percentile", "98", "--risk-q", "1e-2"]
+        ) == 0
+        series, graph, _ = load_dataset(ds)
+        rows = pipeline.ablate(
+            series, graph, RadNetConfig(n_nodes=3, n_features=1), TrainConfig(max_epochs=1),
+            pipeline.PotConfig(percentile=98.0, risk_q=1e-2), seeds=[0],
+        )
+        expected = ["variant,seed,val_mse,f1,hitrate_100"] + [
+            f"{r['variant']},{r['seed']},{r['val_mse']:.10g},{r['f1']:.10g},{r['hitrate_100']:.10g}"
+            for r in rows
+        ]
+        assert (out / "ablation.csv").read_text().splitlines() == expected
+        assert [line.split(",")[0] for line in expected[1:]] == list(VARIANTS)
+        table = (out / "ablation.txt").read_text().splitlines()
+        assert [line.split()[0] for line in table[1:]] == list(VARIANTS)
+
+
 class TestTrainIdempotence:
     def test_same_seed_identical_checkpoints(self, tmp_path):
         ds = tmp_path / "ds"

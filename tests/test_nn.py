@@ -249,6 +249,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="24 bytes.*32"):
             load_checkpoint(stem)
 
+    def test_missing_blob_names_it(self, tmp_path):
+        store = ParameterStore({"w": DiffArray(np.ones((2, 2)), requires_grad=True)})
+        stem = tmp_path / "torn"
+        save_checkpoint(stem, store)
+        stem.with_suffix(".bin").unlink()
+        with pytest.raises(FormatError, match=r"missing checkpoint blob: .*torn\.bin"):
+            load_checkpoint(stem)
+
     def test_flipped_byte_fails_checksum(self, tmp_path):
         store = ParameterStore({"w": DiffArray(np.ones((2, 2)), requires_grad=True)})
         stem = tmp_path / "flipped"

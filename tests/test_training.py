@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radnet import training
 from radnet.data import synth_traffic
 from radnet.model import RadNet, RadNetConfig
 from radnet.training import (
-    EarlyStopper,
     Normalizer,
     TrainConfig,
     split_folds,
@@ -84,23 +84,36 @@ class TestSplitFolds:
             np.testing.assert_array_equal(fold.val_samples, val_samples)
 
 
+@pytest.mark.filterwarnings("ignore:fewer than 8 days")
 class TestEarlyStopper:
-    def test_stops_after_patience_without_improvement(self):
-        # improving through epoch 3, strictly worse afterwards, patience 2
-        stopper = EarlyStopper(patience=2)
-        losses = [1.0, 0.9, 0.8, 0.7, 0.75, 0.8, 0.85]
-        stop_epoch = None
-        for epoch, val in enumerate(losses):
-            if stopper.update(epoch, val):
-                stop_epoch = epoch
-                break
-        assert stop_epoch == 5
-        assert stopper.best_epoch == 3
+    @staticmethod
+    def _train_on_losses(monkeypatch, losses, patience):
+        """Train a tiny model whose validation loss reads `losses` epoch by epoch."""
+        series, graph, _ = synth_traffic(3, 3, delta_seconds=1800, seed=0)
+        model = RadNet(RadNetConfig(n_nodes=3, n_features=1, window=3, horizon=1, seed=0))
+        sequence = iter(losses)
 
-    def test_never_stops_while_improving(self):
-        stopper = EarlyStopper(patience=1)
-        for epoch, val in enumerate([5.0, 4.0, 3.0, 2.0]):
-            assert not stopper.update(epoch, val)
+        def scripted(*args, **kwargs):
+            loss = next(sequence)
+            return loss, loss
+
+        monkeypatch.setattr(training, "_validation_losses", scripted)
+        tc = TrainConfig(lr=1e-3, max_epochs=len(losses), patience=patience, seed=0)
+        return train(model, series, graph, tc)
+
+    def test_stops_after_patience_without_improvement(self, monkeypatch):
+        # improving through epoch 3, strictly worse afterwards, patience 2
+        result = self._train_on_losses(monkeypatch, [1.0, 0.9, 0.8, 0.7, 0.75, 0.8, 0.85], 2)
+        assert result.stopped_epoch == 5
+        assert result.best_epoch == 3
+        assert (result.best_val_loss, result.best_val_mse) == (0.7, 0.7)
+        assert [h[2] for h in result.history] == [1.0, 0.9, 0.8, 0.7, 0.75, 0.8]
+
+    def test_never_stops_while_improving(self, monkeypatch):
+        result = self._train_on_losses(monkeypatch, [5.0, 4.0, 3.0, 2.0], 1)
+        assert result.stopped_epoch == 3
+        assert result.best_epoch == 3
+        assert len(result.history) == 4
 
 
 class TestNormalizer:

@@ -263,12 +263,14 @@ def cmd_evaluate(args, file_cfg) -> int:
 def cmd_ablate(args, file_cfg) -> int:
     series, graph, _ = load_dataset(_pick(args, file_cfg, "data", None))
     seeds = _pick(args, file_cfg, "seeds", "0,1,2")
+    if isinstance(seeds, str):  # a config file may also give a seed or a list of them
+        seeds = [s for s in seeds.split(",") if s.strip()]
     rows = pipeline.ablate(
         series, graph,
         _resolve(RadNetConfig, args, file_cfg, n_nodes=series.n_nodes, n_features=series.n_features),
         _resolve(TrainConfig, args, file_cfg, "train"),
         _resolve(PotConfig, args, file_cfg, "pot"),
-        [int(s) for s in str(seeds).split(",") if s != ""],
+        [int(s) for s in np.atleast_1d(seeds)],
         _pick(args, file_cfg, "test_fraction", TEST_FRACTION),
     )
     out = Path(_pick(args, file_cfg, "out", "ablate-out"))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, GraphError
 from .nn import DEFAULT_LEAKY_SLOPE, xavier_uniform
-from .tensor import DiffArray, gather, leaky_relu, matmul, reshape, sigmoid, softmax
+from .tensor import DiffArray, _graph_attention_weights, graph_attention
 
 
 class RoadGraph:
@@ -110,6 +110,7 @@ class GatLayer:
     gathers (..., N, W, n_out) neighbour projections; padding slots get weight
     exactly 0. Every parameter holds all heads on its leading axis, so the
     heads run on a head axis (..., H, N, n_out), which the output averages away.
+    The layer records one tape node, `tensor.graph_attention`.
     """
 
     def __init__(
@@ -132,20 +133,6 @@ class GatLayer:
         self.score_dst = DiffArray(score[:, n_out:].copy(), requires_grad=True)
         self.score_bias = DiffArray(np.zeros((n_heads, 1, 1)), requires_grad=True)
 
-    def _coefficients(self, x: DiffArray, graph: RoadGraph) -> tuple[DiffArray, DiffArray]:
-        """(..., H, N, W) neighbour-table coefficients and (..., H, N, n_out) projections."""
-        if x.shape[-2] != graph.n_nodes:
-            raise DimensionError(
-                f"feature matrix rows {x.shape} do not match {graph.n_nodes} nodes"
-            )
-        x = reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
-        h = matmul(x, self.theta)
-        src = matmul(h, self.score_src)           # (..., H, N, 1)
-        dst = reshape(matmul(h, self.score_dst), h.shape[:-1])
-        dst = gather(dst, graph.neighbor_index, axis=-1)  # (..., H, N, W)
-        scores = leaky_relu(src + dst + self.score_bias, self.slope) + graph.neighbor_mask
-        return softmax(scores, axis=-1), h
-
     def attention_coefficients(self, x, graph: RoadGraph, head: int = 0) -> DiffArray:
         """(..., N, N) coefficients for one head; zero off the neighborhood.
 
@@ -153,11 +140,25 @@ class GatLayer:
         carries no tape.
         """
         x = x if isinstance(x, DiffArray) else DiffArray(x)
-        alpha = self._coefficients(x, graph)[0].values[..., head, :, :]
+        self._check(x, graph)
+        alpha = _graph_attention_weights(
+            x.values, self.theta.values, self.score_src.values, self.score_dst.values,
+            self.score_bias.values, graph.neighbor_index, graph.neighbor_mask, self.slope,
+        )[-1][..., head, :, :]
         rows, slots = np.nonzero(graph.neighbor_mask == 0.0)
         dense = np.zeros(alpha.shape[:-1] + (graph.n_nodes,))
         dense[..., rows, graph.neighbor_index[rows, slots]] = alpha[..., rows, slots]
         return DiffArray(dense)
+
+    def _check(self, x: DiffArray, graph: RoadGraph) -> None:
+        if x.shape[-1] != self.n_in:
+            raise DimensionError(
+                f"feature width {x.shape[-1]} does not match layer input {self.n_in}"
+            )
+        if x.shape[-2] != graph.n_nodes:
+            raise DimensionError(
+                f"feature matrix rows {x.shape} do not match {graph.n_nodes} nodes"
+            )
 
     def __call__(self, x, graph: RoadGraph) -> DiffArray:
         """Apply the layer to (..., N, n_in); leading axes are batch axes.
@@ -166,12 +167,8 @@ class GatLayer:
         independently with the same parameters.
         """
         x = x if isinstance(x, DiffArray) else DiffArray(x)
-        if x.shape[-1] != self.n_in:
-            raise DimensionError(
-                f"feature width {x.shape[-1]} does not match layer input {self.n_in}"
-            )
-        alpha, h = self._coefficients(x, graph)
-        neighbors = gather(h, graph.neighbor_index, axis=-2)  # (..., H, N, W, n_out)
-        alpha = reshape(alpha, alpha.shape[:-1] + (1,) + alpha.shape[-1:])
-        mixed = matmul(alpha, neighbors)                      # (..., H, N, 1, n_out)
-        return sigmoid(reshape(mixed, h.shape)).mean(axis=-3)
+        self._check(x, graph)
+        return graph_attention(
+            x, self.theta, self.score_src, self.score_dst, self.score_bias,
+            graph.neighbor_index, graph.neighbor_mask, self.slope,
+        )

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .tensor import DiffArray, layer_norm, leaky_relu
+from .tensor import DiffArray, affine, feed_forward, layer_norm
 
 DEFAULT_LEAKY_SLOPE = 0.01
 
@@ -45,7 +45,7 @@ class Linear:
             raise DimensionError(
                 f"linear layer expects width {self.n_in}, got input {x.shape}"
             )
-        return x @ self.weight + self.bias
+        return affine(x, self.weight, self.bias)
 
 
 class FeedForward:
@@ -66,12 +66,9 @@ class FeedForward:
         ]
 
     def __call__(self, x: DiffArray) -> DiffArray:
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < last:
-                x = leaky_relu(x, self.slope)
-        return x
+        return feed_forward(
+            x, [l.weight for l in self.layers], [l.bias for l in self.layers], self.slope
+        )
 
 
 class LayerNorm:

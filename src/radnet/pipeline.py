@@ -193,6 +193,8 @@ def ablate(
     run, variants outer and seeds inner: variant, seed, val_mse (the best
     validation MSE), f1 and hitrate_100.
     """
+    if len(seeds) == 0:
+        raise ValueError("ablate needs at least one seed")
     train_ts, test_ts = split_train_test(series.n_steps, test_fraction)
     rows = []
     for variant in VARIANTS:

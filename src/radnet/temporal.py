@@ -21,10 +21,11 @@ from .errors import DimensionError
 from .nn import LayerNorm, FeedForward, xavier_uniform
 from .tensor import (
     DiffArray,
+    _attention_weights,
+    attention,
     dropout,
     matmul,
     reshape,
-    softmax,
     swapaxes,
 )
 
@@ -70,7 +71,8 @@ class MultiHeadAttention:
     head and all heads attend at once on a head axis (..., H, K, d_head). One
     head needs no head axis. Scores are scaled by 1/sqrt(model width); an
     optional additive mask sends future positions to -inf before the softmax,
-    so their weights are exactly zero after it.
+    so their weights are exactly zero after it. A call records the three
+    projections and one `tensor.attention` node for the rest.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
@@ -104,46 +106,28 @@ class MultiHeadAttention:
                 f"({q.shape[-2]}, {k.shape[-2]}) attention scores"
             )
 
-    def _split(self, x: DiffArray) -> DiffArray:
-        """(..., K, d_model) -> (..., H, K, d_head); one head needs no head axis."""
-        if self.n_heads == 1:
-            return x
-        x = reshape(x, x.shape[:-1] + (self.n_heads, self.d_head))
-        return swapaxes(x, -3, -2)
-
-    def _merge(self, x: DiffArray) -> DiffArray:
-        """Inverse of `_split`: heads side by side on the last axis."""
-        if self.n_heads == 1:
-            return x
-        x = swapaxes(x, -3, -2)
-        return reshape(x, x.shape[:-2] + (self.d_model,))
-
-    def _weights(self, q: DiffArray, k: DiffArray, mask) -> DiffArray:
-        qh = self._split(matmul(q, self.w_query))
-        kh = self._split(matmul(k, self.w_key))
-        scores = matmul(qh, swapaxes(kh, -1, -2)) * self.scale
-        if mask is not None:
-            scores = scores + mask
-        return softmax(scores, axis=-1)
-
     def attention_weights(self, q, k, mask=None, head: int = 0) -> DiffArray:
-        """(..., Kq, Kk) softmax weights for one head (inspection/tests)."""
+        """(..., Kq, Kk) softmax weights for one head (inspection/tests); no tape."""
         q = q if isinstance(q, DiffArray) else DiffArray(q)
         k = k if isinstance(k, DiffArray) else DiffArray(k)
         self._check(q, k, k, mask)
         if not 0 <= head < self.n_heads:
             raise IndexError(f"head {head} outside [0, {self.n_heads})")
-        weights = self._weights(q, k, mask)
-        return weights if self.n_heads == 1 else weights[..., head, :, :]
+        weights = _attention_weights(
+            q.values @ self.w_query.values, k.values @ self.w_key.values,
+            self.n_heads, self.scale, mask,
+        )[-1]
+        return DiffArray(weights if self.n_heads == 1 else weights[..., head, :, :])
 
     def __call__(self, q, k, v, mask=None) -> DiffArray:
         q = q if isinstance(q, DiffArray) else DiffArray(q)
         k = k if isinstance(k, DiffArray) else DiffArray(k)
         v = v if isinstance(v, DiffArray) else DiffArray(v)
         self._check(q, k, v, mask)
-        weights = self._weights(q, k, mask)
-        heads = matmul(weights, self._split(matmul(v, self.w_value)))
-        return matmul(self._merge(heads), self.w_out)
+        return attention(
+            matmul(q, self.w_query), matmul(k, self.w_key), matmul(v, self.w_value),
+            self.w_out, self.n_heads, self.scale, mask,
+        )
 
 
 class EncoderBlock:

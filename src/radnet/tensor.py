@@ -105,8 +105,9 @@ class DiffArray:
             seen.add(id(node))
             stack.append((node, True))
             if node.op_trace is not None:
+                # constants carry no gradient; leaving them off the walk moves no other node
                 for parent in node.op_trace.inputs:
-                    if id(parent) not in seen:
+                    if _tracked(parent) and id(parent) not in seen:
                         stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.values)}
@@ -262,29 +263,44 @@ def div(a, b):
     )
 
 
+def _leaky_relu_values(av: np.ndarray, slope: float) -> np.ndarray:
+    return np.where(av > 0, av, slope * av)
+
+
+def _leaky_relu_grad(g: np.ndarray, av: np.ndarray, slope: float) -> np.ndarray:
+    return g * np.where(av > 0, 1.0, slope)
+
+
 def leaky_relu(a, slope: float):
     a = _wrap(a)
     av = a.values
-    values = np.where(av > 0, av, slope * av)
 
     def push(g):
-        return (g * np.where(av > 0, 1.0, slope),)
+        return (_leaky_relu_grad(g, av, slope),)
 
-    return _result(values, (a,), push)
+    return _result(_leaky_relu_values(av, slope), (a,), push)
 
 
-def sigmoid(a):
-    a = _wrap(a)
-    av = a.values
+def _sigmoid_values(av: np.ndarray) -> np.ndarray:
     # split by sign so exp never overflows
     out = np.empty_like(av)
     pos = av >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-av[pos]))
     ez = np.exp(av[~pos])
     out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _sigmoid_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return g * out * (1.0 - out)
+
+
+def sigmoid(a):
+    a = _wrap(a)
+    out = _sigmoid_values(a.values)
 
     def push(g):
-        return (g * out * (1.0 - out),)
+        return (_sigmoid_grad(g, out),)
 
     return _result(out, (a,), push)
 
@@ -303,9 +319,8 @@ def sqrt(a):
 # matmul
 
 
-def matmul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    av, bv = a.values, b.values
+def _matmul_values(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """av @ bv, refusing operands that do not multiply with a DimensionError."""
     if av.ndim < 2 or bv.ndim < 2:
         raise DimensionError(
             f"matmul needs >=2-d operands, got {av.shape} and {bv.shape}"
@@ -313,20 +328,78 @@ def matmul(a, b):
     if av.shape[-1] != bv.shape[-2]:
         raise DimensionError(f"matmul inner mismatch: {av.shape} @ {bv.shape}")
     try:
-        values = av @ bv
+        return av @ bv
     except ValueError as exc:
         raise DimensionError(f"matmul batch mismatch: {av.shape} @ {bv.shape}") from exc
+
+
+def _matmul_grads(g, av, bv, want_a: bool, want_b: bool):
+    """Gradients of av @ bv for the operands wanted (None for the others)."""
+    ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape) if want_a else None
+    gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape) if want_b else None
+    return ga, gb
+
+
+def matmul(a, b):
+    a, b = _wrap(a), _wrap(b)
+    av, bv = a.values, b.values
+    values = _matmul_values(av, bv)
     want_a, want_b = _tracked(a), _tracked(b)
 
     def push(g):
-        ga = gb = None
-        if want_a:
-            ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)
-        if want_b:
-            gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
-        return ga, gb
+        return _matmul_grads(g, av, bv, want_a, want_b)
 
     return _result(values, (a, b), push)
+
+
+def _affine_grads(g, xv, wv, bv, want_x: bool, want_w: bool, want_b: bool):
+    """Gradients of xv @ wv + bv as (x, w, b): the add's push, then the matmul's."""
+    gb = _unbroadcast(g, bv.shape) if want_b else None
+    return (*_matmul_grads(g, xv, wv, want_x, want_w), gb)
+
+
+def affine(x, w, b):
+    """x @ w + b as one node, bit for bit the matmul and add it replaces."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    xv, wv, bv = x.values, w.values, b.values
+    wants = _tracked(x), _tracked(w), _tracked(b)
+
+    def push(g):
+        return _affine_grads(g, xv, wv, bv, *wants)
+
+    return _result(_matmul_values(xv, wv) + bv, (x, w, b), push)
+
+
+def feed_forward(x, weights: Sequence, biases: Sequence, slope: float):
+    """Affine layers with a leaky ReLU between each pair, as one node.
+
+    Values and gradients are bit for bit those of the chain of `affine` and
+    `leaky_relu` nodes: the forward makes its numpy calls and the backward
+    replays its pushes from the last layer to the first.
+    """
+    x = _wrap(x)
+    params = [_wrap(p) for pair in zip(weights, biases) for p in pair]
+    wants = [_tracked(p) for p in params]
+    last = len(params) // 2 - 1
+    inputs, affines = [], []
+    h = x.values
+    for i in range(last + 1):
+        inputs.append(h)
+        affines.append(_matmul_values(h, params[2 * i].values) + params[2 * i + 1].values)
+        h = affines[i] if i == last else _leaky_relu_values(affines[i], slope)
+    want_x = _tracked(x)
+
+    def push(g):
+        grads = []
+        for i in range(last, -1, -1):
+            if i < last:
+                g = _leaky_relu_grad(g, affines[i], slope)
+            w, b = params[2 * i].values, params[2 * i + 1].values
+            g, gw, gb = _affine_grads(g, inputs[i], w, b, i > 0 or want_x, *wants[2 * i : 2 * i + 2])
+            grads[:0] = [gw, gb]
+        return (g, *grads)
+
+    return _result(h, (x, *params), push)
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +439,29 @@ def reduce_mean(a, axis=None, keepdims: bool = False):
 # softmax
 
 
+def _softmax_values(av: np.ndarray, axis: int) -> np.ndarray:
+    if np.isnan(av).any():
+        raise NumericError("softmax received NaN input")
+    shifted = av - av.max(axis=axis, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    inner = (g * y).sum(axis=axis, keepdims=True)
+    return y * (g - inner)
+
+
 def softmax(a, axis: int = -1):
     """Numerically stabilized softmax along `axis`.
 
     -inf entries (attention masks) come out exactly 0; NaN input is refused.
     """
     a = _wrap(a)
-    av = a.values
-    if np.isnan(av).any():
-        raise NumericError("softmax received NaN input")
-    shifted = av - av.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    y = ex / ex.sum(axis=axis, keepdims=True)
+    y = _softmax_values(a.values, axis)
 
     def push(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - inner),)
+        return (_softmax_grad(g, y, axis),)
 
     return _result(y, (a,), push)
 
@@ -421,6 +501,133 @@ def layer_norm(a, gain, shift, eps: float):
         return g_centered + g_mean / width, g_gain, g_shift
 
     return _result(values, (a, gain, shift), push)
+
+
+# ---------------------------------------------------------------------------
+# attention
+#
+# Like `layer_norm`, each layer below is one node whose forward makes the
+# numpy calls of the chain of primitive nodes it replaces and whose backward
+# replays that chain's pushes, so values and gradients are bit for bit the
+# chain's. Where an array feeds several nodes of the chain, its gradient terms
+# are summed in the order the chain's backward would deliver them.
+
+
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., K, d) -> (..., H, K, d/H); one head needs no head axis."""
+    if n_heads == 1:
+        return x
+    x = x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads))
+    return np.swapaxes(x, -3, -2)
+
+
+def _merge_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """Inverse of `_split_heads`: heads side by side on the last axis."""
+    if n_heads == 1:
+        return x
+    x = np.swapaxes(x, -3, -2)
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
+def _attention_weights(qp: np.ndarray, kp: np.ndarray, n_heads: int, scale: float, mask):
+    """Forward of `attention` up to its softmax weights: (qh, khᵀ, weights).
+
+    The weights are (..., H, Kq, Kk), or (..., Kq, Kk) for one head.
+    """
+    qh = _split_heads(qp, n_heads)
+    kt = np.swapaxes(_split_heads(kp, n_heads), -1, -2)
+    scores = _matmul_values(qh, kt) * scale
+    if mask is not None:
+        scores = scores + mask
+    return qh, kt, _softmax_values(scores, -1)
+
+
+def attention(qp, kp, vp, w_out, n_heads: int, scale: float, mask=None):
+    """Multi-head scaled dot-product attention and its output map, as one node.
+
+    `qp` (..., Kq, d), `kp` and `vp` (..., Kk, d) are projected rows; head m
+    reads columns m*d/H:(m+1)*d/H of each. The node covers the head split,
+    the scores qh @ khᵀ * scale, the optional additive (Kq, Kk) mask, the
+    softmax, the weighted sum of values, the head merge and the product with
+    `w_out`. The projections stay outside: a query taken from the key input
+    must receive its gradient terms in the chain's order.
+    """
+    qp, kp, vp, w_out = _wrap(qp), _wrap(kp), _wrap(vp), _wrap(w_out)
+    qh, kt, y = _attention_weights(qp.values, kp.values, n_heads, scale, mask)
+    vh = _split_heads(vp.values, n_heads)
+    merged = _merge_heads(_matmul_values(y, vh), n_heads)
+    wv = w_out.values
+    want_q, want_k, want_v, want_w = (_tracked(t) for t in (qp, kp, vp, w_out))
+
+    def push(g):
+        g_merged, g_w = _matmul_grads(g, merged, wv, True, want_w)
+        g_y, g_vh = _matmul_grads(_split_heads(g_merged, n_heads), y, vh, True, want_v)
+        g_qh, g_kt = _matmul_grads(_softmax_grad(g_y, y, -1) * scale, qh, kt, want_q, want_k)
+        g_kh = None if g_kt is None else np.swapaxes(g_kt, -1, -2)
+        merged_grads = (None if gh is None else _merge_heads(gh, n_heads) for gh in (g_qh, g_kh, g_vh))
+        return (*merged_grads, g_w)
+
+    return _result(_matmul_values(merged, wv), (qp, kp, vp, w_out), push)
+
+
+def _graph_attention_weights(xv, theta, score_src, score_dst, score_bias, index, mask, slope):
+    """Forward of `graph_attention` up to its (..., H, N, W) neighbour weights.
+
+    Returns (x with a head axis, h, src, dst, raw scores, weights).
+    """
+    xr = xv.reshape(xv.shape[:-2] + (1,) + xv.shape[-2:])
+    h = _matmul_values(xr, theta)
+    src = _matmul_values(h, score_src)
+    dst = _matmul_values(h, score_dst).reshape(h.shape[:-1])
+    raw = src + np.take(dst, index, axis=dst.ndim - 1) + score_bias
+    alpha = _softmax_values(_leaky_relu_values(raw, slope) + mask, -1)
+    return xr, h, src, dst, raw, alpha
+
+
+def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
+                    neighbor_mask, slope: float):
+    """Multi-head graph attention over a padded neighbour table, as one node.
+
+    x (..., N, n_in); theta (H, n_in, n_out); score_src and score_dst
+    (H, n_out, 1); score_bias (H, 1, 1); neighbor_index and the additive
+    neighbor_mask (N, W). Per head: h = x @ theta, edge scores
+    leaky(h_i . src + h_j . dst + bias) + mask over each row's neighbours,
+    a softmax over them, and the sigmoid of the weighted neighbour sum; the
+    heads are averaged into (..., N, n_out).
+    """
+    x, theta, score_src, score_dst, score_bias = (
+        _wrap(t) for t in (x, theta, score_src, score_dst, score_bias)
+    )
+    index = np.asarray(neighbor_index, dtype=np.intp)
+    xv, tv, sv, dv, bv = (t.values for t in (x, theta, score_src, score_dst, score_bias))
+    xr, h, src, dst, raw, alpha = _graph_attention_weights(
+        xv, tv, sv, dv, bv, index, neighbor_mask, slope
+    )
+    neighbors = np.take(h, index, axis=h.ndim - 2)  # (..., H, N, W, n_out)
+    alpha_row = alpha.reshape(alpha.shape[:-1] + (1,) + alpha.shape[-1:])
+    mixed = _matmul_values(alpha_row, neighbors)  # (..., H, N, 1, n_out)
+    heads = _sigmoid_values(mixed.reshape(h.shape))
+    values = heads.mean(axis=-3)
+    count = heads.size / max(values.size, 1)
+    want = [_tracked(t) for t in (x, theta, score_src, score_dst, score_bias)]
+
+    def push(g):
+        g_heads = np.broadcast_to(np.expand_dims(g, -3), heads.shape) / count
+        g_mixed = _sigmoid_grad(g_heads, heads).reshape(mixed.shape)
+        g_alpha, g_neighbors = _matmul_grads(g_mixed, alpha_row, neighbors, True, True)
+        g_alpha = _softmax_grad(g_alpha.reshape(alpha.shape), alpha, -1)
+        g_raw = _leaky_relu_grad(g_alpha, raw, slope)
+        g_bias = _unbroadcast(g_raw, bv.shape) if want[4] else None
+        g_dst = _gather_grad(g_raw, index, dst.shape, dst.ndim - 1).reshape(dst.shape + (1,))
+        g_h_src, g_score_src = _matmul_grads(_unbroadcast(g_raw, src.shape), h, sv, True, want[2])
+        g_h_dst, g_score_dst = _matmul_grads(g_dst, h, dv, True, want[3])
+        # h feeds the src and dst scores and the neighbour gather, summed in that order
+        g_h = g_h_src + g_h_dst + _gather_grad(g_neighbors, index, h.shape, h.ndim - 2)
+        g_xr, g_theta = _matmul_grads(g_h, xr, tv, want[0], want[1])
+        g_x = None if g_xr is None else g_xr.reshape(xv.shape)
+        return g_x, g_theta, g_score_src, g_score_dst, g_bias
+
+    return _result(values, (x, theta, score_src, score_dst, score_bias), push)
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +686,17 @@ def gather(a, index, axis: int):
     values = np.take(av, index, axis=axis)
 
     def push(g):
-        select = np.zeros((index.size, av.shape[axis]))
-        select[np.arange(index.size), index.ravel()] = 1.0
-        g = g.reshape(av.shape[:axis] + (index.size, -1))
-        return ((select.T @ g).reshape(av.shape),)
+        return (_gather_grad(g, index, av.shape, axis),)
 
     return _result(values, (a,), push)
+
+
+def _gather_grad(g: np.ndarray, index: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
+    """Gradient of `np.take(a, index, axis)` for an `a` of `shape`; axis >= 0."""
+    select = np.zeros((index.size, shape[axis]))
+    select[np.arange(index.size), index.ravel()] = 1.0
+    g = g.reshape(shape[:axis] + (index.size, -1))
+    return (select.T @ g).reshape(shape)
 
 
 def concat(arrays: Iterable, axis: int = 0):

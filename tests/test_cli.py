@@ -192,6 +192,27 @@ class TestAblateCommand:
         assert [line.split()[0] for line in table[1:]] == list(VARIANTS)
 
 
+    @THIN_TAIL
+    def test_config_file_lists_seeds(self, tmp_path):
+        from radnet.model import VARIANTS
+
+        ds, out, cfg = tmp_path / "ds", tmp_path / "abl", tmp_path / "cfg.json"
+        assert main(["synth", "--nodes", "3", "--days", "9", "--seed", "4", "--out", str(ds)]) == 0
+        cfg.write_text(json.dumps({"seeds": [0, 1], "train": {"max_epochs": 1},
+                                   "percentile": 98, "risk_q": 1e-2}))
+        assert main(["ablate", "--data", str(ds), "--out", str(out), "--config", str(cfg)]) == 0
+        rows = [line.split(",") for line in (out / "ablation.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [(v, s) for v in VARIANTS for s in ("0", "1")]
+
+    @pytest.mark.parametrize("seeds", [",", ""])
+    def test_empty_seed_list_is_refused(self, tmp_path, capsys, seeds):
+        ds, out = tmp_path / "ds", tmp_path / "abl"
+        assert main(["synth", "--nodes", "3", "--days", "9", "--seed", "4", "--out", str(ds)]) == 0
+        assert main(["ablate", "--data", str(ds), "--out", str(out), "--seeds", seeds]) == 1
+        assert "ablate needs at least one seed" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrainIdempotence:
     def test_same_seed_identical_checkpoints(self, tmp_path):
         ds = tmp_path / "ds"

@@ -1,0 +1,329 @@
+"""Fused layer nodes against the chains of primitive nodes they replace.
+
+Each reference below is the layer as it was composed before it became one
+tape node. The fused node must give the same values and the same gradients
+bit for bit, including where a shared input sums gradient terms from
+several nodes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from radnet import graph as graph_module
+from radnet import nn as nn_module
+from radnet import temporal as temporal_module
+from radnet import tensor as T
+from radnet.graph import RoadGraph
+from radnet.model import RadNet, RadNetConfig, batch_loss, build_window, rollout_autoregressive
+from radnet.temporal import causal_mask
+from radnet.tensor import DiffArray
+
+
+def composed_affine(x, w, b):
+    return T.matmul(x, w) + b
+
+
+def composed_feed_forward(x, weights, biases, slope):
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        x = composed_affine(x, w, b)
+        if i < last:
+            x = T.leaky_relu(x, slope)
+    return x
+
+
+def composed_attention(qp, kp, vp, w_out, n_heads, scale, mask=None):
+    """Head split, scores, mask, softmax, weighted sum, head merge, output map."""
+    d_model = qp.shape[-1]
+
+    def split(x):
+        if n_heads == 1:
+            return x
+        x = T.reshape(x, x.shape[:-1] + (n_heads, d_model // n_heads))
+        return T.swapaxes(x, -3, -2)
+
+    def merge(x):
+        if n_heads == 1:
+            return x
+        x = T.swapaxes(x, -3, -2)
+        return T.reshape(x, x.shape[:-2] + (d_model,))
+
+    scores = T.matmul(split(qp), T.swapaxes(split(kp), -1, -2)) * scale
+    if mask is not None:
+        scores = scores + mask
+    weights = T.softmax(scores, axis=-1)
+    return T.matmul(merge(T.matmul(weights, split(vp))), w_out)
+
+
+def composed_graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
+                             neighbor_mask, slope):
+    x = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
+    h = T.matmul(x, theta)
+    src = T.matmul(h, score_src)
+    dst = T.reshape(T.matmul(h, score_dst), h.shape[:-1])
+    dst = T.gather(dst, neighbor_index, axis=-1)
+    scores = T.leaky_relu(src + dst + score_bias, slope) + neighbor_mask
+    alpha = T.softmax(scores, axis=-1)
+    neighbors = T.gather(h, neighbor_index, axis=-2)
+    alpha = T.reshape(alpha, alpha.shape[:-1] + (1,) + alpha.shape[-1:])
+    mixed = T.matmul(alpha, neighbors)
+    return T.sigmoid(T.reshape(mixed, h.shape)).mean(axis=-3)
+
+
+def run_both(fused, composed, arrays, build, rng):
+    """Values and every input gradient of `build(op, *leaves)` for both ops."""
+    results = []
+    for op in (composed, fused):
+        leaves = [DiffArray(a, requires_grad=True) for a in arrays]
+        out = build(op, *leaves)
+        (out * np.random.default_rng(rng).normal(size=out.shape)).sum().backward()
+        results.append([out.values] + [leaf.grad for leaf in leaves])
+    return results
+
+
+def assert_bit_identical(results):
+    (composed, fused) = results
+    assert len(fused) == len(composed)
+    for got, want in zip(fused, composed):
+        np.testing.assert_array_equal(got, want)
+
+
+def attention_arrays(rng, lead, kq, kk, d_model):
+    w_out = rng.normal(size=(d_model, d_model))
+    return [rng.normal(size=lead + (kq, d_model)), rng.normal(size=lead + (kk, d_model)),
+            rng.normal(size=lead + (kk, d_model)), w_out]
+
+
+# (lead axes, Kq, Kk, model width, heads, causal): C07 is flattened with one
+# 4-wide head over 32 windows of 5; train-radset is per node, 16 nodes of 7
+# width-1 heads. Kq = 1 is the decoder's final-position query.
+ATTENTION_SHAPES = {
+    "c07-self": ((32,), 5, 5, 4, 1, False),
+    "c07-causal": ((32,), 5, 5, 4, 1, True),
+    "c07-query": ((32,), 1, 5, 4, 1, False),
+    "radset-self": ((32, 16), 5, 5, 7, 7, False),
+    "radset-causal": ((32, 16), 5, 5, 7, 7, True),
+    "radset-query": ((32, 16), 1, 5, 7, 7, False),
+}
+
+
+class TestAttention:
+    @pytest.mark.parametrize("case", ATTENTION_SHAPES, ids=list(ATTENTION_SHAPES))
+    def test_bit_identical_to_chain(self, case):
+        lead, kq, kk, d_model, n_heads, causal = ATTENTION_SHAPES[case]
+        rng = np.random.default_rng(40)
+        arrays = attention_arrays(rng, lead, kq, kk, d_model)
+        mask = causal_mask(kk) if causal else None
+        scale = 1.0 / np.sqrt(d_model)
+        results = run_both(
+            T.attention, composed_attention, arrays,
+            lambda op, q, k, v, w: op(q, k, v, w, n_heads, scale, mask), 41,
+        )
+        assert_bit_identical(results)
+
+    @pytest.mark.parametrize("d_model, n_heads", [(4, 1), (7, 7)])
+    def test_query_taken_from_the_source_sums_like_the_chain(self, d_model, n_heads):
+        # the decoder's query is the last row of its key/value input
+        rng = np.random.default_rng(42)
+        source_values = rng.normal(size=(32, 5, d_model))
+        mha = temporal_module.MultiHeadAttention(d_model, n_heads, rng)
+        projections = [mha.w_query, mha.w_key, mha.w_value]
+
+        def decode(op, source, wq, wk, wv, w_out):
+            last = source[..., -1:, :]
+            projected = [T.matmul(x, w) for x, w in zip((last, source, source), (wq, wk, wv))]
+            return op(*projected, w_out, n_heads, mha.scale) + last
+
+        arrays = [source_values] + [p.values for p in projections] + [mha.w_out.values]
+        assert_bit_identical(run_both(T.attention, composed_attention, arrays, decode, 43))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+        kq=st.integers(1, 4),
+        kk=st.integers(1, 4),
+        d_head=st.integers(1, 3),
+        n_heads=st.integers(1, 3),
+        masked=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_identical_over_shapes_and_heads(self, lead, kq, kk, d_head, n_heads, masked, seed):
+        rng = np.random.default_rng(seed)
+        d_model = d_head * n_heads
+        arrays = attention_arrays(rng, lead, kq, kk, d_model)
+        mask = causal_mask(kk)[-kq:] if masked and kq <= kk else None
+        results = run_both(
+            T.attention, composed_attention, arrays,
+            lambda op, q, k, v, w: op(q, k, v, w, n_heads, 0.5, mask), seed,
+        )
+        assert_bit_identical(results)
+
+    @pytest.mark.parametrize("n_heads, causal", [(1, False), (2, True)])
+    def test_gradient_matches_finite_differences(self, n_heads, causal):
+        rng = np.random.default_rng(44)
+        leaves = [DiffArray(a, requires_grad=True)
+                  for a in attention_arrays(rng, (2,), 3, 3, 4)]
+        mask = causal_mask(3) if causal else None
+        w = rng.normal(size=(2, 3, 4))
+
+        def f():
+            return (T.attention(*leaves, n_heads, 0.5, mask) * w).sum()
+
+        assert T.grad_check(f, leaves) < 1e-6
+
+    def test_only_the_output_map_tracked(self):
+        rng = np.random.default_rng(45)
+        q, k, v, w_out = attention_arrays(rng, (2,), 3, 3, 4)
+        w = DiffArray(w_out, requires_grad=True)
+        T.attention(q, k, v, w, 2, 0.5).sum().backward()
+        ref = DiffArray(w_out, requires_grad=True)
+        composed_attention(DiffArray(q), DiffArray(k), DiffArray(v), ref, 2, 0.5).sum().backward()
+        np.testing.assert_array_equal(w.grad, ref.grad)
+
+
+# (lead axes, graph, width, heads): C07 has 4 nodes of one feature; train-radset
+# 16 nodes of 7. GAT layers see every slice of a (B, K) window stack.
+GRAPH_SHAPES = {
+    "c07": ((32, 5), RoadGraph.ring(4), 1, 1),
+    "radset": ((32, 5), RoadGraph.ring(16), 7, 1),
+    "hub-3heads": ((2,), RoadGraph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6)]), 3, 3),
+    "unbatched": ((), RoadGraph.ring(5), 2, 2),
+}
+
+
+def graph_arrays(rng, lead, graph, width, n_heads):
+    layer = graph_module.GatLayer(width, width, rng, n_heads=n_heads)
+    return [rng.normal(size=lead + (graph.n_nodes, width)), layer.theta.values,
+            layer.score_src.values, layer.score_dst.values, rng.normal(size=(n_heads, 1, 1))]
+
+
+class TestGraphAttention:
+    @pytest.mark.parametrize("case", GRAPH_SHAPES, ids=list(GRAPH_SHAPES))
+    def test_bit_identical_to_chain(self, case):
+        lead, graph, width, n_heads = GRAPH_SHAPES[case]
+        rng = np.random.default_rng(50)
+        results = run_both(
+            T.graph_attention, composed_graph_attention,
+            graph_arrays(rng, lead, graph, width, n_heads),
+            lambda op, *p: op(*p, graph.neighbor_index, graph.neighbor_mask, 0.01), 51,
+        )
+        assert_bit_identical(results)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+        n_nodes=st.integers(1, 6),
+        width=st.integers(1, 3),
+        n_heads=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_identical_over_shapes_and_heads(self, lead, n_nodes, width, n_heads, seed):
+        rng = np.random.default_rng(seed)
+        edges = [tuple(e) for e in rng.integers(0, n_nodes, size=(n_nodes, 2))]
+        graph = RoadGraph(n_nodes, edges)
+        results = run_both(
+            T.graph_attention, composed_graph_attention,
+            graph_arrays(rng, lead, graph, width, n_heads),
+            lambda op, *p: op(*p, graph.neighbor_index, graph.neighbor_mask, 0.2), seed,
+        )
+        assert_bit_identical(results)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(52)
+        graph = RoadGraph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+        leaves = [DiffArray(a, requires_grad=True) for a in graph_arrays(rng, (2,), graph, 2, 2)]
+        w = rng.normal(size=(2, 5, 2))
+
+        def f():
+            out = T.graph_attention(*leaves, graph.neighbor_index, graph.neighbor_mask, 0.2)
+            return (out * w).sum()
+
+        assert T.grad_check(f, leaves) < 1e-6
+
+
+# (input shape, widths): the C07 encoder and decoder, train-radset's per-node encoder
+FEED_FORWARD_SHAPES = {
+    "c07-encoder": ((32, 5, 4), (4, 16, 4)),
+    "c07-decoder": ((32, 4, 1), (1, 64, 64, 1)),
+    "radset-encoder": ((32, 16, 5, 7), (7, 16, 7)),
+    "one-layer": ((3, 2), (2, 5)),
+}
+
+
+def feed_forward_arrays(rng, shape, widths):
+    weights = [rng.normal(size=(a, b)) for a, b in zip(widths, widths[1:])]
+    biases = [rng.normal(size=b) for b in widths[1:]]
+    return [rng.normal(size=shape)] + [p for pair in zip(weights, biases) for p in pair]
+
+
+class TestFeedForward:
+    @pytest.mark.parametrize("case", FEED_FORWARD_SHAPES, ids=list(FEED_FORWARD_SHAPES))
+    def test_bit_identical_to_chain(self, case):
+        rng = np.random.default_rng(60)
+        results = run_both(
+            T.feed_forward, composed_feed_forward,
+            feed_forward_arrays(rng, *FEED_FORWARD_SHAPES[case]),
+            lambda op, x, *params: op(x, params[0::2], params[1::2], 0.01), 61,
+        )
+        assert_bit_identical(results)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(62)
+        leaves = [DiffArray(a, requires_grad=True)
+                  for a in feed_forward_arrays(rng, (2, 3, 2), (2, 4, 3))]
+        w = rng.normal(size=(2, 3, 3))
+
+        def f():
+            return (T.feed_forward(leaves[0], leaves[1::2], leaves[2::2], 0.1) * w).sum()
+
+        assert T.grad_check(f, leaves) < 1e-6
+
+
+class TestAffine:
+    # the fusion map at C07 (4 nodes x 1 feature) and train-radset (16 x 7)
+    @pytest.mark.parametrize("shape, n_out", [((32, 4), 3), ((32, 112), 3), ((2, 3, 5), 4)])
+    def test_bit_identical_to_chain(self, shape, n_out):
+        rng = np.random.default_rng(70)
+        arrays = [rng.normal(size=shape), rng.normal(size=(shape[-1], n_out)),
+                  rng.normal(size=n_out)]
+        assert_bit_identical(run_both(T.affine, composed_affine, arrays,
+                                      lambda op, *a: op(*a), 71))
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(72)
+        leaves = [DiffArray(a, requires_grad=True)
+                  for a in (rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2))]
+        w = rng.normal(size=(3, 2))
+        assert T.grad_check(lambda: (T.affine(*leaves) * w).sum(), leaves) < 1e-6
+
+
+class TestTrainingStepAgainstChains:
+    """A whole training step with every layer swapped back to its chain."""
+
+    @pytest.mark.parametrize("n_nodes, n_features, horizon", [(4, 1, 1), (4, 1, 2), (16, 7, 1)])
+    def test_predictions_and_gradients_bit_identical(self, monkeypatch, n_nodes, n_features,
+                                                     horizon):
+        data = np.random.default_rng(80).normal(size=(40, n_nodes, n_features))
+        ts = np.arange(4, 36)
+        truth = data[ts + 1][:, None] if horizon > 1 else None
+
+        def step():
+            model = RadNet(RadNetConfig(n_nodes=n_nodes, n_features=n_features, seed=0))
+            preds, _ = rollout_autoregressive(
+                model, build_window(data, ts, 5), horizon, RoadGraph.ring(n_nodes), truth=truth,
+                teacher_force_p=0.5 if truth is not None else 0.0,
+                rng=np.random.default_rng(81), training=True,
+            )
+            batch_loss(preds, data[ts + horizon]).backward()
+            return preds.values, model.store.flat_grad()
+
+        fused = step()
+        monkeypatch.setattr(temporal_module, "attention", composed_attention)
+        monkeypatch.setattr(graph_module, "graph_attention", composed_graph_attention)
+        monkeypatch.setattr(nn_module, "feed_forward", composed_feed_forward)
+        monkeypatch.setattr(nn_module, "affine", composed_affine)
+        composed = step()
+        for got, want in zip(fused, composed):
+            np.testing.assert_array_equal(got, want)

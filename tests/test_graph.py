@@ -239,11 +239,15 @@ class TestNeighborTableAgainstDense:
         rng = np.random.default_rng(22)
         g = RoadGraph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6)])
         layer = GatLayer(3, 2, rng, n_heads=3)
-        alpha, _ = layer._coefficients(DiffArray(rng.normal(size=(4, 7, 3)) * 5), g)
+        alpha = T._graph_attention_weights(
+            rng.normal(size=(4, 7, 3)) * 5, layer.theta.values, layer.score_src.values,
+            layer.score_dst.values, layer.score_bias.values, g.neighbor_index,
+            g.neighbor_mask, layer.slope,
+        )[-1]
         padding = np.broadcast_to(g.neighbor_mask == -np.inf, alpha.shape)
         assert padding.sum() == 4 * 3 * (7 * 5 - 17)
-        assert (alpha.values[padding] == 0.0).all()
-        assert (alpha.values[~padding] > 0.0).all()
+        assert (alpha[padding] == 0.0).all()
+        assert (alpha[~padding] > 0.0).all()
 
 
 class TestGatOverWindow:

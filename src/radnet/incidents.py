@@ -255,7 +255,9 @@ def quantile(u, gamma, sigma, risk_q, n, n_excess):
     if abs(gamma) < GAMMA_ZERO_TOL:
         phi = u - sigma * np.log(r)
     else:
-        phi = u + (sigma / gamma) * (r ** (-gamma) - 1.0)
+        # expm1 spares r**-gamma - 1 its cancellation at small gamma, so the
+        # array and the scalar forms round alike
+        phi = u + sigma * np.expm1(-gamma * np.log(r)) / gamma
     return np.maximum(phi, u)
 
 

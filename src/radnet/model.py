@@ -60,6 +60,14 @@ class RadNetConfig:
         if self.transformer_heads is None:
             self.transformer_heads = self.n_features
         self.decoder_widths = tuple(self.decoder_widths)
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+        sizes = {"gat_heads": self.gat_heads, "transformer_heads": self.transformer_heads,
+                 "encoder_hidden": self.encoder_hidden}
+        sizes.update((f"decoder_widths[{i}]", w) for i, w in enumerate(self.decoder_widths))
+        for name, size in sizes.items():
+            if size < 1:
+                raise ValueError(f"{name} must be at least 1, got {size}")
 
     @property
     def temporal_mode(self) -> str:

@@ -9,6 +9,10 @@ by a single forward pass.
 
 Everything runs in 64-bit precision; the engine is meant for desk-scale
 models whose gradients are routinely validated against finite differences.
+A product with one weight matrix shared by a batch is one GEMM over the
+flattened batch and matches the batched matmul within rtol 1e-12, not bit
+for bit (see the matmul section); the fused layer nodes reproduce their
+chains of primitive nodes bit for bit.
 
 A single forward/backward graph is not thread-safe; distinct graphs over
 distinct parameter stores are independent and may run concurrently, and
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -317,6 +322,30 @@ def sqrt(a):
 
 # ---------------------------------------------------------------------------
 # matmul
+#
+# A right operand whose leading axes are all 1 is one weight matrix W shared
+# by every batch element of the left operand a, so a has as many rows as the
+# output. Such a product runs as one GEMM over the rows: forward
+# rows(a) @ W, input gradient rows(g) @ Wᵀ, weight gradient rows(a)ᵀ @ rows(g),
+# instead of a batched matmul of small products and, for W, a sum over the
+# batch. The sums run in another order, so values and gradients match the
+# batched formulation within rounding (rtol 1e-12 of each array's largest
+# magnitude, tested in tests/test_fused.py), not bit for bit. A strided a
+# keeps the batched forward, which reads it in place where rows(a) would
+# copy it; products whose right operand carries batch axes keep the batched
+# matmul throughout.
+
+
+def _weight_matrix(bv: np.ndarray) -> np.ndarray | None:
+    """bv as one 2-D matrix when every leading axis is 1, else None."""
+    if any(n != 1 for n in bv.shape[:-2]):
+        return None
+    return bv.reshape(bv.shape[-2:])
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """x as a 2-D stack of its last-axis rows (a view when the layout allows)."""
+    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
 
 
 def _matmul_values(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
@@ -327,6 +356,10 @@ def _matmul_values(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
         )
     if av.shape[-1] != bv.shape[-2]:
         raise DimensionError(f"matmul inner mismatch: {av.shape} @ {bv.shape}")
+    w = _weight_matrix(bv)
+    if w is not None and av.flags.c_contiguous:
+        lead = (1,) * (bv.ndim - av.ndim) + av.shape[:-1]
+        return (_rows(av) @ w).reshape(lead + w.shape[-1:])
     try:
         return av @ bv
     except ValueError as exc:
@@ -335,6 +368,12 @@ def _matmul_values(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
 
 def _matmul_grads(g, av, bv, want_a: bool, want_b: bool):
     """Gradients of av @ bv for the operands wanted (None for the others)."""
+    w = _weight_matrix(bv)
+    if w is not None:
+        rows_g = _rows(g)
+        ga = (rows_g @ w.T).reshape(av.shape) if want_a else None
+        gb = (_rows(av).T @ rows_g).reshape(bv.shape) if want_b else None
+        return ga, gb
     ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape) if want_a else None
     gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape) if want_b else None
     return ga, gb

@@ -54,7 +54,15 @@ class TrainConfig:
             raise ValueError(
                 f"autoregressive_horizon must be >= 0, got {self.autoregressive_horizon}"
             )
+        if self.batch < 1:
+            raise ValueError(f"batch must be at least 1, got {self.batch}")
         self.betas = tuple(self.betas)
+        if not all(0.0 <= beta < 1.0 for beta in self.betas):
+            raise ValueError(f"betas must each lie in [0, 1), got {self.betas}")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":

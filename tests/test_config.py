@@ -15,6 +15,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-12, max_value=1e3, allow_nan=False)
 small = st.integers(min_value=0, max_value=1000)
 pos_int = st.integers(min_value=1, max_value=1000)
+unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
 
 radnet_configs = st.builds(
@@ -28,7 +30,7 @@ radnet_configs = st.builds(
     transformer_heads=st.none() | pos_int,
     encoder_hidden=pos_int,
     decoder_widths=st.lists(pos_int, max_size=4),
-    dropout=finite,
+    dropout=unit,
     leaky_slope=finite,
     seed=small,
 )
@@ -36,14 +38,14 @@ radnet_configs = st.builds(
 train_configs = st.builds(
     TrainConfig,
     lr=positive,
-    weight_decay=finite,
+    weight_decay=non_negative,
     max_epochs=pos_int,
     patience=pos_int,
     folds=st.integers(min_value=2, max_value=50),
     batch=pos_int,
     seed=small,
-    betas=st.tuples(finite, finite),
-    eps=finite,
+    betas=st.tuples(unit, unit),
+    eps=positive,
     autoregressive_horizon=small,
     teacher_forcing_p=st.floats(min_value=0.0, max_value=1.0),
 )

@@ -1,9 +1,16 @@
-"""Fused layer nodes against the chains of primitive nodes they replace.
+"""Fused layer nodes against the chains of primitive nodes they replace, and
+shared-weight products against the batched matmul they replace.
 
-Each reference below is the layer as it was composed before it became one
-tape node. The fused node must give the same values and the same gradients
-bit for bit, including where a shared input sums gradient terms from
-several nodes.
+Each layer reference below is the layer as it was composed before it became
+one tape node. The fused node must give the same values and the same
+gradients bit for bit, including where a shared input sums gradient terms
+from several nodes.
+
+A product with one weight matrix shared by a batch is one GEMM over the
+flattened batch; `batched_matmul_values` and `batched_matmul_grads` keep the
+batched formulation it replaced. The two sum in different orders, so they
+must agree within SHARED_WEIGHT_RTOL of each array's largest magnitude, and
+bit for bit where the right operand carries batch axes.
 """
 
 import numpy as np
@@ -70,6 +77,27 @@ def composed_graph_attention(x, theta, score_src, score_dst, score_bias, neighbo
     alpha = T.reshape(alpha, alpha.shape[:-1] + (1,) + alpha.shape[-1:])
     mixed = T.matmul(alpha, neighbors)
     return T.sigmoid(T.reshape(mixed, h.shape)).mean(axis=-3)
+
+
+def batched_matmul_values(av, bv):
+    """av @ bv as numpy's batched matmul, one small product per batch element."""
+    return av @ bv
+
+
+def batched_matmul_grads(g, av, bv, want_a, want_b):
+    """Its gradients: batched products, then a sum over each broadcast axis."""
+    ga = T._unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape) if want_a else None
+    gb = T._unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape) if want_b else None
+    return ga, gb
+
+
+SHARED_WEIGHT_RTOL = 1e-12
+
+
+def assert_close_to_scale(got, want, rtol=SHARED_WEIGHT_RTOL):
+    """Every element of `got` within rtol times the largest magnitude of `want`."""
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=rtol * np.abs(want).max(initial=0.0))
 
 
 def run_both(fused, composed, arrays, build, rng):
@@ -298,6 +326,15 @@ class TestAffine:
         w = rng.normal(size=(3, 2))
         assert T.grad_check(lambda: (T.affine(*leaves) * w).sum(), leaves) < 1e-6
 
+    def test_gradient_matches_finite_differences_on_a_4d_input(self):
+        # the shared-weight GEMM flattens the three batch axes into rows
+        rng = np.random.default_rng(73)
+        leaves = [DiffArray(a, requires_grad=True)
+                  for a in (rng.normal(size=(2, 3, 2, 4)), rng.normal(size=(4, 2)),
+                            rng.normal(size=2))]
+        w = rng.normal(size=(2, 3, 2, 2))
+        assert T.grad_check(lambda: (T.affine(*leaves) * w).sum(), leaves) < 1e-6
+
 
 class TestTrainingStepAgainstChains:
     """A whole training step with every layer swapped back to its chain."""
@@ -327,3 +364,72 @@ class TestTrainingStepAgainstChains:
         composed = step()
         for got, want in zip(fused, composed):
             np.testing.assert_array_equal(got, want)
+
+
+class TestSharedWeightGemm:
+    """matmul against the batched formulation, per kind of right operand."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 3), max_size=3).map(tuple),
+        m=st.integers(1, 4),
+        k=st.integers(1, 4),
+        n=st.integers(1, 4),
+        kind=st.sampled_from(["shared", "heads", "left-broadcast"]),
+        extra=st.integers(0, 3),
+        swapped=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_batched_formulation(self, lead, m, k, n, kind, extra, swapped, seed):
+        # shared: a (k, n) weight behind `extra` unit axes, which may outnumber
+        # the left operand's batch axes; heads: an (H, k, n) weight with H > 1
+        # against a head axis of 1, as in GAT; left-broadcast: a left operand
+        # with fewer batch axes than the gradient
+        rng = np.random.default_rng(seed)
+        a_lead, b_shape = {
+            "shared": (lead, (1,) * extra + (k, n)),
+            "heads": (lead + (1,), (extra + 2, k, n)),
+            "left-broadcast": (lead, (extra + 2,) + lead + (k, n)),
+        }[kind]
+        if swapped:  # a non-contiguous view, as a swapaxes node hands on
+            av = np.swapaxes(rng.normal(size=a_lead + (k, m)), -1, -2)
+        else:
+            av = rng.normal(size=a_lead + (m, k))
+        bv = rng.normal(size=b_shape)
+        a, b = DiffArray(av, requires_grad=True), DiffArray(bv, requires_grad=True)
+        out = T.matmul(a, b)
+        g = rng.normal(size=out.shape)
+        (out * g).sum().backward()
+        got = [out.values, a.grad, b.grad]
+        want = [batched_matmul_values(av, bv), *batched_matmul_grads(g, av, bv, True, True)]
+        for got_array, want_array in zip(got, want):
+            if kind == "shared":
+                assert_close_to_scale(got_array, want_array)
+            else:  # a batched right operand keeps the batched code
+                np.testing.assert_array_equal(got_array, want_array)
+
+
+class TestTrainingStepAgainstBatchedMatmul:
+    """A whole training step with every product run as the batched matmul."""
+
+    @pytest.mark.parametrize("n_nodes, n_features", [(4, 1), (16, 7), (64, 1)])
+    def test_predictions_and_gradients_within_rtol(self, monkeypatch, n_nodes, n_features):
+        data = np.random.default_rng(82).normal(size=(40, n_nodes, n_features))
+        ts = np.arange(4, 36)
+
+        def step():
+            model = RadNet(RadNetConfig(n_nodes=n_nodes, n_features=n_features, seed=0))
+            preds, _ = rollout_autoregressive(
+                model, build_window(data, ts, 5), 1, RoadGraph.ring(n_nodes),
+                rng=np.random.default_rng(83), training=True,
+            )
+            batch_loss(preds, data[ts + 1]).backward()
+            return [preds.values] + [p.grad for p in model.store.params.values()]
+
+        gemm = step()
+        monkeypatch.setattr(T, "_matmul_values", batched_matmul_values)
+        monkeypatch.setattr(T, "_matmul_grads", batched_matmul_grads)
+        batched = step()
+        assert len(gemm) == len(batched)
+        for got, want in zip(gemm, batched):
+            assert_close_to_scale(got, want)

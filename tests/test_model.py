@@ -37,6 +37,22 @@ def toy_series(n_steps=30, n_nodes=4, n_features=1, seed=0):
     return np.random.default_rng(seed).normal(size=(n_steps, n_nodes, n_features))
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("dropout", 1.0), ("dropout", 1.5), ("dropout", -0.2), ("dropout", float("nan")),
+        ("gat_heads", 0), ("transformer_heads", 0), ("encoder_hidden", 0),
+        ("decoder_widths", (64, 0)),
+    ])
+    def test_bad_size_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RadNetConfig(n_nodes=4, n_features=1, **{field: value})
+
+    def test_zero_dropout_and_unit_sizes_accepted(self):
+        cfg = RadNetConfig(n_nodes=4, n_features=1, dropout=0.0, gat_heads=1,
+                           transformer_heads=1, encoder_hidden=1, decoder_widths=(1,))
+        assert cfg.dropout == 0.0
+
+
 class TestBuildWindow:
     def test_full_replication_at_origin(self):
         data = toy_series()

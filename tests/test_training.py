@@ -244,6 +244,18 @@ class TestTrain:
         with pytest.raises(ValueError, match="teacher_forcing_p"):
             TrainConfig(teacher_forcing_p=p)
 
+    @pytest.mark.parametrize("field, value", [
+        ("batch", 0), ("batch", -3), ("betas", (1.0, 0.999)), ("betas", (0.9, -0.1)),
+        ("betas", (0.9, float("nan"))), ("eps", 0.0), ("eps", -1e-8),
+        ("weight_decay", -1e-2), ("weight_decay", float("nan")),
+    ])
+    def test_bad_optimizer_setting_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_optimizer_setting_boundaries_accepted(self):
+        TrainConfig(batch=1, betas=(0.0, 0.0), weight_decay=0.0)
+
     def test_negative_autoregressive_horizon_rejected(self):
         with pytest.raises(ValueError, match="autoregressive_horizon"):
             TrainConfig(autoregressive_horizon=-2)

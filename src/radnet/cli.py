@@ -20,7 +20,6 @@ key in a `train` / `pot` block is an error. RADNET_LOG sets the log level.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_io
-from . import pipeline
+from . import files, pipeline
 from .data import IncidentSpec, load_dataset, save_dataset, stats, stats_text, synth_traffic
 from .evaluation import evaluate
 from .incidents import IncidentLabels
@@ -53,10 +52,7 @@ def _setup_logging() -> None:
 
 
 def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return files.read_json(path, "config file") if path else {}
 
 
 def _pick(args: argparse.Namespace, file_cfg: dict, key: str, default):
@@ -131,10 +127,8 @@ def cmd_synth(args, file_cfg) -> int:
              if (value := _pick(args, file_cfg, key, None)) is not None}
     series, graph, mask = synth_traffic(incidents=spec, **given)
     save_dataset(out, series, graph)
-    with open(out / "incidents.csv", "w", encoding="utf-8") as fh:
-        fh.write("timestep,link_id\n")
-        for t, j in np.argwhere(mask):
-            fh.write(f"{t},{j}\n")
+    files.write_text(out / "incidents.csv",
+                     "timestep,link_id\n" + "".join(f"{t},{j}\n" for t, j in np.argwhere(mask)))
     print(f"wrote {series.n_steps} steps x {series.n_nodes} nodes to {out}")
     return 0
 
@@ -145,10 +139,7 @@ def cmd_stats(args, file_cfg) -> int:
     print(stats_text(summary))
     out = _pick(args, file_cfg, "out", None)
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        files.write_json(out, summary)
     return 0
 
 
@@ -161,7 +152,6 @@ def cmd_train(args, file_cfg) -> int:
     tc = _resolve(TrainConfig, args, file_cfg, "train")
     train_ts, _ = split_train_test(series.n_steps, test_fraction)
     result = train(model, series, graph, tc, timesteps=train_ts)
-    out.mkdir(parents=True, exist_ok=True)
     write_loss_csv(out / "loss_curves.csv", result.history)
     model.save(
         out / "checkpoint",
@@ -174,18 +164,8 @@ def cmd_train(args, file_cfg) -> int:
             "best_val_mse": result.best_val_mse,
         },
     )
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "model": asdict(model.config),
-                "train": asdict(tc),
-                "test_fraction": test_fraction,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    files.write_json(out / "config.json", {"model": asdict(model.config), "train": asdict(tc),
+                                           "test_fraction": test_fraction})
     print(
         f"trained {model.config.variant} to epoch {result.stopped_epoch} "
         f"(best {result.best_epoch}, val loss {result.best_val_loss:.5f}); "
@@ -225,9 +205,8 @@ def cmd_forecast(args, file_cfg) -> int:
         name=f"{series.name}-forecast-h{model.config.horizon}",
     )
     save_dataset(out, forecast_series_obj, graph)
-    with open(out / "targets.json", "w", encoding="utf-8") as fh:
-        json.dump({"target_timesteps": [int(t) for t in target_ts]}, fh)
-        fh.write("\n")
+    files.write_json(out / "targets.json", {"target_timesteps": [int(t) for t in target_ts]},
+                     indent=None)
     print(f"wrote {len(target_ts)} forecasts to {out}")
     return 0
 
@@ -254,8 +233,7 @@ def cmd_evaluate(args, file_cfg) -> int:
     out = Path(_pick(args, file_cfg, "out", detect_dir))
     report.to_json(out / "report.json")
     table = report.to_table("radnet")
-    with open(out / "report.txt", "w", encoding="utf-8") as fh:
-        fh.write(table + "\n")
+    files.write_text(out / "report.txt", table + "\n")
     print(table)
     return 0
 
@@ -274,14 +252,11 @@ def cmd_ablate(args, file_cfg) -> int:
         _pick(args, file_cfg, "test_fraction", TEST_FRACTION),
     )
     out = Path(_pick(args, file_cfg, "out", "ablate-out"))
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "ablation.csv", "w", encoding="utf-8") as fh:
-        fh.write("variant,seed,val_mse,f1,hitrate_100\n")
-        for row in rows:
-            fh.write(
-                f"{row['variant']},{row['seed']},{row['val_mse']:.10g},"
-                f"{row['f1']:.10g},{row['hitrate_100']:.10g}\n"
-            )
+    files.write_text(out / "ablation.csv", "variant,seed,val_mse,f1,hitrate_100\n" + "".join(
+        f"{row['variant']},{row['seed']},{row['val_mse']:.10g},"
+        f"{row['f1']:.10g},{row['hitrate_100']:.10g}\n"
+        for row in rows
+    ))
     lines = [f"{'variant':10s} {'val_mse':>10s} {'f1':>7s} {'h@100':>7s}"]
     for variant in VARIANTS:
         sub = [r for r in rows if r["variant"] == variant]
@@ -291,8 +266,7 @@ def cmd_ablate(args, file_cfg) -> int:
             f"{np.mean([r['hitrate_100'] for r in sub]):7.3f}"
         )
     table = "\n".join(lines)
-    with open(out / "ablation.txt", "w", encoding="utf-8") as fh:
-        fh.write(table + "\n")
+    files.write_text(out / "ablation.txt", table + "\n")
     print(table)
     return 0
 
@@ -313,7 +287,6 @@ def cmd_report(args, file_cfg) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output directory")
 
 
@@ -348,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     _add_common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--nodes", type=int)
     p.add_argument("--days", type=int)
     p.add_argument("--delta", type=int)
@@ -367,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a forecaster")
     _add_common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--data", required=True)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
@@ -392,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("ablate", help="train and score every model variant")
+    # no abbreviations, so that --seed is refused rather than read as --seeds
+    p = sub.add_parser("ablate", help="train and score every model variant", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--seeds", help="comma-separated seed list")

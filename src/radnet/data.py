@@ -7,22 +7,20 @@ Container layout (one directory per dataset):
   features.bin  -- little-endian float64, timestep-major then node then feature
   edges.csv     -- undirected edge list, header `src,dst`, 0-based ids
 
-`save_dataset` writes features.bin, then edges.csv, then meta.json, each to
-`<file>.tmp` renamed into place, so a torn write leaves no meta.json, a
-length that does not match it, or a blob that fails its checksum.
+`save_dataset` writes features.bin, then edges.csv, then meta.json, each
+atomically through `files`, so a torn save leaves no meta.json, a length
+that does not match it, or a blob that fails its checksum.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .errors import FormatError
 from .graph import RoadGraph
 
@@ -107,20 +105,9 @@ class DatasetMeta:
     n_edges: int
     n_features: int
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "timesteps": self.n_steps,
-            "nodes": self.n_nodes,
-            "edges": self.n_edges,
-            "features": self.n_features,
-        }
-
 
 def save_dataset(directory: str | Path, series: FeatureSeries, graph: RoadGraph) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    blob = np.ascontiguousarray(series.data, dtype="<f8").tobytes()
     meta = {
         "name": series.name,
         "T": series.n_steps,
@@ -129,24 +116,15 @@ def save_dataset(directory: str | Path, series: FeatureSeries, graph: RoadGraph)
         "delta_seconds": series.delta_seconds,
         "start_epoch": series.start_epoch,
         "feature_names": series.feature_names,
-        "sha256": hashlib.sha256(blob).hexdigest(),
+        "sha256": files.write_blob(directory / "features.bin", series.data),
     }
-    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    for name, write in (("features.bin", lambda path: path.write_bytes(blob)),
-                        ("edges.csv", graph.to_edge_csv),
-                        ("meta.json", lambda path: path.write_text(text, encoding="utf-8"))):
-        tmp = directory / (name + ".tmp")
-        write(tmp)
-        os.replace(tmp, directory / name)
+    graph.to_edge_csv(directory / "edges.csv")
+    files.write_json(directory / "meta.json", meta)
 
 
 def load_dataset(directory: str | Path) -> tuple[FeatureSeries, RoadGraph, DatasetMeta]:
     directory = Path(directory)
-    meta_path = directory / "meta.json"
-    if not meta_path.exists():
-        raise FormatError(f"no meta.json under {directory}")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = files.read_json(directory / "meta.json", "dataset manifest")
     unknown = set(meta) - META_FIELDS
     if unknown:
         warnings.warn(f"ignoring unknown meta.json fields: {sorted(unknown)}")
@@ -154,15 +132,8 @@ def load_dataset(directory: str | Path) -> tuple[FeatureSeries, RoadGraph, Datas
     if missing:
         raise FormatError(f"meta.json missing fields: {sorted(missing)}")
     t, n, d = int(meta["T"]), int(meta["N"]), int(meta["D"])
-    blob = (directory / "features.bin").read_bytes()
-    expected = t * n * d * 8
-    if len(blob) != expected:
-        raise FormatError(
-            f"features.bin holds {len(blob)} bytes, meta.json declares {expected}"
-        )
-    if hashlib.sha256(blob).hexdigest() != meta["sha256"]:
-        raise FormatError(f"{directory / 'features.bin'} fails its SHA-256 check")
-    data = np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(t, n, d)
+    data = files.read_blob(directory / "features.bin", t * n * d, meta["sha256"],
+                           "dataset blob").reshape(t, n, d)
     bad = ~np.isfinite(data)
     if bad.any():
         first = tuple(int(i) for i in np.argwhere(bad)[0])

@@ -8,12 +8,12 @@ in the ranking break deterministically by ascending link id.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .incidents import IncidentLabels
 
 DEFAULT_PCTS = (100, 150)
@@ -140,11 +140,7 @@ class EvalReport:
         }
 
     def to_json(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        files.write_json(path, self.to_dict())
 
     def table_row(self, model_name: str = "model") -> str:
         return (

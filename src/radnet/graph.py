@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .errors import DimensionError, GraphError
 from .nn import DEFAULT_LEAKY_SLOPE, xavier_uniform
 from .tensor import DiffArray, _graph_attention_weights, graph_attention
@@ -66,28 +67,23 @@ class RoadGraph:
     def from_edge_csv(cls, path: str | Path, n_nodes: int) -> "RoadGraph":
         """Load an undirected edge list from a `src,dst` CSV with 0-based ids."""
         edges = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["src", "dst"]:
-                raise GraphError(f"edge file {path} must have header 'src,dst'")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    i, j = int(row["src"]), int(row["dst"])
-                except (TypeError, ValueError) as exc:
-                    raise GraphError(f"{path}:{lineno}: non-integer node id") from exc
-                if not (0 <= i < n_nodes and 0 <= j < n_nodes):
-                    raise GraphError(
-                        f"{path}:{lineno}: edge ({i}, {j}) outside [0, {n_nodes})"
-                    )
-                edges.append((i, j))
+        reader = csv.DictReader(files.read_bytes(path, "edge list").decode("utf-8").splitlines())
+        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["src", "dst"]:
+            raise GraphError(f"edge file {path} must have header 'src,dst'")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                i, j = int(row["src"]), int(row["dst"])
+            except (TypeError, ValueError) as exc:
+                raise GraphError(f"{path}:{lineno}: non-integer node id") from exc
+            if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+                raise GraphError(
+                    f"{path}:{lineno}: edge ({i}, {j}) outside [0, {n_nodes})"
+                )
+            edges.append((i, j))
         return cls(n_nodes, edges)
 
     def to_edge_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["src", "dst"])
-            for i, j in sorted(self.edges):
-                writer.writerow([i, j])
+        files.write_csv(path, ["src", "dst"], sorted(self.edges))
 
     @classmethod
     def ring(cls, n_nodes: int) -> "RoadGraph":
@@ -119,12 +115,10 @@ class GatLayer:
         n_out: int,
         rng: np.random.Generator,
         n_heads: int = 1,
-        slope: float = DEFAULT_LEAKY_SLOPE,
     ):
         self.n_in = n_in
         self.n_out = n_out
         self.n_heads = n_heads
-        self.slope = slope
         self.theta = DiffArray(
             xavier_uniform(rng, n_in, n_out, (n_heads, n_in, n_out)), requires_grad=True
         )
@@ -143,7 +137,8 @@ class GatLayer:
         self._check(x, graph)
         alpha = _graph_attention_weights(
             x.values, self.theta.values, self.score_src.values, self.score_dst.values,
-            self.score_bias.values, graph.neighbor_index, graph.neighbor_mask, self.slope,
+            self.score_bias.values, graph.neighbor_index, graph.neighbor_mask,
+            DEFAULT_LEAKY_SLOPE,
         )[-1][..., head, :, :]
         rows, slots = np.nonzero(graph.neighbor_mask == 0.0)
         dense = np.zeros(alpha.shape[:-1] + (graph.n_nodes,))
@@ -170,5 +165,5 @@ class GatLayer:
         self._check(x, graph)
         return graph_attention(
             x, self.theta, self.score_src, self.score_dst, self.score_bias,
-            graph.neighbor_index, graph.neighbor_mask, self.slope,
+            graph.neighbor_index, graph.neighbor_mask, DEFAULT_LEAKY_SLOPE,
         )

@@ -38,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .data import SECONDS_PER_DAY, FeatureSeries
 from .errors import NumericError
 
@@ -411,21 +412,16 @@ class IncidentLabels:
 
     def to_csv(self, path: str | Path) -> None:
         """Rows `timestep,link_id,score,threshold,label`; link_id -1 is network level."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestep", "link_id", "score", "threshold", "label"])
+
+        def rows():
             for i, t in enumerate(self.timesteps):
-                writer.writerow(
-                    [int(t), -1, f"{self.network_scores[i]:.10g}",
-                     f"{self.network_thresholds[i]:.10g}", int(self.network_labels[i])]
-                )
+                yield [int(t), -1, f"{self.network_scores[i]:.10g}",
+                       f"{self.network_thresholds[i]:.10g}", int(self.network_labels[i])]
                 for j in range(self.link_scores.shape[1]):
-                    writer.writerow(
-                        [int(t), j, f"{self.link_scores[i, j]:.10g}",
-                         f"{self.link_thresholds[i, j]:.10g}", int(self.link_labels[i, j])]
-                    )
+                    yield [int(t), j, f"{self.link_scores[i, j]:.10g}",
+                           f"{self.link_thresholds[i, j]:.10g}", int(self.link_labels[i, j])]
+
+        files.write_csv(path, ["timestep", "link_id", "score", "threshold", "label"], rows())
 
     @classmethod
     def from_csv(cls, path: str | Path, horizon: int = 1) -> "IncidentLabels":

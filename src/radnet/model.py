@@ -23,7 +23,6 @@ import numpy as np
 from .errors import DimensionError, FormatError
 from .graph import GatLayer, RoadGraph
 from .nn import (
-    DEFAULT_LEAKY_SLOPE,
     FeedForward,
     Linear,
     ParameterStore,
@@ -49,7 +48,6 @@ class RadNetConfig:
     encoder_hidden: int = 16
     decoder_widths: tuple[int, ...] = (64, 64)
     dropout: float = 0.1
-    leaky_slope: float = DEFAULT_LEAKY_SLOPE
     seed: int = 0
 
     def __post_init__(self):
@@ -96,7 +94,7 @@ class RadNet:
         d = config.n_features
         d_model = config.n_nodes * d if config.temporal_mode == "flattened" else d
 
-        gat = lambda: GatLayer(d, d, rng, config.gat_heads, config.leaky_slope)
+        gat = lambda: GatLayer(d, d, rng, config.gat_heads)
         block = lambda: TransformerBlock(d_model, config.transformer_heads, rng,
                                          config.encoder_hidden, config.dropout)
         self.gat_st = self.transformer_st = None
@@ -111,9 +109,7 @@ class RadNet:
             n_mix = 3 if config.variant == "full" else 2
             self.fusion = Linear(config.n_nodes * d, n_mix, rng)
 
-        self.decoder = FeedForward(
-            (d, *config.decoder_widths, d), rng, config.leaky_slope
-        )
+        self.decoder = FeedForward((d, *config.decoder_widths, d), rng)
         self.store = ParameterStore(named_parameters(self))
 
     # -- plumbing --------------------------------------------------------

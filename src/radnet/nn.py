@@ -7,19 +7,17 @@ float64 buffer, `flat`, which the optimizer, snapshots and checkpoints use.
 
 A checkpoint is `flat` as a little-endian float64 blob (each parameter
 row-major, in manifest order) next to a JSON manifest: format version, names,
-shapes, the blob's SHA-256, seed and free-form hyperparameters. Each file is
-written to a temporary name and renamed into place, the blob first.
+shapes, the blob's SHA-256, seed and free-form hyperparameters. Both files
+are written atomically through `files`, the blob first.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .errors import DimensionError, FormatError
 from .tensor import DiffArray, affine, feed_forward, layer_norm
 
@@ -56,18 +54,18 @@ class FeedForward:
     except the last.
     """
 
-    def __init__(self, widths, rng: np.random.Generator, slope: float = DEFAULT_LEAKY_SLOPE):
+    def __init__(self, widths, rng: np.random.Generator):
         if len(widths) < 2:
             raise ValueError("feed-forward needs at least input and output widths")
         self.widths = tuple(widths)
-        self.slope = slope
         self.layers = [
             Linear(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)
         ]
 
     def __call__(self, x: DiffArray) -> DiffArray:
         return feed_forward(
-            x, [l.weight for l in self.layers], [l.bias for l in self.layers], self.slope
+            x, [l.weight for l in self.layers], [l.bias for l in self.layers],
+            DEFAULT_LEAKY_SLOPE,
         )
 
 
@@ -167,48 +165,27 @@ def save_checkpoint(
 ) -> None:
     """Write `<stem>.bin` (the `flat` blob), then `<stem>.json` (manifest)."""
     stem = Path(stem)
-    blob = store.flat.astype("<f8").tobytes()
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "names": list(store.params),
         "shapes": {name: list(p.shape) for name, p in store.params.items()},
-        "sha256": hashlib.sha256(blob).hexdigest(),
+        "sha256": files.write_blob(stem.with_suffix(".bin"), store.flat),
         "seed": seed,
         "hyperparameters": hyperparameters or {},
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    for path, data in ((stem.with_suffix(".bin"), blob),
-                       (stem.with_suffix(".json"), text.encode("utf-8"))):
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+    files.write_json(stem.with_suffix(".json"), manifest)
 
 
 def load_checkpoint(stem: str | Path) -> tuple[np.ndarray, dict]:
     """Read a checkpoint; returns (flat values in manifest order, manifest)."""
     stem = Path(stem)
-    try:
-        with open(stem.with_suffix(".json"), "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError as exc:
-        raise FormatError(f"missing checkpoint manifest: {stem.with_suffix('.json')}") from exc
+    manifest = files.read_json(stem.with_suffix(".json"), "checkpoint manifest")
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise FormatError(
             f"checkpoint format {manifest.get('format')!r} is not supported "
             f"(expected {CHECKPOINT_FORMAT}); retrain to write a current checkpoint"
         )
-    try:
-        blob = stem.with_suffix(".bin").read_bytes()
-    except FileNotFoundError as exc:
-        raise FormatError(f"missing checkpoint blob: {stem.with_suffix('.bin')}") from exc
-    expected = sum(
-        int(np.prod(manifest["shapes"][name])) for name in manifest["names"]
-    )
-    if len(blob) != expected * 8:
-        raise FormatError(
-            f"checkpoint blob holds {len(blob)} bytes, manifest declares {expected * 8}"
-        )
-    if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
-        raise FormatError(f"checkpoint blob {stem.with_suffix('.bin')} fails its SHA-256 check")
-    return np.frombuffer(blob, dtype="<f8").astype(np.float64), manifest
+    n_values = sum(int(np.prod(manifest["shapes"][name])) for name in manifest["names"])
+    flat = files.read_blob(stem.with_suffix(".bin"), n_values, manifest.get("sha256"),
+                           "checkpoint blob")
+    return flat, manifest

@@ -10,7 +10,6 @@ and evaluation for every model variant at every seed.
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, training
+from . import evaluation, files, training
 from .data import FeatureSeries
 from .graph import RoadGraph
 from .incidents import (
@@ -221,21 +220,17 @@ def write_report_csv(
 
     `predictions` are the (M, N, D) forecasts `run` was labelled from.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     target_ts = run.truth.timesteps
     base = run.baseline.for_series(series, target_ts)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["timestep", "link_id", "baseline", "truth", "prediction",
-             "score", "threshold", "label"]
-        )
-        pred = run.predicted
+    pred = run.predicted
+
+    def rows():
         for i, t in enumerate(target_ts):
             for j in range(series.n_nodes):
                 values = (base[i, j, feature], series.data[t, j, feature],
                           predictions[i, j, feature], pred.link_scores[i, j],
                           pred.link_thresholds[i, j])
-                writer.writerow([int(t), j, *(f"{v:.10g}" for v in values),
-                                 int(pred.link_labels[i, j])])
+                yield [int(t), j, *(f"{v:.10g}" for v in values), int(pred.link_labels[i, j])]
+
+    files.write_csv(path, ["timestep", "link_id", "baseline", "truth", "prediction",
+                           "score", "threshold", "label"], rows())

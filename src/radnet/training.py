@@ -5,13 +5,13 @@ validation loss, best-validation checkpoint restore.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .data import FeatureSeries
 from .errors import NumericError
 from .graph import RoadGraph
@@ -267,10 +267,5 @@ def train(
 
 
 def write_loss_csv(path: str | Path, history: list[tuple[int, float, float]]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for epoch, tr, va in history:
-            writer.writerow([epoch, f"{tr:.10g}", f"{va:.10g}"])
+    files.write_csv(path, ["epoch", "train_loss", "val_loss"],
+                    ([epoch, f"{tr:.10g}", f"{va:.10g}"] for epoch, tr, va in history))

@@ -304,6 +304,25 @@ class TestConfigPrecedence:
         assert "max_epochz" in capsys.readouterr().err
 
 
+class TestSeedFlag:
+    # Only synth and train draw random numbers; ablate takes --seeds.
+    REQUIRED = {
+        "stats": ["--data", "ds"],
+        "forecast": ["--data", "ds", "--checkpoint", "ck"],
+        "detect": ["--data", "ds", "--checkpoint", "ck"],
+        "evaluate": ["--detect", "det"],
+        "report": ["--data", "ds", "--checkpoint", "ck"],
+        "ablate": ["--data", "ds"],
+    }
+
+    @pytest.mark.parametrize("command", list(REQUIRED))
+    def test_seed_is_refused(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.REQUIRED[command], "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 class TestEntrypoint:
     def test_console_script_exit_codes(self, tmp_path):
         import subprocess

@@ -31,7 +31,6 @@ radnet_configs = st.builds(
     encoder_hidden=pos_int,
     decoder_widths=st.lists(pos_int, max_size=4),
     dropout=unit,
-    leaky_slope=finite,
     seed=small,
 )
 

@@ -283,6 +283,15 @@ class TestParameterStore:
         with pytest.raises(FormatError, match="decoder_source.*temporal_mode"):
             RadNet.load(tmp_path / "a")
 
+    def test_loading_a_config_with_leaky_slope_names_it(self, tmp_path):
+        RadNet(RadNetConfig(n_nodes=4, n_features=1)).save(tmp_path / "a")
+        manifest = json.loads((tmp_path / "a.json").read_text())
+        # Checkpoints written while the slope was a config field carry it.
+        manifest["hyperparameters"]["config"]["leaky_slope"] = 0.01
+        (tmp_path / "a.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="leaky_slope"):
+            RadNet.load(tmp_path / "a")
+
 
 class TestLoss:
     # A batch of one is the per-timestep objective: the Frobenius norm of

@@ -258,25 +258,29 @@ class TestFinalPositionDecoder:
 
     @pytest.mark.parametrize("mode,n_features,n_heads", CASES)
     def test_dropout_matches_all_positions_decoder(self, mode, n_features, n_heads):
-        rng = np.random.default_rng(31)
-        x = block_input(mode, n_features, rng)
-        block = TransformerBlock(x.shape[-1], n_heads, rng, 16, 0.3)
-        params = list(named_parameters(block).values())
-        w = rng.normal(size=x.shape[:-2] + x.shape[-1:])
+        # The two decoders differ by rounding, which small gradient entries
+        # amplify elementwise, so gradients are held within 1e-12 of each
+        # array's largest magnitude.
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            x = block_input(mode, n_features, rng)
+            block = TransformerBlock(x.shape[-1], n_heads, rng, 16, 0.3)
+            params = list(named_parameters(block).values())
+            w = rng.normal(size=x.shape[:-2] + x.shape[-1:])
 
-        def run(decode):
-            draws = np.random.default_rng(32)
-            for p in params:
-                p.grad = None
-            out = decode(x, draws)
-            (out * w).sum().backward()
-            return out.values, [p.grad.copy() for p in params], draws.random()
+            def run(decode):
+                draws = np.random.default_rng(seed + 1)
+                for p in params:
+                    p.grad = None
+                out = decode(x, draws)
+                (out * w).sum().backward()
+                return out.values, [p.grad.copy() for p in params], draws.random()
 
-        out, grads, next_draw = run(lambda v, r: block(v, True, r))
-        ref_out, ref_grads, ref_next_draw = run(
-            lambda v, r: all_positions_decoder(block, v, True, r)
-        )
-        np.testing.assert_allclose(out, ref_out, rtol=1e-12)
-        for g, ref in zip(grads, ref_grads):
-            np.testing.assert_allclose(g, ref, rtol=1e-12)
-        assert next_draw == ref_next_draw
+            out, grads, next_draw = run(lambda v, r: block(v, True, r))
+            ref_out, ref_grads, ref_next_draw = run(
+                lambda v, r: all_positions_decoder(block, v, True, r)
+            )
+            np.testing.assert_allclose(out, ref_out, rtol=1e-12)
+            for g, ref in zip(grads, ref_grads):
+                np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+            assert next_draw == ref_next_draw

@@ -13,7 +13,7 @@ from .tensor import DiffArray, grad_check, no_grad
 from .graph import GatLayer, RoadGraph
 from .temporal import MultiHeadAttention, TransformerBlock, transformer_forward
 from .model import RadNet, RadNetConfig, build_window, rollout_autoregressive
-from .optim import AdamW, AdamWState, adamw_step
+from .optim import AdamW
 from .data import (
     DatasetMeta,
     FeatureSeries,
@@ -40,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamW",
-    "AdamWState",
     "BaselineTable",
     "DatasetMeta",
     "DiffArray",
@@ -64,7 +63,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "TransformerBlock",
-    "adamw_step",
     "build_baseline",
     "build_window",
     "evaluate",

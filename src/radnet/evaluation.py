@@ -16,7 +16,7 @@ import numpy as np
 from . import files
 from .incidents import IncidentLabels
 
-DEFAULT_PCTS = (100, 150)
+PCTS = (100, 150)
 
 
 def confusion(pred, truth) -> tuple[int, int, int]:
@@ -79,11 +79,9 @@ def ndcg_at(ranked_links, truth_links, p_pct: float) -> float:
 
 
 def diagnosis_metrics(
-    link_scores: np.ndarray,
-    truth_link_labels: np.ndarray,
-    p_pcts=DEFAULT_PCTS,
+    link_scores: np.ndarray, truth_link_labels: np.ndarray
 ) -> tuple[dict[int, float], dict[int, float], int]:
-    """Mean HitRate@P% / NDCG@P% over timesteps with true incident links.
+    """Mean HitRate@P% / NDCG@P% over timesteps with true incident links, P in PCTS.
 
     Returns (hitrate map, ndcg map, number of qualifying timesteps).
     """
@@ -93,8 +91,8 @@ def diagnosis_metrics(
         raise ValueError(
             f"score/label shapes differ: {link_scores.shape} vs {truth_link_labels.shape}"
         )
-    hits = {p: [] for p in p_pcts}
-    gains = {p: [] for p in p_pcts}
+    hits = {p: [] for p in PCTS}
+    gains = {p: [] for p in PCTS}
     used = 0
     for i in range(link_scores.shape[0]):
         truth = set(np.flatnonzero(truth_link_labels[i]))
@@ -102,7 +100,7 @@ def diagnosis_metrics(
             continue
         used += 1
         ranked = rank_links(link_scores[i])
-        for p in p_pcts:
+        for p in PCTS:
             hits[p].append(hitrate_at(ranked, truth, p))
             gains[p].append(ndcg_at(ranked, truth, p))
     hitrate = {p: float(np.mean(v)) if v else 0.0 for p, v in hits.items()}
@@ -142,30 +140,18 @@ class EvalReport:
     def to_json(self, path: str | Path) -> None:
         files.write_json(path, self.to_dict())
 
-    def table_row(self, model_name: str = "model") -> str:
+    def to_table(self, model_name: str = "model") -> str:
+        """A header line and one row for `model_name`."""
         return (
+            f"{'model':12s} {'P':>6s} {'R':>6s} {'F1':>6s} "
+            f"{'H@1':>6s} {'H@1.5':>6s} {'N@1':>6s} {'N@1.5':>6s}\n"
             f"{model_name:12s} {self.precision:6.3f} {self.recall:6.3f} {self.f1:6.3f} "
             f"{self.hitrate.get(100, 0.0):6.3f} {self.hitrate.get(150, 0.0):6.3f} "
             f"{self.ndcg.get(100, 0.0):6.3f} {self.ndcg.get(150, 0.0):6.3f}"
         )
 
-    @staticmethod
-    def table_header() -> str:
-        return (
-            f"{'model':12s} {'P':>6s} {'R':>6s} {'F1':>6s} "
-            f"{'H@1':>6s} {'H@1.5':>6s} {'N@1':>6s} {'N@1.5':>6s}"
-        )
 
-    def to_table(self, model_name: str = "model") -> str:
-        return f"{self.table_header()}\n{self.table_row(model_name)}"
-
-
-def evaluate(
-    predicted: IncidentLabels,
-    truth: IncidentLabels,
-    p_pcts=DEFAULT_PCTS,
-    meta: dict | None = None,
-) -> EvalReport:
+def evaluate(predicted: IncidentLabels, truth: IncidentLabels) -> EvalReport:
     """Score predicted labels against generated ground truth."""
     if predicted.timesteps.shape != truth.timesteps.shape or (
         predicted.timesteps != truth.timesteps
@@ -173,15 +159,11 @@ def evaluate(
         raise ValueError("prediction and truth cover different timesteps")
     precision, recall, f1 = prf1(predicted.network_labels, truth.network_labels)
     tp, fp, fn = confusion(predicted.network_labels, truth.network_labels)
-    hitrate, ndcg, used = diagnosis_metrics(
-        predicted.link_scores, truth.link_labels, p_pcts
-    )
+    hitrate, ndcg, used = diagnosis_metrics(predicted.link_scores, truth.link_labels)
     # link-level detection over all (timestep, link) cells; the network-level
     # numbers above stay the headline
-    link_p, link_r, link_f1 = prf1(
-        predicted.link_labels.ravel(), truth.link_labels.ravel()
-    )
-    report = EvalReport(
+    link_p, link_r, link_f1 = prf1(predicted.link_labels.ravel(), truth.link_labels.ravel())
+    return EvalReport(
         horizon=predicted.horizon,
         precision=precision,
         recall=recall,
@@ -195,10 +177,8 @@ def evaluate(
         meta={
             "diagnosis_timesteps": used,
             "per_link": {"precision": link_p, "recall": link_r, "f1": link_f1},
-            **(meta or {}),
         },
     )
-    return report
 
 
 # Reference anchors from published full-scale runs; recorded for context,

@@ -32,6 +32,7 @@ states are independent of each other.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import files
 from .data import SECONDS_PER_DAY, FeatureSeries
-from .errors import NumericError
+from .errors import FormatError, NumericError
 
 MIN_EXCESSES = 50
 GAMMA_MIN, GAMMA_MAX = -0.5, 1.0
@@ -397,6 +398,9 @@ def label_with_thresholds(scores: np.ndarray, thresholds: np.ndarray) -> np.ndar
 # label bundles
 
 
+LABEL_COLUMNS = ["timestep", "link_id", "score", "threshold", "label"]
+
+
 @dataclass
 class IncidentLabels:
     """Network-level and per-link labels over a span of target timesteps."""
@@ -421,19 +425,25 @@ class IncidentLabels:
                     yield [int(t), j, f"{self.link_scores[i, j]:.10g}",
                            f"{self.link_thresholds[i, j]:.10g}", int(self.link_labels[i, j])]
 
-        files.write_csv(path, ["timestep", "link_id", "score", "threshold", "label"], rows())
+        files.write_csv(path, LABEL_COLUMNS, rows())
 
     @classmethod
     def from_csv(cls, path: str | Path, horizon: int = 1) -> "IncidentLabels":
+        """Read what `to_csv` wrote; a missing file, a missing column or no rows
+        is a `FormatError` naming the file."""
+        text = files.read_bytes(path, "incident label file").decode("utf-8")
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        missing = [c for c in LABEL_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise FormatError(f"incident label file {path} has no {', '.join(missing)} column")
         rows = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                t = int(row["timestep"])
-                entry = rows.setdefault(t, {})
-                entry[int(row["link_id"])] = (
-                    float(row["score"]), float(row["threshold"]), int(row["label"])
-                )
+        for row in reader:
+            entry = rows.setdefault(int(row["timestep"]), {})
+            entry[int(row["link_id"])] = (
+                float(row["score"]), float(row["threshold"]), int(row["label"])
+            )
+        if not rows:
+            raise FormatError(f"incident label file {path} holds no rows")
         ts = sorted(rows)
         n_links = max(max(k for k in rows[t] if k >= 0) for t in ts) + 1
         net = np.array([rows[t][-1] for t in ts])

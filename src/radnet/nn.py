@@ -19,7 +19,7 @@ import numpy as np
 
 from . import files
 from .errors import DimensionError, FormatError
-from .tensor import DiffArray, affine, feed_forward, layer_norm
+from .tensor import DiffArray, feed_forward, layer_norm
 
 DEFAULT_LEAKY_SLOPE = 0.01
 
@@ -30,7 +30,7 @@ def xavier_uniform(rng: np.random.Generator, n_in: int, n_out: int, shape=None) 
 
 
 class Linear:
-    """Affine map on the last axis: x @ weight + bias."""
+    """Affine map on the last axis: x @ weight + bias, a one-layer feed-forward."""
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         self.n_in = n_in
@@ -43,7 +43,7 @@ class Linear:
             raise DimensionError(
                 f"linear layer expects width {self.n_in}, got input {x.shape}"
             )
-        return affine(x, self.weight, self.bias)
+        return feed_forward(x, [self.weight], [self.bias], DEFAULT_LEAKY_SLOPE)
 
 
 class FeedForward:
@@ -70,20 +70,19 @@ class FeedForward:
 
 
 class LayerNorm:
-    """Last-axis normalization to zero mean / unit variance, then learned affine."""
+    """Last-axis normalization to zero mean / unit variance (eps 1e-6), then learned affine."""
 
-    def __init__(self, width: int, eps: float = 1e-6):
+    def __init__(self, width: int):
         if width < 2:
             raise DimensionError("layer norm needs a last-axis size of at least 2")
         self.width = width
-        self.eps = eps
         self.gain = DiffArray(np.ones(width), requires_grad=True)
         self.shift = DiffArray(np.zeros(width), requires_grad=True)
 
     def __call__(self, x: DiffArray) -> DiffArray:
         if x.shape[-1] != self.width:
             raise DimensionError(f"layer norm width {self.width}, got input {x.shape}")
-        return layer_norm(x, self.gain, self.shift, self.eps)
+        return layer_norm(x, self.gain, self.shift, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +177,17 @@ def save_checkpoint(
 
 def load_checkpoint(stem: str | Path) -> tuple[np.ndarray, dict]:
     """Read a checkpoint; returns (flat values in manifest order, manifest)."""
-    stem = Path(stem)
-    manifest = files.read_json(stem.with_suffix(".json"), "checkpoint manifest")
+    path = Path(stem).with_suffix(".json")
+    manifest = files.read_json(path, "checkpoint manifest")
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise FormatError(
             f"checkpoint format {manifest.get('format')!r} is not supported "
             f"(expected {CHECKPOINT_FORMAT}); retrain to write a current checkpoint"
         )
-    n_values = sum(int(np.prod(manifest["shapes"][name])) for name in manifest["names"])
-    flat = files.read_blob(stem.with_suffix(".bin"), n_values, manifest.get("sha256"),
+    try:
+        n_values = sum(int(np.prod(manifest["shapes"][name])) for name in manifest["names"])
+    except KeyError as exc:
+        raise FormatError(f"checkpoint manifest {path} has no {exc} entry") from exc
+    flat = files.read_blob(path.with_suffix(".bin"), n_values, manifest.get("sha256"),
                            "checkpoint blob")
     return flat, manifest

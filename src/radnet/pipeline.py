@@ -214,11 +214,11 @@ def write_report_csv(
     run: DetectionRun,
     series: FeatureSeries,
     predictions: np.ndarray,
-    feature: int = 0,
 ) -> None:
     """Plot-ready per-link rows: baseline, truth, prediction, threshold, label.
 
-    `predictions` are the (M, N, D) forecasts `run` was labelled from.
+    `predictions` are the (M, N, D) forecasts `run` was labelled from; the
+    rows show feature 0.
     """
     target_ts = run.truth.timesteps
     base = run.baseline.for_series(series, target_ts)
@@ -227,8 +227,8 @@ def write_report_csv(
     def rows():
         for i, t in enumerate(target_ts):
             for j in range(series.n_nodes):
-                values = (base[i, j, feature], series.data[t, j, feature],
-                          predictions[i, j, feature], pred.link_scores[i, j],
+                values = (base[i, j, 0], series.data[t, j, 0],
+                          predictions[i, j, 0], pred.link_scores[i, j],
                           pred.link_thresholds[i, j])
                 yield [int(t), j, *(f"{v:.10g}" for v in values), int(pred.link_labels[i, j])]
 

@@ -276,16 +276,6 @@ def _leaky_relu_grad(g: np.ndarray, av: np.ndarray, slope: float) -> np.ndarray:
     return g * np.where(av > 0, 1.0, slope)
 
 
-def leaky_relu(a, slope: float):
-    a = _wrap(a)
-    av = a.values
-
-    def push(g):
-        return (_leaky_relu_grad(g, av, slope),)
-
-    return _result(_leaky_relu_values(av, slope), (a,), push)
-
-
 def _sigmoid_values(av: np.ndarray) -> np.ndarray:
     # split by sign so exp never overflows
     out = np.empty_like(av)
@@ -298,16 +288,6 @@ def _sigmoid_values(av: np.ndarray) -> np.ndarray:
 
 def _sigmoid_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return g * out * (1.0 - out)
-
-
-def sigmoid(a):
-    a = _wrap(a)
-    out = _sigmoid_values(a.values)
-
-    def push(g):
-        return (_sigmoid_grad(g, out),)
-
-    return _result(out, (a,), push)
 
 
 def sqrt(a):
@@ -391,30 +371,13 @@ def matmul(a, b):
     return _result(values, (a, b), push)
 
 
-def _affine_grads(g, xv, wv, bv, want_x: bool, want_w: bool, want_b: bool):
-    """Gradients of xv @ wv + bv as (x, w, b): the add's push, then the matmul's."""
-    gb = _unbroadcast(g, bv.shape) if want_b else None
-    return (*_matmul_grads(g, xv, wv, want_x, want_w), gb)
-
-
-def affine(x, w, b):
-    """x @ w + b as one node, bit for bit the matmul and add it replaces."""
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    xv, wv, bv = x.values, w.values, b.values
-    wants = _tracked(x), _tracked(w), _tracked(b)
-
-    def push(g):
-        return _affine_grads(g, xv, wv, bv, *wants)
-
-    return _result(_matmul_values(xv, wv) + bv, (x, w, b), push)
-
-
 def feed_forward(x, weights: Sequence, biases: Sequence, slope: float):
-    """Affine layers with a leaky ReLU between each pair, as one node.
+    """Affine layers x @ w + b with a leaky ReLU between each pair, as one node.
 
-    Values and gradients are bit for bit those of the chain of `affine` and
-    `leaky_relu` nodes: the forward makes its numpy calls and the backward
-    replays its pushes from the last layer to the first.
+    Values and gradients are bit for bit those of the chain of matmul, add
+    and leaky ReLU nodes: the forward makes its numpy calls and the backward
+    replays its pushes from the last layer to the first. One layer is the
+    affine map alone.
     """
     x = _wrap(x)
     params = [_wrap(p) for pair in zip(weights, biases) for p in pair]
@@ -433,8 +396,9 @@ def feed_forward(x, weights: Sequence, biases: Sequence, slope: float):
         for i in range(last, -1, -1):
             if i < last:
                 g = _leaky_relu_grad(g, affines[i], slope)
-            w, b = params[2 * i].values, params[2 * i + 1].values
-            g, gw, gb = _affine_grads(g, inputs[i], w, b, i > 0 or want_x, *wants[2 * i : 2 * i + 2])
+            want_w, want_b = wants[2 * i : 2 * i + 2]
+            gb = _unbroadcast(g, params[2 * i + 1].shape) if want_b else None
+            g, gw = _matmul_grads(g, inputs[i], params[2 * i].values, i > 0 or want_x, want_w)
             grads[:0] = [gw, gb]
         return (g, *grads)
 
@@ -711,27 +675,13 @@ def take(a, key):
     return _result(values, (a,), push)
 
 
-def gather(a, index, axis: int):
-    """Integer-array selection `np.take(a, index, axis)`; indices may repeat.
+def _gather_grad(g: np.ndarray, index: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
+    """Gradient of `np.take(a, index, axis)` for an `a` of `shape`; axis >= 0.
 
-    The backward is one product with the constant 0/1 selection matrix
+    One product with the constant 0/1 selection matrix
     S[m, j] = [index.flat[m] == j], which sums the gradient of every copy of
     an element back into it (much faster than a scatter with np.add.at).
     """
-    a = _wrap(a)
-    av = a.values
-    index = np.asarray(index, dtype=np.intp)
-    axis = axis % av.ndim
-    values = np.take(av, index, axis=axis)
-
-    def push(g):
-        return (_gather_grad(g, index, av.shape, axis),)
-
-    return _result(values, (a,), push)
-
-
-def _gather_grad(g: np.ndarray, index: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
-    """Gradient of `np.take(a, index, axis)` for an `a` of `shape`; axis >= 0."""
     select = np.zeros((index.size, shape[axis]))
     select[np.arange(index.size), index.ravel()] = 1.0
     g = g.reshape(shape[:axis] + (index.size, -1))

@@ -16,7 +16,7 @@ from .data import FeatureSeries
 from .errors import NumericError
 from .graph import RoadGraph
 from .model import RadNet, batch_loss, build_window, rollout_autoregressive
-from .optim import AdamW, AdamWState
+from .optim import AdamW
 from .tensor import no_grad
 
 log = logging.getLogger("radnet.training")
@@ -24,15 +24,15 @@ log = logging.getLogger("radnet.training")
 
 @dataclass
 class TrainConfig:
-    lr: float = AdamWState.lr
-    weight_decay: float = AdamWState.weight_decay
+    lr: float = 5e-4
+    weight_decay: float = 1e-5
     max_epochs: int = 60
     patience: int = 10
     folds: int = 5
     batch: int = 32
     seed: int = 0
-    betas: tuple[float, float] = AdamWState.betas
-    eps: float = AdamWState.eps
+    betas: tuple[float, float] = (0.9, 0.999)
+    eps: float = 1e-8
     # > 0 trains a single-step model through an autoregressive rollout of
     # this many steps, with ground truth substituted per intermediate step
     # at `teacher_forcing_p`.
@@ -188,6 +188,11 @@ def train(
     the last fold's block is the validation set.
     """
     mcfg = model.config
+    if cfg.autoregressive_horizon and mcfg.horizon != 1:
+        raise ValueError(
+            f"autoregressive_horizon={cfg.autoregressive_horizon} rolls out a single-step "
+            f"model, but the model's horizon is {mcfg.horizon}"
+        )
     data_all = series.data
     if timesteps is None:
         timesteps = np.arange(series.n_steps)
@@ -195,9 +200,11 @@ def train(
     local = data_all[timesteps]
     n_local = len(timesteps)
 
-    # autoregressive training consumes targets out to the rollout horizon
-    effective_horizon = max(mcfg.horizon, cfg.autoregressive_horizon)
-    fold = split_folds(n_local, cfg.folds, mcfg.window, effective_horizon)[-1]
+    # a horizon-h model forecasts t + h in one step; autoregressive training
+    # rolls a single-step model out to t + autoregressive_horizon instead
+    rollout = cfg.autoregressive_horizon or 1
+    target_offset = cfg.autoregressive_horizon or mcfg.horizon
+    fold = split_folds(n_local, cfg.folds, mcfg.window, target_offset)[-1]
     normalizer = Normalizer.fit(local, [t for r in fold.train_ranges for t in r])
     data = normalizer.transform(local)
 
@@ -213,10 +220,6 @@ def train(
     if len(train_samples) == 0 or len(fold.val_samples) == 0:
         raise ValueError("fold has no usable training or validation samples")
 
-    # a horizon-h model forecasts t + h in one step; autoregressive training
-    # rolls a single-step model out to t + autoregressive_horizon instead
-    rollout = cfg.autoregressive_horizon or 1
-    target_offset = cfg.autoregressive_horizon or mcfg.horizon
     for epoch in range(cfg.max_epochs):
         rng.shuffle(train_samples)
         epoch_loss = 0.0

@@ -1,0 +1,52 @@
+"""Primitive tape nodes that only the reference chains in the tests compose.
+
+The library runs leaky ReLU, the sigmoid and the neighbour gather inside its
+fused layer nodes only; these stand-alone nodes rebuild the chains those
+layers replaced, from the same private value and gradient helpers.
+"""
+
+import numpy as np
+
+from radnet.tensor import (
+    _gather_grad,
+    _leaky_relu_grad,
+    _leaky_relu_values,
+    _result,
+    _sigmoid_grad,
+    _sigmoid_values,
+    _wrap,
+)
+
+
+def leaky_relu(a, slope: float):
+    a = _wrap(a)
+    av = a.values
+
+    def push(g):
+        return (_leaky_relu_grad(g, av, slope),)
+
+    return _result(_leaky_relu_values(av, slope), (a,), push)
+
+
+def sigmoid(a):
+    a = _wrap(a)
+    out = _sigmoid_values(a.values)
+
+    def push(g):
+        return (_sigmoid_grad(g, out),)
+
+    return _result(out, (a,), push)
+
+
+def gather(a, index, axis: int):
+    """Integer-array selection `np.take(a, index, axis)`; indices may repeat."""
+    a = _wrap(a)
+    av = a.values
+    index = np.asarray(index, dtype=np.intp)
+    axis = axis % av.ndim
+    values = np.take(av, index, axis=axis)
+
+    def push(g):
+        return (_gather_grad(g, index, av.shape, axis),)
+
+    return _result(values, (a,), push)

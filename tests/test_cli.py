@@ -150,6 +150,12 @@ class TestTrainForecastDetectEvaluate:
         err = capsys.readouterr().err
         assert "ghost" in err and "checkpoint" in err
 
+    def test_evaluate_without_labels_names_the_file(self, tmp_path, capsys):
+        code = main(["evaluate", "--detect", str(tmp_path / "ghost")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "labels_pred.csv" in err and "ghost" in err
+
     @THIN_TAIL
     def test_report_command(self, trained_dir, tmp_path):
         ds, run = trained_dir

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radnet.evaluation import (
     EvalReport,
@@ -148,6 +150,31 @@ class TestBruteForce:
                 assert ndcg_at(ranked, truth_set, pct) == pytest.approx(
                     brute_ndcg(ranked, truth_set, pct), rel=1e-12
                 )
+
+
+class TestPropertyOracles:
+    """The same oracles over hypothesis-drawn instances, ties in the scores included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=40))
+    def test_prf1_matches_brute_force(self, pairs):
+        pred, truth = (list(column) for column in zip(*pairs))
+        assert prf1(np.array(pred), np.array(truth)) == brute_prf1(pred, truth)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_ranking_metrics_match_brute_force(self, data):
+        n = data.draw(st.integers(1, 12), label="n_links")
+        # few distinct values, so the ranking must break ties by link id
+        scores = data.draw(st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n))
+        truth = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="truth")
+        pct = data.draw(st.floats(1.0, 300.0), label="pct")
+        ranked = rank_links(scores)
+        assert ranked == sorted(range(n), key=lambda i: (-scores[i], i))
+        assert hitrate_at(ranked, truth, pct) == brute_hitrate(ranked, truth, pct)
+        assert ndcg_at(ranked, truth, pct) == pytest.approx(
+            brute_ndcg(ranked, truth, pct), rel=1e-12
+        )
 
 
 def bundle_from(labels_net, link_scores, link_labels, horizon=1):

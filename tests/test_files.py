@@ -2,6 +2,7 @@
 errors, and a structural check that no other module writes a file."""
 
 import ast
+import json
 import os
 import re
 from pathlib import Path
@@ -13,6 +14,7 @@ from radnet import files
 from radnet.data import FeatureSeries, load_dataset, save_dataset
 from radnet.errors import FormatError
 from radnet.graph import RoadGraph
+from radnet.incidents import IncidentLabels
 from radnet.nn import ParameterStore, load_checkpoint, save_checkpoint
 from radnet.tensor import DiffArray
 from radnet.training import write_loss_csv
@@ -69,6 +71,29 @@ class TestNamedErrors:
             (directory / name).write_bytes(spoiled)
             with pytest.raises(FormatError, match=re.escape(str(directory / name))):
                 load()
+
+
+    @pytest.mark.parametrize("field", ["names", "shapes"])
+    def test_manifest_without_field_is_named(self, tmp_path, field):
+        stem = write_checkpoint(tmp_path)
+        manifest = json.loads(stem.with_suffix(".json").read_text())
+        del manifest[field]
+        stem.with_suffix(".json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=f"{re.escape(str(stem))}.json has no '{field}'"):
+            load_checkpoint(stem)
+
+    @pytest.mark.parametrize("text, problem", [
+        (None, "no labels.csv under"),
+        ("timestep,link_id,score,threshold,label\r\n", "holds no rows"),
+        ("timestep,link_id,score,label\r\n0,-1,1.5,0\r\n", "has no threshold column"),
+    ], ids=["missing", "header-only", "missing-column"])
+    def test_unreadable_label_file_is_named(self, tmp_path, text, problem):
+        path = tmp_path / "labels.csv"
+        if text is not None:
+            path.write_bytes(text.encode())
+        with pytest.raises(FormatError, match=problem) as info:
+            IncidentLabels.from_csv(path)
+        assert "labels.csv" in str(info.value) and str(tmp_path) in str(info.value)
 
 
 def failing_replace(monkeypatch, suffix):

@@ -27,6 +27,8 @@ from radnet.model import RadNet, RadNetConfig, batch_loss, build_window, rollout
 from radnet.temporal import causal_mask
 from radnet.tensor import DiffArray
 
+from primitive_nodes import gather, leaky_relu, sigmoid
+
 
 def composed_affine(x, w, b):
     return T.matmul(x, w) + b
@@ -37,7 +39,7 @@ def composed_feed_forward(x, weights, biases, slope):
     for i, (w, b) in enumerate(zip(weights, biases)):
         x = composed_affine(x, w, b)
         if i < last:
-            x = T.leaky_relu(x, slope)
+            x = leaky_relu(x, slope)
     return x
 
 
@@ -70,13 +72,13 @@ def composed_graph_attention(x, theta, score_src, score_dst, score_bias, neighbo
     h = T.matmul(x, theta)
     src = T.matmul(h, score_src)
     dst = T.reshape(T.matmul(h, score_dst), h.shape[:-1])
-    dst = T.gather(dst, neighbor_index, axis=-1)
-    scores = T.leaky_relu(src + dst + score_bias, slope) + neighbor_mask
+    dst = gather(dst, neighbor_index, axis=-1)
+    scores = leaky_relu(src + dst + score_bias, slope) + neighbor_mask
     alpha = T.softmax(scores, axis=-1)
-    neighbors = T.gather(h, neighbor_index, axis=-2)
+    neighbors = gather(h, neighbor_index, axis=-2)
     alpha = T.reshape(alpha, alpha.shape[:-1] + (1,) + alpha.shape[-1:])
     mixed = T.matmul(alpha, neighbors)
-    return T.sigmoid(T.reshape(mixed, h.shape)).mean(axis=-3)
+    return sigmoid(T.reshape(mixed, h.shape)).mean(axis=-3)
 
 
 def batched_matmul_values(av, bv):
@@ -309,6 +311,11 @@ class TestFeedForward:
         assert T.grad_check(f, leaves) < 1e-6
 
 
+def affine(x, w, b):
+    """The affine map as `Linear` runs it: a one-layer feed-forward node."""
+    return T.feed_forward(x, [w], [b], nn_module.DEFAULT_LEAKY_SLOPE)
+
+
 class TestAffine:
     # the fusion map at C07 (4 nodes x 1 feature) and train-radset (16 x 7)
     @pytest.mark.parametrize("shape, n_out", [((32, 4), 3), ((32, 112), 3), ((2, 3, 5), 4)])
@@ -316,7 +323,7 @@ class TestAffine:
         rng = np.random.default_rng(70)
         arrays = [rng.normal(size=shape), rng.normal(size=(shape[-1], n_out)),
                   rng.normal(size=n_out)]
-        assert_bit_identical(run_both(T.affine, composed_affine, arrays,
+        assert_bit_identical(run_both(affine, composed_affine, arrays,
                                       lambda op, *a: op(*a), 71))
 
     def test_gradient_matches_finite_differences(self):
@@ -324,7 +331,7 @@ class TestAffine:
         leaves = [DiffArray(a, requires_grad=True)
                   for a in (rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2))]
         w = rng.normal(size=(3, 2))
-        assert T.grad_check(lambda: (T.affine(*leaves) * w).sum(), leaves) < 1e-6
+        assert T.grad_check(lambda: (affine(*leaves) * w).sum(), leaves) < 1e-6
 
     def test_gradient_matches_finite_differences_on_a_4d_input(self):
         # the shared-weight GEMM flattens the three batch axes into rows
@@ -333,7 +340,7 @@ class TestAffine:
                   for a in (rng.normal(size=(2, 3, 2, 4)), rng.normal(size=(4, 2)),
                             rng.normal(size=2))]
         w = rng.normal(size=(2, 3, 2, 2))
-        assert T.grad_check(lambda: (T.affine(*leaves) * w).sum(), leaves) < 1e-6
+        assert T.grad_check(lambda: (affine(*leaves) * w).sum(), leaves) < 1e-6
 
 
 class TestTrainingStepAgainstChains:
@@ -360,7 +367,6 @@ class TestTrainingStepAgainstChains:
         monkeypatch.setattr(temporal_module, "attention", composed_attention)
         monkeypatch.setattr(graph_module, "graph_attention", composed_graph_attention)
         monkeypatch.setattr(nn_module, "feed_forward", composed_feed_forward)
-        monkeypatch.setattr(nn_module, "affine", composed_affine)
         composed = step()
         for got, want in zip(fused, composed):
             np.testing.assert_array_equal(got, want)

@@ -9,6 +9,8 @@ from radnet.graph import GatLayer, RoadGraph
 from radnet.nn import DEFAULT_LEAKY_SLOPE, named_parameters
 from radnet.tensor import DiffArray
 
+from primitive_nodes import leaky_relu, sigmoid
+
 
 def leaky(x, s=0.01):
     return x if x > 0 else s * x
@@ -28,9 +30,9 @@ def dense_gat(layer, x, g):
     h = T.matmul(x, layer.theta)
     src = T.matmul(h, layer.score_src)
     dst = T.matmul(h, layer.score_dst)
-    scores = T.leaky_relu(src + T.swapaxes(dst, -1, -2) + layer.score_bias, DEFAULT_LEAKY_SLOPE)
+    scores = leaky_relu(src + T.swapaxes(dst, -1, -2) + layer.score_bias, DEFAULT_LEAKY_SLOPE)
     alpha = T.softmax(scores + dense_mask(g), axis=-1)
-    return T.sigmoid(T.matmul(alpha, h)).mean(axis=-3)
+    return sigmoid(T.matmul(alpha, h)).mean(axis=-3)
 
 
 class TestRoadGraph:

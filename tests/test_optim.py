@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from radnet.errors import DimensionError, NumericError
+from radnet.errors import NumericError
 from radnet.nn import ParameterStore
-from radnet.optim import AdamW, AdamWState, adamw_step
+from radnet.optim import AdamW
 from radnet.tensor import DiffArray
 
 
@@ -27,18 +27,31 @@ def store_of(**arrays):
     )
 
 
+def adamw(store, lr=5e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-5):
+    return AdamW(store, lr, betas, eps, weight_decay)
+
+
+def step_with(opt, grad):
+    """Give each parameter its slice of `grad`, laid out like `store.flat`; step."""
+    offset = 0
+    for p in opt.params.values():
+        p.grad = np.array(grad[offset : offset + p.size], dtype=float).reshape(p.shape)
+        offset += p.size
+    opt.step()
+
+
 class TestAdamWStep:
     def test_zero_gradient_leaves_parameter_unchanged(self):
         store = store_of(w=[1.5, -2.0])
-        state = AdamWState(lr=0.1, weight_decay=0.0)
-        adamw_step(store, np.zeros(2), state)
+        opt = adamw(store, lr=0.1, weight_decay=0.0)
+        step_with(opt, np.zeros(2))
         np.testing.assert_array_equal(store.params["w"].values, [1.5, -2.0])
-        assert state.step_count == 1
+        assert opt.step_count == 1
 
     def test_single_step_reference(self):
         store = store_of(w=[1.0])
-        state = AdamWState(lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
-        adamw_step(store, np.array([1.0]), state)
+        opt = adamw(store, lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
+        step_with(opt, [1.0])
         expected = reference_adamw(1.0, [1.0], 0.1, (0.9, 0.999), 1e-8, 0.0)
         np.testing.assert_allclose(store.params["w"].values, [expected], rtol=1e-14)
 
@@ -46,9 +59,9 @@ class TestAdamWStep:
         rng = np.random.default_rng(11)
         gs = rng.normal(size=7)
         store = store_of(w=[0.3])
-        state = AdamWState(lr=0.05, weight_decay=0.0)
+        opt = adamw(store, lr=0.05, weight_decay=0.0)
         for g in gs:
-            adamw_step(store, np.array([g]), state)
+            step_with(opt, [g])
         expected = reference_adamw(0.3, gs, 0.05, (0.9, 0.999), 1e-8, 0.0)
         np.testing.assert_allclose(store.params["w"].values, [expected], rtol=1e-13)
 
@@ -59,9 +72,9 @@ class TestAdamWStep:
         a0, b0 = rng.normal(size=(2, 3)), rng.normal(size=4)
         store = store_of(a=a0, b=b0)
         gs = rng.normal(size=(5, 10))
-        state = AdamWState(lr=0.05, weight_decay=1e-2)
+        opt = adamw(store, lr=0.05, weight_decay=1e-2)
         for g in gs:
-            adamw_step(store, g, state)
+            step_with(opt, g)
         start = np.concatenate([a0.ravel(), b0])
         expected = [
             reference_adamw(start[i], gs[:, i], 0.05, (0.9, 0.999), 1e-8, 1e-2)
@@ -76,38 +89,41 @@ class TestAdamWStep:
         runs = {}
         for wd in (0.0, 1e-5):
             store = store_of(w=[2.0])
-            state = AdamWState(lr=0.01, weight_decay=wd)
+            opt = adamw(store, lr=0.01, weight_decay=wd)
             for g in gs:
-                adamw_step(store, np.array([g]), state)
+                step_with(opt, [g])
             runs[wd] = abs(store.params["w"].values[0])
         assert runs[1e-5] < runs[0.0]
 
     def test_nan_gradient_aborts_without_mutation(self):
         store = store_of(a=np.ones((2, 2)), b=[1.0, 2.0])
-        state = AdamWState()
+        opt = adamw(store)
         grad = np.zeros(6)
         grad[4] = np.nan
         with pytest.raises(NumericError, match="NaN gradient for b"):
-            adamw_step(store, grad, state)
+            step_with(opt, grad)
         np.testing.assert_array_equal(store.flat, [1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
-        assert state.step_count == 0
-        assert state.first_moment is None
+        assert opt.step_count == 0
+        assert not opt.first_moment.any() and not opt.second_moment.any()
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            adamw_step(store_of(w=np.zeros(3)), np.zeros(4), AdamWState())
+        # a gradient shaped unlike its parameter is refused before any update
+        store = store_of(w=np.zeros(3))
+        opt = adamw(store)
+        store.params["w"].grad = np.zeros(4)
+        with pytest.raises(ValueError, match="w needs a"):
+            opt.step()
+        assert opt.step_count == 0
 
     def test_moments_match_parameter_shapes(self):
         store = store_of(a=np.zeros((2, 3)), b=np.zeros(4))
-        state = AdamWState()
-        adamw_step(store, np.ones(10), state)
-        assert state.first_moment.shape == state.second_moment.shape == store.flat.shape
+        opt = adamw(store)
+        step_with(opt, np.ones(10))
+        assert opt.first_moment.shape == opt.second_moment.shape == store.flat.shape
 
-
-class TestAdamWWrapper:
     def test_step_consumes_backward_grads(self):
         w = DiffArray([1.0, 1.0], requires_grad=True)
-        opt = AdamW(ParameterStore({"w": w}), lr=0.1, weight_decay=0.0)
+        opt = adamw(ParameterStore({"w": w}), lr=0.1, weight_decay=0.0)
         (w * w).sum().backward()
         opt.step()
         opt.zero_grad()
@@ -117,9 +133,9 @@ class TestAdamWWrapper:
     def test_parameter_without_gradient_is_named(self):
         w = DiffArray([1.0, 1.0], requires_grad=True)
         unused = DiffArray([3.0], requires_grad=True)
-        opt = AdamW(ParameterStore({"w": w, "unused": unused}), lr=0.1)
+        opt = adamw(ParameterStore({"w": w, "unused": unused}), lr=0.1)
         (w * w).sum().backward()
         with pytest.raises(ValueError, match="unused"):
             opt.step()
         np.testing.assert_array_equal(w.values, [1.0, 1.0])
-        assert opt.state.step_count == 0
+        assert opt.step_count == 0

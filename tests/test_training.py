@@ -195,6 +195,14 @@ class TestTrain:
         assert len(result.history) == 2
         assert np.isfinite(result.best_val_loss)
 
+    def test_autoregressive_training_of_a_multi_step_model_refused(self):
+        _, series, graph = self._quick_setup(seed=5)
+        model = RadNet(RadNetConfig(n_nodes=series.n_nodes, n_features=series.n_features,
+                                    window=3, horizon=3, seed=5))
+        tc = TrainConfig(max_epochs=1, autoregressive_horizon=2)
+        with pytest.raises(ValueError, match="autoregressive_horizon=2.*horizon is 3"):
+            train(model, series, graph, tc)
+
     def test_nan_loss_aborts_with_diagnostics(self, monkeypatch):
         from radnet.errors import NumericError
         from radnet.tensor import DiffArray

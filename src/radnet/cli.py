@@ -168,7 +168,8 @@ def cmd_train(args, file_cfg) -> int:
                                            "test_fraction": test_fraction})
     print(
         f"trained {model.config.variant} to epoch {result.stopped_epoch} "
-        f"(best {result.best_epoch}, val loss {result.best_val_loss:.5f}); "
+        f"(best {result.best_epoch}, val loss {result.best_val_loss:.5f}, "
+        f"stopped by {result.stopped_by}); "
         f"checkpoint at {out / 'checkpoint'}"
     )
     return 0

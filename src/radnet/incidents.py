@@ -429,8 +429,9 @@ class IncidentLabels:
 
     @classmethod
     def from_csv(cls, path: str | Path, horizon: int = 1) -> "IncidentLabels":
-        """Read what `to_csv` wrote; a missing file, a missing column or no rows
-        is a `FormatError` naming the file."""
+        """Read what `to_csv` wrote. A missing file, a missing column, no rows, an
+        unparsable row or a timestep without its network row or one of its
+        links is a `FormatError` naming the file (and the line, for a row)."""
         text = files.read_bytes(path, "incident label file").decode("utf-8")
         reader = csv.DictReader(io.StringIO(text, newline=""))
         missing = [c for c in LABEL_COLUMNS if c not in (reader.fieldnames or ())]
@@ -438,14 +439,25 @@ class IncidentLabels:
             raise FormatError(f"incident label file {path} has no {', '.join(missing)} column")
         rows = {}
         for row in reader:
-            entry = rows.setdefault(int(row["timestep"]), {})
-            entry[int(row["link_id"])] = (
-                float(row["score"]), float(row["threshold"]), int(row["label"])
-            )
+            try:
+                t, link = int(row["timestep"]), int(row["link_id"])
+                if link < -1:
+                    raise ValueError(f"link_id {link} is below -1")
+                entry = (float(row["score"]), float(row["threshold"]), int(row["label"]))
+            except (TypeError, ValueError) as exc:  # a short row reads its missing cells as None
+                raise FormatError(
+                    f"incident label file {path} line {reader.line_num}: {exc}"
+                ) from exc
+            rows.setdefault(t, {})[link] = entry
         if not rows:
             raise FormatError(f"incident label file {path} holds no rows")
         ts = sorted(rows)
-        n_links = max(max(k for k in rows[t] if k >= 0) for t in ts) + 1
+        n_links = max(1, 1 + max(k for t in ts for k in rows[t]))
+        for t in ts:
+            if len(rows[t]) < n_links + 1:
+                j = min(set(range(-1, n_links)) - rows[t].keys())
+                which = "network row (link_id -1)" if j < 0 else f"row for link_id {j}"
+                raise FormatError(f"incident label file {path} has no {which} at timestep {t}")
         net = np.array([rows[t][-1] for t in ts])
         link = np.array([[rows[t][j] for j in range(n_links)] for t in ts])
         return cls(

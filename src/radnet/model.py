@@ -190,7 +190,7 @@ class RadNet:
             weights = None
         else:
             flat = reshape(latest, (latest.shape[0], cfg.n_nodes * cfg.n_features))
-            weights = softmax(self.fusion(flat), axis=-1)  # (B, k)
+            weights = softmax(self.fusion(flat))  # (B, k)
             parts = paths + [latest]
             fused = None
             for i, part in enumerate(parts):

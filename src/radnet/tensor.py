@@ -12,7 +12,10 @@ models whose gradients are routinely validated against finite differences.
 A product with one weight matrix shared by a batch is one GEMM over the
 flattened batch and matches the batched matmul within rtol 1e-12, not bit
 for bit (see the matmul section); the fused layer nodes reproduce their
-chains of primitive nodes bit for bit.
+chains of primitive nodes bit for bit. Softmax and layer norm reduce a
+short last axis of many rows slice by slice, in the order numpy's own
+reduction adds below 8 elements, so those values too are numpy's bit for
+bit (see the last-axis reductions section).
 
 A single forward/backward graph is not thread-safe; distinct graphs over
 distinct parameter stores are independent and may run concurrently, and
@@ -439,32 +442,79 @@ def reduce_mean(a, axis=None, keepdims: bool = False):
 
 
 # ---------------------------------------------------------------------------
+# last-axis reductions
+#
+# numpy reduces a last axis row by row, a per-row cost that dominates at the
+# 3-7 wide rows of per-node attention. An elementwise operation over the
+# axis's slices does the same work in a few whole-array calls, each with a
+# fixed cost of its own, so it pays from _SLICE_MIN_ROWS rows on. Below
+# _PAIRWISE_MIN elements numpy's sum adds in order from 0.0, whether the axis
+# is contiguous or strided, so adding the slices in that order gives the same
+# bits; from _PAIRWISE_MIN on it sums pairwise, and `_sum_last` defers to it.
+# A maximum is exact in any order.
+
+_PAIRWISE_MIN = 8
+_SLICE_MIN_ROWS = 256
+
+
+def _by_slices(x: np.ndarray) -> bool:
+    width = x.shape[-1]
+    return 0 < width and x.size >= _SLICE_MIN_ROWS * width
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-1, keepdims=True), bit for bit; always a fresh array."""
+    width = x.shape[-1]
+    if width >= _PAIRWISE_MIN or not _by_slices(x):
+        return x.sum(axis=-1, keepdims=True)
+    total = 0.0 + x[..., :1]
+    for i in range(1, width):
+        np.add(total, x[..., i : i + 1], out=total)
+    return total
+
+
+def _max_last(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True), NaN-propagating; always a fresh array."""
+    if not _by_slices(x):
+        return x.max(axis=-1, keepdims=True)
+    top = x[..., :1].copy()
+    for i in range(1, x.shape[-1]):
+        np.maximum(top, x[..., i : i + 1], out=top)
+    return top
+
+
+# ---------------------------------------------------------------------------
 # softmax
 
 
-def _softmax_values(av: np.ndarray, axis: int) -> np.ndarray:
-    if np.isnan(av).any():
-        raise NumericError("softmax received NaN input")
-    shifted = av - av.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=axis, keepdims=True)
+def _softmax_values(av: np.ndarray) -> np.ndarray:
+    top = _max_last(av)
+    # a NaN anywhere in a row is that row's maximum
+    if not np.isfinite(top).all():
+        if np.isnan(top).any():
+            raise NumericError("softmax received NaN input")
+        if np.isposinf(top).any():
+            raise NumericError("softmax received +inf input")
+        raise NumericError("softmax received a row whose every entry is -inf")
+    ex = np.exp(av - top)
+    return ex / _sum_last(ex)
 
 
-def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    inner = (g * y).sum(axis=axis, keepdims=True)
-    return y * (g - inner)
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return y * (g - _sum_last(g * y))
 
 
-def softmax(a, axis: int = -1):
-    """Numerically stabilized softmax along `axis`.
+def softmax(a):
+    """Numerically stabilized softmax along the last axis.
 
-    -inf entries (attention masks) come out exactly 0; NaN input is refused.
+    -inf entries (attention masks) come out exactly 0; NaN, +inf and a row
+    of only -inf are refused.
     """
     a = _wrap(a)
-    y = _softmax_values(a.values, axis)
+    y = _softmax_values(a.values)
 
     def push(g):
-        return (_softmax_grad(g, y, axis),)
+        return (_softmax_grad(g, y),)
 
     return _result(y, (a,), push)
 
@@ -484,8 +534,9 @@ def layer_norm(a, gain, shift, eps: float):
     a, gain, shift = _wrap(a), _wrap(gain), _wrap(shift)
     av, gv, sv = a.values, gain.values, shift.values
     width = av.shape[-1]
-    centered = av - av.mean(axis=-1, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    # each mean is numpy's, a sum divided by the width
+    centered = av - _sum_last(av) / width
+    std = np.sqrt(_sum_last(centered * centered) / width + eps)
     normed = centered / std
     values = normed * gv + sv
     want_a, want_gain, want_shift = _tracked(a), _tracked(gain), _tracked(shift)
@@ -496,11 +547,11 @@ def layer_norm(a, gain, shift, eps: float):
         if not want_a:
             return None, g_gain, g_shift
         g_normed = g * gv
-        g_std = (-g_normed * centered / (std * std)).sum(axis=-1, keepdims=True)
+        g_std = _sum_last(-g_normed * centered / (std * std))
         g_sq = np.broadcast_to(g_std * 0.5 / np.maximum(std, 1e-150), av.shape) / width
         # centered reaches the output through the divide and both factors of its square
         g_centered = (g_normed / std + g_sq * centered) + g_sq * centered
-        g_mean = np.broadcast_to((-g_centered).sum(axis=-1, keepdims=True), av.shape)
+        g_mean = np.broadcast_to(_sum_last(-g_centered), av.shape)
         return g_centered + g_mean / width, g_gain, g_shift
 
     return _result(values, (a, gain, shift), push)
@@ -542,7 +593,7 @@ def _attention_weights(qp: np.ndarray, kp: np.ndarray, n_heads: int, scale: floa
     scores = _matmul_values(qh, kt) * scale
     if mask is not None:
         scores = scores + mask
-    return qh, kt, _softmax_values(scores, -1)
+    return qh, kt, _softmax_values(scores)
 
 
 def attention(qp, kp, vp, w_out, n_heads: int, scale: float, mask=None):
@@ -565,7 +616,7 @@ def attention(qp, kp, vp, w_out, n_heads: int, scale: float, mask=None):
     def push(g):
         g_merged, g_w = _matmul_grads(g, merged, wv, True, want_w)
         g_y, g_vh = _matmul_grads(_split_heads(g_merged, n_heads), y, vh, True, want_v)
-        g_qh, g_kt = _matmul_grads(_softmax_grad(g_y, y, -1) * scale, qh, kt, want_q, want_k)
+        g_qh, g_kt = _matmul_grads(_softmax_grad(g_y, y) * scale, qh, kt, want_q, want_k)
         g_kh = None if g_kt is None else np.swapaxes(g_kt, -1, -2)
         merged_grads = (None if gh is None else _merge_heads(gh, n_heads) for gh in (g_qh, g_kh, g_vh))
         return (*merged_grads, g_w)
@@ -583,7 +634,7 @@ def _graph_attention_weights(xv, theta, score_src, score_dst, score_bias, index,
     src = _matmul_values(h, score_src)
     dst = _matmul_values(h, score_dst).reshape(h.shape[:-1])
     raw = src + np.take(dst, index, axis=dst.ndim - 1) + score_bias
-    alpha = _softmax_values(_leaky_relu_values(raw, slope) + mask, -1)
+    alpha = _softmax_values(_leaky_relu_values(raw, slope) + mask)
     return xr, h, src, dst, raw, alpha
 
 
@@ -618,7 +669,7 @@ def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
         g_heads = np.broadcast_to(np.expand_dims(g, -3), heads.shape) / count
         g_mixed = _sigmoid_grad(g_heads, heads).reshape(mixed.shape)
         g_alpha, g_neighbors = _matmul_grads(g_mixed, alpha_row, neighbors, True, True)
-        g_alpha = _softmax_grad(g_alpha.reshape(alpha.shape), alpha, -1)
+        g_alpha = _softmax_grad(g_alpha.reshape(alpha.shape), alpha)
         g_raw = _leaky_relu_grad(g_alpha, raw, slope)
         g_bias = _unbroadcast(g_raw, bv.shape) if want[4] else None
         g_dst = _gather_grad(g_raw, index, dst.shape, dst.ndim - 1).reshape(dst.shape + (1,))

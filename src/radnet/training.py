@@ -145,6 +145,7 @@ class TrainResult:
     best_val_loss: float
     best_val_mse: float
     stopped_epoch: int
+    stopped_by: str  # "patience" or "max_epochs"
     normalizer: Normalizer
     fold_index: int
 
@@ -220,6 +221,7 @@ def train(
     if len(train_samples) == 0 or len(fold.val_samples) == 0:
         raise ValueError("fold has no usable training or validation samples")
 
+    stopped_by = "max_epochs"
     for epoch in range(cfg.max_epochs):
         rng.shuffle(train_samples)
         epoch_loss = 0.0
@@ -250,6 +252,7 @@ def train(
             best, best_loss, best_epoch, best_mse = flat.copy(), val_loss, epoch, val_mse
         # stop after `patience` epochs without improvement (a NaN loss never improves)
         if epoch - best_epoch >= cfg.patience:
+            stopped_by = "patience"
             break
 
     if best_epoch < 0:
@@ -264,6 +267,7 @@ def train(
         best_val_loss=best_loss,
         best_val_mse=best_mse,
         stopped_epoch=epoch,
+        stopped_by=stopped_by,
         normalizer=normalizer,
         fold_index=fold.index,
     )

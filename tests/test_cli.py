@@ -85,6 +85,13 @@ class TestTrainForecastDetectEvaluate:
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) == 9
 
+    def test_train_prints_why_it_stopped(self, trained_dir, tmp_path, capsys):
+        ds, _ = trained_dir
+        argv = ["train", "--data", str(ds), "--out", str(tmp_path / "run"), "--seed", "5",
+                "--max-epochs", "1", "--patience", "1"]
+        assert main(argv) == 0
+        assert "stopped by max_epochs" in capsys.readouterr().out
+
     def test_forecast_writes_container(self, trained_dir, tmp_path):
         ds, run = trained_dir
         out = tmp_path / "fc"

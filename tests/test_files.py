@@ -95,6 +95,19 @@ class TestNamedErrors:
             IncidentLabels.from_csv(path)
         assert "labels.csv" in str(info.value) and str(tmp_path) in str(info.value)
 
+    @pytest.mark.parametrize("rows, problem", [
+        ("0,0,1.0,0.5,1\r\n", "no network row \\(link_id -1\\) at timestep 0"),
+        ("0,-1,1.0,0.5,1\r\n0,0,x,0.5,1\r\n", "line 3: could not convert string to float: 'x'"),
+        ("0,-1,1.0,0.5,1\r\n0,0,1.0,0.5,0\r\n0,1,1.0,0.5,0\r\n"
+         "1,-1,1.0,0.5,1\r\n1,1,1.0,0.5,0\r\n", "no row for link_id 0 at timestep 1"),
+    ], ids=["no-network-row", "non-numeric", "missing-link"])
+    def test_bad_label_rows_are_named(self, tmp_path, rows, problem):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(("timestep,link_id,score,threshold,label\r\n" + rows).encode())
+        with pytest.raises(FormatError, match=problem) as info:
+            IncidentLabels.from_csv(path)
+        assert str(path) in str(info.value)
+
 
 def failing_replace(monkeypatch, suffix):
     """Make os.replace fail for targets ending in `suffix`, as a full disk would."""

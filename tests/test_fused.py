@@ -62,7 +62,7 @@ def composed_attention(qp, kp, vp, w_out, n_heads, scale, mask=None):
     scores = T.matmul(split(qp), T.swapaxes(split(kp), -1, -2)) * scale
     if mask is not None:
         scores = scores + mask
-    weights = T.softmax(scores, axis=-1)
+    weights = T.softmax(scores)
     return T.matmul(merge(T.matmul(weights, split(vp))), w_out)
 
 
@@ -74,7 +74,7 @@ def composed_graph_attention(x, theta, score_src, score_dst, score_bias, neighbo
     dst = T.reshape(T.matmul(h, score_dst), h.shape[:-1])
     dst = gather(dst, neighbor_index, axis=-1)
     scores = leaky_relu(src + dst + score_bias, slope) + neighbor_mask
-    alpha = T.softmax(scores, axis=-1)
+    alpha = T.softmax(scores)
     neighbors = gather(h, neighbor_index, axis=-2)
     alpha = T.reshape(alpha, alpha.shape[:-1] + (1,) + alpha.shape[-1:])
     mixed = T.matmul(alpha, neighbors)

@@ -31,7 +31,7 @@ def dense_gat(layer, x, g):
     src = T.matmul(h, layer.score_src)
     dst = T.matmul(h, layer.score_dst)
     scores = leaky_relu(src + T.swapaxes(dst, -1, -2) + layer.score_bias, DEFAULT_LEAKY_SLOPE)
-    alpha = T.softmax(scores + dense_mask(g), axis=-1)
+    alpha = T.softmax(scores + dense_mask(g))
     return sigmoid(T.matmul(alpha, h)).mean(axis=-3)
 
 

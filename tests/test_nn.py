@@ -127,8 +127,9 @@ class TestLayerNorm:
 
         assert T.grad_check(f, [x, gain, shift], step=1e-6) < 1e-6
 
-    # the flattened C07 width, its final-query rows, and train-radset's per-node width
-    @pytest.mark.parametrize("shape", [(32, 5, 4), (32, 1, 4), (32, 16, 5, 7)])
+    # the flattened C07 width, its final-query rows, train-radset's per-node width,
+    # and a width past numpy's pairwise switch at 8
+    @pytest.mark.parametrize("shape", [(32, 5, 4), (32, 1, 4), (32, 16, 5, 7), (32, 5, 12)])
     def test_fused_node_is_bit_identical_to_composed_chain(self, shape):
         rng = np.random.default_rng(16)
         values = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=shape[:-1] + (1,))

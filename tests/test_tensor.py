@@ -5,8 +5,9 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from radnet import tensor as T
 from radnet.errors import DimensionError, NumericError
@@ -88,30 +89,55 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_uniform(self):
-        out = T.softmax(DiffArray([0.0, 0.0, 0.0]), axis=-1)
+        out = T.softmax(DiffArray([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.values, np.full(3, 1 / 3), rtol=0, atol=1e-15)
 
     def test_stabilized_no_overflow(self):
-        out = T.softmax(DiffArray([1000.0, 0.0]), axis=-1)
+        out = T.softmax(DiffArray([1000.0, 0.0]))
         assert np.isfinite(out.values).all()
         np.testing.assert_allclose(out.values, [1.0, 0.0], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
-        out = T.softmax(DiffArray(rng.normal(size=(6, 9)) * 10), axis=-1)
+        out = T.softmax(DiffArray(rng.normal(size=(6, 9)) * 10))
         np.testing.assert_allclose(out.values.sum(axis=-1), np.ones(6), atol=1e-9)
         assert (out.values >= 0).all()
 
     def test_masked_entries_exactly_zero(self):
         x = np.array([[0.3, -np.inf, 1.2], [0.0, 0.5, -np.inf]])
-        out = T.softmax(DiffArray(x), axis=-1)
+        out = T.softmax(DiffArray(x))
         assert out.values[0, 1] == 0.0
         assert out.values[1, 2] == 0.0
         np.testing.assert_allclose(out.values.sum(axis=-1), [1.0, 1.0], atol=1e-12)
 
     def test_nan_rejected(self):
         with pytest.raises(NumericError):
-            T.softmax(DiffArray([np.nan, 0.0]), axis=-1)
+            T.softmax(DiffArray([np.nan, 0.0]))
+
+    # either row would come out NaN, from inf - inf or -inf - -inf
+    @pytest.mark.parametrize("row, problem", [
+        ([np.inf, 0.0], r"\+inf input"), ([-np.inf, -np.inf], "every entry is -inf"),
+    ])
+    def test_non_finite_row_rejected(self, row, problem):
+        with pytest.raises(NumericError, match=problem):
+            T.softmax(DiffArray([[0.0, -np.inf], row]))
+
+    # train-radset's per-node attention scores, detect-64's graph attention
+    # scores over (batch, head, node, neighbour) and the flattened C07 scores
+    @pytest.mark.parametrize("shape", [(32, 16, 7, 5, 5), (32, 1, 64, 3), (32, 5, 5)])
+    def test_bit_identical_to_plain_numpy(self, shape):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=shape) * 3.0
+        x[..., 1:][rng.random(x[..., 1:].shape) < 0.2] = -np.inf  # masked entries
+        g = rng.normal(size=shape)
+        ex = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = ex / ex.sum(axis=-1, keepdims=True)
+        want_grad = want * (g - (g * want).sum(axis=-1, keepdims=True))
+        a = DiffArray(x, requires_grad=True)
+        out = T.softmax(a)
+        (out * g).sum().backward()
+        np.testing.assert_array_equal(out.values, want)
+        np.testing.assert_array_equal(a.grad, want_grad)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -119,10 +145,51 @@ class TestSoftmax:
         w = rng.normal(size=7)
 
         def f():
-            return (T.softmax(x, axis=-1) * w).sum()
+            return (T.softmax(x) * w).sum()
 
         f().backward()
         assert rel_err(x.grad, fd_grad(f, x)) < 1e-5
+
+
+@st.composite
+def last_axis_arrays(draw):
+    """Widths on both sides of numpy's pairwise switch at 8, row counts on both
+    sides of the slice-by-slice switch, contiguous or strided."""
+    lead = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
+    x = draw(hnp.arrays(np.float64, lead + (draw(st.integers(1, 16)),),
+                        elements=st.floats(width=64)))
+    if draw(st.booleans()):  # the same rows, enough of them to go slice by slice
+        x = np.repeat(x[None], T._SLICE_MIN_ROWS, axis=0)
+    if x.ndim > 1 and draw(st.booleans()):
+        x = np.swapaxes(np.ascontiguousarray(np.swapaxes(x, -1, -2)), -1, -2)
+    return x
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit, except that any NaN matches any NaN.
+
+    Which NaN a sum such as inf + -inf + NaN yields depends on the operand
+    order inside numpy's compiled loop, not on the order of summation.
+    """
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+class TestLastAxisReductions:
+    @settings(max_examples=300, deadline=None)
+    @given(last_axis_arrays())
+    # numpy's sum starts from +0.0, so a row of -0.0 sums to +0.0
+    @example(np.full((T._SLICE_MIN_ROWS, 1), -0.0))
+    @example(np.full((T._SLICE_MIN_ROWS, 3), -0.0))
+    def test_sum_and_max_match_numpy_bitwise(self, x):
+        with np.errstate(all="ignore"):
+            total, top = T._sum_last(x), T._max_last(x)
+            assert_same_bits(total, x.sum(axis=-1, keepdims=True))
+            assert_same_bits(top, x.max(axis=-1, keepdims=True))
+            assert_same_bits(total / x.shape[-1], x.mean(axis=-1, keepdims=True))
+        assert not np.shares_memory(total, x) and not np.shares_memory(top, x)
 
 
 class TestElementwise:

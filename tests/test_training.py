@@ -105,6 +105,7 @@ class TestEarlyStopper:
         # improving through epoch 3, strictly worse afterwards, patience 2
         result = self._train_on_losses(monkeypatch, [1.0, 0.9, 0.8, 0.7, 0.75, 0.8, 0.85], 2)
         assert result.stopped_epoch == 5
+        assert result.stopped_by == "patience"
         assert result.best_epoch == 3
         assert (result.best_val_loss, result.best_val_mse) == (0.7, 0.7)
         assert [h[2] for h in result.history] == [1.0, 0.9, 0.8, 0.7, 0.75, 0.8]
@@ -112,6 +113,7 @@ class TestEarlyStopper:
     def test_never_stops_while_improving(self, monkeypatch):
         result = self._train_on_losses(monkeypatch, [5.0, 4.0, 3.0, 2.0], 1)
         assert result.stopped_epoch == 3
+        assert result.stopped_by == "max_epochs"
         assert result.best_epoch == 3
         assert len(result.history) == 4
 

@@ -46,15 +46,6 @@ from .training import Normalizer, TrainConfig, train, write_loss_csv
 log = logging.getLogger("radnet.cli")
 
 
-def _setup_logging() -> None:
-    level = os.environ.get("RADNET_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-
-
-def _load_config_file(path: str | None) -> dict:
-    return files.read_json(path, "config file") if path else {}
-
-
 def _pick(args: argparse.Namespace, file_cfg: dict, key: str, default):
     """flag > config file > default; file keys may use dashes or underscores."""
     flag = getattr(args, key, None)
@@ -220,7 +211,8 @@ def cmd_detect(args, file_cfg) -> int:
     print(
         f"labeled {len(run.truth.timesteps)} steps: "
         f"{int(run.predicted.network_labels.sum())} predicted / "
-        f"{int(run.truth.network_labels.sum())} true incidents -> {out}"
+        f"{int(run.truth.network_labels.sum())} true incidents -> {out}; "
+        f"{run.baseline.fallback_count} baseline fallbacks"
     )
     return 0
 
@@ -389,11 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
+    level = os.environ.get("RADNET_LOG", "WARNING").upper()
+    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        file_cfg = _load_config_file(getattr(args, "config", None))
+        file_cfg = files.read_json(args.config, "config file") if args.config else {}
         return args.func(args, file_cfg)
     except Exception as exc:  # noqa: BLE001 - single CLI failure boundary
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ import numpy as np
 from . import files
 from .errors import DimensionError, GraphError
 from .nn import DEFAULT_LEAKY_SLOPE, xavier_uniform
-from .tensor import DiffArray, _graph_attention_weights, graph_attention
+from .tensor import DiffArray, _graph_attention_weights, _wrap, graph_attention
 
 
 class RoadGraph:
@@ -133,7 +133,7 @@ class GatLayer:
         Scatters the neighbour-table weights into an N x N array; the result
         carries no tape.
         """
-        x = x if isinstance(x, DiffArray) else DiffArray(x)
+        x = _wrap(x)
         self._check(x, graph)
         alpha = _graph_attention_weights(
             x.values, self.theta.values, self.score_src.values, self.score_dst.values,
@@ -161,7 +161,7 @@ class GatLayer:
         Stacked windows go through unchanged: each time slice is attended
         independently with the same parameters.
         """
-        x = x if isinstance(x, DiffArray) else DiffArray(x)
+        x = _wrap(x)
         self._check(x, graph)
         return graph_attention(
             x, self.theta, self.score_src, self.score_dst, self.score_bias,

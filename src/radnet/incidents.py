@@ -430,8 +430,8 @@ class IncidentLabels:
     @classmethod
     def from_csv(cls, path: str | Path, horizon: int = 1) -> "IncidentLabels":
         """Read what `to_csv` wrote. A missing file, a missing column, no rows, an
-        unparsable row or a timestep without its network row or one of its
-        links is a `FormatError` naming the file (and the line, for a row)."""
+        unparsable or repeated row or a timestep without its network row or one
+        of its links is a `FormatError` naming the file (and the line, for a row)."""
         text = files.read_bytes(path, "incident label file").decode("utf-8")
         reader = csv.DictReader(io.StringIO(text, newline=""))
         missing = [c for c in LABEL_COLUMNS if c not in (reader.fieldnames or ())]
@@ -444,6 +444,8 @@ class IncidentLabels:
                 if link < -1:
                     raise ValueError(f"link_id {link} is below -1")
                 entry = (float(row["score"]), float(row["threshold"]), int(row["label"]))
+                if link in rows.get(t, ()):
+                    raise ValueError(f"a second row for timestep {t}, link_id {link}")
             except (TypeError, ValueError) as exc:  # a short row reads its missing cells as None
                 raise FormatError(
                     f"incident label file {path} line {reader.line_num}: {exc}"

@@ -31,7 +31,7 @@ from .nn import (
     save_checkpoint,
 )
 from .temporal import TransformerBlock, transformer_forward
-from .tensor import DiffArray, concat, reshape, softmax, sqrt
+from .tensor import DiffArray, _wrap, concat, reshape, softmax, sqrt
 
 VARIANTS = ("full", "no_skip", "no_st", "no_ts")
 
@@ -157,7 +157,7 @@ class RadNet:
         rng: np.random.Generator | None = None,
     ) -> tuple[DiffArray, DiffArray | None]:
         """Run (B, K, N, D) windows; returns ((B, N, D) predictions, (B, k) weights)."""
-        windows = windows if isinstance(windows, DiffArray) else DiffArray(windows)
+        windows = _wrap(windows)
         cfg = self.config
         self._check_graph(graph)
         if windows.ndim != 4 or windows.shape[1:] != (
@@ -201,7 +201,7 @@ class RadNet:
 
 def batch_loss(predictions: DiffArray, truths) -> DiffArray:
     """Mean per-sample Frobenius loss over a (B, N, D) batch."""
-    truths = truths if isinstance(truths, DiffArray) else DiffArray(truths)
+    truths = _wrap(truths)
     if predictions.shape != truths.shape:
         raise DimensionError(f"shape mismatch: {predictions.shape} vs {truths.shape}")
     diff = truths - predictions
@@ -231,7 +231,7 @@ def rollout_autoregressive(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    windows = windows if isinstance(windows, DiffArray) else DiffArray(windows)
+    windows = _wrap(windows)
     batch = windows.shape[0]
     if truth is not None:
         truth = np.asarray(truth, dtype=np.float64)

@@ -22,6 +22,7 @@ from .nn import LayerNorm, FeedForward, xavier_uniform
 from .tensor import (
     DiffArray,
     _attention_weights,
+    _wrap,
     attention,
     dropout,
     matmul,
@@ -50,7 +51,7 @@ def position_encode(
     rng: PositionRNG = None,
 ) -> DiffArray:
     """Add the fixed sinusoid along the time axis of (..., K, F); dropout in training."""
-    w = w if isinstance(w, DiffArray) else DiffArray(w)
+    w = _wrap(w)
     k, width = w.shape[-2], w.shape[-1]
     out = w + position_encoding_table(k, width)
     return dropout(out, rate, rng, training)
@@ -108,8 +109,7 @@ class MultiHeadAttention:
 
     def attention_weights(self, q, k, mask=None, head: int = 0) -> DiffArray:
         """(..., Kq, Kk) softmax weights for one head (inspection/tests); no tape."""
-        q = q if isinstance(q, DiffArray) else DiffArray(q)
-        k = k if isinstance(k, DiffArray) else DiffArray(k)
+        q, k = _wrap(q), _wrap(k)
         self._check(q, k, k, mask)
         if not 0 <= head < self.n_heads:
             raise IndexError(f"head {head} outside [0, {self.n_heads})")
@@ -120,9 +120,7 @@ class MultiHeadAttention:
         return DiffArray(weights if self.n_heads == 1 else weights[..., head, :, :])
 
     def __call__(self, q, k, v, mask=None) -> DiffArray:
-        q = q if isinstance(q, DiffArray) else DiffArray(q)
-        k = k if isinstance(k, DiffArray) else DiffArray(k)
-        v = v if isinstance(v, DiffArray) else DiffArray(v)
+        q, k, v = _wrap(q), _wrap(k), _wrap(v)
         self._check(q, k, v, mask)
         return attention(
             matmul(q, self.w_query), matmul(k, self.w_key), matmul(v, self.w_value),
@@ -152,7 +150,7 @@ class EncoderBlock:
         self.norm_ff = LayerNorm(d_model)
 
     def __call__(self, x, training: bool = False, rng: PositionRNG = None) -> DiffArray:
-        x = x if isinstance(x, DiffArray) else DiffArray(x)
+        x = _wrap(x)
         attended = dropout(self.attention(x, x, x), self.dropout_rate, rng, training)
         x1 = self.norm_attn(x + attended)
         ff = dropout(self.feed_forward(x), self.dropout_rate, rng, training)
@@ -215,7 +213,7 @@ def transformer_forward(
     per_node: each node's (K, D) trace is attended independently (model width
     D, nodes batched). flattened: timesteps are (N*D)-wide rows.
     """
-    window = window if isinstance(window, DiffArray) else DiffArray(window)
+    window = _wrap(window)
     if window.ndim < 3:
         raise DimensionError(f"expected (..., K, N, D) window, got {window.shape}")
     n_nodes, width = window.shape[-2], window.shape[-1]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from radnet import cli
 from radnet.cli import main
 
 
@@ -120,14 +121,29 @@ class TestTrainForecastDetectEvaluate:
             main(argv + ["--percentile", "98"])  # forecast takes no threshold flags
 
     @THIN_TAIL
-    def test_detect_then_evaluate(self, trained_dir, tmp_path, capsys):
+    def test_detect_then_evaluate(self, trained_dir, tmp_path, capsys, monkeypatch):
         ds, run = trained_dir
         det = tmp_path / "det"
-        code = main(
-            ["detect", "--data", str(ds), "--checkpoint", str(run / "checkpoint"),
-             "--out", str(det), "--percentile", "98", "--risk-q", "1e-2"]
-        )
-        assert code == 0
+        runs, run_detection = [], cli.run_detection
+
+        def recorded(*args):
+            runs.append(run_detection(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_detection", recorded)
+        summaries = []
+        # fitting 5 of the 10 days leaves weekdays without a baseline slot
+        for extra in (["--test-fraction", "0.5"], []):
+            code = main(
+                ["detect", "--data", str(ds), "--checkpoint", str(run / "checkpoint"),
+                 "--out", str(det), "--percentile", "98", "--risk-q", "1e-2", *extra]
+            )
+            assert code == 0
+            summaries.append(capsys.readouterr().out.splitlines()[-1])
+        counts = [r.baseline.fallback_count for r in runs]
+        assert counts[0] > 0 == counts[1]
+        for summary, count in zip(summaries, counts):
+            assert summary.endswith(f"; {count} baseline fallbacks")
         assert (det / "labels_pred.csv").exists()
         assert (det / "labels_truth.csv").exists()
         code = main(["evaluate", "--detect", str(det), "--out", str(det)])

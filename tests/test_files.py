@@ -100,7 +100,9 @@ class TestNamedErrors:
         ("0,-1,1.0,0.5,1\r\n0,0,x,0.5,1\r\n", "line 3: could not convert string to float: 'x'"),
         ("0,-1,1.0,0.5,1\r\n0,0,1.0,0.5,0\r\n0,1,1.0,0.5,0\r\n"
          "1,-1,1.0,0.5,1\r\n1,1,1.0,0.5,0\r\n", "no row for link_id 0 at timestep 1"),
-    ], ids=["no-network-row", "non-numeric", "missing-link"])
+        ("0,-1,1.0,0.5,1\r\n0,0,1.0,0.5,1\r\n0,0,0.2,0.5,0\r\n",
+         "line 4: a second row for timestep 0, link_id 0"),
+    ], ids=["no-network-row", "non-numeric", "missing-link", "repeated-row"])
     def test_bad_label_rows_are_named(self, tmp_path, rows, problem):
         path = tmp_path / "labels.csv"
         path.write_bytes(("timestep,link_id,score,threshold,label\r\n" + rows).encode())

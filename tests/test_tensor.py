@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from radnet import tensor as T
 from radnet.errors import DimensionError, NumericError
+from radnet.nn import DEFAULT_LEAKY_SLOPE
 from radnet.tensor import DiffArray
 
 from primitive_nodes import gather, leaky_relu, sigmoid
@@ -192,6 +193,58 @@ class TestLastAxisReductions:
         assert not np.shares_memory(total, x) and not np.shares_memory(top, x)
 
 
+def where_leaky_relu(x, slope):
+    return np.where(x > 0, x, slope * x)
+
+
+def where_leaky_relu_grad(g, x, slope):
+    return g * np.where(x > 0, 1.0, slope)
+
+
+def sign_split_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310,
+               1e308, -1e308, 1.0, -1.0]
+edge_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
+edge_arrays = hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=6), elements=edge_floats)
+slopes = st.one_of(st.just(DEFAULT_LEAKY_SLOPE), st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+
+
+class TestBranchFreeActivations:
+    """The kernels equal the np.where and sign-split forms they replaced, bit for bit.
+
+    The reference chains in primitive_nodes.py call these same kernels, so the
+    fused-versus-chain tests cannot see a change in them.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_arrays, st.data(), slopes)
+    def test_leaky_relu_matches_where(self, x, data, slope):
+        g = data.draw(hnp.arrays(np.float64, x.shape, elements=edge_floats))
+        values = T._leaky_relu_values(x, slope)
+        assert_same_bits(values, where_leaky_relu(x, slope))
+        assert np.isnan(values[np.isnan(x)]).all()
+        assert_same_bits(T._leaky_relu_grad(g, x, slope), where_leaky_relu_grad(g, x, slope))
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_arrays)
+    def test_sigmoid_matches_sign_split(self, x):
+        values = T._sigmoid_values(x)
+        assert_same_bits(values, sign_split_sigmoid(x))
+        assert np.isnan(values[np.isnan(x)]).all()
+
+    def test_default_slope_is_in_the_kernels_range(self):
+        # at slope 0, 0 * inf is NaN where np.where kept inf
+        assert 0 < DEFAULT_LEAKY_SLOPE <= 1
+
+
 class TestElementwise:
     def test_leaky_relu_negative_slope(self):
         out = leaky_relu(DiffArray([-1.0]), slope=0.01)
@@ -366,6 +419,50 @@ class TestBackwardMechanics:
         y = (x * 3).sum()
         y.backward()
         assert y.op_trace is None
+
+    def test_backward_on_a_leaf_root(self):
+        x = DiffArray([2.0], requires_grad=True)
+        x.backward()
+        np.testing.assert_array_equal(x.grad, [1.0])
+        x.backward()
+        np.testing.assert_array_equal(x.grad, [2.0])
+        c = DiffArray(3.0)
+        c.backward()
+        assert c.grad is None and c.op_trace is None
+
+    def test_push_raising_midway_leaves_no_mark(self):
+        def failing(a):
+            def push(g):
+                raise RuntimeError("push failed")
+
+            return T._result(a.values.copy(), (a,), push)
+
+        w = DiffArray([0.5, -1.0, 2.0], requires_grad=True)
+        v = DiffArray([1.5, 0.25, -3.0], requires_grad=True)
+        held = np.ones(3)
+        v.grad = held
+        h = w * v
+        stuck = failing(h)
+        # the walk pushes h * h's gradient into h, then fails on `stuck`
+        with pytest.raises(RuntimeError, match="push failed"):
+            (h * h + stuck).sum().backward()
+        assert w.grad is None and v.grad is held
+        traces, stack = [], [stuck]
+        while stack:
+            node = stack.pop()
+            if node.op_trace is not None:
+                traces.append(node.op_trace)
+                stack.extend(node.op_trace.inputs)
+        assert len(traces) == 2 and all(t.grad is None for t in traces)
+
+        # a fresh graph over the same parameters and the uncleared h
+        v.grad = None
+        (h * w).sum().backward()
+        w_clean = DiffArray(w.values.copy(), requires_grad=True)
+        v_clean = DiffArray(v.values.copy(), requires_grad=True)
+        (w_clean * v_clean * w_clean).sum().backward()
+        np.testing.assert_array_equal(w.grad, w_clean.grad)
+        np.testing.assert_array_equal(v.grad, v_clean.grad)
 
     def test_no_grad_suppresses_tape(self):
         x = DiffArray([1.0], requires_grad=True)

@@ -2,8 +2,9 @@
 ablate, report.
 
 A JSON config file passed with --config may hold any long-option name of
-the subcommand (dashes or underscores) plus nested `train` and `pot` blocks,
-whose keys are TrainConfig and PotConfig field names. Each field of
+any subcommand (dashes or underscores), so one file can serve both `train`
+and `detect`, plus nested `train` and `pot` blocks, whose keys are
+TrainConfig and PotConfig field names. Each field of
 RadNetConfig, TrainConfig, PotConfig and IncidentSpec takes the first value
 found in this order:
 
@@ -13,8 +14,9 @@ found in this order:
    subcommand;
 4. the dataclass default, which is the only place defaults are written.
 
-Other options resolve as flag > config file top level > default. An unknown
-key in a `train` / `pot` block is an error. RADNET_LOG sets the log level.
+Other options resolve as flag > config file top level > default. A top-level
+key that no subcommand takes, or an unknown key in a `train` / `pot` block,
+is an error. RADNET_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -47,15 +49,11 @@ log = logging.getLogger("radnet.cli")
 
 
 def _pick(args: argparse.Namespace, file_cfg: dict, key: str, default):
-    """flag > config file > default; file keys may use dashes or underscores."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    dashed = key.replace("_", "-")
-    if dashed in file_cfg:
-        return file_cfg[dashed]
+    """flag > config file > default."""
+    for source in (vars(args), file_cfg):
+        value = _options(source, args).get(key)
+        if value is not None:
+            return value
     return default
 
 
@@ -387,6 +385,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         file_cfg = files.read_json(args.config, "config file") if args.config else {}
+        (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        known = {a.dest for p in subcommands.choices.values() for a in p._actions}
+        unknown = sorted(k for k in file_cfg if k.replace("-", "_") not in known | {"train", "pot"})
+        if unknown:
+            raise ValueError(f"config file {args.config} has keys no subcommand takes: {unknown}")
         return args.func(args, file_cfg)
     except Exception as exc:  # noqa: BLE001 - single CLI failure boundary
         print(f"error: {exc}", file=sys.stderr)

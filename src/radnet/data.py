@@ -131,7 +131,14 @@ def load_dataset(directory: str | Path) -> tuple[FeatureSeries, RoadGraph, Datas
     missing = META_FIELDS - set(meta)
     if missing:
         raise FormatError(f"meta.json missing fields: {sorted(missing)}")
-    t, n, d = int(meta["T"]), int(meta["N"]), int(meta["D"])
+    for key, low in (("T", 1), ("N", 1), ("D", 1), ("delta_seconds", 1), ("start_epoch", 0)):
+        if type(meta[key]) is not int or meta[key] < low:
+            raise FormatError(f"meta.json field {key} must be an integer >= {low}, "
+                              f"got {meta[key]!r}")
+    t, n, d = meta["T"], meta["N"], meta["D"]
+    if not isinstance(meta["feature_names"], list) or len(meta["feature_names"]) != d:
+        raise FormatError(f"meta.json field feature_names must list D={d} names, "
+                          f"got {meta['feature_names']!r}")
     data = files.read_blob(directory / "features.bin", t * n * d, meta["sha256"],
                            "dataset blob").reshape(t, n, d)
     bad = ~np.isfinite(data)
@@ -143,9 +150,9 @@ def load_dataset(directory: str | Path) -> tuple[FeatureSeries, RoadGraph, Datas
         )
     series = FeatureSeries(
         data=data,
-        start_epoch=int(meta["start_epoch"]),
-        delta_seconds=int(meta["delta_seconds"]),
-        feature_names=list(meta["feature_names"]),
+        start_epoch=meta["start_epoch"],
+        delta_seconds=meta["delta_seconds"],
+        feature_names=meta["feature_names"],
         name=str(meta["name"]),
     )
     graph = RoadGraph.from_edge_csv(directory / "edges.csv", n)
@@ -165,6 +172,16 @@ class IncidentSpec:
     depth: float = 0.5  # fractional drop (or rise, per feature polarity)
     duration: int = 6  # intervals
     min_start: int = 0  # earliest allowed onset timestep
+
+    def __post_init__(self):
+        for name, rule, ok in (
+            ("count", "be >= 0", self.count >= 0),
+            ("depth", "lie in (0, 1)", 0.0 < self.depth < 1.0),
+            ("duration", "be at least 1", self.duration >= 1),
+            ("min_start", "be >= 0", self.min_start >= 0),
+        ):
+            if not ok:
+                raise ValueError(f"incident {name} must {rule}, got {getattr(self, name)}")
 
 
 def _feature_polarity(names: list[str]) -> np.ndarray:
@@ -239,6 +256,9 @@ def synth_traffic(
 
     truth_mask = np.zeros((n_steps, n_nodes), dtype=bool)
     if incidents is not None and incidents.count > 0:
+        if incidents.min_start >= n_steps - 1:
+            raise ValueError(f"incident min_start {incidents.min_start} leaves no onset "
+                             f"before step {n_steps - 1} of the {n_steps}-step series")
         factors = 1.0 + polarity * incidents.depth
         for _ in range(incidents.count):
             link = int(rng.integers(0, n_nodes))

@@ -88,10 +88,6 @@ class RoadGraph:
     @classmethod
     def ring(cls, n_nodes: int) -> "RoadGraph":
         """A cycle graph; the default synthetic road topology."""
-        if n_nodes == 1:
-            return cls(1, [])
-        if n_nodes == 2:
-            return cls(2, [(0, 1)])
         return cls(n_nodes, [(i, (i + 1) % n_nodes) for i in range(n_nodes)])
 
 
@@ -117,8 +113,6 @@ class GatLayer:
         n_heads: int = 1,
     ):
         self.n_in = n_in
-        self.n_out = n_out
-        self.n_heads = n_heads
         self.theta = DiffArray(
             xavier_uniform(rng, n_in, n_out, (n_heads, n_in, n_out)), requires_grad=True
         )

@@ -246,9 +246,22 @@ class PotConfig:
     dynamic: bool = True
     refit_every: int = 500
 
+    def __post_init__(self):
+        for name, rule, ok in (
+            ("percentile", "lie in (0, 100)", 0.0 < self.percentile < 100.0),
+            ("risk_q", "lie in (0, 1)", 0.0 < self.risk_q < 1.0),
+            ("refit_every", "be at least 1", self.refit_every >= 1),
+            ("horizon_index", "be >= 0", self.horizon_index >= 0),
+            ("delta_per_horizon", "be >= 0", self.delta_per_horizon >= 0.0),
+            ("effective_percentile", "be positive", self.effective_percentile > 0.0),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must {rule}, got {getattr(self, name)}")
+
     @property
     def effective_percentile(self) -> float:
-        return percentile_for_horizon(self.percentile, self.horizon_index, self.delta_per_horizon)
+        """Initial percentile on the ladder of horizons: base - delta per step."""
+        return self.percentile - self.delta_per_horizon * self.horizon_index
 
 
 def quantile(u, gamma, sigma, risk_q, n, n_excess):
@@ -272,9 +285,7 @@ class ThresholdState:
     sigma: float
     risk_q: float
     n: int  # scores observed
-    n_excess: int
     threshold: float
-    q0_percentile: float
     n_at_fit: int  # n when the refit cadence last restarted: calibration or refit
     refit_every: int = PotConfig.refit_every
     degenerate: bool = False
@@ -306,9 +317,8 @@ def pot_fit(
     u = float(np.percentile(scores, q0_percentile))
     excesses = scores[scores > u] - u
     state = ThresholdState(
-        u=u, gamma=0.0, sigma=1.0, risk_q=risk_q, n=scores.size, n_excess=excesses.size,
-        threshold=u, q0_percentile=q0_percentile, n_at_fit=scores.size,
-        refit_every=refit_every, excesses=excesses,
+        u=u, gamma=0.0, sigma=1.0, risk_q=risk_q, n=scores.size, threshold=u,
+        n_at_fit=scores.size, refit_every=refit_every, excesses=excesses,
     )
     if excesses.size == 0:
         warnings.warn("no excesses above the initial threshold; threshold "
@@ -321,15 +331,8 @@ def pot_fit(
             f"only {excesses.size} excesses (< {MIN_EXCESSES}); tail fit will be noisy"
         )
     state.gamma, state.sigma = gpd_fit(excesses)
-    state.threshold = float(quantile(u, state.gamma, state.sigma, risk_q, state.n, state.n_excess))
+    state.threshold = float(quantile(u, state.gamma, state.sigma, risk_q, state.n, excesses.size))
     return state
-
-
-def percentile_for_horizon(base_percentile: float, horizon_index: int, delta: float) -> float:
-    """Initial percentile for the ladder of horizons: base - delta per step."""
-    if horizon_index < 0:
-        raise ValueError("horizon index must be non-negative")
-    return base_percentile - delta * horizon_index
 
 
 def label(
@@ -360,13 +363,13 @@ def label(
     above = scores > state.u
     new_excess = np.cumsum(above)
     n = state.n + np.arange(1, m + 1)  # counts once each score is in
-    n_excess = state.n_excess + new_excess
+    n_excess = len(state.excesses) + new_excess
     excesses = np.concatenate([state.excesses, scores[above] - state.u])
     due = state.refit_every - (state.n - state.n_at_fit) - 1
     first = max(due, int(np.argmax(n_excess > 0)), 0) if n_excess[-1] else m
     refits = np.arange(first, m, state.refit_every)  # indices of the scores that trigger a refit
     fits = [(state.gamma, state.sigma)]
-    fits += [gpd_fit(excesses[: len(state.excesses) + new_excess[i]]) for i in refits]
+    fits += [gpd_fit(excesses[: n_excess[i]]) for i in refits]
     # after[i] is the threshold once score i is in; a prefix holds the old one
     bounds = [0, *refits, m]
     held = bounds[1] if state.degenerate else int(np.count_nonzero(n_excess == 0))
@@ -376,7 +379,7 @@ def label(
         if lo < hi:
             after[lo:hi] = quantile(state.u, gamma, sigma, state.risk_q, n[lo:hi], n_excess[lo:hi])
     thresholds = np.concatenate([[state.threshold], after[:-1]])
-    state.n, state.n_excess, state.excesses = int(n[-1]), int(n_excess[-1]), excesses
+    state.n, state.excesses = int(n[-1]), excesses
     state.gamma, state.sigma = fits[-1]
     state.threshold = float(after[-1])
     if refits.size:

@@ -185,18 +185,13 @@ class RadNet:
             )
             paths.append(self.gat_ts(temporal, graph))
 
-        if self.fusion is None:  # no_skip: plain sum
-            fused = paths[0] + paths[1] + latest
-            weights = None
-        else:
-            flat = reshape(latest, (latest.shape[0], cfg.n_nodes * cfg.n_features))
-            weights = softmax(self.fusion(flat))  # (B, k)
-            parts = paths + [latest]
-            fused = None
-            for i, part in enumerate(parts):
-                term = reshape(weights[:, i], (-1, 1, 1)) * part
-                fused = term if fused is None else fused + term
-        return self.decoder(fused), weights
+        # (B, k, N, D): the paths, then the latest slice, on one path axis
+        stack = concat([reshape(p, (p.shape[0], 1, *p.shape[1:])) for p in paths + [latest]], 1)
+        weights = None
+        if self.fusion is not None:  # no_skip sums the stack unweighted
+            weights = softmax(self.fusion(reshape(latest, (latest.shape[0], -1))))  # (B, k)
+            stack = stack * reshape(weights, (*weights.shape, 1, 1))
+        return self.decoder(stack.sum(axis=1)), weights
 
 
 def batch_loss(predictions: DiffArray, truths) -> DiffArray:

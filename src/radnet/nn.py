@@ -34,7 +34,6 @@ class Linear:
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         self.n_in = n_in
-        self.n_out = n_out
         self.weight = DiffArray(xavier_uniform(rng, n_in, n_out), requires_grad=True)
         self.bias = DiffArray(np.zeros(n_out), requires_grad=True)
 
@@ -57,7 +56,6 @@ class FeedForward:
     def __init__(self, widths, rng: np.random.Generator):
         if len(widths) < 2:
             raise ValueError("feed-forward needs at least input and output widths")
-        self.widths = tuple(widths)
         self.layers = [
             Linear(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)
         ]

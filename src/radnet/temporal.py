@@ -83,12 +83,11 @@ class MultiHeadAttention:
             )
         self.d_model = d_model
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
         self.scale = 1.0 / np.sqrt(d_model)
         # Drawn head by head, then placed side by side: head m -> its columns.
-        shape = (n_heads, d_model, self.d_head)
+        shape = (n_heads, d_model, d_model // n_heads)
         mk = lambda: DiffArray(
-            np.hstack(xavier_uniform(rng, d_model, self.d_head, shape)), requires_grad=True
+            np.hstack(xavier_uniform(rng, d_model, shape[2], shape)), requires_grad=True
         )
         self.w_query = mk()
         self.w_key = mk()

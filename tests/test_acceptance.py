@@ -166,7 +166,7 @@ class TestC05GpdRecovery:
         sigma_true = 2.0
         scores = rng.exponential(sigma_true, size=100_000)
         state = pot_fit(scores, q0_percentile=98.0, risk_q=1e-3)
-        r = state.risk_q * state.n / state.n_excess
+        r = state.risk_q * state.n / len(state.excesses)
         closed_form = state.u - sigma_true * np.log(r)
         rel = abs(state.threshold - closed_form) / closed_form
         assert rel < 0.02, f"quantile off closed form by {rel:.3%}"

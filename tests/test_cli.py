@@ -38,6 +38,13 @@ class TestSynthCommand:
         assert len(lines) > 1
 
 
+    def test_min_start_past_series_end_names_both(self, tmp_path, capsys):
+        argv = ["synth", "--days", "9", "--events", "3", "--min-start", "5000",
+                "--out", str(tmp_path / "ds")]
+        assert main(argv) == 1
+        assert "min_start 5000 leaves no onset before step 2591" in capsys.readouterr().err
+
+
 class TestStatsCommand:
     def test_stats_json(self, tmp_path, capsys):
         ds = tmp_path / "ds"
@@ -92,6 +99,13 @@ class TestTrainForecastDetectEvaluate:
                 "--max-epochs", "1", "--patience", "1"]
         assert main(argv) == 0
         assert "stopped by max_epochs" in capsys.readouterr().out
+
+    def test_detect_refuses_percentile_out_of_range(self, trained_dir, tmp_path, capsys):
+        ds, run = trained_dir
+        argv = ["detect", "--data", str(ds), "--checkpoint", str(run / "checkpoint"),
+                "--out", str(tmp_path / "det"), "--percentile", "150"]
+        assert main(argv) == 1
+        assert "percentile must lie in (0, 100), got 150.0" in capsys.readouterr().err
 
     def test_forecast_writes_container(self, trained_dir, tmp_path):
         ds, run = trained_dir
@@ -322,6 +336,26 @@ class TestConfigPrecedence:
             for name in ("file", "flag", "default")
         }
         assert digests["file"] == digests["flag"] != digests["default"]
+
+    def test_unknown_top_level_key_names_it(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        main(["synth", "--nodes", "3", "--days", "9", "--seed", "3", "--out", str(ds)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_epoch": 1}))
+        code = main(["train", "--data", str(ds), "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "['max_epoch']" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_key_of_another_subcommand_accepted(self, tmp_path):
+        # one file may serve train and detect: train ignores detect's percentile
+        ds = tmp_path / "ds"
+        main(["synth", "--nodes", "3", "--days", "9", "--seed", "3", "--out", str(ds)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"percentile": 98, "risk-q": 1e-2, "max_epochs": 1}))
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(ds), "--config", str(cfg), "--out", str(run)]) == 0
+        assert json.loads((run / "config.json").read_text())["train"]["max_epochs"] == 1
 
     def test_unknown_block_key_names_it(self, tmp_path, capsys):
         ds = tmp_path / "ds"

@@ -1,17 +1,18 @@
-"""Config dataclasses: JSON round trip and option resolution defaults."""
+"""Config dataclasses: JSON round trip, named checks and option resolution defaults."""
 
 import json
 from dataclasses import asdict
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from radnet.cli import _resolve, build_parser
+from radnet.data import IncidentSpec
 from radnet.model import VARIANTS, RadNetConfig
 from radnet.pipeline import PotConfig
 from radnet.training import TrainConfig
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-12, max_value=1e3, allow_nan=False)
 small = st.integers(min_value=0, max_value=1000)
 pos_int = st.integers(min_value=1, max_value=1000)
@@ -49,18 +50,22 @@ train_configs = st.builds(
     teacher_forcing_p=st.floats(min_value=0.0, max_value=1.0),
 )
 
-pot_configs = st.builds(
-    PotConfig,
-    percentile=finite,
-    risk_q=finite,
-    delta_per_horizon=finite,
-    horizon_index=small,
-    dynamic=st.booleans(),
-    refit_every=pos_int,
-)
+@st.composite
+def pot_configs(draw):
+    """Valid settings: the ladder's last percentile, percentile - delta * index, stays positive."""
+    percentile = draw(st.floats(min_value=1e-6, max_value=100.0, exclude_max=True))
+    horizon_index = draw(small)
+    return PotConfig(
+        percentile=percentile,
+        risk_q=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
+        delta_per_horizon=draw(unit) * percentile / (horizon_index + 1),
+        horizon_index=horizon_index,
+        dynamic=draw(st.booleans()),
+        refit_every=draw(pos_int),
+    )
 
 
-@given(st.one_of(radnet_configs, train_configs, pot_configs))
+@given(st.one_of(radnet_configs, train_configs, pot_configs()))
 def test_json_round_trip(config):
     raw = json.loads(json.dumps(asdict(config)))
     assert type(config)(**raw) == config
@@ -76,3 +81,27 @@ def test_resolver_defaults_are_the_dataclass_defaults():
     assert _resolve(RadNetConfig, ablate, {}, n_nodes=4, n_features=2) == RadNetConfig(
         n_nodes=4, n_features=2
     )
+
+
+@pytest.mark.parametrize("field, value", [
+    ("percentile", 0.0), ("percentile", 100.0), ("percentile", 150.0),
+    ("percentile", float("nan")), ("risk_q", 0.0), ("risk_q", 1.0), ("refit_every", 0),
+    ("horizon_index", -1), ("delta_per_horizon", -0.5),
+])
+def test_bad_pot_setting_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=f"{field} must"):
+        PotConfig(**{field: value})
+
+
+def test_pot_ladder_below_zero_rejected():
+    with pytest.raises(ValueError, match="effective_percentile must be positive, got -1.0"):
+        PotConfig(percentile=99.0, horizon_index=2, delta_per_horizon=50.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("count", -1), ("depth", 0.0), ("depth", 1.0), ("depth", 1.5), ("duration", 0),
+    ("min_start", -5),
+])
+def test_bad_incident_setting_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=f"incident {field} must"):
+        IncidentSpec(**{field: value})

@@ -141,6 +141,22 @@ class TestContainer:
         with pytest.warns(UserWarning, match="mystery"):
             load_dataset(tmp_path / "ds")
 
+    @pytest.mark.parametrize("field, value", [
+        ("T", "many"), ("T", 0), ("N", -1), ("D", 2.0), ("D", True), ("delta_seconds", 0),
+        ("start_epoch", -300), ("start_epoch", None), ("feature_names", ["f0"]),
+        ("feature_names", "f0f1"),
+    ])
+    def test_bad_meta_field_names_file_and_field(self, tmp_path, field, value):
+        import json
+
+        save_dataset(tmp_path / "ds", small_series(), RoadGraph(3, []))
+        meta_path = tmp_path / "ds" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[field] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=f"meta.json field {field} must"):
+            load_dataset(tmp_path / "ds")
+
     def test_radset_schema_names_accepted(self, tmp_path):
         series, graph, _ = synth_traffic(4, 9, n_features=7, seed=2)
         assert series.feature_names == list(RADSET_FEATURES)
@@ -189,6 +205,11 @@ class TestSynthTraffic:
         b, _, mb = synth_traffic(4, 9, incidents=IncidentSpec(count=3), seed=6)
         np.testing.assert_array_equal(a.data, b.data)
         np.testing.assert_array_equal(ma, mb)
+
+    def test_min_start_past_series_end_rejected(self):
+        spec = IncidentSpec(count=1, min_start=9 * 288 - 1)
+        with pytest.raises(ValueError, match=r"min_start 2591 .* step 2591 of the 2592-step"):
+            synth_traffic(4, 9, incidents=spec)
 
     def test_too_few_days_rejected(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,14 @@ from radnet import nn as nn_module
 from radnet import temporal as temporal_module
 from radnet import tensor as T
 from radnet.graph import RoadGraph
-from radnet.model import RadNet, RadNetConfig, batch_loss, build_window, rollout_autoregressive
+from radnet.model import (
+    VARIANTS,
+    RadNet,
+    RadNetConfig,
+    batch_loss,
+    build_window,
+    rollout_autoregressive,
+)
 from radnet.temporal import causal_mask
 from radnet.tensor import DiffArray
 
@@ -370,6 +377,62 @@ class TestTrainingStepAgainstChains:
         composed = step()
         for got, want in zip(fused, composed):
             np.testing.assert_array_equal(got, want)
+
+
+def per_path_forward_batch(model, windows, graph, training=False, rng=None):
+    """`RadNet.forward_batch` with its fusion as the per-path chain it replaced:
+    each path output (then the latest slice) scaled by its weight column and
+    added to the running sum; no_skip adds the three unweighted."""
+    windows = DiffArray(windows)
+    cfg = model.config
+    latest = windows[:, -1]
+    paths = []
+    if model.gat_st is not None:
+        spatial = model.gat_st(windows, graph)
+        paths.append(temporal_module.transformer_forward(
+            model.transformer_st, spatial, cfg.temporal_mode, training, rng))
+    if model.transformer_ts is not None:
+        temporal = temporal_module.transformer_forward(
+            model.transformer_ts, windows, cfg.temporal_mode, training, rng)
+        paths.append(model.gat_ts(temporal, graph))
+    if model.fusion is None:
+        return model.decoder(paths[0] + paths[1] + latest), None
+    flat = T.reshape(latest, (latest.shape[0], cfg.n_nodes * cfg.n_features))
+    weights = T.softmax(model.fusion(flat))
+    fused = None
+    for i, part in enumerate(paths + [latest]):
+        term = T.reshape(weights[:, i], (-1, 1, 1)) * part
+        fused = term if fused is None else fused + term
+    return model.decoder(fused), weights
+
+
+class TestFusionAgainstPerPathChain:
+    """The fusion as one weighted sum over a path axis against the per-path chain."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n_nodes, n_features", [(4, 1), (16, 7)])
+    def test_predictions_weights_and_gradients_bit_identical(self, variant, n_nodes, n_features):
+        data = np.random.default_rng(84).normal(size=(40, n_nodes, n_features))
+        ts = np.arange(4, 36)
+        graph = RoadGraph.ring(n_nodes)
+
+        def step(forward):
+            model = RadNet(RadNetConfig(n_nodes=n_nodes, n_features=n_features,
+                                        variant=variant, seed=0))
+            preds, weights = forward(model, build_window(data, ts, 5), graph, True,
+                                     np.random.default_rng(85))
+            batch_loss(preds, data[ts + 1]).backward()
+            grads = [p.grad for p in model.store.params.values()]
+            return [preds.values, None if weights is None else weights.values, *grads]
+
+        summed = step(RadNet.forward_batch)
+        chained = step(per_path_forward_batch)
+        assert len(summed) == len(chained)
+        for got, want in zip(summed, chained):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
 
 
 class TestSharedWeightGemm:

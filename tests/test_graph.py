@@ -72,6 +72,17 @@ class TestRoadGraph:
             assert (g.neighbor_mask[i, ~real] == -np.inf).all()
         assert g.neighbor_index[5].tolist() == [5, 6, 5, 5, 5]
 
+    @pytest.mark.parametrize("n_nodes, edges", [
+        (1, set()),
+        (2, {(0, 1)}),
+        (3, {(0, 1), (1, 2), (0, 2)}),
+        (4, {(0, 1), (1, 2), (2, 3), (0, 3)}),
+        (5, {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}),
+        (6, {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)}),
+    ])
+    def test_ring_edges(self, n_nodes, edges):
+        assert RoadGraph.ring(n_nodes).edges == edges
+
 
 class TestAttentionCoefficients:
     def test_isolated_node_attends_to_itself(self):

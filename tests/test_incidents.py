@@ -20,7 +20,6 @@ from radnet.incidents import (
     gpd_fit,
     label,
     label_with_thresholds,
-    percentile_for_horizon,
     pot_fit,
     residual_scores,
 )
@@ -120,7 +119,7 @@ def streamed_reference(scores, state, dynamic=False):
 
     Each score is labelled against the current threshold and then folded
     into the counters; the tail refits once `refit_every` scores have passed
-    since the last fit and n_excess is positive.
+    since the last fit and there is at least one excess.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.zeros(scores.shape, dtype=np.int8)
@@ -136,14 +135,13 @@ def streamed_reference(scores, state, dynamic=False):
         since_refit += 1
         if s > state.u:
             excesses.append(s - state.u)
-            state.n_excess += 1
-        if since_refit >= state.refit_every and state.n_excess > 0:
+        if since_refit >= state.refit_every and excesses:
             state.gamma, state.sigma = incidents.gpd_fit(np.asarray(excesses))
             since_refit = 0
             state.n_at_fit = state.n
             state.degenerate = False
-        if not state.degenerate and state.n_excess > 0:
-            r = state.risk_q * state.n / state.n_excess
+        if not state.degenerate and excesses:
+            r = state.risk_q * state.n / len(excesses)
             if abs(state.gamma) < incidents.GAMMA_ZERO_TOL:
                 phi = state.u - state.sigma * np.log(r)
             else:
@@ -381,7 +379,7 @@ class TestGpdFit:
         rng = np.random.default_rng(10)
         scores = rng.exponential(sigma_true, size=20000)
         state = pot_fit(scores, q0_percentile=95.0, risk_q=1e-3)
-        r = state.risk_q * state.n / state.n_excess
+        r = state.risk_q * state.n / len(state.excesses)
         closed_form = state.u - sigma_true * np.log(r)
         assert state.threshold == pytest.approx(closed_form, rel=0.02)
 
@@ -513,11 +511,12 @@ class TestPotFit:
             pot_fit(scores, 95.0, refit_every=refit_every)
 
     def test_percentile_ladder(self):
-        assert percentile_for_horizon(99.0, 1, 0.5) == 98.5
-        assert percentile_for_horizon(50.0, 1, 2.5) == 47.5
-        assert percentile_for_horizon(45.0, 1, 2.5) == 42.5
-        assert percentile_for_horizon(99.0, 0, 0.5) == 99.0
-        assert percentile_for_horizon(99.0, 3, 0.5) == 97.5
+        for percentile, index, delta, expected in [
+            (99.0, 1, 0.5, 98.5), (50.0, 1, 2.5, 47.5), (45.0, 1, 2.5, 42.5),
+            (99.0, 0, 0.5, 99.0), (99.0, 3, 0.5, 97.5),
+        ]:
+            pot = PotConfig(percentile=percentile, horizon_index=index, delta_per_horizon=delta)
+            assert pot.effective_percentile == expected
 
     def test_scale_invariant_labels(self):
         # Rescaling scores and refitting at the same percentile/risk must
@@ -537,7 +536,7 @@ class TestLabel:
     def _state(self, threshold):
         return ThresholdState(
             u=threshold, gamma=0.0, sigma=1.0, risk_q=1e-3,
-            n=100, n_excess=0, threshold=threshold, q0_percentile=99.0, n_at_fit=100,
+            n=100, threshold=threshold, n_at_fit=100,
         )
 
     def test_quiet_stream_all_zero(self):
@@ -563,11 +562,11 @@ class TestLabel:
         rng = np.random.default_rng(16)
         calib = rng.exponential(1.0, size=2000)
         state = pot_fit(calib, 95.0, risk_q=1e-3, refit_every=100)
-        n0, e0 = state.n, state.n_excess
+        n0, e0 = state.n, len(state.excesses)
         stream = rng.exponential(1.0, size=500)
         _, thresholds = label(stream, state, dynamic=True)
         assert state.n == n0 + 500
-        assert state.n_excess > e0
+        assert len(state.excesses) > e0
         assert (thresholds >= state.u).all()
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -654,7 +653,7 @@ class TestClosedFormStream:
         for (labels, thresholds), (ref_labels, ref_thresholds) in zip(got, ref):
             np.testing.assert_array_equal(labels, ref_labels)
             np.testing.assert_allclose(thresholds, ref_thresholds, rtol=1e-13, atol=0)
-        for name in ("gamma", "sigma", "n", "n_excess", "n_at_fit", "degenerate"):
+        for name in ("gamma", "sigma", "n", "n_at_fit", "degenerate"):
             assert getattr(state, name) == getattr(ref_state, name), name
         np.testing.assert_array_equal(state.excesses, ref_state.excesses)
         np.testing.assert_allclose(state.threshold, ref_state.threshold, rtol=1e-13, atol=0)

@@ -57,12 +57,17 @@ def _pick(args: argparse.Namespace, file_cfg: dict, key: str, default):
     return default
 
 
+def _field(key: str) -> str:
+    """A config-file key as an option dest or field name: dashes become underscores."""
+    return key.replace("-", "_")
+
+
 def _options(raw: dict, args: argparse.Namespace) -> dict:
     """Values in `raw` of long options of `args`' subcommand, as field names."""
     values = {
-        key.replace("-", "_"): value
+        _field(key): value
         for key, value in raw.items()
-        if key.replace("-", "_") in vars(args) and value is not None
+        if _field(key) in vars(args) and value is not None
     }
     if values.pop("static", False):
         values["dynamic"] = False
@@ -79,7 +84,7 @@ def _resolve(cls, args: argparse.Namespace, file_cfg: dict, block: str | None = 
     names = {f.name for f in fields(cls)}
     values = {k: v for k, v in _options(file_cfg, args).items() if k in names}
     if block:
-        values.update({k.replace("-", "_"): v for k, v in file_cfg.get(block, {}).items()})
+        values.update({_field(k): v for k, v in file_cfg.get(block, {}).items()})
     values.update({k: v for k, v in _options(vars(args), args).items() if k in names})
     return cls(**{**values, **fixed})
 
@@ -303,8 +308,21 @@ def _add_pot_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--static", action="store_true", help="hold thresholds fixed")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps the dest of every argument added to it."""
+
+    def __init__(self, *args, **kwargs):
+        self.dests: set[str] = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.dests.add(action.dest)
+        return action
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(
         prog="radnet",
         description="Spatio-temporal traffic forecasting and incident prediction",
     )
@@ -375,6 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pot_flags(p)
     p.set_defaults(func=cmd_report)
 
+    # a config file's top level may hold any subcommand's option and the two blocks
+    parser.config_keys = {"train", "pot"}.union(*(p.dests for p in sub.choices.values()))
     return parser
 
 
@@ -385,9 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         file_cfg = files.read_json(args.config, "config file") if args.config else {}
-        (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        known = {a.dest for p in subcommands.choices.values() for a in p._actions}
-        unknown = sorted(k for k in file_cfg if k.replace("-", "_") not in known | {"train", "pot"})
+        unknown = sorted(k for k in file_cfg if _field(k) not in parser.config_keys)
         if unknown:
             raise ValueError(f"config file {args.config} has keys no subcommand takes: {unknown}")
         return args.func(args, file_cfg)

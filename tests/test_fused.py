@@ -411,9 +411,11 @@ class TestFusionAgainstPerPathChain:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("n_nodes, n_features", [(4, 1), (16, 7)])
-    def test_predictions_weights_and_gradients_bit_identical(self, variant, n_nodes, n_features):
+    @pytest.mark.parametrize("batch", [32, 1])
+    def test_predictions_weights_and_gradients_bit_identical(self, variant, n_nodes, n_features,
+                                                             batch):
         data = np.random.default_rng(84).normal(size=(40, n_nodes, n_features))
-        ts = np.arange(4, 36)
+        ts = np.arange(4, 4 + batch)
         graph = RoadGraph.ring(n_nodes)
 
         def step(forward):
@@ -422,17 +424,26 @@ class TestFusionAgainstPerPathChain:
             preds, weights = forward(model, build_window(data, ts, 5), graph, True,
                                      np.random.default_rng(85))
             batch_loss(preds, data[ts + 1]).backward()
-            grads = [p.grad for p in model.store.params.values()]
-            return [preds.values, None if weights is None else weights.values, *grads]
+            grads = {name: p.grad for name, p in model.store.params.items()}
+            return [preds.values, None if weights is None else weights.values], grads
 
-        summed = step(RadNet.forward_batch)
-        chained = step(per_path_forward_batch)
-        assert len(summed) == len(chained)
+        (summed, summed_grads), (chained, chained_grads) = (
+            step(RadNet.forward_batch), step(per_path_forward_batch))
         for got, want in zip(summed, chained):
             if want is None:
                 assert got is None
             else:
                 np.testing.assert_array_equal(got, want)
+        assert summed_grads.keys() == chained_grads.keys()
+        for name, want in chained_grads.items():
+            if batch == 1 and n_features > 1 and name.startswith("fusion."):
+                # The chain summed a (1, 1, 1) weight's products over N, then
+                # over D; the stack sums a window's N*D products in one pass.
+                # The softmax weights' gradient may differ in its last bit, and
+                # the fusion layer's gradients behind it a little more.
+                assert_close_to_scale(summed_grads[name], want)
+            else:
+                np.testing.assert_array_equal(summed_grads[name], want, err_msg=name)
 
 
 class TestSharedWeightGemm:

@@ -6,7 +6,8 @@ For each checkout, a fresh interpreter imports that checkout's
 `perfbench/workloads.py` and `src/radnet`, and runs every workload's set-up,
 one operation and its checks at each seed, untimed and untraced, with one
 BLAS thread. The script prints each operation's `Op.outputs` from both
-checkouts and exits 1 when any output differs or any check fails. A change
+checkouts and exits 1 when any output differs, any check fails, or a
+workload runs in one checkout only. A change
 that should not alter results (a refactor, a speed-up that keeps the
 arithmetic) is checked this way before its benchmark pairs are run.
 """
@@ -22,25 +23,25 @@ import tempfile
 from pathlib import Path
 
 
-def run_tree(tree: Path, workloads: list[str], seeds: list[int]) -> list[dict]:
-    """One record per (workload, seed) from a fresh interpreter in `tree`."""
+def run_tree(tree: Path, seeds: list[int]) -> dict[tuple[str, int], dict]:
+    """{(workload, seed): record} from a fresh interpreter in `tree`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    argv = [sys.executable, __file__, "--worker", *workloads, "--seeds", *map(str, seeds)]
+    argv = [sys.executable, __file__, "--worker", "--seeds", *map(str, seeds)]
     done = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.PIPE, check=True, text=True)
-    return [json.loads(line) for line in done.stdout.splitlines() if line.startswith("{")]
+    records = [json.loads(line) for line in done.stdout.splitlines() if line.startswith("{")]
+    return {(record["workload"], record["seed"]): record for record in records}
 
 
-def worker(names: list[str], seeds: list[int]) -> None:
-    """Print one JSON record per (workload, seed) of the checkout on sys.path."""
+def worker(seeds: list[int]) -> None:
+    """Print one JSON record per workload and seed of the checkout on sys.path."""
     import warnings
 
     import workloads
 
     warnings.simplefilter("ignore", UserWarning)  # thin tails are the workloads' own business
-    for name in names:
-        workload = workloads.WORKLOADS[name]
+    for name, workload in workloads.WORKLOADS.items():
         for seed in seeds:
             ctx = workload.setup(seed)
             with tempfile.TemporaryDirectory() as workdir:
@@ -55,19 +56,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", type=Path, help="PARENT and CHANGE checkouts")
     parser.add_argument("--seeds", nargs="+", type=int, default=[0, 1])
-    parser.add_argument("--workload", nargs="+", dest="workloads",
-                        default=["train-radset", "detect-64", "pipeline-c07"])
-    parser.add_argument("--worker", nargs="+", help=argparse.SUPPRESS)
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        worker(args.worker, args.seeds)
+        worker(args.seeds)
         return 0
     if len(args.trees) != 2:
         parser.error("give two checkouts: PARENT CHANGE")
-    parent, change = (run_tree(tree.resolve(), args.workloads, args.seeds) for tree in args.trees)
+    parent, change = (run_tree(tree.resolve(), args.seeds) for tree in args.trees)
     same = True
-    for old, new in zip(parent, change):
-        print(f"{old['workload']} seed {old['seed']}")
+    for workload, seed in sorted(parent.keys() | change.keys()):
+        print(f"{workload} seed {seed}")
+        missing = {"outputs": {}, "failed": ["workload missing"]}
+        old, new = parent.get((workload, seed), missing), change.get((workload, seed), missing)
         for key in sorted(old["outputs"].keys() | new["outputs"].keys()):
             a, b = old["outputs"].get(key), new["outputs"].get(key)
             print(f"  {key:12s} {a!r:24} {b!r:24} {'same' if a == b else 'DIFFERENT'}")

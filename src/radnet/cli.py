@@ -74,18 +74,40 @@ def _options(raw: dict, args: argparse.Namespace) -> dict:
     return values
 
 
+def _fits(kind: str, value) -> bool:
+    """Whether a JSON value has the type of a config field annotated `kind`."""
+    if kind.endswith(" | None"):
+        return value is None or _fits(kind.removesuffix(" | None"), value)
+    if kind.startswith("tuple["):  # a JSON array of the first item type
+        item = kind.removeprefix("tuple[").split(",")[0].strip(" ]")
+        return isinstance(value, list) and all(_fits(item, v) for v in value)
+    if isinstance(value, bool):  # a JSON true is no number
+        return kind == "bool"
+    return isinstance(value, {"int": int, "float": (int, float), "bool": bool, "str": str}[kind])
+
+
 def _resolve(cls, args: argparse.Namespace, file_cfg: dict, block: str | None = None, **fixed):
     """Build dataclass `cls`: flag > file block > file top level > field default.
 
     `fixed` values bypass resolution: sizes read from the data, or options
-    stored under another name (--events is IncidentSpec.count). Unknown keys
-    in the block reach `cls(...)` and fail there, naming the key.
+    stored under another name (--events is IncidentSpec.count). A block that
+    is no JSON object, or a file value of the wrong JSON type, is an error
+    naming the key and the file. Unknown keys in the block reach `cls(...)`
+    and fail there, naming the key.
     """
-    names = {f.name for f in fields(cls)}
-    values = {k: v for k, v in _options(file_cfg, args).items() if k in names}
+    kinds = {f.name: f.type for f in fields(cls)}
+    values = {k: v for k, v in _options(file_cfg, args).items() if k in kinds}
     if block:
-        values.update({_field(k): v for k, v in file_cfg.get(block, {}).items()})
-    values.update({k: v for k, v in _options(vars(args), args).items() if k in names})
+        given = file_cfg.get(block, {})
+        if not isinstance(given, dict):
+            raise ValueError(f"config file {args.config}: {block} must be an object, got {given!r}")
+        values.update({_field(k): v for k, v in given.items()})
+    for key, value in values.items():
+        if key in kinds and not _fits(kinds[key], value):
+            raise ValueError(
+                f"config file {args.config}: {key} must be {kinds[key]}, got {value!r}"
+            )
+    values.update({k: v for k, v in _options(vars(args), args).items() if k in kinds})
     return cls(**{**values, **fixed})
 
 

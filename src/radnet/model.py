@@ -5,12 +5,16 @@ time slice followed by a transformer over time (spatio-temporal), and a
 transformer over time followed by graph attention (temporo-spatial). A
 learned softmax over a single affine map of the latest feature matrix mixes
 the two path outputs with the raw input as a convex combination, and a
-feed-forward decoder maps the fused matrix to the forecast.
+feed-forward decoder maps the fused matrix to the forecast. The two paths'
+transformers have one shape, so they are the two members of one transformer
+block (`temporal.TransformerBlock`): member 0 encodes the graph-attended
+windows of the spatio-temporal path, member 1 the windows of the
+temporo-spatial path, in one call.
 
 Ablation variants: `no_skip` replaces the learned combination with a plain
 sum, `no_st` drops the spatio-temporal path, `no_ts` drops the
 temporo-spatial path (the remaining path is mixed with the input through a
-2-way softmax).
+2-way softmax); their block has one member.
 """
 
 from __future__ import annotations
@@ -95,14 +99,13 @@ class RadNet:
         d_model = config.n_nodes * d if config.temporal_mode == "flattened" else d
 
         gat = lambda: GatLayer(d, d, rng, config.gat_heads)
-        block = lambda: TransformerBlock(d_model, config.transformer_heads, rng,
-                                         config.encoder_hidden, config.dropout)
-        self.gat_st = self.transformer_st = None
-        self.transformer_ts = self.gat_ts = None
-        if config.variant != "no_st":
-            self.gat_st, self.transformer_st = gat(), block()
-        if config.variant != "no_ts":
-            self.transformer_ts, self.gat_ts = block(), gat()
+        # drawn in path order: gat_st, the ST block, the TS block, gat_ts
+        self.gat_st = gat() if config.variant != "no_st" else None
+        self.transformer = TransformerBlock(
+            d_model, config.transformer_heads, rng, config.encoder_hidden, config.dropout,
+            members=1 if config.variant in ("no_st", "no_ts") else 2,
+        )
+        self.gat_ts = gat() if config.variant != "no_ts" else None
 
         self.fusion = None
         if config.variant != "no_skip":
@@ -171,19 +174,16 @@ class RadNet:
             )
         latest = windows[:, -1]  # (B, N, D)
 
-        paths = []
-        if self.gat_st is not None:
-            spatial = self.gat_st(windows, graph)
-            paths.append(
-                transformer_forward(
-                    self.transformer_st, spatial, cfg.temporal_mode, training, rng
-                )
-            )
-        if self.transformer_ts is not None:
-            temporal = transformer_forward(
-                self.transformer_ts, windows, cfg.temporal_mode, training, rng
-            )
-            paths.append(self.gat_ts(temporal, graph))
+        # the block's members: the graph-attended windows of the spatio-temporal
+        # path, then the windows of the temporo-spatial path
+        members = [] if self.gat_st is None else [self.gat_st(windows, graph)]
+        if self.gat_ts is not None:
+            members.append(windows)
+        stacked = concat([reshape(m, (1, *m.shape)) for m in members], 0)  # (S, B, K, N, D)
+        temporal = transformer_forward(self.transformer, stacked, cfg.temporal_mode, training, rng)
+        paths = [temporal[s] for s in range(len(members))]
+        if self.gat_ts is not None:
+            paths[-1] = self.gat_ts(paths[-1], graph)
 
         # (B, k, N, D): the paths, then the latest slice, on one path axis
         stack = concat([reshape(p, (p.shape[0], 1, *p.shape[1:])) for p in paths + [latest]], 1)

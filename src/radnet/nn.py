@@ -109,6 +109,21 @@ def _collect(module, prefix: str, out: dict[str, DiffArray]) -> None:
             _collect(value, f"{prefix}{key}.", out)
 
 
+def stack_members(members: list, rank: int):
+    """The first of `members`, modules of one layout, holding every member's parameters.
+
+    Each parameter becomes the members' values stacked on a new leading
+    member axis, shaped (S, 1, ..., 1) + its own shape with unit axes up to
+    `rank` axes, so that it lines up with (S, ...) activations of that rank:
+    member s reads slice s. The same DiffArray objects carry the stacks.
+    """
+    walked = [named_parameters(m) for m in members]
+    for name, p in walked[0].items():
+        stacked = np.stack([w[name].values for w in walked])
+        p.values = stacked.reshape(stacked.shape[:1] + (1,) * (rank - 1 - p.ndim) + p.shape)
+    return members[0]
+
+
 class ParameterStore:
     """Named parameters whose values are views into one float64 buffer, `flat`.
 
@@ -151,7 +166,8 @@ class ParameterStore:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_FORMAT = 2
+# 3: the two paths' transformer blocks are one block with a member axis
+CHECKPOINT_FORMAT = 3
 
 
 def save_checkpoint(
@@ -179,7 +195,7 @@ def load_checkpoint(stem: str | Path) -> tuple[np.ndarray, dict]:
     manifest = files.read_json(path, "checkpoint manifest")
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise FormatError(
-            f"checkpoint format {manifest.get('format')!r} is not supported "
+            f"checkpoint manifest {path}: format {manifest.get('format')!r} is not supported "
             f"(expected {CHECKPOINT_FORMAT}); retrain to write a current checkpoint"
         )
     try:

@@ -6,6 +6,12 @@ reads one row, and the last row of a causal mask hides nothing, so the
 position-encoded last timestep attends to the whole (position-encoded)
 window and then cross-attends to the encoder output.
 
+A block holds S members, each with its own parameters, on a leading member
+axis: it reads (S, R, K, d) windows and runs member s's R rows of K
+timesteps through member s's parameters, so S blocks of one shape record the
+tape nodes of one. The model's two inference paths are the two members of
+its block.
+
 Attention runs per node (model width = feature count, batched over nodes)
 or over flattened node-feature rows; the model picks per node when the data
 has two or more features and flattened rows for single-feature data.
@@ -18,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError
-from .nn import LayerNorm, FeedForward, xavier_uniform
+from .nn import LayerNorm, FeedForward, stack_members, xavier_uniform
 from .tensor import (
     DiffArray,
     _attention_weights,
@@ -31,6 +37,9 @@ from .tensor import (
 )
 
 PositionRNG = np.random.Generator | None
+# dropout sites of one block call: the two position encodings, the encoder's
+# attention and feed-forward outputs, the decoder's attention and cross-attention
+DROPOUT_SITES = 6
 
 
 @lru_cache(maxsize=32)
@@ -44,17 +53,11 @@ def position_encoding_table(length: int, width: int) -> np.ndarray:
     return table
 
 
-def position_encode(
-    w,
-    rate: float,
-    training: bool = False,
-    rng: PositionRNG = None,
-) -> DiffArray:
-    """Add the fixed sinusoid along the time axis of (..., K, F); dropout in training."""
+def position_encode(w, rate: float, draws: np.ndarray | None = None) -> DiffArray:
+    """Add the fixed sinusoid along the time axis of (..., K, F), then dropout by `draws`."""
     w = _wrap(w)
     k, width = w.shape[-2], w.shape[-1]
-    out = w + position_encoding_table(k, width)
-    return dropout(out, rate, rng, training)
+    return dropout(w + position_encoding_table(k, width), rate, draws)
 
 
 def causal_mask(length: int) -> np.ndarray:
@@ -148,24 +151,28 @@ class EncoderBlock:
         self.norm_attn = LayerNorm(d_model)
         self.norm_ff = LayerNorm(d_model)
 
-    def __call__(self, x, training: bool = False, rng: PositionRNG = None) -> DiffArray:
+    def __call__(self, x, draws=(None, None)) -> DiffArray:
+        """`draws` hold the uniforms of the attention and feed-forward dropouts (None: off)."""
         x = _wrap(x)
-        attended = dropout(self.attention(x, x, x), self.dropout_rate, rng, training)
+        attended = dropout(self.attention(x, x, x), self.dropout_rate, draws[0])
         x1 = self.norm_attn(x + attended)
-        ff = dropout(self.feed_forward(x), self.dropout_rate, rng, training)
+        ff = dropout(self.feed_forward(x), self.dropout_rate, draws[1])
         return self.norm_ff(x1 + ff)
 
 
-def _dropout_last_row(row: DiffArray, k: int, rate: float, rng: PositionRNG, training: bool):
-    """Dropout on a (..., 1, d) row by the last row of a (..., K, d) mask: same random stream."""
-    if not training or rate <= 0.0:
-        return row
-    keep = dropout(np.ones(row.shape[:-2] + (k, row.shape[-1])), rate, rng, training)
-    return row * keep.values[..., -1:, :]
+def _last_row(draws: np.ndarray | None) -> np.ndarray | None:
+    """A final-position row's dropout reads the last row of its window's (..., K, d) draw."""
+    return None if draws is None else draws[..., -1:, :]
 
 
 class TransformerBlock:
-    """Encoder over the window plus a decoder for its final position."""
+    """Encoders over the window plus decoders for its final position, for S members.
+
+    Each member's parameters are drawn from `rng` as a lone block's would be,
+    member after member, and stacked on a leading member axis
+    (`nn.stack_members`): a weight is (S, 1, d_in, d_out), a gain, shift or
+    bias (S, 1, 1, width).
+    """
 
     def __init__(
         self,
@@ -174,29 +181,44 @@ class TransformerBlock:
         rng: np.random.Generator,
         hidden: int,
         dropout_rate: float,
+        members: int = 1,
     ):
         self.dropout_rate = dropout_rate
-        self.encoder = EncoderBlock(d_model, n_heads, rng, hidden, dropout_rate)
-        self.decoder_attention = MultiHeadAttention(d_model, n_heads, rng)
-        self.norm_decoder = LayerNorm(d_model)
-        self.cross_attention = MultiHeadAttention(d_model, n_heads, rng)
-        self.norm_out = LayerNorm(d_model)
+        self.members = members
+        layers = [
+            [EncoderBlock(d_model, n_heads, rng, hidden, dropout_rate),
+             MultiHeadAttention(d_model, n_heads, rng), LayerNorm(d_model),
+             MultiHeadAttention(d_model, n_heads, rng), LayerNorm(d_model)]
+            for _ in range(members)
+        ]
+        (self.encoder, self.decoder_attention, self.norm_decoder, self.cross_attention,
+         self.norm_out) = stack_members(layers, rank=4)
 
     def __call__(self, window, training: bool = False, rng: PositionRNG = None) -> DiffArray:
-        """Encode (..., K, d_model) and return the decoded final slice (..., d_model)."""
-        k = window.shape[-2]
-        encoded_in = position_encode(window, self.dropout_rate, training, rng)
-        memory = self.encoder(encoded_in, training, rng)
+        """Encode (S, R, K, d_model) windows and return the decoded final slices (S, R, d_model).
 
-        source = position_encode(window, self.dropout_rate, training, rng)
+        In training, one call draws every dropout uniform at once, member by
+        member and site by site in call order: the stream S serial calls
+        would draw.
+        """
+        window = _wrap(window)
+        if window.ndim != 4 or window.shape[0] != self.members:
+            raise DimensionError(
+                f"expected ({self.members}, R, K, d) member windows, got {window.shape}"
+            )
+        rate = self.dropout_rate
+        sites = [None] * DROPOUT_SITES
+        if training and rate > 0.0:
+            if rng is None:
+                raise ValueError("training-mode dropout needs an rng")
+            draws = rng.random((self.members, DROPOUT_SITES) + window.shape[1:])
+            sites = [draws[:, i] for i in range(DROPOUT_SITES)]
+        memory = self.encoder(position_encode(window, rate, sites[0]), sites[1:3])
+        source = position_encode(window, rate, sites[3])
         last = source[..., -1:, :]
-        attended = _dropout_last_row(
-            self.decoder_attention(last, source, source), k, self.dropout_rate, rng, training
-        )
+        attended = dropout(self.decoder_attention(last, source, source), rate, _last_row(sites[4]))
         decoded = self.norm_decoder(last + attended)
-        crossed = _dropout_last_row(
-            self.cross_attention(decoded, memory, memory), k, self.dropout_rate, rng, training
-        )
+        crossed = dropout(self.cross_attention(decoded, memory, memory), rate, _last_row(sites[5]))
         return self.norm_out(decoded + crossed)[..., 0, :]
 
 
@@ -207,20 +229,21 @@ def transformer_forward(
     training: bool = False,
     rng: PositionRNG = None,
 ) -> DiffArray:
-    """Run a (..., K, N, D) window through the block, returning (..., N, D).
+    """Run (S, ..., K, N, D) member windows through the block, returning (S, ..., N, D).
 
     per_node: each node's (K, D) trace is attended independently (model width
-    D, nodes batched). flattened: timesteps are (N*D)-wide rows.
+    D, nodes batched). flattened: timesteps are (N*D)-wide rows. Either way
+    the block reads each member's windows (and nodes) on one row axis.
     """
     window = _wrap(window)
-    if window.ndim < 3:
-        raise DimensionError(f"expected (..., K, N, D) window, got {window.shape}")
-    n_nodes, width = window.shape[-2], window.shape[-1]
+    if window.ndim < 4:
+        raise DimensionError(f"expected (S, ..., K, N, D) member windows, got {window.shape}")
+    members, (k, n_nodes, width) = window.shape[0], window.shape[-3:]
     if mode == "per_node":
-        per_node = swapaxes(window, -3, -2)  # (..., N, K, D)
-        return block(per_node, training, rng)
-    if mode == "flattened":
-        flat = reshape(window, window.shape[:-2] + (n_nodes * width,))
-        out = block(flat, training, rng)
-        return reshape(out, out.shape[:-1] + (n_nodes, width))
-    raise ValueError(f"unknown temporal mode {mode!r}")
+        rows = reshape(swapaxes(window, -3, -2), (members, -1, k, width))
+    elif mode == "flattened":
+        rows = reshape(window, (members, -1, k, n_nodes * width))
+    else:
+        raise ValueError(f"unknown temporal mode {mode!r}")
+    out = block(rows, training, rng)
+    return reshape(out, window.shape[:-3] + (n_nodes, width))

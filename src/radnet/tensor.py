@@ -9,9 +9,10 @@ by a single forward pass.
 
 Everything runs in 64-bit precision; the engine is meant for desk-scale
 models whose gradients are routinely validated against finite differences.
-A product with one weight matrix shared by a batch is one GEMM over the
-flattened batch and matches the batched matmul within rtol 1e-12, not bit
-for bit (see the matmul section), as layer norm's closed-form input
+A product with one weight matrix per member of a leading member axis,
+shared by that member's batch, is one GEMM over each member's flattened batch
+and matches the batched matmul within rtol 1e-12, not bit for bit (see the
+matmul section), as layer norm's closed-form input
 gradient matches its chain; every other fused node reproduces its chain of
 primitive nodes bit for bit, and no activation branches on the data.
 Softmax and layer norm reduce a short last axis of many rows slice by
@@ -313,72 +314,90 @@ def sqrt(a):
 # ---------------------------------------------------------------------------
 # matmul
 #
-# A right operand whose leading axes are all 1 is one weight matrix W shared
-# by every batch element of the left operand a, so a has as many rows as the
-# output. Such a product runs as one GEMM over the rows: forward
-# rows(a) @ W, input gradient rows(g) @ Wᵀ, weight gradient rows(a)ᵀ @ rows(g),
-# instead of a batched matmul of small products and, for W, a sum over the
-# batch. The sums run in another order, so values and gradients match the
-# batched formulation within rounding (rtol 1e-12 of each array's largest
-# magnitude, tested in tests/test_fused.py), not bit for bit. A strided a
-# keeps the batched forward, which reads it in place where rows(a) would
-# copy it; products whose right operand carries batch axes keep the batched
-# matmul throughout.
+# A right operand (S, 1, ..., 1, d_in, d_out) whose S also leads the left
+# operand a holds S member weight matrices, member s's shared by every batch
+# element of a[s]; a right operand whose leading axes are all 1 is one matrix
+# shared by all of a (S = 1), whatever a's batch axes. Such a product runs as
+# S GEMMs over each member's rows, one stacked numpy matmul: forward
+# rows(a_s) @ W_s, input gradient rows(g_s) @ W_sᵀ, weight gradient
+# rows(a_s)ᵀ @ rows(g_s), instead of a batched matmul of small products and,
+# for W, a sum over the batch. Each member's GEMM is bit for bit the 2-D
+# product of its rows and its matrix, but the sums run in another order than
+# the batched formulation's, so values and gradients match that within
+# rounding (rtol 1e-12 of each array's largest magnitude, tested in
+# tests/test_fused.py), not bit for bit. A member whose a is strided keeps the
+# batched forward, which reads it in place where rows(a) would copy it;
+# products whose right operand carries other batch axes keep the batched
+# matmul throughout. A `_Product` keeps the member matrices and row views its
+# forward built for its backward.
 
 
-def _weight_matrix(bv: np.ndarray) -> np.ndarray | None:
-    """bv as one 2-D matrix when every leading axis is 1, else None."""
-    if math.prod(bv.shape[:-2]) != 1:
+def _weight_matrix(av: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
+    """bv as an (S, d_in, d_out) stack of member matrices, or None (see above)."""
+    members = bv.shape[0] if bv.ndim == av.ndim > 2 and av.shape[0] == bv.shape[0] else 1
+    if math.prod(bv.shape[:-2]) != members:
         return None
-    return bv.reshape(bv.shape[-2:])
+    return bv.reshape((members,) + bv.shape[-2:])
 
 
-def _rows(x: np.ndarray) -> np.ndarray:
-    """x as a 2-D stack of its last-axis rows (a view when the layout allows)."""
-    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+def _rows(x: np.ndarray, members: int) -> np.ndarray:
+    """x as (members, rows, width): each member's last-axis rows (a view when the layout allows)."""
+    return x.reshape(members, math.prod(x.shape[:-1]) // members, x.shape[-1])
 
 
-def _matmul_values(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    """av @ bv, refusing operands that do not multiply with a DimensionError."""
-    if av.ndim < 2 or bv.ndim < 2:
-        raise DimensionError(
-            f"matmul needs >=2-d operands, got {av.shape} and {bv.shape}"
-        )
-    if av.shape[-1] != bv.shape[-2]:
-        raise DimensionError(f"matmul inner mismatch: {av.shape} @ {bv.shape}")
-    w = _weight_matrix(bv)
-    if w is not None and av.flags.c_contiguous:
-        lead = (1,) * (bv.ndim - av.ndim) + av.shape[:-1]
-        return (_rows(av) @ w).reshape(lead + w.shape[-1:])
-    try:
-        return av @ bv
-    except ValueError as exc:
-        raise DimensionError(f"matmul batch mismatch: {av.shape} @ {bv.shape}") from exc
+class _Product:
+    """av @ bv as `values`; `grads` maps the output gradient to the operands'.
 
+    Operands that do not multiply raise a DimensionError.
+    """
 
-def _matmul_grads(g, av, bv, want_a: bool, want_b: bool):
-    """Gradients of av @ bv for the operands wanted (None for the others)."""
-    w = _weight_matrix(bv)
-    if w is not None:
-        rows_g = _rows(g)
-        ga = (rows_g @ w.T).reshape(av.shape) if want_a else None
-        gb = (_rows(av).T @ rows_g).reshape(bv.shape) if want_b else None
+    __slots__ = ("av", "bv", "weights", "rows", "values")
+
+    def __init__(self, av: np.ndarray, bv: np.ndarray):
+        if av.ndim < 2 or bv.ndim < 2:
+            raise DimensionError(
+                f"matmul needs >=2-d operands, got {av.shape} and {bv.shape}"
+            )
+        if av.shape[-1] != bv.shape[-2]:
+            raise DimensionError(f"matmul inner mismatch: {av.shape} @ {bv.shape}")
+        self.av, self.bv = av, bv
+        self.weights = w = _weight_matrix(av, bv)
+        self.rows = None
+        if w is not None and (av if len(w) == 1 else av[0]).flags.c_contiguous:
+            self.rows = _rows(av, len(w))
+            lead = (1,) * (bv.ndim - av.ndim) + av.shape[:-1]
+            self.values = np.matmul(self.rows, w).reshape(lead + w.shape[-1:])
+            return
+        try:
+            self.values = av @ bv
+        except ValueError as exc:
+            raise DimensionError(f"matmul batch mismatch: {av.shape} @ {bv.shape}") from exc
+
+    def grads(self, g: np.ndarray, want_a: bool, want_b: bool):
+        """Gradients of av and bv for the operands wanted (None for the others)."""
+        av, bv, w = self.av, self.bv, self.weights
+        if w is None:
+            ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape) if want_a else None
+            gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape) if want_b else None
+            return ga, gb
+        rows_g = _rows(g, len(w))
+        ga = np.matmul(rows_g, np.swapaxes(w, -1, -2)).reshape(av.shape) if want_a else None
+        gb = None
+        if want_b:
+            rows = _rows(av, len(w)) if self.rows is None else self.rows
+            gb = np.matmul(np.swapaxes(rows, -1, -2), rows_g).reshape(bv.shape)
         return ga, gb
-    ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape) if want_a else None
-    gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape) if want_b else None
-    return ga, gb
 
 
 def matmul(a, b):
     a, b = _wrap(a), _wrap(b)
-    av, bv = a.values, b.values
-    values = _matmul_values(av, bv)
+    product = _Product(a.values, b.values)
     want_a, want_b = _tracked(a), _tracked(b)
 
     def push(g):
-        return _matmul_grads(g, av, bv, want_a, want_b)
+        return product.grads(g, want_a, want_b)
 
-    return _result(values, (a, b), push)
+    return _result(product.values, (a, b), push)
 
 
 def feed_forward(x, weights: Sequence, biases: Sequence, slope: float):
@@ -393,11 +412,11 @@ def feed_forward(x, weights: Sequence, biases: Sequence, slope: float):
     params = [_wrap(p) for pair in zip(weights, biases) for p in pair]
     wants = [_tracked(p) for p in params]
     last = len(params) // 2 - 1
-    inputs, affines = [], []
+    products, affines = [], []
     h = x.values
     for i in range(last + 1):
-        inputs.append(h)
-        affines.append(_matmul_values(h, params[2 * i].values) + params[2 * i + 1].values)
+        products.append(_Product(h, params[2 * i].values))
+        affines.append(products[i].values + params[2 * i + 1].values)
         h = affines[i] if i == last else _leaky_relu_values(affines[i], slope)
     want_x = _tracked(x)
 
@@ -408,7 +427,7 @@ def feed_forward(x, weights: Sequence, biases: Sequence, slope: float):
                 g = _leaky_relu_grad(g, affines[i], slope)
             want_w, want_b = wants[2 * i : 2 * i + 2]
             gb = _unbroadcast(g, params[2 * i + 1].shape) if want_b else None
-            g, gw = _matmul_grads(g, inputs[i], params[2 * i].values, i > 0 or want_x, want_w)
+            g, gw = products[i].grads(g, i > 0 or want_x, want_w)
             grads[:0] = [gw, gb]
         return (g, *grads)
 
@@ -590,17 +609,18 @@ def _merge_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
 
 
 def _attention_weights(qp: np.ndarray, kp: np.ndarray, n_heads: int, scale: float, mask):
-    """Forward of `attention` up to its softmax weights: (qh, khᵀ, weights).
+    """Forward of `attention` up to its softmax weights: (the scores product qh @ khᵀ, weights).
 
     The weights are (..., H, Kq, Kk), or (..., Kq, Kk) for one head.
     """
     qh = _split_heads(qp, n_heads)
     kt = np.swapaxes(_split_heads(kp, n_heads), -1, -2)
-    scores = _matmul_values(qh, kt)
-    scores *= scale
+    scores = _Product(qh, kt)
+    raw = scores.values
+    raw *= scale
     if mask is not None:
-        scores += mask
-    return qh, kt, _softmax_values(scores)
+        raw += mask
+    return scores, _softmax_values(raw)
 
 
 def attention(qp, kp, vp, w_out, n_heads: int, scale: float, mask=None):
@@ -614,35 +634,35 @@ def attention(qp, kp, vp, w_out, n_heads: int, scale: float, mask=None):
     must receive its gradient terms in the chain's order.
     """
     qp, kp, vp, w_out = _wrap(qp), _wrap(kp), _wrap(vp), _wrap(w_out)
-    qh, kt, y = _attention_weights(qp.values, kp.values, n_heads, scale, mask)
-    vh = _split_heads(vp.values, n_heads)
-    merged = _merge_heads(_matmul_values(y, vh), n_heads)
-    wv = w_out.values
+    scores, y = _attention_weights(qp.values, kp.values, n_heads, scale, mask)
+    mixed = _Product(y, _split_heads(vp.values, n_heads))
+    out = _Product(_merge_heads(mixed.values, n_heads), w_out.values)
     want_q, want_k, want_v, want_w = (_tracked(t) for t in (qp, kp, vp, w_out))
 
     def push(g):
-        g_merged, g_w = _matmul_grads(g, merged, wv, True, want_w)
-        g_y, g_vh = _matmul_grads(_split_heads(g_merged, n_heads), y, vh, True, want_v)
-        g_qh, g_kt = _matmul_grads(_softmax_grad(g_y, y) * scale, qh, kt, want_q, want_k)
+        g_merged, g_w = out.grads(g, True, want_w)
+        g_y, g_vh = mixed.grads(_split_heads(g_merged, n_heads), True, want_v)
+        g_qh, g_kt = scores.grads(_softmax_grad(g_y, y) * scale, want_q, want_k)
         g_kh = None if g_kt is None else np.swapaxes(g_kt, -1, -2)
         merged_grads = (None if gh is None else _merge_heads(gh, n_heads) for gh in (g_qh, g_kh, g_vh))
         return (*merged_grads, g_w)
 
-    return _result(_matmul_values(merged, wv), (qp, kp, vp, w_out), push)
+    return _result(out.values, (qp, kp, vp, w_out), push)
 
 
 def _graph_attention_weights(xv, theta, score_src, score_dst, score_bias, index, mask, slope):
     """Forward of `graph_attention` up to its (..., H, N, W) neighbour weights.
 
-    Returns (x with a head axis, h, src, dst, raw scores, weights).
+    Returns (the products h = x @ theta, h @ score_src and h @ score_dst, raw
+    scores, weights); x gains a head axis first.
     """
-    xr = xv.reshape(xv.shape[:-2] + (1,) + xv.shape[-2:])
-    h = _matmul_values(xr, theta)
-    src = _matmul_values(h, score_src)
-    dst = _matmul_values(h, score_dst).reshape(h.shape[:-1])
-    raw = src + np.take(dst, index, axis=dst.ndim - 1) + score_bias
+    h = _Product(xv.reshape(xv.shape[:-2] + (1,) + xv.shape[-2:]), theta)
+    src = _Product(h.values, score_src)
+    dst = _Product(h.values, score_dst)
+    dst_row = dst.values.reshape(h.values.shape[:-1])
+    raw = src.values + np.take(dst_row, index, axis=dst_row.ndim - 1) + score_bias
     alpha = _softmax_values(_leaky_relu_values(raw, slope) + mask)
-    return xr, h, src, dst, raw, alpha
+    return h, src, dst, raw, alpha
 
 
 def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
@@ -660,31 +680,32 @@ def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
         _wrap(t) for t in (x, theta, score_src, score_dst, score_bias)
     )
     index = np.asarray(neighbor_index, dtype=np.intp)
-    xv, tv, sv, dv, bv = (t.values for t in (x, theta, score_src, score_dst, score_bias))
-    xr, h, src, dst, raw, alpha = _graph_attention_weights(
-        xv, tv, sv, dv, bv, index, neighbor_mask, slope
+    xv, bv = x.values, score_bias.values
+    h, src, dst, raw, alpha = _graph_attention_weights(
+        xv, theta.values, score_src.values, score_dst.values, bv, index, neighbor_mask, slope
     )
-    neighbors = np.take(h, index, axis=h.ndim - 2)  # (..., H, N, W, n_out)
+    hv = h.values
+    neighbors = np.take(hv, index, axis=hv.ndim - 2)  # (..., H, N, W, n_out)
     alpha_row = alpha.reshape(alpha.shape[:-1] + (1,) + alpha.shape[-1:])
-    mixed = _matmul_values(alpha_row, neighbors)  # (..., H, N, 1, n_out)
-    heads = _sigmoid_values(mixed.reshape(h.shape))
+    mixed = _Product(alpha_row, neighbors)  # (..., H, N, 1, n_out)
+    heads = _sigmoid_values(mixed.values.reshape(hv.shape))
     values = heads.mean(axis=-3)
     count = heads.size / max(values.size, 1)
     want = [_tracked(t) for t in (x, theta, score_src, score_dst, score_bias)]
 
     def push(g):
         g_heads = np.broadcast_to(np.expand_dims(g, -3), heads.shape) / count
-        g_mixed = _sigmoid_grad(g_heads, heads).reshape(mixed.shape)
-        g_alpha, g_neighbors = _matmul_grads(g_mixed, alpha_row, neighbors, True, True)
+        g_mixed = _sigmoid_grad(g_heads, heads).reshape(mixed.values.shape)
+        g_alpha, g_neighbors = mixed.grads(g_mixed, True, True)
         g_alpha = _softmax_grad(g_alpha.reshape(alpha.shape), alpha)
         g_raw = _leaky_relu_grad(g_alpha, raw, slope)
         g_bias = _unbroadcast(g_raw, bv.shape) if want[4] else None
-        g_dst = _gather_grad(g_raw, index, dst.shape, dst.ndim - 1).reshape(dst.shape + (1,))
-        g_h_src, g_score_src = _matmul_grads(_unbroadcast(g_raw, src.shape), h, sv, True, want[2])
-        g_h_dst, g_score_dst = _matmul_grads(g_dst, h, dv, True, want[3])
+        g_dst = _gather_grad(g_raw, index, hv.shape[:-1], hv.ndim - 2).reshape(dst.values.shape)
+        g_h_src, g_score_src = src.grads(_unbroadcast(g_raw, src.values.shape), True, want[2])
+        g_h_dst, g_score_dst = dst.grads(g_dst, True, want[3])
         # h feeds the src and dst scores and the neighbour gather, summed in that order
-        g_h = g_h_src + g_h_dst + _gather_grad(g_neighbors, index, h.shape, h.ndim - 2)
-        g_xr, g_theta = _matmul_grads(g_h, xr, tv, want[0], want[1])
+        g_h = g_h_src + g_h_dst + _gather_grad(g_neighbors, index, hv.shape, hv.ndim - 2)
+        g_xr, g_theta = h.grads(g_h, want[0], want[1])
         g_x = None if g_xr is None else g_xr.reshape(xv.shape)
         return g_x, g_theta, g_score_src, g_score_dst, g_bias
 
@@ -762,20 +783,13 @@ def concat(arrays: Iterable, axis: int = 0):
 # dropout
 
 
-def dropout(a, rate: float, rng: np.random.Generator | None, training: bool):
-    """Inverted-scaling Bernoulli dropout; identity when not training."""
-    if not training or rate <= 0.0:
+def dropout(a, rate: float, draws: np.ndarray | None):
+    """Inverted-scaling Bernoulli dropout by uniform `draws` shaped like `a`:
+    an entry whose draw falls below `rate` becomes 0 and the others are
+    scaled by 1 / (1 - rate). None draws (not training) leave `a` as it is."""
+    if draws is None:
         return _wrap(a)
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
-    a = _wrap(a)
-    keep = (rng.random(a.values.shape) >= rate) / (1.0 - rate)
-    values = a.values * keep
-
-    def push(g):
-        return (g * keep,)
-
-    return _result(values, (a,), push)
+    return mul(a, (draws >= rate) / (1.0 - rate))
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,22 @@ class TestConfigPrecedence:
         assert "max_epochz" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("config, key", [
+        ({"percentile": "98"}, "percentile"),
+        ({"pot": {"refit_every": 2.5}}, "refit_every"),
+        ({"pot": 5}, "pot"),
+    ], ids=["string-percentile", "float-refit-every", "scalar-pot-block"])
+    def test_value_of_the_wrong_json_type_names_key_and_file(self, tmp_path, capsys, config, key):
+        ds = tmp_path / "ds"
+        main(["synth", "--nodes", "3", "--days", "9", "--seed", "3", "--out", str(ds)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["ablate", "--data", str(ds), "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"config file {cfg}: {key} must be" in err
+        assert not (tmp_path / "r").exists()
+
 class TestSeedFlag:
     # Only synth and train draw random numbers; ablate takes --seeds.
     REQUIRED = {

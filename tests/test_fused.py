@@ -6,12 +6,21 @@ one tape node. The fused node must give the same values and the same
 gradients bit for bit, including where a shared input sums gradient terms
 from several nodes.
 
-A product with one weight matrix shared by a batch is one GEMM over the
-flattened batch; `batched_matmul_values` and `batched_matmul_grads` keep the
-batched formulation it replaced. The two sum in different orders, so they
-must agree within SHARED_WEIGHT_RTOL of each array's largest magnitude, and
-bit for bit where the right operand carries batch axes.
+A product with one weight matrix per member, shared by the member's batch,
+is one GEMM over each member's flattened batch; `batched_matmul_values` and
+`batched_matmul_grads` keep the batched formulation it replaced. The two sum
+in different orders, so they must agree within SHARED_WEIGHT_RTOL of each
+array's largest magnitude, and bit for bit where the right operand carries
+batch axes. Each member's GEMM must equal the 2-D product of its rows and
+its matrix bit for bit.
+
+The model's two inference paths run as the two members of one transformer
+block; `serial_paths` runs them as the parent did, one path after the other,
+each through a one-member block on its member's parameter slices.
 """
+
+import copy
+import functools
 
 import numpy as np
 import pytest
@@ -98,6 +107,24 @@ def batched_matmul_grads(g, av, bv, want_a, want_b):
     ga = T._unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape) if want_a else None
     gb = T._unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape) if want_b else None
     return ga, gb
+
+
+class BatchedProduct:
+    """`tensor._Product` as the batched formulation throughout."""
+
+    def __init__(self, av, bv):
+        self.av, self.bv = av, bv
+        self.values = batched_matmul_values(av, bv)
+
+    def grads(self, g, want_a, want_b):
+        return batched_matmul_grads(g, self.av, self.bv, want_a, want_b)
+
+
+def matrix_gemm(av, w, g):
+    """A (..., d_in) @ (d_in, d_out) product as one 2-D GEMM over av's rows:
+    values, input gradient and weight gradient for output gradient g."""
+    rows, rows_g = av.reshape(-1, av.shape[-1]), g.reshape(-1, g.shape[-1])
+    return [(rows @ w).reshape(g.shape), (rows_g @ w.T).reshape(av.shape), rows.T @ rows_g]
 
 
 SHARED_WEIGHT_RTOL = 1e-12
@@ -379,22 +406,57 @@ class TestTrainingStepAgainstChains:
             np.testing.assert_array_equal(got, want)
 
 
+def member_block(block, s):
+    """A one-member copy of `block` whose parameters are tape slices of its member s."""
+    member = copy.deepcopy(block)
+    member.members = 1
+    for name, p in nn_module.named_parameters(block).items():
+        *path, attr = name.split(".")
+        owner = functools.reduce(
+            lambda o, k: o[int(k)] if isinstance(o, list) else getattr(o, k), path, member)
+        setattr(owner, attr, p[s : s + 1])
+    return member
+
+
+def serial_paths(model, windows, graph, training=False, rng=None):
+    """The path outputs with the block run path by path, the spatio-temporal
+    path first: member s's windows through `member_block(block, s)`."""
+    def run(s, x):
+        out = temporal_module.transformer_forward(
+            member_block(model.transformer, s), T.reshape(x, (1, *x.shape)),
+            model.config.temporal_mode, training, rng)
+        return out[0]
+
+    paths = []
+    if model.gat_st is not None:
+        paths.append(run(0, model.gat_st(windows, graph)))
+    if model.gat_ts is not None:
+        paths.append(model.gat_ts(run(len(paths), windows), graph))
+    return paths
+
+
+def serial_forward_batch(model, windows, graph, training=False, rng=None):
+    """`RadNet.forward_batch` with its block run path by path (`serial_paths`)."""
+    windows = DiffArray(windows)
+    latest = windows[:, -1]
+    parts = serial_paths(model, windows, graph, training, rng) + [latest]
+    stack = T.concat([T.reshape(p, (p.shape[0], 1, *p.shape[1:])) for p in parts], 1)
+    weights = None
+    if model.fusion is not None:
+        weights = T.softmax(model.fusion(T.reshape(latest, (latest.shape[0], -1))))
+        stack = stack * T.reshape(weights, (*weights.shape, 1, 1))
+    return model.decoder(stack.sum(axis=1)), weights
+
+
 def per_path_forward_batch(model, windows, graph, training=False, rng=None):
     """`RadNet.forward_batch` with its fusion as the per-path chain it replaced:
     each path output (then the latest slice) scaled by its weight column and
-    added to the running sum; no_skip adds the three unweighted."""
+    added to the running sum; no_skip adds the three unweighted. The paths
+    run one after the other (`serial_paths`)."""
     windows = DiffArray(windows)
     cfg = model.config
     latest = windows[:, -1]
-    paths = []
-    if model.gat_st is not None:
-        spatial = model.gat_st(windows, graph)
-        paths.append(temporal_module.transformer_forward(
-            model.transformer_st, spatial, cfg.temporal_mode, training, rng))
-    if model.transformer_ts is not None:
-        temporal = temporal_module.transformer_forward(
-            model.transformer_ts, windows, cfg.temporal_mode, training, rng)
-        paths.append(model.gat_ts(temporal, graph))
+    paths = serial_paths(model, windows, graph, training, rng)
     if model.fusion is None:
         return model.decoder(paths[0] + paths[1] + latest), None
     flat = T.reshape(latest, (latest.shape[0], cfg.n_nodes * cfg.n_features))
@@ -446,6 +508,59 @@ class TestFusionAgainstPerPathChain:
                 np.testing.assert_array_equal(summed_grads[name], want, err_msg=name)
 
 
+class TestStackedBlockAgainstSerialPaths:
+    """The two paths as the members of one block against the paths run one by one."""
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n_nodes, n_features", [(4, 1), (16, 7)])
+    def test_predictions_weights_and_gradients_bit_identical(self, variant, n_nodes, n_features,
+                                                             training):
+        data = np.random.default_rng(86).normal(size=(40, n_nodes, n_features))
+        ts = np.arange(4, 36)
+        graph = RoadGraph.ring(n_nodes)
+
+        def step(forward):
+            model = RadNet(RadNetConfig(n_nodes=n_nodes, n_features=n_features,
+                                        variant=variant, seed=0))
+            rng = np.random.default_rng(87)
+            preds, weights = forward(model, build_window(data, ts, 5), graph, training, rng)
+            batch_loss(preds, data[ts + 1]).backward()
+            grads = {name: p.grad for name, p in model.store.params.items()}
+            return [preds.values, None if weights is None else weights.values, rng.random()], grads
+
+        (stacked, stacked_grads), (serial, serial_grads) = (
+            step(RadNet.forward_batch), step(serial_forward_batch))
+        for got, want in zip(stacked, serial):
+            np.testing.assert_array_equal(got, want)
+        assert stacked_grads.keys() == serial_grads.keys()
+        for name, want in serial_grads.items():
+            np.testing.assert_array_equal(stacked_grads[name], want, err_msg=name)
+
+    @pytest.mark.parametrize("d_model, n_heads", [(4, 1), (7, 7)])
+    def test_one_call_draws_what_serial_calls_draw(self, d_model, n_heads):
+        rng = np.random.default_rng(88)
+        block = temporal_module.TransformerBlock(d_model, n_heads, rng, 16, 0.3, members=2)
+        windows = rng.normal(size=(2, 6, 5, d_model))
+        draws = np.random.default_rng(89)
+        stacked = block(windows, True, draws).values
+        serial_draws = np.random.default_rng(89)
+        serial = [member_block(block, s)(windows[s : s + 1], True, serial_draws).values
+                  for s in range(2)]
+        np.testing.assert_array_equal(stacked, np.concatenate(serial))
+        assert draws.random() == serial_draws.random()
+
+    def test_members_are_drawn_as_serial_blocks(self):
+        # member s's parameters are those a lone block draws next from the same rng
+        stacked = temporal_module.TransformerBlock(4, 2, np.random.default_rng(90), 8, 0.1, 2)
+        rng = np.random.default_rng(90)
+        serial = [temporal_module.TransformerBlock(4, 2, rng, 8, 0.1) for _ in range(2)]
+        for name, p in nn_module.named_parameters(stacked).items():
+            for s, lone in enumerate(serial):
+                np.testing.assert_array_equal(
+                    p.values[s], nn_module.named_parameters(lone)[name].values[0], err_msg=name)
+
+
 class TestSharedWeightGemm:
     """matmul against the batched formulation, per kind of right operand."""
 
@@ -489,6 +604,45 @@ class TestSharedWeightGemm:
                 np.testing.assert_array_equal(got_array, want_array)
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        members=st.integers(1, 3),
+        lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+        m=st.integers(1, 4),
+        k=st.integers(1, 4),
+        n=st.integers(1, 4),
+        swapped=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_member_weights_are_each_members_2d_gemm(self, members, lead, m, k, n, swapped,
+                                                     seed):
+        # an (S, 1, ..., 1, k, n) weight over (S, ..., m, k) inputs: member s
+        # is bit for bit the 2-D GEMM over its rows (so S = 1 is the one shared
+        # matrix's path), a strided member keeps the batched forward, and all
+        # of it lies within rtol of the batched formulation
+        rng = np.random.default_rng(seed)
+        a_lead = (members,) + lead
+        if swapped:
+            av = np.swapaxes(rng.normal(size=a_lead + (k, m)), -1, -2)
+        else:
+            av = rng.normal(size=a_lead + (m, k))
+        bv = rng.normal(size=(members,) + (1,) * len(lead) + (k, n))
+        a, b = DiffArray(av, requires_grad=True), DiffArray(bv, requires_grad=True)
+        out = T.matmul(a, b)
+        g = rng.normal(size=out.shape)
+        (out * g).sum().backward()
+        for s in range(members):
+            want = matrix_gemm(av[s], bv[s].reshape(k, n), g[s])
+            if not av[s].flags.c_contiguous:
+                want[0] = batched_matmul_values(av[s], bv[s])
+            got = [out.values[s], a.grad[s], b.grad[s].reshape(k, n)]
+            for got_array, want_array in zip(got, want):
+                np.testing.assert_array_equal(got_array, want_array)
+        batched = [batched_matmul_values(av, bv), *batched_matmul_grads(g, av, bv, True, True)]
+        for got_array, want_array in zip([out.values, a.grad, b.grad], batched):
+            assert_close_to_scale(got_array, want_array)
+
+
 class TestTrainingStepAgainstBatchedMatmul:
     """A whole training step with every product run as the batched matmul."""
 
@@ -507,8 +661,7 @@ class TestTrainingStepAgainstBatchedMatmul:
             return [preds.values] + [p.grad for p in model.store.params.values()]
 
         gemm = step()
-        monkeypatch.setattr(T, "_matmul_values", batched_matmul_values)
-        monkeypatch.setattr(T, "_matmul_grads", batched_matmul_grads)
+        monkeypatch.setattr(T, "_Product", BatchedProduct)
         batched = step()
         assert len(gemm) == len(batched)
         for got, want in zip(gemm, batched):

@@ -177,12 +177,9 @@ class TestVariants:
         from radnet.temporal import transformer_forward
 
         mode = model.config.temporal_mode
-        p1 = transformer_forward(
-            model.transformer_st, model.gat_st(DiffArray(w), g).values, mode
-        ).values
-        p2 = model.gat_ts(
-            transformer_forward(model.transformer_ts, w, mode), g
-        ).values
+        members = np.stack([model.gat_st(DiffArray(w), g).values, w])
+        p1, p2 = transformer_forward(model.transformer, members, mode).values
+        p2 = model.gat_ts(DiffArray(p2), g).values
         expected = model.decoder(DiffArray(p1 + p2 + w[-1])).values
         np.testing.assert_allclose(pred, expected, rtol=1e-9)
 
@@ -199,12 +196,20 @@ class TestVariants:
 
     def test_no_st_drops_spatio_temporal_path(self):
         model = RadNet(RadNetConfig(n_nodes=4, n_features=1, variant="no_st"))
-        assert model.gat_st is None and model.transformer_st is None
-        assert model.gat_ts is not None and model.transformer_ts is not None
+        assert model.gat_st is None and model.gat_ts is not None
+        assert model.transformer.members == 1
 
     def test_no_ts_drops_temporo_spatial_path(self):
         model = RadNet(RadNetConfig(n_nodes=4, n_features=1, variant="no_ts"))
-        assert model.gat_ts is None and model.transformer_ts is None
+        assert model.gat_ts is None and model.gat_st is not None
+        assert model.transformer.members == 1
+
+    @pytest.mark.parametrize("variant", ["full", "no_skip"])
+    def test_both_paths_share_one_two_member_block(self, variant):
+        model = RadNet(RadNetConfig(n_nodes=4, n_features=1, variant=variant))
+        assert model.transformer.members == 2
+        assert model.transformer.encoder.attention.w_query.shape == (2, 1, 4, 4)
+        assert model.transformer.norm_out.gain.shape == (2, 1, 1, 4)
 
     def test_ablated_variants_have_fewer_parameters(self):
         base = dict(n_nodes=4, n_features=1, seed=0)
@@ -241,9 +246,10 @@ class TestParameterStore:
         model = RadNet(RadNetConfig(n_nodes=4, n_features=n_features, variant=variant))
         expected = []
         if variant != "no_st":
-            expected += _gat_names("gat_st.") + _transformer_names("transformer_st.")
+            expected += _gat_names("gat_st.")
+        expected += _transformer_names("transformer.")
         if variant != "no_ts":
-            expected += _transformer_names("transformer_ts.") + _gat_names("gat_ts.")
+            expected += _gat_names("gat_ts.")
         if variant != "no_skip":
             expected += ["fusion.weight", "fusion.bias"]
         expected += [f"decoder.layers.{i}.{w}" for i in range(3) for w in ("weight", "bias")]
@@ -271,6 +277,15 @@ class TestParameterStore:
         with pytest.raises(FormatError, match="fusion.weight"):
             RadNet.load(tmp_path / "a")
 
+
+    def test_loading_a_format_2_checkpoint_names_the_file(self, tmp_path):
+        # format 2 held the paths' blocks as transformer_st.* and transformer_ts.*
+        RadNet(RadNetConfig(n_nodes=4, n_features=1)).save(tmp_path / "a")
+        manifest = json.loads((tmp_path / "a.json").read_text())
+        manifest["format"] = 2
+        (tmp_path / "a.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=r"a\.json: format 2 is not supported.*retrain"):
+            RadNet.load(tmp_path / "a")
 
     def test_loading_a_stale_config_names_the_unknown_fields(self, tmp_path):
         RadNet(RadNetConfig(n_nodes=4, n_features=1)).save(tmp_path / "a")
@@ -482,8 +497,9 @@ class TestGradients:
 
 class TestTapeBudget:
     # one training step: every op recorded from the windows to the loss; each
-    # GAT, attention, feed-forward and affine layer is one node
-    @pytest.mark.parametrize("n_nodes, n_features, nodes", [(4, 1, 76), (16, 7, 74)])
+    # GAT, attention, feed-forward and affine layer is one node, and the two
+    # paths' transformer blocks are the two members of one block
+    @pytest.mark.parametrize("n_nodes, n_features, nodes", [(4, 1, 53), (16, 7, 54)])
     def test_training_step_records_fixed_node_count(self, n_nodes, n_features, nodes):
         model = RadNet(RadNetConfig(n_nodes=n_nodes, n_features=n_features, seed=0))
         assert model.config.transformer_heads == n_features

@@ -229,7 +229,7 @@ class TestCheckpoint:
         flat, manifest = load_checkpoint(stem)
         assert manifest["seed"] == 15
         assert manifest["hyperparameters"]["lr"] == 5e-4
-        assert manifest["format"] == 2
+        assert manifest["format"] == 3
         assert manifest["names"] == ["a", "b"]
         assert manifest["shapes"] == {"a": [2, 3], "b": [4]}
         np.testing.assert_array_equal(flat, store.flat)
@@ -273,7 +273,7 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="SHA-256"):
             load_checkpoint(stem)
 
-    @pytest.mark.parametrize("fmt", [None, 1, 3])
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 4])
     def test_missing_or_unknown_format_rejected(self, tmp_path, fmt):
         store = ParameterStore({"w": DiffArray(np.ones(3), requires_grad=True)})
         stem = tmp_path / "old"
@@ -284,7 +284,7 @@ class TestCheckpoint:
         else:
             manifest["format"] = fmt
         stem.with_suffix(".json").write_text(json.dumps(manifest))
-        with pytest.raises(FormatError, match=f"format {fmt} is not supported"):
+        with pytest.raises(FormatError, match=rf"old\.json: format {fmt} is not supported"):
             load_checkpoint(stem)
 
     def test_blob_is_little_endian_row_major(self, tmp_path):

@@ -45,7 +45,7 @@ class TestPositionEncoding:
     def test_training_dropout_changes_values(self):
         x = np.ones((50, 4))
         rng = np.random.default_rng(1)
-        out = position_encode(x, rate=0.5, training=True, rng=rng).values
+        out = position_encode(x, 0.5, rng.random(x.shape)).values
         assert (out == 0).any()
 
 
@@ -172,16 +172,17 @@ class TestEncoderBlock:
 
 
 class TestTransformerBlock:
+    # windows carry a leading member axis, one member here
     def test_single_timestep_window(self):
         rng = np.random.default_rng(13)
         block = TransformerBlock(3, 1, rng, 16, 0.1)
-        out = transformer_forward(block, rng.normal(size=(1, 4, 3)))
-        assert out.shape == (4, 3)
+        out = transformer_forward(block, rng.normal(size=(1, 1, 4, 3)))
+        assert out.shape == (1, 4, 3)
 
     def test_eval_mode_bit_identical(self):
         rng = np.random.default_rng(14)
         block = TransformerBlock(2, 1, rng, 16, 0.1)
-        w = rng.normal(size=(5, 3, 2))
+        w = rng.normal(size=(1, 5, 3, 2))
         a = transformer_forward(block, w).values
         b = transformer_forward(block, w).values
         np.testing.assert_array_equal(a, b)
@@ -190,30 +191,36 @@ class TestTransformerBlock:
     def test_output_shape_across_window_lengths(self, k):
         rng = np.random.default_rng(15)
         block = TransformerBlock(2, 1, rng, 16, 0.1)
-        out = transformer_forward(block, rng.normal(size=(k, 3, 2)))
-        assert out.shape == (3, 2)
+        out = transformer_forward(block, rng.normal(size=(1, k, 3, 2)))
+        assert out.shape == (1, 3, 2)
 
     def test_flattened_mode_shape(self):
         rng = np.random.default_rng(16)
         block = TransformerBlock(6, 1, rng, 16, 0.1)
-        out = transformer_forward(block, rng.normal(size=(4, 3, 2)), mode="flattened")
-        assert out.shape == (3, 2)
+        out = transformer_forward(block, rng.normal(size=(1, 4, 3, 2)), mode="flattened")
+        assert out.shape == (1, 3, 2)
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(18)
         block = TransformerBlock(2, 2, rng, 16, 0.1)
-        batch = rng.normal(size=(3, 4, 2, 2))
+        batch = rng.normal(size=(1, 3, 4, 2, 2))
         stacked = transformer_forward(block, batch).values
         for b in range(3):
-            single = transformer_forward(block, batch[b]).values
-            np.testing.assert_allclose(stacked[b], single, atol=1e-12)
+            single = transformer_forward(block, batch[:, b]).values
+            np.testing.assert_allclose(stacked[:, b], single, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 4, 5, 3), (2, 4, 3), (2, 1, 4, 5, 3)])
+    def test_windows_without_every_member_are_refused(self, shape):
+        block = TransformerBlock(3, 1, np.random.default_rng(20), 4, 0.1, members=2)
+        with pytest.raises(DimensionError, match=r"expected \(2, R, K, d\) member windows"):
+            block(np.zeros(shape))
 
     @pytest.mark.parametrize("n_heads", [1, 2])
     def test_gradient_through_block(self, n_heads):
         rng = np.random.default_rng(19)
         block = TransformerBlock(2, n_heads, rng, 3, 0.1)
-        x = DiffArray(rng.normal(size=(3, 2, 2)), requires_grad=True)
-        w = rng.normal(size=(2, 2))
+        x = DiffArray(rng.normal(size=(1, 3, 2, 2)), requires_grad=True)
+        w = rng.normal(size=(1, 2, 2))
 
         def f():
             return (transformer_forward(block, x) * w).sum()
@@ -223,25 +230,28 @@ class TestTransformerBlock:
 
 
 def all_positions_decoder(block, x, training=False, rng=None):
-    """Reference: decode all K positions under a causal mask, keep the last row."""
+    """Reference: decode all K positions under a causal mask, keep the last row.
+
+    Its six dropout sites draw one after another, each the whole (..., K, d).
+    """
     x = DiffArray(x)
     k, rate = x.shape[-2], block.dropout_rate
-    memory = block.encoder(position_encode(x, rate, training, rng), training, rng)
-    source = position_encode(x, rate, training, rng)
-    masked = T.dropout(
-        block.decoder_attention(source, source, source, causal_mask(k)), rate, rng, training
-    )
+    draws = [rng.random(x.shape) if training else None for _ in range(6)]
+    memory = block.encoder(position_encode(x, rate, draws[0]), draws[1:3])
+    source = position_encode(x, rate, draws[3])
+    masked = T.dropout(block.decoder_attention(source, source, source, causal_mask(k)), rate,
+                       draws[4])
     decoded = block.norm_decoder(source + masked)
-    crossed = T.dropout(block.cross_attention(decoded, memory, memory), rate, rng, training)
+    crossed = T.dropout(block.cross_attention(decoded, memory, memory), rate, draws[5])
     return block.norm_out(decoded + crossed)[..., -1, :]
 
 
 def block_input(mode, n_features, rng):
-    """A (B, K, N, D) window laid out as transformer_forward hands it to the block."""
+    """A (B, K, N, D) window laid out as transformer_forward hands it to a one-member block."""
     window = rng.normal(size=(3, 5, 4, n_features))
     if mode == "per_node":
-        return np.swapaxes(window, 1, 2)  # (B, N, K, D)
-    return window.reshape(3, 5, 4 * n_features)  # (B, K, N*D)
+        return np.swapaxes(window, 1, 2).reshape(1, 12, 5, n_features)  # (1, B*N, K, D)
+    return window.reshape(1, 3, 5, 4 * n_features)  # (1, B, K, N*D)
 
 
 class TestFinalPositionDecoder:

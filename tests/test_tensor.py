@@ -493,11 +493,13 @@ class TestBackwardMechanics:
     def test_dropout_train_vs_eval(self):
         rng = np.random.default_rng(9)
         x = DiffArray(np.ones(1000))
-        out = T.dropout(x, 0.25, rng, training=True)
+        draws = rng.random(x.shape)
+        out = T.dropout(x, 0.25, draws)
         kept = out.values != 0
+        np.testing.assert_array_equal(kept, draws >= 0.25)
         assert 0.6 < kept.mean() < 0.9
         np.testing.assert_allclose(out.values[kept], 1 / 0.75)
-        same = T.dropout(x, 0.25, None, training=False)
+        same = T.dropout(x, 0.25, None)
         np.testing.assert_array_equal(same.values, x.values)
 
 

@@ -31,6 +31,7 @@ from .tensor import (
     _wrap,
     attention,
     dropout,
+    dropout_keep,
     matmul,
     reshape,
     swapaxes,
@@ -53,11 +54,11 @@ def position_encoding_table(length: int, width: int) -> np.ndarray:
     return table
 
 
-def position_encode(w, rate: float, draws: np.ndarray | None = None) -> DiffArray:
-    """Add the fixed sinusoid along the time axis of (..., K, F), then dropout by `draws`."""
+def position_encode(w, keep: np.ndarray | None = None) -> DiffArray:
+    """Add the fixed sinusoid along the time axis of (..., K, F), then dropout by `keep`."""
     w = _wrap(w)
     k, width = w.shape[-2], w.shape[-1]
-    return dropout(w + position_encoding_table(k, width), rate, draws)
+    return dropout(w + position_encoding_table(k, width), keep)
 
 
 def causal_mask(length: int) -> np.ndarray:
@@ -137,32 +138,24 @@ class EncoderBlock:
     output): x1 = LN(x + MHA(x, x, x)); out = LN(x1 + FF(x)).
     """
 
-    def __init__(
-        self,
-        d_model: int,
-        n_heads: int,
-        rng: np.random.Generator,
-        hidden: int,
-        dropout_rate: float,
-    ):
-        self.dropout_rate = dropout_rate
+    def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator, hidden: int):
         self.attention = MultiHeadAttention(d_model, n_heads, rng)
         self.feed_forward = FeedForward((d_model, hidden, d_model), rng)
         self.norm_attn = LayerNorm(d_model)
         self.norm_ff = LayerNorm(d_model)
 
-    def __call__(self, x, draws=(None, None)) -> DiffArray:
-        """`draws` hold the uniforms of the attention and feed-forward dropouts (None: off)."""
+    def __call__(self, x, keep=(None, None)) -> DiffArray:
+        """`keep` holds the attention and feed-forward dropouts' keep factors (None: off)."""
         x = _wrap(x)
-        attended = dropout(self.attention(x, x, x), self.dropout_rate, draws[0])
+        attended = dropout(self.attention(x, x, x), keep[0])
         x1 = self.norm_attn(x + attended)
-        ff = dropout(self.feed_forward(x), self.dropout_rate, draws[1])
+        ff = dropout(self.feed_forward(x), keep[1])
         return self.norm_ff(x1 + ff)
 
 
-def _last_row(draws: np.ndarray | None) -> np.ndarray | None:
+def _last_row(keep: np.ndarray | None) -> np.ndarray | None:
     """A final-position row's dropout reads the last row of its window's (..., K, d) draw."""
-    return None if draws is None else draws[..., -1:, :]
+    return None if keep is None else keep[..., -1:, :]
 
 
 class TransformerBlock:
@@ -186,7 +179,7 @@ class TransformerBlock:
         self.dropout_rate = dropout_rate
         self.members = members
         layers = [
-            [EncoderBlock(d_model, n_heads, rng, hidden, dropout_rate),
+            [EncoderBlock(d_model, n_heads, rng, hidden),
              MultiHeadAttention(d_model, n_heads, rng), LayerNorm(d_model),
              MultiHeadAttention(d_model, n_heads, rng), LayerNorm(d_model)]
             for _ in range(members)
@@ -206,19 +199,19 @@ class TransformerBlock:
             raise DimensionError(
                 f"expected ({self.members}, R, K, d) member windows, got {window.shape}"
             )
-        rate = self.dropout_rate
-        sites = [None] * DROPOUT_SITES
-        if training and rate > 0.0:
+        keep = [None] * DROPOUT_SITES
+        if training and self.dropout_rate > 0.0:
             if rng is None:
                 raise ValueError("training-mode dropout needs an rng")
-            draws = rng.random((self.members, DROPOUT_SITES) + window.shape[1:])
-            sites = [draws[:, i] for i in range(DROPOUT_SITES)]
-        memory = self.encoder(position_encode(window, rate, sites[0]), sites[1:3])
-        source = position_encode(window, rate, sites[3])
+            shape = (self.members, DROPOUT_SITES) + window.shape[1:]
+            factors = dropout_keep(rng.random(shape), self.dropout_rate)
+            keep = [factors[:, i] for i in range(DROPOUT_SITES)]
+        memory = self.encoder(position_encode(window, keep[0]), keep[1:3])
+        source = position_encode(window, keep[3])
         last = source[..., -1:, :]
-        attended = dropout(self.decoder_attention(last, source, source), rate, _last_row(sites[4]))
+        attended = dropout(self.decoder_attention(last, source, source), _last_row(keep[4]))
         decoded = self.norm_decoder(last + attended)
-        crossed = dropout(self.cross_attention(decoded, memory, memory), rate, _last_row(sites[5]))
+        crossed = dropout(self.cross_attention(decoded, memory, memory), _last_row(keep[5]))
         return self.norm_out(decoded + crossed)[..., 0, :]
 
 

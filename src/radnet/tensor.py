@@ -282,7 +282,8 @@ def div(a, b):
 # No branch on the data: for 0 < slope <= 1 and non-NaN input (NaN stays NaN) these
 # equal np.where(av > 0, av, slope * av), its gradient and the sign-split sigmoid.
 def _leaky_relu_values(av: np.ndarray, slope: float) -> np.ndarray:
-    return np.maximum(av, slope * av)
+    scaled = slope * av
+    return np.maximum(av, scaled, out=scaled)
 
 
 def _leaky_relu_grad(g: np.ndarray, av: np.ndarray, slope: float) -> np.ndarray:
@@ -328,8 +329,8 @@ def sqrt(a):
 # tests/test_fused.py), not bit for bit. A member whose a is strided keeps the
 # batched forward, which reads it in place where rows(a) would copy it;
 # products whose right operand carries other batch axes keep the batched
-# matmul throughout. A `_Product` keeps the member matrices and row views its
-# forward built for its backward.
+# matmul throughout. A product's backward reuses the member matrices and row
+# views its forward built.
 
 
 def _weight_matrix(av: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
@@ -345,37 +346,31 @@ def _rows(x: np.ndarray, members: int) -> np.ndarray:
     return x.reshape(members, math.prod(x.shape[:-1]) // members, x.shape[-1])
 
 
-class _Product:
-    """av @ bv as `values`; `grads` maps the output gradient to the operands'.
+def _product(av: np.ndarray, bv: np.ndarray):
+    """av @ bv and `grads(g, want_a, want_b)`, which maps the output gradient
+    to the operands' gradients (None for those not wanted).
 
     Operands that do not multiply raise a DimensionError.
     """
-
-    __slots__ = ("av", "bv", "weights", "rows", "values")
-
-    def __init__(self, av: np.ndarray, bv: np.ndarray):
-        if av.ndim < 2 or bv.ndim < 2:
-            raise DimensionError(
-                f"matmul needs >=2-d operands, got {av.shape} and {bv.shape}"
-            )
-        if av.shape[-1] != bv.shape[-2]:
-            raise DimensionError(f"matmul inner mismatch: {av.shape} @ {bv.shape}")
-        self.av, self.bv = av, bv
-        self.weights = w = _weight_matrix(av, bv)
-        self.rows = None
-        if w is not None and (av if len(w) == 1 else av[0]).flags.c_contiguous:
-            self.rows = _rows(av, len(w))
-            lead = (1,) * (bv.ndim - av.ndim) + av.shape[:-1]
-            self.values = np.matmul(self.rows, w).reshape(lead + w.shape[-1:])
-            return
+    if av.ndim < 2 or bv.ndim < 2:
+        raise DimensionError(
+            f"matmul needs >=2-d operands, got {av.shape} and {bv.shape}"
+        )
+    if av.shape[-1] != bv.shape[-2]:
+        raise DimensionError(f"matmul inner mismatch: {av.shape} @ {bv.shape}")
+    w = _weight_matrix(av, bv)
+    rows = None
+    if w is not None and (av if len(w) == 1 else av[0]).flags.c_contiguous:
+        rows = _rows(av, len(w))
+        lead = (1,) * (bv.ndim - av.ndim) + av.shape[:-1]
+        values = np.matmul(rows, w).reshape(lead + w.shape[-1:])
+    else:
         try:
-            self.values = av @ bv
+            values = av @ bv
         except ValueError as exc:
             raise DimensionError(f"matmul batch mismatch: {av.shape} @ {bv.shape}") from exc
 
-    def grads(self, g: np.ndarray, want_a: bool, want_b: bool):
-        """Gradients of av and bv for the operands wanted (None for the others)."""
-        av, bv, w = self.av, self.bv, self.weights
+    def grads(g: np.ndarray, want_a: bool, want_b: bool):
         if w is None:
             ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape) if want_a else None
             gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape) if want_b else None
@@ -384,20 +379,22 @@ class _Product:
         ga = np.matmul(rows_g, np.swapaxes(w, -1, -2)).reshape(av.shape) if want_a else None
         gb = None
         if want_b:
-            rows = _rows(av, len(w)) if self.rows is None else self.rows
-            gb = np.matmul(np.swapaxes(rows, -1, -2), rows_g).reshape(bv.shape)
+            a_rows = _rows(av, len(w)) if rows is None else rows
+            gb = np.matmul(np.swapaxes(a_rows, -1, -2), rows_g).reshape(bv.shape)
         return ga, gb
+
+    return values, grads
 
 
 def matmul(a, b):
     a, b = _wrap(a), _wrap(b)
-    product = _Product(a.values, b.values)
+    values, grads = _product(a.values, b.values)
     want_a, want_b = _tracked(a), _tracked(b)
 
     def push(g):
-        return product.grads(g, want_a, want_b)
+        return grads(g, want_a, want_b)
 
-    return _result(product.values, (a, b), push)
+    return _result(values, (a, b), push)
 
 
 def feed_forward(x, weights: Sequence, biases: Sequence, slope: float):
@@ -415,8 +412,10 @@ def feed_forward(x, weights: Sequence, biases: Sequence, slope: float):
     products, affines = [], []
     h = x.values
     for i in range(last + 1):
-        products.append(_Product(h, params[2 * i].values))
-        affines.append(products[i].values + params[2 * i + 1].values)
+        product, grads = _product(h, params[2 * i].values)
+        products.append(grads)
+        affines.append(product + params[2 * i + 1].values)
+        del product  # freed before the activation allocates its output
         h = affines[i] if i == last else _leaky_relu_values(affines[i], slope)
     want_x = _tracked(x)
 
@@ -427,7 +426,7 @@ def feed_forward(x, weights: Sequence, biases: Sequence, slope: float):
                 g = _leaky_relu_grad(g, affines[i], slope)
             want_w, want_b = wants[2 * i : 2 * i + 2]
             gb = _unbroadcast(g, params[2 * i + 1].shape) if want_b else None
-            g, gw = products[i].grads(g, i > 0 or want_x, want_w)
+            g, gw = products[i](g, i > 0 or want_x, want_w)
             grads[:0] = [gw, gb]
         return (g, *grads)
 
@@ -513,7 +512,8 @@ def _max_last(x: np.ndarray) -> np.ndarray:
 # softmax
 
 
-def _softmax_values(av: np.ndarray) -> np.ndarray:
+def _softmax_values(av: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of av's rows, written into `out` (which may be av) when given."""
     top = _max_last(av)
     # a NaN anywhere in a row is that row's maximum
     if not np.isfinite(top).all():
@@ -522,7 +522,7 @@ def _softmax_values(av: np.ndarray) -> np.ndarray:
         if np.isposinf(top).any():
             raise NumericError("softmax received +inf input")
         raise NumericError("softmax received a row whose every entry is -inf")
-    ex = av - top
+    ex = np.subtract(av, top, out=out)
     np.exp(ex, out=ex)
     return np.divide(ex, _sum_last(ex), out=ex)
 
@@ -609,18 +609,18 @@ def _merge_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
 
 
 def _attention_weights(qp: np.ndarray, kp: np.ndarray, n_heads: int, scale: float, mask):
-    """Forward of `attention` up to its softmax weights: (the scores product qh @ khᵀ, weights).
+    """Forward of `attention` up to its softmax weights: (the gradients of the
+    scores qh @ khᵀ, weights).
 
     The weights are (..., H, Kq, Kk), or (..., Kq, Kk) for one head.
     """
     qh = _split_heads(qp, n_heads)
     kt = np.swapaxes(_split_heads(kp, n_heads), -1, -2)
-    scores = _Product(qh, kt)
-    raw = scores.values
-    raw *= scale
+    scores, grads = _product(qh, kt)
+    scores *= scale
     if mask is not None:
-        raw += mask
-    return scores, _softmax_values(raw)
+        scores += mask
+    return grads, _softmax_values(scores, out=scores)
 
 
 def attention(qp, kp, vp, w_out, n_heads: int, scale: float, mask=None):
@@ -634,35 +634,35 @@ def attention(qp, kp, vp, w_out, n_heads: int, scale: float, mask=None):
     must receive its gradient terms in the chain's order.
     """
     qp, kp, vp, w_out = _wrap(qp), _wrap(kp), _wrap(vp), _wrap(w_out)
-    scores, y = _attention_weights(qp.values, kp.values, n_heads, scale, mask)
-    mixed = _Product(y, _split_heads(vp.values, n_heads))
-    out = _Product(_merge_heads(mixed.values, n_heads), w_out.values)
+    scores_grads, y = _attention_weights(qp.values, kp.values, n_heads, scale, mask)
+    mixed, mixed_grads = _product(y, _split_heads(vp.values, n_heads))
+    values, out_grads = _product(_merge_heads(mixed, n_heads), w_out.values)
     want_q, want_k, want_v, want_w = (_tracked(t) for t in (qp, kp, vp, w_out))
 
     def push(g):
-        g_merged, g_w = out.grads(g, True, want_w)
-        g_y, g_vh = mixed.grads(_split_heads(g_merged, n_heads), True, want_v)
-        g_qh, g_kt = scores.grads(_softmax_grad(g_y, y) * scale, want_q, want_k)
+        g_merged, g_w = out_grads(g, True, want_w)
+        g_y, g_vh = mixed_grads(_split_heads(g_merged, n_heads), True, want_v)
+        g_qh, g_kt = scores_grads(_softmax_grad(g_y, y) * scale, want_q, want_k)
         g_kh = None if g_kt is None else np.swapaxes(g_kt, -1, -2)
         merged_grads = (None if gh is None else _merge_heads(gh, n_heads) for gh in (g_qh, g_kh, g_vh))
         return (*merged_grads, g_w)
 
-    return _result(out.values, (qp, kp, vp, w_out), push)
+    return _result(values, (qp, kp, vp, w_out), push)
 
 
 def _graph_attention_weights(xv, theta, score_src, score_dst, score_bias, index, mask, slope):
     """Forward of `graph_attention` up to its (..., H, N, W) neighbour weights.
 
-    Returns (the products h = x @ theta, h @ score_src and h @ score_dst, raw
-    scores, weights); x gains a head axis first.
+    Returns (h = x @ theta with a head axis on x, the gradients of that
+    product and of h @ score_src and h @ score_dst, raw scores, weights).
     """
-    h = _Product(xv.reshape(xv.shape[:-2] + (1,) + xv.shape[-2:]), theta)
-    src = _Product(h.values, score_src)
-    dst = _Product(h.values, score_dst)
-    dst_row = dst.values.reshape(h.values.shape[:-1])
-    raw = src.values + np.take(dst_row, index, axis=dst_row.ndim - 1) + score_bias
+    h, h_grads = _product(xv.reshape(xv.shape[:-2] + (1,) + xv.shape[-2:]), theta)
+    src, src_grads = _product(h, score_src)
+    dst, dst_grads = _product(h, score_dst)
+    dst = dst.reshape(h.shape[:-1])
+    raw = src + np.take(dst, index, axis=dst.ndim - 1) + score_bias
     alpha = _softmax_values(_leaky_relu_values(raw, slope) + mask)
-    return h, src, dst, raw, alpha
+    return h, (h_grads, src_grads, dst_grads), raw, alpha
 
 
 def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
@@ -681,31 +681,31 @@ def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
     )
     index = np.asarray(neighbor_index, dtype=np.intp)
     xv, bv = x.values, score_bias.values
-    h, src, dst, raw, alpha = _graph_attention_weights(
+    h, (h_grads, src_grads, dst_grads), raw, alpha = _graph_attention_weights(
         xv, theta.values, score_src.values, score_dst.values, bv, index, neighbor_mask, slope
     )
-    hv = h.values
-    neighbors = np.take(hv, index, axis=hv.ndim - 2)  # (..., H, N, W, n_out)
+    neighbors = np.take(h, index, axis=h.ndim - 2)  # (..., H, N, W, n_out)
     alpha_row = alpha.reshape(alpha.shape[:-1] + (1,) + alpha.shape[-1:])
-    mixed = _Product(alpha_row, neighbors)  # (..., H, N, 1, n_out)
-    heads = _sigmoid_values(mixed.values.reshape(hv.shape))
+    mixed, mixed_grads = _product(alpha_row, neighbors)  # (..., H, N, 1, n_out)
+    mixed_shape, score_shape = mixed.shape, h.shape[:-1] + (1,)
+    heads = _sigmoid_values(mixed.reshape(h.shape))
     values = heads.mean(axis=-3)
     count = heads.size / max(values.size, 1)
     want = [_tracked(t) for t in (x, theta, score_src, score_dst, score_bias)]
 
     def push(g):
         g_heads = np.broadcast_to(np.expand_dims(g, -3), heads.shape) / count
-        g_mixed = _sigmoid_grad(g_heads, heads).reshape(mixed.values.shape)
-        g_alpha, g_neighbors = mixed.grads(g_mixed, True, True)
+        g_mixed = _sigmoid_grad(g_heads, heads).reshape(mixed_shape)
+        g_alpha, g_neighbors = mixed_grads(g_mixed, True, True)
         g_alpha = _softmax_grad(g_alpha.reshape(alpha.shape), alpha)
         g_raw = _leaky_relu_grad(g_alpha, raw, slope)
         g_bias = _unbroadcast(g_raw, bv.shape) if want[4] else None
-        g_dst = _gather_grad(g_raw, index, hv.shape[:-1], hv.ndim - 2).reshape(dst.values.shape)
-        g_h_src, g_score_src = src.grads(_unbroadcast(g_raw, src.values.shape), True, want[2])
-        g_h_dst, g_score_dst = dst.grads(g_dst, True, want[3])
+        g_dst = _gather_grad(g_raw, index, h.shape[:-1], h.ndim - 2).reshape(score_shape)
+        g_h_src, g_score_src = src_grads(_unbroadcast(g_raw, score_shape), True, want[2])
+        g_h_dst, g_score_dst = dst_grads(g_dst, True, want[3])
         # h feeds the src and dst scores and the neighbour gather, summed in that order
-        g_h = g_h_src + g_h_dst + _gather_grad(g_neighbors, index, hv.shape, hv.ndim - 2)
-        g_xr, g_theta = h.grads(g_h, want[0], want[1])
+        g_h = g_h_src + g_h_dst + _gather_grad(g_neighbors, index, h.shape, h.ndim - 2)
+        g_xr, g_theta = h_grads(g_h, want[0], want[1])
         g_x = None if g_xr is None else g_xr.reshape(xv.shape)
         return g_x, g_theta, g_score_src, g_score_dst, g_bias
 
@@ -783,13 +783,16 @@ def concat(arrays: Iterable, axis: int = 0):
 # dropout
 
 
-def dropout(a, rate: float, draws: np.ndarray | None):
-    """Inverted-scaling Bernoulli dropout by uniform `draws` shaped like `a`:
-    an entry whose draw falls below `rate` becomes 0 and the others are
-    scaled by 1 / (1 - rate). None draws (not training) leave `a` as it is."""
-    if draws is None:
-        return _wrap(a)
-    return mul(a, (draws >= rate) / (1.0 - rate))
+def dropout_keep(draws: np.ndarray, rate: float) -> np.ndarray:
+    """Inverted-scaling Bernoulli dropout's keep factors for uniform `draws`:
+    0 where a draw falls below `rate`, else 1 / (1 - rate)."""
+    return (draws >= rate) / (1.0 - rate)
+
+
+def dropout(a, keep: np.ndarray | None):
+    """`a` times its dropout keep factors (`dropout_keep`); None (not
+    training) leaves `a` as it is."""
+    return _wrap(a) if keep is None else mul(a, keep)
 
 
 # ---------------------------------------------------------------------------

@@ -109,15 +109,12 @@ def batched_matmul_grads(g, av, bv, want_a, want_b):
     return ga, gb
 
 
-class BatchedProduct:
-    """`tensor._Product` as the batched formulation throughout."""
+def batched_product(av, bv):
+    """`tensor._product` as the batched formulation throughout."""
+    def grads(g, want_a, want_b):
+        return batched_matmul_grads(g, av, bv, want_a, want_b)
 
-    def __init__(self, av, bv):
-        self.av, self.bv = av, bv
-        self.values = batched_matmul_values(av, bv)
-
-    def grads(self, g, want_a, want_b):
-        return batched_matmul_grads(g, self.av, self.bv, want_a, want_b)
+    return batched_matmul_values(av, bv), grads
 
 
 def matrix_gemm(av, w, g):
@@ -661,7 +658,7 @@ class TestTrainingStepAgainstBatchedMatmul:
             return [preds.values] + [p.grad for p in model.store.params.values()]
 
         gemm = step()
-        monkeypatch.setattr(T, "_Product", BatchedProduct)
+        monkeypatch.setattr(T, "_product", batched_product)
         batched = step()
         assert len(gemm) == len(batched)
         for got, want in zip(gemm, batched):

@@ -163,7 +163,7 @@ class TestWalker:
         assert list(named_parameters(GatLayer(2, 2, rng, n_heads=3))) == [
             "theta", "score_src", "score_dst", "score_bias"
         ]
-        assert list(named_parameters(EncoderBlock(4, 2, rng, 8, 0.1), "enc.")) == (
+        assert list(named_parameters(EncoderBlock(4, 2, rng, 8), "enc.")) == (
             [f"enc.attention.{w}" for w in mha]
             + [f"enc.feed_forward.layers.{i}.{w}" for i in (0, 1) for w in ("weight", "bias")]
             + ["enc.norm_attn.gain", "enc.norm_attn.shift", "enc.norm_ff.gain", "enc.norm_ff.shift"]

@@ -21,7 +21,7 @@ from radnet.tensor import DiffArray
 class TestPositionEncoding:
     def test_position_zero_even_channel_unchanged(self):
         x = np.zeros((4, 2))
-        out = position_encode(x, 0.1).values
+        out = position_encode(x).values
         assert out[0, 0] == 0.0  # + sin(0)
 
     def test_matches_direct_sinusoid(self):
@@ -38,14 +38,14 @@ class TestPositionEncoding:
 
     def test_eval_mode_deterministic(self):
         x = np.random.default_rng(0).normal(size=(6, 4))
-        a = position_encode(x, 0.1).values
-        b = position_encode(x, 0.1).values
+        a = position_encode(x).values
+        b = position_encode(x).values
         np.testing.assert_array_equal(a, b)
 
     def test_training_dropout_changes_values(self):
         x = np.ones((50, 4))
         rng = np.random.default_rng(1)
-        out = position_encode(x, 0.5, rng.random(x.shape)).values
+        out = position_encode(x, T.dropout_keep(rng.random(x.shape), 0.5)).values
         assert (out == 0).any()
 
 
@@ -147,20 +147,20 @@ class TestEncoderBlock:
     @pytest.mark.parametrize("k", [1, 5, 12])
     def test_shape_preserved(self, k):
         rng = np.random.default_rng(10)
-        block = EncoderBlock(4, 2, rng, 16, 0.1)
+        block = EncoderBlock(4, 2, rng, 16)
         out = block(rng.normal(size=(k, 4)))
         assert out.shape == (k, 4)
 
     def test_batched_shape_preserved(self):
         rng = np.random.default_rng(11)
-        block = EncoderBlock(3, 1, rng, 16, 0.1)
+        block = EncoderBlock(3, 1, rng, 16)
         out = block(rng.normal(size=(6, 2, 5, 3)))
         assert out.shape == (6, 2, 5, 3)
 
     @pytest.mark.parametrize("n_heads", [1, 2])
     def test_gradient_through_full_block(self, n_heads):
         rng = np.random.default_rng(12)
-        block = EncoderBlock(2, n_heads, rng, 4, 0.1)
+        block = EncoderBlock(2, n_heads, rng, 4)
         x = DiffArray(rng.normal(size=(3, 2)), requires_grad=True)
         w = rng.normal(size=(3, 2))
 
@@ -236,13 +236,12 @@ def all_positions_decoder(block, x, training=False, rng=None):
     """
     x = DiffArray(x)
     k, rate = x.shape[-2], block.dropout_rate
-    draws = [rng.random(x.shape) if training else None for _ in range(6)]
-    memory = block.encoder(position_encode(x, rate, draws[0]), draws[1:3])
-    source = position_encode(x, rate, draws[3])
-    masked = T.dropout(block.decoder_attention(source, source, source, causal_mask(k)), rate,
-                       draws[4])
+    keep = [T.dropout_keep(rng.random(x.shape), rate) if training else None for _ in range(6)]
+    memory = block.encoder(position_encode(x, keep[0]), keep[1:3])
+    source = position_encode(x, keep[3])
+    masked = T.dropout(block.decoder_attention(source, source, source, causal_mask(k)), keep[4])
     decoded = block.norm_decoder(source + masked)
-    crossed = T.dropout(block.cross_attention(decoded, memory, memory), rate, draws[5])
+    crossed = T.dropout(block.cross_attention(decoded, memory, memory), keep[5])
     return block.norm_out(decoded + crossed)[..., -1, :]
 
 

@@ -494,12 +494,12 @@ class TestBackwardMechanics:
         rng = np.random.default_rng(9)
         x = DiffArray(np.ones(1000))
         draws = rng.random(x.shape)
-        out = T.dropout(x, 0.25, draws)
+        out = T.dropout(x, T.dropout_keep(draws, 0.25))
         kept = out.values != 0
         np.testing.assert_array_equal(kept, draws >= 0.25)
         assert 0.6 < kept.mean() < 0.9
         np.testing.assert_allclose(out.values[kept], 1 / 0.75)
-        same = T.dropout(x, 0.25, None)
+        same = T.dropout(x, None)
         np.testing.assert_array_equal(same.values, x.values)
 
 

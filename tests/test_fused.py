@@ -15,8 +15,8 @@ batch axes. Each member's GEMM must equal the 2-D product of its rows and
 its matrix bit for bit.
 
 The model's two inference paths run as the two members of one transformer
-block; `serial_paths` runs them as the parent did, one path after the other,
-each through a one-member block on its member's parameter slices.
+block; `serial_paths` runs them one after the other, each through a
+one-member block on its member's parameter slices.
 """
 
 import copy

@@ -13,6 +13,7 @@ shape-polymorphic over leading batch axes.
 from __future__ import annotations
 
 import csv
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +59,28 @@ class RoadGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def neighbor_scatter(self) -> np.ndarray:
+        """(N*W, N) read-only 0/1 matrix: row m selects node neighbor_index.flat[m].
+
+        A product with it sums the gradient of every gathered copy of a node
+        back into that node. Built on first use.
+        """
+        scatter = np.zeros((self.neighbor_index.size, self.n_nodes))
+        scatter[np.arange(self.neighbor_index.size), self.neighbor_index.ravel()] = 1.0
+        scatter.setflags(write=False)
+        return scatter
+
     def permuted(self, perm) -> "RoadGraph":
-        """The same graph with node i relabeled perm[i]."""
+        """The same graph with node i relabeled perm[i]; perm must be a
+        permutation of range(n_nodes)."""
         perm = list(perm)
+        try:
+            valid = sorted(perm) == list(range(self.n_nodes))
+        except TypeError:  # entries that do not compare with node ids
+            valid = False
+        if not valid:
+            raise GraphError(f"{perm!r} is not a permutation of range({self.n_nodes})")
         return RoadGraph(self.n_nodes, [(perm[i], perm[j]) for i, j in self.edges])
 
     @classmethod
@@ -101,8 +121,8 @@ class GatLayer:
     graph's (N, W) neighbour table, so a head scores (..., N, W) pairs and
     gathers (..., N, W, n_out) neighbour projections; padding slots get weight
     exactly 0. Every parameter holds all heads on its leading axis, so the
-    heads run on a head axis (..., H, N, n_out), which the output averages away.
-    The layer records one tape node, `tensor.graph_attention`.
+    heads run on a leading head axis (H, ..., N, n_out), which the output
+    averages away. The layer records one tape node, `tensor.graph_attention`.
     """
 
     def __init__(
@@ -133,7 +153,7 @@ class GatLayer:
             x.values, self.theta.values, self.score_src.values, self.score_dst.values,
             self.score_bias.values, graph.neighbor_index, graph.neighbor_mask,
             DEFAULT_LEAKY_SLOPE,
-        )[-1][..., head, :, :]
+        )[-1][head].reshape(x.shape[:-1] + graph.neighbor_index.shape[-1:])
         rows, slots = np.nonzero(graph.neighbor_mask == 0.0)
         dense = np.zeros(alpha.shape[:-1] + (graph.n_nodes,))
         dense[..., rows, graph.neighbor_index[rows, slots]] = alpha[..., rows, slots]
@@ -159,5 +179,6 @@ class GatLayer:
         self._check(x, graph)
         return graph_attention(
             x, self.theta, self.score_src, self.score_dst, self.score_bias,
-            graph.neighbor_index, graph.neighbor_mask, DEFAULT_LEAKY_SLOPE,
+            graph.neighbor_index, graph.neighbor_mask, graph.neighbor_scatter,
+            DEFAULT_LEAKY_SLOPE,
         )

@@ -32,7 +32,6 @@ from .tensor import (
     attention,
     dropout,
     dropout_keep,
-    matmul,
     reshape,
     swapaxes,
 )
@@ -45,12 +44,13 @@ DROPOUT_SITES = 6
 
 @lru_cache(maxsize=32)
 def position_encoding_table(length: int, width: int) -> np.ndarray:
-    """(length, width) sinusoid table: sin on even channels, cos on odd."""
+    """(length, width) read-only sinusoid table: sin on even channels, cos on odd."""
     table = np.zeros((length, width))
     pos = np.arange(length)[:, None]
     denom = np.power(10000.0, np.arange(0, width, 2) / width)
     table[:, 0::2] = np.sin(pos / denom)
     table[:, 1::2] = np.cos(pos / denom[: width // 2])
+    table.setflags(write=False)  # every caller shares the cached table
     return table
 
 
@@ -76,8 +76,10 @@ class MultiHeadAttention:
     head and all heads attend at once on a head axis (..., H, K, d_head). One
     head needs no head axis. Scores are scaled by 1/sqrt(model width); an
     optional additive mask sends future positions to -inf before the softmax,
-    so their weights are exactly zero after it. A call records the three
-    projections and one `tensor.attention` node for the rest.
+    so their weights are exactly zero after it. A call records one
+    `tensor.attention` node, projections included: an input passed as both
+    key and value (or as all three) is projected once, by its weights side
+    by side.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
@@ -123,12 +125,9 @@ class MultiHeadAttention:
         return DiffArray(weights if self.n_heads == 1 else weights[..., head, :, :])
 
     def __call__(self, q, k, v, mask=None) -> DiffArray:
-        q, k, v = _wrap(q), _wrap(k), _wrap(v)
-        self._check(q, k, v, mask)
-        return attention(
-            matmul(q, self.w_query), matmul(k, self.w_key), matmul(v, self.w_value),
-            self.w_out, self.n_heads, self.scale, mask,
-        )
+        self._check(_wrap(q), _wrap(k), _wrap(v), mask)
+        return attention(q, k, v, self.w_query, self.w_key, self.w_value, self.w_out,
+                         self.n_heads, self.scale, mask)
 
 
 class EncoderBlock:

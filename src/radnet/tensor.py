@@ -12,9 +12,12 @@ models whose gradients are routinely validated against finite differences.
 A product with one weight matrix per member of a leading member axis,
 shared by that member's batch, is one GEMM over each member's flattened batch
 and matches the batched matmul within rtol 1e-12, not bit for bit (see the
-matmul section), as layer norm's closed-form input
-gradient matches its chain; every other fused node reproduces its chain of
-primitive nodes bit for bit, and no activation branches on the data.
+matmul section). The attention and graph-attention nodes likewise match
+their chains of primitive nodes within rtol 1e-12 (see the attention
+section); attention includes its q/k/v projections. So does layer norm's
+closed-form input gradient; the feed-forward node and layer norm's values
+and gain and shift gradients reproduce their chains bit for bit, and no
+activation branches on the data.
 Softmax and layer norm reduce a short last axis of many rows slice by
 slice, in the order numpy's own reduction adds below 8 elements, so those
 values too are numpy's bit for bit (see the last-axis reductions section).
@@ -29,7 +32,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -330,20 +333,62 @@ def sqrt(a):
 # batched forward, which reads it in place where rows(a) would copy it;
 # products whose right operand carries other batch axes keep the batched
 # matmul throughout. A product's backward reuses the member matrices and row
-# views its forward built.
+# views its forward built. Which way a product runs and the shapes it reshapes
+# to depend only on a's shape and strides and b's shape, so `_product` plans
+# each such layout once and keeps the plan in a bounded cache; a planned
+# product makes the same numpy calls as an unplanned one.
 
 
-def _weight_matrix(av: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
-    """bv as an (S, d_in, d_out) stack of member matrices, or None (see above)."""
+_PLAN_LIMIT = 512
+_PLANS: dict = {}
+
+
+class _Plan(NamedTuple):
+    """How `_product` multiplies operands of one layout."""
+
+    members: int  # S member matrices in the right operand; 0: the batched matmul throughout
+    gemm: bool  # the forward multiplies a's rows (each member's a is C-contiguous)
+    a_rows: tuple  # (S, rows, d_in): a as each member's last-axis rows
+    g_rows: tuple  # (S, rows, d_out): the output gradient likewise
+    w: tuple  # (S, d_in, d_out): the member matrices
+    out: tuple  # the product's shape
+
+
+def _plan(av: np.ndarray, bv: np.ndarray) -> _Plan:
+    """The plan for av @ bv, from a bounded cache keyed by av's layout and bv's shape.
+
+    A failed plan is not cached: operands that do not multiply raise the same
+    DimensionError every time.
+    """
+    key = (av.shape, av.strides, bv.shape)
+    plan = _PLANS.get(key)
+    if plan is not None:
+        return plan
+    if av.ndim < 2 or bv.ndim < 2:
+        raise DimensionError(
+            f"matmul needs >=2-d operands, got {av.shape} and {bv.shape}"
+        )
+    if av.shape[-1] != bv.shape[-2]:
+        raise DimensionError(f"matmul inner mismatch: {av.shape} @ {bv.shape}")
+    try:
+        np.broadcast_shapes(av.shape[:-2], bv.shape[:-2])
+    except ValueError as exc:
+        raise DimensionError(f"matmul batch mismatch: {av.shape} @ {bv.shape}") from exc
     members = bv.shape[0] if bv.ndim == av.ndim > 2 and av.shape[0] == bv.shape[0] else 1
     if math.prod(bv.shape[:-2]) != members:
-        return None
-    return bv.reshape((members,) + bv.shape[-2:])
-
-
-def _rows(x: np.ndarray, members: int) -> np.ndarray:
-    """x as (members, rows, width): each member's last-axis rows (a view when the layout allows)."""
-    return x.reshape(members, math.prod(x.shape[:-1]) // members, x.shape[-1])
+        plan = _Plan(0, False, (), (), (), ())
+    else:
+        n_rows = math.prod(av.shape[:-1]) // members
+        plan = _Plan(
+            members, (av if members == 1 else av[0]).flags.c_contiguous,
+            (members, n_rows, av.shape[-1]), (members, n_rows, bv.shape[-1]),
+            (members,) + bv.shape[-2:],
+            (1,) * (bv.ndim - av.ndim) + av.shape[:-1] + bv.shape[-1:],
+        )
+    if len(_PLANS) >= _PLAN_LIMIT:
+        _PLANS.clear()
+    _PLANS[key] = plan
+    return plan
 
 
 def _product(av: np.ndarray, bv: np.ndarray):
@@ -352,34 +397,24 @@ def _product(av: np.ndarray, bv: np.ndarray):
 
     Operands that do not multiply raise a DimensionError.
     """
-    if av.ndim < 2 or bv.ndim < 2:
-        raise DimensionError(
-            f"matmul needs >=2-d operands, got {av.shape} and {bv.shape}"
-        )
-    if av.shape[-1] != bv.shape[-2]:
-        raise DimensionError(f"matmul inner mismatch: {av.shape} @ {bv.shape}")
-    w = _weight_matrix(av, bv)
-    rows = None
-    if w is not None and (av if len(w) == 1 else av[0]).flags.c_contiguous:
-        rows = _rows(av, len(w))
-        lead = (1,) * (bv.ndim - av.ndim) + av.shape[:-1]
-        values = np.matmul(rows, w).reshape(lead + w.shape[-1:])
-    else:
-        try:
-            values = av @ bv
-        except ValueError as exc:
-            raise DimensionError(f"matmul batch mismatch: {av.shape} @ {bv.shape}") from exc
-
-    def grads(g: np.ndarray, want_a: bool, want_b: bool):
-        if w is None:
+    plan = _plan(av, bv)
+    if not plan.members:
+        def grads(g: np.ndarray, want_a: bool, want_b: bool):
             ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape) if want_a else None
             gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape) if want_b else None
             return ga, gb
-        rows_g = _rows(g, len(w))
+
+        return av @ bv, grads
+    w = bv.reshape(plan.w)
+    rows = av.reshape(plan.a_rows) if plan.gemm else None
+    values = av @ bv if rows is None else np.matmul(rows, w).reshape(plan.out)
+
+    def grads(g: np.ndarray, want_a: bool, want_b: bool):
+        rows_g = g.reshape(plan.g_rows)
         ga = np.matmul(rows_g, np.swapaxes(w, -1, -2)).reshape(av.shape) if want_a else None
         gb = None
         if want_b:
-            a_rows = _rows(av, len(w)) if rows is None else rows
+            a_rows = av.reshape(plan.a_rows) if rows is None else rows
             gb = np.matmul(np.swapaxes(a_rows, -1, -2), rows_g).reshape(bv.shape)
         return ga, gb
 
@@ -585,11 +620,11 @@ def layer_norm(a, gain, shift, eps: float):
 # ---------------------------------------------------------------------------
 # attention
 #
-# Each layer below is one node whose forward makes the numpy calls of the
-# chain of primitive nodes it replaces and whose backward replays that chain's
-# pushes, so values and gradients are bit for bit the chain's. Where an array
-# feeds several nodes of the chain, its gradient terms are summed in the order
-# the chain's backward would deliver them.
+# Each layer below is one node. Unlike the feed-forward node, neither replays
+# a chain of primitive nodes: each computes its layer with fewer, larger
+# products, which sum in another order than the chain, so its values and
+# gradients match the chain's within rtol 1e-12 of each array's largest
+# magnitude (tests/test_fused.py), not bit for bit.
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -609,8 +644,8 @@ def _merge_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
 
 
 def _attention_weights(qp: np.ndarray, kp: np.ndarray, n_heads: int, scale: float, mask):
-    """Forward of `attention` up to its softmax weights: (the gradients of the
-    scores qh @ khᵀ, weights).
+    """Attention up to its softmax weights, from projected rows: (the gradients
+    of the scores qh @ khᵀ, weights).
 
     The weights are (..., H, Kq, Kk), or (..., Kq, Kk) for one head.
     """
@@ -623,93 +658,147 @@ def _attention_weights(qp: np.ndarray, kp: np.ndarray, n_heads: int, scale: floa
     return grads, _softmax_values(scores, out=scores)
 
 
-def attention(qp, kp, vp, w_out, n_heads: int, scale: float, mask=None):
-    """Multi-head scaled dot-product attention and its output map, as one node.
+def attention(q, k, v, w_query, w_key, w_value, w_out, n_heads: int, scale: float,
+              mask=None):
+    """Multi-head scaled dot-product attention with its projections, as one node.
 
-    `qp` (..., Kq, d), `kp` and `vp` (..., Kk, d) are projected rows; head m
-    reads columns m*d/H:(m+1)*d/H of each. The node covers the head split,
-    the scores qh @ khᵀ * scale, the optional additive (Kq, Kk) mask, the
+    `q` (..., Kq, d), `k` and `v` (..., Kk, d); each weight (..., d, d) maps
+    its input to projected rows, of which head m reads columns
+    m*d/H:(m+1)*d/H. The node covers the projections, the head split, the
+    scores qh @ khᵀ * scale, the optional additive (Kq, Kk) mask, the
     softmax, the weighted sum of values, the head merge and the product with
-    `w_out`. The projections stay outside: a query taken from the key input
-    must receive its gradient terms in the chain's order.
+    `w_out`. An object passed as several of q, k and v is projected once, by
+    their weights side by side: self-attention runs x @ [w_query | w_key |
+    w_value], a decoder q @ w_query and kv @ [w_key | w_value].
     """
-    qp, kp, vp, w_out = _wrap(qp), _wrap(kp), _wrap(vp), _wrap(w_out)
-    scores_grads, y = _attention_weights(qp.values, kp.values, n_heads, scale, mask)
-    mixed, mixed_grads = _product(y, _split_heads(vp.values, n_heads))
+    # each distinct object among q, k and v, with its roles (0 query, 1 key, 2 value)
+    shared = {}
+    for role, x in enumerate((q, k, v)):
+        shared.setdefault(id(x), (x, []))[1].append(role)
+    groups = [(_wrap(x), roles) for x, roles in shared.values()]
+    weights = [_wrap(w) for w in (w_query, w_key, w_value)]
+    w_out = _wrap(w_out)
+    d_model = weights[0].shape[-1]
+    projected, products = [None] * 3, []
+    for x, roles in groups:
+        w = np.concatenate([weights[r].values for r in roles], axis=-1)
+        product, grads = _product(x.values, w)
+        products.append(grads)
+        for j, r in enumerate(roles):
+            projected[r] = product[..., j * d_model : (j + 1) * d_model]
+    qp, kp, vp = projected
+    scores_grads, y = _attention_weights(qp, kp, n_heads, scale, mask)
+    mixed, mixed_grads = _product(y, _split_heads(vp, n_heads))
     values, out_grads = _product(_merge_heads(mixed, n_heads), w_out.values)
-    want_q, want_k, want_v, want_w = (_tracked(t) for t in (qp, kp, vp, w_out))
+    wants = [(_tracked(x), any(_tracked(weights[r]) for r in roles)) for x, roles in groups]
+    want_out = _tracked(w_out)
 
     def push(g):
-        g_merged, g_w = out_grads(g, True, want_w)
-        g_y, g_vh = mixed_grads(_split_heads(g_merged, n_heads), True, want_v)
-        g_qh, g_kt = scores_grads(_softmax_grad(g_y, y) * scale, want_q, want_k)
-        g_kh = None if g_kt is None else np.swapaxes(g_kt, -1, -2)
-        merged_grads = (None if gh is None else _merge_heads(gh, n_heads) for gh in (g_qh, g_kh, g_vh))
-        return (*merged_grads, g_w)
+        g_merged, g_w_out = out_grads(g, True, want_out)
+        g_y, g_vh = mixed_grads(_split_heads(g_merged, n_heads), True, True)
+        g_qh, g_kt = scores_grads(_softmax_grad(g_y, y) * scale, True, True)
+        g_projected = [_merge_heads(gh, n_heads) for gh in (g_qh, np.swapaxes(g_kt, -1, -2), g_vh)]
+        g_inputs, g_weights = [], [None] * 3
+        for (x, roles), grads, (want_x, want_w) in zip(groups, products, wants):
+            g_x, g_w = grads(np.concatenate([g_projected[r] for r in roles], axis=-1),
+                             want_x, want_w)
+            g_inputs.append(g_x)
+            for j, r in enumerate(roles):
+                if g_w is not None:
+                    g_weights[r] = g_w[..., j * d_model : (j + 1) * d_model]
+        return (*g_inputs, *g_weights, g_w_out)
 
-    return _result(values, (qp, kp, vp, w_out), push)
+    return _result(values, (*(x for x, _ in groups), *weights, w_out), push)
 
 
 def _graph_attention_weights(xv, theta, score_src, score_dst, score_bias, index, mask, slope):
-    """Forward of `graph_attention` up to its (..., H, N, W) neighbour weights.
+    """Forward of `graph_attention` up to its neighbour weights, heads first.
 
-    Returns (h = x @ theta with a head axis on x, the gradients of that
-    product and of h @ score_src and h @ score_dst, raw scores, weights).
+    Returns (x's rows (R, n_in), h = rows @ theta (H, R, n_out), the score
+    matrix [score_src | score_dst] (H, n_out, 2), the raw edge scores and the
+    weights (H, B, N, W)), B being the product of x's batch axes.
     """
-    h, h_grads = _product(xv.reshape(xv.shape[:-2] + (1,) + xv.shape[-2:]), theta)
-    src, src_grads = _product(h, score_src)
-    dst, dst_grads = _product(h, score_dst)
-    dst = dst.reshape(h.shape[:-1])
-    raw = src + np.take(dst, index, axis=dst.ndim - 1) + score_bias
-    alpha = _softmax_values(_leaky_relu_values(raw, slope) + mask)
-    return h, (h_grads, src_grads, dst_grads), raw, alpha
+    if not np.isfinite(xv).all():
+        raise NumericError("graph attention received NaN or inf input")
+    rows = xv.reshape(-1, xv.shape[-1])
+    h = np.matmul(rows, theta)
+    score = np.concatenate((score_src, score_dst), axis=-1)
+    # each node's source and destination scores, (H, B, N, 2), from one product
+    ends = np.matmul(h, score).reshape(theta.shape[:1] + (-1,) + xv.shape[-2:-1] + (2,))
+    raw = np.take(ends[..., 1], index, axis=-1)
+    raw += ends[..., :1]
+    raw += score_bias[..., None]
+    alpha = _leaky_relu_values(raw, slope)
+    alpha += mask
+    return rows, h, score, raw, _softmax_values(alpha, out=alpha)
+
+
+def _scatter_sum(g: np.ndarray, scatter: np.ndarray) -> np.ndarray:
+    """Each node's gradient from those of its gathered copies, (..., N, W) ->
+    (..., N): one GEMM with the (N*W, N) 0/1 scatter matrix."""
+    return (g.reshape(-1, scatter.shape[0]) @ scatter).reshape(g.shape[:-2] + scatter.shape[1:])
 
 
 def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
-                    neighbor_mask, slope: float):
+                    neighbor_mask, neighbor_scatter, slope: float):
     """Multi-head graph attention over a padded neighbour table, as one node.
 
     x (..., N, n_in); theta (H, n_in, n_out); score_src and score_dst
     (H, n_out, 1); score_bias (H, 1, 1); neighbor_index and the additive
-    neighbor_mask (N, W). Per head: h = x @ theta, edge scores
-    leaky(h_i . src + h_j . dst + bias) + mask over each row's neighbours,
-    a softmax over them, and the sigmoid of the weighted neighbour sum; the
-    heads are averaged into (..., N, n_out).
+    neighbor_mask (N, W); neighbor_scatter the (N*W, N) 0/1 matrix whose
+    row m selects node neighbor_index.flat[m]. Per head: h = x @ theta, edge
+    scores leaky(h_i . src + h_j . dst + bias) + mask over each row's
+    neighbours, a softmax over them, and the sigmoid of the weighted
+    neighbour sum; the heads are averaged into (..., N, n_out).
+
+    The heads lead every intermediate, so h is one product per head over all
+    of x's rows and both edge scores one product with [src | dst]. The
+    gathers of destination scores and of neighbour rows take their
+    gradients as products with `neighbor_scatter`, which sums the gradient
+    of every copy of a node back into it.
     """
     x, theta, score_src, score_dst, score_bias = (
         _wrap(t) for t in (x, theta, score_src, score_dst, score_bias)
     )
     index = np.asarray(neighbor_index, dtype=np.intp)
-    xv, bv = x.values, score_bias.values
-    h, (h_grads, src_grads, dst_grads), raw, alpha = _graph_attention_weights(
-        xv, theta.values, score_src.values, score_dst.values, bv, index, neighbor_mask, slope
+    xv, tv = x.values, theta.values
+    rows, h, score, raw, alpha = _graph_attention_weights(
+        xv, tv, score_src.values, score_dst.values, score_bias.values, index, neighbor_mask,
+        slope,
     )
-    neighbors = np.take(h, index, axis=h.ndim - 2)  # (..., H, N, W, n_out)
-    alpha_row = alpha.reshape(alpha.shape[:-1] + (1,) + alpha.shape[-1:])
-    mixed, mixed_grads = _product(alpha_row, neighbors)  # (..., H, N, 1, n_out)
-    mixed_shape, score_shape = mixed.shape, h.shape[:-1] + (1,)
-    heads = _sigmoid_values(mixed.reshape(h.shape))
-    values = heads.mean(axis=-3)
-    count = heads.size / max(values.size, 1)
+    n_heads, n_out = tv.shape[0], tv.shape[-1]
+    h_nodes = h.reshape(alpha.shape[:-1] + (n_out,))  # (H, B, N, n_out)
+    neighbors = np.take(h_nodes, index, axis=2)  # (H, B, N, W, n_out)
+    mixed = np.matmul(alpha[..., None, :], neighbors).reshape(h_nodes.shape)
+    heads = _sigmoid_values(mixed)
+    values = heads[0] if n_heads == 1 else heads.sum(axis=0) / n_heads
     want = [_tracked(t) for t in (x, theta, score_src, score_dst, score_bias)]
 
     def push(g):
-        g_heads = np.broadcast_to(np.expand_dims(g, -3), heads.shape) / count
-        g_mixed = _sigmoid_grad(g_heads, heads).reshape(mixed_shape)
-        g_alpha, g_neighbors = mixed_grads(g_mixed, True, True)
-        g_alpha = _softmax_grad(g_alpha.reshape(alpha.shape), alpha)
-        g_raw = _leaky_relu_grad(g_alpha, raw, slope)
-        g_bias = _unbroadcast(g_raw, bv.shape) if want[4] else None
-        g_dst = _gather_grad(g_raw, index, h.shape[:-1], h.ndim - 2).reshape(score_shape)
-        g_h_src, g_score_src = src_grads(_unbroadcast(g_raw, score_shape), True, want[2])
-        g_h_dst, g_score_dst = dst_grads(g_dst, True, want[3])
-        # h feeds the src and dst scores and the neighbour gather, summed in that order
-        g_h = g_h_src + g_h_dst + _gather_grad(g_neighbors, index, h.shape, h.ndim - 2)
-        g_xr, g_theta = h_grads(g_h, want[0], want[1])
-        g_x = None if g_xr is None else g_xr.reshape(xv.shape)
-        return g_x, g_theta, g_score_src, g_score_dst, g_bias
+        g = g.reshape(heads.shape[1:])
+        g_mixed = _sigmoid_grad(g / n_heads if n_heads > 1 else g, heads)
+        g_alpha = np.matmul(neighbors, g_mixed[..., None]).reshape(alpha.shape)
+        g_raw = _leaky_relu_grad(_softmax_grad(g_alpha, alpha), raw, slope)
+        # a node's source score feeds its own row, its destination score its
+        # copies in its neighbours' rows
+        g_ends = np.stack((_sum_last(g_raw)[..., 0], _scatter_sum(g_raw, neighbor_scatter)),
+                          axis=-1).reshape(h.shape[:-1] + (2,))
+        g_h = np.matmul(g_ends, np.swapaxes(score, -1, -2)).reshape(h_nodes.shape)
+        # the neighbour gather's gradient, its feature axis ahead of the (N, W) copies
+        g_copies = np.swapaxes(g_mixed, -1, -2)[..., None] * alpha[..., None, :, :]
+        g_h += np.swapaxes(_scatter_sum(g_copies, neighbor_scatter), -1, -2)
+        g_h = g_h.reshape(h.shape)
+        g_x = None
+        if want[0]:
+            g_x = np.matmul(g_h, np.swapaxes(tv, -1, -2))
+            g_x = (g_x[0] if n_heads == 1 else g_x.sum(axis=0)).reshape(xv.shape)
+        g_score = np.matmul(np.swapaxes(h, -1, -2), g_ends)
+        return (g_x, np.matmul(rows.T, g_h) if want[1] else None,
+                g_score[..., :1] if want[2] else None, g_score[..., 1:] if want[3] else None,
+                g_raw.reshape(n_heads, -1).sum(axis=1).reshape(-1, 1, 1) if want[4] else None)
 
-    return _result(values, (x, theta, score_src, score_dst, score_bias), push)
+    return _result(values.reshape(xv.shape[:-1] + (n_out,)),
+                   (x, theta, score_src, score_dst, score_bias), push)
 
 
 # ---------------------------------------------------------------------------
@@ -752,19 +841,6 @@ def take(a, key):
         return (z,)
 
     return _result(values, (a,), push)
-
-
-def _gather_grad(g: np.ndarray, index: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
-    """Gradient of `np.take(a, index, axis)` for an `a` of `shape`; axis >= 0.
-
-    One product with the constant 0/1 selection matrix
-    S[m, j] = [index.flat[m] == j], which sums the gradient of every copy of
-    an element back into it (much faster than a scatter with np.add.at).
-    """
-    select = np.zeros((index.size, shape[axis]))
-    select[np.arange(index.size), index.ravel()] = 1.0
-    g = g.reshape(shape[:axis] + (index.size, -1))
-    return (select.T @ g).reshape(shape)
 
 
 def concat(arrays: Iterable, axis: int = 0):

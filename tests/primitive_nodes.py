@@ -2,13 +2,13 @@
 
 The library runs leaky ReLU, the sigmoid and the neighbour gather inside its
 fused layer nodes only; these stand-alone nodes rebuild the chains those
-layers replaced, from the same private value and gradient helpers.
+layers replaced, from the same private value and gradient helpers (the
+gather's own gradient, a product with a selection matrix, lives here).
 """
 
 import numpy as np
 
 from radnet.tensor import (
-    _gather_grad,
     _leaky_relu_grad,
     _leaky_relu_values,
     _result,
@@ -36,6 +36,19 @@ def sigmoid(a):
         return (_sigmoid_grad(g, out),)
 
     return _result(out, (a,), push)
+
+
+def _gather_grad(g: np.ndarray, index: np.ndarray, shape: tuple, axis: int) -> np.ndarray:
+    """Gradient of `np.take(a, index, axis)` for an `a` of `shape`; axis >= 0.
+
+    One product with the constant 0/1 selection matrix
+    S[m, j] = [index.flat[m] == j], which sums the gradient of every copy of
+    an element back into it.
+    """
+    select = np.zeros((index.size, shape[axis]))
+    select[np.arange(index.size), index.ravel()] = 1.0
+    g = g.reshape(shape[:axis] + (index.size, -1))
+    return (select.T @ g).reshape(shape)
 
 
 def gather(a, index, axis: int):

@@ -72,6 +72,22 @@ class TestRoadGraph:
             assert (g.neighbor_mask[i, ~real] == -np.inf).all()
         assert g.neighbor_index[5].tolist() == [5, 6, 5, 5, 5]
 
+    def test_permuted_relabels_nodes(self):
+        g = RoadGraph(4, [(0, 1), (1, 2)])
+        assert g.permuted([2, 0, 3, 1]).edges == {(0, 2), (0, 3)}
+
+    @pytest.mark.parametrize("perm", [
+        [0, 0, 1, 2],  # a repeated node would drop an edge
+        [0, 1, 2],  # too short
+        [0, 1, 2, 3, 4],  # too long
+        [0, 1, 2, 4],  # outside the node range
+        [-1, 0, 1, 2],
+        ["0", 1, 2, 3],
+    ])
+    def test_permuted_refuses_anything_but_a_permutation(self, perm):
+        with pytest.raises(GraphError, match=r"is not a permutation of range\(4\)"):
+            RoadGraph.ring(4).permuted(perm)
+
     @pytest.mark.parametrize("n_nodes, edges", [
         (1, set()),
         (2, {(0, 1)}),

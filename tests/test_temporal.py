@@ -36,6 +36,13 @@ class TestPositionEncoding:
         assert table[2, 2] == pytest.approx(np.sin(2 / denom))
         assert table[2, 1] == pytest.approx(np.cos(2))
 
+    def test_cached_table_is_read_only(self):
+        # every forward shares the cached table, so no caller may write it
+        table = position_encoding_table(5, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 99.0
+        assert position_encoding_table(5, 4)[0, 0] == 0.0
+
     def test_eval_mode_deterministic(self):
         x = np.random.default_rng(0).normal(size=(6, 4))
         a = position_encode(x).values

@@ -1,6 +1,6 @@
-"""Check that two checkouts give the same benchmark outputs, bit for bit.
+"""Check that two checkouts give the same benchmark outputs, bit for bit or within rtol.
 
-    python tools/same_outputs.py PARENT CHANGE --seeds 0 1
+    python tools/same_outputs.py PARENT CHANGE --seeds 0 1 [--rtol R]
 
 For each checkout, a fresh interpreter imports that checkout's
 `perfbench/workloads.py` and `src/radnet`, and runs every workload's set-up,
@@ -10,12 +10,25 @@ checkouts and exits 1 when any output differs, any check fails, or a
 workload runs in one checkout only. A change
 that should not alter results (a refactor, a speed-up that keeps the
 arithmetic) is checked this way before its benchmark pairs are run.
+
+With `--rtol R`, a change that sums in another order passes where its
+outputs agree within R. A float output passes within R of the larger
+magnitude. A digest passes where the arrays behind it (`workloads.digest`)
+match: integer and boolean arrays exactly, float arrays within R of their
+largest magnitude. A file hash passes where the CSV file behind it matches
+row by row: columns of integers (timesteps, link ids, labels) exactly,
+other numeric columns (scores, thresholds) within R of the column's largest
+magnitude. The script prints the largest relative difference it accepted.
+Without `--rtol` every output must be equal, bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,27 +48,123 @@ def run_tree(tree: Path, seeds: list[int]) -> dict[tuple[str, int], dict]:
 
 
 def worker(seeds: list[int]) -> None:
-    """Print one JSON record per workload and seed of the checkout on sys.path."""
+    """Print one JSON record per workload and seed of the checkout on sys.path.
+
+    Beside the outputs, a record holds what stands behind each digest and
+    file hash among them: the digested arrays, or the hashed CSV file's rows.
+    """
     import warnings
 
+    import numpy as np
     import workloads
 
+    digested = {}
+    plain_digest = workloads.digest
+
+    def recording_digest(*arrays):
+        key = plain_digest(*arrays)
+        digested[key] = {"arrays": [{"kind": np.asarray(a).dtype.kind,
+                                     "shape": list(np.shape(a)),
+                                     "values": np.asarray(a).ravel().tolist()} for a in arrays]}
+        return key
+
+    workloads.digest = recording_digest
     warnings.simplefilter("ignore", UserWarning)  # thin tails are the workloads' own business
     for name, workload in workloads.WORKLOADS.items():
         for seed in seeds:
+            digested.clear()
             ctx = workload.setup(seed)
             with tempfile.TemporaryDirectory() as workdir:
                 op = workload.op(ctx, Path(workdir))
                 checks = workload.checks(ctx, [op])
+                behind = {key: digested[key] for key in op.outputs.values() if key in digested}
+                hashes = {value for value in op.outputs.values() if isinstance(value, str)}
+                for path in sorted(Path(workdir).rglob("*.csv")):
+                    key = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+                    if key in hashes:
+                        with open(path, newline="", encoding="utf-8") as fh:
+                            behind[key] = {"rows": list(csv.reader(fh))}
             failed = [check for check, ok in checks if not ok]
             print(json.dumps({"workload": name, "seed": seed, "outputs": op.outputs,
-                              "failed": failed}), flush=True)
+                              "behind": behind, "failed": failed}), flush=True)
+
+
+def _relative(got: list[float], want: list[float]) -> float:
+    """Largest |got - want| over the largest magnitude of either side."""
+    scale = max(map(abs, got + want), default=0.0)
+    worst = max((abs(a - b) for a, b in zip(got, want)), default=0.0)
+    return 0.0 if worst == 0.0 else worst / scale if scale > 0 else math.inf
+
+
+def _is_int(cell: str) -> bool:
+    try:
+        int(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _compare_rows(old: list[list[str]], new: list[list[str]]) -> float:
+    """Largest relative difference of two CSV files' numeric columns that are
+    not all integers; inf where their shapes, headers or other cells differ."""
+    if len(old) != len(new) or not old or old[0] != new[0] or any(
+            len(a) != len(b) for a, b in zip(old, new)):
+        return math.inf
+    worst = 0.0
+    for column in range(len(old[0])):
+        cells = [(a[column], b[column]) for a, b in zip(old[1:], new[1:])]
+        if all(_is_int(a) and _is_int(b) for a, b in cells):
+            if any(int(a) != int(b) for a, b in cells):
+                return math.inf
+            continue
+        try:
+            got, want = [float(b) for _, b in cells], [float(a) for a, _ in cells]
+        except ValueError:
+            if any(a != b for a, b in cells):
+                return math.inf
+            continue
+        worst = max(worst, _relative(got, want))
+    return worst
+
+
+def _compare_arrays(old: list[dict], new: list[dict]) -> float:
+    """Largest relative difference of two digests' float arrays; inf where
+    their shapes, kinds or non-float values differ."""
+    if len(old) != len(new):
+        return math.inf
+    worst = 0.0
+    for a, b in zip(old, new):
+        if (a["kind"], a["shape"]) != (b["kind"], b["shape"]):
+            return math.inf
+        if a["kind"] != "f":
+            if a["values"] != b["values"]:
+                return math.inf
+            continue
+        worst = max(worst, _relative(b["values"], a["values"]))
+    return worst
+
+
+def difference(a, b, old_behind: dict, new_behind: dict) -> float:
+    """Relative difference of two outputs: 0 when equal, inf when they differ
+    in anything but float values."""
+    if a == b:
+        return 0.0
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        return _relative([float(b)], [float(a)])
+    old, new = old_behind.get(a), new_behind.get(b)
+    if old is None or new is None or old.keys() != new.keys():
+        return math.inf
+    if "rows" in old:
+        return _compare_rows(old["rows"], new["rows"])
+    return _compare_arrays(old["arrays"], new["arrays"])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", type=Path, help="PARENT and CHANGE checkouts")
     parser.add_argument("--seeds", nargs="+", type=int, default=[0, 1])
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="accept float outputs within this relative difference")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -63,21 +172,39 @@ def main(argv=None) -> int:
         return 0
     if len(args.trees) != 2:
         parser.error("give two checkouts: PARENT CHANGE")
+    if args.rtol is not None and not args.rtol >= 0.0:
+        parser.error("--rtol must be a number >= 0")
     parent, change = (run_tree(tree.resolve(), args.seeds) for tree in args.trees)
     same = True
     for workload, seed in sorted(parent.keys() | change.keys()):
         print(f"{workload} seed {seed}")
-        missing = {"outputs": {}, "failed": ["workload missing"]}
+        missing = {"outputs": {}, "behind": {}, "failed": ["workload missing"]}
         old, new = parent.get((workload, seed), missing), change.get((workload, seed), missing)
+        worst = 0.0
         for key in sorted(old["outputs"].keys() | new["outputs"].keys()):
             a, b = old["outputs"].get(key), new["outputs"].get(key)
-            print(f"  {key:12s} {a!r:24} {b!r:24} {'same' if a == b else 'DIFFERENT'}")
-            same &= a == b
+            if a == b:
+                verdict = "same"
+            elif args.rtol is not None and key in old["outputs"] and key in new["outputs"]:
+                rel = difference(a, b, old["behind"], new["behind"])
+                ok = rel <= args.rtol
+                verdict = f"{'within' if ok else 'BEYOND'} rtol ({rel:.3g})"
+                same &= ok
+                worst = max(worst, rel) if ok else worst
+            else:
+                verdict = "DIFFERENT"
+                same = False
+            print(f"  {key:12s} {a!r:24} {b!r:24} {verdict}")
+        if args.rtol is not None:
+            print(f"  largest relative difference accepted: {worst:.3g}")
         for side, record in (("parent", old), ("change", new)):
             if record["failed"]:
                 print(f"  {side} failed checks: {', '.join(record['failed'])}")
                 same = False
-    print("outputs identical" if same else "outputs differ")
+    if args.rtol is None:
+        print("outputs identical" if same else "outputs differ")
+    else:
+        print(f"outputs agree within rtol {args.rtol:g}" if same else "outputs differ")
     return 0 if same else 1
 
 

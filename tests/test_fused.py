@@ -95,6 +95,8 @@ def composed_mha(q, k, v, w_query, w_key, w_value, w_out, n_heads, scale, mask=N
 
 def composed_graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
                              neighbor_mask, neighbor_scatter, slope):
+    """The chain, heads after the batch axes; its gathers build their own
+    selection matrices, so `neighbor_scatter` goes unread."""
     x = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
     h = T.matmul(x, theta)
     src = T.matmul(h, score_src)

@@ -725,8 +725,11 @@ def _graph_attention_weights(xv, theta, score_src, score_dst, score_bias, index,
     score = np.concatenate((score_src, score_dst), axis=-1)
     # each node's source and destination scores, (H, B, N, 2), from one product
     ends = np.matmul(h, score).reshape(theta.shape[:1] + (-1,) + xv.shape[-2:-1] + (2,))
-    raw = ends[..., :1] + np.take(ends[..., 1], index, axis=-1) + score_bias[..., None]
-    alpha = _leaky_relu_values(raw, slope) + mask
+    raw = np.take(ends[..., 1], index, axis=-1)
+    raw += ends[..., :1]
+    raw += score_bias[..., None]
+    alpha = _leaky_relu_values(raw, slope)
+    alpha += mask
     return rows, h, score, raw, _softmax_values(alpha, out=alpha)
 
 

@@ -24,7 +24,6 @@ one-member block on its member's parameter slices.
 
 import copy
 import functools
-import math
 
 import numpy as np
 import pytest

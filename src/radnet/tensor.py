@@ -32,7 +32,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -333,62 +333,20 @@ def sqrt(a):
 # batched forward, which reads it in place where rows(a) would copy it;
 # products whose right operand carries other batch axes keep the batched
 # matmul throughout. A product's backward reuses the member matrices and row
-# views its forward built. Which way a product runs and the shapes it reshapes
-# to depend only on a's shape and strides and b's shape, so `_product` plans
-# each such layout once and keeps the plan in a bounded cache; a planned
-# product makes the same numpy calls as an unplanned one.
+# views its forward built.
 
 
-_PLAN_LIMIT = 512
-_PLANS: dict = {}
-
-
-class _Plan(NamedTuple):
-    """How `_product` multiplies operands of one layout."""
-
-    members: int  # S member matrices in the right operand; 0: the batched matmul throughout
-    gemm: bool  # the forward multiplies a's rows (each member's a is C-contiguous)
-    a_rows: tuple  # (S, rows, d_in): a as each member's last-axis rows
-    g_rows: tuple  # (S, rows, d_out): the output gradient likewise
-    w: tuple  # (S, d_in, d_out): the member matrices
-    out: tuple  # the product's shape
-
-
-def _plan(av: np.ndarray, bv: np.ndarray) -> _Plan:
-    """The plan for av @ bv, from a bounded cache keyed by av's layout and bv's shape.
-
-    A failed plan is not cached: operands that do not multiply raise the same
-    DimensionError every time.
-    """
-    key = (av.shape, av.strides, bv.shape)
-    plan = _PLANS.get(key)
-    if plan is not None:
-        return plan
-    if av.ndim < 2 or bv.ndim < 2:
-        raise DimensionError(
-            f"matmul needs >=2-d operands, got {av.shape} and {bv.shape}"
-        )
-    if av.shape[-1] != bv.shape[-2]:
-        raise DimensionError(f"matmul inner mismatch: {av.shape} @ {bv.shape}")
-    try:
-        np.broadcast_shapes(av.shape[:-2], bv.shape[:-2])
-    except ValueError as exc:
-        raise DimensionError(f"matmul batch mismatch: {av.shape} @ {bv.shape}") from exc
+def _weight_matrix(av: np.ndarray, bv: np.ndarray) -> np.ndarray | None:
+    """bv as an (S, d_in, d_out) stack of member matrices, or None (see above)."""
     members = bv.shape[0] if bv.ndim == av.ndim > 2 and av.shape[0] == bv.shape[0] else 1
     if math.prod(bv.shape[:-2]) != members:
-        plan = _Plan(0, False, (), (), (), ())
-    else:
-        n_rows = math.prod(av.shape[:-1]) // members
-        plan = _Plan(
-            members, (av if members == 1 else av[0]).flags.c_contiguous,
-            (members, n_rows, av.shape[-1]), (members, n_rows, bv.shape[-1]),
-            (members,) + bv.shape[-2:],
-            (1,) * (bv.ndim - av.ndim) + av.shape[:-1] + bv.shape[-1:],
-        )
-    if len(_PLANS) >= _PLAN_LIMIT:
-        _PLANS.clear()
-    _PLANS[key] = plan
-    return plan
+        return None
+    return bv.reshape((members,) + bv.shape[-2:])
+
+
+def _rows(x: np.ndarray, members: int) -> np.ndarray:
+    """x as (members, rows, width): each member's last-axis rows (a view when the layout allows)."""
+    return x.reshape(members, math.prod(x.shape[:-1]) // members, x.shape[-1])
 
 
 def _product(av: np.ndarray, bv: np.ndarray):
@@ -397,24 +355,34 @@ def _product(av: np.ndarray, bv: np.ndarray):
 
     Operands that do not multiply raise a DimensionError.
     """
-    plan = _plan(av, bv)
-    if not plan.members:
-        def grads(g: np.ndarray, want_a: bool, want_b: bool):
+    if av.ndim < 2 or bv.ndim < 2:
+        raise DimensionError(
+            f"matmul needs >=2-d operands, got {av.shape} and {bv.shape}"
+        )
+    if av.shape[-1] != bv.shape[-2]:
+        raise DimensionError(f"matmul inner mismatch: {av.shape} @ {bv.shape}")
+    w = _weight_matrix(av, bv)
+    rows = None
+    if w is not None and (av if len(w) == 1 else av[0]).flags.c_contiguous:
+        rows = _rows(av, len(w))
+        lead = (1,) * (bv.ndim - av.ndim) + av.shape[:-1]
+        values = np.matmul(rows, w).reshape(lead + w.shape[-1:])
+    else:
+        try:
+            values = av @ bv
+        except ValueError as exc:
+            raise DimensionError(f"matmul batch mismatch: {av.shape} @ {bv.shape}") from exc
+
+    def grads(g: np.ndarray, want_a: bool, want_b: bool):
+        if w is None:
             ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape) if want_a else None
             gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape) if want_b else None
             return ga, gb
-
-        return av @ bv, grads
-    w = bv.reshape(plan.w)
-    rows = av.reshape(plan.a_rows) if plan.gemm else None
-    values = av @ bv if rows is None else np.matmul(rows, w).reshape(plan.out)
-
-    def grads(g: np.ndarray, want_a: bool, want_b: bool):
-        rows_g = g.reshape(plan.g_rows)
+        rows_g = _rows(g, len(w))
         ga = np.matmul(rows_g, np.swapaxes(w, -1, -2)).reshape(av.shape) if want_a else None
         gb = None
         if want_b:
-            a_rows = av.reshape(plan.a_rows) if rows is None else rows
+            a_rows = _rows(av, len(w)) if rows is None else rows
             gb = np.matmul(np.swapaxes(a_rows, -1, -2), rows_g).reshape(bv.shape)
         return ga, gb
 
@@ -771,12 +739,12 @@ def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
     neighbors = np.take(h_nodes, index, axis=2)  # (H, B, N, W, n_out)
     mixed = np.matmul(alpha[..., None, :], neighbors).reshape(h_nodes.shape)
     heads = _sigmoid_values(mixed)
-    values = heads[0] if n_heads == 1 else heads.sum(axis=0) / n_heads
+    values = heads.sum(axis=0) / n_heads
     want = [_tracked(t) for t in (x, theta, score_src, score_dst, score_bias)]
 
     def push(g):
         g = g.reshape(heads.shape[1:])
-        g_mixed = _sigmoid_grad(g / n_heads if n_heads > 1 else g, heads)
+        g_mixed = _sigmoid_grad(g / n_heads, heads)
         g_alpha = np.matmul(neighbors, g_mixed[..., None]).reshape(alpha.shape)
         g_raw = _leaky_relu_grad(_softmax_grad(g_alpha, alpha), raw, slope)
         # a node's source score feeds its own row, its destination score its
@@ -791,7 +759,7 @@ def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
         g_x = None
         if want[0]:
             g_x = np.matmul(g_h, np.swapaxes(tv, -1, -2))
-            g_x = (g_x[0] if n_heads == 1 else g_x.sum(axis=0)).reshape(xv.shape)
+            g_x = g_x.sum(axis=0).reshape(xv.shape)
         g_score = np.matmul(np.swapaxes(h, -1, -2), g_ends)
         return (g_x, np.matmul(rows.T, g_h) if want[1] else None,
                 g_score[..., :1] if want[2] else None, g_score[..., 1:] if want[3] else None,

@@ -34,7 +34,7 @@ from radnet import graph as graph_module
 from radnet import nn as nn_module
 from radnet import temporal as temporal_module
 from radnet import tensor as T
-from radnet.errors import DimensionError, NumericError
+from radnet.errors import NumericError
 from radnet.graph import RoadGraph
 from radnet.model import (
     VARIANTS,
@@ -730,59 +730,6 @@ class TestSharedWeightGemm:
         batched = [batched_matmul_values(av, bv), *batched_matmul_grads(g, av, bv, True, True)]
         for got_array, want_array in zip([out.values, a.grad, b.grad], batched):
             assert_close_to_scale(got_array, want_array)
-
-
-# one layout per way a product runs: one shared matrix, member matrices, a
-# strided member (batched forward, GEMM backward), and a right operand with
-# batch axes (the batched matmul throughout)
-PLAN_CASES = {
-    "shared": ((32, 5, 4), (4, 4), False),
-    "members": ((2, 32, 5, 4), (2, 1, 4, 12), False),
-    "strided-members": ((2, 32, 4, 5), (2, 1, 4, 4), True),
-    "batched": ((2, 32, 5, 4), (2, 32, 4, 5), False),
-}
-
-
-class TestProductPlans:
-    """`tensor._product` plans each operand layout once, in a bounded cache."""
-
-    @pytest.mark.parametrize("case", PLAN_CASES)
-    def test_warm_call_equals_cold_call(self, monkeypatch, case):
-        a_shape, b_shape, swapped = PLAN_CASES[case]
-        rng = np.random.default_rng(92)
-        av = rng.normal(size=a_shape)
-        av = np.swapaxes(av, -1, -2) if swapped else av
-        bv = rng.normal(size=b_shape)
-        monkeypatch.setattr(T, "_PLANS", {})
-        runs = []
-        for _ in range(2):
-            values, grads = T._product(av, bv)
-            g = np.random.default_rng(93).normal(size=values.shape)
-            runs.append([values, *grads(g, True, True)])
-        assert len(T._PLANS) == 1
-        for cold, warm in zip(*runs):
-            assert cold.shape == warm.shape and cold.tobytes() == warm.tobytes()
-
-    @pytest.mark.parametrize("a_shape, b_shape", [
-        ((3,), (3, 2)),  # one operand 1-d
-        ((2, 3), (4, 2)),  # inner widths differ
-        ((2, 2, 3), (3, 3, 2)),  # batch axes do not broadcast
-    ])
-    def test_bad_shapes_raise_the_same_error_cold_and_warm(self, monkeypatch, a_shape, b_shape):
-        monkeypatch.setattr(T, "_PLANS", {})
-        messages = []
-        for _ in range(2):
-            with pytest.raises(DimensionError) as err:
-                T.matmul(np.zeros(a_shape), np.zeros(b_shape))
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-        assert not T._PLANS  # a failed plan is not kept
-
-    def test_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(T, "_PLANS", {})
-        for rows in range(1, T._PLAN_LIMIT + 10):
-            T._product(np.zeros((rows, 2)), np.zeros((2, 1)))
-            assert len(T._PLANS) <= T._PLAN_LIMIT
 
 
 class TestTrainingStepAgainstBatchedMatmul:

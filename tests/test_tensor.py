@@ -61,6 +61,15 @@ class TestMatmul:
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
             T.matmul(DiffArray(np.zeros((2, 3))), DiffArray(np.zeros((2, 2))))
 
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3,), (3, 2)),  # one operand 1-d
+        ((2, 3), (4, 2)),  # inner widths differ
+        ((2, 2, 3), (3, 3, 2)),  # batch axes do not broadcast
+    ])
+    def test_operands_that_do_not_multiply_raise(self, a_shape, b_shape):
+        with pytest.raises(DimensionError, match="matmul"):
+            T.matmul(DiffArray(np.zeros(a_shape)), DiffArray(np.zeros(b_shape)))
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         a = DiffArray(rng.normal(size=(3, 4)), requires_grad=True)

@@ -11,6 +11,11 @@ workload runs in one checkout only. A change
 that should not alter results (a refactor, a speed-up that keeps the
 arithmetic) is checked this way before its benchmark pairs are run.
 
+The second checkout runs the workloads and seeds in the reverse order of
+the first, so an output that depends on what ran before it in the same
+interpreter (through a cache or a shared table) differs between the two:
+`same_outputs.py . . --seeds 1` checks a checkout for exactly that.
+
 With `--rtol R`, a change that sums in another order passes where its
 outputs agree within R. A float output passes within R of the larger
 magnitude. A digest passes where the arrays behind it (`workloads.digest`)
@@ -36,22 +41,25 @@ import tempfile
 from pathlib import Path
 
 
-def run_tree(tree: Path, seeds: list[int]) -> dict[tuple[str, int], dict]:
-    """{(workload, seed): record} from a fresh interpreter in `tree`."""
+def run_tree(tree: Path, seeds: list[int], flags: list[str]) -> dict[tuple[str, int], dict]:
+    """{(workload, seed): record} from a fresh interpreter in `tree`, whose
+    worker takes the extra `flags`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    argv = [sys.executable, __file__, "--worker", "--seeds", *map(str, seeds)]
+    argv = [sys.executable, __file__, "--worker", *flags, "--seeds", *map(str, seeds)]
     done = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.PIPE, check=True, text=True)
     records = [json.loads(line) for line in done.stdout.splitlines() if line.startswith("{")]
     return {(record["workload"], record["seed"]): record for record in records}
 
 
-def worker(seeds: list[int]) -> None:
-    """Print one JSON record per workload and seed of the checkout on sys.path.
+def worker(seeds: list[int], reverse: bool, behind: bool) -> None:
+    """Print one JSON record per workload and seed of the checkout on sys.path,
+    in the reverse order with `reverse`.
 
-    Beside the outputs, a record holds what stands behind each digest and
-    file hash among them: the digested arrays, or the hashed CSV file's rows.
+    With `behind`, a record also holds what stands behind each digest and
+    file hash among the outputs: the digested arrays, or the hashed CSV
+    file's rows.
     """
     import warnings
 
@@ -59,34 +67,38 @@ def worker(seeds: list[int]) -> None:
     import workloads
 
     digested = {}
-    plain_digest = workloads.digest
+    if behind:
+        plain_digest = workloads.digest
 
-    def recording_digest(*arrays):
-        key = plain_digest(*arrays)
-        digested[key] = {"arrays": [{"kind": np.asarray(a).dtype.kind,
-                                     "shape": list(np.shape(a)),
-                                     "values": np.asarray(a).ravel().tolist()} for a in arrays]}
-        return key
+        def recording_digest(*arrays):
+            key = plain_digest(*arrays)
+            digested[key] = {"arrays": [{"kind": np.asarray(a).dtype.kind,
+                                         "shape": list(np.shape(a)),
+                                         "values": np.asarray(a).ravel().tolist()} for a in arrays]}
+            return key
 
-    workloads.digest = recording_digest
+        workloads.digest = recording_digest
     warnings.simplefilter("ignore", UserWarning)  # thin tails are the workloads' own business
-    for name, workload in workloads.WORKLOADS.items():
-        for seed in seeds:
-            digested.clear()
-            ctx = workload.setup(seed)
-            with tempfile.TemporaryDirectory() as workdir:
-                op = workload.op(ctx, Path(workdir))
-                checks = workload.checks(ctx, [op])
-                behind = {key: digested[key] for key in op.outputs.values() if key in digested}
+    runs = [(name, seed) for name in workloads.WORKLOADS for seed in seeds]
+    for name, seed in reversed(runs) if reverse else runs:
+        workload = workloads.WORKLOADS[name]
+        digested.clear()
+        ctx = workload.setup(seed)
+        with tempfile.TemporaryDirectory() as workdir:
+            op = workload.op(ctx, Path(workdir))
+            checks = workload.checks(ctx, [op])
+            record = {"workload": name, "seed": seed, "outputs": op.outputs}
+            if behind:
+                record["behind"] = {key: digested[key] for key in op.outputs.values()
+                                    if key in digested}
                 hashes = {value for value in op.outputs.values() if isinstance(value, str)}
                 for path in sorted(Path(workdir).rglob("*.csv")):
                     key = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
                     if key in hashes:
                         with open(path, newline="", encoding="utf-8") as fh:
-                            behind[key] = {"rows": list(csv.reader(fh))}
-            failed = [check for check, ok in checks if not ok]
-            print(json.dumps({"workload": name, "seed": seed, "outputs": op.outputs,
-                              "behind": behind, "failed": failed}), flush=True)
+                            record["behind"][key] = {"rows": list(csv.reader(fh))}
+        record["failed"] = [check for check, ok in checks if not ok]
+        print(json.dumps(record), flush=True)
 
 
 def _relative(got: list[float], want: list[float]) -> float:
@@ -166,15 +178,19 @@ def main(argv=None) -> int:
     parser.add_argument("--rtol", type=float, default=None,
                         help="accept float outputs within this relative difference")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--reverse", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--behind", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        worker(args.seeds)
+        worker(args.seeds, args.reverse, args.behind)
         return 0
     if len(args.trees) != 2:
         parser.error("give two checkouts: PARENT CHANGE")
     if args.rtol is not None and not args.rtol >= 0.0:
         parser.error("--rtol must be a number >= 0")
-    parent, change = (run_tree(tree.resolve(), args.seeds) for tree in args.trees)
+    flags = [] if args.rtol is None else ["--behind"]
+    parent = run_tree(args.trees[0].resolve(), args.seeds, flags)
+    change = run_tree(args.trees[1].resolve(), args.seeds, flags + ["--reverse"])
     same = True
     for workload, seed in sorted(parent.keys() | change.keys()):
         print(f"{workload} seed {seed}")

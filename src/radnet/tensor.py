@@ -739,12 +739,15 @@ def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
     neighbors = np.take(h_nodes, index, axis=2)  # (H, B, N, W, n_out)
     mixed = np.matmul(alpha[..., None, :], neighbors).reshape(h_nodes.shape)
     heads = _sigmoid_values(mixed)
-    values = heads.sum(axis=0) / n_heads
+    # one head takes views where more heads sum: the three copies a single head
+    # would make per call put train-radset's allocator into mapping fresh pages,
+    # 2-86 k minor faults per operation where the views take none
+    values = heads[0] if n_heads == 1 else heads.sum(axis=0) / n_heads
     want = [_tracked(t) for t in (x, theta, score_src, score_dst, score_bias)]
 
     def push(g):
         g = g.reshape(heads.shape[1:])
-        g_mixed = _sigmoid_grad(g / n_heads, heads)
+        g_mixed = _sigmoid_grad(g / n_heads if n_heads > 1 else g, heads)
         g_alpha = np.matmul(neighbors, g_mixed[..., None]).reshape(alpha.shape)
         g_raw = _leaky_relu_grad(_softmax_grad(g_alpha, alpha), raw, slope)
         # a node's source score feeds its own row, its destination score its
@@ -759,7 +762,7 @@ def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
         g_x = None
         if want[0]:
             g_x = np.matmul(g_h, np.swapaxes(tv, -1, -2))
-            g_x = g_x.sum(axis=0).reshape(xv.shape)
+            g_x = (g_x[0] if n_heads == 1 else g_x.sum(axis=0)).reshape(xv.shape)
         g_score = np.matmul(np.swapaxes(h, -1, -2), g_ends)
         return (g_x, np.matmul(rows.T, g_h) if want[1] else None,
                 g_score[..., :1] if want[2] else None, g_score[..., 1:] if want[3] else None,

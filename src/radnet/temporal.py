@@ -77,9 +77,7 @@ class MultiHeadAttention:
     head needs no head axis. Scores are scaled by 1/sqrt(model width); an
     optional additive mask sends future positions to -inf before the softmax,
     so their weights are exactly zero after it. A call records one
-    `tensor.attention` node, projections included: an input passed as both
-    key and value (or as all three) is projected once, by its weights side
-    by side.
+    `tensor.attention` node, projections included.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):

@@ -12,12 +12,12 @@ models whose gradients are routinely validated against finite differences.
 A product with one weight matrix per member of a leading member axis,
 shared by that member's batch, is one GEMM over each member's flattened batch
 and matches the batched matmul within rtol 1e-12, not bit for bit (see the
-matmul section). The attention and graph-attention nodes likewise match
-their chains of primitive nodes within rtol 1e-12 (see the attention
-section); attention includes its q/k/v projections. So does layer norm's
-closed-form input gradient; the feed-forward node and layer norm's values
-and gain and shift gradients reproduce their chains bit for bit, and no
-activation branches on the data.
+matmul section). The graph-attention node likewise matches its chain of
+primitive nodes within rtol 1e-12, as does layer norm's closed-form input
+gradient. The attention node, which includes its q/k/v projections, the
+feed-forward node and layer norm's values and gain and shift gradients
+reproduce their chains bit for bit, but for one sum order in attention
+(see the attention section), and no activation branches on the data.
 Softmax and layer norm reduce a short last axis of many rows slice by
 slice, in the order numpy's own reduction adds below 8 elements, so those
 values too are numpy's bit for bit (see the last-axis reductions section).
@@ -588,11 +588,16 @@ def layer_norm(a, gain, shift, eps: float):
 # ---------------------------------------------------------------------------
 # attention
 #
-# Each layer below is one node. Unlike the feed-forward node, neither replays
-# a chain of primitive nodes: each computes its layer with fewer, larger
-# products, which sum in another order than the chain, so its values and
-# gradients match the chain's within rtol 1e-12 of each array's largest
-# magnitude (tests/test_fused.py), not bit for bit.
+# Each layer below is one node. Attention makes the numpy calls of its chain
+# of primitive nodes, projections included, so its values and gradients are
+# the chain's bit for bit, but for one sum: a decoder's query is a `take` of
+# its key/value input, which the chain's tape sums as (query + key) + value
+# and the node's as (key + value) + query, since the `take` passes its term
+# on after the node.
+# Graph attention computes its layer with fewer, larger products, which sum
+# in another order than its chain, so its values and gradients match the
+# chain's within rtol 1e-12 of each array's largest magnitude
+# (tests/test_fused.py), not bit for bit.
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -632,51 +637,36 @@ def attention(q, k, v, w_query, w_key, w_value, w_out, n_heads: int, scale: floa
 
     `q` (..., Kq, d), `k` and `v` (..., Kk, d); each weight (..., d, d) maps
     its input to projected rows, of which head m reads columns
-    m*d/H:(m+1)*d/H. The node covers the projections, the head split, the
-    scores qh @ khᵀ * scale, the optional additive (Kq, Kk) mask, the
-    softmax, the weighted sum of values, the head merge and the product with
-    `w_out`. An object passed as several of q, k and v is projected once, by
-    their weights side by side: self-attention runs x @ [w_query | w_key |
-    w_value], a decoder q @ w_query and kv @ [w_key | w_value].
+    m*d/H:(m+1)*d/H. The node covers the projections q @ w_query,
+    k @ w_key and v @ w_value, the head split, the scores qh @ khᵀ * scale,
+    the optional additive (Kq, Kk) mask, the softmax, the weighted sum of
+    values, the head merge and the product with `w_out`. An input passed as
+    several of q, k and v gets one gradient per role, which the tape sums.
     """
-    # each distinct object among q, k and v, with its roles (0 query, 1 key, 2 value)
-    shared = {}
-    for role, x in enumerate((q, k, v)):
-        shared.setdefault(id(x), (x, []))[1].append(role)
-    groups = [(_wrap(x), roles) for x, roles in shared.values()]
-    weights = [_wrap(w) for w in (w_query, w_key, w_value)]
+    inputs = [_wrap(t) for t in (q, k, v)]
+    weights = [_wrap(t) for t in (w_query, w_key, w_value)]
     w_out = _wrap(w_out)
-    d_model = weights[0].shape[-1]
-    projected, products = [None] * 3, []
-    for x, roles in groups:
-        w = np.concatenate([weights[r].values for r in roles], axis=-1)
-        product, grads = _product(x.values, w)
-        products.append(grads)
-        for j, r in enumerate(roles):
-            projected[r] = product[..., j * d_model : (j + 1) * d_model]
-    qp, kp, vp = projected
+    (qp, q_grads), (kp, k_grads), (vp, v_grads) = (
+        _product(x.values, w.values) for x, w in zip(inputs, weights)
+    )
     scores_grads, y = _attention_weights(qp, kp, n_heads, scale, mask)
     mixed, mixed_grads = _product(y, _split_heads(vp, n_heads))
     values, out_grads = _product(_merge_heads(mixed, n_heads), w_out.values)
-    wants = [(_tracked(x), any(_tracked(weights[r]) for r in roles)) for x, roles in groups]
+    wants = [(_tracked(x), _tracked(w)) for x, w in zip(inputs, weights)]
     want_out = _tracked(w_out)
 
     def push(g):
         g_merged, g_w_out = out_grads(g, True, want_out)
         g_y, g_vh = mixed_grads(_split_heads(g_merged, n_heads), True, True)
         g_qh, g_kt = scores_grads(_softmax_grad(g_y, y) * scale, True, True)
-        g_projected = [_merge_heads(gh, n_heads) for gh in (g_qh, np.swapaxes(g_kt, -1, -2), g_vh)]
-        g_inputs, g_weights = [], [None] * 3
-        for (x, roles), grads, (want_x, want_w) in zip(groups, products, wants):
-            g_x, g_w = grads(np.concatenate([g_projected[r] for r in roles], axis=-1),
-                             want_x, want_w)
-            g_inputs.append(g_x)
-            for j, r in enumerate(roles):
-                if g_w is not None:
-                    g_weights[r] = g_w[..., j * d_model : (j + 1) * d_model]
+        g_heads = (g_qh, np.swapaxes(g_kt, -1, -2), g_vh)
+        g_inputs, g_weights = zip(*(
+            grads(_merge_heads(gh, n_heads), want_x, want_w)
+            for gh, grads, (want_x, want_w) in zip(g_heads, (q_grads, k_grads, v_grads), wants)
+        ))
         return (*g_inputs, *g_weights, g_w_out)
 
-    return _result(values, (*(x for x, _ in groups), *weights, w_out), push)
+    return _result(values, (*inputs, *weights, w_out), push)
 
 
 def _graph_attention_weights(xv, theta, score_src, score_dst, score_bias, index, mask, slope):
@@ -739,15 +729,12 @@ def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
     neighbors = np.take(h_nodes, index, axis=2)  # (H, B, N, W, n_out)
     mixed = np.matmul(alpha[..., None, :], neighbors).reshape(h_nodes.shape)
     heads = _sigmoid_values(mixed)
-    # one head takes views where more heads sum: the three copies a single head
-    # would make per call put train-radset's allocator into mapping fresh pages,
-    # 2-86 k minor faults per operation where the views take none
-    values = heads[0] if n_heads == 1 else heads.sum(axis=0) / n_heads
+    values = heads.sum(axis=0) / n_heads
     want = [_tracked(t) for t in (x, theta, score_src, score_dst, score_bias)]
 
     def push(g):
         g = g.reshape(heads.shape[1:])
-        g_mixed = _sigmoid_grad(g / n_heads if n_heads > 1 else g, heads)
+        g_mixed = _sigmoid_grad(g / n_heads, heads)
         g_alpha = np.matmul(neighbors, g_mixed[..., None]).reshape(alpha.shape)
         g_raw = _leaky_relu_grad(_softmax_grad(g_alpha, alpha), raw, slope)
         # a node's source score feeds its own row, its destination score its
@@ -762,7 +749,7 @@ def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
         g_x = None
         if want[0]:
             g_x = np.matmul(g_h, np.swapaxes(tv, -1, -2))
-            g_x = (g_x[0] if n_heads == 1 else g_x.sum(axis=0)).reshape(xv.shape)
+            g_x = g_x.sum(axis=0).reshape(xv.shape)
         g_score = np.matmul(np.swapaxes(h, -1, -2), g_ends)
         return (g_x, np.matmul(rows.T, g_h) if want[1] else None,
                 g_score[..., :1] if want[2] else None, g_score[..., 1:] if want[3] else None,

@@ -165,6 +165,15 @@ def assert_bit_identical(results):
         np.testing.assert_array_equal(got, want)
 
 
+def assert_bit_identical_but(results, inexact):
+    """Bit for bit, except the arrays at positions `inexact`, each within
+    SHARED_WEIGHT_RTOL of its largest magnitude."""
+    (composed, fused) = results
+    for i in inexact:
+        assert_close_to_scale(fused[i], composed[i])
+    assert_bit_identical([[a for i, a in enumerate(r) if i not in inexact] for r in results])
+
+
 def assert_within_rtol(results):
     """Each array within SHARED_WEIGHT_RTOL of its largest magnitude.
 
@@ -223,18 +232,26 @@ def mha_builder(sharing, n_heads, scale):
     return lambda op, *arrays: ATTENTION_SHARING[sharing](functools.partial(call, op), *arrays)
 
 
+def decoder_input_grad(sharing, inputs_tracked=True):
+    """Where `run_both`'s results for `composed_mha` may differ from the node's:
+    the decoder's input takes the gradient of its query row through a `take`,
+    after its key and value terms, while the chain adds the query's term
+    first; so that gradient matches within rtol, not bit for bit."""
+    return (1,) if sharing == "decoder" and inputs_tracked else ()
+
+
 class TestAttention:
     @pytest.mark.parametrize("inputs", ["tracked", "constant"])
     @pytest.mark.parametrize("sharing", ATTENTION_SHARING)
     @pytest.mark.parametrize("case", ATTENTION_SHAPES, ids=list(ATTENTION_SHAPES))
-    def test_within_rtol_of_chain(self, case, sharing, inputs):
+    def test_matches_chain(self, case, sharing, inputs):
         rows, k, d_model, n_heads = ATTENTION_SHAPES[case]
         rng = np.random.default_rng(40)
         arrays = attention_arrays(rng, (2, rows), k, k, d_model, (2, 1))
         tracked = [inputs == "tracked"] * 3 + [True] * 4
         results = run_both(T.attention, composed_mha, arrays,
                            mha_builder(sharing, n_heads, 1.0 / np.sqrt(d_model)), 41, tracked)
-        assert_within_rtol(results)
+        assert_bit_identical_but(results, decoder_input_grad(sharing, inputs == "tracked"))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -246,8 +263,8 @@ class TestAttention:
         sharing=st.sampled_from(sorted(ATTENTION_SHARING)),
         seed=st.integers(0, 2**16),
     )
-    def test_within_rtol_over_shapes_and_heads(self, lead, k, d_head, n_heads, members,
-                                               sharing, seed):
+    def test_matches_chain_over_shapes_and_heads(self, lead, k, d_head, n_heads, members,
+                                                 sharing, seed):
         # member weights (S, 1, ..., d, d) lead (S, ...) inputs; else one (d, d) matrix
         rng = np.random.default_rng(seed)
         d_model = d_head * n_heads
@@ -255,7 +272,7 @@ class TestAttention:
         arrays = attention_arrays(rng, lead, k, k, d_model, weight_lead)
         results = run_both(T.attention, composed_mha, arrays,
                            mha_builder(sharing, n_heads, 0.5), seed)
-        assert_within_rtol(results)
+        assert_bit_identical_but(results, decoder_input_grad(sharing))
 
     @pytest.mark.parametrize("sharing", ["self", "distinct"])
     @pytest.mark.parametrize("n_heads", [1, 2])
@@ -276,27 +293,25 @@ class TestAttention:
         arrays = attention_arrays(rng, (2,), 3, 3, 4)
         results = run_both(T.attention, composed_mha, arrays, mha_builder("distinct", 2, 0.5),
                            46, [False] * 6 + [True])
-        assert_within_rtol(results)
+        assert_bit_identical(results)
 
     @pytest.mark.parametrize("sharing", ATTENTION_SHARING)
-    def test_one_node_projects_each_distinct_input_once(self, monkeypatch, sharing):
-        # the node's parents are the distinct inputs, then the four weights
+    def test_one_node_with_its_projections(self, monkeypatch, sharing):
+        # the node's parents are q, k and v as passed, then the four weights
         rng = np.random.default_rng(47)
         arrays = [DiffArray(a, requires_grad=True) for a in attention_arrays(rng, (2,), 3, 3, 4)]
-        products = []
+        calls = []
         product = T._product
-        monkeypatch.setattr(T, "_product", lambda a, b: products.append(b.shape) or product(a, b))
+        monkeypatch.setattr(T, "_product", lambda a, b: calls.append(1) or product(a, b))
         out = mha_builder(sharing, 2, 0.5)(T.attention, *arrays)
         node = out if sharing != "decoder" else out.op_trace.inputs[0]
         inputs = node.op_trace.inputs
-        distinct = {"self": 1, "decoder": 2, "cross": 2, "distinct": 3}[sharing]
-        assert len(inputs) == distinct + 4
-        assert all(w is a for w, a in zip(inputs[distinct:], arrays[3:]))
-        # one product per distinct input, its weights side by side, then the
-        # scores, the weighted values and the output map
-        widths = {"self": [12], "decoder": [4, 8], "cross": [4, 8], "distinct": [4, 4, 4]}
-        assert [shape[-1] for shape in products[:distinct]] == widths[sharing]
-        assert len(products) == distinct + 3
+        assert len(inputs) == 7
+        assert all(w is a for w, a in zip(inputs[3:], arrays[3:]))
+        if sharing == "self":
+            assert inputs[0] is inputs[1] is inputs[2] is arrays[0]
+        # the three projections, the scores, the weighted values and the output map
+        assert len(calls) == 6
 
 
 # (lead axes, graph, width, heads): C07 has 4 nodes of one feature; train-radset

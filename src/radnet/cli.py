@@ -33,6 +33,7 @@ import numpy as np
 from . import data as data_io
 from . import files, pipeline
 from .data import IncidentSpec, load_dataset, save_dataset, stats, stats_text, synth_traffic
+from .errors import FormatError
 from .evaluation import evaluate
 from .incidents import IncidentLabels
 from .model import VARIANTS, RadNet, RadNetConfig
@@ -121,8 +122,12 @@ def _checkpoint_stem(path: str | Path) -> Path:
 
 
 def _load_trained(checkpoint: str | Path) -> tuple[RadNet, Normalizer, dict]:
-    model, manifest = RadNet.load(_checkpoint_stem(checkpoint))
+    stem = _checkpoint_stem(checkpoint)
+    model, manifest = RadNet.load(stem)
     hyper = manifest["hyperparameters"]
+    if "normalizer" not in hyper:
+        raise FormatError(f"checkpoint manifest {stem.with_suffix('.json')} has no "
+                          f"hyperparameters.normalizer; `radnet train` writes one")
     normalizer = Normalizer.from_dict(hyper["normalizer"])
     return model, normalizer, hyper
 

@@ -124,15 +124,17 @@ class RadNet:
         return [(n, p.shape, p.size) for n, p in self.store.params.items()]
 
     def save(self, stem: str | Path, extra_hyperparameters: dict | None = None) -> None:
-        hyper = {"config": asdict(self.config)}
-        if extra_hyperparameters:
-            hyper.update(extra_hyperparameters)
+        hyper = {"config": asdict(self.config), **(extra_hyperparameters or {})}
         save_checkpoint(stem, self.store, self.config.seed, hyper)
 
     @classmethod
     def load(cls, stem: str | Path) -> tuple["RadNet", dict]:
         flat, manifest = load_checkpoint(stem)
-        config = manifest["hyperparameters"]["config"]
+        hyper = manifest.get("hyperparameters")
+        config = hyper.get("config") if isinstance(hyper, dict) else None
+        if not isinstance(config, dict):
+            raise FormatError(f"checkpoint manifest {Path(stem).with_suffix('.json')} "
+                              f"has no hyperparameters.config object")
         unknown = sorted(set(config) - {f.name for f in fields(RadNetConfig)})
         if unknown:
             raise FormatError(f"checkpoint config has fields RadNetConfig lacks: {unknown}")

@@ -3,7 +3,8 @@
 `named_parameters` finds a module's parameters (its `requires_grad`
 DiffArrays) by walking its attributes, so names are attribute paths such as
 `decoder.layers.0.weight`. A `ParameterStore` holds them as views into one
-float64 buffer, `flat`, which the optimizer, snapshots and checkpoints use.
+float64 buffer, `flat`, which the optimizer, snapshots and checkpoints use,
+and their gradients as views into `grad`, laid out like it.
 
 A checkpoint is `flat` as a little-endian float64 blob (each parameter
 row-major, in manifest order) next to a JSON manifest: format version, names,
@@ -130,16 +131,19 @@ class ParameterStore:
     Building the store copies each parameter's values into its slice of
     `flat` (in dict order) and rebinds `values` to that slice, so an in-place
     update of `flat` updates every parameter and `flat.copy()` snapshots them.
+    Each `grad` is bound likewise to a slice of the zeroed buffer `grad`.
     """
 
     def __init__(self, params: dict[str, DiffArray]):
         self.params = params
         self.flat = np.empty(sum(p.values.size for p in params.values()))
+        self.grad = np.zeros_like(self.flat)
         offset = 0
         for p in params.values():
             end = offset + p.values.size
             self.flat[offset:end] = p.values.reshape(-1)
             p.values = self.flat[offset:end].reshape(p.values.shape)
+            p.grad = self.grad[offset:end].reshape(p.values.shape)
             offset = end
 
     def name_at(self, index: int) -> str:
@@ -149,18 +153,6 @@ class ParameterStore:
                 return name
             index -= p.size
         raise IndexError(f"index outside the {self.flat.size} stored values")
-
-    def flat_grad(self) -> np.ndarray:
-        """Every parameter's gradient laid out like `flat`; each must have one."""
-        grad = np.empty_like(self.flat)
-        offset = 0
-        for name, p in self.params.items():
-            shape = None if p.grad is None else p.grad.shape
-            if shape != p.shape:
-                raise ValueError(f"parameter {name} needs a {p.shape} gradient, has {shape}")
-            grad[offset : offset + p.size] = p.grad.reshape(-1)
-            offset += p.size
-        return grad
 
 
 # ---------------------------------------------------------------------------

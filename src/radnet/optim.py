@@ -1,9 +1,10 @@
 """AdamW with decoupled weight decay over a flat parameter store.
 
-The update is elementwise, so it runs once over the store's contiguous
-buffer with flat moment vectors of the same length. The decay multiplies the
-parameter directly (it is never folded into the gradient), so the moment
-estimates see the raw gradient only. `TrainConfig` holds the defaults.
+The update is elementwise, so it runs once over the store's buffers `flat`
+and `grad`, with moment and scratch vectors of their length: a step
+allocates none. The decay multiplies the parameter directly (never folded
+into the gradient), so the moments see the raw gradient. `TrainConfig` holds
+the defaults.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .nn import ParameterStore
 
 
 class AdamW:
-    """AdamW over `store.flat`; `step` reads the parameters' gradients."""
+    """AdamW over `store.flat`; `step` reads `store.grad`."""
 
     def __init__(self, store: ParameterStore, lr: float, betas: tuple[float, float],
                  eps: float, weight_decay: float):
@@ -25,6 +26,7 @@ class AdamW:
         self.step_count = 0
         self.first_moment = np.zeros_like(store.flat)
         self.second_moment = np.zeros_like(store.flat)
+        self._scratch = np.empty((2, store.flat.size))
 
     def step(self) -> None:
         """One update of `store.flat`, in place.
@@ -32,23 +34,21 @@ class AdamW:
         A NaN gradient aborts the step before anything changes, naming the
         parameter that holds it.
         """
-        grad = self.store.flat_grad()
-        nan = np.flatnonzero(np.isnan(grad))
-        if nan.size:
+        grad, m, v, p = self.store.grad, self.first_moment, self.second_moment, self.store.flat
+        if np.isnan(np.dot(grad, grad)):  # a sum of squares is NaN only where a term is
+            nan = np.flatnonzero(np.isnan(grad))
             raise NumericError(f"NaN gradient for {self.store.name_at(nan[0])}; step aborted")
         self.step_count += 1
         b1, b2 = self.betas
-        m, v, p = self.first_moment, self.second_moment, self.store.flat
+        s, u = self._scratch
         m *= b1
-        m += (1.0 - b1) * grad
+        m += np.multiply(grad, 1.0 - b1, out=s)
         v *= b2
-        v += (1.0 - b2) * grad * grad
+        v += np.multiply(np.multiply(grad, 1.0 - b2, out=s), grad, out=s)
         if self.weight_decay:
             p *= 1.0 - self.lr * self.weight_decay
-        m_hat = m / (1.0 - b1**self.step_count)
-        v_hat = v / (1.0 - b2**self.step_count)
-        p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
+        # p -= lr * m_hat / (sqrt(v_hat) + eps), m_hat and v_hat the bias-corrected moments
+        np.sqrt(np.divide(v, 1.0 - b2**self.step_count, out=u), out=u)
+        u += self.eps
+        np.multiply(np.divide(m, 1.0 - b1**self.step_count, out=s), self.lr, out=s)
+        p -= np.divide(s, u, out=s)

@@ -68,8 +68,9 @@ class _Trace:
 class DiffArray:
     """A differentiable dense array.
 
-    ``grad`` is allocated lazily by ``backward()`` and only for arrays
-    created with ``requires_grad=True`` (parameters / leaves).
+    ``backward()`` adds each leaf's (``requires_grad=True``) gradient in
+    place into the array in its ``grad`` (a copy of the sum where that is
+    None); a store parameter's ``grad`` is a view of the store's `grad`.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "op_trace")
@@ -135,6 +136,8 @@ class DiffArray:
                         # a constant, or a node an earlier walk cleared, holds None
                         holder = parent.op_trace or parent
                         if pg is not None and holder.grad is not None:
+                            if holder is parent and pg.shape != parent.shape:
+                                raise DimensionError(f"leaf {parent.shape} got a {pg.shape} term")
                             holder.grad = pg if holder.grad is _VISITED else holder.grad + pg
                     node.op_trace = None
         except BaseException:
@@ -144,9 +147,10 @@ class DiffArray:
             for leaf, held in leaves:
                 leaf.grad = held
             raise
-        for leaf, held in leaves:
-            got = leaf.grad  # the walk's sum, added to what the leaf held
-            leaf.grad = held if got is _VISITED else got if held is None else held + got
+        for leaf, held in leaves:  # the walk's sum, added in place into an array the leaf owns
+            got, leaf.grad = leaf.grad, held
+            if got is not _VISITED:
+                leaf.grad = np.array(got) if held is None else np.add(held, got, out=held)
 
     # -- operator sugar --------------------------------------------------
     def __add__(self, other):
@@ -440,31 +444,28 @@ def feed_forward(x, weights: Sequence, biases: Sequence, slope: float):
 # reductions
 
 
+def _spread(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
+    """A reduction's output gradient as a read-only view over its input's `shape`."""
+    return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), shape)
+
+
 def reduce_sum(a, axis=None, keepdims: bool = False):
     a = _wrap(a)
-    av = a.values
-    values = av.sum(axis=axis, keepdims=keepdims)
+    shape = a.values.shape
 
     def push(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, av.shape),)
+        return (_spread(g, shape, axis, keepdims),)
 
-    return _result(values, (a,), push)
+    return _result(a.values.sum(axis=axis, keepdims=keepdims), (a,), push)
 
 
 def reduce_mean(a, axis=None, keepdims: bool = False):
     a = _wrap(a)
-    av = a.values
-    values = av.mean(axis=axis, keepdims=keepdims)
-    count = av.size / max(values.size, 1)
+    values = a.values.mean(axis=axis, keepdims=keepdims)
+    shape, count = a.values.shape, a.values.size / max(values.size, 1)
 
     def push(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, av.shape) / count,)
+        return (_spread(g, shape, axis, keepdims) / count,)
 
     return _result(values, (a,), push)
 
@@ -851,9 +852,9 @@ def grad_check(
     """
     params = list(params)
     for p in params:
-        p.grad = None
-    out = f()
-    out.backward()
+        if p.grad is not None:
+            p.grad.fill(0.0)  # in place: a store parameter keeps its view
+    f().backward()
     analytic = [np.zeros_like(p.values) if p.grad is None else p.grad.copy() for p in params]
 
     worst = 0.0
@@ -868,7 +869,5 @@ def grad_check(
                 p.values[idx] = orig
                 num = (hi - lo) / (2.0 * step)
                 an = ag[idx]
-                err = abs(an - num) / max(abs(an), abs(num), floor)
-                if err > worst:
-                    worst = err
+                worst = max(worst, abs(an - num) / max(abs(an), abs(num), floor))
     return worst

@@ -239,7 +239,7 @@ def train(
                     f"NaN training loss (lr={cfg.lr}, epoch={epoch}, "
                     f"step={lo // cfg.batch}, first window index={ts[0]})"
                 )
-            opt.zero_grad()
+            model.store.grad.fill(0.0)
             value.backward()
             opt.step()
             epoch_loss += float(value.values) * len(ts)

@@ -9,6 +9,7 @@ import pytest
 
 from radnet import cli
 from radnet.cli import main
+from radnet.model import RadNet, RadNetConfig
 
 
 def tree_digest(root: Path) -> dict[str, bytes]:
@@ -186,6 +187,15 @@ class TestTrainForecastDetectEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert "ghost" in err and "checkpoint" in err
+
+    def test_checkpoint_without_normalizer_names_the_field(self, trained_dir, tmp_path, capsys):
+        ds, _ = trained_dir
+        RadNet(RadNetConfig(n_nodes=4, n_features=1)).save(tmp_path / "bare")
+        code = main(["detect", "--data", str(ds), "--checkpoint", str(tmp_path / "bare"),
+                     "--out", str(tmp_path / "d")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bare.json has no hyperparameters.normalizer" in err
 
     def test_evaluate_without_labels_names_the_file(self, tmp_path, capsys):
         code = main(["evaluate", "--detect", str(tmp_path / "ghost")])

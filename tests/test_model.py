@@ -269,6 +269,28 @@ class TestParameterStore:
             offset += p.size
         assert offset == model.store.flat.size == model.count_parameters()
 
+    def test_gradients_stay_views_of_the_buffer(self, tmp_path):
+        cfg = RadNetConfig(n_nodes=3, n_features=1, window=2, encoder_hidden=1,
+                           decoder_widths=(2,), dropout=0.0)
+        model, graph = RadNet(cfg), RoadGraph.ring(3)
+        windows = toy_series(6, 3)[None, :2]
+        loss = lambda: model.forward_batch(windows, graph)[0].sum()  # noqa: E731
+        assert T.grad_check(loss, model.store.params.values()) < 1e-6
+        model.save(tmp_path / "a")
+        loaded, _ = RadNet.load(tmp_path / "a")
+        for m in (model, loaded):
+            for p in m.store.params.values():
+                assert np.shares_memory(p.grad, m.store.grad)
+
+    @pytest.mark.parametrize("hyper", [{}, [1, 2]], ids=["no config", "not an object"])
+    def test_loading_without_a_config_names_the_field(self, tmp_path, hyper):
+        RadNet(RadNetConfig(n_nodes=4, n_features=1)).save(tmp_path / "a")
+        manifest = json.loads((tmp_path / "a.json").read_text())
+        manifest["hyperparameters"] = hyper
+        (tmp_path / "a.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=r"a\.json has no hyperparameters\.config"):
+            RadNet.load(tmp_path / "a")
+
     def test_loading_a_mismatched_checkpoint_names_the_parameters(self, tmp_path):
         RadNet(RadNetConfig(n_nodes=4, n_features=1, variant="no_skip")).save(tmp_path / "a")
         manifest = json.loads((tmp_path / "a.json").read_text())
@@ -493,6 +515,25 @@ class TestGradients:
 
         err = T.grad_check(f, named_parameters(model).values())
         assert err < 1e-4
+
+
+class TestEveryParameterLearns:
+    # one buffer holds every gradient, so a parameter the loss never reaches
+    # would read 0 there; one training batch reaches them all
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n_nodes, n_features", [(4, 1), (16, 7)])
+    def test_one_training_batch_moves_every_parameter(self, variant, n_nodes, n_features):
+        model = RadNet(RadNetConfig(n_nodes=n_nodes, n_features=n_features, variant=variant,
+                                    seed=0))
+        assert model.config.dropout > 0.0
+        data = toy_series(40, n_nodes, n_features)
+        ts = np.arange(4, 36)
+        preds, _ = rollout_autoregressive(model, build_window(data, ts, 5), 1,
+                                          RoadGraph.ring(n_nodes),
+                                          rng=np.random.default_rng(0), training=True)
+        batch_loss(preds, data[ts + 1]).backward()
+        dead = [n for n, p in model.store.params.items() if not np.abs(p.grad).max() > 1e-8]
+        assert not dead
 
 
 class TestTapeBudget:

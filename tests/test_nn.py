@@ -204,17 +204,14 @@ class TestParameterStore:
         store.flat[...] = 0.0
         assert not lin.weight.values.any() and not lin.bias.values.any()
 
-    def test_flat_grad_in_flat_order(self):
+    def test_grad_views_read_the_buffer_in_flat_order(self):
         store = _two_tensor_store(np.random.default_rng(2))
-        store.params["a"].grad = np.arange(6.0).reshape(2, 3)
-        store.params["b"].grad = np.arange(6.0, 10.0)
-        np.testing.assert_array_equal(store.flat_grad(), np.arange(10.0))
-
-    def test_missing_gradient_names_the_parameter(self):
-        store = _two_tensor_store(np.random.default_rng(3))
-        store.params["a"].grad = np.zeros((2, 3))
-        with pytest.raises(ValueError, match="parameter b needs a \\(4,\\) gradient, has None"):
-            store.flat_grad()
+        assert store.grad.shape == store.flat.shape and not store.grad.any()
+        store.grad[...] = np.arange(10.0)
+        np.testing.assert_array_equal(store.params["a"].grad, np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(store.params["b"].grad, np.arange(6.0, 10.0))
+        for p in store.params.values():
+            assert np.shares_memory(p.grad, store.grad)
 
     def test_name_at(self):
         store = _two_tensor_store(np.random.default_rng(4))

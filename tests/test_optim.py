@@ -1,5 +1,7 @@
 """AdamW update rule against a directly evaluated reference recurrence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,11 +34,8 @@ def adamw(store, lr=5e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-5):
 
 
 def step_with(opt, grad):
-    """Give each parameter its slice of `grad`, laid out like `store.flat`; step."""
-    offset = 0
-    for p in opt.params.values():
-        p.grad = np.array(grad[offset : offset + p.size], dtype=float).reshape(p.shape)
-        offset += p.size
+    """Write `grad`, laid out like `store.flat`, into `store.grad`; step."""
+    opt.store.grad[...] = grad
     opt.step()
 
 
@@ -106,15 +105,6 @@ class TestAdamWStep:
         assert opt.step_count == 0
         assert not opt.first_moment.any() and not opt.second_moment.any()
 
-    def test_shape_mismatch(self):
-        # a gradient shaped unlike its parameter is refused before any update
-        store = store_of(w=np.zeros(3))
-        opt = adamw(store)
-        store.params["w"].grad = np.zeros(4)
-        with pytest.raises(ValueError, match="w needs a"):
-            opt.step()
-        assert opt.step_count == 0
-
     def test_moments_match_parameter_shapes(self):
         store = store_of(a=np.zeros((2, 3)), b=np.zeros(4))
         opt = adamw(store)
@@ -123,19 +113,21 @@ class TestAdamWStep:
 
     def test_step_consumes_backward_grads(self):
         w = DiffArray([1.0, 1.0], requires_grad=True)
-        opt = adamw(ParameterStore({"w": w}), lr=0.1, weight_decay=0.0)
+        store = ParameterStore({"w": w})
+        opt = adamw(store, lr=0.1, weight_decay=0.0)
         (w * w).sum().backward()
+        np.testing.assert_array_equal(store.grad, [2.0, 2.0])
         opt.step()
-        opt.zero_grad()
-        assert w.grad is None
         assert (np.abs(w.values) < 1.0).all()
 
-    def test_parameter_without_gradient_is_named(self):
-        w = DiffArray([1.0, 1.0], requires_grad=True)
-        unused = DiffArray([3.0], requires_grad=True)
-        opt = adamw(ParameterStore({"w": w, "unused": unused}), lr=0.1)
-        (w * w).sum().backward()
-        with pytest.raises(ValueError, match="unused"):
+    def test_step_allocates_no_parameter_sized_array(self):
+        store = store_of(w=np.ones(100_000))
+        opt = adamw(store)
+        step_with(opt, np.ones(100_000))
+        tracemalloc.start()
+        try:
             opt.step()
-        np.testing.assert_array_equal(w.values, [1.0, 1.0])
-        assert opt.step_count == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < store.flat.nbytes / 10

@@ -474,6 +474,33 @@ class TestBackwardMechanics:
         np.testing.assert_array_equal(w.grad, w_clean.grad)
         np.testing.assert_array_equal(v.grad, v_clean.grad)
 
+    def test_every_leaf_owns_a_writable_gradient(self):
+        a = DiffArray([1.0, 2.0], requires_grad=True)
+        b = DiffArray([3.0, 4.0], requires_grad=True)
+        for want in (1.0, 2.0):
+            (a + b).sum().backward()
+            assert not np.shares_memory(a.grad, b.grad)
+            assert a.grad.flags.writeable and b.grad.flags.writeable
+            np.testing.assert_array_equal(a.grad, [want, want])
+            np.testing.assert_array_equal(b.grad, [want, want])
+
+    def test_misshapen_leaf_term_is_refused_before_any_gradient_changes(self):
+        def misshapen(a):
+            def push(g):
+                return (np.zeros(4),)
+
+            return T._result(a.values.copy(), (a,), push)
+
+        w = DiffArray([0.5, -1.0, 2.0], requires_grad=True)
+        v = DiffArray([1.5, 0.25, -3.0], requires_grad=True)
+        held = np.ones(3)
+        v.grad = held
+        # w and v get their terms from w * v before the walk reaches `misshapen`
+        with pytest.raises(DimensionError, match=r"leaf \(3,\) got a \(4,\) term"):
+            (w * v + misshapen(w)).sum().backward()
+        assert w.grad is None and v.grad is held
+        np.testing.assert_array_equal(held, np.ones(3))
+
     def test_no_grad_suppresses_tape(self):
         x = DiffArray([1.0], requires_grad=True)
         with T.no_grad():

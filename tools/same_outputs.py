@@ -11,6 +11,13 @@ workload runs in one checkout only. A change
 that should not alter results (a refactor, a speed-up that keeps the
 arithmetic) is checked this way before its benchmark pairs are run.
 
+Beside the workloads, each checkout trains every model variant for 2
+epochs at N=4, D=1 (flattened) and at N=5, D=3 (per node) on two days of
+the synthetic series of data seed 0, the model and its training seeded by
+each of `--seeds`. Each such record (`train-<variant>-n<N>d<D>`) holds the digest
+(SHA-256) of the trained `store.flat` and `best_val_mse`. They add about
+1 s of CPU time per seed and checkout (2 cores, Python 3.11, numpy 2.4).
+
 The second checkout runs the workloads and seeds in the reverse order of
 the first, so an output that depends on what ran before it in the same
 interpreter (through a cache or a shared table) differs between the two:
@@ -19,18 +26,20 @@ interpreter (through a cache or a shared table) differs between the two:
 With `--rtol R`, a change that sums in another order passes where its
 outputs agree within R. A float output passes within R of the larger
 magnitude. A digest passes where the arrays behind it (`workloads.digest`)
-match: integer and boolean arrays exactly, float arrays within R of their
-largest magnitude. A file hash passes where the CSV file behind it matches
-row by row: columns of integers (timesteps, link ids, labels) exactly,
-other numeric columns (scores, thresholds) within R of the column's largest
-magnitude. The script prints the largest relative difference it accepted.
-Without `--rtol` every output must be equal, bit for bit.
+match: integer and boolean arrays exactly, float arrays (a trained
+`store.flat` among them) within R of their largest magnitude. A file hash
+passes where the CSV file behind it matches row by row: columns of
+integers (timesteps, link ids, labels) exactly, other numeric columns
+(scores, thresholds) within R of the column's largest magnitude. The
+script prints the largest relative difference it accepted. Without
+`--rtol` every output must be equal, bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -53,9 +62,31 @@ def run_tree(tree: Path, seeds: list[int], flags: list[str]) -> dict[tuple[str, 
     return {(record["workload"], record["seed"]): record for record in records}
 
 
+def run_workload(workload, seed: int, workdir: Path) -> tuple[dict, list[str]]:
+    """(the outputs of one operation, the checks it failed)."""
+    ctx = workload.setup(seed)
+    op = workload.op(ctx, workdir)
+    return op.outputs, [check for check, ok in workload.checks(ctx, [op]) if not ok]
+
+
+def train_variant(variant: str, nodes: int, features: int, seed: int,
+                  workdir: Path) -> tuple[dict, list[str]]:
+    """(the digest of the trained `store.flat` and `best_val_mse`, no failed checks)."""
+    import workloads
+    from radnet import data, training
+    from radnet.model import RadNet, RadNetConfig
+
+    series, graph, _ = data.synth_traffic(nodes, days=2, n_features=features, seed=0)
+    model = RadNet(RadNetConfig(n_nodes=nodes, n_features=features, variant=variant, seed=seed))
+    result = training.train(model, series, graph,
+                            training.TrainConfig(max_epochs=2, patience=2, seed=seed))
+    return {"flat": workloads.digest(model.store.flat),
+            "best_val_mse": float(result.best_val_mse)}, []
+
+
 def worker(seeds: list[int], reverse: bool, behind: bool) -> None:
-    """Print one JSON record per workload and seed of the checkout on sys.path,
-    in the reverse order with `reverse`.
+    """Print one JSON record per workload or trained variant and seed of the
+    checkout on sys.path, in the reverse order with `reverse`.
 
     With `behind`, a record also holds what stands behind each digest and
     file hash among the outputs: the digested arrays, or the hashed CSV
@@ -65,6 +96,7 @@ def worker(seeds: list[int], reverse: bool, behind: bool) -> None:
 
     import numpy as np
     import workloads
+    from radnet.model import VARIANTS
 
     digested = {}
     if behind:
@@ -79,25 +111,28 @@ def worker(seeds: list[int], reverse: bool, behind: bool) -> None:
 
         workloads.digest = recording_digest
     warnings.simplefilter("ignore", UserWarning)  # thin tails are the workloads' own business
-    runs = [(name, seed) for name in workloads.WORKLOADS for seed in seeds]
+    jobs = {name: functools.partial(run_workload, workload)
+            for name, workload in workloads.WORKLOADS.items()}
+    for nodes, features in ((4, 1), (5, 3)):
+        for variant in VARIANTS:
+            jobs[f"train-{variant}-n{nodes}d{features}"] = functools.partial(
+                train_variant, variant, nodes, features)
+    runs = [(name, seed) for name in jobs for seed in seeds]
     for name, seed in reversed(runs) if reverse else runs:
-        workload = workloads.WORKLOADS[name]
         digested.clear()
-        ctx = workload.setup(seed)
         with tempfile.TemporaryDirectory() as workdir:
-            op = workload.op(ctx, Path(workdir))
-            checks = workload.checks(ctx, [op])
-            record = {"workload": name, "seed": seed, "outputs": op.outputs}
+            outputs, failed = jobs[name](seed, Path(workdir))
+            record = {"workload": name, "seed": seed, "outputs": outputs}
             if behind:
-                record["behind"] = {key: digested[key] for key in op.outputs.values()
+                record["behind"] = {key: digested[key] for key in outputs.values()
                                     if key in digested}
-                hashes = {value for value in op.outputs.values() if isinstance(value, str)}
+                hashes = {value for value in outputs.values() if isinstance(value, str)}
                 for path in sorted(Path(workdir).rglob("*.csv")):
                     key = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
                     if key in hashes:
                         with open(path, newline="", encoding="utf-8") as fh:
                             record["behind"][key] = {"rows": list(csv.reader(fh))}
-        record["failed"] = [check for check, ok in checks if not ok]
+        record["failed"] = failed
         print(json.dumps(record), flush=True)
 
 

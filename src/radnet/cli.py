@@ -125,11 +125,17 @@ def _load_trained(checkpoint: str | Path) -> tuple[RadNet, Normalizer, dict]:
     stem = _checkpoint_stem(checkpoint)
     model, manifest = RadNet.load(stem)
     hyper = manifest["hyperparameters"]
+    where = f"checkpoint manifest {stem.with_suffix('.json')}"
     if "normalizer" not in hyper:
-        raise FormatError(f"checkpoint manifest {stem.with_suffix('.json')} has no "
-                          f"hyperparameters.normalizer; `radnet train` writes one")
-    normalizer = Normalizer.from_dict(hyper["normalizer"])
-    return model, normalizer, hyper
+        raise FormatError(f"{where} has no hyperparameters.normalizer; `radnet train` writes one")
+    raw, width = hyper["normalizer"], model.config.n_features
+    for field in ("mean", "std"):
+        value = raw.get(field) if isinstance(raw, dict) else None
+        if not (isinstance(value, list) and len(value) == width and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+            raise FormatError(f"{where}: hyperparameters.normalizer.{field} must be a list of "
+                              f"{width} numbers, got {value!r}")
+    return model, Normalizer.from_dict(raw), hyper
 
 
 # ---------------------------------------------------------------------------

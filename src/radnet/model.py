@@ -35,7 +35,7 @@ from .nn import (
     save_checkpoint,
 )
 from .temporal import TransformerBlock, transformer_forward
-from .tensor import DiffArray, _wrap, concat, reshape, softmax, sqrt
+from .tensor import DiffArray, _wrap, concat, frobenius_loss, fuse, reshape, stack
 
 VARIANTS = ("full", "no_skip", "no_st", "no_ts")
 
@@ -181,19 +181,19 @@ class RadNet:
         members = [] if self.gat_st is None else [self.gat_st(windows, graph)]
         if self.gat_ts is not None:
             members.append(windows)
-        stacked = concat([reshape(m, (1, *m.shape)) for m in members], 0)  # (S, B, K, N, D)
-        temporal = transformer_forward(self.transformer, stacked, cfg.temporal_mode, training, rng)
+        temporal = transformer_forward(self.transformer, stack(members),  # (S, B, K, N, D)
+                                       cfg.temporal_mode, training, rng)
         paths = [temporal[s] for s in range(len(members))]
         if self.gat_ts is not None:
             paths[-1] = self.gat_ts(paths[-1], graph)
 
-        # (B, k, N, D): the paths, then the latest slice, on one path axis
-        stack = concat([reshape(p, (p.shape[0], 1, *p.shape[1:])) for p in paths + [latest]], 1)
-        weights = None
-        if self.fusion is not None:  # no_skip sums the stack unweighted
-            weights = softmax(self.fusion(reshape(latest, (latest.shape[0], -1))))  # (B, k)
-            stack = stack * reshape(weights, (*weights.shape, 1, 1))
-        return self.decoder(stack.sum(axis=1)), weights
+        # the paths, then the latest slice, weighted by the (B, k) softmax of
+        # the fusion logits; no_skip sums them unweighted
+        logits = None
+        if self.fusion is not None:
+            logits = self.fusion(reshape(latest, (latest.shape[0], -1)))
+        fused, weights = fuse(paths + [latest], logits)
+        return self.decoder(fused), weights
 
 
 def batch_loss(predictions: DiffArray, truths) -> DiffArray:
@@ -201,9 +201,7 @@ def batch_loss(predictions: DiffArray, truths) -> DiffArray:
     truths = _wrap(truths)
     if predictions.shape != truths.shape:
         raise DimensionError(f"shape mismatch: {predictions.shape} vs {truths.shape}")
-    diff = truths - predictions
-    per_sample = sqrt((diff * diff).sum(axis=(-2, -1)))
-    return per_sample.mean()
+    return frobenius_loss(predictions, truths)
 
 
 def rollout_autoregressive(

@@ -30,9 +30,10 @@ from .tensor import (
     _attention_weights,
     _wrap,
     attention,
-    dropout,
     dropout_keep,
+    offset_dropout,
     reshape,
+    residual,
     swapaxes,
 )
 
@@ -57,8 +58,7 @@ def position_encoding_table(length: int, width: int) -> np.ndarray:
 def position_encode(w, keep: np.ndarray | None = None) -> DiffArray:
     """Add the fixed sinusoid along the time axis of (..., K, F), then dropout by `keep`."""
     w = _wrap(w)
-    k, width = w.shape[-2], w.shape[-1]
-    return dropout(w + position_encoding_table(k, width), keep)
+    return offset_dropout(w, position_encoding_table(*w.shape[-2:]), keep)
 
 
 def causal_mask(length: int) -> np.ndarray:
@@ -144,10 +144,8 @@ class EncoderBlock:
     def __call__(self, x, keep=(None, None)) -> DiffArray:
         """`keep` holds the attention and feed-forward dropouts' keep factors (None: off)."""
         x = _wrap(x)
-        attended = dropout(self.attention(x, x, x), keep[0])
-        x1 = self.norm_attn(x + attended)
-        ff = dropout(self.feed_forward(x), keep[1])
-        return self.norm_ff(x1 + ff)
+        x1 = self.norm_attn(residual(x, self.attention(x, x, x), keep[0]))
+        return self.norm_ff(residual(x1, self.feed_forward(x), keep[1]))
 
 
 def _last_row(keep: np.ndarray | None) -> np.ndarray | None:
@@ -206,10 +204,10 @@ class TransformerBlock:
         memory = self.encoder(position_encode(window, keep[0]), keep[1:3])
         source = position_encode(window, keep[3])
         last = source[..., -1:, :]
-        attended = dropout(self.decoder_attention(last, source, source), _last_row(keep[4]))
-        decoded = self.norm_decoder(last + attended)
-        crossed = dropout(self.cross_attention(decoded, memory, memory), _last_row(keep[5]))
-        return self.norm_out(decoded + crossed)[..., 0, :]
+        attended = self.decoder_attention(last, source, source)
+        decoded = self.norm_decoder(residual(last, attended, _last_row(keep[4])))
+        crossed = self.cross_attention(decoded, memory, memory)
+        return self.norm_out(residual(decoded, crossed, _last_row(keep[5])))[..., 0, :]
 
 
 def transformer_forward(

@@ -18,6 +18,10 @@ gradient. The attention node, which includes its q/k/v projections, the
 feed-forward node and layer norm's values and gain and shift gradients
 reproduce their chains bit for bit, but for one sum order in attention
 (see the attention section), and no activation branches on the data.
+The model's glue between its layers is one node per site, each bit for bit
+the chain it replaced: the member stack (`stack`), each dropout-residual add
+(`residual`), each position encoding (`offset_dropout`), the path fusion
+with its softmax weights (`fuse`) and the loss (`frobenius_loss`).
 Softmax and layer norm reduce a short last axis of many rows slice by
 slice, in the order numpy's own reduction adds below 8 elements, so those
 values too are numpy's bit for bit (see the last-axis reductions section).
@@ -128,6 +132,9 @@ class DiffArray:
                     stack.append((parent, False))
         (self.op_trace or self).grad = np.ones_like(self.values)
         try:
+            for leaf, held in leaves:  # refused before any gradient changes
+                if held is not None and held.shape != leaf.shape:
+                    raise DimensionError(f"leaf {leaf.shape} holds a {held.shape} grad array")
             for node in reversed(topo):
                 trace = node.op_trace
                 g, trace.grad = trace.grad, None
@@ -309,16 +316,6 @@ def _sigmoid_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return g * out * (1.0 - out)
 
 
-def sqrt(a):
-    a = _wrap(a)
-    sv = np.sqrt(a.values)
-
-    def push(g):
-        return (g * 0.5 / np.maximum(sv, 1e-150),)
-
-    return _result(sv, (a,), push)
-
-
 # ---------------------------------------------------------------------------
 # matmul
 #
@@ -379,15 +376,15 @@ def _product(av: np.ndarray, bv: np.ndarray):
 
     def grads(g: np.ndarray, want_a: bool, want_b: bool):
         if w is None:
-            ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape) if want_a else None
-            gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape) if want_b else None
+            ga = _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape) if want_a else None
+            gb = _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape) if want_b else None
             return ga, gb
         rows_g = _rows(g, len(w))
-        ga = np.matmul(rows_g, np.swapaxes(w, -1, -2)).reshape(av.shape) if want_a else None
+        ga = np.matmul(rows_g, w.swapaxes(-1, -2)).reshape(av.shape) if want_a else None
         gb = None
         if want_b:
             a_rows = _rows(av, len(w)) if rows is None else rows
-            gb = np.matmul(np.swapaxes(a_rows, -1, -2), rows_g).reshape(bv.shape)
+            gb = np.matmul(a_rows.swapaxes(-1, -2), rows_g).reshape(bv.shape)
         return ga, gb
 
     return values, grads
@@ -536,21 +533,6 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.multiply(np.subtract(g, _sum_last(gy), out=gy), y, out=gy)
 
 
-def softmax(a):
-    """Numerically stabilized softmax along the last axis.
-
-    -inf entries (attention masks) come out exactly 0; NaN, +inf and a row
-    of only -inf are refused.
-    """
-    a = _wrap(a)
-    y = _softmax_values(a.values)
-
-    def push(g):
-        return (_softmax_grad(g, y),)
-
-    return _result(y, (a,), push)
-
-
 # ---------------------------------------------------------------------------
 # layer norm
 
@@ -606,14 +588,14 @@ def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     if n_heads == 1:
         return x
     x = x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads))
-    return np.swapaxes(x, -3, -2)
+    return x.swapaxes(-3, -2)
 
 
 def _merge_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     """Inverse of `_split_heads`: heads side by side on the last axis."""
     if n_heads == 1:
         return x
-    x = np.swapaxes(x, -3, -2)
+    x = x.swapaxes(-3, -2)
     return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
@@ -624,7 +606,7 @@ def _attention_weights(qp: np.ndarray, kp: np.ndarray, n_heads: int, scale: floa
     The weights are (..., H, Kq, Kk), or (..., Kq, Kk) for one head.
     """
     qh = _split_heads(qp, n_heads)
-    kt = np.swapaxes(_split_heads(kp, n_heads), -1, -2)
+    kt = _split_heads(kp, n_heads).swapaxes(-1, -2)
     scores, grads = _product(qh, kt)
     scores *= scale
     if mask is not None:
@@ -660,7 +642,7 @@ def attention(q, k, v, w_query, w_key, w_value, w_out, n_heads: int, scale: floa
         g_merged, g_w_out = out_grads(g, True, want_out)
         g_y, g_vh = mixed_grads(_split_heads(g_merged, n_heads), True, True)
         g_qh, g_kt = scores_grads(_softmax_grad(g_y, y) * scale, True, True)
-        g_heads = (g_qh, np.swapaxes(g_kt, -1, -2), g_vh)
+        g_heads = (g_qh, g_kt.swapaxes(-1, -2), g_vh)
         g_inputs, g_weights = zip(*(
             grads(_merge_heads(gh, n_heads), want_x, want_w)
             for gh, grads, (want_x, want_w) in zip(g_heads, (q_grads, k_grads, v_grads), wants)
@@ -742,16 +724,16 @@ def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
         # copies in its neighbours' rows
         g_ends = np.stack((_sum_last(g_raw)[..., 0], _scatter_sum(g_raw, neighbor_scatter)),
                           axis=-1).reshape(h.shape[:-1] + (2,))
-        g_h = np.matmul(g_ends, np.swapaxes(score, -1, -2)).reshape(h_nodes.shape)
+        g_h = np.matmul(g_ends, score.swapaxes(-1, -2)).reshape(h_nodes.shape)
         # the neighbour gather's gradient, its feature axis ahead of the (N, W) copies
-        g_copies = np.swapaxes(g_mixed, -1, -2)[..., None] * alpha[..., None, :, :]
-        g_h += np.swapaxes(_scatter_sum(g_copies, neighbor_scatter), -1, -2)
+        g_copies = g_mixed.swapaxes(-1, -2)[..., None] * alpha[..., None, :, :]
+        g_h += _scatter_sum(g_copies, neighbor_scatter).swapaxes(-1, -2)
         g_h = g_h.reshape(h.shape)
         g_x = None
         if want[0]:
-            g_x = np.matmul(g_h, np.swapaxes(tv, -1, -2))
+            g_x = np.matmul(g_h, tv.swapaxes(-1, -2))
             g_x = g_x.sum(axis=0).reshape(xv.shape)
-        g_score = np.matmul(np.swapaxes(h, -1, -2), g_ends)
+        g_score = np.matmul(h.swapaxes(-1, -2), g_ends)
         return (g_x, np.matmul(rows.T, g_h) if want[1] else None,
                 g_score[..., :1] if want[2] else None, g_score[..., 1:] if want[3] else None,
                 g_raw.reshape(n_heads, -1).sum(axis=1).reshape(-1, 1, 1) if want[4] else None)
@@ -778,10 +760,10 @@ def reshape(a, shape: Sequence[int]):
 def swapaxes(a, i: int, j: int):
     """Swap axes i and j (np.swapaxes); its own inverse, so also the backward."""
     a = _wrap(a)
-    values = np.swapaxes(a.values, i, j)
+    values = a.values.swapaxes(i, j)
 
     def push(g):
-        return (np.swapaxes(g, i, j),)
+        return (g.swapaxes(i, j),)
 
     return _result(values, (a,), push)
 
@@ -814,8 +796,23 @@ def concat(arrays: Iterable, axis: int = 0):
     return _result(values, tuple(parts), push)
 
 
+def stack(arrays: Iterable):
+    """Arrays of one shape on a new leading axis (np.stack), as one node."""
+    parts = [_wrap(x) for x in arrays]
+    values = np.stack([p.values for p in parts])
+
+    def push(g):
+        return tuple(g)
+
+    return _result(values, tuple(parts), push)
+
+
 # ---------------------------------------------------------------------------
 # dropout
+#
+# Dropout multiplies by keep factors; None (not training) leaves its input as
+# it is. Each node below is a dropout and the add next to it, with the numpy
+# calls of their mul and add nodes, so values and gradients are bit for bit.
 
 
 def dropout_keep(draws: np.ndarray, rate: float) -> np.ndarray:
@@ -824,10 +821,94 @@ def dropout_keep(draws: np.ndarray, rate: float) -> np.ndarray:
     return (draws >= rate) / (1.0 - rate)
 
 
-def dropout(a, keep: np.ndarray | None):
-    """`a` times its dropout keep factors (`dropout_keep`); None (not
-    training) leaves `a` as it is."""
-    return _wrap(a) if keep is None else mul(a, keep)
+def residual(x, branch, keep: np.ndarray | None):
+    """x + branch * keep, a residual connection around a dropped-out branch."""
+    x, branch = _wrap(x), _wrap(branch)
+    xv, bv = x.values, branch.values
+    want_x, want_branch = _tracked(x), _tracked(branch)
+
+    def push(g):
+        gx = _unbroadcast(g, xv.shape) if want_x else None
+        if not want_branch:
+            return gx, None
+        return gx, _unbroadcast(g if keep is None else g * keep, bv.shape)
+
+    return _result(xv + (bv if keep is None else bv * keep), (x, branch), push)
+
+
+def offset_dropout(a, offset: np.ndarray, keep: np.ndarray | None):
+    """(a + offset) * keep for a constant `offset` broadcast to a's shape."""
+    a = _wrap(a)
+    values = a.values + offset
+    if keep is not None:  # a fresh product, in the layout numpy gives it
+        values = values * keep
+
+    def push(g):
+        return (g if keep is None else g * keep,)
+
+    return _result(values, (a,), push)
+
+
+# ---------------------------------------------------------------------------
+# fusion and loss
+#
+# Each is one node making the numpy calls of the chain it replaced, so values
+# and gradients are that chain's bit for bit.
+
+
+def fuse(parts: Sequence, logits=None):
+    """The sum of k (B, ...) `parts` of one shape, each weighted by its column
+    of softmax(logits) (B, k), or unweighted where `logits` is None, as one
+    node; returns (the sum, the weights as an untracked DiffArray or None).
+
+    The chain it replaced stacked the parts on a path axis (B, k, ...),
+    multiplied the stack by the weights and summed the path axis; the node
+    allocates neither the stack nor its weighted copy. numpy's sum over that
+    axis adds the terms in order from 0.0, and so does the node.
+    """
+    parts = [_wrap(p) for p in parts]
+    values = [p.values for p in parts]
+    shape, inputs, y = values[0].shape, tuple(parts), None
+    if logits is not None:
+        logits = _wrap(logits)
+        inputs, y = inputs + (logits,), _softmax_values(logits.values)
+    fits = y is None or y.shape == (shape[0], len(parts))
+    if not fits or any(v.shape != shape for v in values):
+        raise DimensionError(f"cannot fuse parts {[v.shape for v in values]} by "
+                             f"{'no' if y is None else y.shape} logits")
+    axes = tuple(range(1, len(shape)))
+    weight = lambda i: np.expand_dims(y[:, i], axes)  # part i's, over its feature axes
+    total = np.zeros(shape)
+    for i, v in enumerate(values):
+        total += v if y is None else v * weight(i)
+    wants = [_tracked(p) for p in inputs]
+
+    def push(g):
+        if y is None:
+            return tuple(g if want else None for want in wants)
+        g_y = None
+        if wants[-1]:
+            g_y = _softmax_grad(np.stack([(g * v).sum(axis=axes) for v in values], axis=1), y)
+        return (*(g * weight(i) if want else None for i, want in enumerate(wants[:-1])), g_y)
+
+    return _result(total, inputs, push), None if y is None else DiffArray(y)
+
+
+def frobenius_loss(predictions, truths):
+    """The mean over the leading axis of the Frobenius norm of truths - predictions
+    over the last two axes, as one node (the chain sub, mul, sum, sqrt, mean)."""
+    predictions, truths = _wrap(predictions), _wrap(truths)
+    diff = truths.values - predictions.values
+    norms = np.sqrt((diff * diff).sum(axis=(-2, -1)))
+    want_p, want_t = _tracked(predictions), _tracked(truths)
+
+    def push(g):
+        g_norms = g / norms.size * 0.5 / np.maximum(norms, 1e-150)
+        term = np.expand_dims(g_norms, (-2, -1)) * diff
+        g_diff = term + term  # diff * diff passes one term per operand
+        return (-g_diff if want_p else None), (g_diff if want_t else None)
+
+    return _result(norms.mean(), (predictions, truths), push)
 
 
 # ---------------------------------------------------------------------------

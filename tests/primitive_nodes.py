@@ -1,9 +1,10 @@
 """Primitive tape nodes that only the reference chains in the tests compose.
 
-The library runs leaky ReLU, the sigmoid and the neighbour gather inside its
-fused layer nodes only; these stand-alone nodes rebuild the chains those
-layers replaced, from the same private value and gradient helpers (the
-gather's own gradient, a product with a selection matrix, lives here).
+The library runs leaky ReLU, the sigmoid, the neighbour gather, softmax,
+square root and dropout inside its fused nodes only; these stand-alone nodes
+rebuild the chains those nodes replaced, from the same private value and
+gradient helpers (the gather's own gradient, a product with a selection
+matrix, lives here).
 """
 
 import numpy as np
@@ -14,7 +15,10 @@ from radnet.tensor import (
     _result,
     _sigmoid_grad,
     _sigmoid_values,
+    _softmax_grad,
+    _softmax_values,
     _wrap,
+    mul,
 )
 
 
@@ -63,3 +67,34 @@ def gather(a, index, axis: int):
         return (_gather_grad(g, index, av.shape, axis),)
 
     return _result(values, (a,), push)
+
+
+def softmax(a):
+    """Numerically stabilized softmax along the last axis.
+
+    -inf entries (attention masks) come out exactly 0; NaN, +inf and a row
+    of only -inf are refused.
+    """
+    a = _wrap(a)
+    y = _softmax_values(a.values)
+
+    def push(g):
+        return (_softmax_grad(g, y),)
+
+    return _result(y, (a,), push)
+
+
+def sqrt(a):
+    a = _wrap(a)
+    sv = np.sqrt(a.values)
+
+    def push(g):
+        return (g * 0.5 / np.maximum(sv, 1e-150),)
+
+    return _result(sv, (a,), push)
+
+
+def dropout(a, keep):
+    """`a` times its dropout keep factors (`tensor.dropout_keep`); None (not
+    training) leaves `a` as it is."""
+    return _wrap(a) if keep is None else mul(a, keep)

@@ -197,6 +197,23 @@ class TestTrainForecastDetectEvaluate:
         err = capsys.readouterr().err
         assert "bare.json has no hyperparameters.normalizer" in err
 
+    @pytest.mark.parametrize("normalizer, field", [
+        ({}, "mean"), ([], "mean"), ({"mean": [0.0]}, "std"), ({"mean": [0.0], "std": "1"}, "std"),
+        ({"mean": [0.0, 1.0], "std": [1.0]}, "mean"), ({"mean": ["0"], "std": [1.0]}, "mean"),
+        ({"mean": [0.0], "std": [True]}, "std"),
+    ])
+    def test_checkpoint_with_a_bad_normalizer_names_the_field(self, trained_dir, tmp_path, capsys,
+                                                             normalizer, field):
+        ds, _ = trained_dir
+        RadNet(RadNetConfig(n_nodes=4, n_features=1)).save(
+            tmp_path / "bare", extra_hyperparameters={"normalizer": normalizer})
+        code = main(["detect", "--data", str(ds), "--checkpoint", str(tmp_path / "bare"),
+                     "--out", str(tmp_path / "d")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bare.json" in err
+        assert f"hyperparameters.normalizer.{field} must be a list of 1 numbers" in err
+
     def test_evaluate_without_labels_names_the_file(self, tmp_path, capsys):
         code = main(["evaluate", "--detect", str(tmp_path / "ghost")])
         assert code == 1

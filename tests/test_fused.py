@@ -20,10 +20,16 @@ its matrix bit for bit.
 The model's two inference paths run as the two members of one transformer
 block; `serial_paths` runs them one after the other, each through a
 one-member block on its member's parameter slices.
+
+The loss, the path fusion, the member stack, each dropout-residual add and
+each position encoding is one node; `GLUE_CHAINS` holds the chains of
+primitive nodes they replaced, which must give the same values and
+gradients bit for bit.
 """
 
 import copy
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -31,10 +37,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radnet import graph as graph_module
+from radnet import model as model_module
 from radnet import nn as nn_module
 from radnet import temporal as temporal_module
 from radnet import tensor as T
-from radnet.errors import NumericError
+from radnet.errors import DimensionError, NumericError
 from radnet.graph import RoadGraph
 from radnet.model import (
     VARIANTS,
@@ -47,7 +54,7 @@ from radnet.model import (
 from radnet.temporal import causal_mask
 from radnet.tensor import DiffArray
 
-from primitive_nodes import gather, leaky_relu, sigmoid
+from primitive_nodes import dropout, gather, leaky_relu, sigmoid, softmax, sqrt
 
 
 def composed_affine(x, w, b):
@@ -82,7 +89,7 @@ def composed_attention(qp, kp, vp, w_out, n_heads, scale, mask=None):
     scores = T.matmul(split(qp), T.swapaxes(split(kp), -1, -2)) * scale
     if mask is not None:
         scores = scores + mask
-    weights = T.softmax(scores)
+    weights = softmax(scores)
     return T.matmul(merge(T.matmul(weights, split(vp))), w_out)
 
 
@@ -102,7 +109,7 @@ def composed_graph_attention(x, theta, score_src, score_dst, score_bias, neighbo
     dst = T.reshape(T.matmul(h, score_dst), h.shape[:-1])
     dst = gather(dst, neighbor_index, axis=-1)
     scores = leaky_relu(src + dst + score_bias, slope) + neighbor_mask
-    alpha = T.softmax(scores)
+    alpha = softmax(scores)
     neighbors = gather(h, neighbor_index, axis=-2)
     alpha = T.reshape(alpha, alpha.shape[:-1] + (1,) + alpha.shape[-1:])
     mixed = T.matmul(alpha, neighbors)
@@ -547,7 +554,7 @@ def serial_forward_batch(model, windows, graph, training=False, rng=None):
     stack = T.concat([T.reshape(p, (p.shape[0], 1, *p.shape[1:])) for p in parts], 1)
     weights = None
     if model.fusion is not None:
-        weights = T.softmax(model.fusion(T.reshape(latest, (latest.shape[0], -1))))
+        weights = softmax(model.fusion(T.reshape(latest, (latest.shape[0], -1))))
         stack = stack * T.reshape(weights, (*weights.shape, 1, 1))
     return model.decoder(stack.sum(axis=1)), weights
 
@@ -564,7 +571,7 @@ def per_path_forward_batch(model, windows, graph, training=False, rng=None):
     if model.fusion is None:
         return model.decoder(paths[0] + paths[1] + latest), None
     flat = T.reshape(latest, (latest.shape[0], cfg.n_nodes * cfg.n_features))
-    weights = T.softmax(model.fusion(flat))
+    weights = softmax(model.fusion(flat))
     fused = None
     for i, part in enumerate(paths + [latest]):
         term = T.reshape(weights[:, i], (-1, 1, 1)) * part
@@ -770,3 +777,126 @@ class TestTrainingStepAgainstBatchedMatmul:
         assert len(gemm) == len(batched)
         for got, want in zip(gemm, batched):
             assert_close_to_scale(got, want)
+
+
+def chain_loss(predictions, truths):
+    diff = truths - predictions
+    return sqrt((diff * diff).sum(axis=(-2, -1))).mean()
+
+
+def chain_fuse(parts, logits=None):
+    """The parts stacked on a path axis, weighted by softmax(logits), summed."""
+    stacked = T.concat([T.reshape(p, (p.shape[0], 1, *p.shape[1:])) for p in parts], 1)
+    weights = None
+    if logits is not None:
+        weights = softmax(logits)
+        stacked = stacked * T.reshape(weights, (*weights.shape, 1, 1))
+    return stacked.sum(axis=1), weights
+
+
+def chain_stack(arrays):
+    return T.concat([T.reshape(a, (1, *a.shape)) for a in arrays], 0)
+
+
+def chain_residual(x, branch, keep):
+    return x + dropout(branch, keep)
+
+
+def chain_offset_dropout(a, offset, keep):
+    return dropout(a + offset, keep)
+
+
+# node: (the module whose binding the model calls, the binding, its chain)
+GLUE_CHAINS = {
+    "loss": (model_module, "frobenius_loss", chain_loss),
+    "fusion": (model_module, "fuse", chain_fuse),
+    "member-stack": (model_module, "stack", chain_stack),
+    "residual": (temporal_module, "residual", chain_residual),
+    "position-encoding": (temporal_module, "offset_dropout", chain_offset_dropout),
+}
+
+
+class TestGlueNodesAgainstChains:
+    """A training step with one glue node swapped back to its chain."""
+
+    @staticmethod
+    def step(variant, n_nodes, n_features, batch):
+        data = np.random.default_rng(91).normal(size=(40, n_nodes, n_features))
+        ts = np.arange(4, 4 + batch)
+        model = RadNet(RadNetConfig(n_nodes=n_nodes, n_features=n_features, variant=variant,
+                                    seed=0))
+        preds, weights = model.forward_batch(build_window(data, ts, 5), RoadGraph.ring(n_nodes),
+                                             True, np.random.default_rng(92))
+        loss = batch_loss(preds, data[ts + 1])
+        loss.backward()
+        arrays = [loss.values, preds.values, None if weights is None else weights.values]
+        return arrays + [p.grad for p in model.store.params.values()]
+
+    @pytest.mark.parametrize("batch", [32, 1])
+    @pytest.mark.parametrize("n_nodes, n_features", [(4, 1), (16, 7)])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("node", GLUE_CHAINS)
+    def test_values_and_every_gradient_bit_identical(self, monkeypatch, node, variant, n_nodes,
+                                                     n_features, batch):
+        fused = self.step(variant, n_nodes, n_features, batch)
+        module, name, chain = GLUE_CHAINS[node]
+        monkeypatch.setattr(module, name, chain)
+        composed = self.step(variant, n_nodes, n_features, batch)
+        assert len(fused) == len(composed)
+        for got, want in zip(fused, composed):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+
+
+def glue_arrays(rng, shape=(3, 4, 2)):
+    """Three parts, (B, 3) logits, keep factors at rate 0.3 and an offset for `shape`."""
+    parts = [DiffArray(rng.normal(size=shape), requires_grad=True) for _ in range(3)]
+    logits = DiffArray(rng.normal(size=(shape[0], 3)), requires_grad=True)
+    keep = T.dropout_keep(rng.random(shape), 0.3)
+    return parts, logits, keep, rng.normal(size=shape[1:])
+
+
+# name: f(parts, logits, keep, offset, w), a scalar of tracked leaves
+GLUE_OBJECTIVES = {
+    "loss": lambda p, l, k, o, w: T.frobenius_loss(p[0], p[1]),
+    "fusion": lambda p, l, k, o, w: (T.fuse(p, l)[0] * w).sum(),
+    "fusion-unweighted": lambda p, l, k, o, w: (T.fuse(p)[0] * w).sum(),
+    "member-stack": lambda p, l, k, o, w: (T.stack(p[:2]) * w[:2]).sum(),
+    "residual": lambda p, l, k, o, w: (T.residual(p[0], p[1], k) * w).sum(),
+    "residual-eval": lambda p, l, k, o, w: (T.residual(p[0], p[1], None) * w).sum(),
+    "position-encoding": lambda p, l, k, o, w: (T.offset_dropout(p[0], o, k) * w).sum(),
+}
+
+
+class TestGlueNodeGradients:
+    @pytest.mark.parametrize("name", GLUE_OBJECTIVES)
+    def test_gradient_matches_finite_differences(self, name):
+        # C01's stencil, floor and bound
+        rng = np.random.default_rng(93)
+        parts, logits, keep, offset = glue_arrays(rng)
+        w = rng.normal(size=(3,) + parts[0].shape)
+        leaves = parts + [logits]
+        err = T.grad_check(lambda: GLUE_OBJECTIVES[name](parts, logits, keep, offset, w), leaves,
+                           step=1e-6)
+        assert err < 1e-4
+
+    def test_fused_weights_are_the_softmax_and_untracked(self):
+        parts, logits, _, _ = glue_arrays(np.random.default_rng(94))
+        fused, weights = T.fuse(parts, logits)
+        np.testing.assert_array_equal(weights.values, softmax(logits).values)
+        assert weights.op_trace is None and not weights.requires_grad
+        assert T.fuse(parts)[1] is None
+
+    @pytest.mark.parametrize("logits_shape", [(3, 2), (3, 4), (2, 3)])
+    def test_fusion_refuses_logits_that_do_not_fit(self, logits_shape):
+        parts, _, _, _ = glue_arrays(np.random.default_rng(95))
+        refusal = r"cannot fuse .* by " + re.escape(f"{logits_shape} logits")
+        with pytest.raises(DimensionError, match=refusal):
+            T.fuse(parts, np.zeros(logits_shape))
+
+    def test_fusion_refuses_parts_of_other_shapes(self):
+        parts, logits, _, _ = glue_arrays(np.random.default_rng(96))
+        with pytest.raises(DimensionError, match=r"cannot fuse .*\(3, 4, 1\)"):
+            T.fuse(parts[:2] + [np.zeros((3, 4, 1))], logits)

@@ -9,7 +9,7 @@ from radnet.graph import GatLayer, RoadGraph
 from radnet.nn import DEFAULT_LEAKY_SLOPE, named_parameters
 from radnet.tensor import DiffArray
 
-from primitive_nodes import leaky_relu, sigmoid
+from primitive_nodes import leaky_relu, sigmoid, softmax
 
 
 def leaky(x, s=0.01):
@@ -31,7 +31,7 @@ def dense_gat(layer, x, g):
     src = T.matmul(h, layer.score_src)
     dst = T.matmul(h, layer.score_dst)
     scores = leaky_relu(src + T.swapaxes(dst, -1, -2) + layer.score_bias, DEFAULT_LEAKY_SLOPE)
-    alpha = T.softmax(scores + dense_mask(g))
+    alpha = softmax(scores + dense_mask(g))
     return sigmoid(T.matmul(alpha, h)).mean(axis=-3)
 
 

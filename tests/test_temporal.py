@@ -17,6 +17,8 @@ from radnet.temporal import (
 )
 from radnet.tensor import DiffArray
 
+from primitive_nodes import dropout
+
 
 class TestPositionEncoding:
     def test_position_zero_even_channel_unchanged(self):
@@ -246,9 +248,9 @@ def all_positions_decoder(block, x, training=False, rng=None):
     keep = [T.dropout_keep(rng.random(x.shape), rate) if training else None for _ in range(6)]
     memory = block.encoder(position_encode(x, keep[0]), keep[1:3])
     source = position_encode(x, keep[3])
-    masked = T.dropout(block.decoder_attention(source, source, source, causal_mask(k)), keep[4])
+    masked = dropout(block.decoder_attention(source, source, source, causal_mask(k)), keep[4])
     decoded = block.norm_decoder(source + masked)
-    crossed = T.dropout(block.cross_attention(decoded, memory, memory), keep[5])
+    crossed = dropout(block.cross_attention(decoded, memory, memory), keep[5])
     return block.norm_out(decoded + crossed)[..., -1, :]
 
 

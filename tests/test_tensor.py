@@ -15,7 +15,7 @@ from radnet.errors import DimensionError, NumericError
 from radnet.nn import DEFAULT_LEAKY_SLOPE
 from radnet.tensor import DiffArray
 
-from primitive_nodes import gather, leaky_relu, sigmoid
+from primitive_nodes import dropout, gather, leaky_relu, sigmoid, softmax
 
 
 def fd_grad(f, p, h=1e-6):
@@ -100,30 +100,30 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_uniform(self):
-        out = T.softmax(DiffArray([0.0, 0.0, 0.0]))
+        out = softmax(DiffArray([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.values, np.full(3, 1 / 3), rtol=0, atol=1e-15)
 
     def test_stabilized_no_overflow(self):
-        out = T.softmax(DiffArray([1000.0, 0.0]))
+        out = softmax(DiffArray([1000.0, 0.0]))
         assert np.isfinite(out.values).all()
         np.testing.assert_allclose(out.values, [1.0, 0.0], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
-        out = T.softmax(DiffArray(rng.normal(size=(6, 9)) * 10))
+        out = softmax(DiffArray(rng.normal(size=(6, 9)) * 10))
         np.testing.assert_allclose(out.values.sum(axis=-1), np.ones(6), atol=1e-9)
         assert (out.values >= 0).all()
 
     def test_masked_entries_exactly_zero(self):
         x = np.array([[0.3, -np.inf, 1.2], [0.0, 0.5, -np.inf]])
-        out = T.softmax(DiffArray(x))
+        out = softmax(DiffArray(x))
         assert out.values[0, 1] == 0.0
         assert out.values[1, 2] == 0.0
         np.testing.assert_allclose(out.values.sum(axis=-1), [1.0, 1.0], atol=1e-12)
 
     def test_nan_rejected(self):
         with pytest.raises(NumericError):
-            T.softmax(DiffArray([np.nan, 0.0]))
+            softmax(DiffArray([np.nan, 0.0]))
 
     # either row would come out NaN, from inf - inf or -inf - -inf
     @pytest.mark.parametrize("row, problem", [
@@ -131,7 +131,7 @@ class TestSoftmax:
     ])
     def test_non_finite_row_rejected(self, row, problem):
         with pytest.raises(NumericError, match=problem):
-            T.softmax(DiffArray([[0.0, -np.inf], row]))
+            softmax(DiffArray([[0.0, -np.inf], row]))
 
     # train-radset's per-node attention scores, detect-64's graph attention
     # scores over (batch, head, node, neighbour) and the flattened C07 scores
@@ -145,7 +145,7 @@ class TestSoftmax:
         want = ex / ex.sum(axis=-1, keepdims=True)
         want_grad = want * (g - (g * want).sum(axis=-1, keepdims=True))
         a = DiffArray(x, requires_grad=True)
-        out = T.softmax(a)
+        out = softmax(a)
         (out * g).sum().backward()
         np.testing.assert_array_equal(out.values, want)
         np.testing.assert_array_equal(a.grad, want_grad)
@@ -156,7 +156,7 @@ class TestSoftmax:
         w = rng.normal(size=7)
 
         def f():
-            return (T.softmax(x) * w).sum()
+            return (softmax(x) * w).sum()
 
         f().backward()
         assert rel_err(x.grad, fd_grad(f, x)) < 1e-5
@@ -501,6 +501,19 @@ class TestBackwardMechanics:
         assert w.grad is None and v.grad is held
         np.testing.assert_array_equal(held, np.ones(3))
 
+    def test_misshapen_held_gradient_is_refused_before_any_gradient_changes(self):
+        a = DiffArray([1.0, 2.0, 3.0], requires_grad=True)
+        b = DiffArray([2.0, 2.0, 2.0], requires_grad=True)
+        held = np.zeros(4)
+        b.grad = held
+        with pytest.raises(DimensionError, match=r"leaf \(3,\) holds a \(4,\) grad"):
+            (a * b).sum().backward()
+        assert a.grad is None and b.grad is held
+        np.testing.assert_array_equal(held, np.zeros(4))
+        b.grad = None  # the walk left no mark behind
+        (a * b).sum().backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+
     def test_no_grad_suppresses_tape(self):
         x = DiffArray([1.0], requires_grad=True)
         with T.no_grad():
@@ -531,12 +544,12 @@ class TestBackwardMechanics:
         rng = np.random.default_rng(9)
         x = DiffArray(np.ones(1000))
         draws = rng.random(x.shape)
-        out = T.dropout(x, T.dropout_keep(draws, 0.25))
+        out = dropout(x, T.dropout_keep(draws, 0.25))
         kept = out.values != 0
         np.testing.assert_array_equal(kept, draws >= 0.25)
         assert 0.6 < kept.mean() < 0.9
         np.testing.assert_allclose(out.values[kept], 1 / 0.75)
-        same = T.dropout(x, None)
+        same = dropout(x, None)
         np.testing.assert_array_equal(same.values, x.values)
 
 

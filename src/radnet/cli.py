@@ -50,12 +50,20 @@ log = logging.getLogger("radnet.cli")
 
 
 def _pick(args: argparse.Namespace, file_cfg: dict, key: str, default):
-    """flag > config file > default."""
-    for source in (vars(args), file_cfg):
-        value = _options(source, args).get(key)
-        if value is not None:
+    """flag > config file > default. A file value must have the type its option
+    declares (`--seeds`: what `_seed_list` takes), or the error names key and file."""
+    flag, value = (_options(source, args).get(key) for source in (vars(args), file_cfg))
+    if flag is not None or value is None:
+        return default if flag is None else flag
+    kind = args.kinds[key]
+    if kind in (int, float, str):
+        if _fits(kind.__name__, value):
             return value
-    return default
+        raise ValueError(f"config file {args.config}: {key} must be {kind.__name__}, got {value!r}")
+    try:
+        return kind(value)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"config file {args.config}: {key}: {exc}") from None
 
 
 def _field(key: str) -> str:
@@ -112,6 +120,21 @@ def _resolve(cls, args: argparse.Namespace, file_cfg: dict, block: str | None = 
     return cls(**{**values, **fixed})
 
 
+def _seed_list(value) -> list[int]:
+    """--seeds: a comma-separated string, an integer or a list of integers."""
+    if isinstance(value, str):
+        value = [s for s in value.split(",") if s.strip()]
+    seeds = []
+    for item in value if isinstance(value, list) else [value]:
+        try:
+            if type(item) not in (int, str):  # neither a bool nor a float is a seed
+                raise ValueError
+            seeds.append(int(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"seed {item!r} is not an integer") from None
+    return seeds
+
+
 def _checkpoint_stem(path: str | Path) -> Path:
     stem = Path(path)
     if stem.suffix in (".json", ".bin"):
@@ -154,8 +177,7 @@ def cmd_synth(args, file_cfg) -> int:
              if (value := _pick(args, file_cfg, key, None)) is not None}
     series, graph, mask = synth_traffic(incidents=spec, **given)
     save_dataset(out, series, graph)
-    files.write_text(out / "incidents.csv",
-                     "timestep,link_id\n" + "".join(f"{t},{j}\n" for t, j in np.argwhere(mask)))
+    files.write_csv(out / "incidents.csv", ["timestep", "link_id"], np.argwhere(mask))
     print(f"wrote {series.n_steps} steps x {series.n_nodes} nodes to {out}")
     return 0
 
@@ -269,23 +291,19 @@ def cmd_evaluate(args, file_cfg) -> int:
 
 def cmd_ablate(args, file_cfg) -> int:
     series, graph, _ = load_dataset(_pick(args, file_cfg, "data", None))
-    seeds = _pick(args, file_cfg, "seeds", "0,1,2")
-    if isinstance(seeds, str):  # a config file may also give a seed or a list of them
-        seeds = [s for s in seeds.split(",") if s.strip()]
     rows = pipeline.ablate(
         series, graph,
         _resolve(RadNetConfig, args, file_cfg, n_nodes=series.n_nodes, n_features=series.n_features),
         _resolve(TrainConfig, args, file_cfg, "train"),
         _resolve(PotConfig, args, file_cfg, "pot"),
-        [int(s) for s in np.atleast_1d(seeds)],
+        _pick(args, file_cfg, "seeds", [0, 1, 2]),
         _pick(args, file_cfg, "test_fraction", TEST_FRACTION),
     )
     out = Path(_pick(args, file_cfg, "out", "ablate-out"))
-    files.write_text(out / "ablation.csv", "variant,seed,val_mse,f1,hitrate_100\n" + "".join(
-        f"{row['variant']},{row['seed']},{row['val_mse']:.10g},"
-        f"{row['f1']:.10g},{row['hitrate_100']:.10g}\n"
-        for row in rows
-    ))
+    metrics = ["val_mse", "f1", "hitrate_100"]
+    files.write_csv(out / "ablation.csv", ["variant", "seed", *metrics],
+                    ([row["variant"], row["seed"], *(f"{row[m]:.10g}" for m in metrics)]
+                     for row in rows))
     lines = [f"{'variant':10s} {'val_mse':>10s} {'f1':>7s} {'h@100':>7s}"]
     for variant in VARIANTS:
         sub = [r for r in rows if r["variant"] == variant]
@@ -342,15 +360,15 @@ def _add_pot_flags(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that keeps the dest of every argument added to it."""
+    """An ArgumentParser keeping each argument's type by dest (str if none, bool for a switch)."""
 
     def __init__(self, *args, **kwargs):
-        self.dests: set[str] = set()
+        self.kinds: dict = {}
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        self.dests.add(action.dest)
+        self.kinds[action.dest] = action.type or (bool if action.nargs == 0 else str)
         return action
 
 
@@ -413,7 +431,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ablate", help="train and score every model variant", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--seeds", help="comma-separated seed list")
+    p.add_argument("--seeds", type=_seed_list, help="comma-separated seed list")
     _add_train_flags(p)
     _add_pot_flags(p)
     p.set_defaults(func=cmd_ablate)
@@ -426,8 +444,10 @@ def build_parser() -> _Parser:
     _add_pot_flags(p)
     p.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():
+        p.set_defaults(kinds=p.kinds)
     # a config file's top level may hold any subcommand's option and the two blocks
-    parser.config_keys = {"train", "pot"}.union(*(p.dests for p in sub.choices.values()))
+    parser.config_keys = {"train", "pot"}.union(*(p.kinds for p in sub.choices.values()))
     return parser
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import files
 from .errors import DimensionError, GraphError
-from .nn import DEFAULT_LEAKY_SLOPE, xavier_uniform
+from .nn import xavier_uniform
 from .tensor import DiffArray, _graph_attention_weights, _wrap, graph_attention
 
 
@@ -152,7 +152,6 @@ class GatLayer:
         alpha = _graph_attention_weights(
             x.values, self.theta.values, self.score_src.values, self.score_dst.values,
             self.score_bias.values, graph.neighbor_index, graph.neighbor_mask,
-            DEFAULT_LEAKY_SLOPE,
         )[-1][head].reshape(x.shape[:-1] + graph.neighbor_index.shape[-1:])
         rows, slots = np.nonzero(graph.neighbor_mask == 0.0)
         dense = np.zeros(alpha.shape[:-1] + (graph.n_nodes,))
@@ -180,5 +179,4 @@ class GatLayer:
         return graph_attention(
             x, self.theta, self.score_src, self.score_dst, self.score_bias,
             graph.neighbor_index, graph.neighbor_mask, graph.neighbor_scatter,
-            DEFAULT_LEAKY_SLOPE,
         )

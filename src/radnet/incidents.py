@@ -338,7 +338,7 @@ def pot_fit(
 def label(
     scores: np.ndarray,
     state: ThresholdState,
-    dynamic: bool = False,
+    dynamic: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indicator labels (score >= threshold) plus the thresholds applied.
 

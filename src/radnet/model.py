@@ -182,7 +182,7 @@ class RadNet:
         if self.gat_ts is not None:
             members.append(windows)
         temporal = transformer_forward(self.transformer, stack(members),  # (S, B, K, N, D)
-                                       cfg.temporal_mode, training, rng)
+                                       training, rng)
         paths = [temporal[s] for s in range(len(members))]
         if self.gat_ts is not None:
             paths[-1] = self.gat_ts(paths[-1], graph)

@@ -22,8 +22,6 @@ from . import files
 from .errors import DimensionError, FormatError
 from .tensor import DiffArray, feed_forward, layer_norm
 
-DEFAULT_LEAKY_SLOPE = 0.01
-
 
 def xavier_uniform(rng: np.random.Generator, n_in: int, n_out: int, shape=None) -> np.ndarray:
     limit = np.sqrt(6.0 / (n_in + n_out))
@@ -43,15 +41,15 @@ class Linear:
             raise DimensionError(
                 f"linear layer expects width {self.n_in}, got input {x.shape}"
             )
-        return feed_forward(x, [self.weight], [self.bias], DEFAULT_LEAKY_SLOPE)
+        return feed_forward(x, [self.weight], [self.bias])
 
 
 class FeedForward:
     """A chain of affine layers with an activation between them.
 
     `widths` lists every layer width including input and output, e.g.
-    (8, 64, 64, 8). The activation (LeakyReLU) is applied after every layer
-    except the last.
+    (8, 64, 64, 8). The activation (LeakyReLU, slope `tensor.LEAKY_SLOPE`) is
+    applied after every layer except the last.
     """
 
     def __init__(self, widths, rng: np.random.Generator):
@@ -62,10 +60,7 @@ class FeedForward:
         ]
 
     def __call__(self, x: DiffArray) -> DiffArray:
-        return feed_forward(
-            x, [l.weight for l in self.layers], [l.bias for l in self.layers],
-            DEFAULT_LEAKY_SLOPE,
-        )
+        return feed_forward(x, [l.weight for l in self.layers], [l.bias for l in self.layers])
 
 
 class LayerNorm:

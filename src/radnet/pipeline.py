@@ -97,7 +97,7 @@ def generate_ground_truth(
     link_states: list[ThresholdState],
     target_ts: np.ndarray,
     horizon: int,
-    dynamic: bool = True,
+    dynamic: bool,
 ) -> IncidentLabels:
     """Label the true series; the emitted thresholds are the shared stream."""
     target_ts = np.asarray(target_ts, dtype=int)

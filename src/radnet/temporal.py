@@ -13,8 +13,9 @@ tape nodes of one. The model's two inference paths are the two members of
 its block.
 
 Attention runs per node (model width = feature count, batched over nodes)
-or over flattened node-feature rows; the model picks per node when the data
-has two or more features and flattened rows for single-feature data.
+or over flattened node-feature rows, as the block's width says; the model
+builds a per-node block when the data has two or more features and a
+flattened one for single-feature data (`RadNetConfig.temporal_mode`).
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class MultiHeadAttention:
 
     `w_query`, `w_key` and `w_value` are each one (d_model, d_model) matrix;
     head m owns columns m*d_head:(m+1)*d_head, so one matmul projects every
-    head and all heads attend at once on a head axis (..., H, K, d_head). One
-    head needs no head axis. Scores are scaled by 1/sqrt(model width); an
+    head and all heads attend at once on a head axis (..., H, K, d_head), of
+    length 1 for one head. Scores are scaled by 1/sqrt(model width); an
     optional additive mask sends future positions to -inf before the softmax,
     so their weights are exactly zero after it. A call records one
     `tensor.attention` node, projections included.
@@ -120,7 +121,7 @@ class MultiHeadAttention:
             q.values @ self.w_query.values, k.values @ self.w_key.values,
             self.n_heads, self.scale, mask,
         )[-1]
-        return DiffArray(weights if self.n_heads == 1 else weights[..., head, :, :])
+        return DiffArray(weights[..., head, :, :])
 
     def __call__(self, q, k, v, mask=None) -> DiffArray:
         self._check(_wrap(q), _wrap(k), _wrap(v), mask)
@@ -213,25 +214,23 @@ class TransformerBlock:
 def transformer_forward(
     block: TransformerBlock,
     window,
-    mode: str = "per_node",
     training: bool = False,
     rng: PositionRNG = None,
 ) -> DiffArray:
     """Run (S, ..., K, N, D) member windows through the block, returning (S, ..., N, D).
 
-    per_node: each node's (K, D) trace is attended independently (model width
-    D, nodes batched). flattened: timesteps are (N*D)-wide rows. Either way
-    the block reads each member's windows (and nodes) on one row axis.
+    The block's width fixes the layout: a D-wide block attends each node's
+    (K, D) trace on its own, any other reads each timestep as one (N*D)-wide
+    row (and fails its width check if not N*D wide); either way it reads
+    each member's windows (and nodes) on one row axis. For N = 1 the two coincide.
     """
     window = _wrap(window)
     if window.ndim < 4:
         raise DimensionError(f"expected (S, ..., K, N, D) member windows, got {window.shape}")
     members, (k, n_nodes, width) = window.shape[0], window.shape[-3:]
-    if mode == "per_node":
+    if block.cross_attention.d_model == width:
         rows = reshape(swapaxes(window, -3, -2), (members, -1, k, width))
-    elif mode == "flattened":
-        rows = reshape(window, (members, -1, k, n_nodes * width))
     else:
-        raise ValueError(f"unknown temporal mode {mode!r}")
+        rows = reshape(window, (members, -1, k, n_nodes * width))
     out = block(rows, training, rng)
     return reshape(out, window.shape[:-3] + (n_nodes, width))

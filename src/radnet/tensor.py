@@ -1,11 +1,12 @@
 """Dense float64 arrays with reverse-mode automatic differentiation.
 
 Values are stored in numpy arrays. Each differentiable operation attaches a
-tape node (`_Trace`) to its output holding the parent arrays and a closure
-that maps the output gradient back to parent gradients. ``backward()`` walks
-the recorded graph once in reverse topological order, accumulates gradients
-into the participating leaves, and clears the tape so memory stays bounded
-by a single forward pass.
+tape node (`_Trace`) to its output holding the parent arrays, which of them
+are tracked (`wants`, decided once in `_result`) and a closure
+`push(g, wants)` that maps the output gradient to the wanted parents'
+gradients. ``backward()`` walks the recorded graph once in reverse
+topological order, accumulates gradients into the participating leaves, and
+clears the tape so memory stays bounded by a single forward pass.
 
 Everything runs in 64-bit precision; the engine is meant for desk-scale
 models whose gradients are routinely validated against finite differences.
@@ -17,9 +18,10 @@ primitive nodes within rtol 1e-12, as does layer norm's closed-form input
 gradient. The attention node, which includes its q/k/v projections, the
 feed-forward node and layer norm's values and gain and shift gradients
 reproduce their chains bit for bit, but for one sum order in attention
-(see the attention section), and no activation branches on the data.
+(see the attention section), and no activation branches on the data. Every
+leaky ReLU of the model has the slope `LEAKY_SLOPE`.
 The model's glue between its layers is one node per site, each bit for bit
-the chain it replaced: the member stack (`stack`), each dropout-residual add
+its chain of primitive nodes: the member stack (`stack`), each dropout-residual add
 (`residual`), each position encoding (`offset_dropout`), the path fusion
 with its softmax weights (`fuse`) and the loss (`frobenius_loss`).
 Softmax and layer norm reduce a short last axis of many rows slice by
@@ -43,6 +45,7 @@ import numpy as np
 from .errors import DimensionError, NumericError
 
 _GRAD_ENABLED = contextvars.ContextVar("radnet_grad_enabled", default=True)
+LEAKY_SLOPE = 0.01  # of every leaky ReLU the model runs; tests vary the kernels' slope
 # a node `backward()` has reached, before its first gradient term arrives
 _VISITED = object()
 
@@ -58,13 +61,17 @@ def no_grad():
 
 
 class _Trace:
-    """One tape node: parents, the gradient push-back closure and `grad`, the
-    slot where `backward()` marks the node and then sums its gradient terms."""
+    """One tape node: parents, which of them are tracked (`wants`), the closure
+    `push_grads(g, wants)` that maps the output gradient to one term per parent
+    (None where it computes none; `backward()` adds none into a parent not
+    wanted) and `grad`, the slot where `backward()` marks the node and then
+    sums its gradient terms."""
 
-    __slots__ = ("inputs", "push_grads", "grad")
+    __slots__ = ("inputs", "wants", "push_grads", "grad")
 
-    def __init__(self, inputs, push_grads):
+    def __init__(self, inputs, wants, push_grads):
         self.inputs = inputs
+        self.wants = wants
         self.push_grads = push_grads
         self.grad = None
 
@@ -139,10 +146,11 @@ class DiffArray:
                 trace = node.op_trace
                 g, trace.grad = trace.grad, None
                 if g is not _VISITED:
-                    for parent, pg in zip(trace.inputs, trace.push_grads(g)):
-                        # a constant, or a node an earlier walk cleared, holds None
+                    wants = trace.wants
+                    for parent, want, pg in zip(trace.inputs, wants, trace.push_grads(g, wants)):
+                        # a node an earlier walk cleared holds None
                         holder = parent.op_trace or parent
-                        if pg is not None and holder.grad is not None:
+                        if want and pg is not None and holder.grad is not None:
                             if holder is parent and pg.shape != parent.shape:
                                 raise DimensionError(f"leaf {parent.shape} got a {pg.shape} term")
                             holder.grad = pg if holder.grad is _VISITED else holder.grad + pg
@@ -216,12 +224,13 @@ def _tracked(x: DiffArray) -> bool:
 
 
 def _result(values: np.ndarray, inputs: tuple, push_grads) -> DiffArray:
+    """`values`, recorded as a node over `inputs` whose tracked flags are its
+    `wants`, while recording is on and any input is tracked."""
     out = DiffArray(values)
     if _GRAD_ENABLED.get():
-        for x in inputs:
-            if x.requires_grad or x.op_trace is not None:
-                out.op_trace = _Trace(inputs, push_grads)
-                break
+        wants = tuple(map(_tracked, inputs))
+        if any(wants):
+            out.op_trace = _Trace(inputs, wants, push_grads)
     return out
 
 
@@ -259,11 +268,10 @@ def _broadcast_binop(a, b, fwd, grad_a, grad_b):
         raise DimensionError(
             f"operands not broadcastable: {av.shape} vs {bv.shape}"
         ) from exc
-    want_a, want_b = _tracked(a), _tracked(b)
 
-    def push(g):
-        ga = _unbroadcast(grad_a(g, av, bv), av.shape) if want_a else None
-        gb = _unbroadcast(grad_b(g, av, bv), bv.shape) if want_b else None
+    def push(g, wants):
+        ga = _unbroadcast(grad_a(g, av, bv), av.shape) if wants[0] else None
+        gb = _unbroadcast(grad_b(g, av, bv), bv.shape) if wants[1] else None
         return ga, gb
 
     return _result(values, (a, b), push)
@@ -351,8 +359,8 @@ def _rows(x: np.ndarray, members: int) -> np.ndarray:
 
 
 def _product(av: np.ndarray, bv: np.ndarray):
-    """av @ bv and `grads(g, want_a, want_b)`, which maps the output gradient
-    to the operands' gradients (None for those not wanted).
+    """av @ bv and `grads(g, wants)`, which maps the output gradient to the
+    operands' gradients (None for those whose flag in the pair `wants` is false).
 
     Operands that do not multiply raise a DimensionError.
     """
@@ -374,15 +382,15 @@ def _product(av: np.ndarray, bv: np.ndarray):
         except ValueError as exc:
             raise DimensionError(f"matmul batch mismatch: {av.shape} @ {bv.shape}") from exc
 
-    def grads(g: np.ndarray, want_a: bool, want_b: bool):
+    def grads(g: np.ndarray, wants):
         if w is None:
-            ga = _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape) if want_a else None
-            gb = _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape) if want_b else None
+            ga = _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape) if wants[0] else None
+            gb = _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape) if wants[1] else None
             return ga, gb
         rows_g = _rows(g, len(w))
-        ga = np.matmul(rows_g, w.swapaxes(-1, -2)).reshape(av.shape) if want_a else None
+        ga = np.matmul(rows_g, w.swapaxes(-1, -2)).reshape(av.shape) if wants[0] else None
         gb = None
-        if want_b:
+        if wants[1]:
             a_rows = _rows(av, len(w)) if rows is None else rows
             gb = np.matmul(a_rows.swapaxes(-1, -2), rows_g).reshape(bv.shape)
         return ga, gb
@@ -393,15 +401,10 @@ def _product(av: np.ndarray, bv: np.ndarray):
 def matmul(a, b):
     a, b = _wrap(a), _wrap(b)
     values, grads = _product(a.values, b.values)
-    want_a, want_b = _tracked(a), _tracked(b)
-
-    def push(g):
-        return grads(g, want_a, want_b)
-
-    return _result(values, (a, b), push)
+    return _result(values, (a, b), grads)
 
 
-def feed_forward(x, weights: Sequence, biases: Sequence, slope: float):
+def feed_forward(x, weights: Sequence, biases: Sequence):
     """Affine layers x @ w + b with a leaky ReLU between each pair, as one node.
 
     Values and gradients are bit for bit those of the chain of matmul, add
@@ -411,7 +414,6 @@ def feed_forward(x, weights: Sequence, biases: Sequence, slope: float):
     """
     x = _wrap(x)
     params = [_wrap(p) for pair in zip(weights, biases) for p in pair]
-    wants = [_tracked(p) for p in params]
     last = len(params) // 2 - 1
     products, affines = [], []
     h = x.values
@@ -420,17 +422,16 @@ def feed_forward(x, weights: Sequence, biases: Sequence, slope: float):
         products.append(grads)
         affines.append(product + params[2 * i + 1].values)
         del product  # freed before the activation allocates its output
-        h = affines[i] if i == last else _leaky_relu_values(affines[i], slope)
-    want_x = _tracked(x)
+        h = affines[i] if i == last else _leaky_relu_values(affines[i], LEAKY_SLOPE)
 
-    def push(g):
+    def push(g, wants):
         grads = []
         for i in range(last, -1, -1):
             if i < last:
-                g = _leaky_relu_grad(g, affines[i], slope)
-            want_w, want_b = wants[2 * i : 2 * i + 2]
+                g = _leaky_relu_grad(g, affines[i], LEAKY_SLOPE)
+            want_w, want_b = wants[2 * i + 1 : 2 * i + 3]
             gb = _unbroadcast(g, params[2 * i + 1].shape) if want_b else None
-            g, gw = products[i](g, i > 0 or want_x, want_w)
+            g, gw = products[i](g, (i > 0 or wants[0], want_w))
             grads[:0] = [gw, gb]
         return (g, *grads)
 
@@ -450,7 +451,7 @@ def reduce_sum(a, axis=None, keepdims: bool = False):
     a = _wrap(a)
     shape = a.values.shape
 
-    def push(g):
+    def push(g, _):
         return (_spread(g, shape, axis, keepdims),)
 
     return _result(a.values.sum(axis=axis, keepdims=keepdims), (a,), push)
@@ -461,7 +462,7 @@ def reduce_mean(a, axis=None, keepdims: bool = False):
     values = a.values.mean(axis=axis, keepdims=keepdims)
     shape, count = a.values.shape, a.values.size / max(values.size, 1)
 
-    def push(g):
+    def push(g, _):
         return (_spread(g, shape, axis, keepdims) / count,)
 
     return _result(values, (a,), push)
@@ -553,12 +554,11 @@ def layer_norm(a, gain, shift, eps: float):
     std = np.sqrt(_sum_last(centered * centered) / width + eps)
     normed = centered / std
     values = normed * gv + sv
-    want_a, want_gain, want_shift = _tracked(a), _tracked(gain), _tracked(shift)
 
-    def push(g):
-        g_gain = _unbroadcast(g * normed, gv.shape) if want_gain else None
-        g_shift = _unbroadcast(g, sv.shape) if want_shift else None
-        if not want_a:
+    def push(g, wants):
+        g_gain = _unbroadcast(g * normed, gv.shape) if wants[1] else None
+        g_shift = _unbroadcast(g, sv.shape) if wants[2] else None
+        if not wants[0]:
             return None, g_gain, g_shift
         gn = g * gv
         dx = gn - _sum_last(gn) / width
@@ -584,26 +584,20 @@ def layer_norm(a, gain, shift, eps: float):
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """(..., K, d) -> (..., H, K, d/H); one head needs no head axis."""
-    if n_heads == 1:
-        return x
+    """(..., K, d) -> (..., H, K, d/H), a view; one head is a unit head axis."""
     x = x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads))
     return x.swapaxes(-3, -2)
 
 
 def _merge_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     """Inverse of `_split_heads`: heads side by side on the last axis."""
-    if n_heads == 1:
-        return x
     x = x.swapaxes(-3, -2)
     return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
 def _attention_weights(qp: np.ndarray, kp: np.ndarray, n_heads: int, scale: float, mask):
     """Attention up to its softmax weights, from projected rows: (the gradients
-    of the scores qh @ khᵀ, weights).
-
-    The weights are (..., H, Kq, Kk), or (..., Kq, Kk) for one head.
+    of the scores qh @ khᵀ, weights (..., H, Kq, Kk)).
     """
     qh = _split_heads(qp, n_heads)
     kt = _split_heads(kp, n_heads).swapaxes(-1, -2)
@@ -635,24 +629,23 @@ def attention(q, k, v, w_query, w_key, w_value, w_out, n_heads: int, scale: floa
     scores_grads, y = _attention_weights(qp, kp, n_heads, scale, mask)
     mixed, mixed_grads = _product(y, _split_heads(vp, n_heads))
     values, out_grads = _product(_merge_heads(mixed, n_heads), w_out.values)
-    wants = [(_tracked(x), _tracked(w)) for x, w in zip(inputs, weights)]
-    want_out = _tracked(w_out)
 
-    def push(g):
-        g_merged, g_w_out = out_grads(g, True, want_out)
-        g_y, g_vh = mixed_grads(_split_heads(g_merged, n_heads), True, True)
-        g_qh, g_kt = scores_grads(_softmax_grad(g_y, y) * scale, True, True)
+    def push(g, wants):
+        g_merged, g_w_out = out_grads(g, (True, wants[6]))
+        g_y, g_vh = mixed_grads(_split_heads(g_merged, n_heads), (True, True))
+        g_qh, g_kt = scores_grads(_softmax_grad(g_y, y) * scale, (True, True))
         g_heads = (g_qh, g_kt.swapaxes(-1, -2), g_vh)
         g_inputs, g_weights = zip(*(
-            grads(_merge_heads(gh, n_heads), want_x, want_w)
-            for gh, grads, (want_x, want_w) in zip(g_heads, (q_grads, k_grads, v_grads), wants)
+            grads(_merge_heads(gh, n_heads), want)
+            for gh, grads, want in zip(g_heads, (q_grads, k_grads, v_grads),
+                                       zip(wants[:3], wants[3:6]))
         ))
         return (*g_inputs, *g_weights, g_w_out)
 
     return _result(values, (*inputs, *weights, w_out), push)
 
 
-def _graph_attention_weights(xv, theta, score_src, score_dst, score_bias, index, mask, slope):
+def _graph_attention_weights(xv, theta, score_src, score_dst, score_bias, index, mask):
     """Forward of `graph_attention` up to its neighbour weights, heads first.
 
     Returns (x's rows (R, n_in), h = rows @ theta (H, R, n_out), the score
@@ -669,7 +662,7 @@ def _graph_attention_weights(xv, theta, score_src, score_dst, score_bias, index,
     raw = np.take(ends[..., 1], index, axis=-1)
     raw += ends[..., :1]
     raw += score_bias[..., None]
-    alpha = _leaky_relu_values(raw, slope)
+    alpha = _leaky_relu_values(raw, LEAKY_SLOPE)
     alpha += mask
     return rows, h, score, raw, _softmax_values(alpha, out=alpha)
 
@@ -681,7 +674,7 @@ def _scatter_sum(g: np.ndarray, scatter: np.ndarray) -> np.ndarray:
 
 
 def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
-                    neighbor_mask, neighbor_scatter, slope: float):
+                    neighbor_mask, neighbor_scatter):
     """Multi-head graph attention over a padded neighbour table, as one node.
 
     x (..., N, n_in); theta (H, n_in, n_out); score_src and score_dst
@@ -705,7 +698,6 @@ def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
     xv, tv = x.values, theta.values
     rows, h, score, raw, alpha = _graph_attention_weights(
         xv, tv, score_src.values, score_dst.values, score_bias.values, index, neighbor_mask,
-        slope,
     )
     n_heads, n_out = tv.shape[0], tv.shape[-1]
     h_nodes = h.reshape(alpha.shape[:-1] + (n_out,))  # (H, B, N, n_out)
@@ -713,13 +705,12 @@ def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
     mixed = np.matmul(alpha[..., None, :], neighbors).reshape(h_nodes.shape)
     heads = _sigmoid_values(mixed)
     values = heads.sum(axis=0) / n_heads
-    want = [_tracked(t) for t in (x, theta, score_src, score_dst, score_bias)]
 
-    def push(g):
+    def push(g, wants):
         g = g.reshape(heads.shape[1:])
         g_mixed = _sigmoid_grad(g / n_heads, heads)
         g_alpha = np.matmul(neighbors, g_mixed[..., None]).reshape(alpha.shape)
-        g_raw = _leaky_relu_grad(_softmax_grad(g_alpha, alpha), raw, slope)
+        g_raw = _leaky_relu_grad(_softmax_grad(g_alpha, alpha), raw, LEAKY_SLOPE)
         # a node's source score feeds its own row, its destination score its
         # copies in its neighbours' rows
         g_ends = np.stack((_sum_last(g_raw)[..., 0], _scatter_sum(g_raw, neighbor_scatter)),
@@ -729,14 +720,12 @@ def graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
         g_copies = g_mixed.swapaxes(-1, -2)[..., None] * alpha[..., None, :, :]
         g_h += _scatter_sum(g_copies, neighbor_scatter).swapaxes(-1, -2)
         g_h = g_h.reshape(h.shape)
-        g_x = None
-        if want[0]:
-            g_x = np.matmul(g_h, tv.swapaxes(-1, -2))
-            g_x = g_x.sum(axis=0).reshape(xv.shape)
+        g_x = (np.matmul(g_h, tv.swapaxes(-1, -2)).sum(axis=0).reshape(xv.shape)
+               if wants[0] else None)
         g_score = np.matmul(h.swapaxes(-1, -2), g_ends)
-        return (g_x, np.matmul(rows.T, g_h) if want[1] else None,
-                g_score[..., :1] if want[2] else None, g_score[..., 1:] if want[3] else None,
-                g_raw.reshape(n_heads, -1).sum(axis=1).reshape(-1, 1, 1) if want[4] else None)
+        return (g_x, np.matmul(rows.T, g_h) if wants[1] else None,
+                g_score[..., :1] if wants[2] else None, g_score[..., 1:] if wants[3] else None,
+                g_raw.reshape(n_heads, -1).sum(axis=1).reshape(-1, 1, 1) if wants[4] else None)
 
     return _result(values.reshape(xv.shape[:-1] + (n_out,)),
                    (x, theta, score_src, score_dst, score_bias), push)
@@ -751,7 +740,7 @@ def reshape(a, shape: Sequence[int]):
     orig = a.values.shape
     values = a.values.reshape(shape)
 
-    def push(g):
+    def push(g, _):
         return (g.reshape(orig),)
 
     return _result(values, (a,), push)
@@ -762,7 +751,7 @@ def swapaxes(a, i: int, j: int):
     a = _wrap(a)
     values = a.values.swapaxes(i, j)
 
-    def push(g):
+    def push(g, _):
         return (g.swapaxes(i, j),)
 
     return _result(values, (a,), push)
@@ -776,7 +765,7 @@ def take(a, key):
     av = a.values
     values = av[key]
 
-    def push(g):
+    def push(g, _):
         z = np.zeros_like(av)
         z[key] += g  # basic indexing never selects an element twice
         return (z,)
@@ -790,7 +779,7 @@ def concat(arrays: Iterable, axis: int = 0):
     sizes = [p.values.shape[axis] for p in parts]
     offsets = np.cumsum(sizes)[:-1]
 
-    def push(g):
+    def push(g, _):
         return tuple(np.split(g, offsets, axis=axis))
 
     return _result(values, tuple(parts), push)
@@ -801,7 +790,7 @@ def stack(arrays: Iterable):
     parts = [_wrap(x) for x in arrays]
     values = np.stack([p.values for p in parts])
 
-    def push(g):
+    def push(g, _):
         return tuple(g)
 
     return _result(values, tuple(parts), push)
@@ -825,11 +814,10 @@ def residual(x, branch, keep: np.ndarray | None):
     """x + branch * keep, a residual connection around a dropped-out branch."""
     x, branch = _wrap(x), _wrap(branch)
     xv, bv = x.values, branch.values
-    want_x, want_branch = _tracked(x), _tracked(branch)
 
-    def push(g):
-        gx = _unbroadcast(g, xv.shape) if want_x else None
-        if not want_branch:
+    def push(g, wants):
+        gx = _unbroadcast(g, xv.shape) if wants[0] else None
+        if not wants[1]:
             return gx, None
         return gx, _unbroadcast(g if keep is None else g * keep, bv.shape)
 
@@ -843,7 +831,7 @@ def offset_dropout(a, offset: np.ndarray, keep: np.ndarray | None):
     if keep is not None:  # a fresh product, in the layout numpy gives it
         values = values * keep
 
-    def push(g):
+    def push(g, _):
         return (g if keep is None else g * keep,)
 
     return _result(values, (a,), push)
@@ -852,7 +840,7 @@ def offset_dropout(a, offset: np.ndarray, keep: np.ndarray | None):
 # ---------------------------------------------------------------------------
 # fusion and loss
 #
-# Each is one node making the numpy calls of the chain it replaced, so values
+# Each is one node making the numpy calls of its chain of primitive nodes, so values
 # and gradients are that chain's bit for bit.
 
 
@@ -861,9 +849,9 @@ def fuse(parts: Sequence, logits=None):
     of softmax(logits) (B, k), or unweighted where `logits` is None, as one
     node; returns (the sum, the weights as an untracked DiffArray or None).
 
-    The chain it replaced stacked the parts on a path axis (B, k, ...),
-    multiplied the stack by the weights and summed the path axis; the node
-    allocates neither the stack nor its weighted copy. numpy's sum over that
+    Its chain stacks the parts on a path axis (B, k, ...), multiplies the
+    stack by the weights and sums the path axis; the node allocates neither
+    the stack nor its weighted copy. numpy's sum over that
     axis adds the terms in order from 0.0, and so does the node.
     """
     parts = [_wrap(p) for p in parts]
@@ -881,9 +869,8 @@ def fuse(parts: Sequence, logits=None):
     total = np.zeros(shape)
     for i, v in enumerate(values):
         total += v if y is None else v * weight(i)
-    wants = [_tracked(p) for p in inputs]
 
-    def push(g):
+    def push(g, wants):
         if y is None:
             return tuple(g if want else None for want in wants)
         g_y = None
@@ -909,14 +896,13 @@ def frobenius_loss(predictions, truths):
     squares = diff * diff
     sums = squares.sum(axis=(-2, -1))
     norms = np.sqrt(sums)
-    want_p, want_t = _tracked(predictions), _tracked(truths)
 
-    def push(g, _held=(squares, sums)):
+    def push(g, wants, _held=(squares, sums)):
         g_norms = np.broadcast_to(g, norms.shape) / norms.size
         g_norms = g_norms * 0.5 / np.maximum(norms, 1e-150)
         g_sq = np.broadcast_to(np.expand_dims(g_norms, (-2, -1)), diff.shape)
         g_diff = g_sq * diff + g_sq * diff  # diff * diff passes one term per operand
-        return (-g_diff if want_p else None), (g_diff if want_t else None)
+        return (-g_diff if wants[0] else None), (g_diff if wants[1] else None)
 
     return _result(norms.mean(), (predictions, truths), push)
 

@@ -26,7 +26,7 @@ def leaky_relu(a, slope: float):
     a = _wrap(a)
     av = a.values
 
-    def push(g):
+    def push(g, _):
         return (_leaky_relu_grad(g, av, slope),)
 
     return _result(_leaky_relu_values(av, slope), (a,), push)
@@ -36,7 +36,7 @@ def sigmoid(a):
     a = _wrap(a)
     out = _sigmoid_values(a.values)
 
-    def push(g):
+    def push(g, _):
         return (_sigmoid_grad(g, out),)
 
     return _result(out, (a,), push)
@@ -63,7 +63,7 @@ def gather(a, index, axis: int):
     axis = axis % av.ndim
     values = np.take(av, index, axis=axis)
 
-    def push(g):
+    def push(g, _):
         return (_gather_grad(g, index, av.shape, axis),)
 
     return _result(values, (a,), push)
@@ -78,7 +78,7 @@ def softmax(a):
     a = _wrap(a)
     y = _softmax_values(a.values)
 
-    def push(g):
+    def push(g, _):
         return (_softmax_grad(g, y),)
 
     return _result(y, (a,), push)
@@ -88,7 +88,7 @@ def sqrt(a):
     a = _wrap(a)
     sv = np.sqrt(a.values)
 
-    def push(g):
+    def push(g, _):
         return (g * 0.5 / np.maximum(sv, 1e-150),)
 
     return _result(sv, (a,), push)

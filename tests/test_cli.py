@@ -37,6 +37,20 @@ class TestSynthCommand:
         lines = (out / "incidents.csv").read_text().splitlines()
         assert lines[0] == "timestep,link_id"
         assert len(lines) > 1
+        assert (out / "incidents.csv").read_bytes().endswith(b"\r\n")  # files.write_csv's rows
+
+    @pytest.mark.parametrize("config, message", [
+        ({"nodes": 4.0}, "nodes must be int, got 4.0"),
+        ({"events": "5"}, "events must be int, got '5'"),
+        ({"noise": "0.1"}, "noise must be float, got '0.1'"),
+    ], ids=["float-nodes", "string-events", "string-noise"])
+    def test_option_value_of_the_wrong_type_names_key_and_file(self, tmp_path, capsys, config,
+                                                               message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 1
+        assert f"config file {cfg}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
 
 
     def test_min_start_past_series_end_names_both(self, tmp_path, capsys):
@@ -257,6 +271,7 @@ class TestAblateCommand:
             for r in rows
         ]
         assert (out / "ablation.csv").read_text().splitlines() == expected
+        assert (out / "ablation.csv").read_bytes().count(b"\r\n") == len(expected)
         assert [line.split(",")[0] for line in expected[1:]] == list(VARIANTS)
         table = (out / "ablation.txt").read_text().splitlines()
         assert [line.split()[0] for line in table[1:]] == list(VARIANTS)
@@ -273,6 +288,22 @@ class TestAblateCommand:
         assert main(["ablate", "--data", str(ds), "--out", str(out), "--config", str(cfg)]) == 0
         rows = [line.split(",") for line in (out / "ablation.csv").read_text().splitlines()[1:]]
         assert [(r[0], r[1]) for r in rows] == [(v, s) for v in VARIANTS for s in ("0", "1")]
+
+    @pytest.mark.parametrize("seeds, item", [([0, 1.5], "1.5"), (True, "True"), ("0,x", "'x'")],
+                             ids=["float-in-list", "boolean", "word-in-string"])
+    def test_config_seed_that_is_no_integer_names_it(self, tmp_path, capsys, seeds, item):
+        ds, out, cfg = tmp_path / "ds", tmp_path / "abl", tmp_path / "cfg.json"
+        assert main(["synth", "--nodes", "3", "--days", "9", "--seed", "4", "--out", str(ds)]) == 0
+        cfg.write_text(json.dumps({"seeds": seeds}))
+        assert main(["ablate", "--data", str(ds), "--out", str(out), "--config", str(cfg)]) == 1
+        assert f"config file {cfg}: seeds: seed {item} is not an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_seed_that_is_no_integer_names_it(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--data", "ds", "--seeds", "0, 1,x"])
+        assert exc.value.code == 2
+        assert "argument --seeds: seed 'x' is not an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seeds", [",", ""])
     def test_empty_seed_list_is_refused(self, tmp_path, capsys, seeds):

@@ -61,12 +61,12 @@ def composed_affine(x, w, b):
     return T.matmul(x, w) + b
 
 
-def composed_feed_forward(x, weights, biases, slope):
+def composed_feed_forward(x, weights, biases):
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         x = composed_affine(x, w, b)
         if i < last:
-            x = leaky_relu(x, slope)
+            x = leaky_relu(x, T.LEAKY_SLOPE)
     return x
 
 
@@ -75,14 +75,10 @@ def composed_attention(qp, kp, vp, w_out, n_heads, scale, mask=None):
     d_model = qp.shape[-1]
 
     def split(x):
-        if n_heads == 1:
-            return x
         x = T.reshape(x, x.shape[:-1] + (n_heads, d_model // n_heads))
         return T.swapaxes(x, -3, -2)
 
     def merge(x):
-        if n_heads == 1:
-            return x
         x = T.swapaxes(x, -3, -2)
         return T.reshape(x, x.shape[:-2] + (d_model,))
 
@@ -100,7 +96,7 @@ def composed_mha(q, k, v, w_query, w_key, w_value, w_out, n_heads, scale, mask=N
 
 
 def composed_graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
-                             neighbor_mask, neighbor_scatter, slope):
+                             neighbor_mask, neighbor_scatter):
     """The chain, heads after the batch axes; its gathers build their own
     selection matrices, so `neighbor_scatter` goes unread."""
     x = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
@@ -108,7 +104,7 @@ def composed_graph_attention(x, theta, score_src, score_dst, score_bias, neighbo
     src = T.matmul(h, score_src)
     dst = T.reshape(T.matmul(h, score_dst), h.shape[:-1])
     dst = gather(dst, neighbor_index, axis=-1)
-    scores = leaky_relu(src + dst + score_bias, slope) + neighbor_mask
+    scores = leaky_relu(src + dst + score_bias, T.LEAKY_SLOPE) + neighbor_mask
     alpha = softmax(scores)
     neighbors = gather(h, neighbor_index, axis=-2)
     alpha = T.reshape(alpha, alpha.shape[:-1] + (1,) + alpha.shape[-1:])
@@ -130,8 +126,8 @@ def batched_matmul_grads(g, av, bv, want_a, want_b):
 
 def batched_product(av, bv):
     """`tensor._product` as the batched formulation throughout."""
-    def grads(g, want_a, want_b):
-        return batched_matmul_grads(g, av, bv, want_a, want_b)
+    def grads(g, wants):
+        return batched_matmul_grads(g, av, bv, *wants)
 
     return batched_matmul_values(av, bv), grads
 
@@ -260,6 +256,24 @@ class TestAttention:
                            mha_builder(sharing, n_heads, 1.0 / np.sqrt(d_model)), 41, tracked)
         assert_bit_identical_but(results, decoder_input_grad(sharing, inputs == "tracked"))
 
+    @pytest.mark.parametrize("sharing", ["self", "distinct"])
+    @pytest.mark.parametrize("case", ["c07", "c07-batch1"])
+    def test_one_head_matches_head_free_chain(self, case, sharing):
+        # one head is a unit head axis in the node, and no axis at all here
+        def head_free(q, k, v, w_query, w_key, w_value, w_out, n_heads, scale, mask=None):
+            qp, kp, vp = (T.matmul(x, w) for x, w in ((q, w_query), (k, w_key), (v, w_value)))
+            scores = T.matmul(qp, T.swapaxes(kp, -1, -2)) * scale
+            if mask is not None:
+                scores = scores + mask
+            return T.matmul(T.matmul(softmax(scores), vp), w_out)
+
+        rows, k, d_model, n_heads = ATTENTION_SHAPES[case]
+        assert n_heads == 1
+        arrays = attention_arrays(np.random.default_rng(48), (2, rows), k, k, d_model, (2, 1))
+        results = run_both(T.attention, head_free, arrays,
+                           mha_builder(sharing, 1, 1.0 / np.sqrt(d_model)), 49)
+        assert_bit_identical(results)
+
     @settings(max_examples=40, deadline=None)
     @given(
         lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
@@ -344,9 +358,9 @@ def graph_arrays(rng, lead, graph, width, n_heads):
             layer.score_src.values, layer.score_dst.values, rng.normal(size=(n_heads, 1, 1))]
 
 
-def gat_builder(graph, slope):
+def gat_builder(graph):
     return lambda op, *p: op(*p, graph.neighbor_index, graph.neighbor_mask,
-                             graph.neighbor_scatter, slope)
+                             graph.neighbor_scatter)
 
 
 class TestGraphAttention:
@@ -357,7 +371,7 @@ class TestGraphAttention:
         rng = np.random.default_rng(50)
         results = run_both(
             T.graph_attention, composed_graph_attention,
-            graph_arrays(rng, lead, graph, width, n_heads), gat_builder(graph, 0.01), 51,
+            graph_arrays(rng, lead, graph, width, n_heads), gat_builder(graph), 51,
             [inputs == "tracked"] + [True] * 4,
         )
         assert_within_rtol(results)
@@ -376,7 +390,7 @@ class TestGraphAttention:
         graph = RoadGraph(n_nodes, edges)
         results = run_both(
             T.graph_attention, composed_graph_attention,
-            graph_arrays(rng, lead, graph, width, n_heads), gat_builder(graph, 0.2), seed,
+            graph_arrays(rng, lead, graph, width, n_heads), gat_builder(graph), seed,
         )
         assert_within_rtol(results)
 
@@ -387,7 +401,7 @@ class TestGraphAttention:
         w = rng.normal(size=(2, 5, 2))
 
         def f():
-            return (gat_builder(graph, 0.2)(T.graph_attention, *leaves) * w).sum()
+            return (gat_builder(graph)(T.graph_attention, *leaves) * w).sum()
 
         assert T.grad_check(f, leaves) < 1e-6
 
@@ -398,7 +412,7 @@ class TestGraphAttention:
         x, *params = graph_arrays(np.random.default_rng(53), lead, graph, width, n_heads)
         x[(0,) * len(lead) + (1, 0)] = bad
         with pytest.raises(NumericError, match="NaN|inf"):
-            gat_builder(graph, 0.01)(T.graph_attention, x, *params)
+            gat_builder(graph)(T.graph_attention, x, *params)
 
     def test_scatter_matrix_built_once_read_only(self):
         graph = RoadGraph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6)])
@@ -432,7 +446,7 @@ class TestFeedForward:
         results = run_both(
             T.feed_forward, composed_feed_forward,
             feed_forward_arrays(rng, *FEED_FORWARD_SHAPES[case]),
-            lambda op, x, *params: op(x, params[0::2], params[1::2], 0.01), 61,
+            lambda op, x, *params: op(x, params[0::2], params[1::2]), 61,
         )
         assert_bit_identical(results)
 
@@ -443,14 +457,14 @@ class TestFeedForward:
         w = rng.normal(size=(2, 3, 3))
 
         def f():
-            return (T.feed_forward(leaves[0], leaves[1::2], leaves[2::2], 0.1) * w).sum()
+            return (T.feed_forward(leaves[0], leaves[1::2], leaves[2::2]) * w).sum()
 
         assert T.grad_check(f, leaves) < 1e-6
 
 
 def affine(x, w, b):
     """The affine map as `Linear` runs it: a one-layer feed-forward node."""
-    return T.feed_forward(x, [w], [b], nn_module.DEFAULT_LEAKY_SLOPE)
+    return T.feed_forward(x, [w], [b])
 
 
 class TestAffine:
@@ -534,8 +548,7 @@ def serial_paths(model, windows, graph, training=False, rng=None):
     path first: member s's windows through `member_block(block, s)`."""
     def run(s, x):
         out = temporal_module.transformer_forward(
-            member_block(model.transformer, s), T.reshape(x, (1, *x.shape)),
-            model.config.temporal_mode, training, rng)
+            member_block(model.transformer, s), T.reshape(x, (1, *x.shape)), training, rng)
         return out[0]
 
     paths = []

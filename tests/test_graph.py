@@ -6,7 +6,7 @@ import pytest
 from radnet import tensor as T
 from radnet.errors import DimensionError, GraphError
 from radnet.graph import GatLayer, RoadGraph
-from radnet.nn import DEFAULT_LEAKY_SLOPE, named_parameters
+from radnet.nn import named_parameters
 from radnet.tensor import DiffArray
 
 from primitive_nodes import leaky_relu, sigmoid, softmax
@@ -30,7 +30,7 @@ def dense_gat(layer, x, g):
     h = T.matmul(x, layer.theta)
     src = T.matmul(h, layer.score_src)
     dst = T.matmul(h, layer.score_dst)
-    scores = leaky_relu(src + T.swapaxes(dst, -1, -2) + layer.score_bias, DEFAULT_LEAKY_SLOPE)
+    scores = leaky_relu(src + T.swapaxes(dst, -1, -2) + layer.score_bias, T.LEAKY_SLOPE)
     alpha = softmax(scores + dense_mask(g))
     return sigmoid(T.matmul(alpha, h)).mean(axis=-3)
 
@@ -271,7 +271,7 @@ class TestNeighborTableAgainstDense:
         alpha = T._graph_attention_weights(
             rng.normal(size=(4, 7, 3)) * 5, layer.theta.values, layer.score_src.values,
             layer.score_dst.values, layer.score_bias.values, g.neighbor_index,
-            g.neighbor_mask, DEFAULT_LEAKY_SLOPE,
+            g.neighbor_mask,
         )[-1]
         padding = np.broadcast_to(g.neighbor_mask == -np.inf, alpha.shape)
         assert padding.sum() == 4 * 3 * (7 * 5 - 17)

@@ -455,7 +455,7 @@ class TestGpdFitOnC07Stream:
 
         def truth():
             net, links = fit_threshold_states(series, baseline, train_ts, pot)
-            return generate_ground_truth(series, baseline, net, links, test_ts, 1)
+            return generate_ground_truth(series, baseline, net, links, test_ts, 1, pot.dynamic)
 
         got = truth()
         monkeypatch.setattr(incidents, "gpd_fit", nested_search_fit)
@@ -526,9 +526,9 @@ class TestPotFit:
         stream = rng.exponential(1.0, size=800) * rng.uniform(0.5, 3.0, size=800)
         for factor in (0.1, 3.7):
             base_state = pot_fit(calib, 95.0, risk_q=1e-2)
-            base_labels, _ = label(stream, base_state)
+            base_labels, _ = label(stream, base_state, dynamic=False)
             scaled_state = pot_fit(calib * factor, 95.0, risk_q=1e-2)
-            scaled_labels, _ = label(stream * factor, scaled_state)
+            scaled_labels, _ = label(stream * factor, scaled_state, dynamic=False)
             np.testing.assert_array_equal(base_labels, scaled_labels)
 
 
@@ -540,11 +540,11 @@ class TestLabel:
         )
 
     def test_quiet_stream_all_zero(self):
-        labels, _ = label(np.full(50, 0.1), self._state(1.0))
+        labels, _ = label(np.full(50, 0.1), self._state(1.0), dynamic=False)
         assert labels.sum() == 0
 
     def test_boundary_score_labeled_one(self):
-        labels, _ = label(np.array([1.0]), self._state(1.0))
+        labels, _ = label(np.array([1.0]), self._state(1.0), dynamic=False)
         assert labels[0] == 1
 
     def test_injected_spike_flagged(self):
@@ -554,7 +554,7 @@ class TestLabel:
         stream = rng.exponential(1.0, size=300)
         stream = np.minimum(stream, state.threshold * 0.9)
         stream[123] = calib.max() * 10
-        labels, _ = label(stream, state)
+        labels, _ = label(stream, state, dynamic=False)
         assert labels[123] == 1
         assert labels.sum() == 1
 

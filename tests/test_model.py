@@ -176,9 +176,8 @@ class TestVariants:
         assert weights is None
         from radnet.temporal import transformer_forward
 
-        mode = model.config.temporal_mode
         members = np.stack([model.gat_st(DiffArray(w), g).values, w])
-        p1, p2 = transformer_forward(model.transformer, members, mode).values
+        p1, p2 = transformer_forward(model.transformer, members).values
         p2 = model.gat_ts(DiffArray(p2), g).values
         expected = model.decoder(DiffArray(p1 + p2 + w[-1])).values
         np.testing.assert_allclose(pred, expected, rtol=1e-9)

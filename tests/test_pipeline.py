@@ -53,7 +53,7 @@ class TestGroundTruth:
         net_state, link_states = fit_threshold_states(series, baseline, train_ts, pot)
         target_ts = test_ts[test_ts >= 1]
         truth = generate_ground_truth(
-            series, baseline, net_state, link_states, target_ts, horizon=1
+            series, baseline, net_state, link_states, target_ts, horizon=1, dynamic=pot.dynamic
         )
         predicted = label_predictions(series.data[target_ts], series, baseline, truth)
         np.testing.assert_array_equal(predicted.network_labels, truth.network_labels)
@@ -68,7 +68,7 @@ class TestGroundTruth:
         net_state, link_states = fit_threshold_states(series, baseline, train_ts, pot)
         target_ts = test_ts[test_ts >= 1]
         truth = generate_ground_truth(
-            series, baseline, net_state, link_states, target_ts, horizon=1
+            series, baseline, net_state, link_states, target_ts, horizon=1, dynamic=pot.dynamic
         )
         base_preds = baseline.for_series(series, target_ts)
         predicted = label_predictions(base_preds, series, baseline, truth)

@@ -206,7 +206,7 @@ class TestTransformerBlock:
     def test_flattened_mode_shape(self):
         rng = np.random.default_rng(16)
         block = TransformerBlock(6, 1, rng, 16, 0.1)
-        out = transformer_forward(block, rng.normal(size=(1, 4, 3, 2)), mode="flattened")
+        out = transformer_forward(block, rng.normal(size=(1, 4, 3, 2)))
         assert out.shape == (1, 3, 2)
 
     def test_batched_matches_loop(self):
@@ -236,6 +236,47 @@ class TestTransformerBlock:
 
         err = T.grad_check(f, [x, *named_parameters(block).values()])
         assert err < 1e-4
+
+
+class TestLayoutFromWidth:
+    """transformer_forward lays windows out as its block's width says."""
+
+    @staticmethod
+    def explicit(block, window, per_node):
+        """The block's output for `window` laid out by hand, and the window's gradient."""
+        s, (k, n, d) = window.shape[0], window.shape[-3:]
+        rows = np.swapaxes(window, -3, -2) if per_node else window
+        rows = DiffArray(rows.reshape(s, -1, k, d if per_node else n * d), requires_grad=True)
+        out = block(rows)
+        (out * WEIGHT[: out.size].reshape(out.shape)).sum().backward()
+        grad = rows.grad.reshape(window.shape[:-3] + ((n, k, d) if per_node else (k, n, d)))
+        return out.values.reshape(window.shape[:-3] + (n, d)), (
+            np.swapaxes(grad, -3, -2) if per_node else grad)
+
+    # (nodes, features, block width): per node when the block is D wide, else
+    # N*D-wide rows; one node gives both layouts
+    @pytest.mark.parametrize("n_nodes, n_features, width", [
+        (4, 2, 2), (4, 1, 4), (3, 2, 6), (1, 3, 3), (1, 2, 2)])
+    def test_matches_the_explicit_layout(self, n_nodes, n_features, width):
+        rng = np.random.default_rng(21)
+        block = TransformerBlock(width, 1, rng, 8, 0.1)
+        values = rng.normal(size=(1, 3, 5, n_nodes, n_features))
+        window = DiffArray(values, requires_grad=True)
+        out = transformer_forward(block, window)
+        (out * WEIGHT[: out.size].reshape(out.shape)).sum().backward()
+        layouts = [width == n_features] if n_nodes > 1 else [True, False]
+        for per_node in layouts:
+            want_out, want_grad = self.explicit(block, values, per_node)
+            np.testing.assert_array_equal(out.values, want_out)
+            np.testing.assert_array_equal(window.grad, want_grad)
+
+    def test_window_that_fits_neither_layout_is_refused(self):
+        block = TransformerBlock(5, 1, np.random.default_rng(22), 8, 0.1)
+        with pytest.raises(DimensionError, match="query width 8 != model width 5"):
+            transformer_forward(block, np.zeros((1, 3, 5, 4, 2)))
+
+
+WEIGHT = np.random.default_rng(23).normal(size=4096)
 
 
 def all_positions_decoder(block, x, training=False, rng=None):

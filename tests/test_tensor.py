@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 
 from radnet import tensor as T
 from radnet.errors import DimensionError, NumericError
-from radnet.nn import DEFAULT_LEAKY_SLOPE
 from radnet.tensor import DiffArray
 
 from primitive_nodes import dropout, gather, leaky_relu, sigmoid, softmax
@@ -224,7 +223,7 @@ EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -1
                1e308, -1e308, 1.0, -1.0]
 edge_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
 edge_arrays = hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=6), elements=edge_floats)
-slopes = st.one_of(st.just(DEFAULT_LEAKY_SLOPE), st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+slopes = st.one_of(st.just(T.LEAKY_SLOPE), st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
 
 
 class TestBranchFreeActivations:
@@ -252,7 +251,7 @@ class TestBranchFreeActivations:
 
     def test_default_slope_is_in_the_kernels_range(self):
         # at slope 0, 0 * inf is NaN where np.where kept inf
-        assert 0 < DEFAULT_LEAKY_SLOPE <= 1
+        assert 0 < T.LEAKY_SLOPE <= 1
 
 
 class TestElementwise:
@@ -442,7 +441,7 @@ class TestBackwardMechanics:
 
     def test_push_raising_midway_leaves_no_mark(self):
         def failing(a):
-            def push(g):
+            def push(g, wants):
                 raise RuntimeError("push failed")
 
             return T._result(a.values.copy(), (a,), push)
@@ -484,9 +483,33 @@ class TestBackwardMechanics:
             np.testing.assert_array_equal(a.grad, [want, want])
             np.testing.assert_array_equal(b.grad, [want, want])
 
+    def test_constant_input_is_not_wanted_and_keeps_its_grad(self):
+        # the push returns a term for every input; `backward()` drops the
+        # constant's, even though the constant holds a `grad` array
+        seen = []
+
+        def both(a, b):
+            def push(g, wants):
+                seen.append(wants)
+                return g, g
+
+            return T._result(a.values + b.values, (a, b), push)
+
+        w = DiffArray([1.0, 2.0], requires_grad=True)
+        c = DiffArray([3.0, 4.0])
+        held = np.array([5.0, 6.0])
+        c.grad = held
+        y = both(w, c)
+        assert y.op_trace.wants == (True, False)
+        (y * np.array([2.0, 3.0])).sum().backward()
+        assert seen == [(True, False)]
+        assert c.grad is held
+        np.testing.assert_array_equal(held, [5.0, 6.0])
+        np.testing.assert_array_equal(w.grad, [2.0, 3.0])
+
     def test_misshapen_leaf_term_is_refused_before_any_gradient_changes(self):
         def misshapen(a):
-            def push(g):
+            def push(g, wants):
                 return (np.zeros(4),)
 
             return T._result(a.values.copy(), (a,), push)

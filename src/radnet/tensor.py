@@ -224,8 +224,7 @@ def _tracked(x: DiffArray) -> bool:
 
 
 def _result(values: np.ndarray, inputs: tuple, push_grads) -> DiffArray:
-    """`values`, recorded as a node over `inputs` whose tracked flags are its
-    `wants`, while recording is on and any input is tracked."""
+    """`values`, recorded over `inputs` with their tracked flags as `wants`, if any is tracked."""
     out = DiffArray(values)
     if _GRAD_ENABLED.get():
         wants = tuple(map(_tracked, inputs))
@@ -303,13 +302,14 @@ def div(a, b):
 
 # No branch on the data: for 0 < slope <= 1 and non-NaN input (NaN stays NaN) these
 # equal np.where(av > 0, av, slope * av), its gradient and the sign-split sigmoid.
+# The gradient reads only av > 0, so it takes that boolean mask as well as av.
 def _leaky_relu_values(av: np.ndarray, slope: float) -> np.ndarray:
     scaled = slope * av
     return np.maximum(av, scaled, out=scaled)
 
 
 def _leaky_relu_grad(g: np.ndarray, av: np.ndarray, slope: float) -> np.ndarray:
-    factor = np.greater(av, 0.0, out=np.empty_like(av))
+    factor = np.greater(av, 0.0, out=np.empty(av.shape))
     np.maximum(factor, slope, out=factor)  # 1 where av > 0, else slope
     return np.multiply(factor, g, out=factor)
 
@@ -415,23 +415,24 @@ def feed_forward(x, weights: Sequence, biases: Sequence):
     x = _wrap(x)
     params = [_wrap(p) for pair in zip(weights, biases) for p in pair]
     last = len(params) // 2 - 1
-    products, affines = [], []
+    products, positive = [], []
     h = x.values
     for i in range(last + 1):
         product, grads = _product(h, params[2 * i].values)
         products.append(grads)
-        affines.append(product + params[2 * i + 1].values)
+        h = product + params[2 * i + 1].values
         del product  # freed before the activation allocates its output
-        h = affines[i] if i == last else _leaky_relu_values(affines[i], LEAKY_SLOPE)
+        if i < last:  # kept for the activation's gradient: an eighth of the affine's bytes
+            positive.append(h > 0.0)
+            h = _leaky_relu_values(h, LEAKY_SLOPE)
 
     def push(g, wants):
         grads = []
         for i in range(last, -1, -1):
             if i < last:
-                g = _leaky_relu_grad(g, affines[i], LEAKY_SLOPE)
-            want_w, want_b = wants[2 * i + 1 : 2 * i + 3]
-            gb = _unbroadcast(g, params[2 * i + 1].shape) if want_b else None
-            g, gw = products[i](g, (i > 0 or wants[0], want_w))
+                g = _leaky_relu_grad(g, positive[i], LEAKY_SLOPE)
+            gb = _unbroadcast(g, params[2 * i + 1].shape) if wants[2 * i + 2] else None
+            g, gw = products[i](g, (i > 0 or wants[0], wants[2 * i + 1]))
             grads[:0] = [gw, gb]
         return (g, *grads)
 

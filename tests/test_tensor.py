@@ -241,6 +241,8 @@ class TestBranchFreeActivations:
         assert_same_bits(values, where_leaky_relu(x, slope))
         assert np.isnan(values[np.isnan(x)]).all()
         assert_same_bits(T._leaky_relu_grad(g, x, slope), where_leaky_relu_grad(g, x, slope))
+        # the feed-forward node hands the gradient its input's sign mask instead
+        assert_same_bits(T._leaky_relu_grad(g, x > 0, slope), where_leaky_relu_grad(g, x, slope))
 
     @settings(max_examples=300, deadline=None)
     @given(edge_arrays)

@@ -1,32 +1,36 @@
 """Batch command line: synth, stats, train, forecast, detect, evaluate,
 ablate, report.
 
-A JSON config file passed with --config may hold any long-option name of
-any subcommand (dashes or underscores), so one file can serve both `train`
-and `detect`, plus nested `train` and `pot` blocks, whose keys are
-TrainConfig and PotConfig field names. Each field of
-RadNetConfig, TrainConfig, PotConfig and IncidentSpec takes the first value
-found in this order:
+One option table per subcommand (`COMMANDS`) names each flag, its help and
+its target, whose annotation is the flag's type. A target is a field of
+RadNetConfig, TrainConfig, PotConfig or IncidentSpec (`--seed` on `train`
+sets both seeds, `--events` IncidentSpec.count, and `--static` sets
+`dynamic` to false), a `synth_traffic` parameter (`--nodes` is `n_nodes`),
+or a plain option with its default (`--out`, `--test-fraction`, `--seeds`).
 
-1. the subcommand's flag (--static sets `dynamic` to false);
-2. the `train` / `pot` block of the config file;
-3. the config file's top level, for names that are long options of the
-   subcommand;
-4. the dataclass default, which is the only place defaults are written.
-
-Other options resolve as flag > config file top level > default. A top-level
-key that no subcommand takes, or an unknown key in a `train` / `pot` block,
-is an error. RADNET_LOG sets the log level.
+A JSON config file passed with --config may hold any subcommand's option
+(dashes or underscores), so one file can serve both `train` and `detect`,
+plus `train` and `pot` blocks keyed by TrainConfig and PotConfig field
+names. A field takes the first value found: the subcommand's flag, the
+file's `train` / `pot` block, the file's top level, the dataclass default
+(the only place its default is written). Other options take the flag, the
+file's top level, then the table's default. A file value must have its
+option's or field's type (`static` a bool). A key no subcommand reads from
+a file is an error: an unknown name, `help`, `config`, and the required
+paths `data`, `checkpoint` and `detect`. So is an unknown key in a block.
+RADNET_LOG sets the log level.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,75 +53,70 @@ from .training import Normalizer, TrainConfig, train, write_loss_csv
 log = logging.getLogger("radnet.cli")
 
 
-def _pick(args: argparse.Namespace, file_cfg: dict, key: str, default):
-    """flag > config file > default. A file value must have the type its option
-    declares (`--seeds`: what `_seed_list` takes), or the error names key and file."""
-    flag, value = (_options(source, args).get(key) for source in (vars(args), file_cfg))
-    if flag is not None or value is None:
-        return default if flag is None else flag
-    kind = args.kinds[key]
-    if kind in (int, float, str):
-        if _fits(kind.__name__, value):
-            return value
-        raise ValueError(f"config file {args.config}: {key} must be {kind.__name__}, got {value!r}")
-    try:
-        return kind(value)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"config file {args.config}: {key}: {exc}") from None
-
-
 def _field(key: str) -> str:
     """A config-file key as an option dest or field name: dashes become underscores."""
     return key.replace("-", "_")
 
 
-def _options(raw: dict, args: argparse.Namespace) -> dict:
-    """Values in `raw` of long options of `args`' subcommand, as field names."""
-    values = {
-        _field(key): value
-        for key, value in raw.items()
-        if _field(key) in vars(args) and value is not None
-    }
-    if values.pop("static", False):
-        values["dynamic"] = False
-    return values
+def _checked(kind, key: str, value, path: str):
+    """A config-file value for `key`, whose type `kind` is an annotation, a parse function
+    (`--seeds`) or, for a `train` / `pot` block, the block's dataclass. A value of another
+    JSON type is an error naming the key and the file."""
+    name = _field(key)
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ValueError(f"config file {path}: {name} must be an object, got {value!r}")
+        params = inspect.signature(kind).parameters
+        # an unknown key passes, to fail in kind(...) naming itself
+        return {_field(k): _checked(params[_field(k)].annotation, k, v, path)
+                if _field(k) in params else v for k, v in value.items()}
+    if callable(kind):
+        try:
+            return kind(value)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"config file {path}: {name}: {exc}") from None
+    # a tuple is a JSON array of its first item type, and a JSON true is no number
+    item = kind.removeprefix("tuple[").split(",")[0].strip(" ]")
+    items = value if isinstance(value, list) else [value]
+    json_type = {"int": int, "float": (int, float), "bool": bool, "str": str}[item]
+    if isinstance(value, list) == (item != kind) and all(
+            isinstance(v, json_type) and isinstance(v, bool) == (item == "bool") for v in items):
+        return value
+    raise ValueError(f"config file {path}: {name} must be {kind}, got {value!r}")
 
 
-def _fits(kind: str, value) -> bool:
-    """Whether a JSON value has the type of a config field annotated `kind`."""
-    if kind.endswith(" | None"):
-        return value is None or _fits(kind.removesuffix(" | None"), value)
-    if kind.startswith("tuple["):  # a JSON array of the first item type
-        item = kind.removeprefix("tuple[").split(",")[0].strip(" ]")
-        return isinstance(value, list) and all(_fits(item, v) for v in value)
-    if isinstance(value, bool):  # a JSON true is no number
-        return kind == "bool"
-    return isinstance(value, {"int": int, "float": (int, float), "bool": bool, "str": str}[kind])
+def _read_config(path: str) -> dict:
+    """Config file `path` keyed by option dest, each value checked by `_checked`. A key no
+    subcommand reads from a file is an error; a top-level null is no value."""
+    raw = files.read_json(path, "config file")
+    unknown = sorted(key for key in raw if _field(key) not in _FILE_KINDS)
+    if unknown:
+        raise ValueError(f"config file {path}: keys no subcommand reads from a file: {unknown}")
+    return {_field(key): _checked(_FILE_KINDS[_field(key)], key, value, path)
+            for key, value in raw.items()
+            if value is not None or is_dataclass(_FILE_KINDS[_field(key)])}
+
+
+def _values(args: argparse.Namespace, file_cfg: dict, owner=None, block: str | None = None):
+    """What the options of `args`' subcommand give the fields of dataclass `owner` (None: the
+    values the command reads itself), by name. Each takes the first value found: the flag,
+    the config file's `block`, its top level, the option's default. A name that none of them
+    sets is absent, so a dataclass or `synth_traffic` default applies."""
+    layers = {}, {}, {}
+    for option in args.options:
+        names = [name for target, name in option.targets if target is owner]
+        given = option.default, file_cfg.get(option.dest), getattr(args, option.dest)
+        for layer, value in zip(layers, given):
+            if value is not None and value is not False:  # False: a switch left off
+                layer.update(dict.fromkeys(names, value if option.switch is None else option.switch))
+    default, top, flags = layers
+    return {**default, **top, **file_cfg.get(block, {}), **flags}
 
 
 def _resolve(cls, args: argparse.Namespace, file_cfg: dict, block: str | None = None, **fixed):
-    """Build dataclass `cls`: flag > file block > file top level > field default.
-
-    `fixed` values bypass resolution: sizes read from the data, or options
-    stored under another name (--events is IncidentSpec.count). A block that
-    is no JSON object, or a file value of the wrong JSON type, is an error
-    naming the key and the file. Unknown keys in the block reach `cls(...)`
-    and fail there, naming the key.
-    """
-    kinds = {f.name: f.type for f in fields(cls)}
-    values = {k: v for k, v in _options(file_cfg, args).items() if k in kinds}
-    if block:
-        given = file_cfg.get(block, {})
-        if not isinstance(given, dict):
-            raise ValueError(f"config file {args.config}: {block} must be an object, got {given!r}")
-        values.update({_field(k): v for k, v in given.items()})
-    for key, value in values.items():
-        if key in kinds and not _fits(kinds[key], value):
-            raise ValueError(
-                f"config file {args.config}: {key} must be {kinds[key]}, got {value!r}"
-            )
-    values.update({k: v for k, v in _options(vars(args), args).items() if k in kinds})
-    return cls(**{**values, **fixed})
+    """Build dataclass `cls` from `_values`. `fixed` values (sizes read from the data) bypass
+    resolution. An unknown key in the block reaches `cls(...)` and fails there, naming it."""
+    return cls(**{**_values(args, file_cfg, cls, block), **fixed})
 
 
 def _seed_list(value) -> list[int]:
@@ -166,16 +165,9 @@ def _load_trained(checkpoint: str | Path) -> tuple[RadNet, Normalizer, dict]:
 
 
 def cmd_synth(args, file_cfg) -> int:
-    out = Path(_pick(args, file_cfg, "out", "synth-data"))
-    events = _pick(args, file_cfg, "events", IncidentSpec.count)
-    spec = _resolve(IncidentSpec, args, file_cfg, count=events) if events > 0 else None
-    # Options left unset keep synth_traffic's own defaults.
-    given = {param: value for param, key in (("n_nodes", "nodes"), ("days", "days"),
-                                             ("delta_seconds", "delta"), ("n_features", "features"),
-                                             ("seed", "seed"), ("noise", "noise"),
-                                             ("weekend_factor", "weekend_factor"))
-             if (value := _pick(args, file_cfg, key, None)) is not None}
-    series, graph, mask = synth_traffic(incidents=spec, **given)
+    given = _values(args, file_cfg)  # --out and the synth_traffic parameters set
+    out = Path(given.pop("out"))
+    series, graph, mask = synth_traffic(incidents=_resolve(IncidentSpec, args, file_cfg), **given)
     save_dataset(out, series, graph)
     files.write_csv(out / "incidents.csv", ["timestep", "link_id"], np.argwhere(mask))
     print(f"wrote {series.n_steps} steps x {series.n_nodes} nodes to {out}")
@@ -183,19 +175,19 @@ def cmd_synth(args, file_cfg) -> int:
 
 
 def cmd_stats(args, file_cfg) -> int:
-    series, graph, _ = load_dataset(_pick(args, file_cfg, "data", None))
+    series, graph, _ = load_dataset(args.data)
     summary = stats(series, graph)
     print(stats_text(summary))
-    out = _pick(args, file_cfg, "out", None)
+    out = _values(args, file_cfg).get("out")
     if out:
         files.write_json(out, summary)
     return 0
 
 
 def cmd_train(args, file_cfg) -> int:
-    series, graph, _ = load_dataset(_pick(args, file_cfg, "data", None))
-    out = Path(_pick(args, file_cfg, "out", "train-out"))
-    test_fraction = _pick(args, file_cfg, "test_fraction", TEST_FRACTION)
+    given = _values(args, file_cfg)
+    series, graph, _ = load_dataset(args.data)
+    out, test_fraction = Path(given["out"]), given["test_fraction"]
     model = RadNet(_resolve(RadNetConfig, args, file_cfg,
                             n_nodes=series.n_nodes, n_features=series.n_features))
     tc = _resolve(TrainConfig, args, file_cfg, "train")
@@ -226,10 +218,10 @@ def cmd_train(args, file_cfg) -> int:
 
 def _trained_split(args, file_cfg):
     """Dataset, trained model and normalizer, and the checkpoint's train/test split."""
-    series, graph, _ = load_dataset(_pick(args, file_cfg, "data", None))
-    model, normalizer, hyper = _load_trained(_pick(args, file_cfg, "checkpoint", None))
-    test_fraction = _pick(args, file_cfg, "test_fraction",
-                          hyper.get("test_fraction", TEST_FRACTION))
+    series, graph, _ = load_dataset(args.data)
+    model, normalizer, hyper = _load_trained(args.checkpoint)
+    test_fraction = _values(args, file_cfg).get("test_fraction",
+                                                hyper.get("test_fraction", TEST_FRACTION))
     train_ts, test_ts = split_train_test(series.n_steps, test_fraction)
     return series, graph, model, normalizer, train_ts, test_ts
 
@@ -246,7 +238,7 @@ def cmd_forecast(args, file_cfg) -> int:
     series, graph, model, normalizer, _, test_ts = _trained_split(args, file_cfg)
     target_ts = test_ts[test_ts >= model.config.horizon]
     predictions = pipeline.forecast_series(model, series, graph, normalizer, target_ts)
-    out = Path(_pick(args, file_cfg, "out", "forecast-out"))
+    out = Path(_values(args, file_cfg)["out"])
     forecast_series_obj = data_io.FeatureSeries(
         data=predictions,
         start_epoch=series.epoch(int(target_ts[0])),
@@ -263,7 +255,7 @@ def cmd_forecast(args, file_cfg) -> int:
 
 def cmd_detect(args, file_cfg) -> int:
     run, _ = _detection_run(args, file_cfg)
-    out = Path(_pick(args, file_cfg, "out", "detect-out"))
+    out = Path(_values(args, file_cfg)["out"])
     run.predicted.to_csv(out / "labels_pred.csv")
     run.truth.to_csv(out / "labels_truth.csv")
     print(
@@ -276,12 +268,11 @@ def cmd_detect(args, file_cfg) -> int:
 
 
 def cmd_evaluate(args, file_cfg) -> int:
-    detect_dir = Path(_pick(args, file_cfg, "detect", None))
-    horizon = _pick(args, file_cfg, "horizon", RadNetConfig.horizon)
-    predicted = IncidentLabels.from_csv(detect_dir / "labels_pred.csv", horizon)
-    truth = IncidentLabels.from_csv(detect_dir / "labels_truth.csv", horizon)
+    given, detect_dir = _values(args, file_cfg), Path(args.detect)
+    predicted = IncidentLabels.from_csv(detect_dir / "labels_pred.csv", given["horizon"])
+    truth = IncidentLabels.from_csv(detect_dir / "labels_truth.csv", given["horizon"])
     report = evaluate(predicted, truth)
-    out = Path(_pick(args, file_cfg, "out", detect_dir))
+    out = Path(given.get("out", detect_dir))
     report.to_json(out / "report.json")
     table = report.to_table("radnet")
     files.write_text(out / "report.txt", table + "\n")
@@ -290,16 +281,17 @@ def cmd_evaluate(args, file_cfg) -> int:
 
 
 def cmd_ablate(args, file_cfg) -> int:
-    series, graph, _ = load_dataset(_pick(args, file_cfg, "data", None))
+    given = _values(args, file_cfg)
+    series, graph, _ = load_dataset(args.data)
     rows = pipeline.ablate(
         series, graph,
         _resolve(RadNetConfig, args, file_cfg, n_nodes=series.n_nodes, n_features=series.n_features),
         _resolve(TrainConfig, args, file_cfg, "train"),
         _resolve(PotConfig, args, file_cfg, "pot"),
-        _pick(args, file_cfg, "seeds", [0, 1, 2]),
-        _pick(args, file_cfg, "test_fraction", TEST_FRACTION),
+        given["seeds"],
+        given["test_fraction"],
     )
-    out = Path(_pick(args, file_cfg, "out", "ablate-out"))
+    out = Path(given["out"])
     metrics = ["val_mse", "f1", "hitrate_100"]
     files.write_csv(out / "ablation.csv", ["variant", "seed", *metrics],
                     ([row["variant"], row["seed"], *(f"{row[m]:.10g}" for m in metrics)]
@@ -322,146 +314,144 @@ def cmd_report(args, file_cfg) -> int:
     run, (series, graph, model, normalizer) = _detection_run(args, file_cfg)
     # a run keeps no forecasts, so forecast its targets again
     predictions = pipeline.forecast_series(model, series, graph, normalizer, run.truth.timesteps)
-    out = Path(_pick(args, file_cfg, "out", "report-out"))
+    out = Path(_values(args, file_cfg)["out"])
     write_report_csv(out / "series_report.csv", run, series, predictions)
     print(f"wrote per-link series report to {out / 'series_report.csv'}")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# option tables
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--out", help="output directory")
+class Option(NamedTuple):
+    """A flag and its targets, (owner, name) pairs: the owner is a config dataclass whose
+    field `name` the flag sets, or None for a value the command reads itself. `kind` is the
+    type: "int", "float", "str", "bool" or a parse function. A `switch` takes no argument
+    and sets its targets to that value. A required flag is always given, so no file holds it."""
+
+    flag: str
+    kind: object
+    targets: tuple
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+    switch: object = None
+    required: bool = False
+
+    @property
+    def dest(self) -> str:
+        return _field(self.flag[2:])
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
+def _sets(flag: str, *targets, **kw) -> Option:
+    """An option setting dataclass fields or `synth_traffic` parameters (which the command
+    passes on itself), typed by the first target's annotation."""
+    kind = inspect.signature(targets[0][0]).parameters[targets[0][1]].annotation
+    return Option(flag, kind, tuple((o if is_dataclass(o) else None, n) for o, n in targets), **kw)
 
 
-def _add_pot_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--percentile", type=float)
-    p.add_argument("--risk-q", dest="risk_q", type=float)
-    p.add_argument("--delta-per-horizon", dest="delta_per_horizon", type=float)
-    p.add_argument("--horizon-index", dest="horizon_index", type=int)
-    p.add_argument("--refit-every", dest="refit_every", type=int)
-    p.add_argument("--static", action="store_true", help="hold thresholds fixed")
+def _plain(flag: str, kind="str", default=None, **kw) -> Option:
+    """An option the command reads itself, under its dest."""
+    return Option(flag, kind, ((None, _field(flag[2:])),), default, **kw)
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser keeping each argument's type by dest (str if none, bool for a switch)."""
-
-    def __init__(self, *args, **kwargs):
-        self.kinds: dict = {}
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.kinds[action.dest] = action.type or (bool if action.nargs == 0 else str)
-        return action
+def _out(default: str | None) -> Option:
+    return _plain("--out", default=default, help="output directory")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
+_DATA = _plain("--data", required=True)
+# --test-fraction defaults to the trained checkpoint's
+_TRAINED = (_DATA, _plain("--checkpoint", required=True), _plain("--test-fraction", "float"))
+_TRAIN = (
+    _sets("--window", (RadNetConfig, "window")),
+    _sets("--horizon", (RadNetConfig, "horizon")),
+    _sets("--variant", (RadNetConfig, "variant"), choices=VARIANTS),
+    _sets("--lr", (TrainConfig, "lr")),
+    _sets("--weight-decay", (TrainConfig, "weight_decay")),
+    _sets("--max-epochs", (TrainConfig, "max_epochs")),
+    _sets("--patience", (TrainConfig, "patience")),
+    _sets("--folds", (TrainConfig, "folds")),
+    _sets("--batch", (TrainConfig, "batch")),
+    _plain("--test-fraction", "float", TEST_FRACTION),
+)
+_POT = (
+    _sets("--percentile", (PotConfig, "percentile")),
+    _sets("--risk-q", (PotConfig, "risk_q")),
+    _sets("--delta-per-horizon", (PotConfig, "delta_per_horizon")),
+    _sets("--horizon-index", (PotConfig, "horizon_index")),
+    _sets("--refit-every", (PotConfig, "refit_every")),
+    _sets("--static", (PotConfig, "dynamic"), switch=False, help="hold thresholds fixed"),
+)
+# subcommand: (help, options in --help order)
+COMMANDS = {
+    "synth": ("generate a synthetic dataset", (
+        _out("synth-data"),
+        _sets("--seed", (synth_traffic, "seed")),
+        _sets("--nodes", (synth_traffic, "n_nodes")),
+        _sets("--days", (synth_traffic, "days")),
+        _sets("--delta", (synth_traffic, "delta_seconds")),
+        _sets("--features", (synth_traffic, "n_features")),
+        _sets("--events", (IncidentSpec, "count")),
+        _sets("--depth", (IncidentSpec, "depth")),
+        _sets("--duration", (IncidentSpec, "duration")),
+        _sets("--min-start", (IncidentSpec, "min_start")),
+        _sets("--noise", (synth_traffic, "noise")),
+        _sets("--weekend-factor", (synth_traffic, "weekend_factor")),
+    )),
+    "stats": ("dataset summary", (_out(None), _DATA)),
+    "train": ("fit a forecaster", (
+        _out("train-out"), _sets("--seed", (RadNetConfig, "seed"), (TrainConfig, "seed")),
+        _DATA, *_TRAIN,
+    )),
+    "forecast": ("emit forecasts for the test range", (_out("forecast-out"), *_TRAINED)),
+    "detect": ("label incidents over the test range", (_out("detect-out"), *_TRAINED, *_POT)),
+    "evaluate": ("score predicted labels against truth", (
+        _out(None),  # default: the --detect directory
+        _plain("--detect", required=True, help="directory from the detect step"),
+        _plain("--horizon", "int", RadNetConfig.horizon),
+    )),
+    "ablate": ("train and score every model variant", (
+        _out("ablate-out"), _DATA,
+        _plain("--seeds", _seed_list, (0, 1, 2), help="comma-separated seed list"),
+        *_TRAIN, *_POT,
+    )),
+    "report": ("per-link plot-ready time series", (_out("report-out"), *_TRAINED, *_POT)),
+}
+# what a config file's top level may hold
+_FILE_KINDS = {option.dest: option.kind for _, options in COMMANDS.values()
+               for option in options if not option.required} | {"train": TrainConfig, "pot": PotConfig}
+_ARG_TYPES = {"int": int, "float": float, "str": None}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="radnet",
         description="Spatio-temporal traffic forecasting and incident prediction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--days", type=int)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--features", type=int)
-    p.add_argument("--events", type=int)
-    p.add_argument("--depth", type=float)
-    p.add_argument("--duration", type=int)
-    p.add_argument("--min-start", dest="min_start", type=int)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--weekend-factor", dest="weekend_factor", type=float)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("stats", help="dataset summary")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("train", help="fit a forecaster")
-    _add_common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--data", required=True)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("forecast", help="emit forecasts for the test range")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.set_defaults(func=cmd_forecast)
-
-    p = sub.add_parser("detect", help="label incidents over the test range")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    _add_pot_flags(p)
-    p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("evaluate", help="score predicted labels against truth")
-    _add_common(p)
-    p.add_argument("--detect", required=True, help="directory from the detect step")
-    p.add_argument("--horizon", type=int)
-    p.set_defaults(func=cmd_evaluate)
-
-    # no abbreviations, so that --seed is refused rather than read as --seeds
-    p = sub.add_parser("ablate", help="train and score every model variant", allow_abbrev=False)
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--seeds", type=_seed_list, help="comma-separated seed list")
-    _add_train_flags(p)
-    _add_pot_flags(p)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("report", help="per-link plot-ready time series")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    _add_pot_flags(p)
-    p.set_defaults(func=cmd_report)
-
-    for p in sub.choices.values():
-        p.set_defaults(kinds=p.kinds)
-    # a config file's top level may hold any subcommand's option and the two blocks
-    parser.config_keys = {"train", "pot"}.union(*(p.kinds for p in sub.choices.values()))
+    for name, (help_text, options) in COMMANDS.items():
+        # no abbreviations on ablate, so that --seed is refused rather than read as --seeds
+        p = sub.add_parser(name, help=help_text, allow_abbrev=name != "ablate")
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for option in options:
+            if option.switch is None:
+                p.add_argument(option.flag, type=_ARG_TYPES.get(option.kind, option.kind),
+                               choices=option.choices, required=option.required, help=option.help)
+            else:
+                p.add_argument(option.flag, action="store_true", help=option.help)
+        # looked up per call, so that a rebound cmd_* (a test's patch, perfbench's tracing
+        # wrapper) is the one run
+        p.set_defaults(func=globals()[f"cmd_{name}"], options=options)
     return parser
 
 
 def main(argv=None) -> int:
     level = os.environ.get("RADNET_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        file_cfg = files.read_json(args.config, "config file") if args.config else {}
-        unknown = sorted(k for k in file_cfg if _field(k) not in parser.config_keys)
-        if unknown:
-            raise ValueError(f"config file {args.config} has keys no subcommand takes: {unknown}")
-        return args.func(args, file_cfg)
+        return args.func(args, _read_config(args.config) if args.config else {})
     except Exception as exc:  # noqa: BLE001 - single CLI failure boundary
         print(f"error: {exc}", file=sys.stderr)
         log.debug("traceback", exc_info=True)

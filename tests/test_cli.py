@@ -1,5 +1,6 @@
 """Command-line behavior: determinism, config precedence, error paths."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -429,7 +430,11 @@ class TestConfigPrecedence:
         ({"percentile": "98"}, "percentile"),
         ({"pot": {"refit_every": 2.5}}, "refit_every"),
         ({"pot": 5}, "pot"),
-    ], ids=["string-percentile", "float-refit-every", "scalar-pot-block"])
+        ({"static": "yes"}, "static"),
+        ({"static": 1}, "static"),
+        ({"static": 0}, "static"),
+    ], ids=["string-percentile", "float-refit-every", "scalar-pot-block", "string-static",
+            "one-static", "zero-static"])
     def test_value_of_the_wrong_json_type_names_key_and_file(self, tmp_path, capsys, config, key):
         ds = tmp_path / "ds"
         main(["synth", "--nodes", "3", "--days", "9", "--seed", "3", "--out", str(ds)])
@@ -440,6 +445,92 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert f"config file {cfg}: {key} must be" in err
         assert not (tmp_path / "r").exists()
+
+    def test_help_and_config_keys_are_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"help": True, "config": "other.json"}))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 1
+        assert (f"config file {cfg}: keys no subcommand reads from a file: ['config', 'help']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("argv, config", [
+        (["detect", "--data", "ds", "--checkpoint", "ck"], {"data": "nope"}),
+        (["detect", "--data", "ds", "--checkpoint", "ck"], {"checkpoint": 5}),
+        (["evaluate", "--detect", "det"], {"detect": "other"}),
+    ], ids=["data", "checkpoint", "detect"])
+    def test_required_path_in_a_file_is_refused(self, tmp_path, capsys, argv, config):
+        # the flag is required, so a file value would never be read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        key = next(iter(config))
+        assert (f"config file {cfg}: keys no subcommand reads from a file: ['{key}']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "r").exists()
+
+
+class TestSurface:
+    """Each subcommand's options: dest -> (action, type, choices, help, required)."""
+
+    COMMON = {
+        "help": ("_HelpAction", None, None, "show this help message and exit", False),
+        "config": ("_StoreAction", None, None, "JSON config file; flags override it", False),
+        "out": ("_StoreAction", None, None, "output directory", False),
+    }
+    DATA = {"data": ("_StoreAction", None, None, None, True)}
+    TRAINED = {**DATA, "checkpoint": ("_StoreAction", None, None, None, True),
+               "test_fraction": ("_StoreAction", float, None, None, False)}
+    TRAIN = {
+        **{name: ("_StoreAction", int, None, None, False)
+           for name in ("window", "horizon", "max_epochs", "patience", "folds", "batch")},
+        "variant": ("_StoreAction", None, ("full", "no_skip", "no_st", "no_ts"), None, False),
+        **{name: ("_StoreAction", float, None, None, False)
+           for name in ("lr", "weight_decay", "test_fraction")},
+    }
+    POT = {
+        **{name: ("_StoreAction", float, None, None, False)
+           for name in ("percentile", "risk_q", "delta_per_horizon")},
+        **{name: ("_StoreAction", int, None, None, False)
+           for name in ("horizon_index", "refit_every")},
+        "static": ("_StoreTrueAction", None, None, "hold thresholds fixed", False),
+    }
+    SEED = {"seed": ("_StoreAction", int, None, None, False)}
+    EXPECTED = {
+        "synth": {
+            **COMMON, **SEED,
+            **{name: ("_StoreAction", int, None, None, False)
+               for name in ("nodes", "days", "delta", "features", "events", "duration",
+                            "min_start")},
+            **{name: ("_StoreAction", float, None, None, False)
+               for name in ("depth", "noise", "weekend_factor")},
+        },
+        "stats": {**COMMON, **DATA},
+        "train": {**COMMON, **SEED, **DATA, **TRAIN},
+        "forecast": {**COMMON, **TRAINED},
+        "detect": {**COMMON, **TRAINED, **POT},
+        "evaluate": {
+            **COMMON,
+            "detect": ("_StoreAction", None, None, "directory from the detect step", True),
+            "horizon": ("_StoreAction", int, None, None, False),
+        },
+        "ablate": {
+            **COMMON, **DATA, **TRAIN, **POT,
+            "seeds": ("_StoreAction", cli._seed_list, None, "comma-separated seed list", False),
+        },
+        "report": {**COMMON, **TRAINED, **POT},
+    }
+
+    def test_every_option_keeps_its_type_choices_and_help(self):
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert list(commands) == list(self.EXPECTED)
+        for name, parser in commands.items():
+            surface = {a.dest: (type(a).__name__, a.type, a.choices, a.help, a.required)
+                       for a in parser._actions}
+            assert surface == self.EXPECTED[name], name
+        assert commands["ablate"].allow_abbrev is False
+
 
 class TestSeedFlag:
     # Only synth and train draw random numbers; ablate takes --seeds.

@@ -356,8 +356,8 @@ def _plain(flag: str, kind="str", default=None, **kw) -> Option:
     return Option(flag, kind, ((None, _field(flag[2:])),), default, **kw)
 
 
-def _out(default: str | None) -> Option:
-    return _plain("--out", default=default, help="output directory")
+def _out(default: str | None, help: str = "output directory") -> Option:
+    return _plain("--out", default=default, help=help)
 
 
 _DATA = _plain("--data", required=True)
@@ -399,7 +399,7 @@ COMMANDS = {
         _sets("--noise", (synth_traffic, "noise")),
         _sets("--weekend-factor", (synth_traffic, "weekend_factor")),
     )),
-    "stats": ("dataset summary", (_out(None), _DATA)),
+    "stats": ("dataset summary", (_out(None, "JSON file to write the summary to"), _DATA)),
     "train": ("fit a forecaster", (
         _out("train-out"), _sets("--seed", (RadNetConfig, "seed"), (TrainConfig, "seed")),
         _DATA, *_TRAIN,

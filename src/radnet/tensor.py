@@ -15,11 +15,14 @@ shared by that member's batch, is one GEMM over each member's flattened batch
 and matches the batched matmul within rtol 1e-12, not bit for bit (see the
 matmul section). The graph-attention node likewise matches its chain of
 primitive nodes within rtol 1e-12, as does layer norm's closed-form input
-gradient. The attention node, which includes its q/k/v projections, the
-feed-forward node and layer norm's values and gain and shift gradients
-reproduce their chains bit for bit, but for one sum order in attention
-(see the attention section), and no activation branches on the data. Every
-leaky ReLU of the model has the slope `LEAKY_SLOPE`.
+gradient. The feed-forward node and layer norm's values and gain and shift
+gradients reproduce their chains bit for bit, and no activation branches on
+the data. Every leaky ReLU of the model has the slope `LEAKY_SLOPE`.
+The attention node, q/k/v projections included, runs one of two kernels
+(see the attention section): heads wider than one feature run the product
+kernel, bit for bit its chain but for one sum order; heads one feature wide
+run the row-last kernel, elementwise over rows laid out last, which matches
+the product kernel within rtol 1e-12, not bit for bit.
 The model's glue between its layers is one node per site, each bit for bit
 its chain of primitive nodes: the member stack (`stack`), each dropout-residual add
 (`residual`), each position encoding (`offset_dropout`), the path fusion
@@ -515,16 +518,21 @@ def _max_last(x: np.ndarray) -> np.ndarray:
 # softmax
 
 
-def _softmax_values(av: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax of av's rows, written into `out` (which may be av) when given."""
-    top = _max_last(av)
-    # a NaN anywhere in a row is that row's maximum
+def _refuse_non_finite(top: np.ndarray) -> None:
+    """Refuse softmax rows whose maxima `top` are not all finite (a NaN
+    anywhere in a row is that row's maximum)."""
     if not np.isfinite(top).all():
         if np.isnan(top).any():
             raise NumericError("softmax received NaN input")
         if np.isposinf(top).any():
             raise NumericError("softmax received +inf input")
         raise NumericError("softmax received a row whose every entry is -inf")
+
+
+def _softmax_values(av: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of av's rows, written into `out` (which may be av) when given."""
+    top = _max_last(av)
+    _refuse_non_finite(top)
     ex = np.subtract(av, top, out=out)
     np.exp(ex, out=ex)
     return np.divide(ex, _sum_last(ex), out=ex)
@@ -572,12 +580,33 @@ def layer_norm(a, gain, shift, eps: float):
 # ---------------------------------------------------------------------------
 # attention
 #
-# Each layer below is one node. Attention makes the numpy calls of its chain
-# of primitive nodes, projections included, so its values and gradients are
-# the chain's bit for bit, but for one sum: a decoder's query is a `take` of
-# its key/value input, which the chain's tape sums as (query + key) + value
-# and the node's as (key + value) + query, since the `take` passes its term
-# on after the node.
+# Each layer below is one node. Attention runs one of two kernels, which
+# `attention` picks from its operands.
+#
+# The product kernel makes the numpy calls of its chain of primitive nodes,
+# projections included, so its values and gradients are the chain's bit for
+# bit, but for one sum: a decoder's query is a `take` of its key/value
+# input, which the chain's tape sums as (query + key) + value and the node's
+# as (key + value) + query, since the `take` passes its term on after the
+# node. It runs every head wider than one feature.
+#
+# The row-last kernel runs heads one feature wide (d_model == n_heads, as
+# per-node attention over D features has), where the product kernel's scores
+# and weighted sums are stacks of one-wide products, one per row, head and
+# query. It projects q, k and v straight into (M, K, H, R) arrays whose last
+# axis holds the R rows that share a member's weights (M members, one for a
+# single matrix), so each score is an elementwise product over (M, Kq, Kk,
+# H, R), the softmax runs over the key axis and each weighted sum adds its
+# terms in order over a short axis, all in whole-array calls; the backward
+# runs in the same layout. It keeps what the product kernel keeps, no second
+# copy of the projections, and holds at most one temporary of the scores'
+# size at a time. Its projections and weighted sums add in another order
+# than the product kernel's, so its values and gradients match that kernel's
+# within rtol 1e-12 of each array's largest magnitude (tests/test_fused.py),
+# not bit for bit. It needs q, k and v of one batch shape and four weights
+# that are each one matrix or one matrix per member; other width-one calls
+# run the product kernel.
+#
 # Graph attention computes its layer with fewer, larger products, which sum
 # in another order than its chain, so its values and gradients match the
 # chain's within rtol 1e-12 of each array's largest magnitude
@@ -609,27 +638,12 @@ def _attention_weights(qp: np.ndarray, kp: np.ndarray, n_heads: int, scale: floa
     return grads, _softmax_values(scores, out=scores)
 
 
-def attention(q, k, v, w_query, w_key, w_value, w_out, n_heads: int, scale: float,
-              mask=None):
-    """Multi-head scaled dot-product attention with its projections, as one node.
-
-    `q` (..., Kq, d), `k` and `v` (..., Kk, d); each weight (..., d, d) maps
-    its input to projected rows, of which head m reads columns
-    m*d/H:(m+1)*d/H. The node covers the projections q @ w_query,
-    k @ w_key and v @ w_value, the head split, the scores qh @ khᵀ * scale,
-    the optional additive (Kq, Kk) mask, the softmax, the weighted sum of
-    values, the head merge and the product with `w_out`. An input passed as
-    several of q, k and v gets one gradient per role, which the tape sums.
-    """
-    inputs = [_wrap(t) for t in (q, k, v)]
-    weights = [_wrap(t) for t in (w_query, w_key, w_value)]
-    w_out = _wrap(w_out)
-    (qp, q_grads), (kp, k_grads), (vp, v_grads) = (
-        _product(x.values, w.values) for x, w in zip(inputs, weights)
-    )
+def _product_attention(xs, ws, n_heads: int, scale: float, mask):
+    """The product kernel (see above): the node's values and `push`."""
+    (qp, q_grads), (kp, k_grads), (vp, v_grads) = (_product(x, w) for x, w in zip(xs, ws))
     scores_grads, y = _attention_weights(qp, kp, n_heads, scale, mask)
     mixed, mixed_grads = _product(y, _split_heads(vp, n_heads))
-    values, out_grads = _product(_merge_heads(mixed, n_heads), w_out.values)
+    values, out_grads = _product(_merge_heads(mixed, n_heads), ws[3])
 
     def push(g, wants):
         g_merged, g_w_out = out_grads(g, (True, wants[6]))
@@ -643,7 +657,113 @@ def attention(q, k, v, w_query, w_key, w_value, w_out, n_heads: int, scale: floa
         ))
         return (*g_inputs, *g_weights, g_w_out)
 
-    return _result(values, (*inputs, *weights, w_out), push)
+    return values, push
+
+
+def _row_last_matrices(xs, ws, n_heads: int) -> list[np.ndarray] | None:
+    """The four weights as (M, H, H) member matrices when the row-last kernel
+    runs (see above), else None."""
+    q, k, v = xs
+    if k.shape != v.shape or q.shape[:-2] + q.shape[-1:] != k.shape[:-2] + (n_heads,):
+        return None
+    matrices = [_weight_matrix(q, w) for w in ws]
+    if any(w is None for w in matrices):
+        return None
+    shape = matrices[0].shape[:1] + (n_heads, n_heads)
+    return matrices if all(w.shape == shape for w in matrices) else None
+
+
+def _sum_products(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """(a * b).sum(axis) for a of the scores' shape (M, Kq, Kk, H, R) and b
+    broadcast to it: the terms added in order, each written into one buffer
+    of the sum's size instead of a product of the scores' size."""
+    a, b = np.moveaxis(a, axis, 0), np.moveaxis(np.broadcast_to(b, a.shape), axis, 0)
+    total, term = a[0] * b[0], None
+    for j in range(1, len(a)):
+        term = np.multiply(a[j], b[j], out=term)
+        total += term
+    return total
+
+
+def _row_last_attention(xs, ws, matrices, n_heads: int, scale: float, mask):
+    """The row-last kernel (see above): the node's values and `push`.
+
+    `matrices` holds the four weights as (M, H, H) member matrices."""
+    members, kq = len(matrices[0]), xs[0].shape[-2]
+    rows = [x.reshape(members, -1, *x.shape[-2:]) for x in xs]  # (M, R, K, H)
+    w_query, w_key, w_value, w_out = (w[:, None] for w in matrices)  # over the K axis
+    # (M, K, H, R): member m's projections of key position k, rows last
+    qp, kp, vp = (np.matmul(w.swapaxes(-1, -2), x.transpose(0, 2, 3, 1))
+                  for x, w in zip(rows, (w_query, w_key, w_value)))
+    y = np.multiply(qp[:, :, None], kp[:, None])  # (M, Kq, Kk, H, R)
+    y *= scale
+    if mask is not None:
+        y += np.asarray(mask)[..., None, None]
+    top = y.max(axis=2, keepdims=True)
+    _refuse_non_finite(top)
+    y -= top
+    del top
+    np.exp(y, out=y)
+    y /= y.sum(axis=2, keepdims=True)
+    mixed = _sum_products(y, vp[:, None], 2)  # (M, Kq, H, R)
+    out = np.empty(rows[0].shape[:2] + (kq, n_heads))  # (M, R, Kq, H)
+    np.matmul(mixed.swapaxes(-1, -2), w_out, out=out.swapaxes(1, 2))
+
+    def push(g, wants):
+        g = g.reshape(out.shape).swapaxes(1, 2)  # (M, Kq, R, H)
+        g_w_out = np.matmul(mixed, g).sum(axis=1).reshape(ws[3].shape) if wants[6] else None
+        g_mixed = np.matmul(w_out, g.swapaxes(-1, -2))  # (M, Kq, H, R)
+        g_vp = _sum_products(y, g_mixed[:, :, None], 1)
+        # the weights' gradient, taken back through the softmax and the scale in place
+        g_scores = np.multiply(g_mixed[:, :, None], vp[:, None])
+        del g_mixed
+        g_scores -= _sum_products(g_scores, y, 2)[:, :, None]
+        g_scores *= y
+        g_scores *= scale
+        g_qp = _sum_products(g_scores, kp[:, None], 2)
+        g_kp = _sum_products(g_scores, qp[:, :, None], 1)
+        del g_scores
+        g_inputs, g_weights = [], []
+        for x, w, g_p, shapes, want in zip(rows, (w_query, w_key, w_value), (g_qp, g_kp, g_vp),
+                                           zip(xs, ws), zip(wants[:3], wants[3:6])):
+            g_p = g_p.swapaxes(-1, -2)  # (M, K, R, H)
+            g_x = g_w = None
+            if want[0]:
+                g_x = np.empty(x.shape)
+                np.matmul(g_p, w.swapaxes(-1, -2), out=g_x.swapaxes(1, 2))
+                g_x = g_x.reshape(shapes[0].shape)
+            if want[1]:
+                g_w = np.matmul(x.transpose(0, 2, 3, 1), g_p).sum(axis=1).reshape(shapes[1].shape)
+            g_inputs.append(g_x)
+            g_weights.append(g_w)
+        return (*g_inputs, *g_weights, g_w_out)
+
+    return out.reshape(xs[0].shape), push
+
+
+def attention(q, k, v, w_query, w_key, w_value, w_out, n_heads: int, scale: float,
+              mask=None):
+    """Multi-head scaled dot-product attention with its projections, as one node.
+
+    `q` (..., Kq, d), `k` and `v` (..., Kk, d); each weight (..., d, d) maps
+    its input to projected rows, of which head m reads columns
+    m*d/H:(m+1)*d/H. The node covers the projections q @ w_query,
+    k @ w_key and v @ w_value, the head split, the scores qh @ khᵀ * scale,
+    the optional additive (Kq, Kk) mask, the softmax, the weighted sum of
+    values, the head merge and the product with `w_out`. An input passed as
+    several of q, k and v gets one gradient per role, which the tape sums.
+
+    Heads one feature wide (d == H) run the row-last kernel, within rtol
+    1e-12 of the product kernel, which runs every wider head (see above).
+    """
+    parents = tuple(_wrap(t) for t in (q, k, v, w_query, w_key, w_value, w_out))
+    xs, ws = [p.values for p in parents[:3]], [p.values for p in parents[3:]]
+    matrices = _row_last_matrices(xs, ws, n_heads)
+    if matrices is None:
+        values, push = _product_attention(xs, ws, n_heads, scale, mask)
+    else:
+        values, push = _row_last_attention(xs, ws, matrices, n_heads, scale, mask)
+    return _result(values, parents, push)
 
 
 def _graph_attention_weights(xv, theta, score_src, score_dst, score_bias, index, mask):
@@ -807,8 +927,10 @@ def stack(arrays: Iterable):
 
 def dropout_keep(draws: np.ndarray, rate: float) -> np.ndarray:
     """Inverted-scaling Bernoulli dropout's keep factors for uniform `draws`:
-    0 where a draw falls below `rate`, else 1 / (1 - rate)."""
-    return (draws >= rate) / (1.0 - rate)
+    0 where a draw falls below `rate`, else 1 / (1 - rate). They are written
+    into `draws`, a float array, and returned."""
+    np.greater_equal(draws, rate, out=draws)
+    return np.divide(draws, 1.0 - rate, out=draws)
 
 
 def residual(x, branch, keep: np.ndarray | None):

@@ -505,7 +505,10 @@ class TestSurface:
             **{name: ("_StoreAction", float, None, None, False)
                for name in ("depth", "noise", "weekend_factor")},
         },
-        "stats": {**COMMON, **DATA},
+        "stats": {
+            **COMMON, **DATA,
+            "out": ("_StoreAction", None, None, "JSON file to write the summary to", False),
+        },
         "train": {**COMMON, **SEED, **DATA, **TRAIN},
         "forecast": {**COMMON, **TRAINED},
         "detect": {**COMMON, **TRAINED, **POT},

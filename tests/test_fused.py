@@ -3,11 +3,17 @@ shared-weight products against the batched matmul they replace.
 
 Each layer reference below is the layer as it was composed before it became
 one tape node. The feed-forward node must give the same values and the same
-gradients bit for bit. The attention and graph-attention nodes compute their
-layers with fewer, larger products, which sum in another order, so they must
-agree with their chains within SHARED_WEIGHT_RTOL of each array's largest
-magnitude, including where an input shared by several products sums their
-gradient terms.
+gradients bit for bit, and so must the attention node's product kernel, which
+runs heads wider than one feature, but for the decoder's input gradient. The
+graph-attention node computes its layer with fewer, larger products, which
+sum in another order, so it must agree with its chain within
+SHARED_WEIGHT_RTOL of each array's largest magnitude, including where an
+input shared by several products sums their gradient terms.
+
+Heads one feature wide run the attention node's row-last kernel, whose
+projections and weighted sums add in another order than the product
+kernel's: it must agree with the product kernel (`product_attention`, the
+reference) and with the chain within SHARED_WEIGHT_RTOL, not bit for bit.
 
 A product with one weight matrix per member, shared by the member's batch,
 is one GEMM over each member's flattened batch; `batched_matmul_values` and
@@ -93,6 +99,13 @@ def composed_mha(q, k, v, w_query, w_key, w_value, w_out, n_heads, scale, mask=N
     """The three projections as matmul nodes, then the attention chain."""
     projected = [T.matmul(x, w) for x, w in ((q, w_query), (k, w_key), (v, w_value))]
     return composed_attention(*projected, w_out, n_heads, scale, mask)
+
+
+def product_attention(*args):
+    """`tensor.attention` held to its product kernel, whatever its heads' width."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(T, "_row_last_matrices", lambda *_: None)
+        return T.attention(*args)
 
 
 def composed_graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
@@ -200,7 +213,7 @@ def assert_within_rtol(results):
 # (rows, K, model width, heads): the block reads (S, R, K, d) member windows
 # against (S, 1, d, d) member weights. C07 is flattened with one 4-wide head
 # over 32 windows of 5 (one window at batch 1); train-radset is per node, 16
-# nodes of 7 width-1 heads per window.
+# nodes of 7 width-1 heads per window, which run the row-last kernel.
 ATTENTION_SHAPES = {
     "c07": (32, 5, 4, 1),
     "c07-batch1": (1, 5, 4, 1),
@@ -254,7 +267,10 @@ class TestAttention:
         tracked = [inputs == "tracked"] * 3 + [True] * 4
         results = run_both(T.attention, composed_mha, arrays,
                            mha_builder(sharing, n_heads, 1.0 / np.sqrt(d_model)), 41, tracked)
-        assert_bit_identical_but(results, decoder_input_grad(sharing, inputs == "tracked"))
+        if n_heads == d_model:  # the row-last kernel
+            assert_within_rtol(results)
+        else:
+            assert_bit_identical_but(results, decoder_input_grad(sharing, inputs == "tracked"))
 
     @pytest.mark.parametrize("sharing", ["self", "distinct"])
     @pytest.mark.parametrize("case", ["c07", "c07-batch1"])
@@ -293,7 +309,10 @@ class TestAttention:
         arrays = attention_arrays(rng, lead, k, k, d_model, weight_lead)
         results = run_both(T.attention, composed_mha, arrays,
                            mha_builder(sharing, n_heads, 0.5), seed)
-        assert_bit_identical_but(results, decoder_input_grad(sharing))
+        if d_head == 1:  # the row-last kernel
+            assert_within_rtol(results)
+        else:
+            assert_bit_identical_but(results, decoder_input_grad(sharing))
 
     @pytest.mark.parametrize("sharing", ["self", "distinct"])
     @pytest.mark.parametrize("n_heads", [1, 2])
@@ -333,6 +352,99 @@ class TestAttention:
             assert inputs[0] is inputs[1] is inputs[2] is arrays[0]
         # the three projections, the scores, the weighted values and the output map
         assert len(calls) == 6
+
+
+WIDTH_ONE_CASES = [case for case, (_, _, d, h) in ATTENTION_SHAPES.items() if d == h]
+
+
+class TestRowLastKernel:
+    """Heads one feature wide against the product kernel and the chain."""
+
+    @pytest.mark.parametrize("sharing", ATTENTION_SHARING)
+    @pytest.mark.parametrize("case", WIDTH_ONE_CASES)
+    def test_product_kernel_matches_chain(self, case, sharing):
+        # the reference below is itself the chain's, bit for bit
+        rows, k, d_model, n_heads = ATTENTION_SHAPES[case]
+        arrays = attention_arrays(np.random.default_rng(140), (2, rows), k, k, d_model, (2, 1))
+        results = run_both(product_attention, composed_mha, arrays,
+                           mha_builder(sharing, n_heads, 1.0 / np.sqrt(d_model)), 141)
+        assert_bit_identical_but(results, decoder_input_grad(sharing))
+
+    @pytest.mark.parametrize("inputs", ["tracked", "constant"])
+    @pytest.mark.parametrize("sharing", ATTENTION_SHARING)
+    @pytest.mark.parametrize("case", WIDTH_ONE_CASES)
+    def test_matches_product_kernel(self, case, sharing, inputs):
+        rows, k, d_model, n_heads = ATTENTION_SHAPES[case]
+        arrays = attention_arrays(np.random.default_rng(142), (2, rows), k, k, d_model, (2, 1))
+        tracked = [inputs == "tracked"] * 3 + [True] * 4
+        results = run_both(T.attention, product_attention, arrays,
+                           mha_builder(sharing, n_heads, 1.0 / np.sqrt(d_model)), 143, tracked)
+        assert_within_rtol(results)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+        k=st.integers(1, 5),
+        n_heads=st.integers(1, 7),
+        members=st.booleans(),
+        sharing=st.sampled_from(sorted(ATTENTION_SHARING)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_product_kernel_over_shapes_and_heads(self, lead, k, n_heads, members,
+                                                         sharing, seed):
+        # member weights (S, 1, ..., d, d) lead (S, ...) inputs; else one (d, d)
+        # matrix; the decoder and cross-attention ask one-row queries
+        rng = np.random.default_rng(seed)
+        lead, weight_lead = ((2,) + lead, (2,) + (1,) * len(lead)) if members else (lead, ())
+        arrays = attention_arrays(rng, lead, k, k, n_heads, weight_lead)
+        results = run_both(T.attention, product_attention, arrays,
+                           mha_builder(sharing, n_heads, 0.5), seed)
+        assert_within_rtol(results)
+
+    @pytest.mark.parametrize("sharing", ATTENTION_SHARING)
+    def test_gradient_matches_finite_differences(self, sharing):
+        # C01's stencil, floor and bound
+        rng = np.random.default_rng(144)
+        leaves = [DiffArray(a, requires_grad=True)
+                  for a in attention_arrays(rng, (2, 3), 4, 4, 4, (2, 1))]
+        build = mha_builder(sharing, 4, 0.5)
+        out_shape = build(T.attention, *leaves).shape
+        w = rng.normal(size=out_shape)
+        err = T.grad_check(lambda: (build(T.attention, *leaves) * w).sum(), leaves, step=1e-6)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("bad", ["nan", "+inf", "-inf row"])
+    def test_non_finite_scores_raise_the_product_kernels_error(self, bad):
+        q, k, v, *weights = attention_arrays(np.random.default_rng(145), (2, 3), 4, 4, 7, (2, 1))
+        mask = np.zeros((4, 4))
+        if bad == "nan":
+            q[1, 2, 0, 3] = np.nan
+        elif bad == "+inf":
+            mask[2, 1] = np.inf
+        else:
+            mask[2] = -np.inf
+        messages = []
+        for op in (product_attention, T.attention):
+            with pytest.raises(NumericError) as caught:
+                op(q, k, v, *weights, 7, 0.5, mask)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert {"nan": "NaN", "+inf": "+inf", "-inf row": "-inf"}[bad] in messages[0]
+
+    @pytest.mark.parametrize("shapes, runs", [
+        # train-radset's three attention calls: self, decoder and cross
+        (((2, 512, 5, 7), (2, 512, 5, 7), (2, 1, 7, 7)), True),
+        (((2, 512, 1, 7), (2, 512, 5, 7), (2, 1, 7, 7)), True),
+        (((3, 7), (4, 7), (7, 7)), True),  # one matrix, no batch axes
+        (((2, 32, 5, 4), (2, 32, 5, 4), (2, 1, 4, 4)), False),  # C07's one 4-wide head
+        (((2, 32, 5, 64), (2, 32, 5, 64), (2, 1, 64, 64)), False),  # detect-64's
+        (((2, 4, 5, 7), (1, 4, 5, 7), (2, 1, 7, 7)), False),  # broadcast batch axes
+        (((2, 4, 5, 7), (2, 4, 5, 7), (2, 4, 7, 7)), False),  # weights with batch axes
+    ])
+    def test_kernel_choice(self, shapes, runs):
+        q, kv, w = (np.zeros(shape) for shape in shapes)
+        n_heads = shapes[0][-1] if shapes[0][-1] == 7 else 1
+        assert (T._row_last_matrices([q, kv, kv], [w] * 4, n_heads) is not None) == runs
 
 
 # (lead axes, graph, width, heads): C07 has 4 nodes of one feature; train-radset

@@ -2,6 +2,7 @@
 parameter accounting."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from radnet.model import (
     rollout_autoregressive,
 )
 from radnet.nn import named_parameters
+from radnet.optim import AdamW
 from radnet.tensor import DiffArray
+from radnet.training import TrainConfig
 
 
 @pytest.fixture
@@ -561,3 +564,57 @@ class TestTapeBudget:
                     recorded += 1
                     stack.extend(x.op_trace.inputs)
         assert recorded == nodes
+
+
+def heap_peak_mib(f) -> float:
+    """tracemalloc's peak over a second call of `f`, in MiB above the heap it starts on;
+    the first call fills the caches (position tables, neighbour scatter) a call reuses."""
+    f()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        f()
+        return (tracemalloc.get_traced_memory()[1] - start) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestHeapBudget:
+    # At N=16, D=7 a training step's heap sits near the threshold at which
+    # glibc trims the heap top after each step and faults it back in during
+    # the next, which costs more than the arithmetic a change saves. These
+    # bounds are the peaks radnet reads today, so a change that grows a step
+    # or a validation chunk fails here first.
+    STEP_MIB, CHUNK_MIB = 13.06, 15.32
+
+    @staticmethod
+    def model_and_data():
+        model = RadNet(RadNetConfig(n_nodes=16, n_features=7, seed=0))
+        return model, toy_series(140, 16, 7), RoadGraph.ring(16)
+
+    def test_training_step(self):
+        model, data, graph = self.model_and_data()
+        cfg = TrainConfig()
+        opt = AdamW(model.store, lr=cfg.lr, betas=cfg.betas, eps=cfg.eps,
+                    weight_decay=cfg.weight_decay)
+        rng, ts = np.random.default_rng(0), np.arange(4, 36)  # a batch of 32
+
+        def step():
+            preds, _ = rollout_autoregressive(model, build_window(data, ts, 5), 1, graph,
+                                              rng=rng, training=True)
+            loss = batch_loss(preds, data[ts + 1])
+            model.store.grad.fill(0.0)
+            loss.backward()
+            opt.step()
+
+        assert heap_peak_mib(step) <= self.STEP_MIB
+
+    def test_validation_chunk(self):
+        model, data, graph = self.model_and_data()
+        ts = np.arange(4, 132)  # a validation chunk of 128 windows, as training reads it
+
+        def chunk():
+            with T.no_grad():
+                model.forward_batch(build_window(data, ts, 5), graph)
+
+        assert heap_peak_mib(chunk) <= self.CHUNK_MIB

@@ -583,8 +583,8 @@ class TestHeapBudget:
     # At N=16, D=7 a training step's heap sits near the threshold at which
     # glibc trims the heap top after each step and faults it back in during
     # the next, which costs more than the arithmetic a change saves. These
-    # bounds are the peaks radnet reads today, so a change that grows a step
-    # or a validation chunk fails here first.
+    # bounds are the peaks the code reads at Python 3.11 and numpy 2.4, so a
+    # change that grows a step or a validation chunk fails here first.
     STEP_MIB, CHUNK_MIB = 13.06, 15.32
 
     @staticmethod

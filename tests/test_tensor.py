@@ -569,20 +569,16 @@ class TestBackwardMechanics:
         rng = np.random.default_rng(9)
         x = DiffArray(np.ones(1000))
         draws = rng.random(x.shape)
-        out = dropout(x, T.dropout_keep(draws.copy(), 0.25))
+        keep = draws.copy()
+        assert T.dropout_keep(keep, 0.25) is keep  # the factors overwrite their draws
+        np.testing.assert_array_equal(keep, (draws >= 0.25) / (1.0 - 0.25))
+        out = dropout(x, keep)
         kept = out.values != 0
         np.testing.assert_array_equal(kept, draws >= 0.25)
         assert 0.6 < kept.mean() < 0.9
         np.testing.assert_allclose(out.values[kept], 1 / 0.75)
         same = dropout(x, None)
         np.testing.assert_array_equal(same.values, x.values)
-
-    def test_dropout_keep_overwrites_its_draws(self):
-        draws = np.random.default_rng(9).random((3, 40))
-        want = (draws >= 0.3) / (1.0 - 0.3)
-        keep = T.dropout_keep(draws, 0.3)
-        assert keep is draws
-        np.testing.assert_array_equal(keep, want)
 
 
 class TestGradCheck:

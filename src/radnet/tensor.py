@@ -21,8 +21,10 @@ the data. Every leaky ReLU of the model has the slope `LEAKY_SLOPE`.
 The attention node, q/k/v projections included, runs one of two kernels
 (see the attention section): heads wider than one feature run the product
 kernel, bit for bit its chain but for one sum order; heads one feature wide
-run the row-last kernel, elementwise over rows laid out last, which matches
-the product kernel within rtol 1e-12, not bit for bit.
+run the row-last kernel, elementwise over rows laid out last with einsum
+contractions for its weighted sums; it matches the product kernel within
+rtol 1e-12, not bit for bit. Gradients summed down to a broadcast operand's
+shape (`_unbroadcast`) are numpy's sums bit for bit (see `_sum_axes`).
 The model's glue between its layers is one node per site, each bit for bit
 its chain of primitive nodes: the member stack (`stack`), each dropout-residual add
 (`residual`), each position encoding (`offset_dropout`), the path fusion
@@ -236,8 +238,27 @@ def _result(values: np.ndarray, inputs: tuple, push_grads) -> DiffArray:
     return out
 
 
+def _sum_axes(x: np.ndarray, axes: tuple[int, ...], keepdims: bool = False) -> np.ndarray:
+    """x.sum(axis=axes, keepdims=keepdims), bit for bit; `axes` are not negative.
+
+    numpy adds an axis that is not innermost in order, one kept row at a time,
+    at a per-row cost that dominates over a short kept last axis; one einsum
+    contraction adds the same terms in the same order in one pass. Where the
+    last axis is summed or 1 long, or x is not C-contiguous, a reduced axis
+    can be the innermost one, which numpy sums pairwise and einsum does not,
+    so those defer to ndarray.sum.
+    """
+    if x.shape[-1] == 1 or x.ndim - 1 in axes or not x.flags.c_contiguous:
+        return x.sum(axis=axes, keepdims=keepdims)
+    total = np.einsum(x, range(x.ndim), [i for i in range(x.ndim) if i not in axes])
+    if keepdims:
+        return total.reshape(tuple(1 if i in axes else n for i, n in enumerate(x.shape)))
+    return total
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape`, inverting numpy broadcasting.
+    """Sum `grad` down to `shape`, inverting numpy broadcasting, bit for bit
+    numpy's sums (`_sum_axes`).
 
     Leading 1s of `shape` (bar its last axis) are summed like missing axes, so
     a (1, 1, k) parameter gets bit for bit the gradient a (k,) one would.
@@ -250,10 +271,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     core = shape[ones:]
     extra = grad.ndim - len(core)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = _sum_axes(grad, tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(core) if n == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = _sum_axes(grad, axes, keepdims=True)
     return grad.reshape(shape) if ones else grad
 
 
@@ -596,9 +617,10 @@ def layer_norm(a, gain, shift, eps: float):
 # query. It projects q, k and v straight into (M, K, H, R) arrays whose last
 # axis holds the R rows that share a member's weights (M members, one for a
 # single matrix), so each score is an elementwise product over (M, Kq, Kk,
-# H, R), the softmax runs over the key axis and each weighted sum adds its
-# terms in order over a short axis, all in whole-array calls; the backward
-# runs in the same layout. It keeps what the product kernel keeps, no second
+# H, R), the softmax runs over the key axis and each weighted sum is one
+# einsum contraction over the key or query axis, adding its terms in order
+# (see `_sum_products`), all in whole-array calls; the backward runs in the
+# same layout. It keeps what the product kernel keeps, no second
 # copy of the projections, and holds at most one temporary of the scores'
 # size at a time. Its projections and weighted sums add in another order
 # than the product kernel's, so its values and gradients match that kernel's
@@ -675,14 +697,14 @@ def _row_last_matrices(xs, ws, n_heads: int) -> list[np.ndarray] | None:
 
 def _sum_products(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
     """(a * b).sum(axis) for a of the scores' shape (M, Kq, Kk, H, R) and b
-    broadcast to it: the terms added in order, each written into one buffer
-    of the sum's size instead of a product of the scores' size."""
-    a, b = np.moveaxis(a, axis, 0), np.moveaxis(np.broadcast_to(b, a.shape), axis, 0)
-    total, term = a[0] * b[0], None
-    for j in range(1, len(a)):
-        term = np.multiply(a[j], b[j], out=term)
-        total += term
-    return total
+    broadcast to it, as one einsum contraction without a product of the
+    scores' size. einsum rounds each product and adds the terms over an outer
+    axis in order, bit for bit a loop that adds them one by one. The one
+    exception: where one head meets one row (H·R == 1), `axis` can be the
+    innermost one, which einsum adds in another order, within the kernel's
+    rtol 1e-12 of that loop."""
+    labels = range(a.ndim)
+    return np.einsum(a, labels, b, labels, [i for i in labels if i != axis])
 
 
 def _row_last_attention(xs, ws, matrices, n_heads: int, scale: float, mask):
@@ -752,12 +774,18 @@ def attention(q, k, v, w_query, w_key, w_value, w_out, n_heads: int, scale: floa
     the optional additive (Kq, Kk) mask, the softmax, the weighted sum of
     values, the head merge and the product with `w_out`. An input passed as
     several of q, k and v gets one gradient per role, which the tape sums.
+    NaN or inf in q, k or v raises a NumericError naming the role before any
+    projection.
 
     Heads one feature wide (d == H) run the row-last kernel, within rtol
     1e-12 of the product kernel, which runs every wider head (see above).
     """
     parents = tuple(_wrap(t) for t in (q, k, v, w_query, w_key, w_value, w_out))
     xs, ws = [p.values for p in parents[:3]], [p.values for p in parents[3:]]
+    for i, x in enumerate(xs):  # an array passed in several roles is read once
+        if all(x is not seen for seen in xs[:i]) and not np.isfinite(x).all():
+            roles = "/".join(r for r, y in zip(("query", "key", "value"), xs) if y is x)
+            raise NumericError(f"attention received NaN or inf {roles} input")
     matrices = _row_last_matrices(xs, ws, n_heads)
     if matrices is None:
         values, push = _product_attention(xs, ws, n_heads, scale, mask)

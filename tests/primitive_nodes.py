@@ -4,7 +4,8 @@ The library runs leaky ReLU, the sigmoid, the neighbour gather, softmax,
 square root and dropout inside its fused nodes only; these stand-alone nodes
 rebuild the chains those nodes replaced, from the same private value and
 gradient helpers (the gather's own gradient, a product with a selection
-matrix, lives here).
+matrix, lives here). `sum_products` is the in-order loop the row-last
+attention kernel's einsum contractions replaced.
 """
 
 import numpy as np
@@ -98,3 +99,14 @@ def dropout(a, keep):
     """`a` times its dropout keep factors (`tensor.dropout_keep`); None (not
     training) leaves `a` as it is."""
     return _wrap(a) if keep is None else mul(a, keep)
+
+
+def sum_products(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """(a * b).sum(axis) for b broadcast to a's shape: each term a product
+    rounded on its own, the terms added in order from the first."""
+    a, b = np.moveaxis(a, axis, 0), np.moveaxis(np.broadcast_to(b, a.shape), axis, 0)
+    total, term = a[0] * b[0], None
+    for j in range(1, len(a)):
+        term = np.multiply(a[j], b[j], out=term)
+        total += term
+    return total

@@ -353,6 +353,29 @@ class TestAttention:
         # the three projections, the scores, the weighted values and the output map
         assert len(calls) == 6
 
+    # (d_model, n_heads): the row-last kernel, then the product kernel at one and two heads
+    @pytest.mark.parametrize("d_model, n_heads", [(7, 7), (4, 1), (4, 2)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("role", ["query", "key", "value"])
+    def test_non_finite_input_refused_before_any_projection(self, role, bad, d_model, n_heads):
+        # a RuntimeWarning from a projection fails this test (error::RuntimeWarning)
+        q, k, v, *weights = attention_arrays(np.random.default_rng(50), (2, 3), 4, 4, d_model)
+        {"query": q, "key": k, "value": v}[role][1, 2, 0, d_model - 1] = bad
+        with pytest.raises(NumericError, match=f"attention received NaN or inf {role} input"):
+            T.attention(q, k, v, *weights, n_heads, 0.5)
+
+    @pytest.mark.parametrize("d_model, n_heads", [(7, 7), (4, 2)])
+    def test_input_in_several_roles_checked_once(self, monkeypatch, d_model, n_heads):
+        q, kv, _, *weights = attention_arrays(np.random.default_rng(51), (2, 3), 4, 4, d_model)
+        read = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda x: read.append(x) or isfinite(x))
+        T.attention(q, kv, kv, *weights, n_heads, 0.5)
+        assert [sum(x is y for x in read) for y in (q, kv)] == [1, 1]
+        kv[0, 0, 0, 0] = np.inf
+        with pytest.raises(NumericError, match="NaN or inf key/value input"):
+            T.attention(q, kv, kv, *weights, n_heads, 0.5)
+
 
 WIDTH_ONE_CASES = [case for case, (_, _, d, h) in ATTENTION_SHAPES.items() if d == h]
 

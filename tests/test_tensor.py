@@ -3,6 +3,7 @@ against central finite differences."""
 
 import re
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from radnet import tensor as T
 from radnet.errors import DimensionError, NumericError
 from radnet.tensor import DiffArray
 
-from primitive_nodes import dropout, gather, leaky_relu, sigmoid, softmax
+from primitive_nodes import dropout, gather, leaky_relu, sigmoid, softmax, sum_products
 
 
 def fd_grad(f, p, h=1e-6):
@@ -200,6 +201,98 @@ class TestLastAxisReductions:
             assert_same_bits(top, x.max(axis=-1, keepdims=True))
             assert_same_bits(total / x.shape[-1], x.mean(axis=-1, keepdims=True))
         assert not np.shares_memory(total, x) and not np.shares_memory(top, x)
+
+
+def strided(x: np.ndarray, layout: str) -> np.ndarray:
+    """x's values in `layout`: C-contiguous, its last two axes swapped in
+    memory, every other element of a larger array, or broadcast over its first axis."""
+    if layout == "transposed" and x.ndim > 1:
+        return np.swapaxes(np.ascontiguousarray(np.swapaxes(x, -1, -2)), -1, -2)
+    if layout == "sliced":
+        return np.repeat(x, 2, axis=-1)[..., ::2]
+    if layout == "broadcast":
+        return np.broadcast_to(x[:1], x.shape)
+    return x
+
+
+LAYOUTS = st.sampled_from(["contiguous", "transposed", "sliced", "broadcast"])
+
+
+@st.composite
+def unbroadcast_cases(draw):
+    """(grad, shape): `shape` with some axes 1 long, and a gradient broadcast
+    from it over those axes and up to two leading ones, in any layout."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=7))
+    ones = draw(st.lists(st.booleans(), min_size=len(shape), max_size=len(shape)))
+    shape = tuple(1 if one else n for n, one in zip(shape, ones))
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=9))
+    spread = tuple(draw(st.integers(1, 9)) if n == 1 else n for n in shape)
+    grad = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=lead + spread)
+    return strided(grad, draw(LAYOUTS)), shape
+
+
+class TestOuterAxisSums:
+    """The einsum contractions against the sums they replaced, bit for bit.
+
+    Both rest on numpy's einsum adding a reduced axis that is not the
+    innermost one in order, each term after the last."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(unbroadcast_cases())
+    # a hidden bias's gradient: members kept, rows and keys summed, 16 features
+    @example((np.random.default_rng(0).normal(size=(2, 512, 5, 16)), (2, 1, 1, 16)))
+    @example((np.random.default_rng(1).normal(size=(3, 32, 16, 7)), (7,)))
+    # a kept last axis 1 long, which leaves numpy's sum to add the axis innermost
+    @example((np.random.default_rng(2).normal(size=(4, 9, 1)), (1, 9, 1)))
+    @example((np.random.default_rng(3).normal(size=(4, 9, 1)), (4, 1, 1)))
+    def test_unbroadcast_matches_numpy_sum(self, case):
+        grad, shape = case
+        got = T._unbroadcast(grad, shape)
+        with mock.patch.object(T, "_sum_axes", lambda x, axes, keepdims=False:
+                               x.sum(axis=axes, keepdims=keepdims)):
+            want = T._unbroadcast(grad, shape)
+        assert_same_bits(got, want)
+        np.testing.assert_allclose(got, brute_unbroadcast(grad, shape), rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=hnp.array_shapes(min_dims=1, max_dims=5, min_side=1, max_side=7),
+        pick=st.lists(st.booleans(), min_size=5, max_size=5),
+        keepdims=st.booleans(),
+        layout=LAYOUTS,
+        seed=st.integers(0, 2**16),
+    )
+    def test_sum_axes_matches_numpy_sum(self, shape, pick, keepdims, layout, seed):
+        x = strided(np.random.default_rng(seed).normal(size=shape), layout)
+        axes = tuple(i for i, p in zip(range(x.ndim), pick) if p)
+        assert_same_bits(T._sum_axes(x, axes, keepdims), x.sum(axis=axes, keepdims=keepdims))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        members=st.integers(1, 3),
+        kq=st.integers(1, 9),
+        kk=st.integers(1, 9),
+        heads=st.integers(1, 7),
+        rows=st.integers(1, 513),
+        axis=st.sampled_from([1, 2]),
+        full=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(members=2, kq=5, kk=5, heads=7, rows=512, axis=2, full=False, seed=0)
+    @example(members=1, kq=9, kk=9, heads=1, rows=1, axis=2, full=True, seed=1)
+    @example(members=3, kq=9, kk=4, heads=1, rows=1, axis=1, full=False, seed=2)
+    def test_sum_products_match_the_in_order_loop(self, members, kq, kk, heads, rows, axis,
+                                                  full, seed):
+        # a is of the scores' shape (M, Kq, Kk, H, R); b is another score-sized
+        # array or, as a projection is, broadcast over the axis the sum keeps
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(members, kq, kk, heads, rows))
+        b = rng.normal(size=a.shape if full else a.shape[:3 - axis] + (1,) + a.shape[4 - axis:])
+        got, want = T._sum_products(a, b, axis), sum_products(a, b, axis)
+        if heads * rows > 1:
+            assert_same_bits(got, want)
+        else:  # one head meets one row: the summed axis is innermost, held within rtol 1e-12
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def where_leaky_relu(x, slope):

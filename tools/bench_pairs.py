@@ -11,10 +11,13 @@ the child's minor page faults and its user and system CPU seconds.
 
 The script prints one JSON object: for each side, every run's end-to-end
 metrics, `correct`, `attempted`, `failed`, `minor_faults`, `user_s` and
-`system_s` in run order (`runs`), their medians and quartiles (`summary`),
-and the number of pairs in which the change's `op_s` is the lower
-(`change_lower_op_s_in_pairs`). It exits 1 when a run exits non-zero or
-reports no result.
+`system_s` in run order (`runs`), and their medians and quartiles
+(`summary`). For each end-to-end metric that PARENT's `BENCHMARK.json`
+declares, it gives the change's median against the parent's in percent
+(`median_change_pct`), whether that is no worse than the metric's bound
+(`within_bound`) and the number of pairs in which the change's figure is the
+better one (`change_better_in_pairs`); standard error gets the same as one
+line. It exits 1 when a run exits non-zero or reports no result.
 """
 
 from __future__ import annotations
@@ -60,6 +63,24 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
+def compare(runs: dict, end_to_end: list[dict]) -> dict:
+    """Each `end_to_end` metric of BENCHMARK.json (name, better, bound) that
+    the runs report: the change's median change in percent, whether it is
+    within the bound, and the pairs the change wins."""
+    out = {"median_change_pct": {}, "within_bound": {}, "change_better_in_pairs": {}}
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        if name not in runs["parent"][0]:
+            continue
+        parent, change = ([run[name] for run in runs[side]] for side in ("parent", "change"))
+        pct = 100.0 * (statistics.median(change) / statistics.median(parent) - 1.0)
+        out["median_change_pct"][name] = round(pct, 2)
+        out["within_bound"][name] = sign * pct <= 100.0 * metric["bound"]
+        out["change_better_in_pairs"][name] = sum(sign * (c - p) < 0
+                                                  for p, c in zip(parent, change))
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
@@ -70,6 +91,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=25)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    end_to_end = json.loads((trees["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"parent": [], "change": []}
     try:
         for pair in range(args.pairs):
@@ -81,13 +103,17 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    lower = sum(c["op_s"] < p["op_s"] for p, c in zip(runs["parent"], runs["change"]))
+    compared = compare(runs, end_to_end)
+    print("; ".join(f"{name} {pct:+.2f} % ("
+                    f"{'within' if compared['within_bound'][name] else 'PAST'} bound, better in "
+                    f"{compared['change_better_in_pairs'][name]} of {args.pairs} pairs)"
+                    for name, pct in compared["median_change_pct"].items()), file=sys.stderr)
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "pairs": args.pairs, "order": "alternating, parent first in even-numbered pairs",
         "trees": {side: str(tree) for side, tree in trees.items()},
         "runs": runs, "summary": {side: summary(r) for side, r in runs.items()},
-        "change_lower_op_s_in_pairs": lower,
+        **compared,
     }, indent=1))
     return 0
 

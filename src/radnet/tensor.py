@@ -246,9 +246,11 @@ def _sum_axes(x: np.ndarray, axes: tuple[int, ...], keepdims: bool = False) -> n
     contraction adds the same terms in the same order in one pass. Where the
     last axis is summed or 1 long, or x is not C-contiguous, a reduced axis
     can be the innermost one, which numpy sums pairwise and einsum does not,
-    so those defer to ndarray.sum.
+    so those defer to ndarray.sum, as do arrays of too few rows for the
+    einsum call's fixed cost to pay (`_many_rows`).
     """
-    if x.shape[-1] == 1 or x.ndim - 1 in axes or not x.flags.c_contiguous:
+    if (x.shape[-1] == 1 or x.ndim - 1 in axes or not x.flags.c_contiguous
+            or not _many_rows(x)):
         return x.sum(axis=axes, keepdims=keepdims)
     total = np.einsum(x, range(x.ndim), [i for i in range(x.ndim) if i not in axes])
     if keepdims:
@@ -499,25 +501,26 @@ def reduce_mean(a, axis=None, keepdims: bool = False):
 # numpy reduces a last axis row by row, a per-row cost that dominates at the
 # 3-7 wide rows of per-node attention. An elementwise operation over the
 # axis's slices does the same work in a few whole-array calls, each with a
-# fixed cost of its own, so it pays from _SLICE_MIN_ROWS rows on. Below
+# fixed cost of its own, so it pays from _MANY_ROWS rows on, as does the one
+# einsum call with which `_sum_axes` sums outer axes over short rows. Below
 # _PAIRWISE_MIN elements numpy's sum adds in order from 0.0, whether the axis
 # is contiguous or strided, so adding the slices in that order gives the same
 # bits; from _PAIRWISE_MIN on it sums pairwise, and `_sum_last` defers to it.
 # A maximum is exact in any order.
 
 _PAIRWISE_MIN = 8
-_SLICE_MIN_ROWS = 256
+_MANY_ROWS = 256
 
 
-def _by_slices(x: np.ndarray) -> bool:
+def _many_rows(x: np.ndarray) -> bool:
     width = x.shape[-1]
-    return 0 < width and x.size >= _SLICE_MIN_ROWS * width
+    return 0 < width and x.size >= _MANY_ROWS * width
 
 
 def _sum_last(x: np.ndarray) -> np.ndarray:
     """x.sum(axis=-1, keepdims=True), bit for bit; always a fresh array."""
     width = x.shape[-1]
-    if width >= _PAIRWISE_MIN or not _by_slices(x):
+    if width >= _PAIRWISE_MIN or not _many_rows(x):
         return x.sum(axis=-1, keepdims=True)
     total = 0.0 + x[..., :1]
     for i in range(1, width):
@@ -527,7 +530,7 @@ def _sum_last(x: np.ndarray) -> np.ndarray:
 
 def _max_last(x: np.ndarray) -> np.ndarray:
     """x.max(axis=-1, keepdims=True), NaN-propagating; always a fresh array."""
-    if not _by_slices(x):
+    if not _many_rows(x):
         return x.max(axis=-1, keepdims=True)
     top = x[..., :1].copy()
     for i in range(1, x.shape[-1]):
@@ -782,8 +785,8 @@ def attention(q, k, v, w_query, w_key, w_value, w_out, n_heads: int, scale: floa
     """
     parents = tuple(_wrap(t) for t in (q, k, v, w_query, w_key, w_value, w_out))
     xs, ws = [p.values for p in parents[:3]], [p.values for p in parents[3:]]
-    for i, x in enumerate(xs):  # an array passed in several roles is read once
-        if all(x is not seen for seen in xs[:i]) and not np.isfinite(x).all():
+    for x in {id(x): x for x in xs}.values():  # an array passed in several roles is read once
+        if not np.isfinite(x).all():
             roles = "/".join(r for r, y in zip(("query", "key", "value"), xs) if y is x)
             raise NumericError(f"attention received NaN or inf {roles} input")
     matrices = _row_last_matrices(xs, ws, n_heads)

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _SPEC = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).parents[1] / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -49,3 +51,22 @@ def test_a_higher_is_better_metric_past_its_bound():
     compared = bench_pairs.compare(
         runs(train_steps_per_s=([10.0, 10.0, 10.0], [7.0, 7.9, 9.0])), END_TO_END)
     assert compared["within_bound"] == {"train_steps_per_s": False}
+
+
+def test_parent_without_end_to_end_metrics_exits_1_before_any_run(tmp_path, capsys):
+    (tmp_path / "change").mkdir()
+    assert bench_pairs.main([str(tmp_path), str(tmp_path / "change"), "--workload", "w",
+                             "--pairs", "1", "--seed", "0"]) == 1
+    (tmp_path / "BENCHMARK.json").write_text('{"workloads": []}')
+    assert bench_pairs.main([str(tmp_path), str(tmp_path / "change"), "--workload", "w",
+                             "--pairs", "1", "--seed", "0"]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and all("no end_to_end list" in line for line in errors)
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_fewer_than_one_pair_is_a_usage_error(tmp_path, pairs):
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", pairs,
+                          "--seed", "0"])
+    assert exit_.value.code == 2

@@ -243,6 +243,8 @@ class TestOuterAxisSums:
         ((2, 512, 5, 16), (1, 2), True),  # a hidden bias's gradient at N=16, D=7
         ((32, 16, 7), (0, 1), True),
         ((2, 32, 1, 4), (1,), False),  # 64 rows, where numpy's sum is the cheaper call
+        ((2, 128, 1, 4), (1,), True),  # _MANY_ROWS rows
+        ((255, 4), (0,), False),
         ((2, 512, 5, 1), (1, 2), False),  # a last axis 1 long
         ((512, 16), (0, 1), False),  # the last axis summed
     ])

@@ -17,7 +17,9 @@ declares, it gives the change's median against the parent's in percent
 (`median_change_pct`), whether that is no worse than the metric's bound
 (`within_bound`) and the number of pairs in which the change's figure is the
 better one (`change_better_in_pairs`); standard error gets the same as one
-line. It exits 1 when a run exits non-zero or reports no result.
+line. It exits 1 when PARENT's `BENCHMARK.json` cannot be read or has no
+`end_to_end` list, or when a run exits non-zero or reports no result;
+`--pairs` must be at least 1.
 """
 
 from __future__ import annotations
@@ -81,17 +83,29 @@ def compare(runs: dict, end_to_end: list[dict]) -> dict:
     return out
 
 
+def _pairs(text: str) -> int:
+    pairs = int(text)
+    if pairs < 1:
+        raise argparse.ArgumentTypeError(f"at least one pair, not {pairs}")
+    return pairs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--pairs", type=_pairs, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=25)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    end_to_end = json.loads((trees["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
+    spec = trees["parent"] / "BENCHMARK.json"
+    try:
+        end_to_end = json.loads(spec.read_text())["end_to_end"]
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: {spec}: no end_to_end list ({exc!r})", file=sys.stderr)
+        return 1
     runs = {"parent": [], "change": []}
     try:
         for pair in range(args.pairs):

@@ -238,6 +238,9 @@ def _result(values: np.ndarray, inputs: tuple, push_grads) -> DiffArray:
     return out
 
 
+_EINSUM_MIN_ROWS = 512
+
+
 def _sum_axes(x: np.ndarray, axes: tuple[int, ...], keepdims: bool = False) -> np.ndarray:
     """x.sum(axis=axes, keepdims=keepdims), bit for bit; `axes` are not negative.
 
@@ -246,14 +249,16 @@ def _sum_axes(x: np.ndarray, axes: tuple[int, ...], keepdims: bool = False) -> n
     contraction adds the same terms in the same order in one pass. Where the
     last axis is summed or 1 long, or x is not C-contiguous, a reduced axis
     can be the innermost one, which numpy sums pairwise and einsum does not,
-    so those defer to ndarray.sum. So do arrays of fewer than _MANY_ROWS rows
-    of the last axis (`_many_rows`, tested first as the cheapest): on the
-    gradient shapes `_unbroadcast` gets in training, with last axes 3-64
-    wide, einsum's fixed cost makes it 1.7-3.7x as dear as numpy's sum below
-    32 rows; the two break even between 96 and 320 rows, and from 1,024 rows
-    einsum costs 0.4-0.7x as much.
+    so those defer to ndarray.sum. So do arrays of fewer than
+    _EINSUM_MIN_ROWS rows of the last axis.
+    On the gradient shapes `_unbroadcast` gets in training, with last axes
+    3-64 wide, einsum's fixed cost makes it 1.7-3.7x as dear as numpy's sum
+    below 32 rows; timed alone, the two break even between 96 and 320 rows,
+    and from 1,024 rows einsum costs 0.4-0.7x as much. Inside C07's training
+    steps einsum still lost at 320 rows, so the threshold sits above that.
     """
-    if (not _many_rows(x) or x.shape[-1] == 1 or x.ndim - 1 in axes
+    width = x.shape[-1]
+    if (width <= 1 or x.size < _EINSUM_MIN_ROWS * width or x.ndim - 1 in axes
             or not x.flags.c_contiguous):
         return x.sum(axis=axes, keepdims=keepdims)
     total = np.einsum(x, range(x.ndim), [i for i in range(x.ndim) if i not in axes])
@@ -505,26 +510,25 @@ def reduce_mean(a, axis=None, keepdims: bool = False):
 # numpy reduces a last axis row by row, a per-row cost that dominates at the
 # 3-7 wide rows of per-node attention. An elementwise operation over the
 # axis's slices does the same work in a few whole-array calls, each with a
-# fixed cost of its own, so it pays from _MANY_ROWS rows on, as does the one
-# einsum call with which `_sum_axes` sums outer axes over short rows. Below
+# fixed cost of its own, so it pays from _SLICE_MIN_ROWS rows on. Below
 # _PAIRWISE_MIN elements numpy's sum adds in order from 0.0, whether the axis
 # is contiguous or strided, so adding the slices in that order gives the same
 # bits; from _PAIRWISE_MIN on it sums pairwise, and `_sum_last` defers to it.
 # A maximum is exact in any order.
 
 _PAIRWISE_MIN = 8
-_MANY_ROWS = 256
+_SLICE_MIN_ROWS = 256
 
 
-def _many_rows(x: np.ndarray) -> bool:
+def _by_slices(x: np.ndarray) -> bool:
     width = x.shape[-1]
-    return 0 < width and x.size >= _MANY_ROWS * width
+    return 0 < width and x.size >= _SLICE_MIN_ROWS * width
 
 
 def _sum_last(x: np.ndarray) -> np.ndarray:
     """x.sum(axis=-1, keepdims=True), bit for bit; always a fresh array."""
     width = x.shape[-1]
-    if width >= _PAIRWISE_MIN or not _many_rows(x):
+    if width >= _PAIRWISE_MIN or not _by_slices(x):
         return x.sum(axis=-1, keepdims=True)
     total = 0.0 + x[..., :1]
     for i in range(1, width):
@@ -534,7 +538,7 @@ def _sum_last(x: np.ndarray) -> np.ndarray:
 
 def _max_last(x: np.ndarray) -> np.ndarray:
     """x.max(axis=-1, keepdims=True), NaN-propagating; always a fresh array."""
-    if not _many_rows(x):
+    if not _by_slices(x):
         return x.max(axis=-1, keepdims=True)
     top = x[..., :1].copy()
     for i in range(1, x.shape[-1]):

@@ -170,7 +170,7 @@ def last_axis_arrays(draw):
     x = draw(hnp.arrays(np.float64, lead + (draw(st.integers(1, 16)),),
                         elements=st.floats(width=64)))
     if draw(st.booleans()):  # the same rows, enough of them to go slice by slice
-        x = np.repeat(x[None], T._MANY_ROWS, axis=0)
+        x = np.repeat(x[None], T._SLICE_MIN_ROWS, axis=0)
     if x.ndim > 1 and draw(st.booleans()):
         x = np.swapaxes(np.ascontiguousarray(np.swapaxes(x, -1, -2)), -1, -2)
     return x
@@ -192,8 +192,8 @@ class TestLastAxisReductions:
     @settings(max_examples=300, deadline=None)
     @given(last_axis_arrays())
     # numpy's sum starts from +0.0, so a row of -0.0 sums to +0.0
-    @example(np.full((T._MANY_ROWS, 1), -0.0))
-    @example(np.full((T._MANY_ROWS, 3), -0.0))
+    @example(np.full((T._SLICE_MIN_ROWS, 1), -0.0))
+    @example(np.full((T._SLICE_MIN_ROWS, 3), -0.0))
     def test_sum_and_max_match_numpy_bitwise(self, x):
         with np.errstate(all="ignore"):
             total, top = T._sum_last(x), T._max_last(x)
@@ -236,15 +236,15 @@ class TestOuterAxisSums:
 
     Both rest on numpy's einsum adding a reduced axis that is not the
     innermost one in order, each term after the last. The property tests
-    contract from one row up (`_MANY_ROWS` 1), so that small drawn
+    contract from one row up (`_EINSUM_MIN_ROWS` 1), so that small drawn
     shapes run einsum wherever `_sum_axes` allows it at all."""
 
     @pytest.mark.parametrize("shape, axes, contracted", [
         ((2, 512, 5, 16), (1, 2), True),  # a hidden bias's gradient at N=16, D=7
         ((32, 16, 7), (0, 1), True),
         ((2, 32, 1, 4), (1,), False),  # 64 rows, where numpy's sum is the cheaper call
-        ((2, 128, 1, 4), (1,), True),  # _MANY_ROWS rows
-        ((255, 4), (0,), False),
+        ((2, 256, 1, 4), (1,), True),  # _EINSUM_MIN_ROWS rows
+        ((511, 4), (0,), False),
         ((2, 512, 5, 1), (1, 2), False),  # a last axis 1 long
         ((512, 16), (0, 1), False),  # the last axis summed
     ])
@@ -266,7 +266,7 @@ class TestOuterAxisSums:
     @example((np.random.default_rng(3).normal(size=(4, 9, 1)), (4, 1, 1)))
     def test_unbroadcast_matches_numpy_sum(self, case):
         grad, shape = case
-        with mock.patch.object(T, "_MANY_ROWS", 1):
+        with mock.patch.object(T, "_EINSUM_MIN_ROWS", 1):
             got = T._unbroadcast(grad, shape)
         with mock.patch.object(T, "_sum_axes", lambda x, axes, keepdims=False:
                                x.sum(axis=axes, keepdims=keepdims)):
@@ -285,7 +285,7 @@ class TestOuterAxisSums:
     def test_sum_axes_matches_numpy_sum(self, shape, pick, keepdims, layout, seed):
         x = strided(np.random.default_rng(seed).normal(size=shape), layout)
         axes = tuple(i for i, p in zip(range(x.ndim), pick) if p)
-        with mock.patch.object(T, "_MANY_ROWS", 1):
+        with mock.patch.object(T, "_EINSUM_MIN_ROWS", 1):
             got = T._sum_axes(x, axes, keepdims)
         assert_same_bits(got, x.sum(axis=axes, keepdims=keepdims))
 

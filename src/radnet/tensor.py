@@ -249,12 +249,13 @@ def _sum_axes(x: np.ndarray, axes: tuple[int, ...], keepdims: bool = False) -> n
     contraction adds the same terms in the same order in one pass. Where the
     last axis is summed or 1 long, or x is not C-contiguous, a reduced axis
     can be the innermost one, which numpy sums pairwise and einsum does not,
-    so those defer to ndarray.sum. So do arrays of fewer than
-    _EINSUM_MIN_ROWS rows of the last axis.
-    On the gradient shapes `_unbroadcast` gets in training, with last axes
-    3-64 wide, einsum's fixed cost makes it 1.7-3.7x as dear as numpy's sum
-    below 32 rows; timed alone, the two break even between 96 and 320 rows,
-    and from 1,024 rows einsum costs 0.4-0.7x as much. Inside C07's training
+    so those defer to ndarray.sum.
+
+    So do arrays of fewer than _EINSUM_MIN_ROWS rows of the last axis. On the
+    gradient shapes `_unbroadcast` gets in training, with last axes 3-64
+    wide, einsum's fixed cost makes it 1.7-3.7x as dear as numpy's sum below
+    32 rows; timed alone, the two break even between 96 and 320 rows, and
+    from 1,024 rows einsum costs 0.4-0.7x as much. Inside C07's training
     steps einsum still lost at 320 rows, so the threshold sits above that.
     """
     width = x.shape[-1]

@@ -35,7 +35,7 @@ from .nn import (
     save_checkpoint,
 )
 from .temporal import TransformerBlock, transformer_forward
-from .tensor import DiffArray, _wrap, concat, frobenius_loss, fuse, reshape, stack
+from .tensor import DiffArray, _wrap, frobenius_loss, fuse, reshape, shift_window, stack
 
 VARIANTS = ("full", "no_skip", "no_st", "no_ts")
 
@@ -217,12 +217,12 @@ def rollout_autoregressive(
     """Iterate a single-step model `horizon` steps ahead over (B, K, N, D) windows.
 
     Each step is one `forward_batch` call whose predictions are appended to
-    the windows (dropping the oldest slice). When `teacher_force_p` > 0, each
-    intermediate step draws `rng.random(B) < teacher_force_p` and sample b's
-    appended slice becomes the observation `truth[b, step]` where the draw
-    is true; the substitution is a 0/1 mask, so gradient flows only through
-    the predictions kept. Returns the (B, N, D) predictions of the last step
-    and the (B, horizon - 1) bool mask of forced slices.
+    the windows (dropping the oldest slice), one `shift_window` node. When
+    `teacher_force_p` > 0, each intermediate step draws
+    `rng.random(B) < teacher_force_p` and sample b's appended slice becomes
+    the observation `truth[b, step]` where the draw is true; gradient flows
+    only through the predictions kept. Returns the (B, N, D) predictions of
+    the last step and the (B, horizon - 1) bool mask of forced slices.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -240,9 +240,8 @@ def rollout_autoregressive(
         preds, _ = model.forward_batch(windows, graph, training, rng)
         if teacher_force_p > 0.0:
             forced[:, step] = rng.random(batch) < teacher_force_p
-            keep = (~forced[:, step]).astype(np.float64).reshape(-1, 1, 1)
-            preds = preds * keep + (1.0 - keep) * truth[:, step]
-        slice_ = reshape(preds, (batch, 1, *preds.shape[1:]))
-        windows = concat([windows[:, 1:], slice_], axis=1)
+            windows = shift_window(windows, preds, truth[:, step], forced[:, step])
+        else:
+            windows = shift_window(windows, preds)
     preds, _ = model.forward_batch(windows, graph, training, rng)
     return preds, forced

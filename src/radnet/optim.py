@@ -31,13 +31,16 @@ class AdamW:
     def step(self) -> None:
         """One update of `store.flat`, in place.
 
-        A NaN gradient aborts the step before anything changes, naming the
-        parameter that holds it.
+        A NaN or infinite gradient aborts the step before anything changes,
+        naming the parameter that holds it.
         """
         grad, m, v, p = self.store.grad, self.first_moment, self.second_moment, self.store.flat
-        if np.isnan(np.dot(grad, grad)):  # a sum of squares is NaN only where a term is
-            nan = np.flatnonzero(np.isnan(grad))
-            raise NumericError(f"NaN gradient for {self.store.name_at(nan[0])}; step aborted")
+        # a sum of squares is finite unless a term is NaN or inf, or the sum overflows
+        if not np.isfinite(np.dot(grad, grad)):
+            for kind, bad in (("NaN", np.isnan(grad)), ("infinite", np.isinf(grad))):
+                if bad.any():
+                    name = self.store.name_at(np.flatnonzero(bad)[0])
+                    raise NumericError(f"{kind} gradient for {name}; step aborted")
         self.step_count += 1
         b1, b2 = self.betas
         s, u = self._scratch

@@ -10,6 +10,10 @@ clears the tape so memory stays bounded by a single forward pass.
 
 Everything runs in 64-bit precision; the engine is meant for desk-scale
 models whose gradients are routinely validated against finite differences.
+The module holds the nodes the model records and no others: no general
+elementwise arithmetic or reductions, and `DiffArray` takes no arithmetic
+operator (only indexing, a `take` node). The chains of primitive nodes that
+its fused nodes replaced are rebuilt in the tests (tests/primitive_nodes.py).
 A product with one weight matrix per member of a leading member axis,
 shared by that member's batch, is one GEMM over each member's flattened batch
 and matches the batched matmul within rtol 1e-12, not bit for bit (see the
@@ -28,7 +32,8 @@ shape (`_unbroadcast`) are numpy's sums bit for bit (see `_sum_axes`).
 The model's glue between its layers is one node per site, each bit for bit
 its chain of primitive nodes: the member stack (`stack`), each dropout-residual add
 (`residual`), each position encoding (`offset_dropout`), the path fusion
-with its softmax weights (`fuse`) and the loss (`frobenius_loss`).
+with its softmax weights (`fuse`), the loss (`frobenius_loss`) and each
+rollout step (`shift_window`).
 Softmax and layer norm reduce a short last axis of many rows slice by
 slice, in the order numpy's own reduction adds below 8 elements, so those
 values too are numpy's bit for bit (see the last-axis reductions section).
@@ -90,8 +95,8 @@ class DiffArray:
     """
 
     __slots__ = ("values", "grad", "requires_grad", "op_trace")
-    # numpy operands on the left defer to the reflected operators below
-    # instead of broadcasting over DiffArray objects one element at a time
+    # a DiffArray takes no arithmetic operator: numpy refuses it as an operand
+    # (TypeError) instead of broadcasting over DiffArray objects one at a time
     __array_ufunc__ = None
 
     def __init__(self, values, requires_grad: bool = False):
@@ -112,9 +117,6 @@ class DiffArray:
     @property
     def size(self) -> int:
         return self.values.size
-
-    def item(self) -> float:
-        return float(self.values)
 
     def __repr__(self) -> str:
         return f"DiffArray(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -172,48 +174,8 @@ class DiffArray:
             if got is not _VISITED:
                 leaf.grad = np.array(got) if held is None else np.add(held, got, out=held)
 
-    # -- operator sugar --------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return take(self, key)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -291,49 +253,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise / broadcasting ops
-
-
-def _broadcast_binop(a, b, fwd, grad_a, grad_b):
-    a, b = _wrap(a), _wrap(b)
-    av, bv = a.values, b.values
-    try:
-        values = fwd(av, bv)
-    except ValueError as exc:
-        raise DimensionError(
-            f"operands not broadcastable: {av.shape} vs {bv.shape}"
-        ) from exc
-
-    def push(g, wants):
-        ga = _unbroadcast(grad_a(g, av, bv), av.shape) if wants[0] else None
-        gb = _unbroadcast(grad_b(g, av, bv), bv.shape) if wants[1] else None
-        return ga, gb
-
-    return _result(values, (a, b), push)
-
-
-def add(a, b):
-    return _broadcast_binop(a, b, np.add, lambda g, av, bv: g, lambda g, av, bv: g)
-
-
-def sub(a, b):
-    return _broadcast_binop(a, b, np.subtract, lambda g, av, bv: g, lambda g, av, bv: -g)
-
-
-def mul(a, b):
-    return _broadcast_binop(
-        a, b, np.multiply, lambda g, av, bv: g * bv, lambda g, av, bv: g * av
-    )
-
-
-def div(a, b):
-    return _broadcast_binop(
-        a,
-        b,
-        np.divide,
-        lambda g, av, bv: g / bv,
-        lambda g, av, bv: -g * av / (bv * bv),
-    )
+# activation kernels
 
 
 # No branch on the data: for 0 < slope <= 1 and non-NaN input (NaN stays NaN) these
@@ -434,12 +354,6 @@ def _product(av: np.ndarray, bv: np.ndarray):
     return values, grads
 
 
-def matmul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    values, grads = _product(a.values, b.values)
-    return _result(values, (a, b), grads)
-
-
 def feed_forward(x, weights: Sequence, biases: Sequence):
     """Affine layers x @ w + b with a leaky ReLU between each pair, as one node.
 
@@ -473,36 +387,6 @@ def feed_forward(x, weights: Sequence, biases: Sequence):
         return (g, *grads)
 
     return _result(h, (x, *params), push)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def _spread(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    """A reduction's output gradient as a read-only view over its input's `shape`."""
-    return np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), shape)
-
-
-def reduce_sum(a, axis=None, keepdims: bool = False):
-    a = _wrap(a)
-    shape = a.values.shape
-
-    def push(g, _):
-        return (_spread(g, shape, axis, keepdims),)
-
-    return _result(a.values.sum(axis=axis, keepdims=keepdims), (a,), push)
-
-
-def reduce_mean(a, axis=None, keepdims: bool = False):
-    a = _wrap(a)
-    values = a.values.mean(axis=axis, keepdims=keepdims)
-    shape, count = a.values.shape, a.values.size / max(values.size, 1)
-
-    def push(g, _):
-        return (_spread(g, shape, axis, keepdims) / count,)
-
-    return _result(values, (a,), push)
 
 
 # ---------------------------------------------------------------------------
@@ -934,18 +818,6 @@ def take(a, key):
     return _result(values, (a,), push)
 
 
-def concat(arrays: Iterable, axis: int = 0):
-    parts = [_wrap(x) for x in arrays]
-    values = np.concatenate([p.values for p in parts], axis=axis)
-    sizes = [p.values.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def push(g, _):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return _result(values, tuple(parts), push)
-
-
 def stack(arrays: Iterable):
     """Arrays of one shape on a new leading axis (np.stack), as one node."""
     parts = [_wrap(x) for x in arrays]
@@ -955,6 +827,40 @@ def stack(arrays: Iterable):
         return tuple(g)
 
     return _result(values, tuple(parts), push)
+
+
+def shift_window(windows, preds, truth: np.ndarray | None = None,
+                 forced: np.ndarray | None = None):
+    """One rollout step as one node: the (B, K, ...) windows without their
+    oldest slice, with the (B, ...) predictions appended. Where the (B,) bool
+    `forced` is set, sample b's appended slice is `truth[b]` instead, and that
+    prediction gets no gradient.
+
+    It makes the numpy calls of its chain (take, then with `forced` mul and
+    add, then reshape and concat) in the chain's order, so its values and
+    gradients are that chain's bit for bit.
+    """
+    windows, preds = _wrap(windows), _wrap(preds)
+    wv, pv = windows.values, preds.values
+    keep = None
+    if forced is not None:  # preds * keep + (1 - keep) * truth, keep 0 where forced
+        keep = (~forced).astype(np.float64).reshape((-1,) + (1,) * (pv.ndim - 1))
+        pv = pv * keep + (1.0 - keep) * truth
+    values = np.concatenate([wv[:, 1:], pv.reshape(pv.shape[:1] + (1,) + pv.shape[1:])], axis=1)
+
+    def push(g, wants):
+        g_tail, g_slice = np.split(g, [wv.shape[1] - 1], axis=1)
+        g_windows = g_preds = None
+        if wants[0]:
+            g_windows = np.zeros_like(wv)
+            g_windows[:, 1:] += g_tail
+        if wants[1]:
+            g_preds = g_slice.reshape(preds.shape)
+            if keep is not None:
+                g_preds = g_preds * keep
+        return g_windows, g_preds
+
+    return _result(values, (windows, preds), push)
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,26 @@ from radnet.model import (
 from radnet.temporal import causal_mask
 from radnet.tensor import DiffArray
 
-from primitive_nodes import dropout, gather, leaky_relu, sigmoid, softmax, sqrt
+from primitive_nodes import (
+    add,
+    concat,
+    dropout,
+    gather,
+    leaky_relu,
+    matmul,
+    mul,
+    reduce_mean,
+    reduce_sum,
+    sigmoid,
+    softmax,
+    sqrt,
+    sub,
+    weighted_sum,
+)
 
 
 def composed_affine(x, w, b):
-    return T.matmul(x, w) + b
+    return add(matmul(x, w), b)
 
 
 def composed_feed_forward(x, weights, biases):
@@ -88,16 +103,16 @@ def composed_attention(qp, kp, vp, w_out, n_heads, scale, mask=None):
         x = T.swapaxes(x, -3, -2)
         return T.reshape(x, x.shape[:-2] + (d_model,))
 
-    scores = T.matmul(split(qp), T.swapaxes(split(kp), -1, -2)) * scale
+    scores = mul(matmul(split(qp), T.swapaxes(split(kp), -1, -2)), scale)
     if mask is not None:
-        scores = scores + mask
+        scores = add(scores, mask)
     weights = softmax(scores)
-    return T.matmul(merge(T.matmul(weights, split(vp))), w_out)
+    return matmul(merge(matmul(weights, split(vp))), w_out)
 
 
 def composed_mha(q, k, v, w_query, w_key, w_value, w_out, n_heads, scale, mask=None):
     """The three projections as matmul nodes, then the attention chain."""
-    projected = [T.matmul(x, w) for x, w in ((q, w_query), (k, w_key), (v, w_value))]
+    projected = [matmul(x, w) for x, w in ((q, w_query), (k, w_key), (v, w_value))]
     return composed_attention(*projected, w_out, n_heads, scale, mask)
 
 
@@ -113,16 +128,16 @@ def composed_graph_attention(x, theta, score_src, score_dst, score_bias, neighbo
     """The chain, heads after the batch axes; its gathers build their own
     selection matrices, so `neighbor_scatter` goes unread."""
     x = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
-    h = T.matmul(x, theta)
-    src = T.matmul(h, score_src)
-    dst = T.reshape(T.matmul(h, score_dst), h.shape[:-1])
+    h = matmul(x, theta)
+    src = matmul(h, score_src)
+    dst = T.reshape(matmul(h, score_dst), h.shape[:-1])
     dst = gather(dst, neighbor_index, axis=-1)
-    scores = leaky_relu(src + dst + score_bias, T.LEAKY_SLOPE) + neighbor_mask
+    scores = add(leaky_relu(add(add(src, dst), score_bias), T.LEAKY_SLOPE), neighbor_mask)
     alpha = softmax(scores)
     neighbors = gather(h, neighbor_index, axis=-2)
     alpha = T.reshape(alpha, alpha.shape[:-1] + (1,) + alpha.shape[-1:])
-    mixed = T.matmul(alpha, neighbors)
-    return sigmoid(T.reshape(mixed, h.shape)).mean(axis=-3)
+    mixed = matmul(alpha, neighbors)
+    return reduce_mean(sigmoid(T.reshape(mixed, h.shape)), axis=-3)
 
 
 def batched_matmul_values(av, bv):
@@ -169,7 +184,7 @@ def run_both(fused, composed, arrays, build, rng, tracked=None):
     for op in (composed, fused):
         leaves = [DiffArray(a, requires_grad=t) for a, t in zip(arrays, tracked)]
         out = build(op, *leaves)
-        (out * np.random.default_rng(rng).normal(size=out.shape)).sum().backward()
+        weighted_sum(out, np.random.default_rng(rng).normal(size=out.shape)).backward()
         results.append([out.values] + [leaf.grad for leaf, t in zip(leaves, tracked) if t])
     return results
 
@@ -227,7 +242,7 @@ ATTENTION_SHAPES = {
 # last passes three distinct inputs
 ATTENTION_SHARING = {
     "self": lambda op, x, _, __, *w: op(x, x, x, *w, mask=True),
-    "decoder": lambda op, x, _, __, *w: op(x[..., -1:, :], x, x, *w) + x[..., -1:, :],
+    "decoder": lambda op, x, _, __, *w: add(op(x[..., -1:, :], x, x, *w), x[..., -1:, :]),
     "cross": lambda op, q, kv, _, *w: op(q[..., -1:, :], kv, kv, *w),
     "distinct": lambda op, q, k, v, *w: op(q, k, v, *w),
 }
@@ -277,11 +292,11 @@ class TestAttention:
     def test_one_head_matches_head_free_chain(self, case, sharing):
         # one head is a unit head axis in the node, and no axis at all here
         def head_free(q, k, v, w_query, w_key, w_value, w_out, n_heads, scale, mask=None):
-            qp, kp, vp = (T.matmul(x, w) for x, w in ((q, w_query), (k, w_key), (v, w_value)))
-            scores = T.matmul(qp, T.swapaxes(kp, -1, -2)) * scale
+            qp, kp, vp = (matmul(x, w) for x, w in ((q, w_query), (k, w_key), (v, w_value)))
+            scores = mul(matmul(qp, T.swapaxes(kp, -1, -2)), scale)
             if mask is not None:
-                scores = scores + mask
-            return T.matmul(T.matmul(softmax(scores), vp), w_out)
+                scores = add(scores, mask)
+            return matmul(matmul(softmax(scores), vp), w_out)
 
         rows, k, d_model, n_heads = ATTENTION_SHAPES[case]
         assert n_heads == 1
@@ -324,7 +339,7 @@ class TestAttention:
         w = rng.normal(size=(2, 3, 4))
 
         def f():
-            return (build(T.attention, *leaves) * w).sum()
+            return weighted_sum(build(T.attention, *leaves), w)
 
         assert T.grad_check(f, leaves) < 1e-6
 
@@ -433,7 +448,7 @@ class TestRowLastKernel:
         build = mha_builder(sharing, 4, 0.5)
         out_shape = build(T.attention, *leaves).shape
         w = rng.normal(size=out_shape)
-        err = T.grad_check(lambda: (build(T.attention, *leaves) * w).sum(), leaves, step=1e-6)
+        err = T.grad_check(lambda: weighted_sum(build(T.attention, *leaves), w), leaves, step=1e-6)
         assert err < 1e-4
 
     @pytest.mark.parametrize("bad", ["nan", "+inf", "-inf row"])
@@ -536,7 +551,7 @@ class TestGraphAttention:
         w = rng.normal(size=(2, 5, 2))
 
         def f():
-            return (gat_builder(graph)(T.graph_attention, *leaves) * w).sum()
+            return weighted_sum(gat_builder(graph)(T.graph_attention, *leaves), w)
 
         assert T.grad_check(f, leaves) < 1e-6
 
@@ -592,7 +607,7 @@ class TestFeedForward:
         w = rng.normal(size=(2, 3, 3))
 
         def f():
-            return (T.feed_forward(leaves[0], leaves[1::2], leaves[2::2]) * w).sum()
+            return weighted_sum(T.feed_forward(leaves[0], leaves[1::2], leaves[2::2]), w)
 
         assert T.grad_check(f, leaves) < 1e-6
 
@@ -617,7 +632,7 @@ class TestAffine:
         leaves = [DiffArray(a, requires_grad=True)
                   for a in (rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2))]
         w = rng.normal(size=(3, 2))
-        assert T.grad_check(lambda: (affine(*leaves) * w).sum(), leaves) < 1e-6
+        assert T.grad_check(lambda: weighted_sum(affine(*leaves), w), leaves) < 1e-6
 
     def test_gradient_matches_finite_differences_on_a_4d_input(self):
         # the shared-weight GEMM flattens the three batch axes into rows
@@ -626,7 +641,7 @@ class TestAffine:
                   for a in (rng.normal(size=(2, 3, 2, 4)), rng.normal(size=(4, 2)),
                             rng.normal(size=2))]
         w = rng.normal(size=(2, 3, 2, 2))
-        assert T.grad_check(lambda: (affine(*leaves) * w).sum(), leaves) < 1e-6
+        assert T.grad_check(lambda: weighted_sum(affine(*leaves), w), leaves) < 1e-6
 
 
 class TestTrainingStepAgainstChains:
@@ -699,12 +714,12 @@ def serial_forward_batch(model, windows, graph, training=False, rng=None):
     windows = DiffArray(windows)
     latest = windows[:, -1]
     parts = serial_paths(model, windows, graph, training, rng) + [latest]
-    stack = T.concat([T.reshape(p, (p.shape[0], 1, *p.shape[1:])) for p in parts], 1)
+    stack = concat([T.reshape(p, (p.shape[0], 1, *p.shape[1:])) for p in parts], 1)
     weights = None
     if model.fusion is not None:
         weights = softmax(model.fusion(T.reshape(latest, (latest.shape[0], -1))))
-        stack = stack * T.reshape(weights, (*weights.shape, 1, 1))
-    return model.decoder(stack.sum(axis=1)), weights
+        stack = mul(stack, T.reshape(weights, (*weights.shape, 1, 1)))
+    return model.decoder(reduce_sum(stack, axis=1)), weights
 
 
 def per_path_forward_batch(model, windows, graph, training=False, rng=None):
@@ -717,13 +732,13 @@ def per_path_forward_batch(model, windows, graph, training=False, rng=None):
     latest = windows[:, -1]
     paths = serial_paths(model, windows, graph, training, rng)
     if model.fusion is None:
-        return model.decoder(paths[0] + paths[1] + latest), None
+        return model.decoder(add(add(paths[0], paths[1]), latest)), None
     flat = T.reshape(latest, (latest.shape[0], cfg.n_nodes * cfg.n_features))
     weights = softmax(model.fusion(flat))
     fused = None
     for i, part in enumerate(paths + [latest]):
-        term = T.reshape(weights[:, i], (-1, 1, 1)) * part
-        fused = term if fused is None else fused + term
+        term = mul(T.reshape(weights[:, i], (-1, 1, 1)), part)
+        fused = term if fused is None else add(fused, term)
     return model.decoder(fused), weights
 
 
@@ -851,9 +866,9 @@ class TestSharedWeightGemm:
             av = rng.normal(size=a_lead + (m, k))
         bv = rng.normal(size=b_shape)
         a, b = DiffArray(av, requires_grad=True), DiffArray(bv, requires_grad=True)
-        out = T.matmul(a, b)
+        out = matmul(a, b)
         g = rng.normal(size=out.shape)
-        (out * g).sum().backward()
+        weighted_sum(out, g).backward()
         got = [out.values, a.grad, b.grad]
         want = [batched_matmul_values(av, bv), *batched_matmul_grads(g, av, bv, True, True)]
         for got_array, want_array in zip(got, want):
@@ -887,9 +902,9 @@ class TestSharedWeightGemm:
             av = rng.normal(size=a_lead + (m, k))
         bv = rng.normal(size=(members,) + (1,) * len(lead) + (k, n))
         a, b = DiffArray(av, requires_grad=True), DiffArray(bv, requires_grad=True)
-        out = T.matmul(a, b)
+        out = matmul(a, b)
         g = rng.normal(size=out.shape)
-        (out * g).sum().backward()
+        weighted_sum(out, g).backward()
         for s in range(members):
             want = matrix_gemm(av[s], bv[s].reshape(k, n), g[s])
             if not av[s].flags.c_contiguous:
@@ -928,30 +943,30 @@ class TestTrainingStepAgainstBatchedMatmul:
 
 
 def chain_loss(predictions, truths):
-    diff = truths - predictions
-    return sqrt((diff * diff).sum(axis=(-2, -1))).mean()
+    diff = sub(truths, predictions)
+    return reduce_mean(sqrt(reduce_sum(mul(diff, diff), axis=(-2, -1))))
 
 
 def chain_fuse(parts, logits=None):
     """The parts stacked on a path axis, weighted by softmax(logits), summed."""
-    stacked = T.concat([T.reshape(p, (p.shape[0], 1, *p.shape[1:])) for p in parts], 1)
+    stacked = concat([T.reshape(p, (p.shape[0], 1, *p.shape[1:])) for p in parts], 1)
     weights = None
     if logits is not None:
         weights = softmax(logits)
-        stacked = stacked * T.reshape(weights, (*weights.shape, 1, 1))
-    return stacked.sum(axis=1), weights
+        stacked = mul(stacked, T.reshape(weights, (*weights.shape, 1, 1)))
+    return reduce_sum(stacked, axis=1), weights
 
 
 def chain_stack(arrays):
-    return T.concat([T.reshape(a, (1, *a.shape)) for a in arrays], 0)
+    return concat([T.reshape(a, (1, *a.shape)) for a in arrays], 0)
 
 
 def chain_residual(x, branch, keep):
-    return x + dropout(branch, keep)
+    return add(x, dropout(branch, keep))
 
 
 def chain_offset_dropout(a, offset, keep):
-    return dropout(a + offset, keep)
+    return dropout(add(a, offset), keep)
 
 
 # node: (the module whose binding the model calls, the binding, its chain)
@@ -1009,12 +1024,12 @@ def glue_arrays(rng, shape=(3, 4, 2)):
 # name: f(parts, logits, keep, offset, w), a scalar of tracked leaves
 GLUE_OBJECTIVES = {
     "loss": lambda p, l, k, o, w: T.frobenius_loss(p[0], p[1]),
-    "fusion": lambda p, l, k, o, w: (T.fuse(p, l)[0] * w).sum(),
-    "fusion-unweighted": lambda p, l, k, o, w: (T.fuse(p)[0] * w).sum(),
-    "member-stack": lambda p, l, k, o, w: (T.stack(p[:2]) * w[:2]).sum(),
-    "residual": lambda p, l, k, o, w: (T.residual(p[0], p[1], k) * w).sum(),
-    "residual-eval": lambda p, l, k, o, w: (T.residual(p[0], p[1], None) * w).sum(),
-    "position-encoding": lambda p, l, k, o, w: (T.offset_dropout(p[0], o, k) * w).sum(),
+    "fusion": lambda p, l, k, o, w: weighted_sum(T.fuse(p, l)[0], w),
+    "fusion-unweighted": lambda p, l, k, o, w: weighted_sum(T.fuse(p)[0], w),
+    "member-stack": lambda p, l, k, o, w: weighted_sum(T.stack(p[:2]), w[:2]),
+    "residual": lambda p, l, k, o, w: weighted_sum(T.residual(p[0], p[1], k), w),
+    "residual-eval": lambda p, l, k, o, w: weighted_sum(T.residual(p[0], p[1], None), w),
+    "position-encoding": lambda p, l, k, o, w: weighted_sum(T.offset_dropout(p[0], o, k), w),
 }
 
 

@@ -9,7 +9,7 @@ from radnet.graph import GatLayer, RoadGraph
 from radnet.nn import named_parameters
 from radnet.tensor import DiffArray
 
-from primitive_nodes import leaky_relu, sigmoid, softmax
+from primitive_nodes import add, leaky_relu, matmul, reduce_mean, sigmoid, softmax, weighted_sum
 
 
 def leaky(x, s=0.01):
@@ -27,12 +27,12 @@ def dense_mask(g):
 def dense_gat(layer, x, g):
     """The GAT scored over all N x N pairs with off-neighborhood pairs masked."""
     x = T.reshape(x, x.shape[:-2] + (1,) + x.shape[-2:])
-    h = T.matmul(x, layer.theta)
-    src = T.matmul(h, layer.score_src)
-    dst = T.matmul(h, layer.score_dst)
-    scores = leaky_relu(src + T.swapaxes(dst, -1, -2) + layer.score_bias, T.LEAKY_SLOPE)
-    alpha = softmax(scores + dense_mask(g))
-    return sigmoid(T.matmul(alpha, h)).mean(axis=-3)
+    h = matmul(x, layer.theta)
+    src = matmul(h, layer.score_src)
+    dst = matmul(h, layer.score_dst)
+    scores = leaky_relu(add(add(src, T.swapaxes(dst, -1, -2)), layer.score_bias), T.LEAKY_SLOPE)
+    alpha = softmax(add(scores, dense_mask(g)))
+    return reduce_mean(sigmoid(matmul(alpha, h)), axis=-3)
 
 
 class TestRoadGraph:
@@ -175,7 +175,7 @@ class TestGatForward:
         w = rng.normal(size=(4, 2))
 
         def f():
-            return (layer(x, g) * w).sum()
+            return weighted_sum(layer(x, g), w)
 
         err = T.grad_check(f, [x, *named_parameters(layer).values()])
         assert err < 1e-5
@@ -254,7 +254,7 @@ class TestNeighborTableAgainstDense:
             for p in params:
                 p.grad = None
             out = forward(x, graph)
-            (out * w).sum().backward()
+            weighted_sum(out, w).backward()
             grads.append((out.values, [p.grad.copy() for p in params]))
         (out, got), (ref, want) = grads
         np.testing.assert_allclose(out, ref, rtol=1e-12)

@@ -10,6 +10,7 @@ import pytest
 from radnet import tensor as T
 from radnet.errors import DimensionError, FormatError
 from radnet.graph import RoadGraph
+from radnet import model as model_module
 from radnet.model import (
     VARIANTS,
     RadNet,
@@ -22,6 +23,9 @@ from radnet.nn import named_parameters
 from radnet.optim import AdamW
 from radnet.tensor import DiffArray
 from radnet.training import TrainConfig
+
+import primitive_nodes
+from primitive_nodes import reduce_sum, weighted_sum
 
 
 @pytest.fixture
@@ -276,7 +280,7 @@ class TestParameterStore:
                            decoder_widths=(2,), dropout=0.0)
         model, graph = RadNet(cfg), RoadGraph.ring(3)
         windows = toy_series(6, 3)[None, :2]
-        loss = lambda: model.forward_batch(windows, graph)[0].sum()  # noqa: E731
+        loss = lambda: reduce_sum(model.forward_batch(windows, graph)[0])  # noqa: E731
         assert T.grad_check(loss, model.store.params.values()) < 1e-6
         model.save(tmp_path / "a")
         loaded, _ = RadNet.load(tmp_path / "a")
@@ -337,16 +341,16 @@ class TestLoss:
     # truth minus prediction.
     def test_zero_at_exact_prediction(self):
         x = np.random.default_rng(9).normal(size=(1, 4, 2))
-        assert batch_loss(DiffArray(x), x).item() == 0.0
+        assert float(batch_loss(DiffArray(x), x).values) == 0.0
 
     def test_closed_form(self):
         loss = batch_loss(DiffArray(np.zeros((1, 1, 2))), np.array([[[3.0, 4.0]]]))
-        assert loss.item() == pytest.approx(5.0)
+        assert float(loss.values) == pytest.approx(5.0)
 
     def test_matches_independent_norm(self):
         rng = np.random.default_rng(10)
         a, b = rng.normal(size=(1, 5, 3)), rng.normal(size=(1, 5, 3))
-        assert batch_loss(DiffArray(a), b).item() == pytest.approx(
+        assert float(batch_loss(DiffArray(a), b).values) == pytest.approx(
             np.linalg.norm(a[0] - b[0]), rel=1e-12
         )
 
@@ -358,7 +362,7 @@ class TestLoss:
         rng = np.random.default_rng(11)
         p, t = rng.normal(size=(6, 4, 2)), rng.normal(size=(6, 4, 2))
         expected = np.mean([np.linalg.norm(p[b] - t[b]) for b in range(6)])
-        assert batch_loss(DiffArray(p), t).item() == pytest.approx(expected, rel=1e-12)
+        assert float(batch_loss(DiffArray(p), t).values) == pytest.approx(expected, rel=1e-12)
 
 
 def reference_rollout(model, window, horizon, graph, truth, forced):
@@ -460,6 +464,83 @@ class TestRollout:
             rollout_autoregressive(model, np.zeros((1, 5, 4, 1)), 0, g)
 
 
+def recorded_nodes(out: DiffArray) -> int:
+    """The tape nodes recorded from the inputs up to `out`."""
+    seen, stack, recorded = set(), [out], 0
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            if x.op_trace is not None:
+                recorded += 1
+                stack.extend(x.op_trace.inputs)
+    return recorded
+
+
+class TestRolloutNode:
+    """Each rollout step is one `shift_window` node, against the chain of
+    take, mul, add, reshape and concat nodes it replaced."""
+
+    @staticmethod
+    def step(n_nodes, n_features, teacher_force_p, windows_tracked=True):
+        """(recorded nodes, forced mask, [predictions, window gradient, every
+        parameter gradient]) of a horizon-3 training step with dropout on."""
+        model = RadNet(RadNetConfig(n_nodes=n_nodes, n_features=n_features, seed=0))
+        assert model.config.dropout > 0.0
+        data = toy_series(40, n_nodes, n_features)
+        ts = np.arange(4, 36)
+        windows = DiffArray(build_window(data, ts, 5), requires_grad=windows_tracked)
+        preds, forced = rollout_autoregressive(
+            model, windows, 3, RoadGraph.ring(n_nodes), truth=np.stack([data[ts + 1],
+                                                                        data[ts + 2]], axis=1),
+            teacher_force_p=teacher_force_p, rng=np.random.default_rng(0), training=True,
+        )
+        loss = batch_loss(preds, data[ts + 3])
+        nodes = recorded_nodes(loss)
+        loss.backward()
+        grads = [p.grad for p in model.store.params.values()]
+        return nodes, forced, [preds.values, windows.grad] + grads
+
+    @pytest.mark.parametrize("n_nodes, n_features", [(4, 1), (16, 7)])
+    @pytest.mark.parametrize("teacher_force_p", [0.0, 0.5])
+    def test_bit_identical_to_chain(self, monkeypatch, n_nodes, n_features, teacher_force_p):
+        _, forced, fused = self.step(n_nodes, n_features, teacher_force_p)
+        monkeypatch.setattr(model_module, "shift_window", primitive_nodes.shift_window)
+        _, chain_forced, chained = self.step(n_nodes, n_features, teacher_force_p)
+        np.testing.assert_array_equal(forced, chain_forced)
+        assert forced.any() == (teacher_force_p > 0)
+        assert len(fused) == len(chained)
+        for got, want in zip(fused, chained):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("teacher_force_p, chain_nodes", [(0.0, 88), (0.5, 92)])
+    def test_records_one_node_per_step(self, monkeypatch, teacher_force_p, chain_nodes):
+        # constant windows, as training passes them: two shift nodes where the
+        # chain recorded five, and nine with teacher forcing
+        assert self.step(4, 1, teacher_force_p, windows_tracked=False)[0] == 85
+        monkeypatch.setattr(model_module, "shift_window", primitive_nodes.shift_window)
+        assert self.step(4, 1, teacher_force_p, windows_tracked=False)[0] == chain_nodes
+
+    def test_node_gradient_and_forced_rows(self):
+        rng = np.random.default_rng(21)
+        windows = DiffArray(rng.normal(size=(4, 3, 2, 2)), requires_grad=True)
+        preds = DiffArray(rng.normal(size=(4, 2, 2)), requires_grad=True)
+        truth = rng.normal(size=(4, 2, 2))
+        forced = np.array([True, False, True, False])
+        w = rng.normal(size=(4, 3, 2, 2))
+        shifted = T.shift_window(windows, preds, truth, forced)
+        np.testing.assert_array_equal(shifted.values[:, :2], windows.values[:, 1:])
+        np.testing.assert_array_equal(shifted.values[:, 2],
+                                      np.where(forced[:, None, None], truth, preds.values))
+        err = T.grad_check(lambda: weighted_sum(T.shift_window(windows, preds, truth, forced), w),
+                           [windows, preds])
+        assert err < 1e-6
+        assert (preds.grad[forced] == 0.0).all() and (preds.grad[~forced] != 0.0).all()
+        np.testing.assert_array_equal(preds.grad[~forced], w[~forced, 2])
+        assert (windows.grad[:, 0] == 0.0).all()
+        np.testing.assert_array_equal(windows.grad[:, 1:], w[:, :2])
+
+
 class TestParameterAccounting:
     def test_single_affine_layer_count(self):
         from radnet.nn import Linear
@@ -554,16 +635,7 @@ class TestTapeBudget:
         preds, _ = rollout_autoregressive(
             model, build_window(data, ts, 5), 1, RoadGraph.ring(n_nodes), rng=rng, training=True
         )
-        loss = batch_loss(preds, data[ts + 1])
-        seen, stack, recorded = set(), [loss], 0
-        while stack:
-            x = stack.pop()
-            if id(x) not in seen:
-                seen.add(id(x))
-                if x.op_trace is not None:
-                    recorded += 1
-                    stack.extend(x.op_trace.inputs)
-        assert recorded == nodes
+        assert recorded_nodes(batch_loss(preds, data[ts + 1])) == nodes
 
 
 def heap_peak_mib(f) -> float:

@@ -22,7 +22,7 @@ from radnet.nn import (
 from radnet.temporal import EncoderBlock, MultiHeadAttention
 from radnet.tensor import DiffArray
 
-from primitive_nodes import sqrt
+from primitive_nodes import add, div, mul, reduce_mean, sqrt, sub, weighted_sum
 
 
 class TestFeedForward:
@@ -53,7 +53,7 @@ class TestFeedForward:
         w = rng.normal(size=(4, 2))
 
         def f():
-            return (ff(x) * w).sum()
+            return weighted_sum(ff(x), w)
 
         err = T.grad_check(f, named_parameters(ff).values())
         assert err < 1e-6
@@ -68,10 +68,10 @@ class TestFeedForward:
 
 def composed_layer_norm(x, gain, shift, eps):
     """Reference: the layer norm as a chain of nine primitive tape nodes."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / sqrt(var + eps) * gain + shift
+    mu = reduce_mean(x, axis=-1, keepdims=True)
+    centered = sub(x, mu)
+    var = reduce_mean(mul(centered, centered), axis=-1, keepdims=True)
+    return add(mul(div(centered, sqrt(add(var, eps))), gain), shift)
 
 
 class TestLayerNorm:
@@ -110,7 +110,7 @@ class TestLayerNorm:
         w = rng.normal(size=(3, 6))
 
         def f():
-            return (ln(x) * w).sum()
+            return weighted_sum(ln(x), w)
 
         err = T.grad_check(f, [x, ln.gain, ln.shift])
         assert err < 1e-5
@@ -125,7 +125,7 @@ class TestLayerNorm:
         w = rng.normal(size=(2, 3, 6))
 
         def f():
-            return (T.layer_norm(x, gain, shift, 1e-6) * w).sum()
+            return weighted_sum(T.layer_norm(x, gain, shift, 1e-6), w)
 
         assert T.grad_check(f, [x, gain, shift], step=1e-6) < 1e-6
 
@@ -146,7 +146,7 @@ class TestLayerNorm:
             gain = DiffArray(gain_values, requires_grad=True)
             shift = DiffArray(shift_values, requires_grad=True)
             out = norm(x, gain, shift, 1e-6)
-            (out * w).sum().backward()
+            weighted_sum(out, w).backward()
             results.append((out.values, x.grad, gain.grad, shift.grad))
         composed, fused = results
         for i in (0, 2, 3):  # values, gain and shift gradients

@@ -10,6 +10,8 @@ from radnet.nn import ParameterStore
 from radnet.optim import AdamW
 from radnet.tensor import DiffArray
 
+from primitive_nodes import weighted_sum
+
 
 def reference_adamw(p, gs, lr, betas, eps, wd):
     """Straight transcription of the update equations, one scalar parameter."""
@@ -105,6 +107,30 @@ class TestAdamWStep:
         assert opt.step_count == 0
         assert not opt.first_moment.any() and not opt.second_moment.any()
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_gradient_aborts_without_mutation(self, bad):
+        store = store_of(a=np.ones((2, 2)), b=[1.0, 2.0])
+        opt = adamw(store)
+        step_with(opt, np.ones(6))
+        flat, moments = store.flat.copy(), (opt.first_moment.copy(), opt.second_moment.copy())
+        with pytest.raises(NumericError, match="infinite gradient for b"):
+            step_with(opt, np.array([1.0, 2.0, 3.0, 4.0, bad, 2.0]))
+        np.testing.assert_array_equal(store.flat, flat)
+        assert opt.step_count == 1
+        np.testing.assert_array_equal(opt.first_moment, moments[0])
+        np.testing.assert_array_equal(opt.second_moment, moments[1])
+
+    def test_nan_is_named_before_inf(self):
+        opt = adamw(store_of(a=[1.0, 2.0], b=[1.0, 2.0]))
+        with pytest.raises(NumericError, match="NaN gradient for b"):
+            step_with(opt, np.array([np.inf, 0.0, 0.0, np.nan]))
+
+    def test_finite_gradient_whose_squares_overflow_is_not_refused(self):
+        opt = adamw(store_of(w=[1.0, 2.0]))
+        with np.errstate(over="ignore"):  # the squares sum past the float range
+            step_with(opt, np.array([1e155, -1e155]))
+        assert opt.step_count == 1
+
     def test_moments_match_parameter_shapes(self):
         store = store_of(a=np.zeros((2, 3)), b=np.zeros(4))
         opt = adamw(store)
@@ -115,7 +141,7 @@ class TestAdamWStep:
         w = DiffArray([1.0, 1.0], requires_grad=True)
         store = ParameterStore({"w": w})
         opt = adamw(store, lr=0.1, weight_decay=0.0)
-        (w * w).sum().backward()
+        weighted_sum(w, w).backward()
         np.testing.assert_array_equal(store.grad, [2.0, 2.0])
         opt.step()
         assert (np.abs(w.values) < 1.0).all()

@@ -17,7 +17,7 @@ from radnet.temporal import (
 )
 from radnet.tensor import DiffArray
 
-from primitive_nodes import dropout
+from primitive_nodes import add, dropout, weighted_sum
 
 
 class TestPositionEncoding:
@@ -174,7 +174,7 @@ class TestEncoderBlock:
         w = rng.normal(size=(3, 2))
 
         def f():
-            return (block(x) * w).sum()
+            return weighted_sum(block(x), w)
 
         err = T.grad_check(f, [x, *named_parameters(block).values()])
         assert err < 1e-4
@@ -232,7 +232,7 @@ class TestTransformerBlock:
         w = rng.normal(size=(1, 2, 2))
 
         def f():
-            return (transformer_forward(block, x) * w).sum()
+            return weighted_sum(transformer_forward(block, x), w)
 
         err = T.grad_check(f, [x, *named_parameters(block).values()])
         assert err < 1e-4
@@ -248,7 +248,7 @@ class TestLayoutFromWidth:
         rows = np.swapaxes(window, -3, -2) if per_node else window
         rows = DiffArray(rows.reshape(s, -1, k, d if per_node else n * d), requires_grad=True)
         out = block(rows)
-        (out * WEIGHT[: out.size].reshape(out.shape)).sum().backward()
+        weighted_sum(out, WEIGHT[: out.size].reshape(out.shape)).backward()
         grad = rows.grad.reshape(window.shape[:-3] + ((n, k, d) if per_node else (k, n, d)))
         return out.values.reshape(window.shape[:-3] + (n, d)), (
             np.swapaxes(grad, -3, -2) if per_node else grad)
@@ -263,7 +263,7 @@ class TestLayoutFromWidth:
         values = rng.normal(size=(1, 3, 5, n_nodes, n_features))
         window = DiffArray(values, requires_grad=True)
         out = transformer_forward(block, window)
-        (out * WEIGHT[: out.size].reshape(out.shape)).sum().backward()
+        weighted_sum(out, WEIGHT[: out.size].reshape(out.shape)).backward()
         layouts = [width == n_features] if n_nodes > 1 else [True, False]
         for per_node in layouts:
             want_out, want_grad = self.explicit(block, values, per_node)
@@ -290,9 +290,9 @@ def all_positions_decoder(block, x, training=False, rng=None):
     memory = block.encoder(position_encode(x, keep[0]), keep[1:3])
     source = position_encode(x, keep[3])
     masked = dropout(block.decoder_attention(source, source, source, causal_mask(k)), keep[4])
-    decoded = block.norm_decoder(source + masked)
+    decoded = block.norm_decoder(add(source, masked))
     crossed = dropout(block.cross_attention(decoded, memory, memory), keep[5])
-    return block.norm_out(decoded + crossed)[..., -1, :]
+    return block.norm_out(add(decoded, crossed))[..., -1, :]
 
 
 def block_input(mode, n_features, rng):
@@ -332,7 +332,7 @@ class TestFinalPositionDecoder:
                 for p in params:
                     p.grad = None
                 out = decode(x, draws)
-                (out * w).sum().backward()
+                weighted_sum(out, w).backward()
                 return out.values, [p.grad.copy() for p in params], draws.random()
 
             out, grads, next_draw = run(lambda v, r: block(v, True, r))

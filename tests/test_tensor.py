@@ -1,8 +1,11 @@
 """Engine-level checks: forward values against closed forms, gradients
 against central finite differences."""
 
+import ast
+import operator
 import re
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,7 +18,22 @@ from radnet import tensor as T
 from radnet.errors import DimensionError, NumericError
 from radnet.tensor import DiffArray
 
-from primitive_nodes import dropout, gather, leaky_relu, sigmoid, softmax, sum_products
+from primitive_nodes import (
+    add,
+    concat,
+    div,
+    dropout,
+    gather,
+    leaky_relu,
+    matmul,
+    mul,
+    reduce_mean,
+    reduce_sum,
+    sigmoid,
+    softmax,
+    sum_products,
+    weighted_sum,
+)
 
 
 def fd_grad(f, p, h=1e-6):
@@ -51,16 +69,16 @@ def rel_err(a, b):
 class TestMatmul:
     def test_identity(self):
         a = np.array([[2.0, -1.0], [0.5, 3.0]])
-        out = T.matmul(DiffArray(np.eye(2)), DiffArray(a))
+        out = matmul(DiffArray(np.eye(2)), DiffArray(a))
         np.testing.assert_array_equal(out.values, a)
 
     def test_closed_form(self):
-        out = T.matmul(DiffArray([[1.0, 2.0], [3.0, 4.0]]), DiffArray([[1.0], [1.0]]))
+        out = matmul(DiffArray([[1.0, 2.0], [3.0, 4.0]]), DiffArray([[1.0], [1.0]]))
         np.testing.assert_array_equal(out.values, [[3.0], [7.0]])
 
     def test_shape_mismatch_reports_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            T.matmul(DiffArray(np.zeros((2, 3))), DiffArray(np.zeros((2, 2))))
+            matmul(DiffArray(np.zeros((2, 3))), DiffArray(np.zeros((2, 2))))
 
     @pytest.mark.parametrize("a_shape, b_shape", [
         ((3,), (3, 2)),  # one operand 1-d
@@ -69,7 +87,7 @@ class TestMatmul:
     def test_operands_that_do_not_multiply_raise(self, a_shape, b_shape):
         match = f"{re.escape(str(a_shape))}.*{re.escape(str(b_shape))}"
         with pytest.raises(DimensionError, match=match):
-            T.matmul(DiffArray(np.zeros(a_shape)), DiffArray(np.zeros(b_shape)))
+            matmul(DiffArray(np.zeros(a_shape)), DiffArray(np.zeros(b_shape)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -77,7 +95,7 @@ class TestMatmul:
         b = DiffArray(rng.normal(size=(4, 2)), requires_grad=True)
 
         def f():
-            return T.matmul(a, b).sum()
+            return reduce_sum(matmul(a, b))
 
         out = f()
         out.backward()
@@ -90,7 +108,7 @@ class TestMatmul:
         b = DiffArray(rng.normal(size=(4, 2)), requires_grad=True)
 
         def f():
-            return (T.matmul(a, b) * w).sum()
+            return weighted_sum(matmul(a, b), w)
 
         w = DiffArray(rng.normal(size=(5, 3, 2)))
         f().backward()
@@ -146,7 +164,7 @@ class TestSoftmax:
         want_grad = want * (g - (g * want).sum(axis=-1, keepdims=True))
         a = DiffArray(x, requires_grad=True)
         out = softmax(a)
-        (out * g).sum().backward()
+        weighted_sum(out, g).backward()
         np.testing.assert_array_equal(out.values, want)
         np.testing.assert_array_equal(a.grad, want_grad)
 
@@ -156,7 +174,7 @@ class TestSoftmax:
         w = rng.normal(size=7)
 
         def f():
-            return (softmax(x) * w).sum()
+            return weighted_sum(softmax(x), w)
 
         f().backward()
         assert rel_err(x.grad, fd_grad(f, x)) < 1e-5
@@ -385,7 +403,7 @@ class TestElementwise:
 
     def test_broadcast_mismatch(self):
         with pytest.raises(DimensionError):
-            T.add(DiffArray(np.zeros(3)), DiffArray(np.zeros(4)))
+            add(DiffArray(np.zeros(3)), DiffArray(np.zeros(4)))
 
     def test_broadcast_gradients(self):
         rng = np.random.default_rng(4)
@@ -393,7 +411,7 @@ class TestElementwise:
         b = DiffArray(rng.normal(size=(3,)), requires_grad=True)
 
         def f():
-            return (T.mul(a, b) + b).sum()
+            return reduce_sum(add(mul(a, b), b))
 
         f().backward()
         assert rel_err(a.grad, fd_grad(f, a)) < 1e-6
@@ -406,7 +424,7 @@ class TestElementwise:
         grads = []
         for shape in ((1,), (1, 1, 1)):
             b = DiffArray(np.zeros(shape), requires_grad=True)
-            ((b + w) * w).sum().backward()
+            weighted_sum(add(b, w), w).backward()
             grads.append(b.grad.item())
         assert grads[0] == grads[1]
 
@@ -439,7 +457,7 @@ class TestElementwise:
         b = DiffArray(rng.uniform(1.0, 2.0, size=(3, 1)), requires_grad=True)
 
         def f():
-            return (a / b).sum()
+            return reduce_sum(div(a, b))
 
         f().backward()
         assert rel_err(a.grad, fd_grad(f, a)) < 1e-6
@@ -455,7 +473,7 @@ class TestShapeOps:
         def f():
             head = x[0:2]
             tail = x[2:]
-            return (T.concat([head, tail], axis=0) * w).sum()
+            return weighted_sum(concat([head, tail], axis=0), w)
 
         f().backward()
         np.testing.assert_allclose(x.grad, w)
@@ -469,7 +487,7 @@ class TestShapeOps:
         rng = np.random.default_rng(8)
         x = DiffArray(rng.normal(size=(4, 3, 5)), requires_grad=True)
         g = rng.normal(size=x.values[key].shape)
-        (x[key] * g).sum().backward()
+        weighted_sum(x[key], g).backward()
         reference = np.zeros_like(x.values)
         np.add.at(reference, key, g)
         assert x.grad.tobytes() == reference.tobytes()
@@ -488,10 +506,10 @@ class TestShapeOps:
         x = DiffArray(rng.normal(size=shape), requires_grad=True)
         index = np.array([[0, 2], [2, 3], [1, 1]])
         w = rng.normal(size=gather(x, index, axis).shape)
-        assert T.grad_check(lambda: (gather(x, index, axis) * w).sum(), [x]) < 1e-6
+        assert T.grad_check(lambda: weighted_sum(gather(x, index, axis), w), [x]) < 1e-6
 
         x.grad = None
-        gather(x, index, axis).sum().backward()
+        reduce_sum(gather(x, index, axis)).backward()
         counts = np.array([1.0, 2.0, 2.0, 1.0])  # node 1 and node 2 are listed twice
         want = counts[:, None] if axis == -2 else counts
         np.testing.assert_array_equal(x.grad, np.broadcast_to(want, shape))
@@ -508,14 +526,14 @@ class TestShapeOps:
         np.testing.assert_array_equal(T.swapaxes(x, 0, -1).values, np.swapaxes(x.values, 0, -1))
 
         def f():
-            return (T.swapaxes(x, 0, -1) * w).sum()
+            return weighted_sum(T.swapaxes(x, 0, -1), w)
 
         f().backward()
         assert rel_err(x.grad, fd_grad(f, x)) < 1e-6
 
     def test_reduce_mean_gradient(self):
         x = DiffArray(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        x.mean().backward()
+        reduce_mean(x).backward()
         np.testing.assert_allclose(x.grad, np.full((2, 3), 1 / 6))
 
 
@@ -526,23 +544,23 @@ class TestBackwardMechanics:
         xv = rng.normal(size=5)
         x = DiffArray(xv, requires_grad=True)
         y = sigmoid(x)
-        (y * y).sum().backward()
+        weighted_sum(y, y).backward()
         s = 1 / (1 + np.exp(-xv))
         np.testing.assert_allclose(x.grad, 2 * s * s * (1 - s), rtol=1e-12)
 
     def test_grad_accumulates_on_reuse(self):
         x = DiffArray([2.0], requires_grad=True)
-        (x * x).sum().backward()
+        weighted_sum(x, x).backward()
         np.testing.assert_allclose(x.grad, [4.0])
 
     def test_backward_requires_scalar(self):
         x = DiffArray(np.ones(3), requires_grad=True)
         with pytest.raises(DimensionError):
-            (x * 2).backward()
+            mul(x, 2.0).backward()
 
     def test_tape_cleared_after_backward(self):
         x = DiffArray([1.0, 2.0], requires_grad=True)
-        y = (x * 3).sum()
+        y = weighted_sum(x, 3.0)
         y.backward()
         assert y.op_trace is None
 
@@ -567,11 +585,11 @@ class TestBackwardMechanics:
         v = DiffArray([1.5, 0.25, -3.0], requires_grad=True)
         held = np.ones(3)
         v.grad = held
-        h = w * v
+        h = mul(w, v)
         stuck = failing(h)
         # the walk pushes h * h's gradient into h, then fails on `stuck`
         with pytest.raises(RuntimeError, match="push failed"):
-            (h * h + stuck).sum().backward()
+            reduce_sum(add(mul(h, h), stuck)).backward()
         assert w.grad is None and v.grad is held
         traces, stack = [], [stuck]
         while stack:
@@ -583,10 +601,10 @@ class TestBackwardMechanics:
 
         # a fresh graph over the same parameters and the uncleared h
         v.grad = None
-        (h * w).sum().backward()
+        weighted_sum(h, w).backward()
         w_clean = DiffArray(w.values.copy(), requires_grad=True)
         v_clean = DiffArray(v.values.copy(), requires_grad=True)
-        (w_clean * v_clean * w_clean).sum().backward()
+        weighted_sum(mul(w_clean, v_clean), w_clean).backward()
         np.testing.assert_array_equal(w.grad, w_clean.grad)
         np.testing.assert_array_equal(v.grad, v_clean.grad)
 
@@ -594,7 +612,7 @@ class TestBackwardMechanics:
         a = DiffArray([1.0, 2.0], requires_grad=True)
         b = DiffArray([3.0, 4.0], requires_grad=True)
         for want in (1.0, 2.0):
-            (a + b).sum().backward()
+            reduce_sum(add(a, b)).backward()
             assert not np.shares_memory(a.grad, b.grad)
             assert a.grad.flags.writeable and b.grad.flags.writeable
             np.testing.assert_array_equal(a.grad, [want, want])
@@ -618,7 +636,7 @@ class TestBackwardMechanics:
         c.grad = held
         y = both(w, c)
         assert y.op_trace.wants == (True, False)
-        (y * np.array([2.0, 3.0])).sum().backward()
+        weighted_sum(y, np.array([2.0, 3.0])).backward()
         assert seen == [(True, False)]
         assert c.grad is held
         np.testing.assert_array_equal(held, [5.0, 6.0])
@@ -637,7 +655,7 @@ class TestBackwardMechanics:
         v.grad = held
         # w and v get their terms from w * v before the walk reaches `misshapen`
         with pytest.raises(DimensionError, match=r"leaf \(3,\) got a \(4,\) term"):
-            (w * v + misshapen(w)).sum().backward()
+            reduce_sum(add(mul(w, v), misshapen(w))).backward()
         assert w.grad is None and v.grad is held
         np.testing.assert_array_equal(held, np.ones(3))
 
@@ -647,17 +665,17 @@ class TestBackwardMechanics:
         held = np.zeros(4)
         b.grad = held
         with pytest.raises(DimensionError, match=r"leaf \(3,\) holds a \(4,\) grad"):
-            (a * b).sum().backward()
+            weighted_sum(a, b).backward()
         assert a.grad is None and b.grad is held
         np.testing.assert_array_equal(held, np.zeros(4))
         b.grad = None  # the walk left no mark behind
-        (a * b).sum().backward()
+        weighted_sum(a, b).backward()
         np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
 
     def test_no_grad_suppresses_tape(self):
         x = DiffArray([1.0], requires_grad=True)
         with T.no_grad():
-            y = x * 2
+            y = mul(x, 2.0)
         assert y.op_trace is None
 
     def test_no_grad_in_one_thread_leaves_another_recording(self):
@@ -673,7 +691,7 @@ class TestBackwardMechanics:
         try:
             assert entered.wait(timeout=10)
             x = DiffArray([1.0, 2.0], requires_grad=True)
-            (x * 3).sum().backward()
+            weighted_sum(x, 3.0).backward()
         finally:
             release.set()
             worker.join(timeout=10)
@@ -699,7 +717,7 @@ class TestBackwardMechanics:
 class TestGradCheck:
     def test_linear_case(self):
         p = DiffArray(np.arange(4.0), requires_grad=True)
-        assert T.grad_check(lambda: p.sum(), [p]) < 1e-9
+        assert T.grad_check(lambda: reduce_sum(p), [p]) < 1e-9
 
     def test_quadratic_form(self):
         # f = ||W x||^2 has gradient 2 W^T W x
@@ -709,8 +727,8 @@ class TestGradCheck:
         wall = DiffArray(wv)
 
         def f():
-            y = T.matmul(wall, x)
-            return (y * y).sum()
+            y = matmul(wall, x)
+            return weighted_sum(y, y)
 
         err = T.grad_check(f, [x])
         assert err < 1e-7
@@ -725,26 +743,50 @@ class TestGradCheck:
         p = DiffArray(np.asfortranarray(rng.normal(size=(3, 4))), requires_grad=True)
         c = rng.normal(size=(3, 4))
         assert not p.values.flags.c_contiguous
-        assert T.grad_check(lambda: (p * p * c).sum(), [p]) < 1e-6
+        assert T.grad_check(lambda: weighted_sum(mul(p, p), c), [p]) < 1e-6
 
 
-class TestNumpyLeftOperand:
-    @pytest.mark.parametrize(
-        "op,expected_grad",
-        [
-            (lambda a, x: a + x, lambda a, xv: np.ones_like(xv)),
-            (lambda a, x: a - x, lambda a, xv: -np.ones_like(xv)),
-            (lambda a, x: a * x, lambda a, xv: a),
-            (lambda a, x: a / x, lambda a, xv: -a / (xv * xv)),
-        ],
-        ids=["add", "sub", "mul", "div"],
-    )
-    def test_reflected_op_is_one_diffarray(self, op, expected_grad):
-        rng = np.random.default_rng(12)
-        a = rng.normal(size=(3, 4))
-        xv = rng.uniform(1.0, 2.0, size=(3, 4))
-        x = DiffArray(xv, requires_grad=True)
-        out = op(a, x)
-        assert isinstance(out, DiffArray) and out.shape == (3, 4)
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, expected_grad(a, xv), rtol=1e-12)
+class TestNoArithmeticOperators:
+    """A DiffArray takes no arithmetic operator, on either side and against
+    numpy operands: the model records each step as a named node instead."""
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv, operator.matmul],
+                             ids=["add", "sub", "mul", "div", "matmul"])
+    @pytest.mark.parametrize("order", ["numpy-left", "numpy-right", "both"])
+    def test_binary_operator_is_a_type_error(self, op, order):
+        a, x = np.ones((2, 2)), DiffArray(np.ones((2, 2)), requires_grad=True)
+        left, right = {"numpy-left": (a, x), "numpy-right": (x, a), "both": (x, x)}[order]
+        with pytest.raises(TypeError):
+            op(left, right)
+
+    def test_negation_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            -DiffArray([1.0])
+
+    @pytest.mark.parametrize("method", ["sum", "mean", "item", "reshape"])
+    def test_no_reduction_or_reshape_method(self, method):
+        assert not hasattr(DiffArray([1.0]), method)
+
+
+SRC = Path(T.__file__).parent
+
+
+def imported_from_tensor(path: Path) -> set[str]:
+    """The names `path` imports from the tensor module."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "radnet.tensor"):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+class TestTensorSurface:
+    def test_every_public_node_is_imported_by_another_module(self):
+        # `take` is reached through `DiffArray.__getitem__`
+        tree = ast.parse((SRC / "tensor.py").read_text(encoding="utf-8"))
+        public = {node.name for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+        imported = set().union(*(imported_from_tensor(p) for p in SRC.glob("*.py")
+                                 if p.name != "tensor.py"))
+        assert public - imported == {"take"}

@@ -14,9 +14,12 @@ arithmetic) is checked this way before its benchmark pairs are run.
 Beside the workloads, each checkout trains every model variant for 2
 epochs at N=4, D=1 (flattened) and at N=5, D=3 (per node) on two days of
 the synthetic series of data seed 0, the model and its training seeded by
-each of `--seeds`. Each such record (`train-<variant>-n<N>d<D>`) holds the digest
-(SHA-256) of the trained `store.flat` and `best_val_mse`. They add about
-1 s of CPU time per seed and checkout (2 cores, Python 3.11, numpy 2.4).
+each of `--seeds`. At N=4, D=1 every variant also trains through a
+teacher-forced rollout (`autoregressive_horizon=3`, `teacher_forcing_p=0.5`,
+records `train-<variant>-n4d1-h3`). Each such record
+(`train-<variant>-n<N>d<D>`) holds the digest (SHA-256) of the trained
+`store.flat` and `best_val_mse`. They add about 1.4 s of CPU time per seed
+and checkout, 0.7 s of it the rollouts (2 cores, Python 3.11, numpy 2.4).
 
 A workload that fixes its own seed (a `seed` attribute of its class, as
 pipeline-c07's acceptance run does) ignores the run's seed, so it runs once,
@@ -73,17 +76,19 @@ def run_workload(workload, seed: int, workdir: Path) -> tuple[dict, list[str]]:
     return op.outputs, [check for check, ok in workload.checks(ctx, [op]) if not ok]
 
 
-def train_variant(variant: str, nodes: int, features: int, seed: int,
+def train_variant(variant: str, nodes: int, features: int, rollout: int, seed: int,
                   workdir: Path) -> tuple[dict, list[str]]:
-    """(the digest of the trained `store.flat` and `best_val_mse`, no failed checks)."""
+    """(the digest of the trained `store.flat` and `best_val_mse`, no failed checks);
+    `rollout` > 0 trains through a teacher-forced rollout of that horizon."""
     import workloads
     from radnet import data, training
     from radnet.model import RadNet, RadNetConfig
 
     series, graph, _ = data.synth_traffic(nodes, days=2, n_features=features, seed=0)
     model = RadNet(RadNetConfig(n_nodes=nodes, n_features=features, variant=variant, seed=seed))
+    forcing = {"autoregressive_horizon": rollout, "teacher_forcing_p": 0.5} if rollout else {}
     result = training.train(model, series, graph,
-                            training.TrainConfig(max_epochs=2, patience=2, seed=seed))
+                            training.TrainConfig(max_epochs=2, patience=2, seed=seed, **forcing))
     return {"flat": workloads.digest(model.store.flat),
             "best_val_mse": float(result.best_val_mse)}, []
 
@@ -119,10 +124,10 @@ def worker(seeds: list[int], reverse: bool, behind: bool) -> None:
             for name, workload in workloads.WORKLOADS.items()}
     fixed = {name: workload.seed for name, workload in workloads.WORKLOADS.items()
              if getattr(workload, "seed", None) is not None}
-    for nodes, features in ((4, 1), (5, 3)):
+    for nodes, features, rollout in ((4, 1, 0), (5, 3, 0), (4, 1, 3)):
         for variant in VARIANTS:
-            jobs[f"train-{variant}-n{nodes}d{features}"] = functools.partial(
-                train_variant, variant, nodes, features)
+            name = f"train-{variant}-n{nodes}d{features}" + (f"-h{rollout}" if rollout else "")
+            jobs[name] = functools.partial(train_variant, variant, nodes, features, rollout)
     runs = [(name, seed) for name in jobs for seed in (seeds[:1] if name in fixed else seeds)]
     for name, seed in reversed(runs) if reverse else runs:
         digested.clear()

@@ -846,18 +846,15 @@ def shift_window(windows, preds, truth: np.ndarray | None = None,
     if forced is not None:  # preds * keep + (1 - keep) * truth, keep 0 where forced
         keep = (~forced).astype(np.float64).reshape((-1,) + (1,) * (pv.ndim - 1))
         pv = pv * keep + (1.0 - keep) * truth
-    values = np.concatenate([wv[:, 1:], pv.reshape(pv.shape[:1] + (1,) + pv.shape[1:])], axis=1)
+    values = np.concatenate([wv[:, 1:], pv[:, None]], axis=1)
 
     def push(g, wants):
-        g_tail, g_slice = np.split(g, [wv.shape[1] - 1], axis=1)
         g_windows = g_preds = None
         if wants[0]:
             g_windows = np.zeros_like(wv)
-            g_windows[:, 1:] += g_tail
+            g_windows[:, 1:] += g[:, :-1]
         if wants[1]:
-            g_preds = g_slice.reshape(preds.shape)
-            if keep is not None:
-                g_preds = g_preds * keep
+            g_preds = g[:, -1] if keep is None else g[:, -1] * keep
         return g_windows, g_preds
 
     return _result(values, (windows, preds), push)

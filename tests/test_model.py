@@ -490,9 +490,9 @@ class TestRolloutNode:
         data = toy_series(40, n_nodes, n_features)
         ts = np.arange(4, 36)
         windows = DiffArray(build_window(data, ts, 5), requires_grad=windows_tracked)
+        truth = np.stack([data[ts + 1], data[ts + 2]], axis=1)
         preds, forced = rollout_autoregressive(
-            model, windows, 3, RoadGraph.ring(n_nodes), truth=np.stack([data[ts + 1],
-                                                                        data[ts + 2]], axis=1),
+            model, windows, 3, RoadGraph.ring(n_nodes), truth=truth,
             teacher_force_p=teacher_force_p, rng=np.random.default_rng(0), training=True,
         )
         loss = batch_loss(preds, data[ts + 3])

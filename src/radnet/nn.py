@@ -49,33 +49,37 @@ class FeedForward:
 
     `widths` lists every layer width including input and output, e.g.
     (8, 64, 64, 8). The activation (LeakyReLU, slope `tensor.LEAKY_SLOPE`) is
-    applied after every layer except the last.
+    applied after every layer except the last. With `rows_last` the layers
+    map axis -2 of (..., K, d, R) input, as the transformer block lays it out.
     """
 
-    def __init__(self, widths, rng: np.random.Generator):
+    def __init__(self, widths, rng: np.random.Generator, rows_last: bool = False):
         if len(widths) < 2:
             raise ValueError("feed-forward needs at least input and output widths")
         self.layers = [
             Linear(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)
         ]
+        self.rows_last = rows_last
 
     def __call__(self, x: DiffArray) -> DiffArray:
-        return feed_forward(x, [l.weight for l in self.layers], [l.bias for l in self.layers])
+        return feed_forward(x, [l.weight for l in self.layers], [l.bias for l in self.layers],
+                            self.rows_last)
 
 
 class LayerNorm:
-    """Last-axis normalization to zero mean / unit variance (eps 1e-6), then learned affine."""
+    """Normalization of the features, axis -2 of rows-last (..., d, R) input, to
+    zero mean / unit variance (eps 1e-6), then learned affine."""
 
     def __init__(self, width: int):
         if width < 2:
-            raise DimensionError("layer norm needs a last-axis size of at least 2")
+            raise DimensionError("layer norm needs a feature axis of at least 2")
         self.width = width
         self.gain = DiffArray(np.ones(width), requires_grad=True)
         self.shift = DiffArray(np.zeros(width), requires_grad=True)
 
     def __call__(self, x: DiffArray) -> DiffArray:
-        if x.shape[-1] != self.width:
-            raise DimensionError(f"layer norm width {self.width}, got input {x.shape}")
+        if x.ndim < 2 or x.shape[-2] != self.width:
+            raise DimensionError(f"layer norm width {self.width}, got rows-last input {x.shape}")
         return layer_norm(x, self.gain, self.shift, 1e-6)
 
 

@@ -31,19 +31,24 @@ class AdamW:
     def step(self) -> None:
         """One update of `store.flat`, in place.
 
-        A NaN or infinite gradient aborts the step before anything changes,
-        naming the parameter that holds it.
+        A NaN or infinite gradient, or a finite one whose second-moment term
+        (1 - beta2)·g² overflows (which would leave that moment infinite and
+        the parameter frozen for good), aborts the step before anything
+        changes, naming the parameter that holds it.
         """
         grad, m, v, p = self.store.grad, self.first_moment, self.second_moment, self.store.flat
+        b1, b2 = self.betas
+        s, u = self._scratch
         # a sum of squares is finite unless a term is NaN or inf, or the sum overflows
         if not np.isfinite(np.dot(grad, grad)):
-            for kind, bad in (("NaN", np.isnan(grad)), ("infinite", np.isinf(grad))):
+            with np.errstate(over="ignore"):  # the term as the update below computes it
+                term = np.multiply(np.multiply(grad, 1.0 - b2, out=s), grad, out=s)
+            for kind, bad in (("NaN", np.isnan(grad)), ("infinite", np.isinf(grad)),
+                              ("overflowing", np.isinf(term))):
                 if bad.any():
                     name = self.store.name_at(np.flatnonzero(bad)[0])
                     raise NumericError(f"{kind} gradient for {name}; step aborted")
         self.step_count += 1
-        b1, b2 = self.betas
-        s, u = self._scratch
         m *= b1
         m += np.multiply(grad, 1.0 - b1, out=s)
         v *= b2

@@ -7,15 +7,23 @@ position-encoded last timestep attends to the whole (position-encoded)
 window and then cross-attends to the encoder output.
 
 A block holds S members, each with its own parameters, on a leading member
-axis: it reads (S, R, K, d) windows and runs member s's R rows of K
+axis: it reads (S, K, d, R) windows and runs member s's R rows of K
 timesteps through member s's parameters, so S blocks of one shape record the
 tape nodes of one. The model's two inference paths are the two members of
 its block.
 
-Attention runs per node (model width = feature count, batched over nodes)
-or over flattened node-feature rows, as the block's width says; the model
-builds a per-node block when the data has two or more features and a
-flattened one for single-feature data (`RadNetConfig.temporal_mode`).
+The block runs rows-last: the R rows that share a member's weights lie on
+the last axis of every array it makes, from the window to its (S, d, R)
+output, and the d features on the axis before them. Position encodings,
+dropout, residual adds and layer norm work in that layout, and the
+attention kernels take it (see `tensor.attention`); the feed-forward
+sublayer runs row-first behind its node's own copies.
+
+Attention runs per node (model width = feature count, R = B·N rows of one
+node's D features) or over flattened node-feature rows (R = B rows of N·D
+features), as the block's width says; the model builds a per-node block
+when the data has two or more features and a flattened one for
+single-feature data (`RadNetConfig.temporal_mode`).
 """
 
 from __future__ import annotations
@@ -29,13 +37,13 @@ from .nn import LayerNorm, FeedForward, stack_members, xavier_uniform
 from .tensor import (
     DiffArray,
     _attention_weights,
+    _rows_first,
     _wrap,
     attention,
     dropout_keep,
     offset_dropout,
-    reshape,
+    rearrange,
     residual,
-    swapaxes,
 )
 
 PositionRNG = np.random.Generator | None
@@ -57,9 +65,10 @@ def position_encoding_table(length: int, width: int) -> np.ndarray:
 
 
 def position_encode(w, keep: np.ndarray | None = None) -> DiffArray:
-    """Add the fixed sinusoid along the time axis of (..., K, F), then dropout by `keep`."""
+    """Add the fixed sinusoid along the time axis of rows-last (..., K, F, R),
+    then dropout by `keep`."""
     w = _wrap(w)
-    return offset_dropout(w, position_encoding_table(*w.shape[-2:]), keep)
+    return offset_dropout(w, position_encoding_table(*w.shape[-3:-1])[..., None], keep)
 
 
 def causal_mask(length: int) -> np.ndarray:
@@ -72,12 +81,12 @@ def causal_mask(length: int) -> np.ndarray:
 class MultiHeadAttention:
     """Scaled dot-product attention, heads concatenated then output-projected.
 
-    `w_query`, `w_key` and `w_value` are each one (d_model, d_model) matrix;
-    head m owns columns m*d_head:(m+1)*d_head, so one matmul projects every
-    head and all heads attend at once on a head axis (..., H, K, d_head), of
-    length 1 for one head. Scores are scaled by 1/sqrt(model width); an
-    optional additive mask sends future positions to -inf before the softmax,
-    so their weights are exactly zero after it. A call records one
+    It reads rows-last q, k and v, (..., K, d_model, R). `w_query`, `w_key`
+    and `w_value` are each one (d_model, d_model) matrix; head m owns columns
+    m*d_head:(m+1)*d_head, so one product projects every head and all heads
+    attend at once. Scores are scaled by 1/sqrt(model width); an optional
+    additive mask sends future positions to -inf before the softmax, so
+    their weights are exactly zero after it. A call records one
     `tensor.attention` node, projections included.
     """
 
@@ -101,27 +110,28 @@ class MultiHeadAttention:
 
     def _check(self, q: DiffArray, k: DiffArray, v: DiffArray, mask) -> None:
         for name, x in (("query", q), ("key", k), ("value", v)):
-            if x.shape[-1] != self.d_model:
+            if x.ndim < 3 or x.shape[-2] != self.d_model:
                 raise DimensionError(
-                    f"{name} width {x.shape[-1]} != model width {self.d_model}"
+                    f"{name} {x.shape} is no (..., K, {self.d_model}, R) rows-last input"
                 )
-        if mask is not None and mask.shape != (q.shape[-2], k.shape[-2]):
+        if mask is not None and mask.shape != (q.shape[-3], k.shape[-3]):
             raise DimensionError(
                 f"mask shape {mask.shape} does not fit "
-                f"({q.shape[-2]}, {k.shape[-2]}) attention scores"
+                f"({q.shape[-3]}, {k.shape[-3]}) attention scores"
             )
 
     def attention_weights(self, q, k, mask=None, head: int = 0) -> DiffArray:
-        """(..., Kq, Kk) softmax weights for one head (inspection/tests); no tape."""
+        """(..., Kq, Kk, R) softmax weights of rows-last q and k for one head
+        (inspection/tests); no tape."""
         q, k = _wrap(q), _wrap(k)
         self._check(q, k, k, mask)
         if not 0 <= head < self.n_heads:
             raise IndexError(f"head {head} outside [0, {self.n_heads})")
         weights = _attention_weights(
-            q.values @ self.w_query.values, k.values @ self.w_key.values,
-            self.n_heads, self.scale, mask,
+            _rows_first(q.values) @ self.w_query.values,
+            _rows_first(k.values) @ self.w_key.values, self.n_heads, self.scale, mask,
         )[-1]
-        return DiffArray(weights[..., head, :, :])
+        return DiffArray(np.moveaxis(weights[..., head, :, :], -3, -1))
 
     def __call__(self, q, k, v, mask=None) -> DiffArray:
         self._check(_wrap(q), _wrap(k), _wrap(v), mask)
@@ -130,7 +140,8 @@ class MultiHeadAttention:
 
 
 class EncoderBlock:
-    """Residual self-attention + residual feed-forward, layer-normed.
+    """Residual self-attention + residual feed-forward, layer-normed, over
+    rows-last (..., K, d_model, R) input.
 
     The feed-forward sublayer reads the block input (not the attention
     output): x1 = LN(x + MHA(x, x, x)); out = LN(x1 + FF(x)).
@@ -138,7 +149,7 @@ class EncoderBlock:
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator, hidden: int):
         self.attention = MultiHeadAttention(d_model, n_heads, rng)
-        self.feed_forward = FeedForward((d_model, hidden, d_model), rng)
+        self.feed_forward = FeedForward((d_model, hidden, d_model), rng, rows_last=True)
         self.norm_attn = LayerNorm(d_model)
         self.norm_ff = LayerNorm(d_model)
 
@@ -147,11 +158,6 @@ class EncoderBlock:
         x = _wrap(x)
         x1 = self.norm_attn(residual(x, self.attention(x, x, x), keep[0]))
         return self.norm_ff(residual(x1, self.feed_forward(x), keep[1]))
-
-
-def _last_row(keep: np.ndarray | None) -> np.ndarray | None:
-    """A final-position row's dropout reads the last row of its window's (..., K, d) draw."""
-    return None if keep is None else keep[..., -1:, :]
 
 
 class TransformerBlock:
@@ -184,31 +190,35 @@ class TransformerBlock:
          self.norm_out) = stack_members(layers, rank=4)
 
     def __call__(self, window, training: bool = False, rng: PositionRNG = None) -> DiffArray:
-        """Encode (S, R, K, d_model) windows and return the decoded final slices (S, R, d_model).
+        """Encode (S, K, d_model, R) windows and return the decoded final slices (S, d_model, R).
 
         In training, one call draws every dropout uniform at once, member by
-        member and site by site in call order: the stream S serial calls
-        would draw.
+        member, site by site in call order and row by row: the stream S
+        serial calls of a row-first block would draw. The decoder's two
+        one-row sites keep only the last timestep of their draw.
         """
         window = _wrap(window)
         if window.ndim != 4 or window.shape[0] != self.members:
             raise DimensionError(
-                f"expected ({self.members}, R, K, d) member windows, got {window.shape}"
+                f"expected ({self.members}, K, d, R) member windows, got {window.shape}"
             )
         keep = [None] * DROPOUT_SITES
         if training and self.dropout_rate > 0.0:
             if rng is None:
                 raise ValueError("training-mode dropout needs an rng")
-            shape = (self.members, DROPOUT_SITES) + window.shape[1:]
-            factors = dropout_keep(rng.random(shape), self.dropout_rate)
-            keep = [factors[:, i] for i in range(DROPOUT_SITES)]
+            members, k, d, r = window.shape
+            draws = rng.random((members, DROPOUT_SITES, r, k, d)).transpose(0, 1, 3, 4, 2)
+            whole = dropout_keep(draws[:, :4].copy(), self.dropout_rate)
+            last = dropout_keep(draws[:, 4:, -1:].copy(), self.dropout_rate)
+            del draws
+            keep = [whole[:, i] for i in range(4)] + [last[:, 0], last[:, 1]]
         memory = self.encoder(position_encode(window, keep[0]), keep[1:3])
         source = position_encode(window, keep[3])
-        last = source[..., -1:, :]
+        last = source[:, -1:]
         attended = self.decoder_attention(last, source, source)
-        decoded = self.norm_decoder(residual(last, attended, _last_row(keep[4])))
+        decoded = self.norm_decoder(residual(last, attended, keep[4]))
         crossed = self.cross_attention(decoded, memory, memory)
-        return self.norm_out(residual(decoded, crossed, _last_row(keep[5])))[..., 0, :]
+        return self.norm_out(residual(decoded, crossed, keep[5]))[:, 0]
 
 
 def transformer_forward(
@@ -220,17 +230,24 @@ def transformer_forward(
     """Run (S, ..., K, N, D) member windows through the block, returning (S, ..., N, D).
 
     The block's width fixes the layout: a D-wide block attends each node's
-    (K, D) trace on its own, any other reads each timestep as one (N*D)-wide
-    row (and fails its width check if not N*D wide); either way it reads
-    each member's windows (and nodes) on one row axis. For N = 1 the two coincide.
+    (K, D) trace on its own, rows R = B·N for the B windows of the batch
+    axes; any other reads each timestep as one (N*D)-wide row, R = B (and
+    fails its width check if not N*D wide). Either way one node lays the
+    windows out rows-last, (S, K, d, R), and one turns the (S, d, R) output
+    back. For N = 1 the two layouts coincide.
     """
     window = _wrap(window)
     if window.ndim < 4:
         raise DimensionError(f"expected (S, ..., K, N, D) member windows, got {window.shape}")
     members, (k, n_nodes, width) = window.shape[0], window.shape[-3:]
+    batch = window.size // (members * k * n_nodes * width)
     if block.cross_attention.d_model == width:
-        rows = reshape(swapaxes(window, -3, -2), (members, -1, k, width))
-    else:
-        rows = reshape(window, (members, -1, k, n_nodes * width))
+        rows = rearrange(window, (members, batch, k, n_nodes, width), (0, 2, 4, 1, 3),
+                         (members, k, width, batch * n_nodes))
+        out = block(rows, training, rng)
+        return rearrange(out, (members, width, batch, n_nodes), (0, 2, 3, 1),
+                         window.shape[:-3] + (n_nodes, width))
+    rows = rearrange(window, (members, batch, k, n_nodes * width), (0, 2, 3, 1),
+                     (members, k, n_nodes * width, batch))
     out = block(rows, training, rng)
-    return reshape(out, window.shape[:-3] + (n_nodes, width))
+    return rearrange(out, out.shape, (0, 2, 1), window.shape[:-3] + (n_nodes, width))

@@ -252,6 +252,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape) if ones else grad
 
 
+def _rows_first(x: np.ndarray) -> np.ndarray:
+    """A rows-last (..., K, d, R) array as a C-contiguous (..., R, K, d) copy."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, -3))
+
+
 # ---------------------------------------------------------------------------
 # activation kernels
 
@@ -354,19 +359,21 @@ def _product(av: np.ndarray, bv: np.ndarray):
     return values, grads
 
 
-def feed_forward(x, weights: Sequence, biases: Sequence):
+def feed_forward(x, weights: Sequence, biases: Sequence, rows_last: bool = False):
     """Affine layers x @ w + b with a leaky ReLU between each pair, as one node.
 
     Values and gradients are bit for bit those of the chain of matmul, add
     and leaky ReLU nodes: the forward makes its numpy calls and the backward
     replays its pushes from the last layer to the first. One layer is the
-    affine map alone.
+    affine map alone. With `rows_last`, x is (..., K, d, R) and the layers
+    run on its row-first copy (..., R, K, d); the output and the input
+    gradient come back rows-last.
     """
     x = _wrap(x)
     params = [_wrap(p) for pair in zip(weights, biases) for p in pair]
     last = len(params) // 2 - 1
     products, positive = [], []
-    h = x.values
+    h = _rows_first(x.values) if rows_last else x.values
     for i in range(last + 1):
         product, grads = _product(h, params[2 * i].values)
         products.append(grads)
@@ -378,14 +385,18 @@ def feed_forward(x, weights: Sequence, biases: Sequence):
 
     def push(g, wants):
         grads = []
+        if rows_last:
+            g = _rows_first(g)
         for i in range(last, -1, -1):
             if i < last:
                 g = _leaky_relu_grad(g, positive[i], LEAKY_SLOPE)
             gb = _unbroadcast(g, params[2 * i + 1].shape) if wants[2 * i + 2] else None
             g, gw = products[i](g, (i > 0 or wants[0], wants[2 * i + 1]))
             grads[:0] = [gw, gb]
-        return (g, *grads)
+        return (np.moveaxis(g, -3, -1) if rows_last and g is not None else g, *grads)
 
+    if rows_last:
+        h = np.ascontiguousarray(np.moveaxis(h, -3, -1))
     return _result(h, (x, *params), push)
 
 
@@ -462,33 +473,73 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # layer norm
+#
+# Layer norm runs rows-last, on (..., d, R) arrays whose R rows lie on the
+# last axis: each statistic sums the d feature slices, axis -2, which numpy
+# adds in order as an outer axis, so below _PAIRWISE_MIN features each sum is
+# bit for bit numpy's last-axis sum of the row-first layout (from there on
+# numpy sums that axis pairwise, within rtol 1e-12). The gain and shift
+# gradients sum over the rows (see `_feature_sums`).
+
+
+def _feature_column(p: np.ndarray) -> np.ndarray:
+    """A (d,) or (..., 1, d) gain or shift as the (d, 1) or (..., d, 1) view
+    that scales the feature axis -2 of a rows-last array."""
+    return p[:, None] if p.ndim == 1 else p.swapaxes(-1, -2)
+
+
+def _feature_sums(shape: tuple[int, ...], *xs: np.ndarray) -> np.ndarray:
+    """The product of the rows-last (..., d, R) arrays `xs` summed down to the
+    stored `shape`, (d,) or (..., 1, d), of a gain or shift: over the rows,
+    the timesteps and every other axis the parameter is broadcast over.
+
+    Below _EINSUM_MIN_ROWS rows per feature the product is taken row-first,
+    (..., R, K, d), and summed by `_unbroadcast`, so the sums add the terms
+    in the order, and to the bits, of the row-first layout. From there on
+    one einsum contracts the rows-last operands without forming the
+    product; it adds the rows in another order, within rtol 1e-12 of that
+    one, at a fraction of a row-first copy's cost.
+    """
+    x = xs[0]
+    if x.size < _EINSUM_MIN_ROWS * x.shape[-2]:
+        product = x if len(xs) == 1 else x * xs[1]
+        return _unbroadcast(np.ascontiguousarray(np.moveaxis(product, -1, -3)), shape)
+    column = shape[:-2] + shape[-1:] + (1,)  # as `_feature_column` lays it out
+    kept = [i for i, n in enumerate(column, x.ndim - len(column)) if n != 1]
+    labels = range(x.ndim)
+    return np.einsum(*[arg for y in xs for arg in (y, labels)], kept).reshape(shape)
 
 
 def layer_norm(a, gain, shift, eps: float):
-    """(a - mean) / sqrt(var + eps) * gain + shift over the last axis, as one node.
+    """(a - mean) / sqrt(var + eps) * gain + shift over axis -2 of a rows-last
+    (..., d, R) array, as one node; `gain` and `shift` hold the d features on
+    their last axis, (d,) or (..., 1, d).
 
-    Values and the gain and shift gradients are bit for bit those of the
-    composed chain (mean, sub, mul, mean, add, sqrt, div, mul, add). The input
-    gradient is the closed form (gn - mean(gn) - normed * mean(gn * normed)) / std,
+    Values, and below _PAIRWISE_MIN features the input gradient, are bit for
+    bit those of the row-first node over the last axis (see above). Values
+    and the gain and shift gradients of that node are bit for bit its
+    composed chain (mean, sub, mul, mean, add, sqrt, div, mul, add). The
+    input gradient is the closed form (gn - mean(gn) - normed * mean(gn * normed)) / std,
     gn = g * gain (Ba et al., 2016), from width 3 within rtol 1e-12 of the chain's.
     """
     a, gain, shift = _wrap(a), _wrap(gain), _wrap(shift)
-    av, gv, sv = a.values, gain.values, shift.values
-    width = av.shape[-1]
+    av = a.values
+    gv, sv = _feature_column(gain.values), _feature_column(shift.values)
+    width = av.shape[-2]
     # each mean is numpy's, a sum divided by the width
-    centered = av - _sum_last(av) / width
-    std = np.sqrt(_sum_last(centered * centered) / width + eps)
+    centered = av - av.sum(axis=-2, keepdims=True) / width
+    std = np.sqrt((centered * centered).sum(axis=-2, keepdims=True) / width + eps)
     normed = centered / std
     values = normed * gv + sv
 
     def push(g, wants):
-        g_gain = _unbroadcast(g * normed, gv.shape) if wants[1] else None
-        g_shift = _unbroadcast(g, sv.shape) if wants[2] else None
+        g_gain = _feature_sums(gain.shape, g, normed) if wants[1] else None
+        g_shift = _feature_sums(shift.shape, g) if wants[2] else None
         if not wants[0]:
             return None, g_gain, g_shift
         gn = g * gv
-        dx = gn - _sum_last(gn) / width
-        dx -= normed * (_sum_last(gn * normed) / width)
+        dx = gn - gn.sum(axis=-2, keepdims=True) / width
+        dx -= normed * ((gn * normed).sum(axis=-2, keepdims=True) / width)
         return np.divide(dx, std, out=dx), g_gain, g_shift
 
     return _result(values, (a, gain, shift), push)
@@ -497,33 +548,38 @@ def layer_norm(a, gain, shift, eps: float):
 # ---------------------------------------------------------------------------
 # attention
 #
-# Each layer below is one node. Attention runs one of two kernels, which
-# `attention` picks from its operands.
+# Each layer below is one node. Attention takes rows-last q, k and v,
+# (..., K, d, R): R rows that share their weights lie on the last axis, as
+# the transformer block lays its windows out. It runs one of two kernels,
+# which `attention` picks from its operands.
 #
-# The product kernel makes the numpy calls of its chain of primitive nodes,
-# projections included, so its values and gradients are the chain's bit for
-# bit, but for one sum: a decoder's query is a `take` of its key/value
-# input, which the chain's tape sums as (query + key) + value and the node's
-# as (key + value) + query, since the `take` passes its term on after the
-# node. It runs every head wider than one feature.
+# The row-last kernel runs heads one feature wide (d == n_heads, as per-node
+# attention over D features has), where a product kernel's scores and
+# weighted sums are stacks of one-wide products, one per row, head and
+# query. It projects q, k and v into (..., K, H, R) arrays, one GEMM per
+# member and key position, so each score is an elementwise product over
+# (..., Kq, Kk, H, R), the softmax runs over the key axis and each weighted
+# sum is one einsum contraction over the key or query axis, adding its terms
+# in order (see `_sum_products`), all in whole-array calls. Its output and
+# its input and weight gradients come out in the same layout, with no
+# transpose. It holds at most one temporary of the scores' size at a time.
+# Its projections and weighted sums add in another order than the product
+# kernel's, so its values and gradients match that kernel's within rtol
+# 1e-12 of each array's largest magnitude (tests/test_fused.py), not bit for
+# bit. It needs q, k and v of one batch shape and four weights that are each
+# one matrix or one matrix per member of the leading axis; other width-one
+# calls run the product kernel.
 #
-# The row-last kernel runs heads one feature wide (d_model == n_heads, as
-# per-node attention over D features has), where the product kernel's scores
-# and weighted sums are stacks of one-wide products, one per row, head and
-# query. It projects q, k and v straight into (M, K, H, R) arrays whose last
-# axis holds the R rows that share a member's weights (M members, one for a
-# single matrix), so each score is an elementwise product over (M, Kq, Kk,
-# H, R), the softmax runs over the key axis and each weighted sum is one
-# einsum contraction over the key or query axis, adding its terms in order
-# (see `_sum_products`), all in whole-array calls; the backward runs in the
-# same layout. It keeps what the product kernel keeps, no second
-# copy of the projections, and holds at most one temporary of the scores'
-# size at a time. Its projections and weighted sums add in another order
-# than the product kernel's, so its values and gradients match that kernel's
-# within rtol 1e-12 of each array's largest magnitude (tests/test_fused.py),
-# not bit for bit. It needs q, k and v of one batch shape and four weights
-# that are each one matrix or one matrix per member; other width-one calls
-# run the product kernel.
+# The product kernel runs every head wider than one feature. It converts at
+# its boundary: it copies q, k and v row-first, (..., R, K, d), and its
+# output back rows-last, and makes the numpy calls of its chain of primitive
+# nodes on the row-first copies, projections included, so its values and
+# gradients are the chain's bit for bit, but for one sum: a decoder's query
+# is a `take` of its key/value input, which the chain's tape sums as
+# (query + key) + value and the node's as (key + value) + query, since the
+# `take` passes its term on after the node. A query that is the last key
+# position of the key input (`_is_last_slice`) is read as that slice of the
+# key's row-first copy, as the chain reads it.
 #
 # Graph attention computes its layer with fewer, larger products, which sum
 # in another order than its chain, so its values and gradients match the
@@ -543,9 +599,18 @@ def _merge_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
+def _is_last_slice(q: np.ndarray, k: np.ndarray) -> bool:
+    """Whether q is the view k[..., -1:, :, :], the last key position of k."""
+    return (q.base is not None and q.base is (k if k.base is None else k.base)
+            and q.shape == k.shape[:-3] + (1,) + k.shape[-2:]
+            and q.strides[:-3] + q.strides[-2:] == k.strides[:-3] + k.strides[-2:]
+            and q.__array_interface__["data"][0]
+            == k.__array_interface__["data"][0] + (k.shape[-3] - 1) * k.strides[-3])
+
+
 def _attention_weights(qp: np.ndarray, kp: np.ndarray, n_heads: int, scale: float, mask):
-    """Attention up to its softmax weights, from projected rows: (the gradients
-    of the scores qh @ khᵀ, weights (..., H, Kq, Kk)).
+    """Attention up to its softmax weights, from projected row-first rows: (the
+    gradients of the scores qh @ khᵀ, weights (..., H, Kq, Kk)).
     """
     qh = _split_heads(qp, n_heads)
     kt = _split_heads(kp, n_heads).swapaxes(-1, -2)
@@ -558,13 +623,18 @@ def _attention_weights(qp: np.ndarray, kp: np.ndarray, n_heads: int, scale: floa
 
 def _product_attention(xs, ws, n_heads: int, scale: float, mask):
     """The product kernel (see above): the node's values and `push`."""
-    (qp, q_grads), (kp, k_grads), (vp, v_grads) = (_product(x, w) for x, w in zip(xs, ws))
+    q, k, v = xs
+    rows = [_rows_first(k)]
+    rows.append(rows[0] if v is k else _rows_first(v))
+    rows.insert(0, rows[0] if q is k else
+                rows[0][..., -1:, :] if _is_last_slice(q, k) else _rows_first(q))
+    (qp, q_grads), (kp, k_grads), (vp, v_grads) = (_product(x, w) for x, w in zip(rows, ws))
     scores_grads, y = _attention_weights(qp, kp, n_heads, scale, mask)
     mixed, mixed_grads = _product(y, _split_heads(vp, n_heads))
     values, out_grads = _product(_merge_heads(mixed, n_heads), ws[3])
 
     def push(g, wants):
-        g_merged, g_w_out = out_grads(g, (True, wants[6]))
+        g_merged, g_w_out = out_grads(_rows_first(g), (True, wants[6]))
         g_y, g_vh = mixed_grads(_split_heads(g_merged, n_heads), (True, True))
         g_qh, g_kt = scores_grads(_softmax_grad(g_y, y) * scale, (True, True))
         g_heads = (g_qh, g_kt.swapaxes(-1, -2), g_vh)
@@ -573,26 +643,22 @@ def _product_attention(xs, ws, n_heads: int, scale: float, mask):
             for gh, grads, want in zip(g_heads, (q_grads, k_grads, v_grads),
                                        zip(wants[:3], wants[3:6]))
         ))
+        g_inputs = (None if gx is None else np.moveaxis(gx, -3, -1) for gx in g_inputs)
         return (*g_inputs, *g_weights, g_w_out)
 
-    return values, push
+    return np.ascontiguousarray(np.moveaxis(values, -3, -1)), push
 
 
-def _row_last_matrices(xs, ws, n_heads: int) -> list[np.ndarray] | None:
-    """The four weights as (M, H, H) member matrices when the row-last kernel
-    runs (see above), else None."""
+def _fits_row_last(xs, ws, n_heads: int) -> bool:
+    """Whether the row-last kernel runs (see above)."""
     q, k, v = xs
-    if k.shape != v.shape or q.shape[:-2] + q.shape[-1:] != k.shape[:-2] + (n_heads,):
-        return None
-    matrices = [_weight_matrix(q, w) for w in ws]
-    if any(w is None for w in matrices):
-        return None
-    shape = matrices[0].shape[:1] + (n_heads, n_heads)
-    return matrices if all(w.shape == shape for w in matrices) else None
+    return (k.shape == v.shape and q.shape[-2] == n_heads
+            and q.shape[:-3] + q.shape[-2:] == k.shape[:-3] + k.shape[-2:]
+            and all(_weight_matrix(q, w) is not None for w in ws))
 
 
 def _sum_products(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
-    """(a * b).sum(axis) for a of the scores' shape (M, Kq, Kk, H, R) and b
+    """(a * b).sum(axis) for a of the scores' shape (..., Kq, Kk, H, R) and b
     broadcast to it, as one einsum contraction without a product of the
     scores' size. einsum rounds each product and adds the terms over an outer
     axis in order, bit for bit a loop that adds them one by one. The one
@@ -603,90 +669,77 @@ def _sum_products(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
     return np.einsum(a, labels, b, labels, [i for i in labels if i != axis])
 
 
-def _row_last_attention(xs, ws, matrices, n_heads: int, scale: float, mask):
-    """The row-last kernel (see above): the node's values and `push`.
-
-    `matrices` holds the four weights as (M, H, H) member matrices."""
-    members, kq = len(matrices[0]), xs[0].shape[-2]
-    rows = [x.reshape(members, -1, *x.shape[-2:]) for x in xs]  # (M, R, K, H)
-    w_query, w_key, w_value, w_out = (w[:, None] for w in matrices)  # over the K axis
-    # (M, K, H, R): member m's projections of key position k, rows last
-    qp, kp, vp = (np.matmul(w.swapaxes(-1, -2), x.transpose(0, 2, 3, 1))
-                  for x, w in zip(rows, (w_query, w_key, w_value)))
-    y = np.multiply(qp[:, :, None], kp[:, None])  # (M, Kq, Kk, H, R)
+def _row_last_attention(xs, ws, scale: float, mask):
+    """The row-last kernel (see above): the node's values and `push`."""
+    # (..., K, H, R): each input's projections, p = wᵀ x per key position
+    qp, kp, vp = (np.matmul(w.swapaxes(-1, -2), x) for x, w in zip(xs, ws))
+    queries, keys = qp.ndim - 3, qp.ndim - 2  # the query and key axes of the scores
+    y = np.multiply(qp[..., None, :, :], kp[..., None, :, :, :])  # (..., Kq, Kk, H, R)
     y *= scale
     if mask is not None:
         y += np.asarray(mask)[..., None, None]
-    top = y.max(axis=2, keepdims=True)
+    top = y.max(axis=keys, keepdims=True)
     _refuse_non_finite(top)
     y -= top
     del top
     np.exp(y, out=y)
-    y /= y.sum(axis=2, keepdims=True)
-    mixed = _sum_products(y, vp[:, None], 2)  # (M, Kq, H, R)
-    out = np.empty(rows[0].shape[:2] + (kq, n_heads))  # (M, R, Kq, H)
-    np.matmul(mixed.swapaxes(-1, -2), w_out, out=out.swapaxes(1, 2))
+    y /= y.sum(axis=keys, keepdims=True)
+    mixed = _sum_products(y, vp[..., None, :, :, :], keys)  # (..., Kq, H, R)
+    w_out = ws[3]
 
     def push(g, wants):
-        g = g.reshape(out.shape).swapaxes(1, 2)  # (M, Kq, R, H)
-        g_w_out = np.matmul(mixed, g).sum(axis=1).reshape(ws[3].shape) if wants[6] else None
-        g_mixed = np.matmul(w_out, g.swapaxes(-1, -2))  # (M, Kq, H, R)
-        g_vp = _sum_products(y, g_mixed[:, :, None], 1)
+        g_w_out = (_unbroadcast(np.matmul(mixed, g.swapaxes(-1, -2)), w_out.shape)
+                   if wants[6] else None)
+        g_mixed = np.matmul(w_out, g)  # (..., Kq, H, R)
+        g_vp = _sum_products(y, g_mixed[..., None, :, :], queries)
         # the weights' gradient, taken back through the softmax and the scale in place
-        g_scores = np.multiply(g_mixed[:, :, None], vp[:, None])
+        g_scores = np.multiply(g_mixed[..., None, :, :], vp[..., None, :, :, :])
         del g_mixed
-        g_scores -= _sum_products(g_scores, y, 2)[:, :, None]
+        g_scores -= _sum_products(g_scores, y, keys)[..., None, :, :]
         g_scores *= y
         g_scores *= scale
-        g_qp = _sum_products(g_scores, kp[:, None], 2)
-        g_kp = _sum_products(g_scores, qp[:, :, None], 1)
+        g_qp = _sum_products(g_scores, kp[..., None, :, :, :], keys)
+        g_kp = _sum_products(g_scores, qp[..., None, :, :], queries)
         del g_scores
         g_inputs, g_weights = [], []
-        for x, w, g_p, shapes, want in zip(rows, (w_query, w_key, w_value), (g_qp, g_kp, g_vp),
-                                           zip(xs, ws), zip(wants[:3], wants[3:6])):
-            g_p = g_p.swapaxes(-1, -2)  # (M, K, R, H)
-            g_x = g_w = None
-            if want[0]:
-                g_x = np.empty(x.shape)
-                np.matmul(g_p, w.swapaxes(-1, -2), out=g_x.swapaxes(1, 2))
-                g_x = g_x.reshape(shapes[0].shape)
-            if want[1]:
-                g_w = np.matmul(x.transpose(0, 2, 3, 1), g_p).sum(axis=1).reshape(shapes[1].shape)
-            g_inputs.append(g_x)
-            g_weights.append(g_w)
+        for x, w, g_p, want in zip(xs, ws, (g_qp, g_kp, g_vp), zip(wants[:3], wants[3:6])):
+            g_inputs.append(np.matmul(w, g_p) if want[0] else None)
+            g_weights.append(_unbroadcast(np.matmul(x, g_p.swapaxes(-1, -2)), w.shape)
+                             if want[1] else None)
         return (*g_inputs, *g_weights, g_w_out)
 
-    return out.reshape(xs[0].shape), push
+    return np.matmul(w_out.swapaxes(-1, -2), mixed), push
 
 
 def attention(q, k, v, w_query, w_key, w_value, w_out, n_heads: int, scale: float,
               mask=None):
     """Multi-head scaled dot-product attention with its projections, as one node.
 
-    `q` (..., Kq, d), `k` and `v` (..., Kk, d); each weight (..., d, d) maps
-    its input to projected rows, of which head m reads columns
-    m*d/H:(m+1)*d/H. The node covers the projections q @ w_query,
-    k @ w_key and v @ w_value, the head split, the scores qh @ khᵀ * scale,
-    the optional additive (Kq, Kk) mask, the softmax, the weighted sum of
-    values, the head merge and the product with `w_out`. An input passed as
-    several of q, k and v gets one gradient per role, which the tape sums.
-    NaN or inf in q, k or v raises a NumericError naming the role before any
-    projection.
+    `q` (..., Kq, d, R), `k` and `v` (..., Kk, d, R), rows last; each weight
+    (..., d, d) maps an input row to its projection, of which head m reads
+    features m*d/H:(m+1)*d/H. The node covers the projections by w_query,
+    w_key and w_value, the head split, the scores qh · kh * scale, the
+    optional additive (Kq, Kk) mask, the softmax over the keys, the weighted
+    sum of values, the head merge and the map by `w_out`, and returns
+    (..., Kq, d, R). An input passed as several of q, k and v gets one
+    gradient per role, which the tape sums. NaN or inf in q, k or v raises a
+    NumericError naming the role before any projection; each buffer is read
+    once, and a query that is the last key position of k is read as part of k.
 
     Heads one feature wide (d == H) run the row-last kernel, within rtol
     1e-12 of the product kernel, which runs every wider head (see above).
     """
     parents = tuple(_wrap(t) for t in (q, k, v, w_query, w_key, w_value, w_out))
     xs, ws = [p.values for p in parents[:3]], [p.values for p in parents[3:]]
-    for x in {id(x): x for x in xs}.values():  # an array passed in several roles is read once
+    covered = _is_last_slice(xs[0], xs[1])  # k's check reads the query
+    for x in {id(x): x for x in xs[covered:]}.values():  # an array in several roles is read once
         if not np.isfinite(x).all():
             roles = "/".join(r for r, y in zip(("query", "key", "value"), xs) if y is x)
             raise NumericError(f"attention received NaN or inf {roles} input")
-    matrices = _row_last_matrices(xs, ws, n_heads)
-    if matrices is None:
-        values, push = _product_attention(xs, ws, n_heads, scale, mask)
+    if _fits_row_last(xs, ws, n_heads):
+        values, push = _row_last_attention(xs, ws, scale, mask)
     else:
-        values, push = _row_last_attention(xs, ws, matrices, n_heads, scale, mask)
+        values, push = _product_attention(xs, ws, n_heads, scale, mask)
     return _result(values, parents, push)
 
 
@@ -791,15 +844,19 @@ def reshape(a, shape: Sequence[int]):
     return _result(values, (a,), push)
 
 
-def swapaxes(a, i: int, j: int):
-    """Swap axes i and j (np.swapaxes); its own inverse, so also the backward."""
+def rearrange(a, shape: Sequence[int], axes: Sequence[int], out_shape: Sequence[int]):
+    """a reshaped to `shape`, its axes permuted as np.transpose(axes) and
+    reshaped to `out_shape` (a copy where the permutation moves data), as one
+    node; the backward makes the inverse moves."""
     a = _wrap(a)
-    values = a.values.swapaxes(i, j)
+    orig = a.values.shape
+    moved = a.values.reshape(shape).transpose(axes)
+    inverse = np.argsort(axes)
 
     def push(g, _):
-        return (g.swapaxes(i, j),)
+        return (g.reshape(moved.shape).transpose(inverse).reshape(orig),)
 
-    return _result(values, (a,), push)
+    return _result(moved.reshape(out_shape), (a,), push)
 
 
 def take(a, key):

@@ -123,9 +123,9 @@ class TestC03AttentionNormalization:
         for _ in range(20):
             k = int(rng.integers(2, 9))
             mha = MultiHeadAttention(4, 2, rng)
-            x = rng.normal(size=(k, 4)) * 2
+            x = rng.normal(size=(k, 4, 1)) * 2  # rows last: (K, d, R)
             for head in range(2):
-                w = mha.attention_weights(x, x, mask=causal_mask(k), head=head).values
+                w = mha.attention_weights(x, x, mask=causal_mask(k), head=head).values[..., 0]
                 future = np.triu_indices(k, k=1)
                 assert (w[future] == 0.0).all(), "masked weights must be exactly zero"
                 worst = max(worst, float(np.abs(w.sum(axis=-1) - 1).max()))

@@ -58,10 +58,14 @@ from radnet.model import (
     rollout_autoregressive,
 )
 from radnet.temporal import causal_mask
-from radnet.tensor import DiffArray
+from radnet.tensor import DiffArray, _wrap
 
 from primitive_nodes import (
     add,
+    moveaxis,
+    copy_rows_first,
+    copy_rows_last,
+    swapaxes,
     concat,
     dropout,
     gather,
@@ -82,7 +86,9 @@ def composed_affine(x, w, b):
     return add(matmul(x, w), b)
 
 
-def composed_feed_forward(x, weights, biases):
+def composed_feed_forward(x, weights, biases, rows_last=False):
+    if rows_last:
+        return copy_rows_last(composed_feed_forward(copy_rows_first(x), weights, biases))
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         x = composed_affine(x, w, b)
@@ -97,13 +103,13 @@ def composed_attention(qp, kp, vp, w_out, n_heads, scale, mask=None):
 
     def split(x):
         x = T.reshape(x, x.shape[:-1] + (n_heads, d_model // n_heads))
-        return T.swapaxes(x, -3, -2)
+        return swapaxes(x, -3, -2)
 
     def merge(x):
-        x = T.swapaxes(x, -3, -2)
+        x = swapaxes(x, -3, -2)
         return T.reshape(x, x.shape[:-2] + (d_model,))
 
-    scores = mul(matmul(split(qp), T.swapaxes(split(kp), -1, -2)), scale)
+    scores = mul(matmul(split(qp), swapaxes(split(kp), -1, -2)), scale)
     if mask is not None:
         scores = add(scores, mask)
     weights = softmax(scores)
@@ -116,11 +122,38 @@ def composed_mha(q, k, v, w_query, w_key, w_value, w_out, n_heads, scale, mask=N
     return composed_attention(*projected, w_out, n_heads, scale, mask)
 
 
-def product_attention(*args):
-    """`tensor.attention` held to its product kernel, whatever its heads' width."""
+def attention(q, k, v, *args, row_last=True):
+    """`tensor.attention` on row-first (..., R, K, d) inputs, (K, d) for one
+    row: each distinct input moved rows-last as a view (a decoder's query
+    stays the last key position of its key input), the output moved back.
+    Without `row_last` the node is held to its product kernel."""
+    q, k, v = (_wrap(x) for x in (q, k, v))
+    one_row = q.ndim == 2
+    moved = {}
+
+    def rows_last(x):
+        if id(x) not in moved:
+            moved[id(x)] = moveaxis(T.reshape(x, (1, *x.shape)) if one_row else x, -3, -1)
+        return moved[id(x)]
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(T, "_row_last_matrices", lambda *_: None)
-        return T.attention(*args)
+        if not row_last:
+            patch.setattr(T, "_fits_row_last", lambda *_: False)
+        out = moveaxis(T.attention(rows_last(q), rows_last(k), rows_last(v), *args), -1, -3)
+    return T.reshape(out, out.shape[1:]) if one_row else out
+
+
+product_attention = functools.partial(attention, row_last=False)
+
+
+def rows_last_mha(q, k, v, *args):
+    """`composed_mha` on rows-last (..., K, d, R) inputs: each distinct input
+    copied row-first (`copy_rows_first`), the output copied back (`copy_rows_last`)."""
+    copies = {}
+    for x in (q, k, v):
+        if id(x) not in copies:
+            copies[id(x)] = copy_rows_first(x)
+    return copy_rows_last(composed_mha(*(copies[id(x)] for x in (q, k, v)), *args))
 
 
 def composed_graph_attention(x, theta, score_src, score_dst, score_bias, neighbor_index,
@@ -225,8 +258,9 @@ def assert_within_rtol(results):
             assert_close_to_scale(got, want)
 
 
-# (rows, K, model width, heads): the block reads (S, R, K, d) member windows
-# against (S, 1, d, d) member weights. C07 is flattened with one 4-wide head
+# (rows, K, model width, heads): the block reads (S, K, d, R) member windows
+# against (S, 1, d, d) member weights; these tests build row-first (S, R, K, d)
+# inputs for the chains, which `attention` moves rows-last for the node. C07 is flattened with one 4-wide head
 # over 32 windows of 5 (one window at batch 1); train-radset is per node, 16
 # nodes of 7 width-1 heads per window, which run the row-last kernel.
 ATTENTION_SHAPES = {
@@ -238,12 +272,13 @@ ATTENTION_SHAPES = {
 
 # how the inputs are shared: self-attention passes one x as q, k and v (with
 # the encoder's causal mask); the decoder's query is the last row of its
-# key/value input; cross-attention has its own query and shares k/v; the
-# last passes three distinct inputs
+# key/value input; cross-attention has its own one-row query, a fresh array
+# as the block's layer-normed decoder output is, and shares k/v; the last
+# passes three distinct inputs
 ATTENTION_SHARING = {
     "self": lambda op, x, _, __, *w: op(x, x, x, *w, mask=True),
     "decoder": lambda op, x, _, __, *w: add(op(x[..., -1:, :], x, x, *w), x[..., -1:, :]),
-    "cross": lambda op, q, kv, _, *w: op(q[..., -1:, :], kv, kv, *w),
+    "cross": lambda op, q, kv, _, *w: op(mul(q[..., -1:, :], 1.0), kv, kv, *w),
     "distinct": lambda op, q, k, v, *w: op(q, k, v, *w),
 }
 
@@ -280,7 +315,7 @@ class TestAttention:
         rng = np.random.default_rng(40)
         arrays = attention_arrays(rng, (2, rows), k, k, d_model, (2, 1))
         tracked = [inputs == "tracked"] * 3 + [True] * 4
-        results = run_both(T.attention, composed_mha, arrays,
+        results = run_both(attention, composed_mha, arrays,
                            mha_builder(sharing, n_heads, 1.0 / np.sqrt(d_model)), 41, tracked)
         if n_heads == d_model:  # the row-last kernel
             assert_within_rtol(results)
@@ -293,7 +328,7 @@ class TestAttention:
         # one head is a unit head axis in the node, and no axis at all here
         def head_free(q, k, v, w_query, w_key, w_value, w_out, n_heads, scale, mask=None):
             qp, kp, vp = (matmul(x, w) for x, w in ((q, w_query), (k, w_key), (v, w_value)))
-            scores = mul(matmul(qp, T.swapaxes(kp, -1, -2)), scale)
+            scores = mul(matmul(qp, swapaxes(kp, -1, -2)), scale)
             if mask is not None:
                 scores = add(scores, mask)
             return matmul(matmul(softmax(scores), vp), w_out)
@@ -301,7 +336,7 @@ class TestAttention:
         rows, k, d_model, n_heads = ATTENTION_SHAPES[case]
         assert n_heads == 1
         arrays = attention_arrays(np.random.default_rng(48), (2, rows), k, k, d_model, (2, 1))
-        results = run_both(T.attention, head_free, arrays,
+        results = run_both(attention, head_free, arrays,
                            mha_builder(sharing, 1, 1.0 / np.sqrt(d_model)), 49)
         assert_bit_identical(results)
 
@@ -322,7 +357,7 @@ class TestAttention:
         d_model = d_head * n_heads
         lead, weight_lead = ((2,) + lead, (2,) + (1,) * len(lead)) if members else (lead, ())
         arrays = attention_arrays(rng, lead, k, k, d_model, weight_lead)
-        results = run_both(T.attention, composed_mha, arrays,
+        results = run_both(attention, composed_mha, arrays,
                            mha_builder(sharing, n_heads, 0.5), seed)
         if d_head == 1:  # the row-last kernel
             assert_within_rtol(results)
@@ -339,14 +374,14 @@ class TestAttention:
         w = rng.normal(size=(2, 3, 4))
 
         def f():
-            return weighted_sum(build(T.attention, *leaves), w)
+            return weighted_sum(build(attention, *leaves), w)
 
         assert T.grad_check(f, leaves) < 1e-6
 
     def test_only_the_output_map_tracked(self):
         rng = np.random.default_rng(45)
         arrays = attention_arrays(rng, (2,), 3, 3, 4)
-        results = run_both(T.attention, composed_mha, arrays, mha_builder("distinct", 2, 0.5),
+        results = run_both(attention, composed_mha, arrays, mha_builder("distinct", 2, 0.5),
                            46, [False] * 6 + [True])
         assert_bit_identical(results)
 
@@ -358,13 +393,15 @@ class TestAttention:
         calls = []
         product = T._product
         monkeypatch.setattr(T, "_product", lambda a, b: calls.append(1) or product(a, b))
-        out = mha_builder(sharing, 2, 0.5)(T.attention, *arrays)
+        out = mha_builder(sharing, 2, 0.5)(attention, *arrays)
         node = out if sharing != "decoder" else out.op_trace.inputs[0]
+        node = node.op_trace.inputs[0]  # the attention node behind the adapter's move
         inputs = node.op_trace.inputs
         assert len(inputs) == 7
         assert all(w is a for w, a in zip(inputs[3:], arrays[3:]))
         if sharing == "self":
-            assert inputs[0] is inputs[1] is inputs[2] is arrays[0]
+            assert inputs[0] is inputs[1] is inputs[2]
+            assert inputs[0].op_trace.inputs[0] is arrays[0]
         # the three projections, the scores, the weighted values and the output map
         assert len(calls) == 6
 
@@ -377,19 +414,32 @@ class TestAttention:
         q, k, v, *weights = attention_arrays(np.random.default_rng(50), (2, 3), 4, 4, d_model)
         {"query": q, "key": k, "value": v}[role][1, 2, 0, d_model - 1] = bad
         with pytest.raises(NumericError, match=f"attention received NaN or inf {role} input"):
-            T.attention(q, k, v, *weights, n_heads, 0.5)
+            attention(q, k, v, *weights, n_heads, 0.5)
 
+    @pytest.mark.parametrize("decoder", [False, True], ids=["cross", "decoder"])
     @pytest.mark.parametrize("d_model, n_heads", [(7, 7), (4, 2)])
-    def test_input_in_several_roles_checked_once(self, monkeypatch, d_model, n_heads):
-        q, kv, _, *weights = attention_arrays(np.random.default_rng(51), (2, 3), 4, 4, d_model)
+    def test_input_in_several_roles_checked_once(self, monkeypatch, d_model, n_heads, decoder):
+        # rows last, (S, K, d, R); a decoder's query is the last key position
+        # of its key/value input, which that input's check reads
+        q, kv, _, *weights = (np.ascontiguousarray(np.moveaxis(a, 1, -1)) for a in
+                              attention_arrays(np.random.default_rng(51), (2, 3), 4, 4, d_model))
+        if decoder:
+            q = kv[:, -1:]
         read = []
         isfinite = np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda x: read.append(x) or isfinite(x))
         T.attention(q, kv, kv, *weights, n_heads, 0.5)
-        assert [sum(x is y for x in read) for y in (q, kv)] == [1, 1]
-        kv[0, 0, 0, 0] = np.inf
+        assert [sum(x is y for x in read) for y in (q, kv)] == [0 if decoder else 1, 1]
+        kv[0, -1, 0, 0] = np.inf
         with pytest.raises(NumericError, match="NaN or inf key/value input"):
             T.attention(q, kv, kv, *weights, n_heads, 0.5)
+
+    def test_query_is_last_slice_only_at_the_last_key_position(self):
+        kv = np.zeros((2, 5, 7, 3))
+        assert T._is_last_slice(kv[:, -1:], kv)
+        assert not T._is_last_slice(kv[:, :1], kv)
+        assert not T._is_last_slice(kv[:, -1:].copy(), kv)
+        assert not T._is_last_slice(kv[:, -1:, :, :2], kv)
 
 
 WIDTH_ONE_CASES = [case for case, (_, _, d, h) in ATTENTION_SHAPES.items() if d == h]
@@ -415,7 +465,7 @@ class TestRowLastKernel:
         rows, k, d_model, n_heads = ATTENTION_SHAPES[case]
         arrays = attention_arrays(np.random.default_rng(142), (2, rows), k, k, d_model, (2, 1))
         tracked = [inputs == "tracked"] * 3 + [True] * 4
-        results = run_both(T.attention, product_attention, arrays,
+        results = run_both(attention, product_attention, arrays,
                            mha_builder(sharing, n_heads, 1.0 / np.sqrt(d_model)), 143, tracked)
         assert_within_rtol(results)
 
@@ -435,7 +485,7 @@ class TestRowLastKernel:
         rng = np.random.default_rng(seed)
         lead, weight_lead = ((2,) + lead, (2,) + (1,) * len(lead)) if members else (lead, ())
         arrays = attention_arrays(rng, lead, k, k, n_heads, weight_lead)
-        results = run_both(T.attention, product_attention, arrays,
+        results = run_both(attention, product_attention, arrays,
                            mha_builder(sharing, n_heads, 0.5), seed)
         assert_within_rtol(results)
 
@@ -446,9 +496,9 @@ class TestRowLastKernel:
         leaves = [DiffArray(a, requires_grad=True)
                   for a in attention_arrays(rng, (2, 3), 4, 4, 4, (2, 1))]
         build = mha_builder(sharing, 4, 0.5)
-        out_shape = build(T.attention, *leaves).shape
+        out_shape = build(attention, *leaves).shape
         w = rng.normal(size=out_shape)
-        err = T.grad_check(lambda: weighted_sum(build(T.attention, *leaves), w), leaves, step=1e-6)
+        err = T.grad_check(lambda: weighted_sum(build(attention, *leaves), w), leaves, step=1e-6)
         assert err < 1e-4
 
     @pytest.mark.parametrize("bad", ["nan", "+inf", "-inf row"])
@@ -462,7 +512,7 @@ class TestRowLastKernel:
         else:
             mask[2] = -np.inf
         messages = []
-        for op in (product_attention, T.attention):
+        for op in (product_attention, attention):
             with pytest.raises(NumericError) as caught:
                 op(q, k, v, *weights, 7, 0.5, mask)
             messages.append(str(caught.value))
@@ -471,18 +521,18 @@ class TestRowLastKernel:
 
     @pytest.mark.parametrize("shapes, runs", [
         # train-radset's three attention calls: self, decoder and cross
-        (((2, 512, 5, 7), (2, 512, 5, 7), (2, 1, 7, 7)), True),
-        (((2, 512, 1, 7), (2, 512, 5, 7), (2, 1, 7, 7)), True),
-        (((3, 7), (4, 7), (7, 7)), True),  # one matrix, no batch axes
-        (((2, 32, 5, 4), (2, 32, 5, 4), (2, 1, 4, 4)), False),  # C07's one 4-wide head
-        (((2, 32, 5, 64), (2, 32, 5, 64), (2, 1, 64, 64)), False),  # detect-64's
-        (((2, 4, 5, 7), (1, 4, 5, 7), (2, 1, 7, 7)), False),  # broadcast batch axes
-        (((2, 4, 5, 7), (2, 4, 5, 7), (2, 4, 7, 7)), False),  # weights with batch axes
+        (((2, 5, 7, 512), (2, 5, 7, 512), (2, 1, 7, 7)), True),
+        (((2, 1, 7, 512), (2, 5, 7, 512), (2, 1, 7, 7)), True),
+        (((3, 7, 1), (4, 7, 1), (7, 7)), True),  # one matrix, one row
+        (((2, 5, 4, 32), (2, 5, 4, 32), (2, 1, 4, 4)), False),  # C07's one 4-wide head
+        (((2, 5, 64, 32), (2, 5, 64, 32), (2, 1, 64, 64)), False),  # detect-64's
+        (((2, 5, 7, 4), (1, 5, 7, 4), (2, 1, 7, 7)), False),  # broadcast batch axes
+        (((2, 4, 5, 7, 3), (2, 4, 5, 7, 3), (2, 4, 1, 7, 7)), False),  # weights with batch axes
     ])
     def test_kernel_choice(self, shapes, runs):
         q, kv, w = (np.zeros(shape) for shape in shapes)
-        n_heads = shapes[0][-1] if shapes[0][-1] == 7 else 1
-        assert (T._row_last_matrices([q, kv, kv], [w] * 4, n_heads) is not None) == runs
+        n_heads = shapes[0][-2] if shapes[0][-2] == 7 else 1
+        assert T._fits_row_last([q, kv, kv], [w] * 4, n_heads) == runs
 
 
 # (lead axes, graph, width, heads): C07 has 4 nodes of one feature; train-radset
@@ -672,7 +722,7 @@ class TestTrainingStepAgainstChains:
     @pytest.mark.parametrize("n_nodes, n_features, horizon", [(4, 1, 1), (4, 1, 2), (16, 7, 1)])
     def test_every_chain_within_rtol(self, monkeypatch, n_nodes, n_features, horizon):
         fused = self.step(n_nodes, n_features, horizon)
-        monkeypatch.setattr(temporal_module, "attention", composed_mha)
+        monkeypatch.setattr(temporal_module, "attention", rows_last_mha)
         monkeypatch.setattr(graph_module, "graph_attention", composed_graph_attention)
         monkeypatch.setattr(nn_module, "feed_forward", composed_feed_forward)
         composed = self.step(n_nodes, n_features, horizon)
@@ -815,7 +865,7 @@ class TestStackedBlockAgainstSerialPaths:
     def test_one_call_draws_what_serial_calls_draw(self, d_model, n_heads):
         rng = np.random.default_rng(88)
         block = temporal_module.TransformerBlock(d_model, n_heads, rng, 16, 0.3, members=2)
-        windows = rng.normal(size=(2, 6, 5, d_model))
+        windows = rng.normal(size=(2, 5, d_model, 6))  # (S, K, d, R)
         draws = np.random.default_rng(89)
         stacked = block(windows, True, draws).values
         serial_draws = np.random.default_rng(89)

@@ -9,7 +9,9 @@ from radnet.graph import GatLayer, RoadGraph
 from radnet.nn import named_parameters
 from radnet.tensor import DiffArray
 
-from primitive_nodes import add, leaky_relu, matmul, reduce_mean, sigmoid, softmax, weighted_sum
+from primitive_nodes import (
+    add, leaky_relu, matmul, reduce_mean, sigmoid, softmax, swapaxes, weighted_sum,
+)
 
 
 def leaky(x, s=0.01):
@@ -30,7 +32,7 @@ def dense_gat(layer, x, g):
     h = matmul(x, layer.theta)
     src = matmul(h, layer.score_src)
     dst = matmul(h, layer.score_dst)
-    scores = leaky_relu(add(add(src, T.swapaxes(dst, -1, -2)), layer.score_bias), T.LEAKY_SLOPE)
+    scores = leaky_relu(add(add(src, swapaxes(dst, -1, -2)), layer.score_bias), T.LEAKY_SLOPE)
     alpha = softmax(add(scores, dense_mask(g)))
     return reduce_mean(sigmoid(matmul(alpha, h)), axis=-3)
 

@@ -625,7 +625,7 @@ class TestTapeBudget:
     # one node, the two paths' transformer blocks are the two members of one
     # block, and the loss, the fusion, the member stack, each position
     # encoding and each dropout-residual add is one node
-    @pytest.mark.parametrize("n_nodes, n_features, nodes", [(4, 1, 27), (16, 7, 28)])
+    @pytest.mark.parametrize("n_nodes, n_features, nodes", [(4, 1, 27), (16, 7, 27)])
     def test_training_step_records_fixed_node_count(self, n_nodes, n_features, nodes):
         model = RadNet(RadNetConfig(n_nodes=n_nodes, n_features=n_features, seed=0))
         assert model.config.transformer_heads == n_features
@@ -657,7 +657,7 @@ class TestHeapBudget:
     # the next, which costs more than the arithmetic a change saves. These
     # bounds are the peaks the code reads at Python 3.11 and numpy 2.4, so a
     # change that grows a step or a validation chunk fails here first.
-    STEP_MIB, CHUNK_MIB = 13.06, 15.32
+    STEP_MIB, CHUNK_MIB = 12.90, 15.32
 
     @staticmethod
     def model_and_data():

@@ -22,7 +22,12 @@ from radnet.nn import (
 from radnet.temporal import EncoderBlock, MultiHeadAttention
 from radnet.tensor import DiffArray
 
-from primitive_nodes import add, div, mul, reduce_mean, sqrt, sub, weighted_sum
+from hypothesis import given, settings, strategies as st
+
+from primitive_nodes import (
+    add, div, mul, reduce_mean, row_first_layer_norm, sqrt, sub, weighted_sum,
+)
+from test_fused import assert_close_to_scale
 
 
 class TestFeedForward:
@@ -77,21 +82,21 @@ def composed_layer_norm(x, gain, shift, eps):
 class TestLayerNorm:
     def test_normalizes_to_zero_mean_unit_variance(self):
         ln = LayerNorm(3)
-        out = ln(DiffArray([1.0, 2.0, 3.0]))
+        out = ln(DiffArray([[1.0], [2.0], [3.0]]))  # rows last: (d, R)
         assert out.values.mean() == pytest.approx(0.0, abs=1e-12)
         assert out.values.var() == pytest.approx(1.0, rel=1e-4)
 
     def test_constant_slice_maps_to_zero(self):
         ln = LayerNorm(3)
-        out = ln(DiffArray([5.0, 5.0, 5.0]))
-        np.testing.assert_allclose(out.values, np.zeros(3), atol=1e-12)
+        out = ln(DiffArray([[5.0], [5.0], [5.0]]))
+        np.testing.assert_allclose(out.values, np.zeros((3, 1)), atol=1e-12)
 
     def test_affine_applied_after_normalization(self):
         ln = LayerNorm(2)
         ln.gain.values[...] = [2.0, 2.0]
         ln.shift.values[...] = [1.0, 1.0]
-        out = ln(DiffArray([[0.0, 2.0]]))
-        np.testing.assert_allclose(out.values, [[-1.0, 3.0]], rtol=1e-6)
+        out = ln(DiffArray([[0.0], [2.0]]))
+        np.testing.assert_allclose(out.values, [[-1.0], [3.0]], rtol=1e-6)
 
     def test_width_one_rejected(self):
         with pytest.raises(DimensionError):
@@ -99,15 +104,17 @@ class TestLayerNorm:
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionError, match="layer norm width 3"):
-            LayerNorm(3)(DiffArray(np.zeros((2, 4))))
+            LayerNorm(3)(DiffArray(np.zeros((2, 4))))  # (d, R) with d = 2
+        with pytest.raises(DimensionError, match="layer norm width 3"):
+            LayerNorm(3)(DiffArray(np.zeros(3)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(14)
         ln = LayerNorm(6)
         ln.gain.values[...] = rng.normal(size=6)
         ln.shift.values[...] = rng.normal(size=6)
-        x = DiffArray(rng.normal(size=(3, 6)), requires_grad=True)
-        w = rng.normal(size=(3, 6))
+        x = DiffArray(rng.normal(size=(3, 6, 2)), requires_grad=True)
+        w = rng.normal(size=(3, 6, 2))
 
         def f():
             return weighted_sum(ln(x), w)
@@ -117,12 +124,12 @@ class TestLayerNorm:
 
     def test_fused_gradient_with_constant_row(self):
         rng = np.random.default_rng(15)
-        values = rng.normal(size=(2, 3, 6))
-        values[1, 2] = 0.7  # std = sqrt(eps): the steepest point of the normalization
+        values = rng.normal(size=(2, 6, 3))
+        values[1, :, 2] = 0.7  # std = sqrt(eps): the steepest point of the normalization
         x = DiffArray(values, requires_grad=True)
         gain = DiffArray(rng.normal(size=6), requires_grad=True)
         shift = DiffArray(rng.normal(size=6), requires_grad=True)
-        w = rng.normal(size=(2, 3, 6))
+        w = rng.normal(size=(2, 6, 3))
 
         def f():
             return weighted_sum(T.layer_norm(x, gain, shift, 1e-6), w)
@@ -132,16 +139,17 @@ class TestLayerNorm:
     # the flattened C07 width, its final-query rows, train-radset's per-node width,
     # and a width past numpy's pairwise switch at 8
     @pytest.mark.parametrize("shape", [(32, 5, 4), (32, 1, 4), (32, 16, 5, 7), (32, 5, 12)])
-    def test_fused_node_is_bit_identical_to_composed_chain(self, shape):
-        """Values and the gain and shift gradients bit for bit; the input gradient,
-        a closed form, within rtol 1e-12 of its largest magnitude."""
+    def test_row_first_node_is_bit_identical_to_composed_chain(self, shape):
+        """The row-first node, the reference of the rows-last one: values and
+        the gain and shift gradients bit for bit; the input gradient, a closed
+        form, within rtol 1e-12 of its largest magnitude."""
         rng = np.random.default_rng(16)
         values = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=shape[:-1] + (1,))
         gain_values = rng.normal(size=shape[-1])
         shift_values = rng.normal(size=shape[-1])
         w = rng.normal(size=shape)
         results = []
-        for norm in (composed_layer_norm, T.layer_norm):
+        for norm in (composed_layer_norm, row_first_layer_norm):
             x = DiffArray(values, requires_grad=True)
             gain = DiffArray(gain_values, requires_grad=True)
             shift = DiffArray(shift_values, requires_grad=True)
@@ -153,6 +161,62 @@ class TestLayerNorm:
             np.testing.assert_array_equal(fused[i], composed[i])
         atol = 1e-12 * np.abs(composed[1]).max()
         np.testing.assert_allclose(fused[1], composed[1], rtol=0, atol=atol)
+
+
+def rows_last_and_row_first(values, gain_values, shift_values, members):
+    """Output and input, gain and shift gradients of the rows-last node on
+    (S, K, d, R) values and of the row-first node on their (S, R, K, d) copy,
+    each laid out row-first; gain and shift are (S, 1, 1, d) member stacks
+    when `members`, else (d,)."""
+    w = np.random.default_rng(1).normal(size=values.shape)
+    results = []
+    for norm, x_values, w_values in (
+            (T.layer_norm, values, w),
+            (row_first_layer_norm, np.moveaxis(values, -1, 1), np.moveaxis(w, -1, 1))):
+        x = DiffArray(np.ascontiguousarray(x_values), requires_grad=True)
+        gain = DiffArray(gain_values, requires_grad=True)
+        shift = DiffArray(shift_values, requires_grad=True)
+        out = norm(x, gain, shift, 1e-6)
+        weighted_sum(out, np.ascontiguousarray(w_values)).backward()
+        layout = (lambda a: np.moveaxis(a, -1, 1)) if norm is T.layer_norm else (lambda a: a)
+        results.append((layout(out.values), layout(x.grad), gain.grad, shift.grad))
+    return results
+
+
+class TestRowsLastLayerNorm:
+    """The rows-last node against the row-first one, over the feature axis."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.integers(1, 64), k=st.integers(1, 5), rows=st.integers(1, 40),
+           members=st.booleans(), seed=st.integers(0, 2**16))
+    def test_matches_row_first_node(self, width, k, rows, members, seed):
+        # below 8 features both add them in order: bit for bit; from 8 on
+        # numpy sums the row-first last axis pairwise, within rtol 1e-12
+        rng = np.random.default_rng(seed)
+        s = 2 if members else 1
+        values = rng.normal(size=(s, k, width, rows)) * rng.uniform(0.1, 10.0, (s, k, 1, rows))
+        shape = (s, 1, 1, width) if members else (width,)
+        ours, ref = rows_last_and_row_first(values, rng.normal(size=shape),
+                                            rng.normal(size=shape), members)
+        for got, want in zip(ours, ref):
+            if width < 8:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert_close_to_scale(got, want)
+
+    # train-radset's encoder and decoder norms: from 512 rows per feature the
+    # gain and shift gradients are one einsum over the rows-last operands
+    @pytest.mark.parametrize("k", [5, 1])
+    def test_gain_and_shift_sums_over_many_rows(self, k):
+        rng = np.random.default_rng(17)
+        values = rng.normal(size=(2, k, 7, 512))
+        shape = (2, 1, 1, 7)
+        ours, ref = rows_last_and_row_first(values, rng.normal(size=shape),
+                                            rng.normal(size=shape), True)
+        for got, want in zip(ours[:2], ref[:2]):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(ours[2:], ref[2:]):
+            assert_close_to_scale(got, want)
 
 
 class TestWalker:

@@ -131,6 +131,21 @@ class TestAdamWStep:
             step_with(opt, np.array([1e155, -1e155]))
         assert opt.step_count == 1
 
+    @pytest.mark.parametrize("bad", [1e160, -1e160])
+    def test_gradient_whose_second_moment_term_overflows_aborts_without_mutation(self, bad):
+        # (1 - beta2) * g * g is inf past |g| ~ 1e156: the moment would stay inf
+        store = store_of(a=np.ones((2, 2)), b=[1.0, 2.0])
+        opt = adamw(store)
+        step_with(opt, np.ones(6))
+        flat, moments = store.flat.copy(), (opt.first_moment.copy(), opt.second_moment.copy())
+        with pytest.raises(NumericError, match="overflowing gradient for b"), \
+                np.errstate(over="ignore"):  # the squares sum past the float range
+            step_with(opt, np.array([1.0, 2.0, 3.0, 4.0, 5.0, bad]))
+        np.testing.assert_array_equal(store.flat, flat)
+        assert opt.step_count == 1
+        np.testing.assert_array_equal(opt.first_moment, moments[0])
+        np.testing.assert_array_equal(opt.second_moment, moments[1])
+
     def test_moments_match_parameter_shapes(self):
         store = store_of(a=np.zeros((2, 3)), b=np.zeros(4))
         opt = adamw(store)

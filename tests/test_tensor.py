@@ -519,14 +519,20 @@ class TestShapeOps:
         index = np.array([[3, 3], [0, 1]])
         np.testing.assert_array_equal(gather(x, index, 1).values, np.take(x.values, index, 1))
 
-    def test_swapaxes_gradient(self):
+    @pytest.mark.parametrize("shape, axes, out_shape", [
+        ((2, 3, 4, 5, 2), (0, 2, 4, 1, 3), (2, 4, 2, 15)),  # windows to per-node rows last
+        ((2, 3, 4, 10), (0, 2, 3, 1), (2, 4, 10, 3)),  # to flattened rows last
+        ((2, 10, 3, 4), (0, 2, 3, 1), (2, 3, 4, 10)),  # per-node output back
+    ])
+    def test_rearrange_gradient(self, shape, axes, out_shape):
         rng = np.random.default_rng(8)
-        x = DiffArray(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        w = rng.normal(size=(4, 3, 2))
-        np.testing.assert_array_equal(T.swapaxes(x, 0, -1).values, np.swapaxes(x.values, 0, -1))
+        x = DiffArray(rng.normal(size=(2, 3, 4, 10)), requires_grad=True)
+        w = rng.normal(size=out_shape)
+        want = x.values.reshape(shape).transpose(axes).reshape(out_shape)
+        np.testing.assert_array_equal(T.rearrange(x, shape, axes, out_shape).values, want)
 
         def f():
-            return weighted_sum(T.swapaxes(x, 0, -1), w)
+            return weighted_sum(T.rearrange(x, shape, axes, out_shape), w)
 
         f().backward()
         assert rel_err(x.grad, fd_grad(f, x)) < 1e-6

@@ -18,23 +18,29 @@ A product with one weight matrix per member of a leading member axis,
 shared by that member's batch, is one GEMM over each member's flattened batch
 and matches the batched matmul within rtol 1e-12, not bit for bit (see the
 matmul section). The graph-attention node likewise matches its chain of
-primitive nodes within rtol 1e-12, as does layer norm's closed-form input
-gradient. The feed-forward node and layer norm's values and gain and shift
-gradients reproduce their chains bit for bit, and no activation branches on
-the data. Every leaky ReLU of the model has the slope `LEAKY_SLOPE`.
-The attention node, q/k/v projections included, runs one of two kernels
-(see the attention section): heads wider than one feature run the product
-kernel, bit for bit its chain but for one sum order; heads one feature wide
-run the row-last kernel, elementwise over rows laid out last with einsum
-contractions for its weighted sums; it matches the product kernel within
-rtol 1e-12, not bit for bit. Gradients summed down to a broadcast operand's
-shape (`_unbroadcast`) are numpy's sums bit for bit (see `_sum_axes`).
+primitive nodes within rtol 1e-12. The feed-forward node reproduces its
+chain bit for bit, and no activation branches on the data. Every leaky ReLU
+of the model has the slope `LEAKY_SLOPE`.
+The transformer block's nodes take rows-last (..., K, d, R) arrays, the R
+rows that share a member's weights on the last axis. Layer norm reduces
+the feature axis -2 in order, so below 8 features its values and input
+gradient are bit for bit those of a row-first node over the last axis (see
+the layer norm section). The attention node, q/k/v projections included,
+takes rows-last q, k and v and runs one of two kernels (see the attention
+section): heads wider than one feature run the product kernel on row-first
+copies, bit for bit its chain but for one sum order; heads one feature wide
+run the row-last kernel, elementwise over the rows with einsum contractions
+for its weighted sums and no transpose; it matches the product kernel
+within rtol 1e-12, not bit for bit. The feed-forward node, given rows-last
+input, runs on a row-first copy. Gradients summed down to a broadcast
+operand's shape (`_unbroadcast`) are numpy's sums bit for bit (see
+`_sum_axes`).
 The model's glue between its layers is one node per site, each bit for bit
 its chain of primitive nodes: the member stack (`stack`), each dropout-residual add
 (`residual`), each position encoding (`offset_dropout`), the path fusion
 with its softmax weights (`fuse`), the loss (`frobenius_loss`) and each
 rollout step (`shift_window`).
-Softmax and layer norm reduce a short last axis of many rows slice by
+Softmax and graph attention reduce a short last axis of many rows slice by
 slice, in the order numpy's own reduction adds below 8 elements, so those
 values too are numpy's bit for bit (see the last-axis reductions section).
 
@@ -257,6 +263,11 @@ def _rows_first(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(x, -1, -3))
 
 
+def _rows_last(x: np.ndarray) -> np.ndarray:
+    """Inverse of `_rows_first`: a C-contiguous (..., K, d, R) copy."""
+    return np.ascontiguousarray(np.moveaxis(x, -3, -1))
+
+
 # ---------------------------------------------------------------------------
 # activation kernels
 
@@ -395,9 +406,7 @@ def feed_forward(x, weights: Sequence, biases: Sequence, rows_last: bool = False
             grads[:0] = [gw, gb]
         return (np.moveaxis(g, -3, -1) if rows_last and g is not None else g, *grads)
 
-    if rows_last:
-        h = np.ascontiguousarray(np.moveaxis(h, -3, -1))
-    return _result(h, (x, *params), push)
+    return _result(_rows_last(h) if rows_last else h, (x, *params), push)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +512,7 @@ def _feature_sums(shape: tuple[int, ...], *xs: np.ndarray) -> np.ndarray:
     x = xs[0]
     if x.size < _EINSUM_MIN_ROWS * x.shape[-2]:
         product = x if len(xs) == 1 else x * xs[1]
-        return _unbroadcast(np.ascontiguousarray(np.moveaxis(product, -1, -3)), shape)
+        return _unbroadcast(_rows_first(product), shape)
     column = shape[:-2] + shape[-1:] + (1,)  # as `_feature_column` lays it out
     kept = [i for i, n in enumerate(column, x.ndim - len(column)) if n != 1]
     labels = range(x.ndim)
@@ -646,7 +655,7 @@ def _product_attention(xs, ws, n_heads: int, scale: float, mask):
         g_inputs = (None if gx is None else np.moveaxis(gx, -3, -1) for gx in g_inputs)
         return (*g_inputs, *g_weights, g_w_out)
 
-    return np.ascontiguousarray(np.moveaxis(values, -3, -1)), push
+    return _rows_last(values), push
 
 
 def _fits_row_last(xs, ws, n_heads: int) -> bool:

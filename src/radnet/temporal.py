@@ -28,6 +28,7 @@ single-feature data (`RadNetConfig.temporal_mode`).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +39,7 @@ from .tensor import (
     DiffArray,
     _attention_weights,
     _rows_first,
+    _rows_last,
     _wrap,
     attention,
     dropout_keep,
@@ -48,7 +50,8 @@ from .tensor import (
 
 PositionRNG = np.random.Generator | None
 # dropout sites of one block call: the two position encodings, the encoder's
-# attention and feed-forward outputs, the decoder's attention and cross-attention
+# attention and feed-forward outputs, and last the decoder's one-row attention
+# and cross-attention
 DROPOUT_SITES = 6
 
 
@@ -131,7 +134,7 @@ class MultiHeadAttention:
             _rows_first(q.values) @ self.w_query.values,
             _rows_first(k.values) @ self.w_key.values, self.n_heads, self.scale, mask,
         )[-1]
-        return DiffArray(np.moveaxis(weights[..., head, :, :], -3, -1))
+        return DiffArray(_rows_last(weights[..., head, :, :]))
 
     def __call__(self, q, k, v, mask=None) -> DiffArray:
         self._check(_wrap(q), _wrap(k), _wrap(v), mask)
@@ -208,10 +211,10 @@ class TransformerBlock:
                 raise ValueError("training-mode dropout needs an rng")
             members, k, d, r = window.shape
             draws = rng.random((members, DROPOUT_SITES, r, k, d)).transpose(0, 1, 3, 4, 2)
-            whole = dropout_keep(draws[:, :4].copy(), self.dropout_rate)
-            last = dropout_keep(draws[:, 4:, -1:].copy(), self.dropout_rate)
+            whole = dropout_keep(draws[:, :-2].copy(), self.dropout_rate)
+            last = dropout_keep(draws[:, -2:, -1:].copy(), self.dropout_rate)
             del draws
-            keep = [whole[:, i] for i in range(4)] + [last[:, 0], last[:, 1]]
+            keep = [*whole.swapaxes(0, 1), *last.swapaxes(0, 1)]
         memory = self.encoder(position_encode(window, keep[0]), keep[1:3])
         source = position_encode(window, keep[3])
         last = source[:, -1:]
@@ -240,7 +243,7 @@ def transformer_forward(
     if window.ndim < 4:
         raise DimensionError(f"expected (S, ..., K, N, D) member windows, got {window.shape}")
     members, (k, n_nodes, width) = window.shape[0], window.shape[-3:]
-    batch = window.size // (members * k * n_nodes * width)
+    batch = math.prod(window.shape[1:-3])
     if block.cross_attention.d_model == width:
         rows = rearrange(window, (members, batch, k, n_nodes, width), (0, 2, 4, 1, 3),
                          (members, k, width, batch * n_nodes))

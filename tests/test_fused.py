@@ -355,6 +355,7 @@ class TestAttention:
         # member weights (S, 1, ..., d, d) lead (S, ...) inputs; else one (d, d) matrix
         rng = np.random.default_rng(seed)
         d_model = d_head * n_heads
+        lead = lead or (1,) if members else lead  # a row axis after the member axis
         lead, weight_lead = ((2,) + lead, (2,) + (1,) * len(lead)) if members else (lead, ())
         arrays = attention_arrays(rng, lead, k, k, d_model, weight_lead)
         results = run_both(attention, composed_mha, arrays,
@@ -483,6 +484,7 @@ class TestRowLastKernel:
         # member weights (S, 1, ..., d, d) lead (S, ...) inputs; else one (d, d)
         # matrix; the decoder and cross-attention ask one-row queries
         rng = np.random.default_rng(seed)
+        lead = lead or (1,) if members else lead  # a row axis after the member axis
         lead, weight_lead = ((2,) + lead, (2,) + (1,) * len(lead)) if members else (lead, ())
         arrays = attention_arrays(rng, lead, k, k, n_heads, weight_lead)
         results = run_both(attention, product_attention, arrays,

@@ -211,8 +211,8 @@ class TransformerBlock:
                 raise ValueError("training-mode dropout needs an rng")
             members, k, d, r = window.shape
             draws = rng.random((members, DROPOUT_SITES, r, k, d)).transpose(0, 1, 3, 4, 2)
-            whole = dropout_keep(draws[:, :-2].copy(), self.dropout_rate)
-            last = dropout_keep(draws[:, -2:, -1:].copy(), self.dropout_rate)
+            whole = dropout_keep(draws[:, :-2], self.dropout_rate)
+            last = dropout_keep(draws[:, -2:, -1:], self.dropout_rate)
             del draws
             keep = [*whole.swapaxes(0, 1), *last.swapaxes(0, 1)]
         memory = self.encoder(position_encode(window, keep[0]), keep[1:3])

@@ -639,11 +639,16 @@ def _attention_weights(qp: np.ndarray, kp: np.ndarray, n_heads: int, scale: floa
 def _product_attention(xs, ws, n_heads: int, scale: float, mask):
     """The product kernel (see above): the node's values and `push`."""
     q, k, v = xs
-    rows = [_rows_first(k)]
-    rows.append(rows[0] if v is k else _rows_first(v))
-    rows.insert(0, rows[0] if q is k else
-                rows[0][..., -1:, :] if _is_last_slice(q, k) else _rows_first(q))
-    (qp, q_grads), (kp, k_grads), (vp, v_grads) = (_product(x, w) for x, w in zip(rows, ws))
+    k_rows = _rows_first(k)
+    v_rows = k_rows if v is k else _rows_first(v)
+    if q is k:
+        q_rows = k_rows
+    elif _is_last_slice(q, k):
+        q_rows = k_rows[..., -1:, :]  # the view the chain's `take` reads
+    else:
+        q_rows = _rows_first(q)
+    (qp, q_grads), (kp, k_grads), (vp, v_grads) = (
+        _product(x, w) for x, w in zip((q_rows, k_rows, v_rows), ws))
     scores_grads, y = _attention_weights(qp, kp, n_heads, scale, mask)
     mixed, mixed_grads = _product(y, _split_heads(vp, n_heads))
     values, out_grads = _product(_merge_heads(mixed, n_heads), ws[3])
@@ -942,10 +947,11 @@ def shift_window(windows, preds, truth: np.ndarray | None = None,
 
 def dropout_keep(draws: np.ndarray, rate: float) -> np.ndarray:
     """Inverted-scaling Bernoulli dropout's keep factors for uniform `draws`:
-    0 where a draw falls below `rate`, else 1 / (1 - rate). They are written
-    into `draws`, a float array, and returned."""
-    np.greater_equal(draws, rate, out=draws)
-    return np.divide(draws, 1.0 - rate, out=draws)
+    0 where a draw falls below `rate`, else 1 / (1 - rate), as a new
+    C-contiguous array. `draws` may be a strided view (the block reads its
+    draw rows-last), which the comparison reads in place."""
+    keep = np.greater_equal(draws, rate, out=np.empty(draws.shape))
+    return np.divide(keep, 1.0 - rate, out=keep)
 
 
 def residual(x, branch, keep: np.ndarray | None):

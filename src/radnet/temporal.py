@@ -212,9 +212,9 @@ class TransformerBlock:
             members, k, d, r = window.shape
             draws = rng.random((members, DROPOUT_SITES, r, k, d)).transpose(0, 1, 3, 4, 2)
             whole = dropout_keep(draws[:, :-2], self.dropout_rate)
-            last = dropout_keep(draws[:, -2:, -1:], self.dropout_rate)
+            final = dropout_keep(draws[:, -2:, -1:], self.dropout_rate)  # the last timestep
             del draws
-            keep = [*whole.swapaxes(0, 1), *last.swapaxes(0, 1)]
+            keep = [*whole.swapaxes(0, 1), *final.swapaxes(0, 1)]
         memory = self.encoder(position_encode(window, keep[0]), keep[1:3])
         source = position_encode(window, keep[3])
         last = source[:, -1:]

@@ -31,20 +31,22 @@ class AdamW:
     def step(self) -> None:
         """One update of `store.flat`, in place.
 
-        A NaN or infinite gradient, or a finite one whose second-moment term
-        (1 - beta2)·g² overflows (which would leave that moment infinite and
-        the parameter frozen for good), aborts the step before anything
-        changes, naming the parameter that holds it.
+        A NaN or infinite gradient, or a finite one that would overflow its
+        second moment beta2·v + (1 - beta2)·g² (which would leave that moment
+        infinite and the parameter frozen for good), aborts the step before
+        anything changes, naming the parameter that holds it.
         """
         grad, m, v, p = self.store.grad, self.first_moment, self.second_moment, self.store.flat
         b1, b2 = self.betas
         s, u = self._scratch
-        # a sum of squares is finite unless a term is NaN or inf, or the sum overflows
+        # a sum of squares is finite unless a term is NaN or inf, or the sum
+        # overflows; a moment can overflow only where some g² does
         if not np.isfinite(np.dot(grad, grad)):
-            with np.errstate(over="ignore"):  # the term as the update below computes it
+            with np.errstate(over="ignore"):  # the moment as the update below computes it
                 term = np.multiply(np.multiply(grad, 1.0 - b2, out=s), grad, out=s)
+                moment = np.add(np.multiply(v, b2, out=u), term, out=u)
             for kind, bad in (("NaN", np.isnan(grad)), ("infinite", np.isinf(grad)),
-                              ("overflowing", np.isinf(term))):
+                              ("overflowing", np.isinf(moment))):
                 if bad.any():
                     name = self.store.name_at(np.flatnonzero(bad)[0])
                     raise NumericError(f"{kind} gradient for {name}; step aborted")

@@ -146,6 +146,23 @@ class TestAdamWStep:
         np.testing.assert_array_equal(opt.first_moment, moments[0])
         np.testing.assert_array_equal(opt.second_moment, moments[1])
 
+    @pytest.mark.parametrize("grad, steps", [(1e155, 40), (4e155, 2)])
+    def test_gradients_that_overflow_the_accumulated_moment_are_refused(self, grad, steps):
+        # each term (1 - beta2) * g * g is finite, but the moment beta2 * v + term
+        # passes the float range: after ~18 steps of 1e155, at the second of 4e155
+        # (the steps before it overflow the squares' sum and the bias correction)
+        store = store_of(w=[1.0, 2.0])
+        opt = adamw(store)
+        with pytest.raises(NumericError, match="overflowing gradient for w"), \
+                np.errstate(over="ignore"):
+            for _ in range(steps):
+                flat, moment = store.flat.copy(), opt.second_moment.copy()
+                step_with(opt, np.array([grad, 0.5]))
+        assert 1 <= opt.step_count < steps
+        assert np.isfinite(opt.second_moment).all()
+        np.testing.assert_array_equal(store.flat, flat)
+        np.testing.assert_array_equal(opt.second_moment, moment)
+
     def test_moments_match_parameter_shapes(self):
         store = store_of(a=np.zeros((2, 3)), b=np.zeros(4))
         opt = adamw(store)

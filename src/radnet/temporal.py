@@ -17,7 +17,9 @@ the last axis of every array it makes, from the window to its (S, d, R)
 output, and the d features on the axis before them. Position encodings,
 dropout, residual adds and layer norm work in that layout, and the
 attention kernels take it (see `tensor.attention`); the feed-forward
-sublayer runs row-first behind its node's own copies.
+sublayer runs row-first inside its node. Where the rows lie in memory is
+the tensor module's business (`tensor.to_rows_last`): last per node, first
+in the flattened layout, whose row-first kernels then read them in place.
 
 Attention runs per node (model width = feature count, R = B·N rows of one
 node's D features) or over flattened node-feature rows (R = B rows of N·D
@@ -28,7 +30,6 @@ single-feature data (`RadNetConfig.temporal_mode`).
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -37,15 +38,14 @@ from .errors import DimensionError
 from .nn import LayerNorm, FeedForward, stack_members, xavier_uniform
 from .tensor import (
     DiffArray,
-    _attention_weights,
-    _rows_first,
-    _rows_last,
     _wrap,
     attention,
-    dropout_keep,
+    attention_weights,
+    from_rows_last,
     offset_dropout,
-    rearrange,
     residual,
+    rows_last_keep,
+    to_rows_last,
 )
 
 PositionRNG = np.random.Generator | None
@@ -130,11 +130,9 @@ class MultiHeadAttention:
         self._check(q, k, k, mask)
         if not 0 <= head < self.n_heads:
             raise IndexError(f"head {head} outside [0, {self.n_heads})")
-        weights = _attention_weights(
-            _rows_first(q.values) @ self.w_query.values,
-            _rows_first(k.values) @ self.w_key.values, self.n_heads, self.scale, mask,
-        )[-1]
-        return DiffArray(_rows_last(weights[..., head, :, :]))
+        return DiffArray(attention_weights(q.values, k.values, self.w_query.values,
+                                           self.w_key.values, self.n_heads, self.scale,
+                                           mask, head))
 
     def __call__(self, q, k, v, mask=None) -> DiffArray:
         self._check(_wrap(q), _wrap(k), _wrap(v), mask)
@@ -210,9 +208,10 @@ class TransformerBlock:
             if rng is None:
                 raise ValueError("training-mode dropout needs an rng")
             members, k, d, r = window.shape
-            draws = rng.random((members, DROPOUT_SITES, r, k, d)).transpose(0, 1, 3, 4, 2)
-            whole = dropout_keep(draws[:, :-2], self.dropout_rate)
-            final = dropout_keep(draws[:, -2:, -1:], self.dropout_rate)  # the last timestep
+            draws = rng.random((members, DROPOUT_SITES, r, k, d))
+            whole = rows_last_keep(draws[:, :-2], self.dropout_rate, window.values)
+            final = rows_last_keep(draws[:, -2:, :, -1:], self.dropout_rate,  # the last timestep
+                                   window.values)
             del draws
             keep = [*whole.swapaxes(0, 1), *final.swapaxes(0, 1)]
         memory = self.encoder(position_encode(window, keep[0]), keep[1:3])
@@ -237,20 +236,12 @@ def transformer_forward(
     axes; any other reads each timestep as one (N*D)-wide row, R = B (and
     fails its width check if not N*D wide). Either way one node lays the
     windows out rows-last, (S, K, d, R), and one turns the (S, d, R) output
-    back. For N = 1 the two layouts coincide.
+    back (`tensor.to_rows_last`, `tensor.from_rows_last`). For N = 1 the two
+    layouts coincide.
     """
     window = _wrap(window)
     if window.ndim < 4:
         raise DimensionError(f"expected (S, ..., K, N, D) member windows, got {window.shape}")
-    members, (k, n_nodes, width) = window.shape[0], window.shape[-3:]
-    batch = math.prod(window.shape[1:-3])
-    if block.cross_attention.d_model == width:
-        rows = rearrange(window, (members, batch, k, n_nodes, width), (0, 2, 4, 1, 3),
-                         (members, k, width, batch * n_nodes))
-        out = block(rows, training, rng)
-        return rearrange(out, (members, width, batch, n_nodes), (0, 2, 3, 1),
-                         window.shape[:-3] + (n_nodes, width))
-    rows = rearrange(window, (members, batch, k, n_nodes * width), (0, 2, 3, 1),
-                     (members, k, n_nodes * width, batch))
-    out = block(rows, training, rng)
-    return rearrange(out, out.shape, (0, 2, 1), window.shape[:-3] + (n_nodes, width))
+    per_node = block.cross_attention.d_model == window.shape[-1]
+    out = block(to_rows_last(window, per_node), training, rng)
+    return from_rows_last(out, window.shape, per_node)

@@ -22,19 +22,21 @@ primitive nodes within rtol 1e-12. The feed-forward node reproduces its
 chain bit for bit, and no activation branches on the data. Every leaky ReLU
 of the model has the slope `LEAKY_SLOPE`.
 The transformer block's nodes take rows-last (..., K, d, R) arrays, the R
-rows that share a member's weights on the last axis. Layer norm reduces
-the feature axis -2 in order, so below 8 features its values and input
+rows that share a member's weights on the last axis; per node the rows lie
+last in memory too, flattened they stay first, and each node keeps the
+memory order it is given (see the rows-last layout section). Layer norm
+reduces the feature axis -2, so below 8 features its values and input
 gradient are bit for bit those of a row-first node over the last axis (see
 the layer norm section). The attention node, q/k/v projections included,
 takes rows-last q, k and v and runs one of two kernels (see the attention
 section): heads wider than one feature run the product kernel on row-first
-copies, bit for bit its chain but for one sum order; heads one feature wide
-run the row-last kernel, elementwise over the rows with einsum contractions
-for its weighted sums and no transpose; it matches the product kernel
-within rtol 1e-12, not bit for bit. The feed-forward node, given rows-last
-input, runs on a row-first copy. Gradients summed down to a broadcast
-operand's shape (`_unbroadcast`) are numpy's sums bit for bit (see
-`_sum_axes`).
+operands, bit for bit its chain but for one sum order; heads one feature
+wide run the row-last kernel, elementwise over the rows with einsum
+contractions for its weighted sums and no transpose; it matches the
+product kernel within rtol 1e-12, not bit for bit. The feed-forward node,
+given rows-last input, runs row-first as the product kernel does. Gradients
+summed down to a broadcast operand's shape (`_unbroadcast`) are numpy's
+sums bit for bit (see `_sum_axes`).
 The model's glue between its layers is one node per site, each bit for bit
 its chain of primitive nodes: the member stack (`stack`), each dropout-residual add
 (`residual`), each position encoding (`offset_dropout`), the path fusion
@@ -258,20 +260,83 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape) if ones else grad
 
 
-# The transformer block's arrays lie rows-last, (..., K, d, R). The two moves
-# below swap axes pairwise: np.moveaxis costs several microseconds a call,
-# which at C07's small arrays outweighs the copy.
+# ---------------------------------------------------------------------------
+# rows-last layout
+#
+# The transformer block's arrays are rows-last, (..., K, d, R): the R rows
+# that share a member's weights lie on the last axis. Per node (R = B·N rows
+# of D features) a window's rows interleave with its timesteps, so
+# `to_rows_last` copies them rows-last in memory as well; flattened (R = B
+# rows of N·D features) each row's (K, d) trace is contiguous, and it hands
+# the block a view whose rows stay first in memory. The block's nodes keep
+# their input's memory order: numpy's elementwise calls do, and the nodes that
+# allocate or move rows themselves (`_rows_last`, `rows_last_keep`) follow the
+# array they are given. So the flattened block's product kernel and
+# feed-forward read their row-first operands in place, and no array is moved
+# twice. Where the rows lie in memory changes no value: an elementwise result
+# does not depend on it, and a feature sum of fewer than _PAIRWISE_MIN terms
+# adds in order either way (see the layer norm section).
+#
+# The moves swap axes pairwise: np.moveaxis costs several microseconds a call,
+# which at C07's small arrays outweighs a copy.
+
+
+def _order(like: np.ndarray) -> str:
+    """The memory order of a rows-last array: "C" where its rows lie last in
+    memory (it is C-contiguous), else "K", the order a row-first array's move
+    keeps."""
+    return "C" if like.flags.c_contiguous else "K"
 
 
 def _rows_first(x: np.ndarray) -> np.ndarray:
-    """A rows-last (..., K, d, R) array as a C-contiguous (..., R, K, d) copy."""
-    return np.ascontiguousarray(x.swapaxes(-1, -2).swapaxes(-2, -3))
+    """A rows-last (..., K, d, R) array as row-first (..., R, K, d): a
+    C-contiguous copy where x's rows lie last in memory, else the view (itself
+    C-contiguous where x is a moved row-first array)."""
+    view = x.swapaxes(-1, -2).swapaxes(-2, -3)
+    return np.ascontiguousarray(view) if x.flags.c_contiguous else view
 
 
-def _rows_last(x: np.ndarray) -> np.ndarray:
-    """Inverse of `_rows_first`: a row-first (..., R, K, d) array as a
-    (..., K, d, R) view."""
-    return x.swapaxes(-3, -2).swapaxes(-2, -1)
+def _rows_last(x: np.ndarray, like: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of `_rows_first`: a row-first (..., R, K, d) array as (..., K,
+    d, R), a view, or laid out in memory as the rows-last array `like`."""
+    view = x.swapaxes(-3, -2).swapaxes(-2, -1)
+    return view if like is None else np.asarray(view, order=_order(like))
+
+
+def _window_moves(shape: tuple[int, ...], per_node: bool):
+    """The `_rearrange` arguments that lay (S, ..., K, N, D) windows out as
+    rows-last (S, K, d, R), and those that turn the block's (S, d, R) output
+    back into (S, ..., N, D)."""
+    members, (k, n_nodes, width) = shape[0], shape[-3:]
+    batch, out_shape = math.prod(shape[1:-3]), shape[:-3] + (n_nodes, width)
+    if per_node:
+        return (((members, batch, k, n_nodes, width), (0, 2, 4, 1, 3),
+                 (members, k, width, batch * n_nodes)),
+                ((members, width, batch, n_nodes), (0, 2, 3, 1), out_shape))
+    return (((members, batch, k, n_nodes * width), (0, 2, 3, 1),
+             (members, k, n_nodes * width, batch)),
+            ((members, n_nodes * width, batch), (0, 2, 1), out_shape))
+
+
+def to_rows_last(windows, per_node: bool):
+    """(S, ..., K, N, D) member windows as the block's rows-last (S, K, d, R),
+    one node: per node d = D and R = B·N, a copy; else d = N·D and R = B, a
+    view of C-contiguous windows, which keep their rows first in memory."""
+    windows = _wrap(windows)
+    return _rearrange(windows, *_window_moves(windows.shape, per_node)[0])
+
+
+def from_rows_last(out, shape: tuple[int, ...], per_node: bool):
+    """Inverse of `to_rows_last` for the block's (S, d, R) output of windows
+    of `shape`: (S, ..., N, D), one node."""
+    return _rearrange(out, *_window_moves(tuple(shape), per_node)[1])
+
+
+def rows_last_keep(draws: np.ndarray, rate: float, like: np.ndarray) -> np.ndarray:
+    """`_dropout_keep` of uniforms drawn row-first, (..., R, K, d), as rows-last
+    (..., K, d, R) keep factors laid out in memory as the rows-last array
+    `like`."""
+    return _dropout_keep(_rows_last(draws), rate, _order(like))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +448,9 @@ def feed_forward(x, weights: Sequence, biases: Sequence, rows_last: bool = False
     and leaky ReLU nodes: the forward makes its numpy calls and the backward
     replays its pushes from the last layer to the first. One layer is the
     affine map alone. With `rows_last`, x is (..., K, d, R) and the layers
-    run on its row-first copy (..., R, K, d); the output and the input
-    gradient come back rows-last.
+    run on it row-first, (..., R, K, d) (see the rows-last layout section);
+    the output, laid out in memory as x, and the input gradient come back
+    rows-last.
     """
     x = _wrap(x)
     params = [_wrap(p) for pair in zip(weights, biases) for p in pair]
@@ -412,7 +478,7 @@ def feed_forward(x, weights: Sequence, biases: Sequence, rows_last: bool = False
             grads[:0] = [gw, gb]
         return (_rows_last(g) if rows_last and g is not None else g, *grads)
 
-    return _result(np.ascontiguousarray(_rows_last(h)) if rows_last else h, (x, *params), push)
+    return _result(_rows_last(h, x.values) if rows_last else h, (x, *params), push)
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +556,13 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 # layer norm
 #
 # Layer norm runs rows-last, on (..., d, R) arrays whose R rows lie on the
-# last axis: each statistic sums the d feature slices, axis -2, which numpy
-# adds in order as an outer axis, so below _PAIRWISE_MIN features each sum is
-# bit for bit numpy's last-axis sum of the row-first layout (from there on
-# numpy sums that axis pairwise, within rtol 1e-12). The gain and shift
-# gradients sum over the rows (see `_feature_sums`).
+# last axis: each statistic sums the d feature slices, axis -2. Where the
+# rows lie last in memory numpy adds that axis in order, as an outer axis,
+# so below _PAIRWISE_MIN features each sum is bit for bit numpy's last-axis
+# sum of the row-first layout (from there on numpy sums that axis pairwise,
+# within rtol 1e-12); where they lie first the axis is innermost in memory
+# and numpy sums it as the row-first layout's last axis, bit for bit at any
+# width. The gain and shift gradients sum over the rows (see `_feature_sums`).
 
 
 def _feature_column(p: np.ndarray) -> np.ndarray:
@@ -585,16 +653,19 @@ def layer_norm(a, gain, shift, eps: float):
 # one matrix or one matrix per member of the leading axis; other width-one
 # calls run the product kernel.
 #
-# The product kernel runs every head wider than one feature. It converts at
-# its boundary: it copies q, k and v row-first, (..., R, K, d), and its
-# output back rows-last, and makes the numpy calls of its chain of primitive
-# nodes on the row-first copies, projections included, so its values and
-# gradients are the chain's bit for bit, but for one sum: a decoder's query
-# is a `take` of its key/value input, which the chain's tape sums as
-# (query + key) + value and the node's as (key + value) + query, since the
-# `take` passes its term on after the node. A query that is the last key
-# position of the key input (`_is_last_slice`) is read as that slice of the
-# key's row-first copy, as the chain reads it.
+# The product kernel runs every head wider than one feature. It reads q, k
+# and v row-first, (..., R, K, d): in place where their rows lie first in
+# memory, as the flattened block lays them out, and from row-first copies
+# where they lie last (see the rows-last layout section); its output comes
+# back rows-last, laid out in memory as k. It makes the numpy calls of its
+# chain of primitive nodes on those row-first arrays, projections included,
+# so its values and gradients are the chain's bit for bit, but for one sum: a
+# decoder's query is a `take` of its key/value input, which the chain's tape
+# sums as (query + key) + value and the node's as (key + value) + query,
+# since the `take` passes its term on after the node. A query that is the
+# last key position of the key input (`_is_last_slice`) is read as that
+# slice of the key's row-first array, as the chain reads it; any other
+# strided query is read in place, as the chain's batched product reads it.
 #
 # Graph attention computes its layer with fewer, larger products, which sum
 # in another order than its chain, so its values and gradients match the
@@ -666,7 +737,7 @@ def _product_attention(xs, ws, n_heads: int, scale: float, mask):
         g_inputs = (None if gx is None else _rows_last(gx) for gx in g_inputs)
         return (*g_inputs, *g_weights, g_w_out)
 
-    return np.ascontiguousarray(_rows_last(values)), push
+    return _rows_last(values, k), push
 
 
 def _fits_row_last(xs, ws, n_heads: int) -> bool:
@@ -761,6 +832,15 @@ def attention(q, k, v, w_query, w_key, w_value, w_out, n_heads: int, scale: floa
     else:
         values, push = _product_attention(xs, ws, n_heads, scale, mask)
     return _result(values, parents, push)
+
+
+def attention_weights(q: np.ndarray, k: np.ndarray, w_query: np.ndarray, w_key: np.ndarray,
+                      n_heads: int, scale: float, mask=None, head: int = 0) -> np.ndarray:
+    """Head `head`'s softmax weights (..., Kq, Kk, R) of rows-last q and k, as
+    the product kernel computes them; values only, for inspection."""
+    weights = _attention_weights(_rows_first(q) @ w_query, _rows_first(k) @ w_key,
+                                 n_heads, scale, mask)[-1]
+    return _rows_last(weights[..., head, :, :])
 
 
 def _graph_attention_weights(xv, theta, score_src, score_dst, score_bias, index, mask):
@@ -864,7 +944,7 @@ def reshape(a, shape: Sequence[int]):
     return _result(values, (a,), push)
 
 
-def rearrange(a, shape: Sequence[int], axes: Sequence[int], out_shape: Sequence[int]):
+def _rearrange(a, shape: Sequence[int], axes: Sequence[int], out_shape: Sequence[int]):
     """a reshaped to `shape`, its axes permuted as np.transpose(axes) and
     reshaped to `out_shape` (a copy where the permutation moves data), as one
     node; the backward makes the inverse moves."""
@@ -945,12 +1025,12 @@ def shift_window(windows, preds, truth: np.ndarray | None = None,
 # calls of their mul and add nodes, so values and gradients are bit for bit.
 
 
-def dropout_keep(draws: np.ndarray, rate: float) -> np.ndarray:
+def _dropout_keep(draws: np.ndarray, rate: float, order: str = "C") -> np.ndarray:
     """Inverted-scaling Bernoulli dropout's keep factors for uniform `draws`:
-    0 where a draw falls below `rate`, else 1 / (1 - rate), as a new
-    C-contiguous array. `draws` may be a strided view (the block reads its
-    draw rows-last), which the comparison reads in place."""
-    keep = np.greater_equal(draws, rate, out=np.empty(draws.shape))
+    0 where a draw falls below `rate`, else 1 / (1 - rate), as a new array of
+    numpy memory order `order` ("K": the draws'). `draws` may be a strided
+    view, which the comparison reads in place."""
+    keep = np.greater_equal(draws, rate, out=np.empty_like(draws, order=order))
     return np.divide(keep, 1.0 - rate, out=keep)
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from radnet.errors import DimensionError, NumericError
 from radnet.tensor import (
     _attention_weights,
+    _dropout_keep,
     _leaky_relu_grad,
     _leaky_relu_values,
     _merge_heads,
@@ -42,7 +43,6 @@ from radnet.tensor import (
     _unbroadcast,
     _weight_matrix,
     _wrap,
-    dropout_keep,
     feed_forward,
     offset_dropout,
     reshape,
@@ -216,7 +216,7 @@ def sqrt(a):
 
 
 def dropout(a, keep):
-    """`a` times its dropout keep factors (`tensor.dropout_keep`); None (not
+    """`a` times its dropout keep factors (`tensor._dropout_keep`); None (not
     training) leaves `a` as it is."""
     return _wrap(a) if keep is None else mul(a, keep)
 
@@ -422,7 +422,7 @@ def row_first_forward(block, window, training=False, rng=None):
         rows = reshape(window, (members, -1, k, n_nodes * width))
     keep = [None] * 6
     if training:
-        factors = dropout_keep(rng.random((members, 6) + rows.shape[1:]), block.dropout_rate)
+        factors = _dropout_keep(rng.random((members, 6) + rows.shape[1:]), block.dropout_rate)
         keep = [factors[:, i] for i in range(6)]
     last_row = lambda f: None if f is None else f[..., -1:, :]
 

@@ -260,9 +260,10 @@ def assert_within_rtol(results):
 
 # (rows, K, model width, heads): the block reads (S, K, d, R) member windows
 # against (S, 1, d, d) member weights; these tests build row-first (S, R, K, d)
-# inputs for the chains, which `attention` moves rows-last for the node. C07 is flattened with one 4-wide head
-# over 32 windows of 5 (one window at batch 1); train-radset is per node, 16
-# nodes of 7 width-1 heads per window, which run the row-last kernel.
+# inputs for the chains, which `attention` moves rows-last for the node. C07
+# is flattened with one 4-wide head over 32 windows of 5 (one window at batch
+# 1); train-radset is per node, 16 nodes of 7 width-1 heads per window, which
+# run the row-last kernel.
 ATTENTION_SHAPES = {
     "c07": (32, 5, 4, 1),
     "c07-batch1": (1, 5, 4, 1),
@@ -272,13 +273,15 @@ ATTENTION_SHAPES = {
 
 # how the inputs are shared: self-attention passes one x as q, k and v (with
 # the encoder's causal mask); the decoder's query is the last row of its
-# key/value input; cross-attention has its own one-row query, a fresh array
-# as the block's layer-normed decoder output is, and shares k/v; the last
+# key/value input; cross-attention has its own query, a strided one-row view
+# of another array, and shares k/v; "cross-fresh" passes a fresh one-row
+# query instead, as the block's layer-normed decoder output is; the last
 # passes three distinct inputs
 ATTENTION_SHARING = {
     "self": lambda op, x, _, __, *w: op(x, x, x, *w, mask=True),
     "decoder": lambda op, x, _, __, *w: add(op(x[..., -1:, :], x, x, *w), x[..., -1:, :]),
-    "cross": lambda op, q, kv, _, *w: op(mul(q[..., -1:, :], 1.0), kv, kv, *w),
+    "cross": lambda op, q, kv, _, *w: op(q[..., -1:, :], kv, kv, *w),
+    "cross-fresh": lambda op, q, kv, _, *w: op(mul(q[..., -1:, :], 1.0), kv, kv, *w),
     "distinct": lambda op, q, k, v, *w: op(q, k, v, *w),
 }
 
@@ -1069,7 +1072,7 @@ def glue_arrays(rng, shape=(3, 4, 2)):
     """Three parts, (B, 3) logits, keep factors at rate 0.3 and an offset for `shape`."""
     parts = [DiffArray(rng.normal(size=shape), requires_grad=True) for _ in range(3)]
     logits = DiffArray(rng.normal(size=(shape[0], 3)), requires_grad=True)
-    keep = T.dropout_keep(rng.random(shape), 0.3)
+    keep = T._dropout_keep(rng.random(shape), 0.3)
     return parts, logits, keep, rng.normal(size=shape[1:])
 
 

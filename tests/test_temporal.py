@@ -62,7 +62,7 @@ class TestPositionEncoding:
     def test_training_dropout_changes_values(self):
         x = np.ones((50, 4, 2))
         rng = np.random.default_rng(1)
-        out = position_encode(x, T.dropout_keep(rng.random(x.shape), 0.5)).values
+        out = position_encode(x, T._dropout_keep(rng.random(x.shape), 0.5)).values
         assert (out == 0).any()
 
 
@@ -307,7 +307,7 @@ def all_positions_decoder(block, x, training=False, rng=None):
     """
     x = DiffArray(x)
     (members, k, d, r), rate = x.shape, block.dropout_rate
-    keep = [T.dropout_keep(np.moveaxis(rng.random((members, r, k, d)), 1, -1).copy(), rate)
+    keep = [T._dropout_keep(np.moveaxis(rng.random((members, r, k, d)), 1, -1).copy(), rate)
             if training else None for _ in range(6)]
     memory = block.encoder(position_encode(x, keep[0]), keep[1:3])
     source = position_encode(x, keep[3])

@@ -529,10 +529,10 @@ class TestShapeOps:
         x = DiffArray(rng.normal(size=(2, 3, 4, 10)), requires_grad=True)
         w = rng.normal(size=out_shape)
         want = x.values.reshape(shape).transpose(axes).reshape(out_shape)
-        np.testing.assert_array_equal(T.rearrange(x, shape, axes, out_shape).values, want)
+        np.testing.assert_array_equal(T._rearrange(x, shape, axes, out_shape).values, want)
 
         def f():
-            return weighted_sum(T.rearrange(x, shape, axes, out_shape), w)
+            return weighted_sum(T._rearrange(x, shape, axes, out_shape), w)
 
         f().backward()
         assert rel_err(x.grad, fd_grad(f, x)) < 1e-6
@@ -708,7 +708,7 @@ class TestBackwardMechanics:
         rng = np.random.default_rng(9)
         x = DiffArray(np.ones(1000))
         draws = rng.random(x.shape)
-        keep = T.dropout_keep(draws[::-1], 0.25)[::-1]  # a strided view of the draws
+        keep = T._dropout_keep(draws[::-1], 0.25)[::-1]  # a strided view of the draws
         np.testing.assert_array_equal(keep, (draws >= 0.25) / (1.0 - 0.25))
         out = dropout(x, keep)
         kept = out.values != 0

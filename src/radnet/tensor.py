@@ -281,13 +281,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # which at C07's small arrays outweighs a copy.
 
 
-def _order(like: np.ndarray) -> str:
-    """The memory order of a rows-last array: "C" where its rows lie last in
-    memory (it is C-contiguous), else "K", the order a row-first array's move
-    keeps."""
-    return "C" if like.flags.c_contiguous else "K"
-
-
 def _rows_first(x: np.ndarray) -> np.ndarray:
     """A rows-last (..., K, d, R) array as row-first (..., R, K, d): a
     C-contiguous copy where x's rows lie last in memory, else the view (itself
@@ -298,9 +291,11 @@ def _rows_first(x: np.ndarray) -> np.ndarray:
 
 def _rows_last(x: np.ndarray, like: np.ndarray | None = None) -> np.ndarray:
     """Inverse of `_rows_first`: a row-first (..., R, K, d) array as (..., K,
-    d, R), a view, or laid out in memory as the rows-last array `like`."""
+    d, R), a view, or laid out in memory as the rows-last array `like`: a
+    C-contiguous copy where like's rows lie last in memory (like is
+    C-contiguous)."""
     view = x.swapaxes(-3, -2).swapaxes(-2, -1)
-    return view if like is None else np.asarray(view, order=_order(like))
+    return np.ascontiguousarray(view) if like is not None and like.flags.c_contiguous else view
 
 
 def _window_moves(shape: tuple[int, ...], per_node: bool):
@@ -336,7 +331,7 @@ def rows_last_keep(draws: np.ndarray, rate: float, like: np.ndarray) -> np.ndarr
     """`_dropout_keep` of uniforms drawn row-first, (..., R, K, d), as rows-last
     (..., K, d, R) keep factors laid out in memory as the rows-last array
     `like`."""
-    return _dropout_keep(_rows_last(draws), rate, _order(like))
+    return _dropout_keep(_rows_last(draws), rate, "C" if like.flags.c_contiguous else "K")
 
 
 # ---------------------------------------------------------------------------

@@ -551,13 +551,17 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 # layer norm
 #
 # Layer norm runs rows-last, on (..., d, R) arrays whose R rows lie on the
-# last axis: each statistic sums the d feature slices, axis -2. Where the
-# rows lie last in memory numpy adds that axis in order, as an outer axis,
+# last axis, and normalizes the d features, axis -2. Where the rows lie last
+# in memory it sums that axis with numpy, which adds an outer axis in order,
 # so below _PAIRWISE_MIN features each sum is bit for bit numpy's last-axis
 # sum of the row-first layout (from there on numpy sums that axis pairwise,
-# within rtol 1e-12); where they lie first the axis is innermost in memory
-# and numpy sums it as the row-first layout's last axis, bit for bit at any
-# width. The gain and shift gradients sum over the rows (see `_feature_sums`).
+# within rtol 1e-12). Where they lie first, as in the flattened block, the
+# node works on the C-contiguous row-first view, (..., R, K, d), over its
+# last axis (`_sum_last`): there a feature axis of a few elements is
+# innermost, which numpy reduces row by row, and numpy's elementwise calls
+# take their fast path on C-contiguous operands only. Its values and
+# gradients are then the row-first node's bit for bit at any width. The gain
+# and shift gradients sum over the rows (see `_feature_sums`).
 
 
 def _feature_column(p: np.ndarray) -> np.ndarray:
@@ -566,22 +570,28 @@ def _feature_column(p: np.ndarray) -> np.ndarray:
     return p[:, None] if p.ndim == 1 else p.swapaxes(-1, -2)
 
 
-def _feature_sums(shape: tuple[int, ...], *xs: np.ndarray) -> np.ndarray:
-    """The product of the rows-last (..., d, R) arrays `xs` summed down to the
-    stored `shape`, (d,) or (..., 1, d), of a gain or shift: over the rows,
-    the timesteps and every other axis the parameter is broadcast over.
+def _sum_features(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-2, keepdims=True): the features of a rows-last array."""
+    return x.sum(axis=-2, keepdims=True)
 
-    Below _EINSUM_MIN_ROWS rows per feature the product is taken row-first,
-    (..., R, K, d), and summed by `_unbroadcast`, so the sums add the terms
-    in the order, and to the bits, of the row-first layout. From there on
-    one einsum contracts the rows-last operands without forming the
+
+def _feature_sums(shape: tuple[int, ...], rows_first: bool, *xs: np.ndarray) -> np.ndarray:
+    """The product of the arrays `xs` summed down to the stored `shape`, (d,)
+    or (..., 1, d), of a gain or shift: over the rows, the timesteps and every
+    other axis the parameter is broadcast over. `xs` are row-first (..., R,
+    K, d) where `rows_first`, else rows-last (..., K, d, R).
+
+    Row-first, and rows-last below _EINSUM_MIN_ROWS rows per feature, the
+    product is taken row-first and summed by `_unbroadcast`, so the sums add
+    the terms in the order, and to the bits, of the row-first layout. From
+    there on one einsum contracts the rows-last operands without forming the
     product; it adds the rows in another order, within rtol 1e-12 of that
     one, at a fraction of a row-first copy's cost.
     """
     x = xs[0]
-    if x.size < _EINSUM_MIN_ROWS * x.shape[-2]:
+    if rows_first or x.size < _EINSUM_MIN_ROWS * x.shape[-2]:
         product = x if len(xs) == 1 else x * xs[1]
-        return _unbroadcast(_rows_first(product), shape)
+        return _unbroadcast(product if rows_first else _rows_first(product), shape)
     column = shape[:-2] + shape[-1:] + (1,)  # as `_feature_column` lays it out
     kept = [i for i, n in enumerate(column, x.ndim - len(column)) if n != 1]
     labels = range(x.ndim)
@@ -593,34 +603,43 @@ def layer_norm(a, gain, shift, eps: float):
     (..., d, R) array, as one node; `gain` and `shift` hold the d features on
     their last axis, (d,) or (..., 1, d).
 
-    Values, and below _PAIRWISE_MIN features the input gradient, are bit for
-    bit those of the row-first node over the last axis (see above). Values
-    and the gain and shift gradients of that node are bit for bit its
-    composed chain (mean, sub, mul, mean, add, sqrt, div, mul, add). The
-    input gradient is the closed form (gn - mean(gn) - normed * mean(gn * normed)) / std,
-    gn = g * gain (Ba et al., 2016), from width 3 within rtol 1e-12 of the chain's.
+    Values, and below _PAIRWISE_MIN features or where a's rows lie first in
+    memory the input gradient, are bit for bit those of the row-first node
+    over the last axis (see above). Values and the gain and shift gradients
+    of that node are bit for bit its composed chain (mean, sub, mul, mean,
+    add, sqrt, div, mul, add). The input gradient is the closed form
+    (gn - mean(gn) - normed * mean(gn * normed)) / std, gn = g * gain
+    (Ba et al., 2016), from width 3 within rtol 1e-12 of the chain's.
     """
     a, gain, shift = _wrap(a), _wrap(gain), _wrap(shift)
     av = a.values
-    gv, sv = _feature_column(gain.values), _feature_column(shift.values)
     width = av.shape[-2]
+    rows_first = not av.flags.c_contiguous  # work on the row-first view (see above)
+    if rows_first:
+        av, gv, sv, total = _rows_first(av), gain.values, shift.values, _sum_last
+    else:
+        gv, sv = _feature_column(gain.values), _feature_column(shift.values)
+        total = _sum_features
     # each mean is numpy's, a sum divided by the width
-    centered = av - av.sum(axis=-2, keepdims=True) / width
-    std = np.sqrt((centered * centered).sum(axis=-2, keepdims=True) / width + eps)
+    centered = av - total(av) / width
+    std = np.sqrt(total(centered * centered) / width + eps)
     normed = centered / std
     values = normed * gv + sv
 
     def push(g, wants):
-        g_gain = _feature_sums(gain.shape, g, normed) if wants[1] else None
-        g_shift = _feature_sums(shift.shape, g) if wants[2] else None
+        if rows_first:
+            g = _rows_first(g)
+        g_gain = _feature_sums(gain.shape, rows_first, g, normed) if wants[1] else None
+        g_shift = _feature_sums(shift.shape, rows_first, g) if wants[2] else None
         if not wants[0]:
             return None, g_gain, g_shift
         gn = g * gv
-        dx = gn - gn.sum(axis=-2, keepdims=True) / width
-        dx -= normed * ((gn * normed).sum(axis=-2, keepdims=True) / width)
-        return np.divide(dx, std, out=dx), g_gain, g_shift
+        dx = gn - total(gn) / width
+        dx -= normed * (total(gn * normed) / width)
+        np.divide(dx, std, out=dx)
+        return _rows_last(dx) if rows_first else dx, g_gain, g_shift
 
-    return _result(values, (a, gain, shift), push)
+    return _result(_rows_last(values) if rows_first else values, (a, gain, shift), push)
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +708,13 @@ def _is_last_slice(q: np.ndarray, k: np.ndarray) -> bool:
             == k.__array_interface__["data"][0] + (k.shape[-3] - 1) * k.strides[-3])
 
 
+def _reads_within(q: np.ndarray, k: np.ndarray) -> bool:
+    """Whether q reads only elements that k reads: q is a view of the buffer
+    that k spans whole, as a decoder's query q = k[..., -1:, :, :] is."""
+    base = k if k.base is None else k.base
+    return q.base is base and isinstance(base, np.ndarray) and k.size == base.size
+
+
 def _attention_weights(qp: np.ndarray, kp: np.ndarray, n_heads: int, scale: float, mask):
     """Attention up to its softmax weights, from projected row-first rows: (the
     gradients of the scores qh @ khᵀ, weights (..., H, Kq, Kk)).
@@ -709,7 +735,7 @@ def _product_attention(xs, ws, n_heads: int, scale: float, mask):
     v_rows = k_rows if v is k else _rows_first(v)
     if q is k:
         q_rows = k_rows
-    elif _is_last_slice(q, k):
+    elif k.flags.c_contiguous and _is_last_slice(q, k):  # k's rows were copied
         q_rows = k_rows[..., -1:, :]  # the view the chain's `take` reads
     else:
         q_rows = _rows_first(q)
@@ -810,14 +836,15 @@ def attention(q, k, v, w_query, w_key, w_value, w_out, n_heads: int, scale: floa
     (..., Kq, d, R). An input passed as several of q, k and v gets one
     gradient per role, which the tape sums. NaN or inf in q, k or v raises a
     NumericError naming the role before any projection; each buffer is read
-    once, and a query that is the last key position of k is read as part of k.
+    once, and a query that is a view within k, as a decoder's last key
+    position is, is read as part of k.
 
     Heads one feature wide (d == H) run the row-last kernel, within rtol
     1e-12 of the product kernel, which runs every wider head (see above).
     """
     parents = tuple(_wrap(t) for t in (q, k, v, w_query, w_key, w_value, w_out))
     xs, ws = [p.values for p in parents[:3]], [p.values for p in parents[3:]]
-    covered = _is_last_slice(xs[0], xs[1])  # k's check reads the query
+    covered = _reads_within(xs[0], xs[1])  # k's check reads the query
     for x in {id(x): x for x in xs[covered:]}.values():  # an array in several roles is read once
         if not np.isfinite(x).all():
             roles = "/".join(r for r, y in zip(("query", "key", "value"), xs) if y is x)
@@ -946,7 +973,7 @@ def _rearrange(a, shape: Sequence[int], axes: Sequence[int], out_shape: Sequence
     a = _wrap(a)
     orig = a.values.shape
     moved = a.values.reshape(shape).transpose(axes)
-    inverse = np.argsort(axes)
+    inverse = sorted(range(len(axes)), key=axes.__getitem__)
 
     def push(g, _):
         return (g.reshape(moved.shape).transpose(inverse).reshape(orig),)

@@ -445,6 +445,16 @@ class TestAttention:
         assert not T._is_last_slice(kv[:, -1:].copy(), kv)
         assert not T._is_last_slice(kv[:, -1:, :, :2], kv)
 
+    def test_query_read_within_key_only_where_the_key_spans_its_buffer(self):
+        kv = np.zeros((2, 5, 7, 3))
+        moved = np.zeros((2, 3, 5, 7)).transpose(0, 2, 3, 1)  # rows first in memory
+        for k in (kv, moved):
+            assert T._reads_within(k[:, -1:], k)
+            assert T._reads_within(k[:, :1], k)
+            assert not T._reads_within(k[:, -1:].copy(), k)
+        assert not T._reads_within(kv[:, :1], kv[:, 1:])
+        assert not T._reads_within(kv[:, :1], np.zeros_like(kv))
+
 
 WIDTH_ONE_CASES = [case for case, (_, _, d, h) in ATTENTION_SHAPES.items() if d == h]
 

@@ -163,21 +163,27 @@ class TestLayerNorm:
         np.testing.assert_allclose(fused[1], composed[1], rtol=0, atol=atol)
 
 
-def rows_last_and_row_first(values, gain_values, shift_values, members):
+def rows_last_and_row_first(values, gain_values, shift_values, members, rows_first=False):
     """Output and input, gain and shift gradients of the rows-last node on
     (S, K, d, R) values and of the row-first node on their (S, R, K, d) copy,
     each laid out row-first; gain and shift are (S, 1, 1, d) member stacks
-    when `members`, else (d,)."""
+    when `members`, else (d,). With `rows_first` the rows-last node's input
+    and output gradient keep their rows first in memory, as the flattened
+    block lays them out: rows-last views of row-first arrays."""
     w = np.random.default_rng(1).normal(size=values.shape)
+    rows_last = np.ascontiguousarray
+    if rows_first:
+        rows_last = lambda a: np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 1)), 1, -1)
     results = []
     for norm, x_values, w_values in (
-            (T.layer_norm, values, w),
-            (row_first_layer_norm, np.moveaxis(values, -1, 1), np.moveaxis(w, -1, 1))):
-        x = DiffArray(np.ascontiguousarray(x_values), requires_grad=True)
+            (T.layer_norm, rows_last(values), rows_last(w)),
+            (row_first_layer_norm, np.ascontiguousarray(np.moveaxis(values, -1, 1)),
+             np.ascontiguousarray(np.moveaxis(w, -1, 1)))):
+        x = DiffArray(x_values, requires_grad=True)
         gain = DiffArray(gain_values, requires_grad=True)
         shift = DiffArray(shift_values, requires_grad=True)
         out = norm(x, gain, shift, 1e-6)
-        weighted_sum(out, np.ascontiguousarray(w_values)).backward()
+        weighted_sum(out, w_values).backward()
         layout = (lambda a: np.moveaxis(a, -1, 1)) if norm is T.layer_norm else (lambda a: a)
         results.append((layout(out.values), layout(x.grad), gain.grad, shift.grad))
     return results
@@ -203,6 +209,22 @@ class TestRowsLastLayerNorm:
                 np.testing.assert_array_equal(got, want)
             else:
                 assert_close_to_scale(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(width=st.integers(1, 64), k=st.integers(1, 5), rows=st.integers(1, 40),
+           members=st.booleans(), seed=st.integers(0, 2**16))
+    def test_rows_first_in_memory_match_row_first_node(self, width, k, rows, members, seed):
+        # the flattened block's layout: the feature axis lies innermost in
+        # memory, and numpy sums it as the row-first node's last axis, bit
+        # for bit at any width
+        rng = np.random.default_rng(seed)
+        s = 2 if members else 1
+        values = rng.normal(size=(s, k, width, rows)) * rng.uniform(0.1, 10.0, (s, k, 1, rows))
+        shape = (s, 1, 1, width) if members else (width,)
+        ours, ref = rows_last_and_row_first(values, rng.normal(size=shape),
+                                            rng.normal(size=shape), members, rows_first=True)
+        for got, want in zip(ours, ref):
+            np.testing.assert_array_equal(got, want)
 
     # train-radset's encoder and decoder norms: from 512 rows per feature the
     # gain and shift gradients are one einsum over the rows-last operands

@@ -406,3 +406,26 @@ class TestRowFirstReference:
                 np.testing.assert_array_equal(got, want)
             else:
                 assert_close_to_scale(got, want)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("case", ROW_FIRST_CASES)
+    def test_flattened_block_moves_no_rows(self, monkeypatch, case, training):
+        # flattened, the windows' rows stay first in memory and every node
+        # reads them in place; per node, the moves copy
+        members, batch, n_nodes, n_features, width, n_heads = ROW_FIRST_CASES[case]
+        rng = np.random.default_rng(33)
+        block = TransformerBlock(width, n_heads, rng, 16, 0.1, members)
+        values = rng.normal(size=(members, batch, 5, n_nodes, n_features))
+        per_node = case != "c07"
+        assert np.shares_memory(T.to_rows_last(values, per_node).values, values) != per_node
+        copies = []
+        contiguous = np.ascontiguousarray
+
+        def ascontiguousarray(x):
+            if not x.flags.c_contiguous:
+                copies.append(x.shape)
+            return contiguous(x)
+
+        monkeypatch.setattr(np, "ascontiguousarray", ascontiguousarray)
+        self.run(transformer_forward, block, values, training)
+        assert bool(copies) == per_node

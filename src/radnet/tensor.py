@@ -331,7 +331,8 @@ def rows_last_keep(draws: np.ndarray, rate: float, like: np.ndarray) -> np.ndarr
     """`_dropout_keep` of uniforms drawn row-first, (..., R, K, d), as rows-last
     (..., K, d, R) keep factors laid out in memory as the rows-last array
     `like`."""
-    return _dropout_keep(_rows_last(draws), rate, "C" if like.flags.c_contiguous else "K")
+    view = _rows_last(draws)
+    return _dropout_keep(view, rate, None if like.flags.c_contiguous else np.empty_like(view))
 
 
 # ---------------------------------------------------------------------------
@@ -1047,12 +1048,12 @@ def shift_window(windows, preds, truth: np.ndarray | None = None,
 # calls of their mul and add nodes, so values and gradients are bit for bit.
 
 
-def _dropout_keep(draws: np.ndarray, rate: float, order: str = "C") -> np.ndarray:
+def _dropout_keep(draws: np.ndarray, rate: float, out: np.ndarray | None = None) -> np.ndarray:
     """Inverted-scaling Bernoulli dropout's keep factors for uniform `draws`:
-    0 where a draw falls below `rate`, else 1 / (1 - rate), as a new array of
-    numpy memory order `order` ("K": the draws'). `draws` may be a strided
+    0 where a draw falls below `rate`, else 1 / (1 - rate), written into
+    `out`, by default a new C-contiguous array. `draws` may be a strided
     view, which the comparison reads in place."""
-    keep = np.greater_equal(draws, rate, out=np.empty_like(draws, order=order))
+    keep = np.greater_equal(draws, rate, out=np.empty(draws.shape) if out is None else out)
     return np.divide(keep, 1.0 - rate, out=keep)
 
 

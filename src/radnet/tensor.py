@@ -271,11 +271,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # the block a view whose rows stay first in memory. The block's nodes keep
 # their input's memory order: numpy's elementwise calls do, and the nodes that
 # allocate or move rows themselves (`_rows_last`, `rows_last_keep`) follow the
-# array they are given. So the flattened block's product kernel and
-# feed-forward read their row-first operands in place, and no array is moved
-# twice. Where the rows lie in memory changes no value: an elementwise result
-# does not depend on it, and a feature sum of fewer than _PAIRWISE_MIN terms
-# adds in order either way (see the layer norm section).
+# array they are given. So the flattened block's product kernel, feed-forward
+# and layer norm read C-contiguous row-first views of their operands, and no
+# array is moved twice. Values depend on the memory order only through layer
+# norm's feature sums from _PAIRWISE_MIN features on (see the layer norm
+# section).
 #
 # The moves swap axes pairwise: np.moveaxis costs several microseconds a call,
 # which at C07's small arrays outweighs a copy.
